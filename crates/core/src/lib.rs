@@ -653,14 +653,14 @@ fn ir_stmt_count(p: &IrProgram) -> u64 {
     fn count(stmts: &[IrStmt]) -> u64 {
         stmts
             .iter()
-            .map(|s| {
-                1 + match s {
-                    IrStmt::For(f) => count(&f.body),
-                    IrStmt::While { body, .. } => count(body),
-                    IrStmt::If { then_b, else_b, .. } => count(then_b) + count(else_b),
-                    IrStmt::Block(b) => count(b),
-                    _ => 0,
-                }
+            .map(|s| match s {
+                // A kernel op counts as the nest it stands for.
+                IrStmt::Kernel { fallback, .. } => count(fallback),
+                IrStmt::For(f) => 1 + count(&f.body),
+                IrStmt::While { body, .. } => 1 + count(body),
+                IrStmt::If { then_b, else_b, .. } => 1 + count(then_b) + count(else_b),
+                IrStmt::Block(b) => 1 + count(b),
+                _ => 1,
             })
             .sum()
     }

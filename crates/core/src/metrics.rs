@@ -178,6 +178,7 @@ impl ProfileReport {
             let _ = writeln!(out, "{:<22} {:>10}", "total steps", interp.total_steps);
             let _ = writeln!(out, "{:<22} {:>10}", "parallel loops", interp.par_loops);
             let _ = writeln!(out, "{:<22} {:>10}", "parallel iterations", interp.par_iters);
+            let _ = writeln!(out, "{:<22} {:>10}", "kernel calls", interp.kernel_calls);
             let _ = writeln!(
                 out,
                 "{:<22} {:>10}",
@@ -257,6 +258,7 @@ impl ProfileReport {
                 let _ = writeln!(out, "    \"total_steps\": {},", interp.total_steps);
                 let _ = writeln!(out, "    \"par_loops\": {},", interp.par_loops);
                 let _ = writeln!(out, "    \"par_iters\": {},", interp.par_iters);
+                let _ = writeln!(out, "    \"kernel_calls\": {},", interp.kernel_calls);
                 let _ = writeln!(out, "    \"peak_live_bytes\": {},", interp.peak_live_bytes);
                 out.push_str("    \"functions\": [\n");
                 for (i, f) in interp.functions.iter().enumerate() {

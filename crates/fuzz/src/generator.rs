@@ -468,6 +468,18 @@ impl Gen {
         self.pick(&self.sizes.clone()).clone()
     }
 
+    /// A size variable holding exactly `v`, minted (and declared onto
+    /// `out`) when none is in scope.
+    fn size_of_value(&mut self, v: i64, out: &mut Vec<Stmt>) -> (String, i64) {
+        if let Some(hit) = self.sizes.iter().find(|(_, val)| *val == v) {
+            return hit.clone();
+        }
+        let name = self.fresh("n");
+        out.push(b::decl(Type::Int, &name, b::int(v)));
+        self.sizes.push((name.clone(), v));
+        (name, v)
+    }
+
     /// `Matrix <elem> <1> v = with ([0] <= [i] < [n]) genarray([n], body);`
     fn stmt_genarray1(&mut self) -> Vec<Stmt> {
         let mut out = Vec::new();
@@ -490,16 +502,33 @@ impl Gen {
         out
     }
 
-    /// Rank-2 float genarray, optionally via `init` + transformed assign.
+    /// Rank-2 genarray, optionally via `init` + transformed assign.
     fn stmt_genarray2(&mut self) -> Vec<Stmt> {
+        self.genarray2((None, None), None)
+    }
+
+    /// [`Gen::stmt_genarray2`] with extents and/or the element type
+    /// pinned, so a product's operands can be built to conform.
+    fn genarray2(
+        &mut self,
+        (rows, cols): (Option<i64>, Option<i64>),
+        elem: Option<ElemKind>,
+    ) -> Vec<Stmt> {
         let mut pre = Vec::new();
-        let (mvar, mval) = self.some_size(&mut pre);
-        let (nvar, nval) = self.some_size(&mut pre);
+        let mut size = |g: &mut Gen, pinned: Option<i64>| match pinned {
+            Some(v) => g.size_of_value(v, &mut pre),
+            None => g.some_size(&mut pre),
+        };
+        let (mvar, mval) = size(self, rows);
+        let (nvar, nval) = size(self, cols);
         let name = self.fresh("m");
         let iv = self.fresh("i");
         let jv = self.fresh("j");
         let idxs = vec![iv.clone(), jv.clone()];
-        let float_elem = self.chance(70);
+        let float_elem = match elem {
+            Some(e) => e == ElemKind::Float,
+            None => self.chance(70),
+        };
         let body = if float_elem {
             self.float_expr(&idxs, 2, false)
         } else {
@@ -749,35 +778,58 @@ impl Gen {
         }
     }
 
-    /// `c = a * b` matrix product over square, non-derived rank-2
-    /// floats (derived results are excluded from further products so
-    /// magnitudes cannot chain).
+    /// `c = a * b` matrix product of non-derived rank-2 operands, float
+    /// or int (derived results are excluded from further products so
+    /// magnitudes cannot chain; int operands are `% 97`-reduced, so an
+    /// 8-term dot product stays far inside 32 bits). About a third of
+    /// the products are `a * a` (aliased operands, square); the rest
+    /// multiply by a distinct `k × n` matrix and are in general
+    /// non-square. Operands come from scope when one conforms and are
+    /// built for the purpose otherwise.
     fn stmt_matmul(&mut self) -> Vec<Stmt> {
-        let Some(mi) = self.pick_mat(|m| {
-            m.elem == ElemKind::Float
-                && m.extents.len() == 2
-                && m.extents[0] == m.extents[1]
-                && !m.derived
-        }) else {
-            return self.stmt_genarray2();
+        let aliased = self.chance(30);
+        let mut out = Vec::new();
+        let usable = |m: &Mat| m.extents.len() == 2 && !m.derived;
+        let ai = match self.pick_mat(|m| usable(m) && (!aliased || m.extents[0] == m.extents[1])) {
+            Some(ai) => ai,
+            None => {
+                let edge = aliased.then(|| self.int_in(3, 8));
+                out.extend(self.genarray2((edge, edge), None));
+                self.mats.len() - 1
+            }
         };
-        let (src, e) = {
-            let m = &self.mats[mi];
-            (m.name.clone(), m.extents[0])
+        let (lhs, elem, m, k) = {
+            let a = &self.mats[ai];
+            (a.name.clone(), a.elem, a.extents[0], a.extents[1])
         };
+        let bi = if aliased {
+            ai
+        } else {
+            let conforming = self.pick_mat(|x| {
+                usable(x) && x.name != lhs && x.elem == elem && x.extents[0] == k
+            });
+            match conforming {
+                Some(bi) => bi,
+                None => {
+                    out.extend(self.genarray2((Some(k), None), Some(elem)));
+                    self.mats.len() - 1
+                }
+            }
+        };
+        let (rhs, n) = (self.mats[bi].name.clone(), self.mats[bi].extents[1]);
         let name = self.fresh("prod");
-        let stmt = b::decl(
-            Type::Matrix(ElemKind::Float, 2),
+        out.push(b::decl(
+            Type::Matrix(elem, 2),
             &name,
-            b::binary(BinOp::Mul, b::var_ref(&src), b::var_ref(&src)),
-        );
+            b::binary(BinOp::Mul, b::var_ref(&lhs), b::var_ref(&rhs)),
+        ));
         self.mats.push(Mat {
             name,
-            elem: ElemKind::Float,
-            extents: vec![e, e],
+            elem,
+            extents: vec![m, n],
             derived: true,
         });
-        vec![stmt]
+        out
     }
 
     /// `c = matrixMap(rowKernel, m, [1]);`
@@ -961,6 +1013,34 @@ mod tests {
         assert_ne!(a, c, "distinct cases should differ");
         let d = generate_source(43, 7);
         assert_ne!(a, d, "distinct seeds should differ");
+    }
+
+    /// The `vm` oracle is the matmul kernel's differential test, so the
+    /// generator must reach the kernel's cases: aliased operands, distinct
+    /// (in general non-square) operands, and both element types.
+    #[test]
+    fn products_cover_aliased_distinct_and_int_operands() {
+        let (mut aliased, mut distinct, mut int, mut float) = (0, 0, 0, 0);
+        for case in 0..500 {
+            let src = generate_source(42, case);
+            for line in src.lines().filter(|l| l.contains("> prod")) {
+                let (decl, product) = line.split_once(" = ").expect("product declaration");
+                let product = product.trim_start_matches('(').trim_end_matches(");");
+                let (a, b) = product.split_once(" * ").expect("a * b");
+                if a == b {
+                    aliased += 1;
+                } else {
+                    distinct += 1;
+                }
+                if decl.contains("Matrix int") {
+                    int += 1;
+                } else {
+                    float += 1;
+                }
+            }
+        }
+        assert!(aliased >= 5 && distinct >= 20 && int >= 5 && float >= 20,
+            "aliased {aliased}, distinct {distinct}, int {int}, float {float}");
     }
 
     #[test]

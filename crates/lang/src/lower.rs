@@ -19,7 +19,9 @@ use std::collections::HashMap;
 
 use cmm_ast::*;
 use cmm_loopir::transform::{apply_all, LoopTransform};
-use cmm_loopir::{CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt};
+use cmm_loopir::{
+    CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
+};
 
 use crate::typecheck::{FuncSig, TypeInfo};
 
@@ -1324,15 +1326,28 @@ impl FnLower<'_> {
             vector: false,
             schedule: None,
         });
-        out.push(IrStmt::For(ForLoop {
+        let parallel = self.opts.parallelize;
+        let nest = IrStmt::For(ForLoop {
             var: i,
             lo: IrExpr::Int(0),
             hi: m,
             body: vec![body_j],
-            parallel: self.opts.parallelize,
+            parallel,
             vector: false,
             schedule: None,
-        }));
+        });
+        // The nest above is the product's definition; the kernel call
+        // lets the VM tier compute the same buffer natively.
+        out.push(IrStmt::Kernel {
+            call: KernelCall::MatMul {
+                dst: result.clone(),
+                a: lv.to_string(),
+                b: rv.to_string(),
+                elem: elem_ir(elem),
+                parallel,
+            },
+            fallback: vec![nest],
+        });
         Ok(RV::Mat {
             var: result,
             elem,

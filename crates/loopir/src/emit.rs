@@ -148,7 +148,9 @@ fn validate_function(f: &IrFunction) -> Result<(), EmitError> {
                 }
                 walk_expr(call, fname)
             }
-            IrStmt::Block(b) => b.iter().try_for_each(|s| walk_stmt(s, fname)),
+            IrStmt::Block(b) | IrStmt::Kernel { fallback: b, .. } => {
+                b.iter().try_for_each(|s| walk_stmt(s, fname))
+            }
         }
     }
 
@@ -387,6 +389,12 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
             }
             ind(level, out);
             out.push_str("}\n");
+        }
+        // Emitted C is the scalar nest, in place: gcc is the kernel here.
+        IrStmt::Kernel { fallback, .. } => {
+            for s in fallback {
+                emit_stmt(s, level, ctx, out);
+            }
         }
     }
 }

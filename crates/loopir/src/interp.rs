@@ -381,6 +381,20 @@ impl BufHandle {
         (0..self.len()).map(|i| self.read_bits(i).map(|b| b as i32)).collect()
     }
 
+    /// Whether both handles name the same storage.
+    pub(crate) fn same_buffer(&self, other: &BufHandle) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Base pointer of the buffer's `len()` 4-byte cells, for the kernel
+    /// ops ([`crate::kernel`]) that hand whole operands to
+    /// `cmm_runtime::kernels` as slices. The block is 16-byte aligned and
+    /// at least `4 * len()` bytes; it stays allocated while any handle
+    /// exists, freed or not.
+    pub(crate) fn cells(&self) -> *mut u32 {
+        self.0.block.as_ptr() as *mut u32
+    }
+
     fn incr(&self) {
         self.0.refs.fetch_add(1, Ordering::AcqRel);
     }
@@ -520,6 +534,11 @@ pub struct InterpProfile {
     pub par_loops: u64,
     /// Total iterations executed by those parallel loops.
     pub par_iters: u64,
+    /// Kernel ops the VM tier ran as one native kernel call instead of
+    /// interpreting their scalar nest (always 0 in the tree tier, which
+    /// is that nest's reference evaluator). A parallel kernel op also
+    /// counts in `par_loops`/`par_iters` as the nest's outer loop would.
+    pub kernel_calls: u64,
     /// High-water mark of live matrix bytes.
     pub peak_live_bytes: u64,
     /// Total interpreter steps (statements + loop iterations).
@@ -557,6 +576,7 @@ pub struct Interp<'p> {
     pub(crate) fn_costs: Mutex<Vec<(u64, u64)>>,
     pub(crate) par_loops: AtomicU64,
     pub(crate) par_iters: AtomicU64,
+    pub(crate) kernel_calls: AtomicU64,
     peak_live_bytes: AtomicU64,
     /// Process-default scheduling policy for parallel loops that don't
     /// pin one with a `schedule(...)` directive (`cmmc run --schedule`).
@@ -615,6 +635,7 @@ impl<'p> Interp<'p> {
             fn_costs: Mutex::new(vec![(0, 0); nfns]),
             par_loops: AtomicU64::new(0),
             par_iters: AtomicU64::new(0),
+            kernel_calls: AtomicU64::new(0),
             peak_live_bytes: AtomicU64::new(0),
             schedule: Schedule::Static,
             cost_probe: false,
@@ -716,6 +737,7 @@ impl<'p> Interp<'p> {
             functions,
             par_loops: self.par_loops.load(Ordering::Relaxed),
             par_iters: self.par_iters.load(Ordering::Relaxed),
+            kernel_calls: self.kernel_calls.load(Ordering::Relaxed),
             peak_live_bytes: self.peak_live_bytes.load(Ordering::Relaxed),
             total_steps: self.steps_used(),
         }
@@ -1027,7 +1049,10 @@ impl<'p> Interp<'p> {
     }
 
     fn exec(&self, stmt: &RStmt, frame: &mut Frame) -> IResult<Flow> {
-        self.charge(1)?;
+        // A kernel op costs nothing beyond the nest it stands for.
+        if !matches!(stmt, RStmt::Kernel { .. }) {
+            self.charge(1)?;
+        }
         match stmt {
             RStmt::Decl { slot, ty, init } => {
                 let v = match init {
@@ -1122,6 +1147,8 @@ impl<'p> Interp<'p> {
                 }
                 Ok(Flow::Normal)
             }
+            // This tier is the reference: it runs the scalar nest.
+            RStmt::Kernel { fallback, .. } => self.exec_block(fallback, frame),
         }
     }
 

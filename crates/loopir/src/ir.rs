@@ -255,6 +255,28 @@ pub struct ForLoop {
     pub schedule: Option<cmm_forkjoin::Schedule>,
 }
 
+/// A whole-matrix operation the VM tier runs as one call into
+/// `cmm_runtime::kernels` (see [`IrStmt::Kernel`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum KernelCall {
+    /// `dst = a · b` on rank-2 buffers of `elem`: `a` is `m × k`, `b` is
+    /// `k × n`, and `dst` is an already allocated `m × n` buffer distinct
+    /// from both operands (which may alias each other).
+    MatMul {
+        /// Result buffer variable.
+        dst: String,
+        /// Left operand buffer variable.
+        a: String,
+        /// Right operand buffer variable.
+        b: String,
+        /// Element type of all three buffers (`I32` or `F32`).
+        elem: Elem,
+        /// Whether the nest's outer loop is parallel: the kernel then
+        /// spreads row tiles over the pool, else runs on the caller.
+        parallel: bool,
+    },
+}
+
 /// IR statements.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IrStmt {
@@ -337,6 +359,21 @@ pub enum IrStmt {
     Comment(String),
     /// Scope block.
     Block(Vec<IrStmt>),
+    /// A kernel call together with the scalar loop nest that defines it.
+    ///
+    /// `fallback` is the statement's meaning: the tree-walking tier, the
+    /// C emitter, the snapshot printer, the loop transformations and the
+    /// cost probe treat the statement as exactly those statements, in
+    /// place, in the enclosing scope. Only the VM tier looks at `call`,
+    /// and only as a faster way to the same buffer contents, the same
+    /// fuel and the same errors — it runs `fallback` whenever the
+    /// operands are not what `call` describes.
+    Kernel {
+        /// The operation `fallback` computes.
+        call: KernelCall,
+        /// The scalar nest (today always one `For`).
+        fallback: Vec<IrStmt>,
+    },
 }
 
 impl IrStmt {
@@ -418,6 +455,11 @@ impl IrStmt {
             },
             IrStmt::Comment(c) => IrStmt::Comment(c.clone()),
             IrStmt::Block(b) => IrStmt::Block(sub_body(b)),
+            // Operand names are buffer variables, never loop indices.
+            IrStmt::Kernel { call, fallback } => IrStmt::Kernel {
+                call: call.clone(),
+                fallback: sub_body(fallback),
+            },
         }
     }
 }

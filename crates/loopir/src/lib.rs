@@ -22,6 +22,7 @@ pub mod cmmx;
 pub mod emit;
 pub mod interp;
 mod ir;
+mod kernel;
 mod resolve;
 pub mod snapshot;
 pub mod transform;
@@ -37,7 +38,9 @@ pub use cmm_forkjoin::{
     schedule::DEFAULT_DYNAMIC_CHUNK, schedule::DEFAULT_GUIDED_MIN_CHUNK, ClaimProtocol,
     ForkJoinPool, Schedule,
 };
-pub use ir::{CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt};
+pub use ir::{
+    CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
+};
 pub use transform::TransformError;
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::ir::{CType, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt};
+use crate::ir::{CType, Elem, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall};
 
 /// Resolved call target.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +88,16 @@ pub(crate) struct RFor {
     pub captured: Vec<u32>,
 }
 
+/// Resolved [`KernelCall::MatMul`]: operands as frame slots.
+#[derive(Debug, Clone)]
+pub(crate) struct RMatMul {
+    pub dst: u32,
+    pub a: u32,
+    pub b: u32,
+    pub elem: Elem,
+    pub parallel: bool,
+}
+
 /// Resolved statement. `Comment`s are dropped and `Block`s flattened
 /// (scoping is a resolve-time concern), so execution never dispatches on
 /// either.
@@ -129,6 +139,13 @@ pub(crate) enum RStmt {
     UnpackCall {
         targets: Vec<RTarget>,
         call: RExpr,
+    },
+    /// [`IrStmt::Kernel`]: `fallback` resolved in place in the enclosing
+    /// scope, exactly as if the wrapper were absent. The statement itself
+    /// costs no step in either tier.
+    Kernel {
+        call: RMatMul,
+        fallback: Vec<RStmt>,
     },
 }
 
@@ -350,6 +367,20 @@ impl Resolver<'_> {
                 }
                 self.scopes.pop();
             }
+            IrStmt::Kernel { call, fallback } => {
+                let KernelCall::MatMul { dst, a, b, elem, parallel } = call;
+                let slots = (self.lookup(dst), self.lookup(a), self.lookup(b));
+                let nest = self.block(fallback);
+                match slots {
+                    (Some(dst), Some(a), Some(b)) => out.push(RStmt::Kernel {
+                        call: RMatMul { dst, a, b, elem: *elem, parallel: *parallel },
+                        fallback: nest,
+                    }),
+                    // An operand name out of scope: only the nest can
+                    // report that the way it always has.
+                    _ => out.extend(nest),
+                }
+            }
         }
     }
 
@@ -481,6 +512,12 @@ fn collect_outer_slots(stmts: &[RStmt], outer: u32, used: &mut BTreeSet<u32>) {
                     target(t, used);
                 }
                 expr(call, outer, used);
+            }
+            RStmt::Kernel { call, fallback } => {
+                for slot in [call.dst, call.a, call.b] {
+                    note(slot, used);
+                }
+                collect_outer_slots(fallback, outer, used);
             }
         }
     }

@@ -59,7 +59,9 @@ fn loop_header(f: &ForLoop) -> String {
 }
 
 fn dump_stmt(s: &IrStmt, depth: usize, out: &mut String) {
-    pad(depth, out);
+    if !matches!(s, IrStmt::Kernel { .. }) {
+        pad(depth, out);
+    }
     match s {
         IrStmt::Decl { ty, name, init } => {
             let _ = match init {
@@ -115,6 +117,12 @@ fn dump_stmt(s: &IrStmt, depth: usize, out: &mut String) {
         IrStmt::Block(b) => {
             out.push_str("block\n");
             dump_body(b, depth + 1, out);
+        }
+        // A kernel op is its scalar nest, in place.
+        IrStmt::Kernel { fallback, .. } => {
+            for s in fallback {
+                dump_stmt(s, depth, out);
+            }
         }
     }
 }

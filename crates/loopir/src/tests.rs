@@ -1917,4 +1917,207 @@ mod vm_tests {
             "overflow",
         );
     }
+
+    // --- kernel ops -----------------------------------------------------
+
+    fn sequential_for(var: &str, hi: IrExpr, body: Vec<IrStmt>) -> ForLoop {
+        ForLoop {
+            var: var.into(),
+            lo: i(0),
+            hi,
+            body,
+            parallel: false,
+            vector: false,
+            schedule: None,
+        }
+    }
+
+    /// `main`: fill `a` (m×k) and `b` (k×n), run `kernel(dst = a · b)`
+    /// with the scalar nest in the shape lowering gives it, print every
+    /// cell of `dst`. `site_elem` is what the kernel call *claims*;
+    /// `dst` names the result variable (`"c"`, a fresh m×n buffer, or an
+    /// operand, to make the call decline).
+    fn product_program(elem: Elem, site_elem: Elem, (m, k, n): (i64, i64, i64), dst: &str) -> IrProgram {
+        let alloc = format!("alloc_mat_{}", elem.suffix());
+        let cell = |q: IrExpr, salt: i64| {
+            let int = IrExpr::bin(
+                B::Sub,
+                IrExpr::bin(B::Rem, IrExpr::add(IrExpr::mul(q, i(7)), i(salt)), i(11)),
+                i(5),
+            );
+            if elem == Elem::F32 {
+                IrExpr::mul(IrExpr::CastFloat(Box::new(int)), IrExpr::Float(0.37))
+            } else {
+                IrExpr::mul(int, i(40009))
+            }
+        };
+        let fill = |buf: &str, len: i64, salt: i64| {
+            IrStmt::For(sequential_for(
+                "q",
+                i(len),
+                vec![IrStmt::Store { elem, buf: v(buf), idx: v("q"), value: cell(v("q"), salt) }],
+            ))
+        };
+        let load = |buf: &str, idx: IrExpr| IrExpr::Load {
+            elem,
+            buf: Box::new(v(buf)),
+            idx: Box::new(idx),
+        };
+        let (acc_ty, zero) = if elem == Elem::F32 {
+            (CType::Float, IrExpr::Float(0.0))
+        } else {
+            (CType::Int, i(0))
+        };
+        let inner = IrStmt::For(sequential_for(
+            "kk",
+            i(k),
+            vec![IrStmt::Assign {
+                name: "acc".into(),
+                value: IrExpr::add(
+                    v("acc"),
+                    IrExpr::mul(
+                        load("a", IrExpr::add(IrExpr::mul(v("i"), i(k)), v("kk"))),
+                        load("b", IrExpr::add(IrExpr::mul(v("kk"), i(n)), v("j"))),
+                    ),
+                ),
+            }],
+        ));
+        let columns = IrStmt::For(sequential_for(
+            "j",
+            i(n),
+            vec![
+                IrStmt::Decl { ty: acc_ty, name: "acc".into(), init: Some(zero) },
+                inner,
+                IrStmt::Store {
+                    elem,
+                    buf: v(dst),
+                    idx: IrExpr::add(IrExpr::mul(v("i"), i(n)), v("j")),
+                    value: v("acc"),
+                },
+            ],
+        ));
+        let mut rows = sequential_for("i", i(m), vec![columns]);
+        rows.parallel = true;
+        let print = format!("print_{}", elem.suffix());
+        main_with(vec![
+            IrStmt::Decl {
+                ty: CType::Buf(elem),
+                name: "a".into(),
+                init: Some(IrExpr::Call(alloc.clone(), vec![i(m), i(k)])),
+            },
+            IrStmt::Decl {
+                ty: CType::Buf(elem),
+                name: "b".into(),
+                init: Some(IrExpr::Call(alloc.clone(), vec![i(k), i(n)])),
+            },
+            IrStmt::Decl {
+                ty: CType::Buf(elem),
+                name: "c".into(),
+                init: Some(IrExpr::Call(alloc, vec![i(m), i(n)])),
+            },
+            fill("a", m * k, 3),
+            fill("b", k * n, 8),
+            IrStmt::Kernel {
+                call: KernelCall::MatMul {
+                    dst: dst.into(),
+                    a: "a".into(),
+                    b: "b".into(),
+                    elem: site_elem,
+                    parallel: true,
+                },
+                fallback: vec![IrStmt::For(rows)],
+            },
+            IrStmt::For(sequential_for(
+                "q",
+                i(m * n),
+                vec![IrStmt::Expr(IrExpr::Call(print, vec![load(dst, v("q"))]))],
+            )),
+        ])
+    }
+
+    fn kernel_calls(program: &IrProgram, tier: Tier) -> u64 {
+        let interp = Interp::new(program, 1).with_tier(tier).with_profiling(true);
+        interp.run_main().unwrap();
+        interp.profile().kernel_calls
+    }
+
+    #[test]
+    fn kernel_op_matches_its_nest() {
+        for elem in [Elem::F32, Elem::I32] {
+            for shape in [(3, 4, 2), (1, 1, 1), (0, 3, 2), (3, 0, 2), (3, 4, 0), (70, 5, 9)] {
+                let prog = product_program(elem, elem, shape, "c");
+                for threads in [1, 4] {
+                    assert_tiers_agree(&prog, threads);
+                }
+                assert_eq!(kernel_calls(&prog, Tier::Vm), 1, "{elem:?} {shape:?}");
+                assert_eq!(kernel_calls(&prog, Tier::Tree), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_op_fuel_boundary_is_tier_invariant() {
+        // The kernel charges a row tile at a time, the nest a statement
+        // at a time; a budget must still fail or pass both tiers alike.
+        let prog = product_program(Elem::F32, Elem::F32, (3, 4, 2), "c");
+        let steps = assert_tiers_agree(&prog, 1);
+        for f in 1..=steps {
+            let rt = Interp::new(&prog, 1).with_tier(Tier::Tree).with_limits(fuel(f)).run_main();
+            let rv = Interp::new(&prog, 1).with_tier(Tier::Vm).with_limits(fuel(f)).run_main();
+            assert_eq!(rt.is_ok(), rv.is_ok(), "fuel {f}/{steps}");
+            if let (Err(et), Err(ev)) = (&rt, &rv) {
+                assert_eq!(et.limit_kind(), ev.limit_kind(), "fuel {f}/{steps}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_op_declines_operands_it_does_not_describe() {
+        // A site claiming the wrong element type, and a result buffer
+        // that is also an operand (square, so the shapes still conform):
+        // the VM must run the nest — in-place updates and all — not the
+        // kernel, and so still agree with the tree tier.
+        let wrong_elem = product_program(Elem::F32, Elem::I32, (3, 4, 2), "c");
+        let dst_is_a = product_program(Elem::I32, Elem::I32, (3, 3, 3), "a");
+        let dst_is_b = product_program(Elem::F32, Elem::F32, (3, 3, 3), "b");
+        // (One thread: rows of an in-place product depend on each other.)
+        for prog in [&wrong_elem, &dst_is_a, &dst_is_b] {
+            assert_tiers_agree(prog, 1);
+            assert_eq!(kernel_calls(prog, Tier::Vm), 0);
+        }
+        // An operand name that is not in scope stays the nest's lazy
+        // "undefined variable" error.
+        let mut unbound = product_program(Elem::F32, Elem::F32, (3, 4, 2), "c");
+        for s in &mut unbound.functions[0].body {
+            if let IrStmt::Kernel { call: KernelCall::MatMul { a, .. }, fallback } = s {
+                *a = "nowhere".into();
+                *fallback = vec![fallback[0].substitute("a", &v("nowhere"))];
+            }
+        }
+        let e = assert_error_parity(&unbound, 2);
+        assert_eq!(e.message, "undefined variable 'nowhere'");
+    }
+
+    #[test]
+    fn transforming_the_nest_retires_the_kernel_call() {
+        let mut prog = product_program(Elem::F32, Elem::F32, (5, 4, 3), "c");
+        let before = assert_tiers_agree(&prog, 2);
+        apply(
+            &mut prog.functions[0].body,
+            &LoopTransform::Split {
+                index: "j".into(),
+                by: 2,
+                inner: "jin".into(),
+                outer: "jout".into(),
+            },
+        )
+        .unwrap();
+        assert!(
+            !prog.functions[0].body.iter().any(|s| matches!(s, IrStmt::Kernel { .. })),
+            "a rewritten nest is no longer what the kernel call's fuel describes"
+        );
+        let after = assert_tiers_agree(&prog, 2);
+        assert_ne!(after, before, "the split nest costs different fuel, in both tiers");
+        assert_eq!(kernel_calls(&prog, Tier::Vm), 0);
+    }
 }

@@ -275,7 +275,7 @@ fn count_loops(stmts: &[IrStmt], index: &str) -> usize {
             IrStmt::If { then_b, else_b, .. } => {
                 n += count_loops(then_b, index) + count_loops(else_b, index);
             }
-            IrStmt::Block(b) => n += count_loops(b, index),
+            IrStmt::Block(b) | IrStmt::Kernel { fallback: b, .. } => n += count_loops(b, index),
             _ => {}
         }
     }
@@ -320,6 +320,17 @@ fn replace_loop(
                 replace_loop(then_b, index, f)? || replace_loop(else_b, index, f)?
             }
             IrStmt::Block(b) => replace_loop(b, index, f)?,
+            IrStmt::Kernel { fallback, .. } => {
+                let hit = replace_loop(fallback, index, f)?;
+                if hit {
+                    // The kernel call (its result order, its fuel closed
+                    // form) describes the nest as lowered, not as
+                    // rewritten: keep only the nest the directive asked
+                    // for, in every tier.
+                    *s = IrStmt::Block(std::mem::take(fallback));
+                }
+                hit
+            }
             _ => false,
         };
         if replaced {
@@ -756,7 +767,7 @@ fn loop_contains_all(stmts: &[IrStmt], outer: &str, order: &[String]) -> bool {
                         return Some(r);
                     }
                 }
-                IrStmt::Block(b) => {
+                IrStmt::Block(b) | IrStmt::Kernel { fallback: b, .. } => {
                     if let Some(r) = find(b, var) {
                         return Some(r);
                     }

@@ -56,7 +56,8 @@ use crate::interp::{
     Value,
 };
 use crate::ir::IrBinOp;
-use crate::resolve::{RCallee, RExpr, RFor, RFunction, RProgram, RStmt, RTarget};
+use crate::kernel::run_matmul;
+use crate::resolve::{RCallee, RExpr, RFor, RFunction, RMatMul, RProgram, RStmt, RTarget};
 
 /// Why a program cannot be lowered to bytecode (the interpreter falls
 /// back to the tree-walking tier when compilation reports one of these).
@@ -130,6 +131,11 @@ pub(crate) enum Instr {
     Sync,
     /// Execute `parfors[id]` on the fork-join pool.
     ParFor { id: u16 },
+    /// Run `kernels[id]` natively and jump to `done`, past the scalar
+    /// nest's bytecode — or fall through into that bytecode when the
+    /// operands are not what the site describes ([`crate::kernel`]).
+    /// Charges the nest's fuel itself.
+    Kernel { id: u16, done: u32 },
     /// Raise the prebuilt runtime error `msgs[msg]` (undefined
     /// variable/assignment — resolution keeps these lazy).
     Fail { msg: u16 },
@@ -181,6 +187,7 @@ pub(crate) struct VmFunction {
     pub unpacks: Vec<Vec<RTarget>>,
     pub spawns: Vec<SpawnData>,
     pub parfors: Vec<ParForData>,
+    pub kernels: Vec<RMatMul>,
 }
 
 /// A compiled program: pure data, shareable across runs.
@@ -209,6 +216,7 @@ struct FnCompiler {
     unpacks: Vec<Vec<RTarget>>,
     spawns: Vec<SpawnData>,
     parfors: Vec<ParForData>,
+    kernels: Vec<RMatMul>,
     /// Next free register (watermark allocator: statements reset it,
     /// loop bounds hold theirs across the body).
     temp: usize,
@@ -231,6 +239,7 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
         unpacks: Vec::new(),
         spawns: Vec::new(),
         parfors: Vec::new(),
+        kernels: Vec::new(),
         temp: f.nslots,
         max_reg: f.nslots,
         fuse_barrier: 0,
@@ -245,6 +254,7 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
         unpacks: c.unpacks,
         spawns: c.spawns,
         parfors: c.parfors,
+        kernels: c.kernels,
     };
     vf.validate()?;
     Ok(vf)
@@ -360,6 +370,10 @@ impl VmFunction {
                         span(*base, self.spawns[*s as usize].n)?;
                     }
                     Instr::ParFor { id: p } => id(*p, self.parfors.len())?,
+                    Instr::Kernel { id: k, done } => {
+                        id(*k, self.kernels.len())?;
+                        jump(*done)?;
+                    }
                     Instr::Fail { msg } => id(*msg, self.msgs.len())?,
                     Instr::Ret { src } => reg(*src)?,
                 }
@@ -371,6 +385,13 @@ impl VmFunction {
             reg(pf.hi)?;
             for &s in &pf.captured {
                 reg(s)?;
+            }
+        }
+        for site in &self.kernels {
+            for slot in [site.dst, site.a, site.b] {
+                if slot as usize >= self.nregs {
+                    return Err(BAD);
+                }
             }
         }
         Ok(())
@@ -432,6 +453,7 @@ impl FnCompiler {
             | Instr::JumpIfFalse { to, .. }
             | Instr::JumpIfTrue { to, .. } => *to = here,
             Instr::ForHead { exit, .. } => *exit = here,
+            Instr::Kernel { done, .. } => *done = here,
             other => unreachable!("patching non-jump {other:?}"),
         }
         self.fuse_barrier = self.code.len();
@@ -494,11 +516,16 @@ impl FnCompiler {
     fn compile_block(&mut self, stmts: &[RStmt]) -> Result<(), VmLimit> {
         let mut i = 0;
         while i < stmts.len() {
+            if let RStmt::Kernel { call, fallback } = &stmts[i] {
+                self.kernel_stmt(call, fallback)?;
+                i += 1;
+                continue;
+            }
             let mut j = i;
             while j < stmts.len() && is_simple(&stmts[j]) {
                 j += 1;
             }
-            let with_compound = j < stmts.len();
+            let with_compound = j < stmts.len() && !matches!(stmts[j], RStmt::Kernel { .. });
             self.emit_charge((j - i + usize::from(with_compound)) as u32);
             for s in &stmts[i..j] {
                 let save = self.temp;
@@ -642,6 +669,21 @@ impl FnCompiler {
             },
             other => unreachable!("simple statement compiled as compound: {other:?}"),
         }
+        Ok(())
+    }
+
+    /// A kernel op costs no step of its own and is a branch: the kernel
+    /// instruction, then the nest's bytecode (with the nest's own charge
+    /// groups) for the case the kernel declines.
+    fn kernel_stmt(&mut self, call: &RMatMul, fallback: &[RStmt]) -> Result<(), VmLimit> {
+        if self.kernels.len() >= u16::MAX as usize {
+            return Err(VmLimit("kernel table overflow"));
+        }
+        let id = self.kernels.len() as u16;
+        self.kernels.push(call.clone());
+        let at = self.emit(Instr::Kernel { id, done: 0 });
+        self.compile_block(fallback)?;
+        self.patch_to_here(at);
         Ok(())
     }
 
@@ -1179,6 +1221,12 @@ fn exec_impl<const BATCH: bool>(
                 let hi = frame.slots[pf.hi as usize].as_i()?;
                 if hi > lo {
                     run_parfor(interp, vm, f, pf, frame, lo, hi)?;
+                }
+            }
+            Instr::Kernel { id, done } => {
+                let batch = if BATCH { Some(&mut *local) } else { None };
+                if run_matmul(interp, &f.kernels[*id as usize], frame, batch)? {
+                    pc = *done as usize;
                 }
             }
             Instr::Fail { msg } => {

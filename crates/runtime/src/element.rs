@@ -112,6 +112,12 @@ pub trait Numeric:
     fn zero() -> Self;
     /// Multiplicative identity.
     fn one() -> Self;
+    /// `acc + a * b`, the step of a matrix product, as two separately
+    /// rounded operations — never a fused multiply-add — and wrapping for
+    /// `int`. This is exactly what the loop-IR interpreter computes for
+    /// the lowered scalar nest, so kernels built on it agree with
+    /// interpreted programs bit for bit.
+    fn mul_acc(acc: Self, a: Self, b: Self) -> Self;
 }
 
 impl Numeric for i32 {
@@ -121,6 +127,10 @@ impl Numeric for i32 {
     fn one() -> Self {
         1
     }
+    #[inline]
+    fn mul_acc(acc: Self, a: Self, b: Self) -> Self {
+        acc.wrapping_add(a.wrapping_mul(b))
+    }
 }
 
 impl Numeric for f32 {
@@ -129,5 +139,9 @@ impl Numeric for f32 {
     }
     fn one() -> Self {
         1.0
+    }
+    #[inline]
+    fn mul_acc(acc: Self, a: Self, b: Self) -> Self {
+        acc + a * b
     }
 }

@@ -13,7 +13,11 @@
 //! `m × n × p` sea-surface-height cube (`means[i,j] = Σ_k mat[i,j,k] / p`),
 //! or a dense matrix product for the tiling sweep.
 
-use cmm_forkjoin::{chunk_range, ForkJoinPool, Schedule};
+use std::ops::Range;
+
+use cmm_forkjoin::{chunk_range, ForkJoinPool, RegionPanic, Schedule};
+
+use crate::element::Numeric;
 
 /// Fig 3 — the loop nest produced by the untransformed with-loops: two
 /// outer loops and an inner accumulation, writing `means` directly (the
@@ -188,22 +192,46 @@ pub fn matmul_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     }
 }
 
-/// Tiled matrix product: the §V "tile two nested loops = two splits plus a
-/// reorder" transformation applied with square tiles of size `t`.
-pub fn matmul_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, t: usize) {
+/// The workspace's one blocked matrix-product nest: rows `rows` of
+/// `C = A·B` (`A` is `m × k` with `rows.end <= m`, `B` is `k × n`, both
+/// row-major) written into `c_rows`, the `rows.len() × n` slice of `C`
+/// those rows occupy. `c_rows` is overwritten, not accumulated into.
+///
+/// The nest is i0/k0/j0-blocked with square tiles of edge `t` so an A
+/// panel, a B panel and a C block stay cache-resident together. Per
+/// output element the k accumulation still ascends from zero (k0 blocks
+/// ascend, the inner `kk` ascends) in [`Numeric::mul_acc`] steps, so the
+/// result is bitwise identical to [`matmul_naive`] — and to the loop-IR
+/// interpreter running the lowered scalar nest — for every tile edge and
+/// every partition of the rows.
+pub fn matmul_rows<T: Numeric>(
+    a: &[T],
+    b: &[T],
+    c_rows: &mut [T],
+    rows: Range<usize>,
+    k: usize,
+    n: usize,
+    t: usize,
+) {
     assert!(t > 0);
-    c.fill(0.0);
-    for i0 in (0..m).step_by(t) {
+    assert!(rows.start <= rows.end && rows.end * k <= a.len());
+    assert_eq!(b.len(), k * n);
+    assert_eq!(c_rows.len(), rows.len() * n);
+    c_rows.fill(T::zero());
+    for i0 in rows.clone().step_by(t) {
+        let imax = (i0 + t).min(rows.end);
         for k0 in (0..k).step_by(t) {
+            let kmax = (k0 + t).min(k);
             for j0 in (0..n).step_by(t) {
-                let imax = (i0 + t).min(m);
-                let kmax = (k0 + t).min(k);
                 let jmax = (j0 + t).min(n);
                 for i in i0..imax {
+                    let c0 = (i - rows.start) * n;
+                    let crow = &mut c_rows[c0 + j0..c0 + jmax];
                     for kk in k0..kmax {
                         let aik = a[i * k + kk];
-                        for j in j0..jmax {
-                            c[i * n + j] += aik * b[kk * n + j];
+                        let brow = &b[kk * n + j0..kk * n + jmax];
+                        for (c, &bv) in crow.iter_mut().zip(brow) {
+                            *c = T::mul_acc(*c, aik, bv);
                         }
                     }
                 }
@@ -212,43 +240,17 @@ pub fn matmul_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     }
 }
 
-/// Parallel tiled matrix product: rows distributed over the pool.
-pub fn matmul_parallel(
-    pool: &ForkJoinPool,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+/// Tiled matrix product: the §V "tile two nested loops = two splits plus a
+/// reorder" transformation applied with square tiles of size `t`.
+pub fn matmul_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, t: usize) {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), k * n);
     assert_eq!(c.len(), m * n);
-    c.fill(0.0);
-    let c_ptr = SendPtr(c.as_mut_ptr());
-    pool.run(|tid, nthreads| {
-        for i in chunk_range(m, nthreads, tid) {
-            for kk in 0..k {
-                let aik = a[i * k + kk];
-                for j in 0..n {
-                    // Safety: row i belongs to exactly one tid.
-                    unsafe {
-                        *c_ptr.get().add(i * n + j) += aik * b[kk * n + j];
-                    }
-                }
-            }
-        }
-    });
+    matmul_rows(a, b, c, 0..m, k, n, t);
 }
 
-/// Cache-blocked parallel matrix product: row *tiles* are self-scheduled
-/// over the pool (stolen when a participant runs dry), and each tile is
-/// computed k0/j0-blocked with the pool's cache-derived tile edge
-/// ([`cmm_forkjoin::TilePolicy::matmul_tile`]) so A/B/C panels fit in L1d
-/// together. Per output element the k accumulation still ascends from
-/// zero (k0 blocks ascend, inner kk ascends), so the result is bitwise
-/// identical to [`matmul_naive`] and [`matmul_parallel`] regardless of
-/// tile size, thread count, or schedule.
-pub fn matmul_parallel_blocked(
+/// Parallel (unblocked) matrix product: rows distributed over the pool.
+pub fn matmul_parallel(
     pool: &ForkJoinPool,
     a: &[f32],
     b: &[f32],
@@ -261,35 +263,85 @@ pub fn matmul_parallel_blocked(
     assert_eq!(b.len(), k * n);
     assert_eq!(c.len(), m * n);
     c.fill(0.0);
-    let t = pool.tile_policy().matmul_tile(std::mem::size_of::<f32>());
-    let row_tiles = m.div_ceil(t.max(1));
     let c_ptr = SendPtr(c.as_mut_ptr());
-    pool.run_scheduled(row_tiles, Schedule::Dynamic { chunk: 1 }, |_tid, tiles| {
-        for tile in tiles {
-            let i0 = tile * t;
-            let imax = (i0 + t).min(m);
-            for k0 in (0..k).step_by(t) {
-                let kmax = (k0 + t).min(k);
-                for j0 in (0..n).step_by(t) {
-                    let jmax = (j0 + t).min(n);
-                    for i in i0..imax {
-                        for kk in k0..kmax {
-                            let aik = a[i * k + kk];
-                            // Safety: row tile `tile` is claimed by exactly
-                            // one participant, so rows [i0, imax) have one
-                            // writer.
-                            unsafe {
-                                let crow = c_ptr.get().add(i * n);
-                                for j in j0..jmax {
-                                    *crow.add(j) += aik * b[kk * n + j];
-                                }
-                            }
-                        }
+    pool.run(|tid, nthreads| {
+        for i in chunk_range(m, nthreads, tid) {
+            for kk in 0..k {
+                let aik = a[i * k + kk];
+                for j in 0..n {
+                    // Safety: row i belongs to exactly one tid, and
+                    // `i * n + j < m * n == c.len()` (asserted above).
+                    unsafe {
+                        *c_ptr.get().add(i * n + j) += aik * b[kk * n + j];
                     }
                 }
             }
         }
     });
+}
+
+/// Cache-blocked parallel matrix product: `C` is cut into row tiles of
+/// `t` rows, the tiles are self-scheduled over the pool under `schedule`
+/// (stolen when a participant runs dry), and each admitted tile is one
+/// [`matmul_rows`] call — no scratch or packing buffers. `admit` is asked
+/// once per tile, on the participant about to compute it, with the
+/// tile's row range; a tile it refuses is left untouched (the loop-IR VM
+/// meters fuel and the deadline there and refuses the rest of a product
+/// once a budget is spent). Worker panics are reported, not re-raised.
+#[allow(clippy::too_many_arguments)]
+pub fn try_matmul_tiles<T: Numeric>(
+    pool: &ForkJoinPool,
+    schedule: Schedule,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    (m, k, n): (usize, usize, usize),
+    t: usize,
+    admit: impl Fn(Range<usize>) -> bool + Sync,
+) -> Result<(), RegionPanic> {
+    assert!(t > 0);
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), k * n);
+    assert_eq!(c.len(), m * n);
+    let c_ptr = SendPtr(c.as_mut_ptr());
+    pool.try_run_scheduled(m.div_ceil(t), schedule, |_tid, tiles| {
+        for tile in tiles {
+            let rows = tile * t..((tile + 1) * t).min(m);
+            if !admit(rows.clone()) {
+                continue;
+            }
+            // Safety: the region hands each tile index to exactly one
+            // participant, tiles cover disjoint row ranges, and
+            // `rows.end <= m` keeps the slice inside `c` (length `m * n`,
+            // asserted above), so this is the only live reference to
+            // these rows of `c`.
+            let c_rows = unsafe {
+                std::slice::from_raw_parts_mut(c_ptr.get().add(rows.start * n), rows.len() * n)
+            };
+            matmul_rows(a, b, c_rows, rows, k, n, t);
+        }
+    })
+}
+
+/// Cache-blocked parallel matrix product with the pool's cache-derived
+/// tile edge ([`cmm_forkjoin::TilePolicy::matmul_tile`]), one tile per
+/// claim. Bitwise identical to [`matmul_naive`] and [`matmul_parallel`]
+/// regardless of tile size, thread count, or schedule (see
+/// [`matmul_rows`]).
+pub fn matmul_parallel_blocked(
+    pool: &ForkJoinPool,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let t = pool.tile_policy().matmul_tile(std::mem::size_of::<f32>());
+    let schedule = Schedule::Dynamic { chunk: 1 };
+    if let Err(e) = try_matmul_tiles(pool, schedule, a, b, c, (m, k, n), t, |_| true) {
+        panic!("a fork-join worker panicked during a parallel region ({e})");
+    }
 }
 
 /// Raw pointer wrapper so disjoint-row writers can cross the closure

@@ -9,6 +9,7 @@
 
 use crate::element::Numeric;
 use crate::error::{MatrixError, Result};
+use crate::kernels::matmul_rows;
 use crate::matrix::Matrix;
 use crate::shape::Shape;
 
@@ -116,36 +117,12 @@ impl<T: Numeric> Matrix<T> {
                 op: "matmul",
             });
         }
-        let a = self.as_slice();
-        let b = rhs.as_slice();
         let mut out = vec![T::zero(); m * n];
-        // Cache-blocked i-k-j: tiles sized so an A panel, a B panel and a
-        // C block fit in L1d together, so large operands stream instead
-        // of thrashing. Within each (i, j) the k accumulation still runs
-        // in ascending order from zero — k0 blocks ascend and the inner
-        // kk loop ascends — so results are bitwise identical to the
-        // untiled loop for floats.
+        // Tiles sized so an A panel, a B panel and a C block fit in L1d
+        // together, so large operands stream instead of thrashing.
         let t = cmm_forkjoin::TilePolicy::from_geometry(cmm_forkjoin::cache_geometry())
             .matmul_tile(std::mem::size_of::<T>());
-        for i0 in (0..m).step_by(t) {
-            let imax = (i0 + t).min(m);
-            for k0 in (0..k).step_by(t) {
-                let kmax = (k0 + t).min(k);
-                for j0 in (0..n).step_by(t) {
-                    let jmax = (j0 + t).min(n);
-                    for i in i0..imax {
-                        for kk in k0..kmax {
-                            let aik = a[i * k + kk];
-                            let brow = &b[kk * n + j0..kk * n + jmax];
-                            let orow = &mut out[i * n + j0..i * n + jmax];
-                            for (o, &bv) in orow.iter_mut().zip(brow) {
-                                *o = *o + aik * bv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        matmul_rows(self.as_slice(), rhs.as_slice(), &mut out, 0..m, k, n, t);
         Matrix::from_vec(Shape::new(vec![m, n]), out)
     }
 

@@ -697,6 +697,57 @@ mod kernel_tests {
         matmul_naive(am.as_slice(), bm.as_slice(), &mut c, 3, 4, 2);
         assert_eq!(cm.as_slice(), c.as_slice());
     }
+
+    #[test]
+    fn matmul_rows_computes_any_row_range_and_wraps_ints() {
+        // Int products wrap (as the interpreted nest does) instead of
+        // panicking in debug builds.
+        let (m, k, n) = (7usize, 5usize, 6usize);
+        let a: Vec<i32> = (0..m * k).map(|x| (x as i32 % 11 - 5) * 40_009).collect();
+        let b: Vec<i32> = (0..k * n).map(|x| (x as i32 % 13 - 6) * 30_011).collect();
+        let mut want = vec![0i32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for kk in 0..k {
+                    let p = a[i * k + kk].wrapping_mul(b[kk * n + j]);
+                    want[i * n + j] = want[i * n + j].wrapping_add(p);
+                }
+            }
+        }
+        let mut whole = vec![-1i32; m * n];
+        matmul_rows(&a, &b, &mut whole, 0..m, k, n, 4);
+        assert_eq!(whole, want);
+        // A row range writes exactly those rows, whatever they held.
+        let mut part = vec![-1i32; 3 * n];
+        matmul_rows(&a, &b, &mut part, 2..5, k, n, 2);
+        assert_eq!(part, want[2 * n..5 * n]);
+        let am = Matrix::from_vec([m, k], a).unwrap();
+        let bm = Matrix::from_vec([k, n], b).unwrap();
+        assert_eq!(am.matmul(&bm).unwrap().as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn refused_tiles_are_left_untouched() {
+        let (m, k, n, t) = (10usize, 3usize, 4usize, 4usize);
+        let a = vec![1.0f32; m * k];
+        let b = vec![2.0f32; k * n];
+        let mut c = vec![-1.0f32; m * n];
+        let pl = pool();
+        let schedule = cmm_forkjoin::Schedule::Dynamic { chunk: 1 };
+        try_matmul_tiles(&pl, schedule, &a, &b, &mut c, (m, k, n), t, |rows| rows.start != 4)
+            .unwrap();
+        for (i, row) in c.chunks(n).enumerate() {
+            let want = if (4..8).contains(&i) { -1.0 } else { 6.0 };
+            assert!(row.iter().all(|&x| x == want), "row {i}: {row:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "assertion `left == right` failed")]
+    fn matmul_parallel_checks_operand_lengths() {
+        let mut c = vec![0.0f32; 4];
+        matmul_parallel(&pool(), &[1.0; 3], &[1.0; 4], &mut c, 2, 2, 2);
+    }
 }
 
 proptest! {

@@ -187,3 +187,28 @@ fn metrics_default_is_empty() {
     assert_eq!(m.total_nanos(), 0);
     assert!(m.pass("parse").is_none());
 }
+
+/// Kernel dispatches are visible — and only the dispatching tier reports
+/// any: the VM runs both products of `examples/matmul.xc` as kernel
+/// calls, the tree tier interprets their nests, and either way the
+/// product counts as the one parallel loop its nest's outer loop is.
+#[test]
+fn kernel_calls_are_counted_per_tier() {
+    let src = include_str!("../examples/matmul.xc");
+    let profile = |tier| {
+        let mut compiler = full_compiler();
+        compiler.tier = tier;
+        let (_, report) = compiler
+            .run_profiled(src, 2, Limits::default())
+            .expect("profiled run");
+        report
+    };
+    let vm = profile(cmm::loopir::Tier::Vm);
+    let tree = profile(cmm::loopir::Tier::Tree);
+    let (vi, ti) = (vm.interp.as_ref().unwrap(), tree.interp.as_ref().unwrap());
+    assert_eq!((vi.kernel_calls, ti.kernel_calls), (2, 0));
+    assert_eq!((vi.par_loops, vi.par_iters), (ti.par_loops, ti.par_iters));
+    assert_eq!(vi.total_steps, ti.total_steps);
+    assert_eq!(json_u64(&vm.to_json(), "kernel_calls"), 2);
+    assert!(vm.render_table().contains("kernel calls                    2\n"));
+}
