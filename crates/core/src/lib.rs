@@ -47,7 +47,9 @@ mod metrics;
 pub use gcc::{
     compile_and_run_c, compile_and_run_c_with_timeout, gcc_available, gcc_available_or_skip,
 };
-pub use metrics::{CompileMetrics, ParserCacheStats, PassTiming, ProfileReport, METRICS_SCHEMA};
+pub use metrics::{
+    json_str, CompileMetrics, ParserCacheStats, PassTiming, ProfileReport, METRICS_SCHEMA,
+};
 
 /// Memo of composed parsers keyed by the canonical (sorted) set of
 /// selected extension names.

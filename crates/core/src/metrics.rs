@@ -292,9 +292,10 @@ impl ProfileReport {
     }
 }
 
-/// Minimal JSON string quoting (names here are identifiers, but escape
-/// defensively anyway).
-fn json_str(s: &str) -> String {
+/// Escape and quote `s` as a JSON string literal — the one escaper every
+/// JSON writer in the workspace (metrics, serve responses, tune reports)
+/// goes through.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

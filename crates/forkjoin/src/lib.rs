@@ -26,9 +26,7 @@
 //! random victim. Nested regions — cilk `spawn`/`sync` from inside a
 //! parallel loop, or a scheduled loop inside a scheduled loop — push job
 //! batches onto the *current worker's* deque and help-join, so they run
-//! in parallel instead of serializing. The PR 4 shared-counter protocol
-//! is retained behind [`ClaimProtocol::SharedCounter`] as a differential
-//! baseline for the fuzzer and the schedule benchmark.
+//! in parallel instead of serializing.
 //!
 //! ## Fault tolerance
 //!
@@ -64,9 +62,9 @@ mod partition;
 pub mod schedule;
 pub mod tile;
 pub use deque::CachePadded;
-pub use makespan::{counter_makespan, deque_makespan, Makespan};
+pub use makespan::{deque_makespan, Makespan};
 pub use partition::{chunk_range, chunks_of};
-pub use schedule::{next_chunk, ParseScheduleError, Schedule};
+pub use schedule::{ParseScheduleError, Schedule};
 pub use tile::{cache_geometry, CacheGeometry, TilePolicy, DEFAULT_GEOMETRY};
 
 use deque::{Steal, Task, VictimRng, WorkDeque};
@@ -302,20 +300,6 @@ impl std::fmt::Display for RegionPanic {
 
 impl std::error::Error for RegionPanic {}
 
-/// Which chunk-claim protocol scheduled regions use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClaimProtocol {
-    /// Per-participant Chase–Lev deques with LIFO-local execution and
-    /// FIFO stealing (default). Nested regions push onto the current
-    /// worker's deque and run in parallel.
-    #[default]
-    Deque,
-    /// The PR 4 shared atomic claim counter ([`next_chunk`]). Nested
-    /// regions serialize, as they did then. Retained as a differential
-    /// baseline for the fuzzer's schedule oracle and the benchmark.
-    SharedCounter,
-}
-
 /// What the stop-barrier watchdog does once a stall is detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallAction {
@@ -365,8 +349,7 @@ pub struct PoolHealth {
     pub regions_run: u64,
     /// Regions that ran sequentially because they were issued while
     /// another region was active *and* the caller was not a participant
-    /// of it (a foreign thread racing the pool), or because the pool runs
-    /// the legacy [`ClaimProtocol::SharedCounter`].
+    /// of it (a foreign thread racing the pool).
     pub nested_sequential: u64,
     /// Nested regions executed in parallel through the submitting
     /// participant's deque (spawn/sync batches, nested scheduled loops).
@@ -474,7 +457,6 @@ pub struct ForkJoinPool {
     region_nanos: AtomicU64,
     barrier_wait_nanos: AtomicU64,
     chunks_issued: AtomicU64,
-    claim_protocol: AtomicU8,
     /// Cache-derived tile sizes, selected once at construction.
     tile: TilePolicy,
 }
@@ -554,7 +536,6 @@ impl ForkJoinPool {
             region_nanos: AtomicU64::new(0),
             barrier_wait_nanos: AtomicU64::new(0),
             chunks_issued: AtomicU64::new(0),
-            claim_protocol: AtomicU8::new(ClaimProtocol::Deque as u8),
             tile: TilePolicy::from_geometry(cache_geometry()),
         }
     }
@@ -570,9 +551,7 @@ impl ForkJoinPool {
     }
 
     /// Number of regions that ran sequentially because the pool was busy
-    /// and the caller was not a participant of the active region (or the
-    /// legacy [`ClaimProtocol::SharedCounter`] is selected, under which
-    /// every nested region serializes).
+    /// and the caller was not a participant of the active region.
     pub fn nested_sequential_runs(&self) -> u64 {
         self.nested_sequential.load(Ordering::Relaxed)
     }
@@ -581,22 +560,6 @@ impl ForkJoinPool {
     /// participant's deque.
     pub fn nested_parallel_runs(&self) -> u64 {
         self.nested_parallel.load(Ordering::Relaxed)
-    }
-
-    /// Select the chunk-claim protocol for scheduled regions (default
-    /// [`ClaimProtocol::Deque`]). The fuzzer's schedule oracle flips this
-    /// to cross-check the two implementations against each other.
-    pub fn set_claim_protocol(&self, protocol: ClaimProtocol) {
-        self.claim_protocol.store(protocol as u8, Ordering::Relaxed);
-    }
-
-    /// The chunk-claim protocol currently in force.
-    pub fn claim_protocol(&self) -> ClaimProtocol {
-        if self.claim_protocol.load(Ordering::Relaxed) == ClaimProtocol::SharedCounter as u8 {
-            ClaimProtocol::SharedCounter
-        } else {
-            ClaimProtocol::Deque
-        }
     }
 
     /// Cache-derived tile policy selected at pool construction: blocked
@@ -732,7 +695,7 @@ impl ForkJoinPool {
         F: Fn(usize, usize) + Sync,
     {
         let n = self.threads();
-        if n > 1 && self.claim_protocol() == ClaimProtocol::Deque {
+        if n > 1 {
             if let Some(tid) = current_region_tid(&self.shared) {
                 // Nested region from a participant: run the partitions as
                 // stealable jobs on this participant's deque.
@@ -926,7 +889,6 @@ impl ForkJoinPool {
         }
         self.set_metrics_enabled(false);
         self.reset_metrics();
-        self.set_claim_protocol(ClaimProtocol::Deque);
         true
     }
 }

@@ -1,36 +1,25 @@
-//! Deterministic virtual-time makespan models over the pool's two claim
-//! protocols.
+//! Deterministic virtual-time makespan model of the pool's work-stealing
+//! claim protocol.
 //!
-//! Wall time on a starved or oversubscribed host lies, so the schedule
-//! bench (PR 4) introduced a greedy virtual-time model: the participant
-//! with the lowest accumulated cost acts next, which is exactly how
-//! greedy self-scheduling behaves when every participant owns a core.
-//! PR 10 promotes the model from bench-only code to a library so the
-//! `cmm-tune` autotuner can score candidate `schedule` directives
-//! host-independently: the tuner probes per-iteration interpreter fuel
-//! for each parallel loop and feeds the cost vector through the same
-//! claim protocol the pool really runs.
+//! Wall time on a starved or oversubscribed host lies, so schedules are
+//! ranked by a greedy virtual-time model: the participant with the lowest
+//! accumulated cost acts next, which is exactly how greedy self-scheduling
+//! behaves when every participant owns a core. The `cmm-tune` autotuner
+//! scores candidate `schedule` directives with it host-independently: it
+//! probes per-iteration interpreter fuel for each parallel loop and feeds
+//! the cost vector through the same bite rule the pool really runs.
 //!
-//! Two variants are provided, mirroring [`ClaimProtocol`]:
-//!
-//! * [`counter_makespan`] drives the real [`next_chunk`] shared-counter
-//!   claim function (the PR 4 protocol, retained as a baseline);
-//! * [`deque_makespan`] models the work-stealing deque protocol (the
-//!   pool's default since PR 8): participants are seeded with their
-//!   [`chunk_range`] partition, take schedule-sized LIFO bites off their
-//!   own deque (pushing the stealable tail back first), and when dry
-//!   steal the oldest chunk from the richest victim.
-//!
-//! Both are pure functions of `(costs, schedule, threads)` — no clocks,
-//! no randomness — so reports built on them are byte-reproducible.
-//!
-//! [`ClaimProtocol`]: crate::ClaimProtocol
+//! [`deque_makespan`] seeds participants with their [`chunk_range`]
+//! partition; each takes schedule-sized LIFO bites off its own deque
+//! (pushing the stealable tail back first), and when dry steals the oldest
+//! chunk from the richest victim. It is a pure function of
+//! `(costs, schedule, threads, static_grain)` — no clocks, no randomness —
+//! so reports built on it are byte-reproducible.
 
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicUsize;
 
 use crate::partition::chunk_range;
-use crate::schedule::{next_chunk, Schedule};
+use crate::schedule::{bite_size, Schedule};
 
 /// Outcome of one modeled region.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,30 +52,7 @@ fn ideal(costs: &[u64], threads: usize) -> u64 {
     costs.iter().sum::<u64>().div_ceil(threads.max(1) as u64)
 }
 
-/// Greedy virtual-time makespan under the real shared-counter claim
-/// protocol: the participant with the least accumulated virtual time
-/// claims the next chunk through [`next_chunk`] (on real hardware the
-/// first participant back at the counter is the one that finished
-/// first). `costs[i]` is the cost of iteration `i`.
-pub fn counter_makespan(costs: &[u64], schedule: Schedule, threads: usize) -> Makespan {
-    let threads = threads.max(1);
-    let counter = AtomicUsize::new(0);
-    let mut vt = vec![0u64; threads];
-    loop {
-        let who = (0..threads).min_by_key(|&t| vt[t]).expect("participants");
-        match next_chunk(&counter, costs.len(), threads, schedule) {
-            Some(range) => vt[who] += range.map(|i| costs[i]).sum::<u64>(),
-            None => break,
-        }
-    }
-    Makespan {
-        makespan: vt.iter().copied().max().unwrap_or(0),
-        ideal: ideal(costs, threads),
-        per_participant: vt,
-    }
-}
-
-/// The same greedy virtual-time model over the deque protocol: each
+/// Greedy virtual-time makespan of one scheduled region: each
 /// participant is seeded with its [`chunk_range`] partition, executes
 /// its own deque LIFO in schedule-sized bites (the tail is pushed back
 /// before the bite runs, so it stays stealable), and when empty steals
@@ -128,12 +94,7 @@ pub fn deque_makespan(
                 .and_then(|v| deques[v].pop_front())
         });
         let Some((start, end)) = chunk else { break };
-        let len = end - start;
-        let bite = match schedule {
-            Schedule::Static => len.min(static_grain.max(1)),
-            Schedule::Dynamic { chunk } => chunk.max(1).min(len),
-            Schedule::Guided { min_chunk } => (len / threads).max(min_chunk).max(1).min(len),
-        };
+        let bite = bite_size(schedule, end - start, threads, static_grain);
         if start + bite < end {
             deques[who].push_back((start + bite, end));
         }
@@ -154,22 +115,6 @@ mod tests {
     /// shape that motivated self-scheduling.
     fn triangular(n: usize) -> Vec<u64> {
         (0..n).map(|i| (i + 1) as u64).collect()
-    }
-
-    #[test]
-    fn counter_conserves_work() {
-        let costs = triangular(48);
-        let total: u64 = costs.iter().sum();
-        for sched in [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 1 },
-            Schedule::Dynamic { chunk: 4 },
-            Schedule::Guided { min_chunk: 1 },
-        ] {
-            let m = counter_makespan(&costs, sched, 4);
-            assert_eq!(m.per_participant.iter().sum::<u64>(), total);
-            assert!(m.makespan >= m.ideal);
-        }
     }
 
     #[test]
@@ -210,7 +155,7 @@ mod tests {
         let m = deque_makespan(&[], Schedule::Static, 4, 2048);
         assert_eq!(m.makespan, 0);
         assert_eq!(m.ideal, 0);
-        let m = counter_makespan(&[], Schedule::Dynamic { chunk: 2 }, 4);
+        let m = deque_makespan(&[], Schedule::Dynamic { chunk: 2 }, 4, 2048);
         assert_eq!(m.makespan, 0);
         // threads = 0 is clamped to 1 rather than panicking.
         let m = deque_makespan(&[1, 2, 3], Schedule::Static, 0, 16);

@@ -7,30 +7,12 @@
 //! chunk — the `imbalance_ratio` telemetry exists precisely to show this.
 //!
 //! [`Schedule`] selects the claim policy (static / dynamic / guided, the
-//! OpenMP triple). Under the default [`crate::ClaimProtocol::Deque`], a
-//! scheduled region seeds each participant's Chase–Lev deque with that
-//! participant's static partition; owners repeatedly take a
-//! schedule-sized *bite* off their chunk, pushing the stealable remainder
+//! OpenMP triple). A scheduled region seeds each participant's Chase–Lev
+//! deque with that participant's static partition; owners repeatedly take
+//! a schedule-sized *bite* off their chunk, pushing the stealable remainder
 //! back **before** executing the bite, and participants whose deques run
 //! dry steal chunks from random victims. The schedule thus decides only
-//! the splitting granularity — load redistribution is the thief's job,
-//! which removes the PR 4 shared counter from the hot path entirely.
-//!
-//! The legacy counter protocol ([`next_chunk`], selected via
-//! [`crate::ClaimProtocol::SharedCounter`]) is retained as a differential
-//! baseline: the fuzzer's schedule oracle runs every program under both
-//! protocols and compares results.
-//!
-//! ## Memory ordering (counter protocol)
-//!
-//! The counter is only a work-distribution device: happens-before between
-//! the loop body's writes and the caller's reads after the region is
-//! provided entirely by the pool's epoch/stop-barrier handshake, so all
-//! counter operations are `Relaxed`. Claims reserve iterations with a CAS
-//! loop that clamps each claim to the remaining space, so the counter
-//! never advances past `total` and `chunks_issued` can never count
-//! phantom claims (an earlier `fetch_add` formulation let every late
-//! claimer push the counter arbitrarily far past the end).
+//! the splitting granularity — load redistribution is the thief's job.
 
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -39,7 +21,7 @@ use std::time::Instant;
 use crate::deque::{Task, VictimRng};
 use crate::{
     backoff, chunk_range, current_region_tid, drain_tasks, execute_task, steal_sweep,
-    ClaimProtocol, ForkJoinPool, RegionExec, RegionPanic, Sweep,
+    ForkJoinPool, RegionExec, RegionPanic, Sweep,
 };
 
 /// Loop-scheduling policy for one parallel region (the OpenMP triple).
@@ -133,22 +115,6 @@ impl FromStr for Schedule {
     }
 }
 
-impl Schedule {
-    /// Size of the next claim for this policy given how many iterations
-    /// remain unclaimed. Always ≥ 1 when `remaining > 0`. Used by the
-    /// legacy counter protocol.
-    #[inline]
-    fn claim_size(self, remaining: usize, total: usize, nthreads: usize) -> usize {
-        match self {
-            Schedule::Static => total.div_ceil(nthreads.max(1)).max(1),
-            Schedule::Dynamic { chunk } => chunk.max(1),
-            Schedule::Guided { min_chunk } => {
-                (remaining / nthreads.max(1)).max(min_chunk.max(1))
-            }
-        }
-    }
-}
-
 /// Size of the bite an owner takes off the front of a chunk of `len`
 /// iterations under `schedule`. `static_grain` is the pool's cache-derived
 /// cap on static bites ([`crate::TilePolicy::static_grain`]): a static
@@ -167,37 +133,6 @@ pub(crate) fn bite_size(
         Schedule::Dynamic { chunk } => chunk.max(1).min(len),
         Schedule::Guided { min_chunk } => {
             (len / nthreads.max(1)).max(min_chunk.max(1)).min(len)
-        }
-    }
-}
-
-/// Claim the next chunk of `0..total` from the shared `counter` under
-/// `schedule`, or `None` when the iteration space is drained.
-///
-/// The counter must start at 0 for the region. Claims are reserved with a
-/// relaxed CAS loop that clamps every claim to the remaining iterations,
-/// so the counter never advances past `total`: a drained claim does not
-/// move the counter, and telemetry built on claim counts cannot observe
-/// phantom claims. See the module docs for why relaxed ordering suffices.
-#[inline]
-pub fn next_chunk(
-    counter: &AtomicUsize,
-    total: usize,
-    nthreads: usize,
-    schedule: Schedule,
-) -> Option<std::ops::Range<usize>> {
-    let mut cur = counter.load(Ordering::Relaxed);
-    loop {
-        if cur >= total {
-            return None;
-        }
-        let size = schedule
-            .claim_size(total - cur, total, nthreads)
-            .min(total - cur);
-        match counter.compare_exchange_weak(cur, cur + size, Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => return Some(cur..cur + size),
-            Err(actual) => cur = actual,
         }
     }
 }
@@ -292,9 +227,6 @@ impl ForkJoinPool {
         if total == 0 {
             return Ok(());
         }
-        if self.claim_protocol() == ClaimProtocol::SharedCounter {
-            return self.try_run_scheduled_counter(total, schedule, f);
-        }
         let n = self.threads();
         let grain = self.tile_policy().static_grain;
         if n > 1 {
@@ -359,30 +291,6 @@ impl ForkJoinPool {
             metered,
             region_start,
         )
-    }
-
-    /// The PR 4 shared-counter claim loop, kept verbatim behind
-    /// [`ClaimProtocol::SharedCounter`] as the fuzzer's differential
-    /// baseline. Nested regions serialize here exactly as they did then.
-    fn try_run_scheduled_counter<F>(
-        &self,
-        total: usize,
-        schedule: Schedule,
-        f: F,
-    ) -> Result<(), RegionPanic>
-    where
-        F: Fn(usize, std::ops::Range<usize>) + Sync,
-    {
-        let counter = AtomicUsize::new(0);
-        let metered = self.metrics_enabled();
-        self.try_run(|tid, nthreads| {
-            while let Some(range) = next_chunk(&counter, total, nthreads, schedule) {
-                if metered {
-                    self.record_chunk(tid);
-                }
-                f(tid, range);
-            }
-        })
     }
 
     /// Sequential fallback with the same bite structure (and therefore the
@@ -539,15 +447,6 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Mutex;
 
-    fn drain(total: usize, nthreads: usize, schedule: Schedule) -> Vec<std::ops::Range<usize>> {
-        let counter = AtomicUsize::new(0);
-        let mut out = Vec::new();
-        while let Some(r) = next_chunk(&counter, total, nthreads, schedule) {
-            out.push(r);
-        }
-        out
-    }
-
     #[test]
     fn parse_specs() {
         assert_eq!("static".parse::<Schedule>(), Ok(Schedule::Static));
@@ -570,100 +469,34 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_exactly_once() {
-        for &total in &[0usize, 1, 7, 64, 1000] {
-            for &nthreads in &[1usize, 3, 4, 8] {
-                for schedule in [
-                    Schedule::Static,
-                    Schedule::Dynamic { chunk: 1 },
-                    Schedule::Dynamic { chunk: 5 },
-                    Schedule::Guided { min_chunk: 1 },
-                    Schedule::Guided { min_chunk: 3 },
-                ] {
-                    let chunks = drain(total, nthreads, schedule);
-                    let mut seen = vec![false; total];
-                    for r in &chunks {
-                        assert!(!r.is_empty(), "{schedule} issued empty chunk {r:?}");
-                        for i in r.clone() {
-                            assert!(!seen[i], "{schedule} covered {i} twice");
-                            seen[i] = true;
-                        }
-                    }
-                    assert!(seen.iter().all(|&s| s), "{schedule} missed iterations");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn guided_chunks_decrease_to_min() {
-        let chunks = drain(1024, 4, Schedule::Guided { min_chunk: 2 });
-        let sizes: Vec<usize> = chunks.iter().map(|r| r.len()).collect();
-        assert!(sizes.windows(2).all(|w| w[0] >= w[1]));
-        assert!(*sizes.last().unwrap() <= 2 || sizes.len() == 1);
-        assert_eq!(sizes[0], 256);
-    }
-
-    #[test]
-    fn counter_never_advances_past_total() {
-        // Regression for the phantom-claim bug: concurrent late claimers
-        // used to fetch_add past `total`, so the counter's final value
-        // depended on how many participants raced the drained space.
-        for schedule in [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 7 },
-            Schedule::Guided { min_chunk: 2 },
-        ] {
-            let counter = AtomicUsize::new(0);
-            let total = 100;
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| while next_chunk(&counter, total, 4, schedule).is_some() {});
-                }
-            });
-            assert_eq!(counter.load(Ordering::Relaxed), total, "{schedule}");
-            assert!(next_chunk(&counter, total, 4, schedule).is_none());
-            assert_eq!(counter.load(Ordering::Relaxed), total, "{schedule} after drain");
-        }
-    }
-
-    #[test]
     fn run_scheduled_visits_every_index_once() {
-        let pool = ForkJoinPool::new(4);
-        for schedule in [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 3 },
-            Schedule::Guided { min_chunk: 1 },
-        ] {
-            let hit: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_scheduled(hit.len(), schedule, |_tid, range| {
-                for i in range {
-                    hit[i].fetch_add(1, Ordering::Relaxed);
+        for (threads, total) in [(4usize, 257usize), (3, 193)] {
+            let pool = ForkJoinPool::new(threads);
+            pool.set_metrics_enabled(true);
+            for schedule in [
+                Schedule::Static,
+                Schedule::Dynamic { chunk: 3 },
+                Schedule::Dynamic { chunk: 4 },
+                Schedule::Guided { min_chunk: 1 },
+                Schedule::Guided { min_chunk: 2 },
+            ] {
+                pool.reset_metrics();
+                let hit: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
+                let chunks = AtomicUsize::new(0);
+                pool.run_scheduled(total, schedule, |_tid, range| {
+                    assert!(!range.is_empty(), "{schedule} issued an empty chunk");
+                    chunks.fetch_add(1, Ordering::Relaxed);
+                    for i in range {
+                        hit[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+                for (i, h) in hit.iter().enumerate() {
+                    assert_eq!(h.load(Ordering::Relaxed), 1, "{schedule} index {i}");
                 }
-            });
-            for (i, h) in hit.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "{schedule} index {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_scheduled_counter_protocol_visits_every_index_once() {
-        let pool = ForkJoinPool::new(4);
-        pool.set_claim_protocol(ClaimProtocol::SharedCounter);
-        for schedule in [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 3 },
-            Schedule::Guided { min_chunk: 1 },
-        ] {
-            let hit: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_scheduled(hit.len(), schedule, |_tid, range| {
-                for i in range {
-                    hit[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            for (i, h) in hit.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "{schedule} index {i}");
+                // Telemetry counts exactly the bites the body saw.
+                let m = pool.metrics();
+                assert_eq!(m.chunks_issued, chunks.into_inner() as u64, "{schedule}");
+                assert_eq!(m.chunks_taken.iter().sum::<u64>(), m.chunks_issued, "{schedule}");
             }
         }
     }
@@ -724,31 +557,5 @@ mod tests {
         assert_eq!(m.chunks_taken.len(), 2);
         assert_eq!(m.steals.len(), 2);
         assert_eq!(m.steal_failures.len(), 2);
-    }
-
-    #[test]
-    fn protocols_agree_on_coverage_and_chunk_totals() {
-        // Differential check mirroring the fuzzer's schedule oracle: both
-        // protocols must visit every index exactly once for the same
-        // (total, schedule) inputs.
-        for schedule in [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 4 },
-            Schedule::Guided { min_chunk: 2 },
-        ] {
-            let mut sums = Vec::new();
-            for protocol in [ClaimProtocol::Deque, ClaimProtocol::SharedCounter] {
-                let pool = ForkJoinPool::new(3);
-                pool.set_claim_protocol(protocol);
-                let hit: Vec<AtomicUsize> = (0..193).map(|_| AtomicUsize::new(0)).collect();
-                pool.run_scheduled(hit.len(), schedule, |_tid, range| {
-                    for i in range {
-                        hit[i].fetch_add(i + 1, Ordering::Relaxed);
-                    }
-                });
-                sums.push(hit.iter().map(|h| h.load(Ordering::Relaxed)).sum::<usize>());
-            }
-            assert_eq!(sums[0], sums[1], "{schedule}");
-        }
     }
 }

@@ -182,9 +182,8 @@ mod tests {
         assert!(outcome.findings.is_empty(), "{} finding(s)", outcome.findings.len());
         assert_eq!(outcome.cases, 25);
         assert_eq!(outcome.counts.transform, 25);
-        // 9 policy × thread-count runs on the deque protocol plus 6
-        // shared-counter differential runs (3 policies × {2, 4} threads).
-        assert_eq!(outcome.counts.schedule, 25 * 15);
+        // 3 policies × {1, 2, 4} threads.
+        assert_eq!(outcome.counts.schedule, 25 * 9);
         assert_eq!(outcome.counts.limits, 25);
         assert_eq!(outcome.counts.vm, 25);
         assert_eq!(outcome.counts.tuned, 25);

@@ -10,7 +10,7 @@
 //!    compiled with every high-level optimization off, run
 //!    single-threaded: the untransformed reference semantics.
 //! 2. **schedule** — every schedule policy (static / dynamic / guided)
-//!    at 1, 2, and 4 threads.
+//!    at 1, 2, and 4 threads: nine runs per case.
 //! 3. **limits** — a metered run under generous [`Limits`] budgets:
 //!    metering must never change what executes.
 //! 4. **vm** — the tree-walking interpreter re-runs the program as the
@@ -30,8 +30,7 @@ use cmm_core::{
     CompileError, Compiler, Registry, compile_and_run_c_with_timeout, gcc_available_or_skip,
 };
 use cmm_lang::LowerOptions;
-use cmm_loopir::{ClaimProtocol, ForkJoinPool, Limits, Schedule, Tier, snapshot};
-use std::sync::Arc;
+use cmm_loopir::{Limits, Schedule, Tier, snapshot};
 use std::time::Duration;
 
 /// The differential oracles.
@@ -382,44 +381,6 @@ impl Harness {
                         oracle: Some(OracleKind::Schedule),
                         detail: format!(
                             "output under {policy:?} × {threads} threads differs from baseline\n\
-                             --- baseline\n{expected}\n--- {policy:?} × {threads}\n{}",
-                            r.output
-                        ),
-                    });
-                }
-                ran += 1;
-            }
-        }
-        // Claim-protocol differential: re-run every policy on a pool
-        // pinned to the legacy shared-counter claim loop and require the
-        // same output as the baseline. The work-stealing deques and the
-        // shared counter are two implementations of one scheduling
-        // contract (every index exactly once); any divergence — dropped
-        // iterations, duplicated chunks, ordering leaking into output —
-        // is a scheduler bug in whichever protocol disagrees.
-        for policy in policies {
-            for threads in [2usize, 4] {
-                if progress {
-                    eprintln!("    schedule: {policy:?} x {threads} (shared-counter)");
-                }
-                let pool = Arc::new(ForkJoinPool::new(threads));
-                pool.set_claim_protocol(ClaimProtocol::SharedCounter);
-                let r = self
-                    .opt
-                    .run_on_pool(src, pool, limits.clone(), policy)
-                    .map_err(|e| Failure {
-                        oracle: Some(OracleKind::Schedule),
-                        detail: format!(
-                            "run failed under {policy:?} × {threads} threads \
-                             (shared-counter protocol): {e}"
-                        ),
-                    })?;
-                if r.output != expected {
-                    return Err(Failure {
-                        oracle: Some(OracleKind::Schedule),
-                        detail: format!(
-                            "shared-counter protocol under {policy:?} × {threads} threads \
-                             differs from the deque baseline\n\
                              --- baseline\n{expected}\n--- {policy:?} × {threads}\n{}",
                             r.output
                         ),

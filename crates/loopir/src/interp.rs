@@ -1159,81 +1159,11 @@ impl<'p> Interp<'p> {
             return self.probe_for(f, frame, lo, hi);
         }
         if f.parallel && hi > lo {
-            // Enhanced fork-join execution: iterations are chunked over the
-            // persistent pool. Each participant's private frame is seeded
-            // with only the captured slots — the values the body actually
-            // reads — instead of a clone of the whole environment; locals
-            // declared in the body stay thread-private, buffer writes go
-            // to shared storage at disjoint indices.
-            // `hi > lo`, so the wrapped difference is the exact count (an
-            // i32 range never exceeds 2^32 - 1 iterations); `hi - lo`
-            // itself can overflow i32 for bounds straddling zero.
-            let total = hi.wrapping_sub(lo) as u32 as usize;
-            if self.profile {
-                self.par_loops.fetch_add(1, Ordering::Relaxed);
-                self.par_iters.fetch_add(total as u64, Ordering::Relaxed);
-            }
-            let mut template: Vec<Value> = vec![Value::Unit; frame.slots.len()];
-            for &s in &f.captured {
-                template[s as usize] = frame.slots[s as usize].clone();
-            }
-            let error: Mutex<Option<InterpError>> = Mutex::new(None);
-            // Self-scheduled execution over the pool's work-stealing
-            // deques: each participant starts on its static partition and
-            // takes schedule-sized bites off it, pushing the stealable
-            // tail back, so an imbalanced body (triangular loop,
-            // data-dependent work) rebalances through stealing instead of
-            // serializing behind the slowest participant. The per-loop
-            // directive wins over the process default.
-            let schedule = f.schedule.unwrap_or(self.schedule);
-            // Per-participant interpreter frames, reused across the
-            // participant's bites. Taken out of the slot (not held locked)
-            // during execution: a body that spawns nested work can land
-            // this participant back inside another bite of this same loop
-            // re-entrantly, which then just builds a fresh frame.
-            let frames: Vec<Mutex<Option<Frame>>> =
-                (0..self.pool.threads()).map(|_| Mutex::new(None)).collect();
-            let region = self.pool.try_run_scheduled(total, schedule, |tid, range| {
-                // A failure elsewhere makes further bites pointless; skip
-                // them cheaply while the region drains.
-                if lock_ignore_poison(&error).is_some() {
-                    return;
-                }
-                let mut tf = lock_ignore_poison(&frames[tid]).take().unwrap_or_else(|| Frame {
-                    slots: template.clone(),
-                    pending: Vec::new(),
-                });
-                for k in range {
-                    // Wrapping, like scalar binops: bounds near
-                    // i32::MAX must not panic in debug builds.
-                    tf.slots[f.var as usize] = Value::I(lo.wrapping_add(k as i32));
-                    let r = self
-                        .charge(1)
-                        .and_then(|()| self.exec_block(&f.body, &mut tf))
-                        .and_then(|fl| self.run_pending(&mut tf).map(|()| fl));
-                    match r {
-                        Ok(Flow::Normal) => {}
-                        Ok(Flow::Return(_)) => {
-                            *lock_ignore_poison(&error) = Some(InterpError::new(
-                                "return inside a parallel loop is not supported",
-                            ));
-                            break;
-                        }
-                        Err(e) => {
-                            lock_ignore_poison(&error).get_or_insert(e);
-                            break;
-                        }
-                    }
-                }
-                *lock_ignore_poison(&frames[tid]) = Some(tf);
-            });
-            // A user-level error beats the region-panic report: the panic
-            // may be a secondary casualty of the same fault, and the
-            // user-level message names the actual program misbehavior.
-            if let Some(e) = error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                return Err(e);
-            }
-            region.map_err(|p| InterpError::worker_panic(&p))?;
+            let captured = f.captured.iter().map(|&s| s as usize);
+            self.run_parallel_loop(frame, captured, f.var as usize, f.schedule, lo..hi, |tf, _| {
+                self.charge(1)?;
+                Ok(matches!(self.exec_block(&f.body, tf)?, Flow::Return(_)))
+            })?;
             Ok(Flow::Normal)
         } else {
             // Sequential (vector loops execute lanes in order — identical
@@ -1250,6 +1180,105 @@ impl<'p> Interp<'p> {
             }
             Ok(Flow::Normal)
         }
+    }
+
+    /// Fork-join execution of one parallel loop over `range` (non-empty),
+    /// shared by both tiers: `body` runs one iteration on a participant's
+    /// private frame (index variable already stored in slot `var`) and
+    /// returns whether it executed a `return`; its `&mut u64` is a step
+    /// batch the body may add to instead of charging the shared counter,
+    /// flushed here once per bite.
+    ///
+    /// Each participant's frame is seeded with only the `captured` slots —
+    /// the values the body actually reads — instead of a clone of the
+    /// whole environment; locals declared in the body stay thread-private,
+    /// buffer writes go to shared storage at disjoint indices. Iterations
+    /// are self-scheduled over the pool's work-stealing deques, so an
+    /// imbalanced body rebalances through stealing instead of serializing
+    /// behind the slowest participant. The per-loop `schedule` directive
+    /// wins over the process default.
+    pub(crate) fn run_parallel_loop<B>(
+        &self,
+        frame: &Frame,
+        captured: impl Iterator<Item = usize>,
+        var: usize,
+        schedule: Option<Schedule>,
+        range: std::ops::Range<i32>,
+        body: B,
+    ) -> IResult<()>
+    where
+        B: Fn(&mut Frame, &mut u64) -> IResult<bool> + Sync,
+    {
+        let lo = range.start;
+        // The range is non-empty, so the wrapped difference is the exact
+        // count (an i32 range never exceeds 2^32 - 1 iterations);
+        // `end - start` itself can overflow i32 for bounds straddling zero.
+        let total = range.end.wrapping_sub(lo) as u32 as usize;
+        if self.profile {
+            self.par_loops.fetch_add(1, Ordering::Relaxed);
+            self.par_iters.fetch_add(total as u64, Ordering::Relaxed);
+        }
+        // Exactly as long as the caller's frame: the VM's unchecked
+        // register access relies on it.
+        let mut template: Vec<Value> = vec![Value::Unit; frame.slots.len()];
+        for s in captured {
+            template[s] = frame.slots[s].clone();
+        }
+        let error: Mutex<Option<InterpError>> = Mutex::new(None);
+        let schedule = schedule.unwrap_or(self.schedule);
+        // Per-participant frames, reused across the participant's bites.
+        // Taken out of the slot (not held locked) during execution: a body
+        // that spawns nested work can land this participant back inside
+        // another bite of this same loop re-entrantly, which then just
+        // builds a fresh frame.
+        let frames: Vec<Mutex<Option<Frame>>> =
+            (0..self.pool.threads()).map(|_| Mutex::new(None)).collect();
+        let region = self.pool.try_run_scheduled(total, schedule, |tid, bite| {
+            // A failure elsewhere makes further bites pointless; skip
+            // them cheaply while the region drains.
+            if lock_ignore_poison(&error).is_some() {
+                return;
+            }
+            let mut tf = lock_ignore_poison(&frames[tid]).take().unwrap_or_else(|| Frame {
+                slots: template.clone(),
+                pending: Vec::new(),
+            });
+            // Per-bite charge batch: one shared-counter RMW per bite
+            // instead of one per iteration (the counter is otherwise a
+            // contended cache line across the region).
+            let mut local = 0u64;
+            for k in bite {
+                // Wrapping, like scalar binops: bounds near i32::MAX must
+                // not panic in debug builds.
+                tf.slots[var] = Value::I(lo.wrapping_add(k as i32));
+                let r = body(&mut tf, &mut local)
+                    .and_then(|returned| self.run_pending(&mut tf).map(|()| returned));
+                match r {
+                    Ok(false) => {}
+                    Ok(true) => {
+                        *lock_ignore_poison(&error) = Some(InterpError::new(
+                            "return inside a parallel loop is not supported",
+                        ));
+                        break;
+                    }
+                    Err(e) => {
+                        lock_ignore_poison(&error).get_or_insert(e);
+                        break;
+                    }
+                }
+            }
+            if local > 0 {
+                self.steps.fetch_add(local, Ordering::Relaxed);
+            }
+            *lock_ignore_poison(&frames[tid]) = Some(tf);
+        });
+        // A user-level error beats the region-panic report: the panic
+        // may be a secondary casualty of the same fault, and the
+        // user-level message names the actual program misbehavior.
+        if let Some(e) = error.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            return Err(e);
+        }
+        region.map_err(|p| InterpError::worker_panic(&p))
     }
 
     /// Cost-probe execution of a parallel loop: sequential, on the

@@ -35,8 +35,7 @@ pub use interp::{
     LoopCost, Tier, Value,
 };
 pub use cmm_forkjoin::{
-    schedule::DEFAULT_DYNAMIC_CHUNK, schedule::DEFAULT_GUIDED_MIN_CHUNK, ClaimProtocol,
-    ForkJoinPool, Schedule,
+    schedule::DEFAULT_DYNAMIC_CHUNK, schedule::DEFAULT_GUIDED_MIN_CHUNK, ForkJoinPool, Schedule,
 };
 pub use ir::{
     CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,

@@ -931,7 +931,7 @@ mod interp_tests {
         // from a worker as the typed "return inside a parallel loop"
         // error under every scheduling policy — not execute the return,
         // and (the failure mode this guards) not leave other participants
-        // draining the shared counter forever. A body returning from one
+        // draining their deques forever. A body returning from one
         // mid-range iteration exercises the early-exit path of the claim
         // loop rather than the first claim.
         let schedules = [

@@ -47,7 +47,6 @@
 //! per-call frame allocation.
 
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
 
 use cmm_forkjoin::Schedule;
 
@@ -1010,7 +1009,8 @@ fn exec_impl<const BATCH: bool>(
     // bounds-checked every register operand against `nregs` when the
     // bytecode was compiled, and `frame.slots.len() == f.nregs` at every
     // exec entry (`call_function` resizes the argument vector,
-    // `run_parfor` builds its templates at exactly `nregs`).
+    // `Interp::run_parallel_loop` builds its templates at the length of
+    // the frame `run_parfor` hands it, which is this function's own).
     macro_rules! reg {
         ($r:expr) => {
             unsafe { frame.slots.get_unchecked(*$r as usize) }
@@ -1220,7 +1220,7 @@ fn exec_impl<const BATCH: bool>(
                 let lo = frame.slots[pf.lo as usize].as_i()?;
                 let hi = frame.slots[pf.hi as usize].as_i()?;
                 if hi > lo {
-                    run_parfor(interp, vm, f, pf, frame, lo, hi)?;
+                    run_parfor(interp, vm, f, pf, frame, lo..hi)?;
                 }
             }
             Instr::Kernel { id, done } => {
@@ -1239,81 +1239,24 @@ fn exec_impl<const BATCH: bool>(
     Ok(None)
 }
 
-/// Fork-join execution of a parallel loop's bytecode body — the VM-tier
-/// mirror of `Interp::exec_for`'s parallel branch: same work-stealing
-/// bite protocol, same captured-slot templates, same telemetry, same
-/// error precedence (user-level error beats region panic).
+/// Fork-join execution of a parallel loop's bytecode body on the shared
+/// driver ([`Interp::run_parallel_loop`]).
 fn run_parfor(
     interp: &Interp<'_>,
     vm: &VmProgram,
     f: &VmFunction,
     pf: &ParForData,
     frame: &Frame,
-    lo: i32,
-    hi: i32,
+    range: std::ops::Range<i32>,
 ) -> IResult<()> {
-    // `hi > lo`, so the wrapped difference is the exact count (an i32
-    // range never exceeds 2^32 - 1 iterations).
-    let total = hi.wrapping_sub(lo) as u32 as usize;
-    if interp.profile {
-        interp.par_loops.fetch_add(1, Ordering::Relaxed);
-        interp.par_iters.fetch_add(total as u64, Ordering::Relaxed);
-    }
-    let mut template: Vec<Value> = vec![Value::Unit; f.nregs];
-    for &s in &pf.captured {
-        template[s as usize] = frame.slots[s as usize].clone();
-    }
-    let error: Mutex<Option<InterpError>> = Mutex::new(None);
-    let schedule = pf.schedule.unwrap_or(interp.schedule);
     let fast = interp.fast_meter();
-    // Per-participant register frames, reused across bites. Taken out of
-    // the slot (not held locked) during execution: a body that spawns
-    // nested work can land the participant back inside another bite of
-    // this same loop re-entrantly, which then builds a fresh frame.
-    let frames: Vec<Mutex<Option<Frame>>> =
-        (0..interp.pool.threads()).map(|_| Mutex::new(None)).collect();
-    let region = interp.pool.try_run_scheduled(total, schedule, |tid, range| {
-        if lock_ignore_poison(&error).is_some() {
-            return;
-        }
-        let mut tf = lock_ignore_poison(&frames[tid]).take().unwrap_or_else(|| Frame {
-            slots: template.clone(),
-            pending: Vec::new(),
-        });
-        // Per-bite charge batch: one shared-counter RMW per bite instead
-        // of one per iteration (the counter is otherwise a contended
-        // cache line across the region).
-        let mut local = 0u64;
-        for k in range {
-            tf.slots[pf.var as usize] = Value::I(lo.wrapping_add(k as i32));
-            let r = if fast {
-                exec_impl::<true>(interp, vm, f, &pf.body, &mut tf, &mut local)
-            } else {
-                exec_impl::<false>(interp, vm, f, &pf.body, &mut tf, &mut 0)
-            }
-            .and_then(|fl| interp.run_pending(&mut tf).map(|()| fl));
-            match r {
-                Ok(None) => {}
-                Ok(Some(_)) => {
-                    *lock_ignore_poison(&error) = Some(InterpError::new(
-                        "return inside a parallel loop is not supported",
-                    ));
-                    break;
-                }
-                Err(e) => {
-                    lock_ignore_poison(&error).get_or_insert(e);
-                    break;
-                }
-            }
-        }
-        if local > 0 {
-            interp.steps.fetch_add(local, Ordering::Relaxed);
-        }
-        *lock_ignore_poison(&frames[tid]) = Some(tf);
-    });
-    if let Some(e) = error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(e);
-    }
-    region.map_err(|p| InterpError::worker_panic(&p))?;
-    Ok(())
+    let captured = pf.captured.iter().map(|&s| s as usize);
+    interp.run_parallel_loop(frame, captured, pf.var as usize, pf.schedule, range, |tf, local| {
+        let r = if fast {
+            exec_impl::<true>(interp, vm, f, &pf.body, tf, local)
+        } else {
+            exec_impl::<false>(interp, vm, f, &pf.body, tf, &mut 0)
+        };
+        Ok(r?.is_some())
+    })
 }

@@ -1,4 +1,4 @@
-//! Minimal JSON reader/writer for the serve protocol.
+//! Minimal JSON reader for the serve protocol.
 //!
 //! The workspace is deliberately dependency-free (no serde); the metrics
 //! side already hand-rolls JSON *output*, and the serve protocol needs the
@@ -13,7 +13,6 @@
 //! cannot stack-overflow or balloon the daemon.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted (requests are depth ≤ 3 in practice).
 const MAX_DEPTH: usize = 32;
@@ -302,27 +301,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escape and quote `s` as a JSON string literal.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,7 +326,7 @@ mod tests {
     #[test]
     fn escapes_round_trip() {
         let original = "line1\nline2\t\"quoted\" \\ end\u{0001}é";
-        let quoted = quote(original);
+        let quoted = cmm_core::json_str(original);
         let back = parse(&quoted).unwrap();
         assert_eq!(back.as_str(), Some(original));
     }

@@ -4,7 +4,9 @@
 //!
 //! Before this cache, every `run` session constructed a fresh pool —
 //! thread spawns, stack allocation, deque setup — which dominated the
-//! round trip for small programs (`BENCH_serve.json` v1: p50 60.1 ms).
+//! round trip for small programs (the traced `serve_mixed` run of
+//! `benchmark/` reports `serve.pool_checkout_miss_us` against
+//! `serve.pool_checkout_hit_us`; see `benchmark/README.md`).
 //! Pools are cheap to *keep* (parked workers cost no CPU) and expensive
 //! to *make*, so the daemon shelves them between sessions.
 //!

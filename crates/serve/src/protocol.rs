@@ -38,7 +38,7 @@
 
 use std::time::Duration;
 
-use cmm_core::CompileError;
+use cmm_core::{json_str, CompileError};
 use cmm_forkjoin::Schedule;
 
 use crate::json::{self, Json};
@@ -356,15 +356,15 @@ impl Response {
     pub fn stream_frame(id: &str, seq: usize, data: &str, last: bool) -> String {
         format!(
             "{{\"id\": {}, \"seq\": {seq}, \"data\": {}, \"last\": {last}}}",
-            json::quote(id),
-            json::quote(data)
+            json_str(id),
+            json_str(data)
         )
     }
 
     fn render(&self, stream: Option<(usize, usize)>) -> String {
         let mut out = String::with_capacity(128);
         out.push_str("{\"id\": ");
-        out.push_str(&json::quote(&self.id));
+        out.push_str(&json_str(&self.id));
         out.push_str(&format!(
             ", \"ok\": {}, \"code\": {}, \"status\": \"{}\", \"retryable\": {}",
             self.code == RespCode::Ok,
@@ -381,13 +381,13 @@ impl Response {
             None => {
                 if let Some(output) = &self.output {
                     out.push_str(", \"output\": ");
-                    out.push_str(&json::quote(output));
+                    out.push_str(&json_str(output));
                 }
             }
         }
         if let Some(error) = &self.error {
             out.push_str(", \"error\": ");
-            out.push_str(&json::quote(error));
+            out.push_str(&json_str(error));
         }
         if let Some(m) = &self.metrics {
             out.push_str(&format!(

@@ -43,7 +43,7 @@ use std::fmt;
 
 use cmm_ast::display::{print_program, print_transform};
 use cmm_ast::TransformSpec;
-use cmm_core::{CompileError, Compiler, Registry};
+use cmm_core::{json_str, CompileError, Compiler, Registry};
 use cmm_forkjoin::{deque_makespan, Schedule, TilePolicy, DEFAULT_GEOMETRY};
 use cmm_loopir::{Interp, Limits, LoopCost, Tier};
 
@@ -423,23 +423,6 @@ pub fn tune(src: &str, cfg: &TuneConfig) -> Result<TuneOutcome, TuneError> {
     })
 }
 
-/// Minimal JSON string escaping for report fields.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn pct_vs(baseline: u64, tuned: u64) -> f64 {
     if baseline == 0 {
         0.0
@@ -463,7 +446,7 @@ fn write_report(
     let mut o = String::new();
     o.push_str("{\n");
     o.push_str(&format!("  \"schema\": \"{REPORT_SCHEMA}\",\n"));
-    o.push_str(&format!("  \"program\": \"{}\",\n", esc(&cfg.program)));
+    o.push_str(&format!("  \"program\": {},\n", json_str(&cfg.program)));
     o.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     o.push_str(&format!("  \"budget\": {},\n", cfg.budget));
     o.push_str(&format!("  \"threads\": {},\n", cfg.threads));
@@ -477,20 +460,20 @@ fn write_report(
     for (si, r) in results.iter().enumerate() {
         o.push_str("    {\n");
         o.push_str(&format!("      \"id\": {},\n", r.site.id));
-        o.push_str(&format!("      \"function\": \"{}\",\n", esc(&r.site.function)));
-        o.push_str(&format!("      \"target\": \"{}\",\n", esc(&r.site.target)));
+        o.push_str(&format!("      \"function\": {},\n", json_str(&r.site.function)));
+        o.push_str(&format!("      \"target\": {},\n", json_str(&r.site.target)));
         o.push_str(&format!(
             "      \"indices\": [{}],\n",
             r.site
                 .indices
                 .iter()
-                .map(|i| format!("\"{}\"", esc(i)))
+                .map(|i| json_str(i))
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
         o.push_str(&format!(
-            "      \"winner\": \"{}\",\n",
-            esc(&r.candidates[r.winner].rendered)
+            "      \"winner\": {},\n",
+            json_str(&r.candidates[r.winner].rendered)
         ));
         if let CandidateStatus::Scored { modeled_cost, .. } = r.candidates[r.winner].status {
             o.push_str(&format!(
@@ -504,22 +487,22 @@ fn write_report(
             match &c.status {
                 CandidateStatus::Scored { modeled_cost, makespan, fuel, compile_items } => {
                     o.push_str(&format!(
-                        "        {{\"directives\": \"{}\", \"status\": \"ok\", \"modeled_cost\": {modeled_cost}, \"makespan\": {makespan}, \"fuel\": {fuel}, \"compile_items\": {compile_items}}}{comma}\n",
-                        esc(&c.rendered)
+                        "        {{\"directives\": {}, \"status\": \"ok\", \"modeled_cost\": {modeled_cost}, \"makespan\": {makespan}, \"fuel\": {fuel}, \"compile_items\": {compile_items}}}{comma}\n",
+                        json_str(&c.rendered)
                     ));
                 }
                 CandidateStatus::Pruned { error } => {
                     o.push_str(&format!(
-                        "        {{\"directives\": \"{}\", \"status\": \"pruned\", \"error\": \"{}\"}}{comma}\n",
-                        esc(&c.rendered),
-                        esc(error)
+                        "        {{\"directives\": {}, \"status\": \"pruned\", \"error\": {}}}{comma}\n",
+                        json_str(&c.rendered),
+                        json_str(error)
                     ));
                 }
                 CandidateStatus::Failed { error } => {
                     o.push_str(&format!(
-                        "        {{\"directives\": \"{}\", \"status\": \"failed\", \"error\": \"{}\"}}{comma}\n",
-                        esc(&c.rendered),
-                        esc(error)
+                        "        {{\"directives\": {}, \"status\": \"failed\", \"error\": {}}}{comma}\n",
+                        json_str(&c.rendered),
+                        json_str(error)
                     ));
                 }
             }
@@ -532,7 +515,7 @@ fn write_report(
     o.push_str(&format!(
         "  \"tuned\": {{\"modeled_cost\": {tuned_cost}, \"changed\": {changed}, \"verified\": {verified}{}}},\n",
         match joint_note {
-            Some(n) => format!(", \"note\": \"{}\"", esc(n)),
+            Some(n) => format!(", \"note\": {}", json_str(n)),
             None => String::new(),
         }
     ));

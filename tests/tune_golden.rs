@@ -37,6 +37,14 @@ fn assert_deterministic(name: &str) {
     assert_eq!(winners_a, winners_b, "{name}: winning directive sets drifted");
     assert!(a.report.contains(REPORT_SCHEMA));
     assert!(a.verified, "{name}: joint tuned result must verify");
+    // The empty directive set is always a candidate, so the tuner may
+    // leave a program alone but never pessimize it.
+    assert!(
+        a.tuned_cost <= a.baseline_cost,
+        "{name}: tuned {} models worse than baseline {}",
+        a.tuned_cost,
+        a.baseline_cost
+    );
 }
 
 #[test]
@@ -79,7 +87,12 @@ fn imbalanced_winner_models_at_least_as_well_as_dynamic4() {
         "winner `{}` modeled {w}, worse than hand-written dynamic,4 at {d}",
         winner.rendered
     );
-    assert!(out.changed, "imbalanced must improve on the untuned baseline");
+    assert!(
+        out.changed && out.verified && out.tuned_cost < out.baseline_cost,
+        "imbalanced must verifiably improve on the untuned baseline ({} vs {})",
+        out.tuned_cost,
+        out.baseline_cost
+    );
 }
 
 /// Applying the winners preserves semantics end-to-end on both
