@@ -15,13 +15,13 @@ fn bench(c: &mut Criterion) {
     g.bench_function("compose_standard_language", |b| {
         b.iter(|| {
             Registry::standard()
-                .compiler(&["ext-matrix", "ext-tuples", "ext-rcptr", "ext-transform"])
+                .compiler(&cmm_core::ALL_EXTENSIONS)
                 .expect("compose")
         })
     });
 
     let compiler = Registry::standard()
-        .compiler(&["ext-matrix", "ext-tuples", "ext-rcptr", "ext-transform"])
+        .compiler(&cmm_core::ALL_EXTENSIONS)
         .expect("compose");
     let program = eddy_scoring_program("in.cmmx", "out.cmmx");
     g.bench_function("translate_fig8_program", |b| {

@@ -39,7 +39,7 @@ int main() {
 fn compile(src: &str, opts: LowerOptions) -> cmm_loopir::IrProgram {
     let registry = Registry::standard();
     let mut compiler = registry
-        .compiler(&["ext-matrix", "ext-tuples", "ext-rcptr", "ext-transform"])
+        .compiler(&cmm_core::ALL_EXTENSIONS)
         .expect("compose");
     compiler.options = opts;
     compiler.compile(src).expect("translate")

@@ -30,7 +30,7 @@ use cmm_ag::{analyze_fragment, AgFragment, WellDefinednessReport};
 use cmm_ast::Diag;
 use cmm_forkjoin::{ForkJoinPool, Schedule};
 use cmm_grammar::{is_composable, ComposabilityReport, ComposedGrammar, GrammarFragment, Parser};
-use cmm_lang::typecheck::{ExtSet, TypeInfo};
+use cmm_lang::typecheck::{Ext, ExtSet, TypeInfo};
 use cmm_lang::{
     build_program, check_program, fuse_slice_indices, has_fusable_slice_index, host_ag, host_grammar, lower_program,
     LowerOptions,
@@ -86,6 +86,16 @@ fn shared_parser_cache() -> Arc<ParserCache> {
     )
 }
 
+/// Names of every extension [`Registry::standard`] registers: the full
+/// language.
+pub const ALL_EXTENSIONS: [&str; 5] = [
+    cmm_ext_matrix::NAME,
+    cmm_ext_tuples::NAME,
+    cmm_ext_rcptr::NAME,
+    cmm_ext_transform::NAME,
+    cmm_ext_cilk::NAME,
+];
+
 /// One pluggable language extension: its specifications plus packaging
 /// status as determined by the modular analyses.
 pub struct Extension {
@@ -99,6 +109,11 @@ pub struct Extension {
     /// `isComposable`); `Some(reason)` when it must be packaged with the
     /// host/another extension instead.
     pub packaged: Option<String>,
+    /// The extension this one is packaged with: selecting this one has no
+    /// effect unless that one is selected too.
+    pub requires: Option<&'static str>,
+    /// The semantic-analysis switch selecting this extension turns on.
+    pub ext: Ext,
 }
 
 /// The host specification plus available extensions.
@@ -129,18 +144,24 @@ impl Registry {
                     grammar: cmm_ext_matrix::grammar(),
                     ag: cmm_ext_matrix::ag(),
                     packaged: None,
+                    requires: None,
+                    ext: Ext::Matrix,
                 },
                 Extension {
                     name: cmm_ext_rcptr::NAME.to_string(),
                     grammar: cmm_ext_rcptr::grammar(),
                     ag: cmm_ext_rcptr::ag(),
                     packaged: None,
+                    requires: None,
+                    ext: Ext::Rcptr,
                 },
                 Extension {
                     name: cmm_ext_cilk::NAME.to_string(),
                     grammar: cmm_ext_cilk::grammar(),
                     ag: cmm_ext_cilk::ag(),
                     packaged: None,
+                    requires: None,
+                    ext: Ext::Cilk,
                 },
                 Extension {
                     name: cmm_ext_tuples::NAME.to_string(),
@@ -151,6 +172,8 @@ impl Registry {
                          host's '('); packaged as part of the host language (§VI-A)"
                             .to_string(),
                     ),
+                    requires: None,
+                    ext: Ext::Tuples,
                 },
                 Extension {
                     name: cmm_ext_transform::NAME.to_string(),
@@ -161,6 +184,8 @@ impl Registry {
                          packaged with the matrix extension it extends (§V)"
                             .to_string(),
                     ),
+                    requires: Some(cmm_ext_matrix::NAME),
+                    ext: Ext::Transform,
                 },
             ],
             parser_cache: shared_parser_cache(),
@@ -197,16 +222,11 @@ impl Registry {
             }
         }
         let on = |n: &str| enabled.contains(&n);
-        // Packaging: transform rides with matrix; tuples with the host.
-        let matrix = on(cmm_ext_matrix::NAME);
+        // An extension packaged with another rides along only with it.
         let selected: Vec<&Extension> = self
             .extensions
             .iter()
-            .filter(|e| match e.name.as_str() {
-                "ext-tuples" => on("ext-tuples"),
-                "ext-transform" => matrix && on("ext-transform"),
-                other => on(other),
-            })
+            .filter(|e| on(&e.name) && e.requires.is_none_or(on))
             .collect();
 
         // Verify the independently composable ones.
@@ -243,13 +263,7 @@ impl Registry {
                 ))
             })
         })?;
-        let exts = ExtSet {
-            matrix: on("ext-matrix"),
-            tuples: on("ext-tuples"),
-            rcptr: on("ext-rcptr"),
-            transform: matrix && on("ext-transform"),
-            cilk: on("ext-cilk"),
-        };
+        let exts = selected.iter().fold(ExtSet::HOST, |set, e| set.with(e.ext));
         Ok(Compiler {
             parser,
             exts,

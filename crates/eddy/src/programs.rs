@@ -12,7 +12,7 @@ use cmm_core::{Compiler, Registry};
 /// applications use).
 pub fn full_compiler() -> Compiler {
     Registry::standard()
-        .compiler(&["ext-matrix", "ext-tuples", "ext-rcptr", "ext-transform", "ext-cilk"])
+        .compiler(&cmm_core::ALL_EXTENSIONS)
         .expect("standard extensions compose")
 }
 

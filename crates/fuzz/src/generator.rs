@@ -29,6 +29,7 @@ use cmm_ast::builder as b;
 use cmm_ast::{
     BinOp, ElemKind, Expr, FoldKind, Function, IndexExpr, Stmt, TransformSpec, Type,
 };
+use cmm_lang::SurfaceBuiltin as Sb;
 use cmm_tune::search::{self, DirectiveRng};
 use proptest::test_runner::TestRng;
 
@@ -42,6 +43,11 @@ impl DirectiveRng for RngRef<'_> {
     fn next_u64(&mut self) -> u64 {
         self.0.next_u64()
     }
+}
+
+/// Call of a source-level builtin.
+fn builtin(f: Sb, args: Vec<Expr>) -> Expr {
+    b::call(f.name(), args)
 }
 
 /// Bound for scalar int variables: every assignment reduces `% 97`.
@@ -228,7 +234,7 @@ impl Gen {
         }
         if self.chance(50) {
             let e = self.int_expr(idxs, 1);
-            return b::call("toFloat", vec![e]);
+            return builtin(Sb::ToFloat, vec![e]);
         }
         self.float_lit()
     }
@@ -252,7 +258,7 @@ impl Gen {
         // Pure rank-1 kernel for matrixMap: no prints (it runs under the
         // auto-parallelized outer loop).
         let body = vec![
-            b::decl(Type::Int, "hn", b::call("dimSize", vec![b::var_ref("row"), b::int(0)])),
+            b::decl(Type::Int, "hn", builtin(Sb::DimSize, vec![b::var_ref("row"), b::int(0)])),
             b::decl(
                 Type::Matrix(ElemKind::Float, 1),
                 "hout",
@@ -271,7 +277,7 @@ impl Gen {
                             b::index(b::var_ref("row"), vec![b::at(b::var_ref("hi"))]),
                             b::float(0.5),
                         ),
-                        b::call("toFloat", vec![b::var_ref("hi")]),
+                        builtin(Sb::ToFloat, vec![b::var_ref("hi")]),
                     ),
                 )],
             ),
@@ -295,7 +301,7 @@ impl Gen {
             ),
             b::binary(
                 BinOp::Div,
-                b::call("toFloat", vec![b::binary(BinOp::Sub, b::var_ref("ta"), b::var_ref("tb"))]),
+                builtin(Sb::ToFloat, vec![b::binary(BinOp::Sub, b::var_ref("ta"), b::var_ref("tb"))]),
                 b::float(4.0),
             ),
         ]))];
@@ -387,19 +393,19 @@ impl Gen {
         let stmt = match *self.pick(&arms) {
             0 => {
                 let v = self.pick(&self.ints.clone()).clone();
-                b::expr_stmt(b::call("printInt", vec![b::var_ref(&v)]))
+                b::expr_stmt(builtin(Sb::PrintInt, vec![b::var_ref(&v)]))
             }
             1 => {
                 let v = self.pick(&self.wide_ints.clone()).clone();
-                b::expr_stmt(b::call("printInt", vec![b::var_ref(&v)]))
+                b::expr_stmt(builtin(Sb::PrintInt, vec![b::var_ref(&v)]))
             }
             2 => {
                 let v = self.pick(&self.floats.clone()).clone();
-                b::expr_stmt(b::call("printFloat", vec![b::var_ref(&v)]))
+                b::expr_stmt(builtin(Sb::PrintFloat, vec![b::var_ref(&v)]))
             }
             _ => {
                 let v = self.pick(&self.bools.clone()).clone();
-                b::expr_stmt(b::call("printBool", vec![b::var_ref(&v)]))
+                b::expr_stmt(builtin(Sb::PrintBool, vec![b::var_ref(&v)]))
             }
         };
         let _ = idxs;
@@ -663,14 +669,14 @@ impl Gen {
         match elem {
             ElemKind::Float => {
                 let fold = b::with_fold(gen, kind, b::float(0.0), subject);
-                vec![b::expr_stmt(b::call("printFloat", vec![fold]))]
+                vec![b::expr_stmt(builtin(Sb::PrintFloat, vec![fold]))]
             }
             _ => {
                 let fold = b::with_fold(gen, kind, b::int(0), subject);
                 let wide = self.fresh("s");
                 let out = vec![
                     b::decl(Type::Int, &wide, fold),
-                    b::expr_stmt(b::call("printInt", vec![b::var_ref(&wide)])),
+                    b::expr_stmt(builtin(Sb::PrintInt, vec![b::var_ref(&wide)])),
                 ];
                 self.wide_ints.push(wide);
                 out
@@ -701,8 +707,8 @@ impl Gen {
                 .collect()
         };
         let read = b::index(b::var_ref(&name), indices);
-        let print = if elem == ElemKind::Float { "printFloat" } else { "printInt" };
-        vec![b::expr_stmt(b::call(print, vec![read]))]
+        let print = if elem == ElemKind::Float { Sb::PrintFloat } else { Sb::PrintInt };
+        vec![b::expr_stmt(builtin(print, vec![read]))]
     }
 
     /// Store into one element: `m[l1, l2] = expr;`
@@ -890,16 +896,16 @@ impl Gen {
                 &iv,
                 b::int(0),
                 b::int(len),
-                vec![b::expr_stmt(b::call(
-                    "rcSet",
+                vec![b::expr_stmt(builtin(
+                    Sb::RcSet,
                     vec![b::var_ref(&buf), b::var_ref(&iv), fill],
                 ))],
             ),
-            b::expr_stmt(b::call(
-                "printFloat",
-                vec![b::call("rcGet", vec![b::var_ref(&buf), b::int(len - 1)])],
+            b::expr_stmt(builtin(
+                Sb::PrintFloat,
+                vec![builtin(Sb::RcGet, vec![b::var_ref(&buf), b::int(len - 1)])],
             )),
-            b::expr_stmt(b::call("printInt", vec![b::call("rcLen", vec![b::var_ref(&buf)])])),
+            b::expr_stmt(builtin(Sb::PrintInt, vec![builtin(Sb::RcLen, vec![b::var_ref(&buf)])])),
         ];
         out
     }
@@ -919,8 +925,8 @@ impl Gen {
             b::spawn(Some(&r1), b::call("spawnWork", args1)),
             b::spawn(Some(&r2), b::call("spawnWork", args2)),
             b::sync(),
-            b::expr_stmt(b::call("printInt", vec![b::var_ref(&r1)])),
-            b::expr_stmt(b::call("printInt", vec![b::var_ref(&r2)])),
+            b::expr_stmt(builtin(Sb::PrintInt, vec![b::var_ref(&r1)])),
+            b::expr_stmt(builtin(Sb::PrintInt, vec![b::var_ref(&r2)])),
         ];
         self.ints.push(r1);
         self.ints.push(r2);

@@ -205,23 +205,19 @@ pub struct Harness {
     gcc: bool,
 }
 
-/// The full extension set the fuzzer exercises.
-pub const FULL_EXTENSIONS: [&str; 5] =
-    ["ext-matrix", "ext-tuples", "ext-rcptr", "ext-transform", "ext-cilk"];
-
 impl Harness {
     /// Build the two pipelines. Probes for gcc once (printing a `SKIP`
     /// line if absent, so logs show which oracles actually ran).
     pub fn new() -> Result<Harness, CompileError> {
         let registry = Registry::standard();
-        let opt = registry.compiler(&FULL_EXTENSIONS)?;
-        let mut plain = registry.compiler(&FULL_EXTENSIONS)?;
+        let opt = registry.compiler(&cmm_core::ALL_EXTENSIONS)?;
+        let mut plain = registry.compiler(&cmm_core::ALL_EXTENSIONS)?;
         plain.options = LowerOptions {
             parallelize: false,
             fuse_with_assign: false,
             fuse_slice_index: false,
         };
-        let mut tree = registry.compiler(&FULL_EXTENSIONS)?;
+        let mut tree = registry.compiler(&cmm_core::ALL_EXTENSIONS)?;
         tree.tier = Tier::Tree;
         Ok(Harness {
             opt,

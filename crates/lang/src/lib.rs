@@ -15,16 +15,18 @@
 //! reference-counting operations of §III-B.
 
 pub mod builder;
+pub mod builtins;
 pub mod grammar;
 pub mod lower;
 pub mod optimize;
 pub mod typecheck;
 
 pub use builder::{build_program, BuildError};
+pub use builtins::SurfaceBuiltin;
 pub use grammar::{host_ag, host_grammar};
 pub use lower::{lower_program, LowerOptions};
 pub use optimize::{fuse_slice_indices, has_fusable_slice_index};
-pub use typecheck::{check_program, ExtSet, FuncSig, TypeInfo};
+pub use typecheck::{check_program, Ext, ExtSet, FuncSig, TypeInfo};
 
 #[cfg(test)]
 mod tests;

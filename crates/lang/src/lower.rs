@@ -8,7 +8,7 @@
 //! (§III-A5), MATLAB-style indexing becomes gather/scatter loops (with
 //! selection tables for logical indexing), tuples are scalarized into
 //! multi-value returns, and every matrix assignment/scope edge gets the
-//! `rc_incr`/`rc_decr` calls of the reference-counting extension (§III-B).
+//! retain/release calls of the reference-counting extension (§III-B).
 //!
 //! When a statement carries `[ext-transform]` directives, the loop nest
 //! generated for it is rewritten by `cmm_loopir::transform` in source
@@ -20,9 +20,10 @@ use std::collections::HashMap;
 use cmm_ast::*;
 use cmm_loopir::transform::{apply_all, LoopTransform};
 use cmm_loopir::{
-    CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
+    Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
 };
 
+use crate::builtins::SurfaceBuiltin;
 use crate::typecheck::{FuncSig, TypeInfo};
 
 /// Lowering configuration; the flags are the ablation knobs of the
@@ -92,6 +93,26 @@ fn elem_ir(e: ElemKind) -> Elem {
         ElemKind::Int => Elem::I32,
         ElemKind::Float => Elem::F32,
         ElemKind::Bool => Elem::Bool,
+    }
+}
+
+/// `dim(var, d)`: the size of dimension `d` of buffer `var`.
+fn dim_of(var: &str, d: usize) -> IrExpr {
+    IrExpr::Builtin(Builtin::Dim, vec![IrExpr::var(var), IrExpr::Int(d as i64)])
+}
+
+/// Release a reference to buffer `var`.
+fn release(var: &str) -> IrStmt {
+    IrStmt::Expr(IrExpr::Builtin(Builtin::RcDecr, vec![IrExpr::var(var)]))
+}
+
+/// Declare buffer variable `name` as a fresh zeroed `elem` matrix of
+/// shape `dims`.
+fn alloc_decl(name: &str, elem: ElemKind, dims: Vec<IrExpr>) -> IrStmt {
+    IrStmt::Decl {
+        ty: CType::Buf(elem_ir(elem)),
+        name: name.to_string(),
+        init: Some(IrExpr::Builtin(Builtin::AllocMat(elem_ir(elem)), dims)),
     }
 }
 
@@ -194,10 +215,7 @@ impl FnLower<'_> {
         self.vars.pop();
         let owned = self.owned.pop().expect("owned scope");
         for var in owned.into_iter().rev() {
-            out.push(IrStmt::Expr(IrExpr::Call(
-                "rc_decr".into(),
-                vec![IrExpr::var(&var)],
-            )));
+            out.push(release(&var));
         }
     }
 
@@ -205,19 +223,13 @@ impl FnLower<'_> {
     fn decr_all_scopes(&self, out: &mut Vec<IrStmt>) {
         for scope in self.owned.iter().rev() {
             for var in scope.iter().rev() {
-                out.push(IrStmt::Expr(IrExpr::Call(
-                    "rc_decr".into(),
-                    vec![IrExpr::var(var)],
-                )));
+                out.push(release(var));
             }
         }
     }
 
     fn incr(&self, var: &str, out: &mut Vec<IrStmt>) {
-        out.push(IrStmt::Expr(IrExpr::Call(
-            "rc_incr".into(),
-            vec![IrExpr::var(var)],
-        )));
+        out.push(IrStmt::Expr(IrExpr::Builtin(Builtin::RcIncr, vec![IrExpr::var(var)])));
     }
 
     /// Declare a fresh owned matrix temp initialized by an allocation.
@@ -228,26 +240,59 @@ impl FnLower<'_> {
         out: &mut Vec<IrStmt>,
     ) -> String {
         let var = self.fresh("m");
-        out.push(IrStmt::Decl {
-            ty: CType::Buf(elem_ir(elem)),
-            name: var.clone(),
-            init: Some(IrExpr::Call(
-                format!("alloc_mat_{}", elem_ir(elem).suffix()),
-                dims,
-            )),
-        });
+        out.push(alloc_decl(&var, elem, dims));
         self.register_owned(&var);
         var
     }
 
+    /// The one element-wise loop: `dst[q] = value(q)` for every `q` below
+    /// `len`, `dst` being an `elem` buffer.
+    fn fill(
+        &mut self,
+        elem: ElemKind,
+        dst: &str,
+        len: IrExpr,
+        out: &mut Vec<IrStmt>,
+        value: impl FnOnce(&Self, IrExpr) -> IrExpr,
+    ) {
+        let q = self.fresh("q");
+        let st = self.store(elem, dst, IrExpr::var(&q), value(self, IrExpr::var(&q)));
+        out.push(IrStmt::For(ForLoop {
+            var: q,
+            lo: IrExpr::Int(0),
+            hi: len,
+            body: vec![st],
+            parallel: false,
+            vector: false,
+            schedule: None,
+        }));
+    }
+
+    /// [`FnLower::fill`] into a fresh owned temp of shape `dims`.
+    fn elementwise(
+        &mut self,
+        elem: ElemKind,
+        dims: Vec<IrExpr>,
+        len: IrExpr,
+        out: &mut Vec<IrStmt>,
+        value: impl FnOnce(&Self, IrExpr) -> IrExpr,
+    ) -> String {
+        let result = self.alloc_tmp(elem, dims, out);
+        self.fill(elem, &result, len, out, value);
+        result
+    }
+
+    /// `dst[q] = src[q]` over all of `src`.
+    fn copy_cells(&mut self, elem: ElemKind, dst: &str, src: &str, out: &mut Vec<IrStmt>) {
+        self.fill(elem, dst, self.len_of(src), out, |lw, q| lw.load(elem, src, q));
+    }
+
     fn dims_of(&self, var: &str, rank: u8) -> Vec<IrExpr> {
-        (0..rank)
-            .map(|d| IrExpr::Call("dim".into(), vec![IrExpr::var(var), IrExpr::Int(d as i64)]))
-            .collect()
+        (0..rank as usize).map(|d| dim_of(var, d)).collect()
     }
 
     fn len_of(&self, var: &str) -> IrExpr {
-        IrExpr::Call("len".into(), vec![IrExpr::var(var)])
+        IrExpr::Builtin(Builtin::Len, vec![IrExpr::var(var)])
     }
 
     /// Row-major flat offset for `var` given per-dimension index exprs.
@@ -255,10 +300,7 @@ impl FnLower<'_> {
         let mut it = idxs.iter();
         let mut off = it.next().cloned().unwrap_or(IrExpr::Int(0));
         for (d, idx) in it.enumerate() {
-            let dim = IrExpr::Call(
-                "dim".into(),
-                vec![IrExpr::var(var), IrExpr::Int(d as i64 + 1)],
-            );
+            let dim = dim_of(var, d + 1);
             off = IrExpr::add(IrExpr::mul(off, dim), idx.clone());
         }
         off
@@ -284,8 +326,8 @@ impl FnLower<'_> {
     fn panic_if(&self, cond: IrExpr, msg: &str) -> IrStmt {
         IrStmt::If {
             cond,
-            then_b: vec![IrStmt::Expr(IrExpr::Call(
-                "cmm_panic".into(),
+            then_b: vec![IrStmt::Expr(IrExpr::Builtin(
+                Builtin::Panic,
                 vec![IrExpr::Str(msg.to_string())],
             ))],
             else_b: vec![],
@@ -435,7 +477,7 @@ impl FnLower<'_> {
                 let rv = self.expr(expr, None, out)?;
                 if let RV::Scalar(e, _) = rv {
                     // Evaluate for effect (calls).
-                    if matches!(e, IrExpr::Call(..)) {
+                    if matches!(e, IrExpr::Call(..) | IrExpr::Builtin(..)) {
                         out.push(IrStmt::Expr(e));
                     }
                 }
@@ -564,43 +606,15 @@ impl FnLower<'_> {
                         } else {
                             // Library mode: materialize a copy.
                             let dims = self.dims_of(&src, *rank);
-                            out.push(IrStmt::Decl {
-                                ty: CType::Buf(elem_ir(*elem)),
-                                name: ir.to_string(),
-                                init: Some(IrExpr::Call(
-                                    format!("alloc_mat_{}", elem_ir(*elem).suffix()),
-                                    dims,
-                                )),
-                            });
-                            let q = self.fresh("q");
-                            out.push(IrStmt::For(ForLoop {
-                                var: q.clone(),
-                                lo: IrExpr::Int(0),
-                                hi: self.len_of(&src),
-                                body: vec![self.store(
-                                    *elem,
-                                    ir,
-                                    IrExpr::var(&q),
-                                    self.load(*elem, &src, IrExpr::var(&q)),
-                                )],
-                                parallel: false,
-                                vector: false,
-                                schedule: None,
-                            }));
+                            out.push(alloc_decl(ir, *elem, dims));
+                            self.copy_cells(*elem, ir, &src, out);
                         }
                     }
                     None => {
                         // Uninitialized matrix: placeholder empty buffer so
                         // reference counting stays uniform.
                         let dims = vec![IrExpr::Int(0); *rank as usize];
-                        out.push(IrStmt::Decl {
-                            ty: CType::Buf(elem_ir(*elem)),
-                            name: ir.to_string(),
-                            init: Some(IrExpr::Call(
-                                format!("alloc_mat_{}", elem_ir(*elem).suffix()),
-                                dims,
-                            )),
-                        });
+                        out.push(alloc_decl(ir, *elem, dims));
                     }
                     Some(other) => {
                         return Err(self.bug(
@@ -624,14 +638,7 @@ impl FnLower<'_> {
                         self.incr(ir, out);
                     }
                     None => {
-                        out.push(IrStmt::Decl {
-                            ty: CType::Buf(elem_ir(*elem)),
-                            name: ir.to_string(),
-                            init: Some(IrExpr::Call(
-                                format!("alloc_mat_{}", elem_ir(*elem).suffix()),
-                                vec![IrExpr::Int(0)],
-                            )),
-                        });
+                        out.push(alloc_decl(ir, *elem, vec![IrExpr::Int(0)]));
                     }
                 }
                 self.register_owned(ir);
@@ -718,10 +725,7 @@ impl FnLower<'_> {
                 let ir = &irs[0];
                 if self.opts.fuse_with_assign {
                     self.incr(&src, out);
-                    out.push(IrStmt::Expr(IrExpr::Call(
-                        "rc_decr".into(),
-                        vec![IrExpr::var(ir)],
-                    )));
+                    out.push(release(ir));
                     out.push(IrStmt::Assign {
                         name: ir.clone(),
                         value: IrExpr::var(&src),
@@ -730,33 +734,9 @@ impl FnLower<'_> {
                     // Library mode: copy into a fresh buffer.
                     let dims = self.dims_of(&src, *rank);
                     let fresh = self.fresh("cp");
-                    out.push(IrStmt::Decl {
-                        ty: CType::Buf(elem_ir(*elem)),
-                        name: fresh.clone(),
-                        init: Some(IrExpr::Call(
-                            format!("alloc_mat_{}", elem_ir(*elem).suffix()),
-                            dims,
-                        )),
-                    });
-                    let q = self.fresh("q");
-                    out.push(IrStmt::For(ForLoop {
-                        var: q.clone(),
-                        lo: IrExpr::Int(0),
-                        hi: self.len_of(&src),
-                        body: vec![self.store(
-                            *elem,
-                            &fresh,
-                            IrExpr::var(&q),
-                            self.load(*elem, &src, IrExpr::var(&q)),
-                        )],
-                        parallel: false,
-                        vector: false,
-                        schedule: None,
-                    }));
-                    out.push(IrStmt::Expr(IrExpr::Call(
-                        "rc_decr".into(),
-                        vec![IrExpr::var(ir)],
-                    )));
+                    out.push(alloc_decl(&fresh, *elem, dims));
+                    self.copy_cells(*elem, &fresh, &src, out);
+                    out.push(release(ir));
                     out.push(IrStmt::Assign {
                         name: ir.clone(),
                         value: IrExpr::var(&fresh),
@@ -769,10 +749,7 @@ impl FnLower<'_> {
                 let src = rv.mat_var().to_string();
                 let ir = &irs[0];
                 self.incr(&src, out);
-                out.push(IrStmt::Expr(IrExpr::Call(
-                    "rc_decr".into(),
-                    vec![IrExpr::var(ir)],
-                )));
+                out.push(release(ir));
                 out.push(IrStmt::Assign {
                     name: ir.clone(),
                     value: IrExpr::var(&src),
@@ -944,14 +921,7 @@ impl FnLower<'_> {
             Expr::RcAlloc { elem, len, .. } => {
                 let n = self.expr(len, Some(&Type::Int), out)?.scalar();
                 let var = self.fresh("rc");
-                out.push(IrStmt::Decl {
-                    ty: CType::Buf(elem_ir(*elem)),
-                    name: var.clone(),
-                    init: Some(IrExpr::Call(
-                        format!("alloc_mat_{}", elem_ir(*elem).suffix()),
-                        vec![n],
-                    )),
-                });
+                out.push(alloc_decl(&var, *elem, vec![n]));
                 self.register_owned(&var);
                 Ok(RV::Rc { var, elem: *elem })
             }
@@ -987,24 +957,14 @@ impl FnLower<'_> {
             (UnOp::Neg, RV::Scalar(e, t)) => Ok(RV::Scalar(IrExpr::Neg(Box::new(e)), t)),
             (UnOp::Not, RV::Scalar(e, _)) => Ok(RV::Scalar(IrExpr::Not(Box::new(e)), Type::Bool)),
             (op, RV::Mat { var, elem, rank }) => {
-                let dims = self.dims_of(&var, rank);
-                let result = self.alloc_tmp(elem, dims, out);
-                let q = self.fresh("q");
-                let loaded = self.load(elem, &var, IrExpr::var(&q));
-                let value = match op {
-                    UnOp::Neg => IrExpr::Neg(Box::new(loaded)),
-                    UnOp::Not => IrExpr::Not(Box::new(loaded)),
-                };
-                let st = self.store(elem, &result, IrExpr::var(&q), value);
-                out.push(IrStmt::For(ForLoop {
-                    var: q,
-                    lo: IrExpr::Int(0),
-                    hi: self.len_of(&var),
-                    body: vec![st],
-                    parallel: false,
-                    vector: false,
-                    schedule: None,
-                }));
+                let (dims, len) = (self.dims_of(&var, rank), self.len_of(&var));
+                let result = self.elementwise(elem, dims, len, out, |lw, q| {
+                    let loaded = Box::new(lw.load(elem, &var, q));
+                    match op {
+                        UnOp::Neg => IrExpr::Neg(loaded),
+                        UnOp::Not => IrExpr::Not(loaded),
+                    }
+                });
                 Ok(RV::Mat {
                     var: result,
                     elem,
@@ -1027,27 +987,17 @@ impl FnLower<'_> {
                 Type::Bool,
             )),
             (Type::Matrix(to_elem, _), RV::Mat { var, elem, rank }) => {
-                let dims = self.dims_of(&var, rank);
-                let result = self.alloc_tmp(*to_elem, dims, out);
-                let q = self.fresh("q");
-                let loaded = self.load(elem, &var, IrExpr::var(&q));
-                let value = match to_elem {
-                    ElemKind::Int => IrExpr::CastInt(Box::new(loaded)),
-                    ElemKind::Float => IrExpr::CastFloat(Box::new(loaded)),
-                    ElemKind::Bool => {
-                        IrExpr::bin(IrBinOp::Ne, IrExpr::CastInt(Box::new(loaded)), IrExpr::Int(0))
+                let (dims, len) = (self.dims_of(&var, rank), self.len_of(&var));
+                let result = self.elementwise(*to_elem, dims, len, out, |lw, q| {
+                    let loaded = Box::new(lw.load(elem, &var, q));
+                    match to_elem {
+                        ElemKind::Int => IrExpr::CastInt(loaded),
+                        ElemKind::Float => IrExpr::CastFloat(loaded),
+                        ElemKind::Bool => {
+                            IrExpr::bin(IrBinOp::Ne, IrExpr::CastInt(loaded), IrExpr::Int(0))
+                        }
                     }
-                };
-                let st = self.store(*to_elem, &result, IrExpr::var(&q), value);
-                out.push(IrStmt::For(ForLoop {
-                    var: q,
-                    lo: IrExpr::Int(0),
-                    hi: self.len_of(&var),
-                    body: vec![st],
-                    parallel: false,
-                    vector: false,
-                    schedule: None,
-                }));
+                });
                 Ok(RV::Mat {
                     var: result,
                     elem: *to_elem,
@@ -1077,23 +1027,8 @@ impl FnLower<'_> {
             }],
             else_b: vec![],
         });
-        let var = self.alloc_tmp(ElemKind::Int, vec![IrExpr::var(&n)], out);
-        let q = self.fresh("q");
-        let st = self.store(
-            ElemKind::Int,
-            &var,
-            IrExpr::var(&q),
-            IrExpr::add(lo, IrExpr::var(&q)),
-        );
-        out.push(IrStmt::For(ForLoop {
-            var: q,
-            lo: IrExpr::Int(0),
-            hi: IrExpr::var(&n),
-            body: vec![st],
-            parallel: false,
-            vector: false,
-            schedule: None,
-        }));
+        let (dims, len) = (vec![IrExpr::var(&n)], IrExpr::var(&n));
+        let var = self.elementwise(ElemKind::Int, dims, len, out, |_, q| IrExpr::add(lo, q));
         RV::Mat {
             var,
             elem: ElemKind::Int,
@@ -1148,34 +1083,20 @@ impl FnLower<'_> {
                     return self.matmul(&lv, &rv, le, out);
                 }
                 // Element-wise: shapes must agree at runtime.
-                for d in 0..lr {
-                    let check = IrExpr::bin(
-                        IrBinOp::Ne,
-                        IrExpr::Call("dim".into(), vec![IrExpr::var(&lv), IrExpr::Int(d as i64)]),
-                        IrExpr::Call("dim".into(), vec![IrExpr::var(&rv), IrExpr::Int(d as i64)]),
-                    );
+                for d in 0..lr as usize {
+                    let check = IrExpr::bin(IrBinOp::Ne, dim_of(&lv, d), dim_of(&rv, d));
                     out.push(self.panic_if(
                         check,
                         "element-wise operation on matrices of different shapes",
                     ));
                 }
                 let out_elem = if op.is_comparison() { ElemKind::Bool } else { le };
-                let dims = self.dims_of(&lv, lr);
-                let result = self.alloc_tmp(out_elem, dims, out);
-                let q = self.fresh("q");
-                let a = self.load(le, &lv, IrExpr::var(&q));
-                let b = self.load(le, &rv, IrExpr::var(&q));
-                let value = IrExpr::bin(scalar_binop(op), a, b);
-                let st = self.store(out_elem, &result, IrExpr::var(&q), value);
-                out.push(IrStmt::For(ForLoop {
-                    var: q,
-                    lo: IrExpr::Int(0),
-                    hi: self.len_of(&lv),
-                    body: vec![st],
-                    parallel: false,
-                    vector: false,
-                    schedule: None,
-                }));
+                let (dims, len) = (self.dims_of(&lv, lr), self.len_of(&lv));
+                let result = self.elementwise(out_elem, dims, len, out, |lw, q| {
+                    let a = lw.load(le, &lv, q.clone());
+                    let b = lw.load(le, &rv, q);
+                    IrExpr::bin(scalar_binop(op), a, b)
+                });
                 Ok(RV::Mat {
                     var: result,
                     elem: out_elem,
@@ -1222,30 +1143,16 @@ impl FnLower<'_> {
             init: Some(scalar),
         });
         let out_elem = if op.is_comparison() { ElemKind::Bool } else { elem };
-        let dims = self.dims_of(var, rank);
-        let result = self.alloc_tmp(out_elem, dims, out);
-        let q = self.fresh("q");
-        let loaded = self.load(elem, var, IrExpr::var(&q));
-        let (a, b) = if scalar_on_left {
-            (IrExpr::var(&s), loaded)
-        } else {
-            (loaded, IrExpr::var(&s))
-        };
-        let st = self.store(
-            out_elem,
-            &result,
-            IrExpr::var(&q),
-            IrExpr::bin(scalar_binop(op), a, b),
-        );
-        out.push(IrStmt::For(ForLoop {
-            var: q,
-            lo: IrExpr::Int(0),
-            hi: self.len_of(var),
-            body: vec![st],
-            parallel: false,
-            vector: false,
-            schedule: None,
-        }));
+        let (dims, len) = (self.dims_of(var, rank), self.len_of(var));
+        let result = self.elementwise(out_elem, dims, len, out, |lw, q| {
+            let loaded = lw.load(elem, var, q);
+            let (a, b) = if scalar_on_left {
+                (IrExpr::var(&s), loaded)
+            } else {
+                (loaded, IrExpr::var(&s))
+            };
+            IrExpr::bin(scalar_binop(op), a, b)
+        });
         Ok(RV::Mat {
             var: result,
             elem: out_elem,
@@ -1263,13 +1170,13 @@ impl FnLower<'_> {
     ) -> LResult<RV> {
         let check = IrExpr::bin(
             IrBinOp::Ne,
-            IrExpr::Call("dim".into(), vec![IrExpr::var(lv), IrExpr::Int(1)]),
-            IrExpr::Call("dim".into(), vec![IrExpr::var(rv), IrExpr::Int(0)]),
+            dim_of(lv, 1),
+            dim_of(rv, 0),
         );
         out.push(self.panic_if(check, "matrix multiplication dimension mismatch"));
-        let m = IrExpr::Call("dim".into(), vec![IrExpr::var(lv), IrExpr::Int(0)]);
-        let k = IrExpr::Call("dim".into(), vec![IrExpr::var(lv), IrExpr::Int(1)]);
-        let n = IrExpr::Call("dim".into(), vec![IrExpr::var(rv), IrExpr::Int(1)]);
+        let m = dim_of(lv, 0);
+        let k = dim_of(lv, 1);
+        let n = dim_of(rv, 1);
         let result = self.alloc_tmp(elem, vec![m.clone(), n.clone()], out);
         let (i, kk, j) = (self.fresh("i"), self.fresh("k"), self.fresh("j"));
         let acc = self.fresh("acc");

@@ -48,55 +48,52 @@ impl DimSel {
 
 impl FnLower<'_> {
     // ------------------------------------------------------------------
-    // Static types (mirror of the checker, for already-checked programs)
+    // Static types (for already-checked programs)
     // ------------------------------------------------------------------
 
     /// Type of an expression in the current lowering environment. The
     /// program has passed the checker, so inconsistencies are compiler
     /// bugs (reported as lowering errors by callers where reachable).
     pub(super) fn static_type(&self, e: &Expr, expected: Option<&Type>) -> Type {
+        self.type_in(e, expected, &[])
+    }
+
+    /// [`FnLower::static_type`] with the names in `ints` — generator
+    /// variables of enclosing with-loops not lowered yet — bound as ints,
+    /// shadowing the environment.
+    fn type_in(&self, e: &Expr, expected: Option<&Type>, ints: &[String]) -> Type {
+        let ty = |e: &Expr| self.type_in(e, None, ints);
         match e {
             Expr::IntLit(..) => Type::Int,
             Expr::FloatLit(..) => Type::Float,
             Expr::BoolLit(..) => Type::Bool,
             Expr::StrLit(..) => Type::Str,
             Expr::End(_) => Type::Int,
+            Expr::Var(n, _) if ints.contains(n) => Type::Int,
             Expr::Var(n, _) => self
                 .lookup(n)
                 .map(|(t, _)| t.clone())
                 .unwrap_or(Type::Error),
             Expr::Unary { op, operand, .. } => match op {
-                UnOp::Neg => self.static_type(operand, None),
-                UnOp::Not => match self.static_type(operand, None) {
+                UnOp::Neg => ty(operand),
+                UnOp::Not => match ty(operand) {
                     m @ Type::Matrix(..) => m,
                     _ => Type::Bool,
                 },
             },
-            Expr::Binary { op, left, right, .. } => {
-                let lt = self.static_type(left, None);
-                let rt = self.static_type(right, None);
-                static_binary_type(*op, &lt, &rt)
-            }
+            Expr::Binary { op, left, right, .. } => static_binary_type(*op, &ty(left), &ty(right)),
             Expr::Cast { ty, .. } => ty.clone(),
             Expr::Index { base, indices, .. } => {
-                let bt = self.static_type(base, None);
-                let Some((elem, _)) = bt.as_matrix() else {
+                let Some((elem, _)) = ty(base).as_matrix() else {
                     return Type::Error;
                 };
-                let mut kept = 0u8;
-                for ix in indices {
-                    match ix {
-                        IndexExpr::At(e) => {
-                            if matches!(
-                                self.static_type(e, None),
-                                Type::Matrix(ElemKind::Bool, 1)
-                            ) {
-                                kept += 1;
-                            }
-                        }
-                        IndexExpr::Range(..) | IndexExpr::All => kept += 1,
-                    }
-                }
+                let kept = indices
+                    .iter()
+                    .filter(|ix| match ix {
+                        IndexExpr::At(e) => matches!(ty(e), Type::Matrix(ElemKind::Bool, 1)),
+                        IndexExpr::Range(..) | IndexExpr::All => true,
+                    })
+                    .count() as u8;
                 if kept == 0 {
                     elem.scalar()
                 } else {
@@ -104,31 +101,27 @@ impl FnLower<'_> {
                 }
             }
             Expr::RangeVec { .. } => Type::Matrix(ElemKind::Int, 1),
-            Expr::Tuple(parts, _) => {
-                Type::Tuple(parts.iter().map(|p| self.static_type(p, None)).collect())
-            }
-            Expr::With { generator, op, .. } => match op {
-                WithOp::Genarray { shape, body } => {
-                    let bt = self.with_body_type(generator, body);
-                    match bt.as_elem() {
+            Expr::Tuple(parts, _) => Type::Tuple(parts.iter().map(ty).collect()),
+            Expr::With { generator, op, .. } => {
+                let inner: Vec<String> = ints.iter().chain(&generator.vars).cloned().collect();
+                let body_ty = |body: &Expr| self.type_in(body, None, &inner);
+                match op {
+                    WithOp::Genarray { shape, body } => match body_ty(body).as_elem() {
                         Some(e) => Type::Matrix(e, shape.len().max(1) as u8),
                         None => Type::Error,
+                    },
+                    WithOp::Fold { base, body, .. } => {
+                        if ty(base) == Type::Float || body_ty(body) == Type::Float {
+                            Type::Float
+                        } else {
+                            Type::Int
+                        }
                     }
+                    WithOp::Modarray { src, .. } => ty(src),
                 }
-                WithOp::Fold { base, body, .. } => {
-                    let bt = self.static_type(base, None);
-                    let et = self.with_body_type(generator, body);
-                    if bt == Type::Float || et == Type::Float {
-                        Type::Float
-                    } else {
-                        Type::Int
-                    }
-                }
-                WithOp::Modarray { src, .. } => self.static_type(src, None),
-            },
+            }
             Expr::MatrixMap { func, matrix, .. } => {
-                let mt = self.static_type(matrix, None);
-                let rank = mt.as_matrix().map(|(_, r)| r).unwrap_or(0);
+                let rank = ty(matrix).as_matrix().map(|(_, r)| r).unwrap_or(0);
                 match self.sigs.get(func).map(|s| &s.ret) {
                     Some(Type::Matrix(e, _)) => Type::Matrix(*e, rank),
                     _ => Type::Error,
@@ -136,41 +129,15 @@ impl FnLower<'_> {
             }
             Expr::Init { ty, .. } => ty.clone(),
             Expr::RcAlloc { elem, .. } => Type::Rc(*elem),
-            Expr::Call { name, args, .. } => match name.as_str() {
-                "dimSize" | "toInt" | "rcLen" => match name.as_str() {
-                    "toInt" => match self.static_type(&args[0], None) {
-                        Type::Matrix(_, r) => Type::Matrix(ElemKind::Int, r),
-                        _ => Type::Int,
-                    },
-                    _ => Type::Int,
-                },
-                "toFloat" => match self.static_type(&args[0], None) {
-                    Type::Matrix(_, r) => Type::Matrix(ElemKind::Float, r),
-                    _ => Type::Float,
-                },
-                "range" => Type::Matrix(ElemKind::Int, 1),
-                "readMatrix" => expected.cloned().unwrap_or(Type::Error),
-                "writeMatrix" | "printInt" | "printFloat" | "printBool" | "rcSet" => Type::Void,
-                "rcGet" => match self.static_type(&args[0], None) {
-                    Type::Rc(e) => e.scalar(),
-                    _ => Type::Error,
-                },
-                _ => self
+            Expr::Call { name, args, .. } => match SurfaceBuiltin::from_name(name) {
+                Some(b) => b.result_type(&ty(&args[0]), expected),
+                None => self
                     .sigs
                     .get(name)
                     .map(|s| s.ret.clone())
                     .unwrap_or(Type::Error),
             },
         }
-    }
-
-    fn with_body_type(&self, g: &Generator, body: &Expr) -> Type {
-        // Bind generator variables as ints in a throwaway view.
-        let mut probe = FnProbe {
-            lower: self,
-            extra: g.vars.clone(),
-        };
-        probe.ty(body)
     }
 
     // ------------------------------------------------------------------
@@ -397,10 +364,7 @@ impl FnLower<'_> {
                     out.push(IrStmt::Decl {
                         ty: CType::Int,
                         name: sv.clone(),
-                        init: Some(IrExpr::Call(
-                            "dim".into(),
-                            vec![IrExpr::var(&src_var), IrExpr::Int(d as i64)],
-                        )),
+                        init: Some(dim_of(&src_var, d)),
                     });
                     if d < hi_vars.len() {
                         out.push(self.panic_if(
@@ -415,23 +379,7 @@ impl FnLower<'_> {
                     sd_vars.iter().map(|v| IrExpr::var(v)).collect(),
                     out,
                 );
-                // Copy the source.
-                let q = self.fresh("q");
-                let copy = self.store(
-                    elem,
-                    &result,
-                    IrExpr::var(&q),
-                    self.load(elem, &src_var, IrExpr::var(&q)),
-                );
-                out.push(IrStmt::For(ForLoop {
-                    var: q,
-                    lo: IrExpr::Int(0),
-                    hi: self.len_of(&src_var),
-                    body: vec![copy],
-                    parallel: false,
-                    vector: false,
-                    schedule: None,
-                }));
+                self.copy_cells(elem, &result, &src_var, out);
 
                 // Overwrite the generator region.
                 self.push_scope();
@@ -515,12 +463,6 @@ impl FnLower<'_> {
         let mapped: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
         let outer: Vec<usize> = (0..rank as usize).filter(|d| !mapped.contains(d)).collect();
 
-        let dim_of = |buf: &str, d: usize| {
-            IrExpr::Call(
-                "dim".into(),
-                vec![IrExpr::var(buf), IrExpr::Int(d as i64)],
-            )
-        };
         // Per-dimension index variable names inside the lifted function.
         let idx_name = |d: usize| format!("x{d}");
 
@@ -596,34 +538,18 @@ impl FnLower<'_> {
 
         // Slice allocation + per-slice body.
         let slice_dims: Vec<IrExpr> = mapped.iter().map(|&md| dim_of("src", md)).collect();
-        let mut per_slice = vec![IrStmt::Decl {
-            ty: CType::Buf(elem_ir(src_elem)),
-            name: "slice".into(),
-            init: Some(IrExpr::Call(
-                format!("alloc_mat_{}", elem_ir(src_elem).suffix()),
-                slice_dims,
-            )),
-        }];
+        let mut per_slice = vec![alloc_decl("slice", src_elem, slice_dims)];
         per_slice.extend(gather);
         // The mapped function follows the callee-owns convention.
-        per_slice.push(IrStmt::Expr(IrExpr::Call(
-            "rc_incr".into(),
-            vec![IrExpr::var("slice")],
-        )));
+        self.incr("slice", &mut per_slice);
         per_slice.push(IrStmt::Decl {
             ty: CType::Buf(elem_ir(out_elem)),
             name: "res".into(),
             init: Some(IrExpr::Call(func.to_string(), vec![IrExpr::var("slice")])),
         });
         per_slice.extend(scatter);
-        per_slice.push(IrStmt::Expr(IrExpr::Call(
-            "rc_decr".into(),
-            vec![IrExpr::var("res")],
-        )));
-        per_slice.push(IrStmt::Expr(IrExpr::Call(
-            "rc_decr".into(),
-            vec![IrExpr::var("slice")],
-        )));
+        per_slice.push(release("res"));
+        per_slice.push(release("slice"));
 
         // Outer loops over unmapped dims; the whole nest collapses to the
         // body when everything is mapped.
@@ -666,6 +592,22 @@ impl FnLower<'_> {
     // Indexing (§III-A3)
     // ------------------------------------------------------------------
 
+    /// Lower the int expression `e` used as a subscript of dimension `d`
+    /// of `base`; inside it `end` means `dim(base, d) - 1`.
+    fn subscript(
+        &mut self,
+        base: &str,
+        d: usize,
+        e: &Expr,
+        out: &mut Vec<IrStmt>,
+    ) -> LResult<IrExpr> {
+        let end = IrExpr::bin(IrBinOp::Sub, dim_of(base, d), IrExpr::Int(1));
+        let saved = self.current_end.replace(end);
+        let idx = self.expr(e, Some(&Type::Int), out);
+        self.current_end = saved;
+        Ok(idx?.scalar())
+    }
+
     /// Lower one subscript list against a base buffer into per-dimension
     /// selections, including selection tables for logical indexing.
     fn dim_selections(
@@ -678,14 +620,6 @@ impl FnLower<'_> {
         let _ = base_elem;
         let mut sels = Vec::with_capacity(indices.len());
         for (d, ix) in indices.iter().enumerate() {
-            let end_expr = IrExpr::bin(
-                IrBinOp::Sub,
-                IrExpr::Call(
-                    "dim".into(),
-                    vec![IrExpr::var(base), IrExpr::Int(d as i64)],
-                ),
-                IrExpr::Int(1),
-            );
             match ix {
                 IndexExpr::At(e) => {
                     if matches!(self.static_type(e, None), Type::Matrix(ElemKind::Bool, 1)) {
@@ -696,10 +630,7 @@ impl FnLower<'_> {
                             IrExpr::bin(
                                 IrBinOp::Ne,
                                 self.len_of(&mask),
-                                IrExpr::Call(
-                                    "dim".into(),
-                                    vec![IrExpr::var(base), IrExpr::Int(d as i64)],
-                                ),
+                                dim_of(base, d),
                             ),
                             "logical index mask length does not match the dimension",
                         ));
@@ -764,17 +695,12 @@ impl FnLower<'_> {
                         }));
                         sels.push(DimSel::Table { table, size: count });
                     } else {
-                        let saved = self.current_end.replace(end_expr);
-                        let idx = self.expr(e, Some(&Type::Int), out)?.scalar();
-                        self.current_end = saved;
-                        sels.push(DimSel::Fixed(idx));
+                        sels.push(DimSel::Fixed(self.subscript(base, d, e, out)?));
                     }
                 }
                 IndexExpr::Range(a, b) => {
-                    let saved = self.current_end.replace(end_expr);
-                    let lo = self.expr(a, Some(&Type::Int), out)?.scalar();
-                    let hi = self.expr(b, Some(&Type::Int), out)?.scalar();
-                    self.current_end = saved;
+                    let lo = self.subscript(base, d, a, out)?;
+                    let hi = self.subscript(base, d, b, out)?;
                     let lo_v = self.fresh("rlo");
                     out.push(IrStmt::Decl {
                         ty: CType::Int,
@@ -808,10 +734,7 @@ impl FnLower<'_> {
                     out.push(IrStmt::Decl {
                         ty: CType::Int,
                         name: size.clone(),
-                        init: Some(IrExpr::Call(
-                            "dim".into(),
-                            vec![IrExpr::var(base), IrExpr::Int(d as i64)],
-                        )),
+                        init: Some(dim_of(base, d)),
                     });
                     sels.push(DimSel::Off {
                         lo: IrExpr::Int(0),
@@ -844,17 +767,7 @@ impl FnLower<'_> {
             let mut idxs = Vec::with_capacity(indices.len());
             for (d, ix) in indices.iter().enumerate() {
                 let IndexExpr::At(e) = ix else { unreachable!() };
-                let end_expr = IrExpr::bin(
-                    IrBinOp::Sub,
-                    IrExpr::Call(
-                        "dim".into(),
-                        vec![IrExpr::var(&base_var), IrExpr::Int(d as i64)],
-                    ),
-                    IrExpr::Int(1),
-                );
-                let saved = self.current_end.replace(end_expr);
-                idxs.push(self.expr(e, Some(&Type::Int), out)?.scalar());
-                self.current_end = saved;
+                idxs.push(self.subscript(&base_var, d, e, out)?);
             }
             let off = self.flat_offset(&base_var, &idxs);
             return Ok(RV::Scalar(self.load(elem, &base_var, off), elem.scalar()));
@@ -937,10 +850,7 @@ impl FnLower<'_> {
         // shared handles (§III-B).
         out.push(IrStmt::Assign {
             name: ir.clone(),
-            value: IrExpr::Call(
-                format!("cow_{}", elem_ir(elem).suffix()),
-                vec![IrExpr::var(&ir)],
-            ),
+            value: IrExpr::Builtin(Builtin::Cow(elem_ir(elem)), vec![IrExpr::var(&ir)]),
         });
 
         let value_rv = self.expr(value, Some(&elem.scalar()), out)?;
@@ -957,17 +867,7 @@ impl FnLower<'_> {
             let mut idxs = Vec::with_capacity(indices.len());
             for (d, ix) in indices.iter().enumerate() {
                 let IndexExpr::At(e) = ix else { unreachable!() };
-                let end_expr = IrExpr::bin(
-                    IrBinOp::Sub,
-                    IrExpr::Call(
-                        "dim".into(),
-                        vec![IrExpr::var(&ir), IrExpr::Int(d as i64)],
-                    ),
-                    IrExpr::Int(1),
-                );
-                let saved = self.current_end.replace(end_expr);
-                idxs.push(self.expr(e, Some(&Type::Int), out)?.scalar());
-                self.current_end = saved;
+                idxs.push(self.subscript(&ir, d, e, out)?);
             }
             let off = self.flat_offset(&ir, &idxs);
             let coerced = self.coerce(ve, &vty, &elem.scalar());
@@ -1057,16 +957,19 @@ impl FnLower<'_> {
         span: Span,
         out: &mut Vec<IrStmt>,
     ) -> LResult<RV> {
-        match name {
-            "dimSize" => {
+        let Some(builtin) = SurfaceBuiltin::from_name(name) else {
+            return self.user_call(name, args, span, out);
+        };
+        match builtin {
+            SurfaceBuiltin::DimSize => {
                 let m = self.expr(&args[0], None, out)?;
                 let d = self.expr(&args[1], Some(&Type::Int), out)?.scalar();
                 Ok(RV::Scalar(
-                    IrExpr::Call("dim".into(), vec![IrExpr::var(m.mat_var()), d]),
+                    IrExpr::Builtin(Builtin::Dim, vec![IrExpr::var(m.mat_var()), d]),
                     Type::Int,
                 ))
             }
-            "readMatrix" => {
+            SurfaceBuiltin::ReadMatrix => {
                 let RV::Str(path) = self.expr(&args[0], None, out)? else {
                     return Err(self.bug(span, "readMatrix path must be a string literal"));
                 };
@@ -1077,8 +980,8 @@ impl FnLower<'_> {
                 out.push(IrStmt::Decl {
                     ty: CType::Buf(elem_ir(*elem)),
                     name: var.clone(),
-                    init: Some(IrExpr::Call(
-                        format!("read_mat_{}", elem_ir(*elem).suffix()),
+                    init: Some(IrExpr::Builtin(
+                        Builtin::ReadMat(elem_ir(*elem)),
                         vec![IrExpr::Str(path)],
                     )),
                 });
@@ -1087,7 +990,7 @@ impl FnLower<'_> {
                 out.push(self.panic_if(
                     IrExpr::bin(
                         IrBinOp::Ne,
-                        IrExpr::Call("rank".into(), vec![IrExpr::var(&var)]),
+                        IrExpr::Builtin(Builtin::Rank, vec![IrExpr::var(&var)]),
                         IrExpr::Int(*rank as i64),
                     ),
                     "readMatrix: file rank does not match the declared matrix rank",
@@ -1098,7 +1001,7 @@ impl FnLower<'_> {
                     rank: *rank,
                 })
             }
-            "writeMatrix" => {
+            SurfaceBuiltin::WriteMatrix => {
                 let RV::Str(path) = self.expr(&args[0], None, out)? else {
                     return Err(self.bug(span, "writeMatrix path must be a string literal"));
                 };
@@ -1106,43 +1009,37 @@ impl FnLower<'_> {
                 let RV::Mat { var, elem, .. } = m else {
                     return Err(self.bug(span, "writeMatrix writes matrices"));
                 };
-                out.push(IrStmt::Expr(IrExpr::Call(
-                    format!("write_mat_{}", elem_ir(elem).suffix()),
+                out.push(IrStmt::Expr(IrExpr::Builtin(
+                    Builtin::WriteMat(elem_ir(elem)),
                     vec![IrExpr::Str(path), IrExpr::var(&var)],
                 )));
                 Ok(RV::Void)
             }
-            "range" => {
+            SurfaceBuiltin::Range => {
                 let lo = self.expr(&args[0], Some(&Type::Int), out)?.scalar();
                 let hi = self.expr(&args[1], Some(&Type::Int), out)?.scalar();
                 Ok(self.range_vector(lo, hi, out))
             }
-            "toFloat" | "toInt" => {
-                let target_scalar = if name == "toFloat" { Type::Float } else { Type::Int };
-                let arg_ty = self.static_type(&args[0], None);
-                let target = match arg_ty {
-                    Type::Matrix(_, r) => Type::Matrix(
-                        if name == "toFloat" { ElemKind::Float } else { ElemKind::Int },
-                        r,
-                    ),
-                    _ => target_scalar,
-                };
+            SurfaceBuiltin::ToFloat | SurfaceBuiltin::ToInt => {
+                let target = builtin.result_type(&self.static_type(&args[0], None), None);
                 self.cast(&target, &args[0], span, out)
             }
-            "printInt" | "printFloat" | "printBool" => {
+            SurfaceBuiltin::PrintInt | SurfaceBuiltin::PrintFloat | SurfaceBuiltin::PrintBool => {
                 let rv = self.expr(&args[0], None, out)?;
                 let RV::Scalar(e, t) = rv else {
                     return Err(self.bug(span, format!("{name} prints scalars")));
                 };
-                let (builtin, e) = match name {
-                    "printInt" => ("print_i32", e),
-                    "printFloat" => ("print_f32", self.coerce(e, &t, &Type::Float)),
-                    _ => ("print_b", e),
+                let (print, e) = match builtin {
+                    SurfaceBuiltin::PrintInt => (Builtin::PrintI32, e),
+                    SurfaceBuiltin::PrintFloat => {
+                        (Builtin::PrintF32, self.coerce(e, &t, &Type::Float))
+                    }
+                    _ => (Builtin::PrintB, e),
                 };
-                out.push(IrStmt::Expr(IrExpr::Call(builtin.into(), vec![e])));
+                out.push(IrStmt::Expr(IrExpr::Builtin(print, vec![e])));
                 Ok(RV::Void)
             }
-            "rcGet" => {
+            SurfaceBuiltin::RcGet => {
                 let p = self.expr(&args[0], None, out)?;
                 let RV::Rc { var, elem } = p else {
                     return Err(self.bug(span, "rcGet needs an rc pointer"));
@@ -1150,7 +1047,7 @@ impl FnLower<'_> {
                 let i = self.expr(&args[1], Some(&Type::Int), out)?.scalar();
                 Ok(RV::Scalar(self.load(elem, &var, i), elem.scalar()))
             }
-            "rcSet" => {
+            SurfaceBuiltin::RcSet => {
                 let p = self.expr(&args[0], None, out)?;
                 let RV::Rc { var, elem } = p else {
                     return Err(self.bug(span, "rcSet needs an rc pointer"));
@@ -1165,14 +1062,13 @@ impl FnLower<'_> {
                 out.push(self.store(elem, &var, i, coerced));
                 Ok(RV::Void)
             }
-            "rcLen" => {
+            SurfaceBuiltin::RcLen => {
                 let p = self.expr(&args[0], None, out)?;
                 let RV::Rc { var, .. } = p else {
                     return Err(self.bug(span, "rcLen needs an rc pointer"));
                 };
                 Ok(RV::Scalar(self.len_of(&var), Type::Int))
             }
-            _ => self.user_call(name, args, span, out),
         }
     }
 
@@ -1346,92 +1242,6 @@ impl FnLower<'_> {
                 Ok(())
             }
             other => Err(self.bug(span, format!("cannot pass {other:?} as an argument"))),
-        }
-    }
-}
-
-/// Probe view used by [`FnLower::with_body_type`] to type with-loop bodies
-/// with the generator variables bound as ints.
-struct FnProbe<'a, 'b> {
-    lower: &'a FnLower<'b>,
-    extra: Vec<String>,
-}
-
-impl FnProbe<'_, '_> {
-    fn ty(&mut self, e: &Expr) -> Type {
-        // Generator variables shadow anything else.
-        if let Expr::Var(n, _) = e {
-            if self.extra.contains(n) {
-                return Type::Int;
-            }
-        }
-        // For compound expressions the generator variables can only be
-        // ints inside subscripts/arithmetic, which static_type handles the
-        // same way; temporarily treat unknown vars as ints.
-        match e {
-            Expr::Binary { op, left, right, .. } => {
-                let lt = self.ty(left);
-                let rt = self.ty(right);
-                static_binary_type(*op, &lt, &rt)
-            }
-            Expr::Unary { op, operand, .. } => match op {
-                UnOp::Neg => self.ty(operand),
-                UnOp::Not => match self.ty(operand) {
-                    m @ Type::Matrix(..) => m,
-                    _ => Type::Bool,
-                },
-            },
-            Expr::Index { base, indices, .. } => {
-                let bt = self.ty(base);
-                let Some((elem, _)) = bt.as_matrix() else {
-                    return Type::Error;
-                };
-                let mut kept = 0u8;
-                for ix in indices {
-                    match ix {
-                        IndexExpr::At(e) => {
-                            if matches!(self.ty(e), Type::Matrix(ElemKind::Bool, 1)) {
-                                kept += 1;
-                            }
-                        }
-                        IndexExpr::Range(..) | IndexExpr::All => kept += 1,
-                    }
-                }
-                if kept == 0 {
-                    elem.scalar()
-                } else {
-                    Type::Matrix(elem, kept)
-                }
-            }
-            Expr::Cast { ty, .. } => ty.clone(),
-            Expr::With { generator, op, .. } => {
-                let mut inner = FnProbe {
-                    lower: self.lower,
-                    extra: self
-                        .extra
-                        .iter()
-                        .cloned()
-                        .chain(generator.vars.iter().cloned())
-                        .collect(),
-                };
-                match op {
-                    WithOp::Genarray { shape, body } => match inner.ty(body).as_elem() {
-                        Some(e) => Type::Matrix(e, shape.len().max(1) as u8),
-                        None => Type::Error,
-                    },
-                    WithOp::Fold { base, body, .. } => {
-                        let bt = inner.ty(base);
-                        let et = inner.ty(body);
-                        if bt == Type::Float || et == Type::Float {
-                            Type::Float
-                        } else {
-                            Type::Int
-                        }
-                    }
-                    WithOp::Modarray { src, .. } => inner.ty(src),
-                }
-            }
-            other => self.lower.static_type(other, None),
         }
     }
 }

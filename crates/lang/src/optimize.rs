@@ -22,6 +22,8 @@
 
 use cmm_ast::*;
 
+use crate::builtins::SurfaceBuiltin;
+
 /// Apply slice-index fusion to a whole program. Returns the rewritten
 /// program and how many fusions were performed (reported by the
 /// experiment harness).
@@ -217,7 +219,9 @@ fn is_scalar_shaped(e: &Expr) -> bool {
             !op.is_comparison() && is_scalar_shaped(left) && is_scalar_shaped(right)
         }
         Expr::Unary { operand, .. } => is_scalar_shaped(operand),
-        Expr::Call { name, .. } => name == "dimSize",
+        Expr::Call { name, .. } => {
+            SurfaceBuiltin::from_name(name) == Some(SurfaceBuiltin::DimSize)
+        }
         Expr::Cast { ty, .. } => matches!(ty, Type::Int),
         _ => false,
     }

@@ -1039,6 +1039,32 @@ mod errors {
         assert!(diags.iter().any(|d| d.message.contains("matrix extension")));
     }
 
+    /// The builtin table's rules, as the checker applies them: the names
+    /// are reserved, the owning extension must be on, arity is the table's.
+    #[test]
+    fn source_builtins_are_reserved_gated_and_arity_checked() {
+        for b in SurfaceBuiltin::ALL {
+            assert_eq!(SurfaceBuiltin::from_name(b.name()), Some(b));
+            expect_error(
+                &format!("int {}(int x) {{ return x; }} int main() {{ return 0; }}", b.name()),
+                &format!("cannot define function '{}'", b.name()),
+            );
+        }
+        expect_error("int main() { printInt(toInt(1, 2)); return 0; }", "toInt takes one argument");
+        expect_error(
+            "int main() { printInt(dimSize(range(1, 3))); return 0; }",
+            "dimSize(matrix, dim) takes two arguments",
+        );
+        let p = parser();
+        let cst = p.parse("int main() { printInt(dimSize(range(1, 3), 0)); return 0; }").unwrap();
+        let ast = build_program(p.grammar(), &cst).unwrap();
+        let (_info, diags) = check_program(&ast, ExtSet::HOST.with(Ext::Rcptr));
+        assert!(
+            diags.iter().any(|d| d.message.contains("dimSize requires the matrix extension")),
+            "{diags:?}"
+        );
+    }
+
     #[test]
     fn runtime_superset_check_fires() {
         // The §III-A4 runtime check: generator outside the shape.

@@ -24,6 +24,35 @@ use std::collections::HashMap;
 
 use cmm_ast::*;
 
+use crate::builtins::SurfaceBuiltin;
+
+/// One extension's switch in an [`ExtSet`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ext {
+    /// Matrix extension (§III-A).
+    Matrix,
+    /// Tuples (§III-B).
+    Tuples,
+    /// Reference-counting pointers (§III-B).
+    Rcptr,
+    /// Explicit transformations (§V).
+    Transform,
+    /// Cilk-style spawn/sync (§VIII future work).
+    Cilk,
+}
+
+impl std::fmt::Display for Ext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Ext::Matrix => "matrix",
+            Ext::Tuples => "tuples",
+            Ext::Rcptr => "rcptr",
+            Ext::Transform => "transformation",
+            Ext::Cilk => "cilk",
+        })
+    }
+}
+
 /// Which extensions are enabled; constructs of disabled extensions are
 /// semantic errors (they cannot even be parsed when the grammar fragment
 /// is absent, but AST-level users get the same discipline).
@@ -53,6 +82,38 @@ impl Default for ExtSet {
     }
 }
 
+impl ExtSet {
+    /// No extension enabled: the host language alone.
+    pub const HOST: ExtSet = ExtSet {
+        matrix: false,
+        tuples: false,
+        rcptr: false,
+        transform: false,
+        cilk: false,
+    };
+
+    fn switch(&mut self, ext: Ext) -> &mut bool {
+        match ext {
+            Ext::Matrix => &mut self.matrix,
+            Ext::Tuples => &mut self.tuples,
+            Ext::Rcptr => &mut self.rcptr,
+            Ext::Transform => &mut self.transform,
+            Ext::Cilk => &mut self.cilk,
+        }
+    }
+
+    /// This set with `ext` switched on.
+    pub fn with(mut self, ext: Ext) -> ExtSet {
+        *self.switch(ext) = true;
+        self
+    }
+
+    /// Whether `ext` is switched on.
+    pub fn has(mut self, ext: Ext) -> bool {
+        *self.switch(ext)
+    }
+}
+
 /// A function signature.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuncSig {
@@ -76,6 +137,13 @@ pub fn check_program(prog: &Program, exts: ExtSet) -> (TypeInfo, Vec<Diag>) {
     let mut diags = Vec::new();
     let mut info = TypeInfo::default();
     for f in &prog.functions {
+        if SurfaceBuiltin::from_name(&f.name).is_some() {
+            diags.push(Diag::error(
+                f.span,
+                format!("cannot define function '{}': it is a builtin function", f.name),
+            ));
+            continue;
+        }
         if info.sigs.contains_key(&f.name) {
             diags.push(Diag::error(f.span, format!("duplicate function '{}'", f.name)));
             continue;
@@ -908,147 +976,9 @@ impl Checker<'_> {
         expected: Option<&Type>,
         span: Span,
     ) -> Type {
-        // Builtins first.
-        match name {
-            "dimSize" => {
-                if args.len() != 2 {
-                    return self.error(span, "dimSize(matrix, dim) takes two arguments");
-                }
-                let mt = self.expr(&args[0], None);
-                if mt.as_matrix().is_none() && !matches!(mt, Type::Error) {
-                    self.error(args[0].span(), format!("dimSize needs a matrix, found {mt}"));
-                }
-                let dt = self.expr(&args[1], Some(&Type::Int));
-                if !matches!(dt, Type::Int | Type::Error) {
-                    self.error(args[1].span(), "dimSize dimension must be an int");
-                }
-                return Type::Int;
-            }
-            "readMatrix" => {
-                if args.len() != 1 {
-                    return self.error(span, "readMatrix(path) takes one argument");
-                }
-                let pt = self.expr(&args[0], None);
-                if !matches!(pt, Type::Str | Type::Error) {
-                    self.error(args[0].span(), "readMatrix path must be a string literal");
-                }
-                // Element type and rank come from the expected type — the
-                // declaration readMatrix initializes.
-                return match expected {
-                    Some(t @ Type::Matrix(..)) => t.clone(),
-                    _ => self.error(
-                        span,
-                        "readMatrix needs a matrix-typed context (e.g. \
-                         `Matrix float <3> m = readMatrix(...)`)",
-                    ),
-                };
-            }
-            "writeMatrix" => {
-                if args.len() != 2 {
-                    return self.error(span, "writeMatrix(path, matrix) takes two arguments");
-                }
-                let pt = self.expr(&args[0], None);
-                if !matches!(pt, Type::Str | Type::Error) {
-                    self.error(args[0].span(), "writeMatrix path must be a string literal");
-                }
-                let mt = self.expr(&args[1], None);
-                if mt.as_matrix().is_none() && !matches!(mt, Type::Error) {
-                    self.error(args[1].span(), format!("writeMatrix writes matrices, found {mt}"));
-                }
-                return Type::Void;
-            }
-            "range" => {
-                if args.len() != 2 {
-                    return self.error(span, "range(lo, hi) takes two arguments");
-                }
-                for a in args {
-                    let t = self.expr(a, Some(&Type::Int));
-                    if !matches!(t, Type::Int | Type::Error) {
-                        self.error(a.span(), format!("range bounds must be ints, found {t}"));
-                    }
-                }
-                return Type::Matrix(ElemKind::Int, 1);
-            }
-            "toFloat" => {
-                if args.len() != 1 {
-                    return self.error(span, "toFloat takes one argument");
-                }
-                return match self.expr(&args[0], None) {
-                    Type::Int | Type::Float => Type::Float,
-                    Type::Matrix(_, r) => Type::Matrix(ElemKind::Float, r),
-                    Type::Error => Type::Error,
-                    other => self.error(span, format!("cannot convert {other} to float")),
-                };
-            }
-            "toInt" => {
-                if args.len() != 1 {
-                    return self.error(span, "toInt takes one argument");
-                }
-                return match self.expr(&args[0], None) {
-                    Type::Int | Type::Float | Type::Bool => Type::Int,
-                    Type::Matrix(_, r) => Type::Matrix(ElemKind::Int, r),
-                    Type::Error => Type::Error,
-                    other => self.error(span, format!("cannot convert {other} to int")),
-                };
-            }
-            "printInt" | "printFloat" | "printBool" => {
-                if args.len() != 1 {
-                    return self.error(span, format!("{name} takes one argument"));
-                }
-                let t = self.expr(&args[0], None);
-                let ok = match name {
-                    "printInt" => matches!(t, Type::Int | Type::Error),
-                    "printFloat" => matches!(t, Type::Float | Type::Int | Type::Error),
-                    _ => matches!(t, Type::Bool | Type::Error),
-                };
-                if !ok {
-                    self.error(args[0].span(), format!("{name} cannot print a {t}"));
-                }
-                return Type::Void;
-            }
-            "rcGet" | "rcSet" | "rcLen" => {
-                if !self.exts.rcptr {
-                    return self.error(span, format!("{name} requires the rcptr extension"));
-                }
-                let arity = match name {
-                    "rcGet" => 2,
-                    "rcSet" => 3,
-                    _ => 1,
-                };
-                if args.len() != arity {
-                    return self.error(span, format!("{name} takes {arity} arguments"));
-                }
-                let pt = self.expr(&args[0], None);
-                let Type::Rc(elem) = pt else {
-                    if matches!(pt, Type::Error) {
-                        return Type::Error;
-                    }
-                    return self.error(args[0].span(), format!("{name} needs an rc pointer, found {pt}"));
-                };
-                if arity >= 2 {
-                    let it = self.expr(&args[1], Some(&Type::Int));
-                    if !matches!(it, Type::Int | Type::Error) {
-                        self.error(args[1].span(), "rc index must be an int");
-                    }
-                }
-                return match name {
-                    "rcGet" => elem.scalar(),
-                    "rcLen" => Type::Int,
-                    _ => {
-                        let vt = self.expr(&args[2], Some(&elem.scalar()));
-                        if !elem.scalar().accepts(&vt) {
-                            self.error(
-                                args[2].span(),
-                                format!("rcSet stores {} values, found {vt}", elem.scalar()),
-                            );
-                        }
-                        Type::Void
-                    }
-                };
-            }
-            _ => {}
+        if let Some(b) = SurfaceBuiltin::from_name(name) {
+            return self.builtin_call_type(b, args, expected, span);
         }
-        // User functions.
         let Some(sig) = self.sigs.get(name).cloned() else {
             for a in args {
                 self.expr(a, None);
@@ -1078,5 +1008,122 @@ impl Checker<'_> {
             self.expr(a, None);
         }
         sig.ret
+    }
+    fn builtin_call_type(
+        &mut self,
+        b: SurfaceBuiltin,
+        args: &[Expr],
+        expected: Option<&Type>,
+        span: Span,
+    ) -> Type {
+        let name = b.name();
+        if let Some(ext) = b.requires() {
+            if !self.exts.has(ext) {
+                return self.error(span, format!("{name} requires the {ext} extension"));
+            }
+        }
+        if args.len() != b.arity() {
+            return self.error(span, b.arity_error());
+        }
+        let first = match b {
+            SurfaceBuiltin::DimSize => {
+                let mt = self.expr(&args[0], None);
+                if mt.as_matrix().is_none() && !matches!(mt, Type::Error) {
+                    self.error(args[0].span(), format!("dimSize needs a matrix, found {mt}"));
+                }
+                let dt = self.expr(&args[1], Some(&Type::Int));
+                if !matches!(dt, Type::Int | Type::Error) {
+                    self.error(args[1].span(), "dimSize dimension must be an int");
+                }
+                mt
+            }
+            SurfaceBuiltin::ReadMatrix => {
+                let pt = self.expr(&args[0], None);
+                if !matches!(pt, Type::Str | Type::Error) {
+                    self.error(args[0].span(), "readMatrix path must be a string literal");
+                }
+                // Element type and rank come from the expected type — the
+                // declaration readMatrix initializes.
+                if !matches!(expected, Some(Type::Matrix(..))) {
+                    return self.error(
+                        span,
+                        "readMatrix needs a matrix-typed context (e.g. \
+                         `Matrix float <3> m = readMatrix(...)`)",
+                    );
+                }
+                pt
+            }
+            SurfaceBuiltin::WriteMatrix => {
+                let pt = self.expr(&args[0], None);
+                if !matches!(pt, Type::Str | Type::Error) {
+                    self.error(args[0].span(), "writeMatrix path must be a string literal");
+                }
+                let mt = self.expr(&args[1], None);
+                if mt.as_matrix().is_none() && !matches!(mt, Type::Error) {
+                    self.error(args[1].span(), format!("writeMatrix writes matrices, found {mt}"));
+                }
+                pt
+            }
+            SurfaceBuiltin::Range => {
+                for a in args {
+                    let t = self.expr(a, Some(&Type::Int));
+                    if !matches!(t, Type::Int | Type::Error) {
+                        self.error(a.span(), format!("range bounds must be ints, found {t}"));
+                    }
+                }
+                Type::Int
+            }
+            SurfaceBuiltin::ToFloat => match self.expr(&args[0], None) {
+                t @ (Type::Int | Type::Float | Type::Matrix(..)) => t,
+                Type::Error => return Type::Error,
+                other => return self.error(span, format!("cannot convert {other} to float")),
+            },
+            SurfaceBuiltin::ToInt => match self.expr(&args[0], None) {
+                t @ (Type::Int | Type::Float | Type::Bool | Type::Matrix(..)) => t,
+                Type::Error => return Type::Error,
+                other => return self.error(span, format!("cannot convert {other} to int")),
+            },
+            SurfaceBuiltin::PrintInt | SurfaceBuiltin::PrintFloat | SurfaceBuiltin::PrintBool => {
+                let t = self.expr(&args[0], None);
+                let ok = match b {
+                    SurfaceBuiltin::PrintInt => matches!(t, Type::Int | Type::Error),
+                    SurfaceBuiltin::PrintFloat => {
+                        matches!(t, Type::Float | Type::Int | Type::Error)
+                    }
+                    _ => matches!(t, Type::Bool | Type::Error),
+                };
+                if !ok {
+                    self.error(args[0].span(), format!("{name} cannot print a {t}"));
+                }
+                t
+            }
+            SurfaceBuiltin::RcGet | SurfaceBuiltin::RcSet | SurfaceBuiltin::RcLen => {
+                let pt = self.expr(&args[0], None);
+                let Type::Rc(elem) = pt else {
+                    if matches!(pt, Type::Error) {
+                        return Type::Error;
+                    }
+                    return self
+                        .error(args[0].span(), format!("{name} needs an rc pointer, found {pt}"));
+                };
+                if let Some(index) = args.get(1) {
+                    let it = self.expr(index, Some(&Type::Int));
+                    if !matches!(it, Type::Int | Type::Error) {
+                        self.error(index.span(), "rc index must be an int");
+                    }
+                }
+                if let Some(value) = args.get(2) {
+                    let vt = self.expr(value, Some(&elem.scalar()));
+                    if !elem.scalar().accepts(&vt) {
+                        self.error(
+                            value.span(),
+                            format!("rcSet stores {} values, found {vt}", elem.scalar()),
+                        );
+                    }
+                }
+                pt
+            }
+        };
+        b.result_type(&first, expected)
     }
 }

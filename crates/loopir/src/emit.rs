@@ -17,7 +17,9 @@
 
 use std::fmt::Write;
 
-use crate::ir::{CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt};
+use crate::ir::{
+    Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt,
+};
 
 /// A structurally invalid IR program that cannot be rendered as C.
 ///
@@ -103,7 +105,9 @@ fn validate_function(f: &IrFunction) -> Result<(), EmitError> {
                 walk_expr(buf, fname)?;
                 walk_expr(idx, fname)
             }
-            IrExpr::Call(_, args) => args.iter().try_for_each(|a| walk_expr(a, fname)),
+            IrExpr::Call(_, args) | IrExpr::Builtin(_, args) => {
+                args.iter().try_for_each(|a| walk_expr(a, fname))
+            }
         }
     }
 
@@ -157,6 +161,18 @@ fn validate_function(f: &IrFunction) -> Result<(), EmitError> {
     f.body.iter().try_for_each(|s| walk_stmt(s, &f.name))
 }
 
+/// C name of user function `name`. The runtime prelude owns the
+/// builtins' names and the `cmm_` prefix, so a user function spelled like
+/// either is emitted as `cmm_user_<name>` — injective, and no other user
+/// function can already have that name without being renamed itself.
+fn user_fn(name: &str) -> std::borrow::Cow<'_, str> {
+    if name.starts_with("cmm_") || Builtin::from_c_name(name).is_some() {
+        format!("cmm_user_{name}").into()
+    } else {
+        name.into()
+    }
+}
+
 fn signature(f: &IrFunction) -> String {
     let params: Vec<String> = f
         .params
@@ -172,9 +188,10 @@ fn signature(f: &IrFunction) -> String {
     if f.name == "main" {
         "int main(void)".to_string()
     } else if f.ret_tuple.is_some() {
-        format!("struct {}_ret {}({params})", f.name, f.name)
+        let name = user_fn(&f.name);
+        format!("struct {name}_ret {name}({params})")
     } else {
-        format!("{} {}({params})", f.ret.c_name(), f.name)
+        format!("{} {}({params})", f.ret.c_name(), user_fn(&f.name))
     }
 }
 
@@ -186,13 +203,13 @@ fn tuple_struct(f: &IrFunction) -> Option<String> {
         .enumerate()
         .map(|(i, t)| format!("{} _{i};", t.c_name()))
         .collect();
-    Some(format!("struct {}_ret {{ {} }};", f.name, fields.join(" ")))
+    Some(format!("struct {}_ret {{ {} }};", user_fn(&f.name), fields.join(" ")))
 }
 
 fn emit_function(f: &IrFunction, out: &mut String) {
     let _ = writeln!(out, "{} {{", signature(f));
     let mut ctx = EmitCtx {
-        ret_struct: f.ret_tuple.as_ref().map(|_| f.name.clone()),
+        ret_struct: f.ret_tuple.as_ref().map(|_| user_fn(&f.name).into_owned()),
         ..EmitCtx::default()
     };
     for s in &f.body {
@@ -210,7 +227,7 @@ fn emit_function(f: &IrFunction, out: &mut String) {
 struct EmitCtx {
     tmp: u32,
     vector_vars: Vec<String>,
-    /// Set when emitting a tuple-returning function: its name (for the
+    /// Set when emitting a tuple-returning function: its C name (for the
     /// return-struct type).
     ret_struct: Option<String>,
 }
@@ -342,14 +359,15 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
             // Serial elision: a Cilk program run with the spawn treated as
             // a plain call is a legal schedule of the parallel program.
             let rendered: Vec<String> = args.iter().map(expr).collect();
-            let call = format!("{func}({})", rendered.join(", "));
+            let call = format!("{}({})", user_fn(func), rendered.join(", "));
             ind(level, out);
             match target {
                 Some(t) if *target_is_buf => {
                     let tmp = ctx.fresh("spawn");
                     let _ = writeln!(
                         out,
-                        "{{ cmm_mat* {tmp} = {call}; rc_decr({t}); {t} = {tmp}; }} /* spawn (serial elision) */"
+                        "{{ cmm_mat* {tmp} = {call}; {decr}({t}); {t} = {tmp}; }} /* spawn (serial elision) */",
+                        decr = Builtin::RcDecr.c_name()
                     );
                 }
                 Some(t) => {
@@ -371,7 +389,7 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
             };
             let tmp = ctx.fresh("tupret");
             ind(level, out);
-            let _ = writeln!(out, "struct {fname}_ret {tmp} = {};", expr(call));
+            let _ = writeln!(out, "struct {}_ret {tmp} = {};", user_fn(fname), expr(call));
             for (i, t) in targets.iter().enumerate() {
                 ind(level, out);
                 let _ = writeln!(out, "{t} = {tmp}._{i};");
@@ -441,12 +459,16 @@ fn expr(e: &IrExpr) -> String {
             format!("{}[{}]", data_field(*elem, &expr(buf)), expr(idx))
         }
         IrExpr::Call(name, args) => {
+            let rendered: Vec<String> = args.iter().map(expr).collect();
+            format!("{}({})", user_fn(name), rendered.join(", "))
+        }
+        IrExpr::Builtin(b, args) => {
             let mut rendered: Vec<String> = args.iter().map(expr).collect();
             // Variadic runtime allocators take an explicit rank first.
-            if name.starts_with("alloc_mat_") {
+            if b.arity().is_none() {
                 rendered.insert(0, args.len().to_string());
             }
-            format!("{name}({})", rendered.join(", "))
+            format!("{}({})", b.c_name(), rendered.join(", "))
         }
         IrExpr::CastInt(e) => format!("((int)({}))", expr(e)),
         IrExpr::CastFloat(e) => format!("((float)({}))", expr(e)),

@@ -4,11 +4,11 @@
 //! [`cmm_forkjoin::ForkJoinPool`] (the enhanced fork-join model of
 //! §III-C), vector loops execute their four lanes with identical
 //! semantics, and matrix buffers are reference-counted 4-byte-cell blocks
-//! whose `rc_incr`/`rc_decr` builtins mirror the generated C's
+//! whose [`Builtin::RcIncr`]/[`Builtin::RcDecr`] mirror the generated C's
 //! reference-counting pointers (§III-B) — including detection of
 //! use-after-free when the count reaches zero.
 //!
-//! `print_*` builtins append to a captured output buffer formatted exactly
+//! The print builtins append to a captured output buffer formatted exactly
 //! like the emitted C's `printf` calls, so integration tests can diff
 //! interpreter output against a gcc-compiled run of the same program.
 //!
@@ -26,7 +26,7 @@ use cmm_forkjoin::{ForkJoinPool, Schedule};
 use cmm_rc::{AllocError, PoolBlock};
 
 use crate::cmmx;
-use crate::ir::{CType, Elem, IrBinOp, IrProgram};
+use crate::ir::{Builtin, CType, Elem, IrBinOp, IrProgram};
 use crate::resolve::{resolve_program, RCallee, RExpr, RFor, RProgram, RStmt, RTarget};
 
 /// Which execution tier runs the resolved program.
@@ -301,7 +301,7 @@ impl BufHandle {
         self.0.refs.load(Ordering::Acquire)
     }
 
-    /// Whether `rc_decr` reached zero (the block was "freed").
+    /// Whether a release reached zero (the block was "freed").
     pub fn is_freed(&self) -> bool {
         self.0.freed.load(Ordering::Acquire)
     }
@@ -893,27 +893,21 @@ impl<'p> Interp<'p> {
         })
     }
 
-    /// Call a function by name with argument values.
+    /// Call a user function by name with argument values.
     pub fn call(&self, name: &str, args: Vec<Value>) -> IResult<Value> {
-        if let Some(v) = self.builtin(name, &args)? {
-            return Ok(v);
-        }
         match self.resolved.by_name.get(name) {
             Some(&idx) => self.call_function(idx, args),
-            None => Err(InterpError::new(format!("undefined function '{name}'"))),
+            None => Err(undefined_function(name)),
         }
     }
 
-    /// Dispatch a resolved callee: user functions by index, everything
-    /// else through the builtin table (with the lazy "undefined function"
-    /// error the name-based dispatch always had).
+    /// Dispatch a resolved callee ("undefined function" stays lazy: it is
+    /// an error only when the call executes).
     fn call_resolved(&self, callee: &RCallee, args: Vec<Value>) -> IResult<Value> {
         match callee {
             RCallee::User(idx) => self.call_function(*idx, args),
-            RCallee::Named(name) => match self.builtin(name, &args)? {
-                Some(v) => Ok(v),
-                None => Err(InterpError::new(format!("undefined function '{name}'"))),
-            },
+            RCallee::Builtin(b) => self.builtin(*b, &args),
+            RCallee::Undefined(name) => Err(undefined_function(name)),
         }
     }
 
@@ -1028,7 +1022,7 @@ impl<'p> Interp<'p> {
                         // Release the handle the variable held before.
                         let old = frame.slots[*s as usize].clone();
                         if matches!(old, Value::Buf(_)) {
-                            self.builtin("rc_decr", std::slice::from_ref(&old))?;
+                            self.builtin(Builtin::RcDecr, std::slice::from_ref(&old))?;
                         }
                     }
                 }
@@ -1385,105 +1379,63 @@ impl<'p> Interp<'p> {
     }
 
     /// Runtime builtins (the functions the emitted C runtime also
-    /// provides). Returns `None` if `name` is not a builtin. Shared
-    /// verbatim by both execution tiers.
-    pub(crate) fn builtin(&self, name: &str, args: &[Value]) -> IResult<Option<Value>> {
-        let elem_of = |suffix: &str| match suffix {
-            "f32" => Some(Elem::F32),
-            "i32" => Some(Elem::I32),
-            "b" => Some(Elem::Bool),
-            _ => None,
-        };
-        if let Some(suffix) = name.strip_prefix("alloc_mat_") {
-            let Some(elem) = elem_of(suffix) else {
-                return Ok(None);
-            };
-            let dims = args
-                .iter()
-                .map(|a| {
-                    let d = a.as_i()?;
-                    if d < 0 {
-                        Err(InterpError::new(format!("negative dimension {d}")))
-                    } else {
-                        Ok(d as usize)
-                    }
-                })
-                .collect::<IResult<Vec<_>>>()?;
-            return Ok(Some(Value::Buf(self.alloc_buffer(elem, dims)?)));
-        }
-        if let Some(suffix) = name.strip_prefix("read_mat_") {
-            let Some(elem) = elem_of(suffix) else {
-                return Ok(None);
-            };
-            let path = args
-                .first()
-                .ok_or_else(|| InterpError::new("read_mat: missing path"))?
-                .as_str()?;
-            return Ok(Some(Value::Buf(self.read_cmmx(path, elem)?)));
-        }
-        if let Some(suffix) = name.strip_prefix("write_mat_") {
-            if elem_of(suffix).is_none() {
-                return Ok(None);
+    /// provides), shared verbatim by both execution tiers. The slice
+    /// patterns bind each builtin's arguments; any other argument count
+    /// falls to the one arity error at the end.
+    pub(crate) fn builtin(&self, b: Builtin, args: &[Value]) -> IResult<Value> {
+        match (b, args) {
+            (Builtin::AllocMat(elem), dims) => {
+                let dims = dims
+                    .iter()
+                    .map(|a| {
+                        let d = a.as_i()?;
+                        if d < 0 {
+                            Err(InterpError::new(format!("negative dimension {d}")))
+                        } else {
+                            Ok(d as usize)
+                        }
+                    })
+                    .collect::<IResult<Vec<_>>>()?;
+                Ok(Value::Buf(self.alloc_buffer(elem, dims)?))
             }
-            let path = args
-                .first()
-                .ok_or_else(|| InterpError::new("write_mat: missing path"))?
-                .as_str()?;
-            let buf = args
-                .get(1)
-                .ok_or_else(|| InterpError::new("write_mat: missing matrix"))?
-                .as_buf()?;
-            write_cmmx(path, buf)?;
-            return Ok(Some(Value::Unit));
-        }
-        if let Some(suffix) = name.strip_prefix("cow_") {
-            if elem_of(suffix).is_none() {
-                return Ok(None);
+            (Builtin::ReadMat(elem), [path]) => {
+                Ok(Value::Buf(self.read_cmmx(path.as_str()?, elem)?))
             }
-            let buf = args
-                .first()
-                .ok_or_else(|| InterpError::new("cow: missing matrix"))?
-                .as_buf()?;
-            buf.check_live()?;
-            if buf.rc_count() == 1 {
-                return Ok(Some(Value::Buf(buf.clone())));
+            (Builtin::WriteMat(_), [path, buf]) => {
+                write_cmmx(path.as_str()?, buf.as_buf()?)?;
+                Ok(Value::Unit)
             }
-            // Shared: copy the data, release one reference to the original.
-            let fresh = self.alloc_buffer(buf.elem(), buf.dims().to_vec())?;
-            for i in 0..buf.len() {
-                fresh.write_bits(i, buf.read_bits(i)?)?;
-            }
-            buf.decr()?;
-            return Ok(Some(Value::Buf(fresh)));
-        }
-        match name {
-            "dim" => {
-                let buf = args[0].as_buf()?;
+            (Builtin::Cow(_), [buf]) => {
+                let buf = buf.as_buf()?;
                 buf.check_live()?;
-                let d = args[1].as_i()?;
-                let dim = buf
-                    .dims()
-                    .get(d as usize)
-                    .copied()
-                    .ok_or_else(|| InterpError::new(format!("dim {d} out of range")))?;
-                Ok(Some(Value::I(dim as i32)))
+                if buf.rc_count() == 1 {
+                    return Ok(Value::Buf(buf.clone()));
+                }
+                // Shared: copy the data, release one reference to the original.
+                let fresh = self.alloc_buffer(buf.elem(), buf.dims().to_vec())?;
+                for i in 0..buf.len() {
+                    fresh.write_bits(i, buf.read_bits(i)?)?;
+                }
+                buf.decr()?;
+                Ok(Value::Buf(fresh))
             }
-            "len" => {
-                let buf = args[0].as_buf()?;
+            (Builtin::Dim, [buf, d]) => Ok(Value::I(dim_of(buf, d)?)),
+            (Builtin::Len, [buf]) => {
+                let buf = buf.as_buf()?;
                 buf.check_live()?;
-                Ok(Some(Value::I(buf.len() as i32)))
+                Ok(Value::I(buf.len() as i32))
             }
-            "rank" => {
-                let buf = args[0].as_buf()?;
+            (Builtin::Rank, [buf]) => {
+                let buf = buf.as_buf()?;
                 buf.check_live()?;
-                Ok(Some(Value::I(buf.dims().len() as i32)))
+                Ok(Value::I(buf.dims().len() as i32))
             }
-            "rc_incr" => {
-                args[0].as_buf()?.incr();
-                Ok(Some(Value::Unit))
+            (Builtin::RcIncr, [buf]) => {
+                buf.as_buf()?.incr();
+                Ok(Value::Unit)
             }
-            "rc_decr" => {
-                let b = args[0].as_buf()?;
+            (Builtin::RcDecr, [buf]) => {
+                let b = buf.as_buf()?;
                 b.decr()?;
                 if b.is_freed() {
                     self.frees.fetch_add(1, Ordering::Relaxed);
@@ -1491,34 +1443,37 @@ impl<'p> Interp<'p> {
                     self.live_bytes
                         .fetch_sub(4 * b.len() as u64, Ordering::Relaxed);
                 }
-                Ok(Some(Value::Unit))
+                Ok(Value::Unit)
             }
-            "rc_count" => Ok(Some(Value::I(args[0].as_buf()?.rc_count() as i32))),
-            "print_i32" => {
-                self.print(&format!("{}\n", args[0].as_i()?));
-                Ok(Some(Value::Unit))
+            (Builtin::RcCount, [buf]) => Ok(Value::I(buf.as_buf()?.rc_count() as i32)),
+            (Builtin::PrintI32, [x]) => {
+                self.print(&format!("{}\n", x.as_i()?));
+                Ok(Value::Unit)
             }
-            "print_f32" => {
-                self.print(&format!("{:.6}\n", args[0].as_f()?));
-                Ok(Some(Value::Unit))
+            (Builtin::PrintF32, [x]) => {
+                self.print(&format!("{:.6}\n", x.as_f()?));
+                Ok(Value::Unit)
             }
-            "print_b" => {
-                self.print(&format!("{}\n", i32::from(args[0].as_b()?)));
-                Ok(Some(Value::Unit))
+            (Builtin::PrintB, [x]) => {
+                self.print(&format!("{}\n", i32::from(x.as_b()?)));
+                Ok(Value::Unit)
             }
-            "print_str" => {
-                self.print(&format!("{}\n", args[0].as_str()?));
-                Ok(Some(Value::Unit))
+            (Builtin::PrintStr, [s]) => {
+                self.print(&format!("{}\n", s.as_str()?));
+                Ok(Value::Unit)
             }
-            "num_threads" => Ok(Some(Value::I(self.pool.threads() as i32))),
-            "cmm_panic" => {
-                let msg = args
-                    .first()
-                    .and_then(|a| a.as_str().ok())
-                    .unwrap_or("runtime check failed");
+            (Builtin::Panic, [msg]) => {
+                let msg = msg.as_str().unwrap_or("runtime check failed");
                 Err(InterpError::new(format!("program panic: {msg}")))
             }
-            _ => Ok(None),
+            // Not an allocator (those take any count and matched above),
+            // so the arity is known.
+            (b, args) => Err(InterpError::new(format!(
+                "builtin '{}' takes {} arguments, got {}",
+                b.c_name(),
+                b.arity().unwrap_or_default(),
+                args.len()
+            ))),
         }
     }
 
@@ -1531,7 +1486,7 @@ impl<'p> Interp<'p> {
     ///
     /// Validation is the shared exact-length [`crate::cmmx`] parser —
     /// the one implementation both execution tiers dispatch to (through
-    /// the `read_mat_*` builtins) — so trailing garbage, zero-rank
+    /// [`Builtin::ReadMat`]) — so trailing garbage, zero-rank
     /// headers, and truncated dimension tables are typed errors, not
     /// silently accepted input.
     fn read_cmmx(&self, path: &str, elem: Elem) -> IResult<BufHandle> {
@@ -1540,10 +1495,27 @@ impl<'p> Interp<'p> {
         let header = cmmx::parse(&bytes, elem)
             .map_err(|e| InterpError::new(format!("readMatrix(\"{path}\"): {e}")))?;
         let buf = self.alloc_buffer(elem, header.dims.clone())?;
-        for i in 0..header.len {
-            buf.write_bits(i, cmmx::cell_bits(&bytes, &header, elem, i))?;
+        for (i, bits) in cmmx::cell_bits(&bytes, &header, elem).enumerate() {
+            buf.write_bits(i, bits)?;
         }
         Ok(buf)
+    }
+}
+
+fn undefined_function(name: &str) -> InterpError {
+    InterpError::new(format!("undefined function '{name}'"))
+}
+
+/// [`Builtin::Dim`]: size of dimension `d` of `buf` (a negative `d` wraps
+/// to out-of-range). The VM's dedicated `Dim` instruction calls this too.
+#[inline]
+pub(crate) fn dim_of(buf: &Value, d: &Value) -> IResult<i32> {
+    let buf = buf.as_buf()?;
+    buf.check_live()?;
+    let d = d.as_i()?;
+    match buf.dims().get(d as usize) {
+        Some(&dim) => Ok(dim as i32),
+        None => Err(InterpError::new(format!("dim {d} out of range"))),
     }
 }
 
@@ -1628,20 +1600,9 @@ pub(crate) fn eval_bin(op: IrBinOp, a: &Value, b: &Value) -> IResult<Value> {
     }
 }
 
-// --- CMMX file IO (same container format as cmm-runtime::io) -----------
-
 fn write_cmmx(path: &str, buf: &BufHandle) -> IResult<()> {
     buf.check_live()?;
-    let mut out = Vec::with_capacity(8 + 8 * buf.dims().len() + 4 * buf.len());
-    out.extend_from_slice(b"CMMX");
-    out.push(cmmx::elem_tag(buf.elem()));
-    out.push(buf.dims().len() as u8);
-    out.extend_from_slice(&[0, 0]);
-    for &d in buf.dims() {
-        out.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    for i in 0..buf.len() {
-        out.extend_from_slice(&buf.read_bits(i)?.to_le_bytes());
-    }
-    std::fs::write(path, out).map_err(|e| InterpError::new(format!("writeMatrix(\"{path}\"): {e}")))
+    let cells = (0..buf.len()).map(|i| buf.read_bits(i)).collect::<IResult<Vec<_>>>()?;
+    std::fs::write(path, cmmx::encode(buf.elem(), buf.dims(), &cells))
+        .map_err(|e| InterpError::new(format!("writeMatrix(\"{path}\"): {e}")))
 }

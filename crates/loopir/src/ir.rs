@@ -20,14 +20,130 @@ impl Elem {
             Elem::Bool => "unsigned char",
         }
     }
+}
 
-    /// Suffix used in runtime-call names (`alloc_mat_f32`).
-    pub fn suffix(self) -> &'static str {
+/// The runtime's builtin functions: the closed set of calls lowered code
+/// may make besides user functions. This table is the one place a builtin
+/// is declared — its spelling in emitted C, its arity and its purity; the
+/// interpreter, the VM and the emitter all dispatch on the variant, and
+/// user functions live in a separate namespace ([`IrExpr::Call`]), so a
+/// user function may reuse any of these names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Builtin {
+    /// Fresh zeroed matrix buffer; one int argument per dimension.
+    AllocMat(Elem),
+    /// `(path)`: read a CMMX file into a fresh buffer.
+    ReadMat(Elem),
+    /// `(path, buf)`: write a buffer as a CMMX file.
+    WriteMat(Elem),
+    /// `(buf)`: copy-on-write — the buffer itself when unshared, else a
+    /// private copy (releasing one reference to the original).
+    Cow(Elem),
+    /// `(buf, d)`: size of dimension `d`.
+    Dim,
+    /// `(buf)`: element count.
+    Len,
+    /// `(buf)`: number of dimensions.
+    Rank,
+    /// `(buf)`: increment the reference count.
+    RcIncr,
+    /// `(buf)`: decrement the reference count, freeing at zero.
+    RcDecr,
+    /// `(buf)`: current reference count.
+    RcCount,
+    /// `(int)`: print a line.
+    PrintI32,
+    /// `(float)`: print a line with six decimals.
+    PrintF32,
+    /// `(bool)`: print `0` or `1`.
+    PrintB,
+    /// `(string)`: print a line.
+    PrintStr,
+    /// `(message)`: abort the program with a runtime error.
+    Panic,
+}
+
+impl Builtin {
+    /// Every builtin.
+    pub const ALL: [Builtin; 23] = {
+        use Elem::{Bool, F32, I32};
+        [
+            Builtin::AllocMat(F32),
+            Builtin::AllocMat(I32),
+            Builtin::AllocMat(Bool),
+            Builtin::ReadMat(F32),
+            Builtin::ReadMat(I32),
+            Builtin::ReadMat(Bool),
+            Builtin::WriteMat(F32),
+            Builtin::WriteMat(I32),
+            Builtin::WriteMat(Bool),
+            Builtin::Cow(F32),
+            Builtin::Cow(I32),
+            Builtin::Cow(Bool),
+            Builtin::Dim,
+            Builtin::Len,
+            Builtin::Rank,
+            Builtin::RcIncr,
+            Builtin::RcDecr,
+            Builtin::RcCount,
+            Builtin::PrintI32,
+            Builtin::PrintF32,
+            Builtin::PrintB,
+            Builtin::PrintStr,
+            Builtin::Panic,
+        ]
+    };
+
+    /// Name of the function in the emitted C runtime.
+    pub fn c_name(self) -> &'static str {
+        use Elem::{Bool, F32, I32};
         match self {
-            Elem::I32 => "i32",
-            Elem::F32 => "f32",
-            Elem::Bool => "b",
+            Builtin::AllocMat(F32) => "alloc_mat_f32",
+            Builtin::AllocMat(I32) => "alloc_mat_i32",
+            Builtin::AllocMat(Bool) => "alloc_mat_b",
+            Builtin::ReadMat(F32) => "read_mat_f32",
+            Builtin::ReadMat(I32) => "read_mat_i32",
+            Builtin::ReadMat(Bool) => "read_mat_b",
+            Builtin::WriteMat(F32) => "write_mat_f32",
+            Builtin::WriteMat(I32) => "write_mat_i32",
+            Builtin::WriteMat(Bool) => "write_mat_b",
+            Builtin::Cow(F32) => "cow_f32",
+            Builtin::Cow(I32) => "cow_i32",
+            Builtin::Cow(Bool) => "cow_b",
+            Builtin::Dim => "dim",
+            Builtin::Len => "len",
+            Builtin::Rank => "rank",
+            Builtin::RcIncr => "rc_incr",
+            Builtin::RcDecr => "rc_decr",
+            Builtin::RcCount => "rc_count",
+            Builtin::PrintI32 => "print_i32",
+            Builtin::PrintF32 => "print_f32",
+            Builtin::PrintB => "print_b",
+            Builtin::PrintStr => "print_str",
+            Builtin::Panic => "cmm_panic",
         }
+    }
+
+    /// The builtin emitted C calls `name`, if any.
+    pub fn from_c_name(name: &str) -> Option<Builtin> {
+        Builtin::ALL.into_iter().find(|b| b.c_name() == name)
+    }
+
+    /// Number of arguments; `None` for the allocators, which take one per
+    /// dimension.
+    pub fn arity(self) -> Option<usize> {
+        match self {
+            Builtin::AllocMat(_) => None,
+            Builtin::WriteMat(_) | Builtin::Dim => Some(2),
+            _ => Some(1),
+        }
+    }
+
+    /// Whether a call neither has an effect nor reads anything a call in
+    /// between could change: evaluating it twice in a row is
+    /// indistinguishable from evaluating it once.
+    pub fn is_pure(self) -> bool {
+        matches!(self, Builtin::Dim | Builtin::Len | Builtin::Rank)
     }
 }
 
@@ -148,8 +264,10 @@ pub enum IrExpr {
         /// Flat element index.
         idx: Box<IrExpr>,
     },
-    /// Call to a user function or runtime builtin.
+    /// Call to a user function.
     Call(String, Vec<IrExpr>),
+    /// Call to a runtime builtin.
+    Builtin(Builtin, Vec<IrExpr>),
     /// Truncate to int.
     CastInt(Box<IrExpr>),
     /// Convert to float.
@@ -208,6 +326,10 @@ impl IrExpr {
                 f.clone(),
                 args.iter().map(|a| a.substitute(name, replacement)).collect(),
             ),
+            IrExpr::Builtin(b, args) => IrExpr::Builtin(
+                *b,
+                args.iter().map(|a| a.substitute(name, replacement)).collect(),
+            ),
             IrExpr::CastInt(e) => IrExpr::CastInt(Box::new(e.substitute(name, replacement))),
             IrExpr::CastFloat(e) => IrExpr::CastFloat(Box::new(e.substitute(name, replacement))),
             IrExpr::Tuple(es) => {
@@ -226,7 +348,9 @@ impl IrExpr {
                 e.uses_var(name)
             }
             IrExpr::Load { buf, idx, .. } => buf.uses_var(name) || idx.uses_var(name),
-            IrExpr::Call(_, args) => args.iter().any(|a| a.uses_var(name)),
+            IrExpr::Call(_, args) | IrExpr::Builtin(_, args) => {
+                args.iter().any(|a| a.uses_var(name))
+            }
             IrExpr::Tuple(es) => es.iter().any(|e| e.uses_var(name)),
         }
     }

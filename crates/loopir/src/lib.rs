@@ -38,7 +38,7 @@ pub use cmm_forkjoin::{
     schedule::DEFAULT_DYNAMIC_CHUNK, schedule::DEFAULT_GUIDED_MIN_CHUNK, ForkJoinPool, Schedule,
 };
 pub use ir::{
-    CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
+    Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
 };
 pub use transform::TransformError;
 

@@ -8,10 +8,9 @@
 //! one), and a name that is not in scope resolves to
 //! [`RExpr::Undefined`] — the "undefined variable" error stays lazy, at
 //! the moment the statement would have executed, not at resolve time.
-//! Likewise call targets are classified once: runtime builtin names stay
-//! [`RCallee::Named`] (builtins shadow user functions, as the old
-//! name-based dispatch did), known user functions become indices, and
-//! unknown names stay `Named` so "undefined function" also surfaces only
+//! Likewise call targets are classified once: builtins carry their
+//! [`Builtin`], known user functions become indices, and unknown names
+//! stay [`RCallee::Undefined`] so "undefined function" also surfaces only
 //! when called.
 //!
 //! Parallel loops record which slots their body actually references
@@ -20,15 +19,19 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::ir::{CType, Elem, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall};
+use crate::ir::{
+    Builtin, CType, Elem, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
+};
 
 /// Resolved call target.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum RCallee {
     /// Index into [`RProgram::functions`].
     User(usize),
-    /// A runtime builtin — or an undefined name, which errors when called.
-    Named(String),
+    /// A runtime builtin.
+    Builtin(Builtin),
+    /// No user function has this name; calling it errors.
+    Undefined(String),
 }
 
 /// Resolved assignment target.
@@ -167,32 +170,6 @@ pub(crate) struct RProgram {
     pub by_name: HashMap<String, usize>,
 }
 
-/// Whether `name` dispatches to a runtime builtin. Must stay in sync with
-/// `Interp::builtin`: these names are claimed by the runtime before user
-/// functions are consulted.
-pub(crate) fn is_builtin_name(name: &str) -> bool {
-    for prefix in ["alloc_mat_", "read_mat_", "write_mat_", "cow_"] {
-        if let Some(suffix) = name.strip_prefix(prefix) {
-            return matches!(suffix, "f32" | "i32" | "b");
-        }
-    }
-    matches!(
-        name,
-        "dim"
-            | "len"
-            | "rank"
-            | "rc_incr"
-            | "rc_decr"
-            | "rc_count"
-            | "print_i32"
-            | "print_f32"
-            | "print_b"
-            | "print_str"
-            | "num_threads"
-            | "cmm_panic"
-    )
-}
-
 /// Resolve a whole program.
 pub(crate) fn resolve_program(program: &IrProgram) -> RProgram {
     let mut by_name = HashMap::new();
@@ -257,12 +234,10 @@ impl Resolver<'_> {
     }
 
     fn callee(&self, name: &str) -> RCallee {
-        if !is_builtin_name(name) {
-            if let Some(&idx) = self.by_name.get(name) {
-                return RCallee::User(idx);
-            }
+        match self.by_name.get(name) {
+            Some(&idx) => RCallee::User(idx),
+            None => RCallee::Undefined(name.to_string()),
         }
-        RCallee::Named(name.to_string())
     }
 
     /// Resolve a statement list inside a fresh scope, flattening nested
@@ -405,6 +380,10 @@ impl Resolver<'_> {
             },
             IrExpr::Call(name, args) => RExpr::Call(
                 self.callee(name),
+                args.iter().map(|a| self.expr(a)).collect(),
+            ),
+            IrExpr::Builtin(b, args) => RExpr::Call(
+                RCallee::Builtin(*b),
                 args.iter().map(|a| self.expr(a)).collect(),
             ),
             IrExpr::CastInt(e) => RExpr::CastInt(Box::new(self.expr(e))),

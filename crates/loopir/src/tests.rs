@@ -109,8 +109,8 @@ fn mean_program(m: i64, n: i64, p: i64) -> IrProgram {
         var: "y".into(),
         lo: i(0),
         hi: i(m * n),
-        body: vec![IrStmt::Expr(IrExpr::Call(
-            "print_f32".into(),
+        body: vec![IrStmt::Expr(IrExpr::Builtin(
+            Builtin::PrintF32,
             vec![IrExpr::Load {
                 elem: Elem::F32,
                 buf: Box::new(v("means")),
@@ -129,12 +129,12 @@ fn mean_program(m: i64, n: i64, p: i64) -> IrProgram {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::F32),
                 name: "mat".into(),
-                init: Some(IrExpr::Call("alloc_mat_f32".into(), vec![i(m), i(n), i(p)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::F32), vec![i(m), i(n), i(p)])),
             },
             IrStmt::Decl {
                 ty: CType::Buf(Elem::F32),
                 name: "means".into(),
-                init: Some(IrExpr::Call("alloc_mat_f32".into(), vec![i(m), i(n)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::F32), vec![i(m), i(n)])),
             },
             fill,
             IrStmt::Expr(IrExpr::Call("mean".into(), vec![v("mat"), v("means")])),
@@ -161,7 +161,7 @@ fn tail_sum_kernel(n: i64, symbolic: bool) -> IrProgram {
         IrStmt::Decl {
             ty: CType::Buf(Elem::I32),
             name: "vbuf".into(),
-            init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(n)])),
+            init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(n)])),
         },
         IrStmt::For(ForLoop {
             schedule: None,
@@ -201,7 +201,7 @@ fn tail_sum_kernel(n: i64, symbolic: bool) -> IrProgram {
             parallel: false,
             vector: false,
         }),
-        IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![v("s")])),
+        IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![v("s")])),
     ];
     IrProgram {
         functions: vec![IrFunction {
@@ -238,7 +238,7 @@ fn grid_kernel(m: i64, n: i64, symbolic: bool) -> IrProgram {
         IrStmt::Decl {
             ty: CType::Buf(Elem::I32),
             name: "c".into(),
-            init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(m), i(n)])),
+            init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(m), i(n)])),
         },
         IrStmt::For(ForLoop {
             schedule: None,
@@ -286,7 +286,7 @@ fn grid_kernel(m: i64, n: i64, symbolic: bool) -> IrProgram {
             parallel: false,
             vector: false,
         }),
-        IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![v("s")])),
+        IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![v("s")])),
     ];
     IrProgram {
         functions: vec![IrFunction {
@@ -733,9 +733,9 @@ mod interp_tests {
                 name: "x".into(),
                 init: Some(IrExpr::add(i(40), i(2))),
             },
-            IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![v("x")])),
-            IrStmt::Expr(IrExpr::Call(
-                "print_f32".into(),
+            IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![v("x")])),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintF32,
                 vec![IrExpr::bin(B::Div, IrExpr::Float(1.0), IrExpr::Float(4.0))],
             )),
         ]);
@@ -773,7 +773,7 @@ mod interp_tests {
                     },
                 ],
             },
-            IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![v("s")])),
+            IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![v("s")])),
         ]);
         let (_, out) = run(&prog, 1);
         assert_eq!(out, "6\n"); // 0 + 2 + 4
@@ -788,8 +788,8 @@ mod interp_tests {
                     params: vec![],
                     ret: CType::Void,
                     ret_tuple: None,
-                    body: vec![IrStmt::Expr(IrExpr::Call(
-                        "print_i32".into(),
+                    body: vec![IrStmt::Expr(IrExpr::Builtin(
+                        Builtin::PrintI32,
                         vec![IrExpr::Call("square".into(), vec![i(7)])],
                     ))],
                 },
@@ -812,7 +812,7 @@ mod interp_tests {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::I32),
                 name: "m".into(),
-                init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(2), i(3)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(2), i(3)])),
             },
             IrStmt::Store {
                 elem: Elem::I32,
@@ -820,21 +820,21 @@ mod interp_tests {
                 idx: i(5),
                 value: i(99),
             },
-            IrStmt::Expr(IrExpr::Call(
-                "print_i32".into(),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintI32,
                 vec![IrExpr::Load {
                     elem: Elem::I32,
                     buf: Box::new(v("m")),
                     idx: Box::new(i(5)),
                 }],
             )),
-            IrStmt::Expr(IrExpr::Call(
-                "print_i32".into(),
-                vec![IrExpr::Call("dim".into(), vec![v("m"), i(1)])],
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintI32,
+                vec![IrExpr::Builtin(Builtin::Dim, vec![v("m"), i(1)])],
             )),
-            IrStmt::Expr(IrExpr::Call(
-                "print_i32".into(),
-                vec![IrExpr::Call("len".into(), vec![v("m")])],
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintI32,
+                vec![IrExpr::Builtin(Builtin::Len, vec![v("m")])],
             )),
         ]);
         let (_, out) = run(&prog, 1);
@@ -847,15 +847,15 @@ mod interp_tests {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::F32),
                 name: "m".into(),
-                init: Some(IrExpr::Call("alloc_mat_f32".into(), vec![i(4)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::F32), vec![i(4)])),
             },
-            IrStmt::Expr(IrExpr::Call("rc_incr".into(), vec![v("m")])),
-            IrStmt::Expr(IrExpr::Call(
-                "print_i32".into(),
-                vec![IrExpr::Call("rc_count".into(), vec![v("m")])],
+            IrStmt::Expr(IrExpr::Builtin(Builtin::RcIncr, vec![v("m")])),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintI32,
+                vec![IrExpr::Builtin(Builtin::RcCount, vec![v("m")])],
             )),
-            IrStmt::Expr(IrExpr::Call("rc_decr".into(), vec![v("m")])),
-            IrStmt::Expr(IrExpr::Call("rc_decr".into(), vec![v("m")])),
+            IrStmt::Expr(IrExpr::Builtin(Builtin::RcDecr, vec![v("m")])),
+            IrStmt::Expr(IrExpr::Builtin(Builtin::RcDecr, vec![v("m")])),
             // Access after the count reached zero: use-after-free.
             IrStmt::Expr(IrExpr::Load {
                 elem: Elem::F32,
@@ -875,7 +875,7 @@ mod interp_tests {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::I32),
                 name: "m".into(),
-                init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(2)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(2)])),
             },
             IrStmt::Store {
                 elem: Elem::I32,
@@ -895,7 +895,7 @@ mod interp_tests {
                 IrStmt::Decl {
                     ty: CType::Buf(Elem::I32),
                     name: "m".into(),
-                    init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(1000)])),
+                    init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(1000)])),
                 },
                 IrStmt::For(ForLoop {
                     schedule: None,
@@ -911,8 +911,8 @@ mod interp_tests {
                     parallel: true,
                     vector: false,
                 }),
-                IrStmt::Expr(IrExpr::Call(
-                    "print_i32".into(),
+                IrStmt::Expr(IrExpr::Builtin(
+                    Builtin::PrintI32,
                     vec![IrExpr::Load {
                         elem: Elem::I32,
                         buf: Box::new(v("m")),
@@ -989,7 +989,7 @@ mod interp_tests {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::I32),
                 name: "a".into(),
-                init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(2)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(2)])),
             },
             // b = a (share + incr)
             IrStmt::Decl {
@@ -997,11 +997,11 @@ mod interp_tests {
                 name: "b".into(),
                 init: Some(v("a")),
             },
-            IrStmt::Expr(IrExpr::Call("rc_incr".into(), vec![v("a")])),
+            IrStmt::Expr(IrExpr::Builtin(Builtin::RcIncr, vec![v("a")])),
             // b = cow(b); b[0] = 7 — a must stay 0.
             IrStmt::Assign {
                 name: "b".into(),
-                value: IrExpr::Call("cow_i32".into(), vec![v("b")]),
+                value: IrExpr::Builtin(Builtin::Cow(Elem::I32), vec![v("b")]),
             },
             IrStmt::Store {
                 elem: Elem::I32,
@@ -1009,16 +1009,16 @@ mod interp_tests {
                 idx: i(0),
                 value: i(7),
             },
-            IrStmt::Expr(IrExpr::Call(
-                "print_i32".into(),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintI32,
                 vec![IrExpr::Load {
                     elem: Elem::I32,
                     buf: Box::new(v("a")),
                     idx: Box::new(i(0)),
                 }],
             )),
-            IrStmt::Expr(IrExpr::Call(
-                "print_i32".into(),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintI32,
                 vec![IrExpr::Load {
                     elem: Elem::I32,
                     buf: Box::new(v("b")),
@@ -1038,7 +1038,7 @@ mod interp_tests {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::F32),
                 name: "m".into(),
-                init: Some(IrExpr::Call("alloc_mat_f32".into(), vec![i(2), i(2)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::F32), vec![i(2), i(2)])),
             },
             IrStmt::Store {
                 elem: Elem::F32,
@@ -1046,20 +1046,20 @@ mod interp_tests {
                 idx: i(3),
                 value: IrExpr::Float(1.5),
             },
-            IrStmt::Expr(IrExpr::Call(
-                "write_mat_f32".into(),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::WriteMat(Elem::F32),
                 vec![IrExpr::Str(path_s.clone()), v("m")],
             )),
             IrStmt::Decl {
                 ty: CType::Buf(Elem::F32),
                 name: "r".into(),
-                init: Some(IrExpr::Call(
-                    "read_mat_f32".into(),
+                init: Some(IrExpr::Builtin(
+                    Builtin::ReadMat(Elem::F32),
                     vec![IrExpr::Str(path_s.clone())],
                 )),
             },
-            IrStmt::Expr(IrExpr::Call(
-                "print_f32".into(),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintF32,
                 vec![IrExpr::Load {
                     elem: Elem::F32,
                     buf: Box::new(v("r")),
@@ -1102,6 +1102,23 @@ mod interp_tests {
 mod emit_tests {
     use super::*;
     use crate::emit::emit_program;
+
+    /// The builtin table against the prelude: every variant's C name is a
+    /// function the emitted runtime defines, and names map back to their
+    /// variant (how the emitter spots a user function that would collide).
+    #[test]
+    fn every_builtin_is_defined_by_the_prelude_and_found_by_name() {
+        let c = emit_program(&IrProgram::default()).unwrap();
+        for b in Builtin::ALL {
+            let name = b.c_name();
+            assert_eq!(Builtin::from_c_name(name), Some(b));
+            let defined = c
+                .lines()
+                .any(|l| l.starts_with("static ") && l.contains(&format!(" {name}(")));
+            assert!(defined, "the prelude does not define {name}");
+        }
+        assert_eq!(Builtin::from_c_name("main"), None);
+    }
 
     #[test]
     fn emits_openmp_pragma_for_parallel() {
@@ -1311,7 +1328,7 @@ proptest! {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::I32),
                 name: "c".into(),
-                init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(8), i(8)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(8), i(8)])),
             },
             IrStmt::For(ForLoop {
                 schedule: None,
@@ -1332,7 +1349,7 @@ proptest! {
             IrStmt::For(ForLoop {
                 schedule: None,
                 var: "z".into(), lo: i(0), hi: i(64),
-                body: vec![IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![
+                body: vec![IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![
                     IrExpr::Load { elem: Elem::I32, buf: Box::new(v("c")), idx: Box::new(v("z")) },
                 ]))],
                 parallel: false, vector: false,
@@ -1485,13 +1502,13 @@ mod vm_tests {
                     IrStmt::Assign { name: "n".into(), value: IrExpr::add(v("n"), i(1)) },
                 ],
             },
-            IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![v("s")])),
-            IrStmt::Expr(IrExpr::Call(
-                "print_f32".into(),
+            IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![v("s")])),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintF32,
                 vec![IrExpr::CastFloat(Box::new(IrExpr::Neg(Box::new(v("s")))))],
             )),
-            IrStmt::Expr(IrExpr::Call(
-                "print_i32".into(),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintI32,
                 vec![IrExpr::CastInt(Box::new(IrExpr::Float(-7.9)))],
             )),
         ]);
@@ -1513,7 +1530,7 @@ mod vm_tests {
                         IrStmt::Decl {
                             ty: CType::Buf(Elem::I32),
                             name: "m".into(),
-                            init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(500)])),
+                            init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(500)])),
                         },
                         IrStmt::For(ForLoop {
                             schedule: per_loop,
@@ -1549,7 +1566,7 @@ mod vm_tests {
                             parallel: false,
                             vector: false,
                         }),
-                        IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![v("s")])),
+                        IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![v("s")])),
                     ]);
                     let st = {
                         let it = Interp::new(&prog, threads)
@@ -1611,8 +1628,8 @@ mod vm_tests {
                     args: vec![i(9)],
                 },
                 IrStmt::Sync,
-                IrStmt::Expr(IrExpr::Call(
-                    "print_i32".into(),
+                IrStmt::Expr(IrExpr::Builtin(
+                    Builtin::PrintI32,
                     vec![IrExpr::add(v("a"), v("b"))],
                 )),
                 IrStmt::Decl { ty: CType::Int, name: "q".into(), init: None },
@@ -1621,8 +1638,8 @@ mod vm_tests {
                     targets: vec!["q".into(), "r".into()],
                     call: IrExpr::Call("divmod".into(), vec![i(17), i(5)]),
                 },
-                IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![v("q")])),
-                IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![v("r")])),
+                IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![v("q")])),
+                IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![v("r")])),
             ],
         };
         let prog = IrProgram { functions: vec![main, square, divmod] };
@@ -1721,7 +1738,7 @@ mod vm_tests {
                 var: "x".into(),
                 lo: i(i64::from(i32::MAX) - 5),
                 hi: i(i64::from(i32::MAX)),
-                body: vec![IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![v("x")]))],
+                body: vec![IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![v("x")]))],
                 parallel,
                 vector: false,
             })]);
@@ -1736,7 +1753,7 @@ mod vm_tests {
     fn runtime_errors_identical_between_tiers() {
         // Division by zero, mid-program.
         let div0 = main_with(vec![
-            IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![i(1)])),
+            IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![i(1)])),
             IrStmt::Expr(IrExpr::bin(B::Div, i(1), i(0))),
         ]);
         assert!(assert_error_parity(&div0, 1).message.contains("division by zero"));
@@ -1746,7 +1763,7 @@ mod vm_tests {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::I32),
                 name: "m".into(),
-                init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(2)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(2)])),
             },
             IrStmt::Store { elem: Elem::I32, buf: v("m"), idx: i(-1), value: i(0) },
         ]);
@@ -1755,7 +1772,7 @@ mod vm_tests {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::I32),
                 name: "m".into(),
-                init: Some(IrExpr::Call("alloc_mat_i32".into(), vec![i(2)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::I32), vec![i(2)])),
             },
             IrStmt::Expr(IrExpr::Load {
                 elem: Elem::I32,
@@ -1782,15 +1799,27 @@ mod vm_tests {
         });
         assert!(assert_error_parity(&arity, 1).message.contains("takes 1 arguments, got 0"));
 
+        // Arity mismatch against every builtin hand-built IR can name: a
+        // typed error in both tiers, never an index panic.
+        for b in Builtin::ALL {
+            let Some(arity) = b.arity() else { continue };
+            for n in [arity - 1, arity + 1] {
+                let call = IrExpr::Builtin(b, vec![i(0); n]);
+                let err = assert_error_parity(&main_with(vec![IrStmt::Expr(call)]), 1);
+                let want = format!("'{}' takes {arity} arguments, got {n}", b.c_name());
+                assert!(err.message.contains(&want), "{}", err.message);
+            }
+        }
+
         // Use after free, with output produced before the fault.
         let uaf = main_with(vec![
             IrStmt::Decl {
                 ty: CType::Buf(Elem::F32),
                 name: "m".into(),
-                init: Some(IrExpr::Call("alloc_mat_f32".into(), vec![i(4)])),
+                init: Some(IrExpr::Builtin(Builtin::AllocMat(Elem::F32), vec![i(4)])),
             },
-            IrStmt::Expr(IrExpr::Call("print_i32".into(), vec![IrExpr::Call("rc_count".into(), vec![v("m")])])),
-            IrStmt::Expr(IrExpr::Call("rc_decr".into(), vec![v("m")])),
+            IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![IrExpr::Builtin(Builtin::RcCount, vec![v("m")])])),
+            IrStmt::Expr(IrExpr::Builtin(Builtin::RcDecr, vec![v("m")])),
             IrStmt::Expr(IrExpr::Load {
                 elem: Elem::F32,
                 buf: Box::new(v("m")),
@@ -1835,17 +1864,17 @@ mod vm_tests {
             IrStmt::Decl {
                 ty: CType::Buf(Elem::I32),
                 name: "m".into(),
-                init: Some(IrExpr::Call(
-                    "read_mat_i32".into(),
+                init: Some(IrExpr::Builtin(
+                    Builtin::ReadMat(Elem::I32),
                     vec![IrExpr::Str(path.into())],
                 )),
             },
-            IrStmt::Expr(IrExpr::Call(
-                "print_i32".into(),
-                vec![IrExpr::Call("len".into(), vec![v("m")])],
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintI32,
+                vec![IrExpr::Builtin(Builtin::Len, vec![v("m")])],
             )),
-            IrStmt::Expr(IrExpr::Call(
-                "print_i32".into(),
+            IrStmt::Expr(IrExpr::Builtin(
+                Builtin::PrintI32,
                 vec![IrExpr::Load {
                     elem: Elem::I32,
                     buf: Box::new(v("m")),
@@ -1868,6 +1897,11 @@ mod vm_tests {
             "{name}: {}",
             err.message
         );
+        // The native runtime reads through the same codec.
+        match cmm_runtime::read_matrix::<i32>(&path) {
+            Err(cmm_runtime::MatrixError::Format(m)) => assert!(m.contains(want), "{name}: {m}"),
+            other => panic!("{name}: runtime accepted a malformed container: {other:?}"),
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -1938,7 +1972,7 @@ mod vm_tests {
     /// `dst` names the result variable (`"c"`, a fresh m×n buffer, or an
     /// operand, to make the call decline).
     fn product_program(elem: Elem, site_elem: Elem, (m, k, n): (i64, i64, i64), dst: &str) -> IrProgram {
-        let alloc = format!("alloc_mat_{}", elem.suffix());
+        let alloc = Builtin::AllocMat(elem);
         let cell = |q: IrExpr, salt: i64| {
             let int = IrExpr::bin(
                 B::Sub,
@@ -1998,22 +2032,26 @@ mod vm_tests {
         ));
         let mut rows = sequential_for("i", i(m), vec![columns]);
         rows.parallel = true;
-        let print = format!("print_{}", elem.suffix());
+        let print = match elem {
+            Elem::F32 => Builtin::PrintF32,
+            Elem::I32 => Builtin::PrintI32,
+            Elem::Bool => Builtin::PrintB,
+        };
         main_with(vec![
             IrStmt::Decl {
                 ty: CType::Buf(elem),
                 name: "a".into(),
-                init: Some(IrExpr::Call(alloc.clone(), vec![i(m), i(k)])),
+                init: Some(IrExpr::Builtin(alloc, vec![i(m), i(k)])),
             },
             IrStmt::Decl {
                 ty: CType::Buf(elem),
                 name: "b".into(),
-                init: Some(IrExpr::Call(alloc.clone(), vec![i(k), i(n)])),
+                init: Some(IrExpr::Builtin(alloc, vec![i(k), i(n)])),
             },
             IrStmt::Decl {
                 ty: CType::Buf(elem),
                 name: "c".into(),
-                init: Some(IrExpr::Call(alloc, vec![i(m), i(n)])),
+                init: Some(IrExpr::Builtin(alloc, vec![i(m), i(n)])),
             },
             fill("a", m * k, 3),
             fill("b", k * n, 8),
@@ -2030,7 +2068,7 @@ mod vm_tests {
             IrStmt::For(sequential_for(
                 "q",
                 i(m * n),
-                vec![IrStmt::Expr(IrExpr::Call(print, vec![load(dst, v("q"))]))],
+                vec![IrStmt::Expr(IrExpr::Builtin(print, vec![load(dst, v("q"))]))],
             )),
         ])
     }

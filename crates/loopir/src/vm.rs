@@ -51,10 +51,10 @@ use std::sync::atomic::Ordering;
 use cmm_forkjoin::Schedule;
 
 use crate::interp::{
-    default_value, eval_bin, lock_ignore_poison, Frame, IResult, Interp, InterpError, Pending,
-    Value,
+    default_value, dim_of, eval_bin, lock_ignore_poison, Frame, IResult, Interp, InterpError,
+    Pending, Value,
 };
-use crate::ir::IrBinOp;
+use crate::ir::{Builtin, IrBinOp};
 use crate::kernel::run_matmul;
 use crate::resolve::{RCallee, RExpr, RFor, RFunction, RMatMul, RProgram, RStmt, RTarget};
 
@@ -111,15 +111,13 @@ pub(crate) enum Instr {
     ForNext { counter: u16, head: u32 },
     /// `dst = functions[func](regs[base..base+n])`.
     CallUser { dst: u16, func: u16, base: u16, n: u16 },
-    /// `dst = dimSize(regs[buf], regs[d])`. Lowered subscript arithmetic
-    /// calls `dim` per element access, so it gets a dedicated instruction
-    /// reading its operands in place — no argument copies (each would
-    /// bump the buffer's `Arc`), no name dispatch. Semantics are
-    /// identical to the `dim` builtin.
+    /// `dst = dim(regs[buf], regs[d])`. Lowered subscript arithmetic
+    /// calls [`Builtin::Dim`] per element access, so it gets a dedicated
+    /// instruction reading its operands in place — no argument copies
+    /// (each would bump the buffer's `Arc`).
     Dim { dst: u16, buf: u16, d: u16 },
-    /// `dst = builtin names[name](regs[base..base+n])`; undefined-function
-    /// error if the name is not a builtin.
-    CallNamed { dst: u16, name: u16, base: u16, n: u16 },
+    /// `dst = builtin(regs[base..base+n])`.
+    CallBuiltin { dst: u16, builtin: Builtin, base: u16, n: u16 },
     /// `dst = (regs[base], .., regs[base+n-1])`.
     Tuple { dst: u16, base: u16, n: u16 },
     /// Unpack the tuple in `src` into `unpacks[id]` targets.
@@ -136,7 +134,7 @@ pub(crate) enum Instr {
     /// Charges the nest's fuel itself.
     Kernel { id: u16, done: u32 },
     /// Raise the prebuilt runtime error `msgs[msg]` (undefined
-    /// variable/assignment — resolution keeps these lazy).
+    /// variable/assignment/function — resolution keeps these lazy).
     Fail { msg: u16 },
     /// Return `regs[src]`.
     Ret { src: u16 },
@@ -178,8 +176,6 @@ pub(crate) struct VmFunction {
     pub nregs: usize,
     pub code: Vec<Instr>,
     pub consts: Vec<Value>,
-    /// Builtin / undefined callee names for `CallNamed`.
-    pub names: Vec<String>,
     /// Prebuilt error messages for `Fail`.
     pub msgs: Vec<String>,
     /// Target lists for `Unpack`.
@@ -210,7 +206,6 @@ pub(crate) fn compile(p: &RProgram) -> Result<VmProgram, VmLimit> {
 struct FnCompiler {
     code: Vec<Instr>,
     consts: Vec<Value>,
-    names: Vec<String>,
     msgs: Vec<String>,
     unpacks: Vec<Vec<RTarget>>,
     spawns: Vec<SpawnData>,
@@ -233,7 +228,6 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
     let mut c = FnCompiler {
         code: Vec::new(),
         consts: Vec::new(),
-        names: Vec::new(),
         msgs: Vec::new(),
         unpacks: Vec::new(),
         spawns: Vec::new(),
@@ -248,7 +242,6 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
         nregs: c.max_reg,
         code: c.code,
         consts: c.consts,
-        names: c.names,
         msgs: c.msgs,
         unpacks: c.unpacks,
         spawns: c.spawns,
@@ -351,9 +344,8 @@ impl VmFunction {
                         reg(*dst)?;
                         span(*base, *n)?;
                     }
-                    Instr::CallNamed { dst, name, base, n } => {
+                    Instr::CallBuiltin { dst, base, n, .. } => {
                         reg(*dst)?;
-                        id(*name, self.names.len())?;
                         span(*base, *n)?;
                     }
                     Instr::Tuple { dst, base, n } => {
@@ -483,17 +475,6 @@ impl FnCompiler {
         }
         self.consts.push(v);
         Ok((self.consts.len() - 1) as u16)
-    }
-
-    fn name_id(&mut self, name: &str) -> Result<u16, VmLimit> {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return Ok(i as u16);
-        }
-        if self.names.len() >= u16::MAX as usize {
-            return Err(VmLimit("name table overflow"));
-        }
-        self.names.push(name.to_string());
-        Ok((self.names.len() - 1) as u16)
     }
 
     fn msg_id(&mut self, msg: String) -> Result<u16, VmLimit> {
@@ -836,16 +817,14 @@ impl FnCompiler {
                 Ok(dst)
             }
             RExpr::Call(callee, args) => {
-                if let RCallee::Named(name) = callee {
-                    if name == "dim" && args.len() == 2 {
-                        let dst = self.dst(hint)?;
-                        let save = self.temp;
-                        let buf = self.expr(&args[0], None)?;
-                        let d = self.expr(&args[1], None)?;
-                        self.emit(Instr::Dim { dst, buf, d });
-                        self.temp = save;
-                        return Ok(dst);
-                    }
+                if let (RCallee::Builtin(Builtin::Dim), [buf, d]) = (callee, args.as_slice()) {
+                    let dst = self.dst(hint)?;
+                    let save = self.temp;
+                    let buf = self.expr(buf, None)?;
+                    let d = self.expr(d, None)?;
+                    self.emit(Instr::Dim { dst, buf, d });
+                    self.temp = save;
+                    return Ok(dst);
                 }
                 let dst = self.dst(hint)?;
                 let save = self.temp;
@@ -862,9 +841,13 @@ impl FnCompiler {
                             n,
                         });
                     }
-                    RCallee::Named(name) => {
-                        let name = self.name_id(name)?;
-                        self.emit(Instr::CallNamed { dst, name, base, n });
+                    RCallee::Builtin(builtin) => {
+                        self.emit(Instr::CallBuiltin { dst, builtin: *builtin, base, n });
+                    }
+                    // The tree-walker evaluates the arguments, then errors.
+                    RCallee::Undefined(name) => {
+                        let m = self.msg_id(format!("undefined function '{name}'"))?;
+                        self.emit(Instr::Fail { msg: m });
                     }
                 }
                 self.temp = save;
@@ -909,8 +892,8 @@ impl FnCompiler {
 /// from evaluating it once: no side effects, no fuel charges, and any
 /// failure (bad index, freed buffer, type error) reproduces identically
 /// because nothing between the two evaluations can change frame or heap
-/// state. User calls execute statements (side effects + fuel); named
-/// calls are only pure for the read-only shape builtins.
+/// state. User calls execute statements (side effects + fuel); builtin
+/// calls are pure when the table says so ([`Builtin::is_pure`]).
 fn is_pure(e: &RExpr) -> bool {
     match e {
         RExpr::Int(_) | RExpr::Float(_) | RExpr::Bool(_) | RExpr::Str(_) | RExpr::Slot(_) => true,
@@ -918,10 +901,8 @@ fn is_pure(e: &RExpr) -> bool {
         RExpr::Bin(_, a, b) => is_pure(a) && is_pure(b),
         RExpr::Neg(a) | RExpr::Not(a) | RExpr::CastInt(a) | RExpr::CastFloat(a) => is_pure(a),
         RExpr::Load { buf, idx } => is_pure(buf) && is_pure(idx),
-        RExpr::Call(RCallee::Named(name), args) => {
-            matches!(name.as_str(), "dim" | "len" | "rank") && args.iter().all(is_pure)
-        }
-        RExpr::Call(RCallee::User(_), _) => false,
+        RExpr::Call(RCallee::Builtin(b), args) => b.is_pure() && args.iter().all(is_pure),
+        RExpr::Call(RCallee::User(_) | RCallee::Undefined(_), _) => false,
         RExpr::Tuple(es) => es.iter().all(is_pure),
     }
 }
@@ -1158,27 +1139,12 @@ fn exec_impl<const BATCH: bool>(
                 frame.slots[*dst as usize] = v;
             }
             Instr::Dim { dst, buf, d } => {
-                // Mirrors the `dim` builtin exactly: same check order,
-                // same error text, negative `d` wraps to out-of-range.
-                let b = frame.slots[*buf as usize].as_buf()?;
-                b.check_live()?;
-                let d = frame.slots[*d as usize].as_i()?;
-                let dim = b.dims().get(d as usize).copied().ok_or_else(|| {
-                    InterpError::new(format!("dim {d} out of range"))
-                })?;
-                frame.slots[*dst as usize] = Value::I(dim as i32);
+                let dim = dim_of(&frame.slots[*buf as usize], &frame.slots[*d as usize])?;
+                frame.slots[*dst as usize] = Value::I(dim);
             }
-            Instr::CallNamed { dst, name, base, n } => {
-                let nm = &f.names[*name as usize];
+            Instr::CallBuiltin { dst, builtin, base, n } => {
                 let lo = *base as usize;
-                let v = match interp.builtin(nm, &frame.slots[lo..lo + *n as usize])? {
-                    Some(v) => v,
-                    None => {
-                        return Err(InterpError::new(format!(
-                            "undefined function '{nm}'"
-                        )))
-                    }
-                };
+                let v = interp.builtin(*builtin, &frame.slots[lo..lo + *n as usize])?;
                 frame.slots[*dst as usize] = v;
             }
             Instr::Tuple { dst, base, n } => {

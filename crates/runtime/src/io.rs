@@ -1,84 +1,33 @@
 //! Binary matrix IO backing `readMatrix` / `writeMatrix`.
 //!
 //! The paper's programs begin with `readMatrix("ssh.data")` and end with
-//! `writeMatrix("eddyLabels.data", labels)`. The file format here is a
-//! simple self-describing container:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "CMMX"
-//! 4       1     element-type tag (0 int, 1 float, 2 bool)
-//! 5       1     rank (max 255)
-//! 6       2     reserved (zero)
-//! 8       8*r   dimension sizes, little-endian u64
-//! ...     4*n   elements, row-major, 4 bytes each, little-endian
-//! ```
+//! `writeMatrix("eddyLabels.data", labels)`. The file format is the
+//! self-describing CMMX container of [`crate::cmmx`].
 
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use crate::cmmx;
 use crate::element::Element;
 use crate::error::{MatrixError, Result};
 use crate::matrix::Matrix;
-use crate::shape::Shape;
-
-const MAGIC: &[u8; 4] = b"CMMX";
 
 /// Write a matrix to `path` in the CMMX container format.
 pub fn write_matrix<T: Element>(path: impl AsRef<Path>, m: &Matrix<T>) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    w.write_all(MAGIC)?;
-    w.write_all(&[T::TYPE.tag(), m.rank() as u8, 0, 0])?;
-    for &d in m.shape().dims() {
-        w.write_all(&(d as u64).to_le_bytes())?;
-    }
-    for &v in m.as_slice() {
-        w.write_all(&v.to_bytes())?;
-    }
-    w.flush()?;
+    let cells = m.as_slice().iter().map(|v| v.to_bytes());
+    std::fs::write(path, cmmx::encode(T::TYPE.tag(), m.shape().dims(), cells))?;
     Ok(())
 }
 
 /// Read a matrix of element type `T` from `path`.
 ///
-/// Fails with [`MatrixError::Format`] if the file is not CMMX or stores a
-/// different element type — the static type in the extended-C declaration
-/// must match the file contents.
+/// Fails with [`MatrixError::Format`] if the file is not a well-formed
+/// CMMX container ([`cmmx::parse`]) or stores a different element type —
+/// the static type in the extended-C declaration must match the file
+/// contents.
 pub fn read_matrix<T: Element>(path: impl AsRef<Path>) -> Result<Matrix<T>> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    let mut head = [0u8; 8];
-    r.read_exact(&mut head)?;
-    if &head[0..4] != MAGIC {
-        return Err(MatrixError::Format("bad magic (not a CMMX file)".into()));
-    }
-    let tag = head[4];
-    if tag != T::TYPE.tag() {
-        return Err(MatrixError::Format(format!(
-            "file stores element tag {tag}, expected {} ({})",
-            T::TYPE.tag(),
-            T::TYPE
-        )));
-    }
-    let rank = head[5] as usize;
-    let mut dims = Vec::with_capacity(rank);
-    let mut d8 = [0u8; 8];
-    for _ in 0..rank {
-        r.read_exact(&mut d8)?;
-        let d = u64::from_le_bytes(d8);
-        if d > usize::MAX as u64 {
-            return Err(MatrixError::Format("dimension too large".into()));
-        }
-        dims.push(d as usize);
-    }
-    let shape = Shape::new(dims);
-    let n = shape.len();
-    let mut bytes = vec![0u8; n * 4];
-    r.read_exact(&mut bytes)?;
-    let mut data = Vec::with_capacity(n);
-    for c in bytes.chunks_exact(4) {
-        data.push(T::from_bytes([c[0], c[1], c[2], c[3]]));
-    }
-    Matrix::from_vec(shape, data)
+    let bytes = std::fs::read(path)?;
+    let header = cmmx::parse(&bytes, T::TYPE.tag())
+        .map_err(|e| MatrixError::Format(e.to_string()))?;
+    let data = header.cells(&bytes).map(T::from_bytes).collect();
+    Matrix::from_vec(header.dims.as_slice(), data)
 }

@@ -22,6 +22,7 @@
 //!   (experiments E7, E11, E14), mirroring the C loop nests of Figs 3,
 //!   10 and 11.
 
+pub mod cmmx;
 mod element;
 mod error;
 mod index;

@@ -539,21 +539,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// Every extension the standard registry can compose (the default when a
-/// request names no `ext` set).
-const ALL_EXTENSIONS: [&str; 5] = [
-    "ext-matrix",
-    "ext-rcptr",
-    "ext-cilk",
-    "ext-tuples",
-    "ext-transform",
-];
-
 fn run_request(registry: &Registry, shared: &Arc<Shared>, req: &Request) -> Response {
     let cfg = &shared.cfg;
     let enabled: Vec<&str> = match &req.ext {
         Some(names) => names.iter().map(String::as_str).collect(),
-        None => ALL_EXTENSIONS.to_vec(),
+        None => cmm_core::ALL_EXTENSIONS.to_vec(),
     };
     let compiler = match registry.compiler(&enabled) {
         Ok(c) => c,

@@ -56,10 +56,6 @@ pub use site::Site;
 /// Report schema identifier.
 pub const REPORT_SCHEMA: &str = "cmm-tune-report-v1";
 
-/// The full composed extension surface the tuner compiles against.
-pub const EXTENSIONS: &[&str] =
-    &["ext-matrix", "ext-tuples", "ext-rcptr", "ext-transform", "ext-cilk"];
-
 /// Tuning parameters. Everything that influences the report is here,
 /// so `(source, TuneConfig)` determines the report byte-for-byte.
 #[derive(Debug, Clone)]
@@ -292,7 +288,7 @@ fn render(directives: &[TransformSpec]) -> String {
 /// report.
 pub fn tune(src: &str, cfg: &TuneConfig) -> Result<TuneOutcome, TuneError> {
     let registry = Registry::standard();
-    let compiler = registry.compiler(EXTENSIONS).map_err(TuneError::Compile)?;
+    let compiler = registry.compiler(&cmm_core::ALL_EXTENSIONS).map_err(TuneError::Compile)?;
     let policy = if cfg.use_host_geometry {
         TilePolicy::default()
     } else {
@@ -567,7 +563,7 @@ int main() {
         let cfg = TuneConfig { seed: 7, ..TuneConfig::default() };
         let out = tune(TRIANGULAR, &cfg).expect("tune");
         let registry = Registry::standard();
-        let c = registry.compiler(EXTENSIONS).expect("compose");
+        let c = registry.compiler(&cmm_core::ALL_EXTENSIONS).expect("compose");
         let base = c.run(TRIANGULAR, 4).expect("base");
         let tuned = c.run(&out.tuned_source, 4).expect("tuned");
         assert_eq!(base.output, tuned.output);

@@ -213,7 +213,7 @@ int main() {
     fn parse(src: &str) -> Program {
         let reg = cmm_core::Registry::standard();
         let c = reg
-            .compiler(&["ext-matrix", "ext-tuples", "ext-rcptr", "ext-transform", "ext-cilk"])
+            .compiler(&cmm_core::ALL_EXTENSIONS)
             .expect("compose");
         c.frontend(src).expect("frontend")
     }
@@ -243,7 +243,7 @@ int main() {
         // The rewritten program still compiles and agrees with the original.
         let reg = cmm_core::Registry::standard();
         let c = reg
-            .compiler(&["ext-matrix", "ext-tuples", "ext-rcptr", "ext-transform", "ext-cilk"])
+            .compiler(&cmm_core::ALL_EXTENSIONS)
             .expect("compose");
         let base = c.run(SRC, 2).expect("base run");
         let tuned_run = c.run(&printed, 2).expect("tuned run");

@@ -40,7 +40,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use cmm::core::{CompileError, Registry};
+use cmm::core::{CompileError, Registry, ALL_EXTENSIONS};
 use cmm::loopir::{Limits, Schedule, Tier};
 
 const EXIT_RUNTIME: u8 = 1;
@@ -410,13 +410,7 @@ fn main() -> ExitCode {
     let mut schedule = Schedule::Static;
     let mut tier = Tier::default();
     let mut metrics_json: Option<String> = None;
-    let mut exts: Vec<String> = vec![
-        "ext-matrix".into(),
-        "ext-tuples".into(),
-        "ext-rcptr".into(),
-        "ext-transform".into(),
-        "ext-cilk".into(),
-    ];
+    let mut exts: Vec<String> = ALL_EXTENSIONS.map(String::from).to_vec();
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {

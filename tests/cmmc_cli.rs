@@ -192,6 +192,27 @@ fn compile_error_exits_4() {
 }
 
 #[test]
+fn redefining_a_source_builtin_is_a_compile_error_naming_it() {
+    for (builtin, def) in [
+        ("toInt", "int toInt(int x) { return x + 100; }"),
+        ("range", "int range(int a, int b) { return a - b; }"),
+    ] {
+        let path = write_program(
+            &format!("redef-{builtin}.xc"),
+            &format!("{def}\nint main() {{ return 0; }}"),
+        );
+        let out = cmmc().args(["check", &path]).output().expect("spawn cmmc");
+        assert_eq!(out.status.code(), Some(4), "redefining {builtin} must not compile");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("'{builtin}'")) && stderr.contains("builtin"),
+            "diagnostic must name the builtin: {stderr}"
+        );
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
 fn profile_prints_table_on_stderr_output_on_stdout() {
     let path = write_program("profile.xc", PROGRAM);
     let out = cmmc()

@@ -8,7 +8,8 @@
 use cmm::eddy::programs::full_compiler;
 use cmm::forkjoin::Schedule;
 use cmm::loopir::{
-    Interp, InterpError, IrExpr, IrProgram, IrStmt, KernelCall, LimitKind, Limits, Tier, Value,
+    Builtin, Interp, InterpError, IrExpr, IrProgram, IrStmt, KernelCall, LimitKind, Limits, Tier,
+    Value,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -318,7 +319,7 @@ fn bad_operands_keep_their_messages_in_both_tiers() {
         })
         .expect("the product lowers to a kernel statement in main's body");
     // Two references are live here: the `init` temporary's and `a`'s.
-    let release = IrStmt::Expr(IrExpr::Call("rc_decr".into(), vec![IrExpr::var(&operand)]));
+    let release = IrStmt::Expr(IrExpr::Builtin(Builtin::RcDecr, vec![IrExpr::var(&operand)]));
     main.body.splice(at..at, [release.clone(), release]);
     for tier in [Tier::Vm, Tier::Tree] {
         assert_eq!(

@@ -5,7 +5,8 @@
 //! winner must model at least as well as the hand-written
 //! `schedule i dynamic, 4` it was written to showcase.
 
-use cmm::tune::{tune, CandidateStatus, TuneConfig, EXTENSIONS, REPORT_SCHEMA};
+use cmm::core::ALL_EXTENSIONS;
+use cmm::tune::{tune, CandidateStatus, TuneConfig, REPORT_SCHEMA};
 
 fn cfg_for(program: &str, seed: u64) -> TuneConfig {
     TuneConfig { seed, program: program.into(), ..TuneConfig::default() }
@@ -101,7 +102,7 @@ fn imbalanced_winner_models_at_least_as_well_as_dynamic4() {
 #[test]
 fn tuned_examples_reproduce_untuned_output() {
     let registry = cmm::core::Registry::standard();
-    let compiler = registry.compiler(EXTENSIONS).expect("compose");
+    let compiler = registry.compiler(&ALL_EXTENSIONS).expect("compose");
     for name in ["imbalanced.xc", "pipeline_profile.xc"] {
         let (src, out) = tune_example(name, 42);
         for threads in [1usize, 4] {
