@@ -1,5 +1,5 @@
-//! Bounded, thread-safe LRU memo used for the process-global composed-
-//! parser cache.
+//! Bounded, thread-safe LRU memo used for the process-global composition
+//! cache.
 //!
 //! The original parser cache was an unbounded `HashMap` — harmless for a
 //! one-shot CLI, but a genuine memory leak in a long-running daemon
@@ -68,7 +68,10 @@ impl<V: Clone> LruCache<V> {
     ///
     /// The build runs under the map lock: concurrent requests for the
     /// same key would otherwise duplicate the exact construction the
-    /// cache exists to avoid. Build failures are never cached.
+    /// cache exists to avoid. A hit on another key waits out that build
+    /// too (≈2 ms, once per set); a per-key wait is parked in ROADMAP
+    /// item 2(c) until a workload shows hits queueing behind misses.
+    /// Build failures are never cached.
     pub(crate) fn get_or_build<E>(
         &self,
         key: Vec<String>,

@@ -15,9 +15,10 @@
 //!   describes; the transformation extension's clause necessarily begins
 //!   with host syntax, so it is packaged with the matrix extension (§V
 //!   presents it as an extension of the matrix constructs).
-//! * [`Registry::compiler`] composes the chosen extensions — running the
-//!   modular determinism analysis and the AG well-definedness analysis
-//!   first — and constructs a [`Compiler`].
+//! * [`Registry::compiler`] composes the chosen extensions — verifying
+//!   each independently composable one with the modular determinism
+//!   analysis first — and constructs a [`Compiler`]. Both happen the first
+//!   time a set of extensions is selected; the result is cached.
 //! * [`Compiler`] runs the full pipeline: context-aware scan + LALR(1)
 //!   parse → AST → extended semantic analysis → high-level optimizations
 //!   → lowering to parallel loop IR → C emission ([`Compiler::compile_to_c`])
@@ -51,29 +52,43 @@ pub use metrics::{
     json_str, CompileMetrics, ParserCacheStats, PassTiming, ProfileReport, METRICS_SCHEMA,
 };
 
-/// Memo of composed parsers keyed by the canonical (sorted) set of
-/// selected extension names.
+/// One composition of the host with a selected set of extensions: the
+/// parser, and what was decided while building it. An entry exists only
+/// if every selected independently-composable extension passed
+/// `isComposable` — the paper's §VI-A guarantee is a property of the
+/// (host, extension) pairs, so it is established when the set is first
+/// selected and not argued again at each use.
+struct Composition {
+    parser: Parser,
+    /// The semantic-analysis switches of the selected extensions.
+    exts: ExtSet,
+}
+
+/// Memo of compositions keyed by the canonical (sorted) set of selected
+/// extension names.
 ///
-/// LALR(1) table construction dominates the cost of
-/// [`Registry::compiler`]; before this cache, every construction paid it
-/// again even for a composition that had already been built in the same
-/// process (the CLI builds one compiler per invocation, but tests,
-/// benchmarks, and a `cmmc serve` daemon build many). [`Parser`] has no
-/// interior mutability, so a single `Arc<Parser>` is safely shared across
-/// compilers and threads. Composition failures are never cached: a
-/// failing extension set re-runs the analysis and reports fresh each
-/// time.
+/// Everything [`Registry::compiler`] derives from the selected set — the
+/// modular determinism analysis of each independently composable
+/// extension (one LALR(1) build of host ∪ E apiece), the composed
+/// grammar, its LALR(1) tables and scanner DFA — happens on the miss
+/// path, once per set per process (the CLI builds one compiler per
+/// invocation, but tests, benchmarks, and a `cmmc serve` daemon build
+/// many); a hit is a lock, a lookup and an `Arc` clone. [`Parser`] has no
+/// interior mutability, so one entry is safely shared across compilers
+/// and threads. Failures are never cached: a failing extension set
+/// re-runs the analysis and reports fresh each time.
 ///
 /// The cache is **bounded** ([`DEFAULT_PARSER_CACHE_CAPACITY`] entries,
 /// LRU eviction): unbounded growth over distinct extension sets would be
 /// a slow memory leak in a long-running daemon. Evictions are counted in
 /// [`ParserCacheStats::evictions`].
-type ParserCache = cache::LruCache<Arc<Parser>>;
+type ParserCache = cache::LruCache<Arc<Composition>>;
 
-/// Maximum compositions retained by the process-global parser cache.
-/// There are only 2^5 possible extension subsets, but each resident
-/// entry pins a full LALR(1) table, so the bound is kept below the
-/// worst case; the LRU policy keeps every *hot* composition resident.
+/// Maximum compositions retained by the process-global cache. The 2^5
+/// extension subsets select 24 distinct compositions (`ext-transform`
+/// rides only with `ext-matrix`: 16 sets with it, 8 without), but each
+/// resident entry pins a full LALR(1) table, so the bound is kept below
+/// that; the LRU policy keeps every *hot* composition resident.
 pub const DEFAULT_PARSER_CACHE_CAPACITY: usize = 16;
 
 /// The process-wide cache shared by every [`Registry::standard`]
@@ -124,9 +139,9 @@ pub struct Registry {
     pub host_ag: AgFragment,
     /// Available extensions in registration order.
     pub extensions: Vec<Extension>,
-    /// Composed-parser memo; `standard()` registries share one
-    /// process-wide cache so repeated compiler construction for the same
-    /// extension set costs one LALR(1) table build, total.
+    /// Composition memo; `standard()` registries share one process-wide
+    /// cache so repeated compiler construction for the same extension set
+    /// costs one verification and one composition, total.
     parser_cache: Arc<ParserCache>,
 }
 
@@ -208,13 +223,21 @@ impl Registry {
             .collect()
     }
 
+    /// Hit/miss/eviction counters of the composition cache behind
+    /// [`Registry::compiler`] (process-lifetime totals for a `standard()`
+    /// registry).
+    pub fn parser_cache_stats(&self) -> ParserCacheStats {
+        self.parser_cache.stats()
+    }
+
     /// Compose the host with the named extensions (packaged companions
     /// are pulled in automatically) and construct a compiler.
     ///
     /// Independently composable extensions are verified with
     /// `isComposable` before composition — the paper's guarantee that the
     /// user "need not be an expert in programming language design" to
-    /// compose safely.
+    /// compose safely. Verification and composition run the first time a
+    /// set is selected; afterwards the set's cache entry stands for both.
     pub fn compiler(&self, enabled: &[&str]) -> Result<Compiler, CompileError> {
         for name in enabled {
             if !self.extensions.iter().any(|e| e.name == *name) {
@@ -228,48 +251,50 @@ impl Registry {
             .iter()
             .filter(|e| on(&e.name) && e.requires.is_none_or(on))
             .collect();
-
-        // Verify the independently composable ones.
-        let mut failing = Vec::new();
-        for e in &selected {
-            if e.packaged.is_none() {
-                let report = is_composable(&self.host, &e.grammar);
-                if !report.passed {
-                    failing.push(report);
-                }
-            }
-        }
-        if !failing.is_empty() {
-            return Err(CompileError::Composition(failing));
-        }
-
         // The cache key is the *selected* set (after packaging rules),
         // sorted so request order never splits equivalent compositions
         // into distinct entries.
         let mut key: Vec<String> = selected.iter().map(|e| e.name.clone()).collect();
         key.sort();
-        let parser = self.parser_cache.get_or_build(key, || {
-            let fragments: Vec<&GrammarFragment> = selected.iter().map(|e| &e.grammar).collect();
-            let grammar = ComposedGrammar::compose(&self.host, &fragments)
-                .map_err(|e| CompileError::Compose(e.to_string()))?;
-            Parser::new(grammar).map(Arc::new).map_err(|conflicts| {
-                CompileError::Compose(format!(
-                    "composed grammar is not LALR(1): {} conflicts, first: {}",
-                    conflicts.len(),
-                    conflicts
-                        .first()
-                        .map(|c| c.description.clone())
-                        .unwrap_or_default()
-                ))
-            })
-        })?;
-        let exts = selected.iter().fold(ExtSet::HOST, |set, e| set.with(e.ext));
+        let composition = self
+            .parser_cache
+            .get_or_build(key, || self.compose(&selected).map(Arc::new))?;
         Ok(Compiler {
-            parser,
-            exts,
+            composition,
             cache: Arc::clone(&self.parser_cache),
             options: LowerOptions::default(),
             tier: Tier::default(),
+        })
+    }
+
+    /// The miss path of [`Registry::compiler`]: verify, then compose.
+    fn compose(&self, selected: &[&Extension]) -> Result<Composition, CompileError> {
+        // Verify the independently composable ones.
+        let failing: Vec<ComposabilityReport> = selected
+            .iter()
+            .filter(|e| e.packaged.is_none())
+            .map(|e| is_composable(&self.host, &e.grammar))
+            .filter(|report| !report.passed)
+            .collect();
+        if !failing.is_empty() {
+            return Err(CompileError::Composition(failing));
+        }
+        let fragments: Vec<&GrammarFragment> = selected.iter().map(|e| &e.grammar).collect();
+        let grammar = ComposedGrammar::compose(&self.host, &fragments)
+            .map_err(|e| CompileError::Compose(e.to_string()))?;
+        let parser = Parser::new(grammar).map_err(|conflicts| {
+            CompileError::Compose(format!(
+                "composed grammar is not LALR(1): {} conflicts, first: {}",
+                conflicts.len(),
+                conflicts
+                    .first()
+                    .map(|c| c.description.clone())
+                    .unwrap_or_default()
+            ))
+        })?;
+        Ok(Composition {
+            parser,
+            exts: selected.iter().fold(ExtSet::HOST, |set, e| set.with(e.ext)),
         })
     }
 }
@@ -343,8 +368,7 @@ impl std::error::Error for CompileError {}
 
 /// A constructed translator for one composition of extensions.
 pub struct Compiler {
-    parser: Arc<Parser>,
-    exts: ExtSet,
+    composition: Arc<Composition>,
     cache: Arc<ParserCache>,
     /// Lowering options (high-level optimizations, auto-parallelization);
     /// public so experiments can toggle the ablation knobs.
@@ -383,7 +407,13 @@ pub struct RunResult {
 impl Compiler {
     /// The composed grammar's parser (exposed for tooling/tests).
     pub fn parser(&self) -> &Parser {
-        &self.parser
+        &self.composition.parser
+    }
+
+    /// The semantic-analysis switches of this composition: one per
+    /// selected extension (after the packaging rules).
+    pub fn extensions(&self) -> ExtSet {
+        self.composition.exts
     }
 
     /// Hit/miss counters of the composed-parser cache this compiler was
@@ -417,16 +447,16 @@ impl Compiler {
         };
         let t0 = Instant::now();
         let cst = self
-            .parser
+            .parser()
             .parse(src)
             .map_err(|e| CompileError::Parse(e.to_string()))?;
         timed("parse", src.len() as u64, "bytes", t0);
         let t0 = Instant::now();
-        let ast = build_program(self.parser.grammar(), &cst)
+        let ast = build_program(self.parser().grammar(), &cst)
             .map_err(|e| CompileError::Build(e.to_string()))?;
         timed("build", ast.functions.len() as u64, "functions", t0);
         let t0 = Instant::now();
-        let (info, diags) = check_program(&ast, self.exts);
+        let (info, diags) = check_program(&ast, self.extensions());
         timed("check", ast.functions.len() as u64, "functions", t0);
         let errors: Vec<Diag> = diags
             .into_iter()

@@ -36,7 +36,7 @@ pub struct PassTiming {
     pub unit: &'static str,
 }
 
-/// Hit/miss counters for the composed-parser cache, sampled at metering
+/// Hit/miss counters for the composition cache, sampled at metering
 /// time. These are process-lifetime totals (the cache is shared by every
 /// [`crate::Registry::standard`] instance), so a warm process shows hits
 /// accumulating while misses stay at the number of distinct extension
@@ -45,7 +45,8 @@ pub struct PassTiming {
 pub struct ParserCacheStats {
     /// Compiler constructions served from the cache.
     pub hits: u64,
-    /// Compiler constructions that had to build LALR(1) tables.
+    /// Compiler constructions that had to verify the extensions and build
+    /// the LALR(1) tables and scanner.
     pub misses: u64,
     /// Compositions evicted by the LRU bound
     /// ([`crate::DEFAULT_PARSER_CACHE_CAPACITY`]); nonzero eviction churn

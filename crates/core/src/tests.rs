@@ -139,6 +139,97 @@ mod parser_cache {
     }
 }
 
+mod composition {
+    use super::*;
+    use cmm_grammar::{Sym, Terminal};
+
+    /// The standard registry on a cache of its own, so that counts and
+    /// timings below see no other test.
+    fn private_registry() -> Registry {
+        Registry {
+            parser_cache: Arc::new(ParserCache::with_capacity(DEFAULT_PARSER_CACHE_CAPACITY)),
+            ..Registry::standard()
+        }
+    }
+
+    /// `unless a b`: a marking terminal of its own (rule 1 holds), but two
+    /// juxtaposed operands — `unless a - b` reads two ways, so host ∪
+    /// extension is not LALR(1) and the analysis must reject it.
+    fn unless_extension() -> Extension {
+        let n = |s: &str| Sym::N(s.to_string());
+        Extension {
+            name: "ext-unless".to_string(),
+            grammar: GrammarFragment::new("ext-unless")
+                .terminal(Terminal::keyword("KW_UNLESS", "unless"))
+                .production(
+                    "prim_unless",
+                    "Primary",
+                    vec![Sym::T("KW_UNLESS".to_string()), n("AddExpr"), n("AddExpr")],
+                ),
+            ag: AgFragment::new("ext-unless"),
+            packaged: None,
+            requires: None,
+            ext: Ext::Cilk,
+        }
+    }
+
+    #[test]
+    fn failing_extension_is_rejected_with_its_report_every_time() {
+        let mut reg = private_registry();
+        reg.extensions.push(unless_extension());
+        let rejection = |reg: &Registry| match reg.compiler(&["ext-matrix", "ext-unless"]) {
+            Err(CompileError::Composition(reports)) => {
+                assert_eq!(reports.len(), 1, "only the failing extension is reported");
+                assert_eq!(reports[0].extension, "ext-unless");
+                assert!(!reports[0].passed && !reports[0].is_lalr_with_host);
+                assert_eq!(reports[0].marking_terminals, ["KW_UNLESS"]);
+                assert!(
+                    reports[0].violations.iter().all(|v| v.contains("LALR conflict")),
+                    "{:?}",
+                    reports[0].violations
+                );
+                CompileError::Composition(reports).to_string()
+            }
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("a non-LALR extension composed"),
+        };
+        let first = rejection(&reg);
+        assert!(first.starts_with("extension composition rejected:\nextension 'ext-unless': NOT COMPOSABLE\n"));
+        // Failures are not cached — the analysis ran again — and its
+        // diagnostics name the same states in the same order.
+        assert_eq!(rejection(&reg), first);
+        let stats = reg.parser_cache.stats();
+        assert_eq!((stats.hits, stats.misses, reg.parser_cache.len()), (0, 0, 0));
+        // The same registry still composes what does pass.
+        let compiler = reg.compiler(&["ext-matrix"]).expect("matrix alone composes");
+        let r = compiler
+            .run("int main() { printInt(with ([0] <= [i] < [4]) fold(+, 0, i)); return 0; }", 1)
+            .unwrap();
+        assert_eq!(r.output, "6\n");
+        assert_eq!(reg.parser_cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn a_hundred_warm_compositions_cost_less_than_the_cold_one() {
+        // A ratio that survives a host change: the cold call verifies
+        // three extensions and builds the tables and the scanner; a warm
+        // call is a lookup. (Before the analysis moved into the miss path
+        // a warm call was about two fifths of a cold one.)
+        let reg = private_registry();
+        let t0 = Instant::now();
+        reg.compiler(&ALL_EXTENSIONS).expect("cold composition");
+        let cold = t0.elapsed();
+        let t0 = Instant::now();
+        for _ in 0..100 {
+            reg.compiler(&ALL_EXTENSIONS).expect("warm composition");
+        }
+        let warm = t0.elapsed();
+        assert!(warm < cold, "100 warm calls took {warm:?}, the cold call {cold:?}");
+        let stats = reg.parser_cache.stats();
+        assert_eq!((stats.hits, stats.misses), (100, 1));
+    }
+}
+
 mod pipeline {
     use super::*;
 

@@ -2,10 +2,25 @@
 //!
 //! The composed grammar is required to be LALR(1), "the class of
 //! deterministic (and thus unambiguous) grammars" the paper builds on
-//! (§VI-A). Tables are built the classical efficient way: construct the
-//! LR(0) automaton, then compute lookaheads by spontaneous generation and
-//! propagation over kernel items (Dragon Book Alg. 4.63), which stays fast
-//! even for the full composed C-subset grammar.
+//! (§VI-A). Tables are built the classical way — the LR(0) automaton,
+//! then lookaheads by spontaneous generation and propagation over kernel
+//! items (Dragon Book Alg. 4.63) — on dense structures:
+//!
+//! * symbols are one id space (terminals, then nonterminals), a state's
+//!   successors are a vector sorted by symbol id, and states are numbered
+//!   breadth-first in that order, so the tables and every diagnostic that
+//!   names a state are the same in every process;
+//! * the LR(1) closure that discovers lookaheads is computed once per
+//!   *nonterminal after the dot* ([`Reach`]), not once per kernel item:
+//!   what an item `[A → α · B β]` hands to the productions reachable from
+//!   `B` depends on the item only through `FIRST(β)` and its own
+//!   lookaheads, which are substituted in afterwards. The same memo
+//!   answers the ε-reductions at table-fill time;
+//! * lookahead sets are rows of one bit matrix ([`BitRows`]).
+//!
+//! Cold composition of the full language (116 productions, 73 terminals,
+//! 281 states) is one of these builds plus one per independently
+//! composable extension; EXPERIMENTS.md E-C1 has the timings.
 
 use std::collections::HashMap;
 
@@ -83,41 +98,83 @@ impl Tables {
     }
 }
 
-/// Dynamic bitset over terminal ids plus one extra "probe" bit used by the
-/// propagation algorithm.
-#[derive(Clone, PartialEq, Eq)]
-struct LkSet {
-    words: Vec<u64>,
+/// Rows of bits in one allocation: FIRST sets per nonterminal, lookahead
+/// sets per kernel item.
+struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
 }
 
-impl LkSet {
-    fn new(bits: usize) -> Self {
-        LkSet {
-            words: vec![0; bits.div_ceil(64)],
+impl BitRows {
+    fn new(rows: usize, width: usize) -> Self {
+        let words = width.div_ceil(64).max(1);
+        BitRows {
+            words,
+            bits: vec![0; rows * words],
         }
     }
+
+    fn push_row(&mut self) -> usize {
+        self.bits.resize(self.bits.len() + self.words, 0);
+        self.bits.len() / self.words - 1
+    }
+
     #[inline]
-    fn insert(&mut self, i: usize) -> bool {
-        let w = &mut self.words[i / 64];
-        let m = 1u64 << (i % 64);
+    fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    #[inline]
+    fn insert(&mut self, r: usize, bit: usize) -> bool {
+        let w = &mut self.bits[r * self.words + bit / 64];
+        let m = 1u64 << (bit % 64);
         let added = *w & m == 0;
         *w |= m;
         added
     }
-    fn union_with(&mut self, other: &LkSet) -> bool {
+
+    /// `row[dst] |= src`; whether `row[dst]` grew.
+    #[inline]
+    fn union_with(&mut self, dst: usize, src: &[u64]) -> bool {
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a | *b;
-            changed |= new != *a;
-            *a = new;
+        for (a, b) in self.bits[dst * self.words..].iter_mut().zip(src) {
+            changed |= *b & !*a != 0;
+            *a |= *b;
         }
         changed
     }
-    fn iter_bits(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| (w & (1 << b) != 0).then_some(wi * 64 + b))
-        })
+
+    /// `row[dst] |= row[src]`; whether `row[dst]` grew.
+    #[inline]
+    fn union_rows(&mut self, dst: usize, src: usize) -> bool {
+        let mut changed = false;
+        for w in 0..self.words {
+            let b = self.bits[src * self.words + w];
+            let a = &mut self.bits[dst * self.words + w];
+            changed |= b & !*a != 0;
+            *a |= b;
+        }
+        changed
     }
+}
+
+/// `dst |= src`.
+#[inline]
+fn union_into(dst: &mut [u64], src: &[u64]) {
+    for (a, b) in dst.iter_mut().zip(src) {
+        *a |= *b;
+    }
+}
+
+/// Set bits of a row, ascending.
+fn bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(wi, &w)| {
+        std::iter::successors((w != 0).then_some(w), |&rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |rest| wi * 64 + rest.trailing_zeros() as usize)
+    })
 }
 
 /// Packed LR item: production index in the high bits, dot position low.
@@ -136,239 +193,347 @@ fn item_dot(i: Item) -> usize {
     (i & 0xff) as usize
 }
 
+/// The grammar as the builder reads it: the augmented production
+/// `S' → S` appended (index `aug_prod`), productions grouped by
+/// left-hand side, FIRST sets and nullability.
+struct Dense<'a> {
+    grammar: &'a ComposedGrammar,
+    aug_prod: usize,
+    aug_rhs: [GSym; 1],
+    prods_of: Vec<Vec<usize>>,
+    nullable: Vec<bool>,
+    /// FIRST set of each nonterminal (bits = terminal ids).
+    first: BitRows,
+}
+
+impl<'a> Dense<'a> {
+    fn new(grammar: &'a ComposedGrammar) -> Self {
+        let nt_count = grammar.num_nonterminals();
+        let mut prods_of: Vec<Vec<usize>> = vec![Vec::new(); nt_count];
+        for (i, (lhs, _)) in grammar.prods.iter().enumerate() {
+            prods_of[*lhs as usize].push(i);
+        }
+        let mut nullable = vec![false; nt_count];
+        let mut first = BitRows::new(nt_count, grammar.num_terminals());
+        loop {
+            let mut changed = false;
+            for (lhs, rhs) in &grammar.prods {
+                let l = *lhs as usize;
+                let mut all_nullable = true;
+                for sym in rhs {
+                    match *sym {
+                        GSym::T(t) => {
+                            changed |= first.insert(l, t as usize);
+                            all_nullable = false;
+                        }
+                        GSym::N(n) => {
+                            changed |= first.union_rows(l, n as usize);
+                            all_nullable = nullable[n as usize];
+                        }
+                    }
+                    if !all_nullable {
+                        break;
+                    }
+                }
+                if all_nullable && !nullable[l] {
+                    nullable[l] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        Dense {
+            grammar,
+            aug_prod: grammar.prods.len(),
+            aug_rhs: [GSym::N(grammar.start)],
+            prods_of,
+            nullable,
+            first,
+        }
+    }
+
+    fn rhs(&self, p: usize) -> &[GSym] {
+        if p == self.aug_prod {
+            &self.aug_rhs
+        } else {
+            &self.grammar.prods[p].1
+        }
+    }
+
+    /// Symbol after the dot of `it`, if any.
+    fn after_dot(&self, it: Item) -> Option<GSym> {
+        self.rhs(item_prod(it)).get(item_dot(it)).copied()
+    }
+
+    /// One id space for transitions: terminals, then nonterminals.
+    fn sym_id(&self, sym: GSym) -> u32 {
+        match sym {
+            GSym::T(t) => t as u32,
+            GSym::N(n) => (self.grammar.num_terminals() + n as usize) as u32,
+        }
+    }
+
+    /// `out = FIRST(β)` for `it = [A → α · X β]`; whether `β` can derive
+    /// the empty string.
+    fn first_beyond(&self, it: Item, out: &mut [u64]) -> bool {
+        out.fill(0);
+        self.first_of_seq(&self.rhs(item_prod(it))[item_dot(it) + 1..], out)
+    }
+
+    /// `out |= FIRST(seq)`; whether `seq` can derive the empty string.
+    fn first_of_seq(&self, seq: &[GSym], out: &mut [u64]) -> bool {
+        for sym in seq {
+            match *sym {
+                GSym::T(t) => {
+                    out[t as usize / 64] |= 1 << (t % 64);
+                    return false;
+                }
+                GSym::N(n) => {
+                    union_into(out, self.first.row(n as usize));
+                    if !self.nullable[n as usize] {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
+/// The LR(1) closure of `[… · B …, #]` for one nonterminal `B`, `#` a
+/// probe lookahead standing for whatever follows `B` in the item: for
+/// each nonterminal `C` whose productions the closure adds, the terminals
+/// that closure gives them outright (`la`) and whether `#` reaches them
+/// (`through`). An item `[A → α · B β, L]` then hands `C`'s productions
+/// `la(C)`, plus `FIRST(β)` — and `L`, if `β` is nullable — when `#` got
+/// through.
+struct Reach {
+    /// Nonterminals reachable from `B` at the left edge, `B` first.
+    nts: Vec<u16>,
+    /// Row `i` = `la(nts[i])`.
+    la: BitRows,
+    through: Vec<bool>,
+    /// `(i, p)`: ε-production `p` of `nts[i]` — the only complete items
+    /// a closure contributes.
+    epsilons: Vec<(usize, usize)>,
+}
+
+impl Reach {
+    fn of(g: &Dense, b: u16, row_of: &mut [usize], scratch: &mut [u64]) -> Reach {
+        const UNSEEN: usize = usize::MAX;
+        let mut r = Reach {
+            nts: vec![b],
+            la: BitRows::new(1, g.grammar.num_terminals()),
+            through: vec![true],
+            epsilons: Vec::new(),
+        };
+        row_of[b as usize] = 0;
+        let mut stack = vec![0usize];
+        while let Some(ci) = stack.pop() {
+            for &p in &g.prods_of[r.nts[ci] as usize] {
+                let rhs = g.rhs(p);
+                let Some(GSym::N(d)) = rhs.first().copied() else {
+                    continue;
+                };
+                // What [C → · D δ, la(C)] hands to D: FIRST(δ la(C)).
+                scratch.fill(0);
+                let tail_nullable = g.first_of_seq(&rhs[1..], scratch);
+                let through = tail_nullable && r.through[ci];
+                if tail_nullable {
+                    union_into(scratch, r.la.row(ci));
+                }
+                let mut di = row_of[d as usize];
+                let new = di == UNSEEN;
+                if new {
+                    di = r.la.push_row();
+                    row_of[d as usize] = di;
+                    r.nts.push(d);
+                    r.through.push(false);
+                }
+                let grew = r.la.union_with(di, scratch) | (through && !r.through[di]);
+                r.through[di] |= through;
+                if new || grew {
+                    stack.push(di);
+                }
+            }
+        }
+        for (i, &c) in r.nts.iter().enumerate() {
+            row_of[c as usize] = UNSEEN;
+            for &p in &g.prods_of[c as usize] {
+                if g.rhs(p).is_empty() {
+                    r.epsilons.push((i, p));
+                }
+            }
+        }
+        r
+    }
+}
+
+/// The LR(0) automaton: kernels, and per state the successors sorted by
+/// symbol id.
+struct Lr0 {
+    kernels: Vec<Vec<Item>>,
+    /// `(symbol id, target state)`, ascending by symbol id.
+    transitions: Vec<Vec<(u32, u32)>>,
+    /// `kernel_base[s] + i` numbers kernel item `i` of state `s` across
+    /// the automaton (row index of its lookahead set).
+    kernel_base: Vec<usize>,
+}
+
+impl Lr0 {
+    fn build(g: &Dense, reach: &[Reach]) -> Lr0 {
+        let start_kernel = vec![item(g.aug_prod, 0)];
+        let mut kernels: Vec<Vec<Item>> = vec![start_kernel.clone()];
+        // Interning only: looked up by key, never iterated, so the map's
+        // per-process seed cannot reach the numbering.
+        let mut state_of: HashMap<Vec<Item>, u32> = HashMap::new();
+        state_of.insert(start_kernel, 0);
+        let mut transitions: Vec<Vec<(u32, u32)>> = Vec::new();
+        // Marks stamped with `state + 1`: which nonterminals' productions
+        // this state's closure already holds.
+        let mut closed = vec![0usize; g.grammar.num_nonterminals()];
+        let mut advanced: Vec<(u32, Item)> = Vec::new();
+        let mut s = 0usize;
+        while s < kernels.len() {
+            advanced.clear();
+            for &it in &kernels[s] {
+                let Some(sym) = g.after_dot(it) else { continue };
+                advanced.push((g.sym_id(sym), it + 1));
+                let GSym::N(b) = sym else { continue };
+                for &c in &reach[b as usize].nts {
+                    if std::mem::replace(&mut closed[c as usize], s + 1) == s + 1 {
+                        continue;
+                    }
+                    for &p in &g.prods_of[c as usize] {
+                        if let Some(&x) = g.rhs(p).first() {
+                            advanced.push((g.sym_id(x), item(p, 1)));
+                        }
+                    }
+                }
+            }
+            // Sorted by (symbol, item): each run of one symbol is that
+            // successor's kernel, already in item order.
+            advanced.sort_unstable();
+            let mut out = Vec::new();
+            for run in advanced.chunk_by(|a, b| a.0 == b.0) {
+                let kernel: Vec<Item> = run.iter().map(|&(_, it)| it).collect();
+                let target = match state_of.get(&kernel) {
+                    Some(&id) => id,
+                    None => {
+                        let id = kernels.len() as u32;
+                        state_of.insert(kernel.clone(), id);
+                        kernels.push(kernel);
+                        id
+                    }
+                };
+                out.push((run[0].0, target));
+            }
+            transitions.push(out);
+            s += 1;
+        }
+        let kernel_base = kernels
+            .iter()
+            .scan(0usize, |next, k| {
+                let base = *next;
+                *next += k.len();
+                Some(base)
+            })
+            .collect();
+        Lr0 {
+            kernels,
+            transitions,
+            kernel_base,
+        }
+    }
+
+    fn goto(&self, s: usize, sym: u32) -> usize {
+        let row = &self.transitions[s];
+        let at = row
+            .binary_search_by_key(&sym, |&(sym, _)| sym)
+            .expect("every symbol after a dot has a successor");
+        row[at].1 as usize
+    }
+
+    /// Lookahead row of kernel item `it` of state `s`.
+    fn kernel_row(&self, s: usize, it: Item) -> usize {
+        let at = self.kernels[s]
+            .binary_search(&it)
+            .expect("an advanced item is in its successor's kernel");
+        self.kernel_base[s] + at
+    }
+
+    /// For each production whose dot-0 item is in the closure of `s`: the
+    /// lookahead row of its advanced item, written to `row_of_prod`
+    /// (entries of other productions are stale and must not be read).
+    fn closure_targets(&self, s: usize, row_of_prod: &mut [usize]) {
+        for &(_, target) in &self.transitions[s] {
+            let target = target as usize;
+            for (i, &it) in self.kernels[target].iter().enumerate() {
+                if item_dot(it) == 1 {
+                    row_of_prod[item_prod(it)] = self.kernel_base[target] + i;
+                }
+            }
+        }
+    }
+}
+
 /// Build LALR(1) tables for a composed grammar.
 pub fn build(grammar: &ComposedGrammar) -> Tables {
     let nt_count = grammar.num_nonterminals();
     let t_count = grammar.num_terminals();
-    let probe_bit = t_count; // extra lookahead symbol '#'
+    let g = Dense::new(grammar);
+    let words = g.first.words;
+    let mut scratch = vec![0u64; words];
+    let mut row_of = vec![usize::MAX; nt_count];
+    let reach: Vec<Reach> = (0..nt_count as u16)
+        .map(|b| Reach::of(&g, b, &mut row_of, &mut scratch))
+        .collect();
+    let lr0 = Lr0::build(&g, &reach);
+    let num_states = lr0.kernels.len();
 
-    // Augment: production index = grammar.prods.len() is S' -> S.
-    let aug_prod = grammar.prods.len();
-    let aug_rhs = [GSym::N(grammar.start)];
-    struct ProdView<'a> {
-        grammar: &'a ComposedGrammar,
-        aug_prod: usize,
-        aug_rhs: &'a [GSym; 1],
-    }
-    impl<'a> ProdView<'a> {
-        fn rhs(&self, p: usize) -> &'a [GSym] {
-            if p == self.aug_prod {
-                self.aug_rhs
-            } else {
-                &self.grammar.prods[p].1
+    // --- Lookaheads: spontaneous generation, then propagation ---------
+    let kernel_items = lr0.kernels.iter().map(Vec::len).sum();
+    let mut la = BitRows::new(kernel_items, t_count);
+    la.insert(0, EOF as usize);
+    let mut propagate: Vec<(usize, usize)> = Vec::new();
+    let mut row_of_prod = vec![0usize; g.aug_prod + 1];
+    for (s, kernel) in lr0.kernels.iter().enumerate() {
+        lr0.closure_targets(s, &mut row_of_prod);
+        for (i, &kit) in kernel.iter().enumerate() {
+            let from = lr0.kernel_base[s] + i;
+            let Some(sym) = g.after_dot(kit) else {
+                continue;
+            };
+            let target = lr0.goto(s, g.sym_id(sym));
+            propagate.push((from, lr0.kernel_row(target, kit + 1)));
+            let GSym::N(b) = sym else { continue };
+            // FIRST(β) of [A → α · B β]: what the item adds wherever the
+            // probe got through.
+            let beta_nullable = g.first_beyond(kit, &mut scratch);
+            let r = &reach[b as usize];
+            for (ci, &c) in r.nts.iter().enumerate() {
+                for &p in &g.prods_of[c as usize] {
+                    if g.rhs(p).is_empty() {
+                        continue;
+                    }
+                    let to = row_of_prod[p];
+                    la.union_with(to, r.la.row(ci));
+                    if r.through[ci] {
+                        la.union_with(to, &scratch);
+                        if beta_nullable {
+                            propagate.push((from, to));
+                        }
+                    }
+                }
             }
         }
     }
-    let view = ProdView {
-        grammar,
-        aug_prod,
-        aug_rhs: &aug_rhs,
-    };
-
-    // Productions per nonterminal.
-    let mut prods_of: Vec<Vec<usize>> = vec![Vec::new(); nt_count];
-    for (i, (lhs, _)) in grammar.prods.iter().enumerate() {
-        prods_of[*lhs as usize].push(i);
-    }
-
-    // FIRST sets and nullability for nonterminals.
-    let mut nullable = vec![false; nt_count];
-    let mut first: Vec<LkSet> = (0..nt_count).map(|_| LkSet::new(t_count + 1)).collect();
     loop {
         let mut changed = false;
-        for (lhs, rhs) in &grammar.prods {
-            let l = *lhs as usize;
-            let mut all_nullable = true;
-            for sym in rhs {
-                match sym {
-                    GSym::T(t) => {
-                        changed |= first[l].insert(*t as usize);
-                        all_nullable = false;
-                    }
-                    GSym::N(n) => {
-                        let (a, b) = if l == *n as usize {
-                            (None, None)
-                        } else {
-                            let (lo, hi) = (l.min(*n as usize), l.max(*n as usize));
-                            let (left, right) = first.split_at_mut(hi);
-                            if l < *n as usize {
-                                (Some(&mut left[lo]), Some(&right[0]))
-                            } else {
-                                (None, None)
-                            }
-                        };
-                        match (a, b) {
-                            (Some(dst), Some(src)) => changed |= dst.union_with(src),
-                            _ => {
-                                // Same nonterminal or l > n: do a copy-based
-                                // union to sidestep the borrow split.
-                                if l != *n as usize {
-                                    let src = first[*n as usize].clone();
-                                    changed |= first[l].union_with(&src);
-                                }
-                            }
-                        }
-                        if !nullable[*n as usize] {
-                            all_nullable = false;
-                        }
-                    }
-                }
-                if !all_nullable {
-                    break;
-                }
-            }
-            if all_nullable && !nullable[l] {
-                nullable[l] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // FIRST of a symbol sequence followed by a lookahead set.
-    let first_of_seq = |seq: &[GSym], la: &LkSet, out: &mut LkSet| {
-        for sym in seq {
-            match sym {
-                GSym::T(t) => {
-                    out.insert(*t as usize);
-                    return;
-                }
-                GSym::N(n) => {
-                    out.union_with(&first[*n as usize]);
-                    if !nullable[*n as usize] {
-                        return;
-                    }
-                }
-            }
-        }
-        out.union_with(la);
-    };
-
-    // --- LR(0) automaton ---------------------------------------------
-    // closure0 returns kernel + nonkernel items of a state.
-    let closure0 = |kernel: &[Item]| -> Vec<Item> {
-        let mut items: Vec<Item> = kernel.to_vec();
-        let mut seen_nt = vec![false; nt_count];
-        let mut stack: Vec<Item> = kernel.to_vec();
-        while let Some(it) = stack.pop() {
-            let rhs = view.rhs(item_prod(it));
-            if let Some(GSym::N(n)) = rhs.get(item_dot(it)) {
-                if !seen_nt[*n as usize] {
-                    seen_nt[*n as usize] = true;
-                    for &p in &prods_of[*n as usize] {
-                        let ni = item(p, 0);
-                        items.push(ni);
-                        stack.push(ni);
-                    }
-                }
-            }
-        }
-        items.sort_unstable();
-        items.dedup();
-        items
-    };
-
-    let start_kernel = vec![item(aug_prod, 0)];
-    let mut kernels: Vec<Vec<Item>> = vec![start_kernel.clone()];
-    let mut state_of: HashMap<Vec<Item>, u32> = HashMap::new();
-    state_of.insert(start_kernel, 0);
-    let mut transitions: Vec<HashMap<GSym, u32>> = vec![HashMap::new()];
-    let mut work = 0usize;
-    while work < kernels.len() {
-        let full = closure0(&kernels[work]);
-        // Group advancing items by the symbol after the dot.
-        let mut by_sym: HashMap<GSym, Vec<Item>> = HashMap::new();
-        for &it in &full {
-            if let Some(sym) = view.rhs(item_prod(it)).get(item_dot(it)) {
-                by_sym
-                    .entry(*sym)
-                    .or_default()
-                    .push(item(item_prod(it), item_dot(it) + 1));
-            }
-        }
-        for (sym, mut kernel) in by_sym {
-            kernel.sort_unstable();
-            kernel.dedup();
-            let id = *state_of.entry(kernel.clone()).or_insert_with(|| {
-                kernels.push(kernel);
-                transitions.push(HashMap::new());
-                (kernels.len() - 1) as u32
-            });
-            transitions[work].insert(sym, id);
-        }
-        work += 1;
-    }
-    let num_states = kernels.len();
-
-    // --- Lookahead computation (spontaneous + propagation) -----------
-    // Kernel item positions: (state, index within kernels[state]).
-    let kernel_index: Vec<HashMap<Item, usize>> = kernels
-        .iter()
-        .map(|k| k.iter().enumerate().map(|(i, &it)| (it, i)).collect())
-        .collect();
-    let mut lookaheads: Vec<Vec<LkSet>> = kernels
-        .iter()
-        .map(|k| k.iter().map(|_| LkSet::new(t_count + 1)).collect())
-        .collect();
-    // EOF on the start item.
-    lookaheads[0][0].insert(EOF as usize);
-
-    // LR(1) closure of a single kernel item with probe lookahead, used to
-    // discover spontaneous lookaheads and propagation links.
-    let mut propagate: Vec<((u32, usize), (u32, usize))> = Vec::new();
-    for (s, kernel) in kernels.iter().enumerate() {
-        for (ki, &kit) in kernel.iter().enumerate() {
-            // closure over (item, lookahead-set) pairs
-            let mut la_of: HashMap<Item, LkSet> = HashMap::new();
-            let mut probe_la = LkSet::new(t_count + 1);
-            probe_la.insert(probe_bit);
-            la_of.insert(kit, probe_la);
-            let mut stack = vec![kit];
-            while let Some(it) = stack.pop() {
-                let la = la_of[&it].clone();
-                let rhs = view.rhs(item_prod(it));
-                if let Some(GSym::N(n)) = rhs.get(item_dot(it)) {
-                    let beta = &rhs[item_dot(it) + 1..];
-                    let mut new_la = LkSet::new(t_count + 1);
-                    first_of_seq(beta, &la, &mut new_la);
-                    for &p in &prods_of[*n as usize] {
-                        let ni = item(p, 0);
-                        let entry = la_of
-                            .entry(ni)
-                            .or_insert_with(|| LkSet::new(t_count + 1));
-                        if entry.union_with(&new_la) {
-                            stack.push(ni);
-                        }
-                    }
-                }
-            }
-            // Distribute to successor kernels.
-            for (it, la) in &la_of {
-                let rhs = view.rhs(item_prod(*it));
-                if let Some(sym) = rhs.get(item_dot(*it)) {
-                    let target = transitions[s][sym];
-                    let advanced = item(item_prod(*it), item_dot(*it) + 1);
-                    let ti = kernel_index[target as usize][&advanced];
-                    for bit in la.iter_bits() {
-                        if bit == probe_bit {
-                            propagate.push(((s as u32, ki), (target, ti)));
-                        } else {
-                            lookaheads[target as usize][ti].insert(bit);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Propagation fixpoint.
-    loop {
-        let mut changed = false;
-        for &((fs, fi), (ts, ti)) in &propagate {
-            let src = lookaheads[fs as usize][fi].clone();
-            changed |= lookaheads[ts as usize][ti].union_with(&src);
+        for &(from, to) in &propagate {
+            changed |= la.union_rows(to, from);
         }
         if !changed {
             break;
@@ -379,80 +544,78 @@ pub fn build(grammar: &ComposedGrammar) -> Tables {
     let mut action = vec![Action::Error; num_states * t_count];
     let mut goto_nt = vec![u32::MAX; num_states * nt_count];
     let mut conflicts = Vec::new();
-
-    for (s, kernel) in kernels.iter().enumerate() {
-        // Shifts and gotos.
-        for (sym, &target) in &transitions[s] {
-            match sym {
-                GSym::T(t) => action[s * t_count + *t as usize] = Action::Shift(target),
-                GSym::N(n) => goto_nt[s * nt_count + *n as usize] = target,
+    // Reductions of the state at hand: (production, lookaheads).
+    let mut reductions: Vec<(usize, Vec<u64>)> = Vec::new();
+    for (s, kernel) in lr0.kernels.iter().enumerate() {
+        for &(sym, target) in &lr0.transitions[s] {
+            match (sym as usize).checked_sub(t_count) {
+                None => action[s * t_count + sym as usize] = Action::Shift(target),
+                Some(n) => goto_nt[s * nt_count + n] = target,
             }
         }
-        // Reductions: complete items of the full closure. Nonkernel items
-        // can only be complete for epsilon productions; compute their
-        // lookaheads from the kernel ones on the fly.
-        let full = closure0(kernel);
-        for &it in &full {
-            let p = item_prod(it);
-            let dot = item_dot(it);
-            if dot != view.rhs(p).len() {
+        // Complete items: kernel items with the dot at the end, and the
+        // closure's ε-productions, whose lookaheads are the memo's with
+        // this item's FIRST(β) and final lookaheads substituted in.
+        reductions.clear();
+        for (i, &kit) in kernel.iter().enumerate() {
+            let own = la.row(lr0.kernel_base[s] + i);
+            let b = match g.after_dot(kit) {
+                None => {
+                    reductions.push((item_prod(kit), own.to_vec()));
+                    continue;
+                }
+                Some(GSym::T(_)) => continue,
+                Some(GSym::N(b)) => b,
+            };
+            let r = &reach[b as usize];
+            if r.epsilons.is_empty() {
                 continue;
             }
-            // Lookahead set for this complete item.
-            let la = if let Some(&ki) = kernel_index[s].get(&it) {
-                lookaheads[s][ki].clone()
-            } else {
-                // Epsilon item: recompute closure lookaheads from all
-                // kernel items of this state.
-                let mut acc = LkSet::new(t_count + 1);
-                for (ki, &kit) in kernel.iter().enumerate() {
-                    let mut la_of: HashMap<Item, LkSet> = HashMap::new();
-                    la_of.insert(kit, lookaheads[s][ki].clone());
-                    let mut stack = vec![kit];
-                    while let Some(cit) = stack.pop() {
-                        let la = la_of[&cit].clone();
-                        let rhs = view.rhs(item_prod(cit));
-                        if let Some(GSym::N(n)) = rhs.get(item_dot(cit)) {
-                            let beta = &rhs[item_dot(cit) + 1..];
-                            let mut new_la = LkSet::new(t_count + 1);
-                            first_of_seq(beta, &la, &mut new_la);
-                            for &pp in &prods_of[*n as usize] {
-                                let ni = item(pp, 0);
-                                let entry = la_of
-                                    .entry(ni)
-                                    .or_insert_with(|| LkSet::new(t_count + 1));
-                                if entry.union_with(&new_la) {
-                                    stack.push(ni);
-                                }
-                            }
-                        }
+            if g.first_beyond(kit, &mut scratch) {
+                union_into(&mut scratch, own);
+            }
+            for &(ci, p) in &r.epsilons {
+                let at = match reductions.iter().position(|(q, _)| *q == p) {
+                    Some(at) => at,
+                    None => {
+                        reductions.push((p, vec![0; words]));
+                        reductions.len() - 1
                     }
-                    if let Some(l) = la_of.get(&it) {
-                        acc.union_with(l);
-                    }
+                };
+                let set = &mut reductions[at].1;
+                union_into(set, r.la.row(ci));
+                if r.through[ci] {
+                    union_into(set, &scratch);
                 }
-                acc
-            };
-            for t in la.iter_bits() {
-                if t == probe_bit {
+            }
+        }
+        // Terminal by terminal, productions ascending: conflicts come out
+        // in (state, terminal) order and the lowest production keeps the
+        // cell.
+        reductions.sort_unstable_by_key(|(p, _)| *p);
+        scratch.fill(0);
+        for (_, set) in &reductions {
+            union_into(&mut scratch, set);
+        }
+        for t in bits(&scratch) {
+            for (p, set) in &reductions {
+                if set[t / 64] & (1 << (t % 64)) == 0 {
                     continue;
                 }
                 let cell = &mut action[s * t_count + t];
-                let new = if p == aug_prod {
+                let new = if *p == g.aug_prod {
                     Action::Accept
                 } else {
-                    Action::Reduce(p as u32)
+                    Action::Reduce(*p as u32)
                 };
                 match *cell {
                     Action::Error => *cell = new,
                     existing if existing == new => {}
-                    existing => {
-                        conflicts.push(Conflict {
-                            state: s as u32,
-                            terminal: grammar.terminals[t].name.clone(),
-                            description: describe_conflict(grammar, existing, new, aug_prod),
-                        });
-                    }
+                    existing => conflicts.push(Conflict {
+                        state: s as u32,
+                        terminal: grammar.terminals[t].name.clone(),
+                        description: describe_conflict(grammar, existing, new, g.aug_prod),
+                    }),
                 }
             }
         }
@@ -468,12 +631,7 @@ pub fn build(grammar: &ComposedGrammar) -> Tables {
     }
 }
 
-fn describe_conflict(
-    grammar: &ComposedGrammar,
-    a: Action,
-    b: Action,
-    aug_prod: usize,
-) -> String {
+fn describe_conflict(grammar: &ComposedGrammar, a: Action, b: Action, aug_prod: usize) -> String {
     let name = |act: Action| match act {
         Action::Shift(s) => format!("shift({s})"),
         Action::Reduce(p) => {

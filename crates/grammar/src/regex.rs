@@ -50,7 +50,7 @@ pub enum Regex {
 }
 
 /// A set of bytes, the alphabet unit of the scanner DFA.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ByteSet {
     bits: [u64; 4],
 }

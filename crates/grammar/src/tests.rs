@@ -154,6 +154,49 @@ mod lalr_tests {
     }
 
     #[test]
+    fn conflicting_composition_builds_identically_every_time() {
+        // `pair a b` juxtaposes two expressions: `pair 1 + 2 3` and
+        // `pair 1 + 2` both leave the parser unable to decide on `+`, in
+        // several states. Every `HashMap` in the process is seeded
+        // differently, so a builder whose state numbering follows a
+        // map's iteration order gives different tables and a differently
+        // worded, differently ordered conflict list on each build.
+        let ext = GrammarFragment::new("ext-pair")
+            .terminal(Terminal::keyword("KW_PAIR", "pair"))
+            .production(
+                "factor_pair",
+                "Factor",
+                vec![Sym::T("KW_PAIR".into()), Sym::N("Expr".into()), Sym::N("Expr".into())],
+            );
+        let g = ComposedGrammar::compose(&expr_host(), &[&ext]).unwrap();
+        let snapshot = || {
+            let t = lalr::build(&g);
+            let states = 0..t.num_states as u32;
+            let actions: Vec<Action> = states
+                .clone()
+                .flat_map(|s| (0..g.num_terminals() as u16).map(move |x| (s, x)))
+                .map(|(s, x)| t.action(s, x))
+                .collect();
+            let gotos: Vec<Option<u32>> = states
+                .flat_map(|s| (0..g.num_nonterminals() as u16).map(move |n| (s, n)))
+                .map(|(s, n)| t.goto(s, n))
+                .collect();
+            (t.conflicts, actions, gotos)
+        };
+        let first = snapshot();
+        assert!(first.0.len() > 1, "{:?}", first.0);
+        let position: Vec<(u32, u16)> = first
+            .0
+            .iter()
+            .map(|c| (c.state, g.terminal_id(&c.terminal).unwrap()))
+            .collect();
+        assert!(position.is_sorted(), "conflicts out of (state, terminal) order: {position:?}");
+        for _ in 1..8 {
+            assert!(snapshot() == first, "two builds of one grammar differ");
+        }
+    }
+
+    #[test]
     fn epsilon_productions_supported() {
         // S -> A 'x'; A -> ε | 'a' A
         let frag = GrammarFragment::new("host")

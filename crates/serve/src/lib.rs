@@ -55,7 +55,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cmm_core::{CompileError, Registry};
+use cmm_core::{CompileError, ParserCacheStats, Registry};
 use cmm_loopir::Limits;
 
 mod event;
@@ -185,6 +185,11 @@ pub struct ServeStats {
     pub active_tenants: usize,
     /// Session pool cache counters.
     pub pool_cache: PoolCacheStats,
+    /// Composition cache counters ([`Registry::compiler`]): a miss is a
+    /// set of extensions verified and composed for the first time, a hit
+    /// a request that found its compiler already decided. The cache is
+    /// the process's, so these are process-lifetime totals.
+    pub compose_cache: ParserCacheStats,
 }
 
 impl ServeStats {
@@ -228,7 +233,8 @@ impl ServeStats {
              \"panics_isolated\": {}, \"degraded_sessions\": {}, \"server_threads\": {}, \
              \"open_connections\": {}, \"streamed\": {}, \"active_tenants\": {}, \
              \"pool_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"cached\": {}, \"construct_ns\": {}}}}}",
+             \"cached\": {}, \"construct_ns\": {}}}, \
+             \"compose_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}}}",
             self.connections,
             self.requests,
             self.in_flight,
@@ -246,6 +252,9 @@ impl ServeStats {
             self.pool_cache.evictions,
             self.pool_cache.cached,
             self.pool_cache.construct_nanos,
+            self.compose_cache.hits,
+            self.compose_cache.misses,
+            self.compose_cache.evictions,
         )
     }
 }
@@ -279,6 +288,8 @@ pub(crate) struct Shared {
     pub(crate) degraded_sessions: AtomicU64,
     pub(crate) streamed: AtomicU64,
     pub(crate) pool_cache: PoolCache,
+    /// The one registry every worker composes from.
+    registry: Registry,
     pub(crate) gate: TenantGate,
     pub(crate) scheduler: TenantScheduler<Job>,
     /// Write end of the event thread's wake pipe: workers nudge the
@@ -301,6 +312,7 @@ impl Shared {
             degraded_sessions: AtomicU64::new(0),
             streamed: AtomicU64::new(0),
             pool_cache: PoolCache::new(max_cached),
+            registry: Registry::standard(),
             gate: TenantGate::new(),
             scheduler: TenantScheduler::new(),
             wake_tx,
@@ -335,6 +347,7 @@ impl Shared {
             streamed: self.streamed.load(Ordering::Relaxed),
             active_tenants: self.gate.active_tenants(),
             pool_cache: self.pool_cache.stats(),
+            compose_cache: self.registry.parser_cache_stats(),
         }
     }
 }
@@ -471,12 +484,12 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
 
 /// Session worker: pull jobs in tenant-fair order, shed stale ones,
 /// execute the rest inside `catch_unwind`, and hand the response back to
-/// the event thread. One `Registry` per worker amortizes registry setup;
-/// parsers are shared further via the process-global composed-parser
-/// cache, so concurrent workers composing the same extension set pay
-/// for one LALR(1) table build total.
+/// the event thread. Every worker composes from the daemon's one
+/// registry, whose cache entry for an extension set holds the parser and
+/// the `isComposable` verdict: the first request for a set verifies and
+/// composes it (other workers' lookups wait for that one build), every
+/// later request pays a lookup.
 fn worker_loop(shared: &Arc<Shared>, completions: &Sender<Completion>) {
-    let registry = Registry::standard();
     while let Some(job) = shared.scheduler.pop() {
         let queued = job.enqueued.elapsed();
         let resp = if queued > shared.cfg.queue_deadline {
@@ -490,7 +503,7 @@ fn worker_loop(shared: &Arc<Shared>, completions: &Sender<Completion>) {
                 ),
             )
         } else {
-            execute(&registry, shared, &job.req, queued)
+            execute(shared, &job.req, queued)
         };
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         shared.gate.release(&job.req.tenant);
@@ -512,9 +525,9 @@ fn worker_loop(shared: &Arc<Shared>, completions: &Sender<Completion>) {
 /// can take the worker thread down. An unwind also drops the session's
 /// pool before it can reach the cache checkin, so a panicked pool is
 /// never recycled.
-fn execute(registry: &Registry, shared: &Arc<Shared>, req: &Request, queued: Duration) -> Response {
+fn execute(shared: &Arc<Shared>, req: &Request, queued: Duration) -> Response {
     let start = Instant::now();
-    let mut resp = match catch_unwind(AssertUnwindSafe(|| run_request(registry, shared, req))) {
+    let mut resp = match catch_unwind(AssertUnwindSafe(|| run_request(shared, req))) {
         Ok(resp) => resp,
         Err(payload) => Response::err(
             &req.id,
@@ -539,13 +552,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-fn run_request(registry: &Registry, shared: &Arc<Shared>, req: &Request) -> Response {
+fn run_request(shared: &Arc<Shared>, req: &Request) -> Response {
     let cfg = &shared.cfg;
     let enabled: Vec<&str> = match &req.ext {
         Some(names) => names.iter().map(String::as_str).collect(),
         None => cmm_core::ALL_EXTENSIONS.to_vec(),
     };
-    let compiler = match registry.compiler(&enabled) {
+    let compiler = match shared.registry.compiler(&enabled) {
         Ok(c) => c,
         Err(e) => return compile_error_response(&req.id, &e),
     };

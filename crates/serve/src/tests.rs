@@ -531,6 +531,40 @@ fn pool_cache_reuses_pools_across_sessions_on_one_connection() {
 }
 
 #[test]
+fn stats_report_the_composition_cache_after_the_pool_cache() {
+    let handle = start(ServeConfig::default()).expect("start");
+    let mut c = Client::connect(handle.local_addr());
+    // The composition cache is the process's and other tests run servers
+    // beside this one, so counts are compared as differences.
+    let lookups = |s: &cmm_core::ParserCacheStats| s.hits + s.misses;
+    let before = handle.stats().compose_cache;
+    for (id, ext) in [("a", r#"["ext-matrix"]"#), ("b", "[]"), ("c", r#"["ext-matrix"]"#)] {
+        let v = c.roundtrip(&format!(
+            r#"{{"id": "{id}", "cmd": "check", "ext": {ext}, "src": "int main() {{ return 0; }}"}}"#
+        ));
+        assert_eq!(code(&v), 0, "{v:?}");
+    }
+    // Answered before a compiler is asked for: no lookup.
+    let v = c.roundtrip(r#"{"id": "d", "cmd": "check", "ext": ["ext-nope"], "src": ""}"#);
+    assert_eq!(code(&v), 2, "{v:?}");
+    let after = handle.stats().compose_cache;
+    assert!(lookups(&after) - lookups(&before) >= 3, "{before:?} then {after:?}");
+    assert!(after.hits > before.hits, "the repeated set must hit: {before:?} then {after:?}");
+
+    let v = c.roundtrip(r#"{"id": "s", "cmd": "stats"}"#);
+    let cc = v.get("stats").unwrap().get("compose_cache").expect("compose_cache stats");
+    for key in ["hits", "misses", "evictions"] {
+        assert!(cc.get(key).and_then(Json::as_u64).is_some(), "{key} missing: {v:?}");
+    }
+    assert!(cc.get("hits").unwrap().as_u64().unwrap() >= after.hits);
+    // Readers that take the first "hits" in the line for the pool
+    // cache's (the benchmark does) rely on the order.
+    let line = handle.stats().to_json();
+    assert!(line.find("\"pool_cache\"").unwrap() < line.find("\"compose_cache\"").unwrap());
+    handle.shutdown();
+}
+
+#[test]
 fn pool_cache_survives_concurrent_mixed_thread_counts() {
     let handle = start(ServeConfig::default()).expect("start");
     let addr = handle.local_addr();

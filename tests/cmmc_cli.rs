@@ -67,6 +67,10 @@ fn analyses_prints_verdicts() {
     assert!(text.contains("ext-matrix") && text.contains("COMPOSABLE"));
     assert!(text.contains("ext-tuples") && text.contains("NOT COMPOSABLE"));
     assert!(text.contains("WELL-DEFINED"));
+    // What an extension author reads must not depend on the process that
+    // printed it (LALR states used to be numbered in hash-map order).
+    let again = cmmc().arg("analyses").output().expect("spawn");
+    assert_eq!(again.stdout, out.stdout, "two runs of `cmmc analyses` differ");
 }
 
 const INFINITE_LOOP: &str = r#"

@@ -3,7 +3,9 @@
 //! composition theorem, and the packaged-extension behaviour of the
 //! registry.
 
-use cmm::core::Registry;
+use cmm::core::{Compiler, Registry, ALL_EXTENSIONS};
+use cmm::grammar::dfa::{Dfa, DEAD};
+use cmm::grammar::{lalr, Action, ComposedGrammar};
 
 #[test]
 fn e12_paper_verdicts_reproduced() {
@@ -75,28 +77,265 @@ fn packaged_extensions_require_their_host() {
         .is_err());
 }
 
+/// Every subset of [`ALL_EXTENSIONS`], in mask order (bit `i` selects
+/// `ALL_EXTENSIONS[i]`).
+fn all_subsets() -> Vec<Vec<&'static str>> {
+    (0u32..1 << ALL_EXTENSIONS.len())
+        .map(|mask| {
+            ALL_EXTENSIONS
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, n)| *n)
+                .collect()
+        })
+        .collect()
+}
+
+/// What the registry's packaging rules select from a request: an
+/// extension packaged with another rides along only with it.
+fn selected(enabled: &[&'static str]) -> Vec<&'static str> {
+    let mut names: Vec<&str> = enabled
+        .iter()
+        .copied()
+        .filter(|n| *n != "ext-transform" || enabled.contains(&"ext-matrix"))
+        .collect();
+    names.sort_unstable();
+    names
+}
+
+/// The 32 requests grouped by the composition they select: 24 classes,
+/// members of a class adjacent (so a test comparing them cannot have the
+/// shared 16-entry cache evict the class in between).
+fn composition_classes() -> Vec<(Vec<&'static str>, Vec<Vec<&'static str>>)> {
+    let mut classes: Vec<(Vec<&str>, Vec<Vec<&str>>)> = Vec::new();
+    for enabled in all_subsets() {
+        let key = selected(&enabled);
+        match classes.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(enabled),
+            None => classes.push((key, vec![enabled])),
+        }
+    }
+    classes
+}
+
 #[test]
 fn every_composition_subset_is_lalr() {
-    // Brute-force the power set of the four extensions: every composed
+    // Brute-force the power set of the five extensions: every composed
     // grammar must construct a working parser (the practical meaning of
-    // the guarantee).
+    // the guarantee), and the 32 requests must fall into exactly the 24
+    // compositions the packaging rules distinguish — one parser each.
     let registry = Registry::standard();
-    let names = ["ext-matrix", "ext-tuples", "ext-rcptr", "ext-transform"];
-    for mask in 0u32..16 {
-        let enabled: Vec<&str> = names
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, n)| *n)
-            .collect();
-        let compiler = registry
-            .compiler(&enabled)
-            .unwrap_or_else(|e| panic!("composition {enabled:?} failed: {e}"));
-        assert!(
-            compiler.frontend("int main() { return 0; }").is_ok(),
-            "composition {enabled:?} cannot parse plain C"
-        );
+    let mut firsts: Vec<(Vec<&str>, Compiler)> = Vec::new();
+    for (key, members) in composition_classes() {
+        let on = |n: &str| key.contains(&n);
+        let mut first: Option<Compiler> = None;
+        for enabled in members {
+            let compiler = registry
+                .compiler(&enabled)
+                .unwrap_or_else(|e| panic!("composition {enabled:?} failed: {e}"));
+            assert!(
+                compiler.frontend("int main() { return 0; }").is_ok(),
+                "composition {enabled:?} cannot parse plain C"
+            );
+            let exts = compiler.extensions();
+            assert_eq!(
+                [exts.matrix, exts.tuples, exts.rcptr, exts.transform, exts.cilk],
+                ALL_EXTENSIONS.map(on),
+                "composition {enabled:?} switches on the wrong semantic checks"
+            );
+            match &first {
+                Some(first) => assert!(
+                    std::ptr::eq(first.parser(), compiler.parser()),
+                    "{enabled:?} selects {key:?} but got a parser of its own"
+                ),
+                None => first = Some(compiler),
+            }
+        }
+        let first = first.expect("a class has a member");
+        for (other, c) in &firsts {
+            assert!(
+                !std::ptr::eq(c.parser(), first.parser()),
+                "{key:?} shares a parser with {other:?}"
+            );
+        }
+        firsts.push((key, first));
     }
+    assert_eq!(firsts.len(), 24);
+}
+
+/// FNV-1a over a word stream: a fixed hash the recorded table can name.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Hash of a multiset of id sets, independent of the order they come in.
+fn multiset_hash(mut sets: Vec<Vec<u16>>) -> u64 {
+    sets.sort();
+    let mut h = Fnv::new();
+    for set in sets {
+        h.word(set.len() as u64);
+        set.iter().for_each(|&t| h.word(t as u64));
+    }
+    h.0
+}
+
+/// Breadth-first renumbering of a deterministic automaton from state 0,
+/// edges taken in label order: two automata equal up to state numbering
+/// get the same numbering, so hashing rows with renumbered targets
+/// compares the whole table.
+fn canonical_order(states: usize, edges: impl Fn(u32) -> Vec<u32>) -> (Vec<u32>, Vec<u32>) {
+    let mut number = vec![u32::MAX; states];
+    let mut order = vec![0u32];
+    number[0] = 0;
+    let mut at = 0;
+    while at < order.len() {
+        for target in edges(order[at]) {
+            if number[target as usize] == u32::MAX {
+                number[target as usize] = order.len() as u32;
+                order.push(target);
+            }
+        }
+        at += 1;
+    }
+    (order, number)
+}
+
+/// Numbering-invariant fingerprint of the LALR(1) tables and the scanner
+/// DFA built for `grammar`: state and entry counts, the multiset of
+/// per-state valid-terminal (resp. accept) sets, and a hash of the whole
+/// table in canonical numbering.
+fn fingerprint(grammar: &ComposedGrammar) -> String {
+    let tables = lalr::build(grammar);
+    assert!(tables.is_lalr());
+    let (nt, nn) = (grammar.num_terminals() as u16, grammar.num_nonterminals() as u16);
+    let (order, number) = canonical_order(tables.num_states, |s| {
+        let shifts = (0..nt).filter_map(|t| match tables.action(s, t) {
+            Action::Shift(to) => Some(to),
+            _ => None,
+        });
+        shifts.chain((0..nn).filter_map(|n| tables.goto(s, n))).collect()
+    });
+    assert_eq!(order.len(), tables.num_states, "unreachable LALR state");
+    let (mut shifts, mut reduces, mut gotos) = (0, 0, 0);
+    let mut table = Fnv::new();
+    for &s in &order {
+        for t in 0..nt {
+            table.word(match tables.action(s, t) {
+                Action::Error => 0,
+                Action::Accept => 1,
+                Action::Shift(to) => {
+                    shifts += 1;
+                    2 + ((number[to as usize] as u64) << 2)
+                }
+                Action::Reduce(p) => {
+                    reduces += 1;
+                    3 + ((p as u64) << 2)
+                }
+            });
+        }
+        for n in 0..nn {
+            let to = tables.goto(s, n);
+            gotos += to.is_some() as u32;
+            table.word(to.map_or(0, |to| 1 + number[to as usize] as u64));
+        }
+    }
+    let valid = multiset_hash(
+        (0..tables.num_states as u32)
+            .map(|s| tables.valid_terminals(s))
+            .collect(),
+    );
+
+    let dfa = Dfa::build(&grammar.patterns[1..]);
+    let (order, number) = canonical_order(dfa.num_states(), |s| {
+        (0..=255u8)
+            .map(|b| dfa.step(s, b))
+            .filter(|&to| to != DEAD)
+            .collect()
+    });
+    assert_eq!(order.len(), dfa.num_states(), "unreachable DFA state");
+    let mut scanner = Fnv::new();
+    for &s in &order {
+        scanner.word(dfa.accepts(s).len() as u64);
+        dfa.accepts(s).iter().for_each(|&t| scanner.word(t as u64));
+        for b in 0..=255u8 {
+            let to = dfa.step(s, b);
+            scanner.word(if to == DEAD { 0 } else { 1 + number[to as usize] as u64 });
+        }
+    }
+    let accepts = multiset_hash(
+        (0..dfa.num_states() as u32)
+            .map(|s| dfa.accepts(s).to_vec())
+            .collect(),
+    );
+    format!(
+        "lalr {} states {shifts} shifts {reduces} reduces {gotos} gotos valid {valid:016x} \
+         table {:016x} | dfa {} states accepts {accepts:016x} table {:016x}",
+        tables.num_states,
+        table.0,
+        dfa.num_states(),
+        scanner.0
+    )
+}
+
+/// Recorded from the builders this PR replaced (one `HashMap` closure per
+/// kernel item; 256 byte probes per subset state), one line per distinct
+/// composition. LALR(1) tables and the subset DFA are unique up to state
+/// numbering, so any correct builder reproduces every line.
+const FINGERPRINTS: &str = "\
+: lalr 131 states 383 shifts 746 reduces 233 gotos valid f548a04284b7b9b8 table 59dee5b80e175796 | dfa 85 states accepts 93f4c2bfc1d74da0 table d8ca9901ce086add\n\
+ext-matrix: lalr 202 states 731 shifts 1141 reduces 351 gotos valid b11ae00325988587 table 4dda7a44661da794 | dfa 132 states accepts 67f0029a2f42fee1 table 019f41ffdbdc6e34\n\
+ext-tuples: lalr 144 states 432 shifts 779 reduces 257 gotos valid 1a952ec450e9731f table b4cdb3e1d3cfb330 | dfa 85 states accepts 93f4c2bfc1d74da0 table d8ca9901ce086add\n\
+ext-matrix+ext-tuples: lalr 215 states 794 shifts 1175 reduces 375 gotos valid 7a3d7b8b185905df table 3269a3fcb40a3229 | dfa 132 states accepts 67f0029a2f42fee1 table 019f41ffdbdc6e34\n\
+ext-rcptr: lalr 141 states 446 shifts 808 reduces 244 gotos valid 5c7f825846c9c899 table 2452fef237f2091d | dfa 91 states accepts 748fedd159288541 table a1b76a8d2387a8f4\n\
+ext-matrix+ext-rcptr: lalr 212 states 814 shifts 1205 reduces 362 gotos valid 04377b55294df9a5 table 2b68a0839c9c2318 | dfa 138 states accepts 213167376d855000 table f27435f099769a9d\n\
+ext-rcptr+ext-tuples: lalr 154 states 503 shifts 838 reduces 268 gotos valid c99c4a65fa596b19 table e19f07f662230714 | dfa 91 states accepts 748fedd159288541 table a1b76a8d2387a8f4\n\
+ext-matrix+ext-rcptr+ext-tuples: lalr 225 states 885 shifts 1240 reduces 386 gotos valid 1186e3c9847588ba table cbe573682af29464 | dfa 138 states accepts 213167376d855000 table f27435f099769a9d\n\
+ext-matrix+ext-transform: lalr 250 states 783 shifts 1240 reduces 355 gotos valid 253bb0bb78ec15f7 table 24abcebab3bf329a | dfa 210 states accepts 4b5ac32916feb162 table b411c4620505fc07\n\
+ext-matrix+ext-transform+ext-tuples: lalr 263 states 846 shifts 1275 reduces 379 gotos valid 13be0f74893d69f9 table e898e601267ae5d2 | dfa 210 states accepts 4b5ac32916feb162 table b411c4620505fc07\n\
+ext-matrix+ext-rcptr+ext-transform: lalr 260 states 866 shifts 1307 reduces 366 gotos valid 0428a26e806b43c2 table 6227c009ef5baefb | dfa 216 states accepts 6a9c7889e9e972a3 table aa534f5e26dc9922\n\
+ext-matrix+ext-rcptr+ext-transform+ext-tuples: lalr 273 states 937 shifts 1343 reduces 390 gotos valid 0ecf21019659c685 table b938153a8069af7b | dfa 216 states accepts 6a9c7889e9e972a3 table aa534f5e26dc9922\n\
+ext-cilk: lalr 139 states 407 shifts 837 reduces 251 gotos valid f54b15b3c942fbdd table acdd1ca7a4cbb592 | dfa 93 states accepts 9abe905277833701 table 8c464cc6d963fb0e\n\
+ext-cilk+ext-matrix: lalr 210 states 763 shifts 1247 reduces 369 gotos valid cdd029081b6fc9ff table 75a8629f523f6517 | dfa 140 states accepts c767590e8261a1c0 table 86f9a21e7cacd99e\n\
+ext-cilk+ext-tuples: lalr 152 states 456 shifts 870 reduces 275 gotos valid 843ad91c9803d2da table f977ee0a50783350 | dfa 93 states accepts 9abe905277833701 table 8c464cc6d963fb0e\n\
+ext-cilk+ext-matrix+ext-tuples: lalr 223 states 826 shifts 1281 reduces 393 gotos valid 94f5c2cd8909dde7 table 50db4a04a2ce4707 | dfa 140 states accepts c767590e8261a1c0 table 86f9a21e7cacd99e\n\
+ext-cilk+ext-rcptr: lalr 149 states 472 shifts 905 reduces 262 gotos valid 9fe2c6ad98a83d79 table 03565edf921c952b | dfa 99 states accepts 0bc4e001d8e77da0 table fcff75a26882ef51\n\
+ext-cilk+ext-matrix+ext-rcptr: lalr 220 states 848 shifts 1317 reduces 380 gotos valid e359020615673c90 table 37f476901d32650e | dfa 146 states accepts 9c8e6e7c6370eee1 table 833414f9e0c67721\n\
+ext-cilk+ext-rcptr+ext-tuples: lalr 162 states 529 shifts 935 reduces 286 gotos valid d55a8803c3a05ab9 table a8da2d4895516194 | dfa 99 states accepts 0bc4e001d8e77da0 table fcff75a26882ef51\n\
+ext-cilk+ext-matrix+ext-rcptr+ext-tuples: lalr 233 states 919 shifts 1352 reduces 404 gotos valid e70793de85942eef table fe90de580084dcd4 | dfa 146 states accepts 9c8e6e7c6370eee1 table 833414f9e0c67721\n\
+ext-cilk+ext-matrix+ext-transform: lalr 258 states 815 shifts 1348 reduces 373 gotos valid 0559b75a7377a860 table 1ead4bf935cd0a6f | dfa 216 states accepts 6a9c7889e9e972a3 table 78176b9859673f45\n\
+ext-cilk+ext-matrix+ext-transform+ext-tuples: lalr 271 states 878 shifts 1383 reduces 397 gotos valid 6b401d55aa520920 table 24cc27a894585cb1 | dfa 216 states accepts 6a9c7889e9e972a3 table 78176b9859673f45\n\
+ext-cilk+ext-matrix+ext-rcptr+ext-transform: lalr 268 states 900 shifts 1421 reduces 384 gotos valid 202722be9582695e table b91210e6ac55c929 | dfa 222 states accepts 616a1d020c66cf62 table 742a2bda3e55cd62\n\
+ext-cilk+ext-matrix+ext-rcptr+ext-transform+ext-tuples: lalr 281 states 971 shifts 1457 reduces 408 gotos valid 42161e98144c027b table 632fd23027bd26bb | dfa 222 states accepts 616a1d020c66cf62 table 742a2bda3e55cd62\n\
+";
+
+#[test]
+fn builders_reproduce_the_recorded_fingerprints() {
+    let registry = Registry::standard();
+    let mut built = String::new();
+    for (key, members) in composition_classes() {
+        let compiler = registry.compiler(&members[0]).expect("composes");
+        let parser = compiler.parser();
+        let line = fingerprint(parser.grammar());
+        assert!(
+            line.starts_with(&format!("lalr {} states ", parser.num_states())),
+            "{key:?}: Parser::num_states disagrees with the tables"
+        );
+        built.push_str(&format!("{}: {line}\n", key.join("+")));
+    }
+    assert!(
+        built == FINGERPRINTS,
+        "fingerprints changed.\nrecorded:\n{FINGERPRINTS}\nbuilt:\n{built}"
+    );
 }
 
 /// Per-extension smoke fragment: helper functions, main-body statements,
