@@ -12,7 +12,8 @@
 //! consuming `cmmc run --metrics-json` should check it. The tag moves
 //! only when existing keys change meaning or shape; purely additive
 //! keys (the pool block's per-worker `steals` / `steal_failures`,
-//! added with the work-stealing scheduler) keep the tag.
+//! added with the work-stealing scheduler; the interp block's four
+//! `unboxed_*` counters) keep the tag.
 
 use std::fmt::Write as _;
 
@@ -180,6 +181,13 @@ impl ProfileReport {
             let _ = writeln!(out, "{:<22} {:>10}", "parallel loops", interp.par_loops);
             let _ = writeln!(out, "{:<22} {:>10}", "parallel iterations", interp.par_iters);
             let _ = writeln!(out, "{:<22} {:>10}", "kernel calls", interp.kernel_calls);
+            let _ = writeln!(out, "{:<22} {:>10}", "unboxed loops", interp.unboxed_loops);
+            let _ = writeln!(out, "{:<22} {:>10}", "unboxed iterations", interp.unboxed_iters);
+            let _ = writeln!(out, "{:<22} {:>10}", "unboxed declines", interp.unboxed_declines);
+            let _ = writeln!(out, "{:<22} {:>10}", "unboxed bails", interp.unboxed_bails);
+            for l in &interp.boxed_loops {
+                let _ = writeln!(out, "boxed {}: loop {} — {}", l.function, l.var, l.reason);
+            }
             let _ = writeln!(
                 out,
                 "{:<22} {:>10}",
@@ -260,6 +268,10 @@ impl ProfileReport {
                 let _ = writeln!(out, "    \"par_loops\": {},", interp.par_loops);
                 let _ = writeln!(out, "    \"par_iters\": {},", interp.par_iters);
                 let _ = writeln!(out, "    \"kernel_calls\": {},", interp.kernel_calls);
+                let _ = writeln!(out, "    \"unboxed_loops\": {},", interp.unboxed_loops);
+                let _ = writeln!(out, "    \"unboxed_iters\": {},", interp.unboxed_iters);
+                let _ = writeln!(out, "    \"unboxed_declines\": {},", interp.unboxed_declines);
+                let _ = writeln!(out, "    \"unboxed_bails\": {},", interp.unboxed_bails);
                 let _ = writeln!(out, "    \"peak_live_bytes\": {},", interp.peak_live_bytes);
                 out.push_str("    \"functions\": [\n");
                 for (i, f) in interp.functions.iter().enumerate() {

@@ -108,6 +108,11 @@ pub struct CheckCounts {
     pub limits: u64,
     /// Vm-oracle comparisons run (tree-walker reference re-runs).
     pub vm: u64,
+    /// Of those, the cases whose VM run entered an unboxed loop
+    /// (`cmm_loopir`'s typed inner-loop executor, which the `vm` and
+    /// `limits` oracles are the differential oracles of). A campaign in
+    /// which this is not a clear majority no longer tests that executor.
+    pub unboxed: u64,
     /// Tuned-oracle comparisons run (autotune + tuned re-run).
     pub tuned: u64,
     /// Gcc-oracle comparisons run (0 when gcc is absent).
@@ -121,6 +126,7 @@ impl CheckCounts {
         self.schedule += o.schedule;
         self.limits += o.limits;
         self.vm += o.vm;
+        self.unboxed += o.unboxed;
         self.tuned += o.tuned;
         self.gcc += o.gcc;
     }
@@ -295,6 +301,7 @@ impl Harness {
                 OracleKind::Vm => {
                     self.check_vm(src, &base, bounded)?;
                     counts.vm += 1;
+                    counts.unboxed += u64::from(self.enters_unboxed_loop(src, bounded)?);
                 }
                 OracleKind::Tuned => {
                     self.check_tuned(src, &base, bounded)?;
@@ -444,6 +451,21 @@ impl Harness {
             )));
         }
         Ok(())
+    }
+
+    /// Whether a VM run of `src` enters an unboxed loop: a profiled run
+    /// (the counters are only kept under profiling) of a program the
+    /// baseline already ran.
+    pub fn enters_unboxed_loop(&self, src: &str, bounded: bool) -> Result<bool, Failure> {
+        let limits = if bounded { bounded_limits() } else { Limits::default() };
+        let (_, report) = self
+            .opt
+            .run_profiled_scheduled(src, 2, limits, Schedule::Static)
+            .map_err(|e| Failure {
+                oracle: Some(OracleKind::Vm),
+                detail: format!("profiled VM run failed where the unprofiled one succeeded: {e}"),
+            })?;
+        Ok(report.interp.is_some_and(|p| p.unboxed_loops > 0))
     }
 
     /// Autotune the program with a fixed seed and a small budget, then

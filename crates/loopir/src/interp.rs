@@ -348,7 +348,7 @@ impl BufHandle {
         Ok(match self.0.elem {
             Elem::I32 => Value::I(bits as i32),
             Elem::F32 => Value::F(f32::from_bits(bits)),
-            Elem::Bool => Value::B(bits != 0),
+            Elem::Bool => Value::B(int_to_bool(bits as i32)),
         })
     }
 
@@ -356,7 +356,7 @@ impl BufHandle {
     pub fn write(&self, idx: usize, v: &Value) -> IResult<()> {
         let bits = match (self.0.elem, v) {
             (Elem::I32, Value::I(x)) => *x as u32,
-            (Elem::I32, Value::F(x)) => (*x as i32) as u32,
+            (Elem::I32, Value::F(x)) => float_to_int(*x) as u32,
             (Elem::F32, Value::F(x)) => x.to_bits(),
             (Elem::F32, Value::I(x)) => (*x as f32).to_bits(),
             (Elem::Bool, Value::B(x)) => u32::from(*x),
@@ -395,6 +395,18 @@ impl BufHandle {
         self.0.block.as_ptr() as *mut u32
     }
 
+    /// Bounds-checked access to the cells without the per-access liveness
+    /// check of [`BufHandle::read`]: the caller ([`crate::scalar_loop`])
+    /// checks `is_freed()` once, before a loop none of whose operations
+    /// can release a buffer.
+    pub(crate) fn view(&self) -> CellView<'_> {
+        CellView {
+            cells: self.cells(),
+            len: self.0.len,
+            _buf: std::marker::PhantomData,
+        }
+    }
+
     fn incr(&self) {
         self.0.refs.fetch_add(1, Ordering::AcqRel);
     }
@@ -408,6 +420,47 @@ impl BufHandle {
             self.0.freed.store(true, Ordering::Release);
         }
         Ok(())
+    }
+}
+
+/// The cells of one [`BufHandle`], borrowed ([`BufHandle::view`]).
+#[derive(Clone, Copy)]
+pub(crate) struct CellView<'a> {
+    cells: *mut u32,
+    len: usize,
+    _buf: std::marker::PhantomData<&'a BufHandle>,
+}
+
+impl CellView<'_> {
+    /// A view of no cells: every access is out of bounds.
+    pub(crate) const EMPTY: CellView<'static> = CellView {
+        cells: std::ptr::null_mut(),
+        len: 0,
+        _buf: std::marker::PhantomData,
+    };
+
+    /// Bits of cell `idx`, `None` out of bounds. `idx` is the lowered
+    /// `int` index sign-extended, so a negative one is out of bounds too.
+    #[inline(always)]
+    pub(crate) fn read(&self, idx: usize) -> Option<u32> {
+        if idx >= self.len {
+            return None;
+        }
+        // SAFETY: in bounds of the block, which the borrowed handle keeps
+        // allocated; disjoint-write discipline as in `read_bits`.
+        Some(unsafe { *self.cells.add(idx) })
+    }
+
+    /// Overwrite cell `idx`; `false` (nothing written) out of bounds.
+    #[inline(always)]
+    pub(crate) fn write(&self, idx: usize, bits: u32) -> bool {
+        if idx >= self.len {
+            return false;
+        }
+        // SAFETY: as in `read`; disjoint-write discipline as in
+        // `write_bits`.
+        unsafe { *self.cells.add(idx) = bits };
+        true
     }
 }
 
@@ -465,7 +518,7 @@ impl Value {
     pub(crate) fn as_b(&self) -> IResult<bool> {
         match self {
             Value::B(x) => Ok(*x),
-            Value::I(x) => Ok(*x != 0),
+            Value::I(x) => Ok(int_to_bool(*x)),
             other => Err(InterpError::new(format!("expected bool, got {other:?}"))),
         }
     }
@@ -524,6 +577,17 @@ pub struct FnProfile {
     pub steps: u64,
 }
 
+/// A sequential innermost loop that runs as ordinary bytecode, and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoxedLoop {
+    /// Function containing the loop.
+    pub function: String,
+    /// Source name of the loop index.
+    pub var: String,
+    /// What in the body has no unboxed form.
+    pub reason: &'static str,
+}
+
 /// Execution profile of one interpreter run (see
 /// [`Interp::with_profiling`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -539,6 +603,22 @@ pub struct InterpProfile {
     /// is that nest's reference evaluator). A parallel kernel op also
     /// counts in `par_loops`/`par_iters` as the nest's outer loop would.
     pub kernel_calls: u64,
+    /// Innermost loops the VM tier ran unboxed ([`crate::scalar_loop`]):
+    /// entries that ran at least one iteration (always 0 in the tree
+    /// tier).
+    pub unboxed_loops: u64,
+    /// Iterations those entries completed.
+    pub unboxed_iters: u64,
+    /// Entries whose guard failed — a live-in slot not of its declared
+    /// type, a freed or retyped buffer, a failing hoisted operation — and
+    /// that the ordinary bytecode ran instead.
+    pub unboxed_declines: u64,
+    /// Entries that stopped at an iteration whose bounds or divisor check
+    /// failed and handed that iteration back to the ordinary bytecode.
+    pub unboxed_bails: u64,
+    /// Sequential innermost loops the VM tier did not translate, with the
+    /// reason (a compile-time fact: listed whether or not they ran).
+    pub boxed_loops: Vec<BoxedLoop>,
     /// High-water mark of live matrix bytes.
     pub peak_live_bytes: u64,
     /// Total interpreter steps (statements + loop iterations).
@@ -577,6 +657,10 @@ pub struct Interp<'p> {
     pub(crate) par_loops: AtomicU64,
     pub(crate) par_iters: AtomicU64,
     pub(crate) kernel_calls: AtomicU64,
+    pub(crate) unboxed_loops: AtomicU64,
+    pub(crate) unboxed_iters: AtomicU64,
+    pub(crate) unboxed_declines: AtomicU64,
+    pub(crate) unboxed_bails: AtomicU64,
     peak_live_bytes: AtomicU64,
     /// Process-default scheduling policy for parallel loops that don't
     /// pin one with a `schedule(...)` directive (`cmmc run --schedule`).
@@ -636,6 +720,10 @@ impl<'p> Interp<'p> {
             par_loops: AtomicU64::new(0),
             par_iters: AtomicU64::new(0),
             kernel_calls: AtomicU64::new(0),
+            unboxed_loops: AtomicU64::new(0),
+            unboxed_iters: AtomicU64::new(0),
+            unboxed_declines: AtomicU64::new(0),
+            unboxed_bails: AtomicU64::new(0),
             peak_live_bytes: AtomicU64::new(0),
             schedule: Schedule::Static,
             cost_probe: false,
@@ -738,6 +826,13 @@ impl<'p> Interp<'p> {
             par_loops: self.par_loops.load(Ordering::Relaxed),
             par_iters: self.par_iters.load(Ordering::Relaxed),
             kernel_calls: self.kernel_calls.load(Ordering::Relaxed),
+            unboxed_loops: self.unboxed_loops.load(Ordering::Relaxed),
+            unboxed_iters: self.unboxed_iters.load(Ordering::Relaxed),
+            unboxed_declines: self.unboxed_declines.load(Ordering::Relaxed),
+            unboxed_bails: self.unboxed_bails.load(Ordering::Relaxed),
+            boxed_loops: self.vm.as_ref().map_or_else(Vec::new, |vm| {
+                vm.boxed_loops(self.resolved.functions.iter().map(|f| f.name.as_str()))
+            }),
             peak_live_bytes: self.peak_live_bytes.load(Ordering::Relaxed),
             total_steps: self.steps_used(),
         }
@@ -1328,11 +1423,7 @@ impl<'p> Interp<'p> {
             RExpr::Undefined(n) => {
                 Err(InterpError::new(format!("undefined variable '{n}'")))
             }
-            RExpr::Neg(e) => match self.eval(e, frame)? {
-                Value::I(x) => Ok(Value::I(-x)),
-                Value::F(x) => Ok(Value::F(-x)),
-                other => Err(InterpError::new(format!("cannot negate {other:?}"))),
-            },
+            RExpr::Neg(e) => negate(&self.eval(e, frame)?),
             RExpr::Not(e) => Ok(Value::B(!self.eval(e, frame)?.as_b()?)),
             RExpr::Bin(op, a, b) => {
                 let va = self.eval(a, frame)?;
@@ -1361,12 +1452,7 @@ impl<'p> Interp<'p> {
                     .collect::<IResult<Vec<_>>>()?;
                 self.call_resolved(callee, vals)
             }
-            RExpr::CastInt(e) => match self.eval(e, frame)? {
-                Value::I(x) => Ok(Value::I(x)),
-                Value::F(x) => Ok(Value::I(x as i32)),
-                Value::B(x) => Ok(Value::I(i32::from(x))),
-                other => Err(InterpError::new(format!("cannot cast {other:?} to int"))),
-            },
+            RExpr::CastInt(e) => cast_int(&self.eval(e, frame)?),
             RExpr::CastFloat(e) => Ok(Value::F(self.eval(e, frame)?.as_f()?)),
             RExpr::Tuple(es) => {
                 let vals = es
@@ -1528,6 +1614,100 @@ pub(crate) fn default_value(ty: CType) -> Value {
     }
 }
 
+// Scalar rules that are more than one machine operation, each written
+// once: the tree tier, the VM's generic instructions and the typed ops of
+// the unboxed loops ([`crate::scalar_loop`]) all call these.
+
+/// Int `/`. A zero divisor and `INT_MIN / -1` (whose quotient is not an
+/// `int`) are runtime errors.
+#[inline]
+pub(crate) fn int_div(x: i32, y: i32) -> IResult<i32> {
+    x.checked_div(y).ok_or_else(|| division_error(y))
+}
+
+/// Int `%`: fails exactly when [`int_div`] does.
+#[inline]
+pub(crate) fn int_rem(x: i32, y: i32) -> IResult<i32> {
+    x.checked_rem(y).ok_or_else(|| division_error(y))
+}
+
+#[cold]
+fn division_error(divisor: i32) -> InterpError {
+    InterpError::new(if divisor == 0 {
+        "integer division by zero"
+    } else {
+        "integer division overflow"
+    })
+}
+
+/// Float `+ - * / %`. A NaN result is recomputed by the one compiled copy
+/// of [`float_arith_nan`]: which NaN an operation on two NaNs yields
+/// depends on the order the compiler hands the operands to the machine
+/// instruction (it may commute `+` and `*`), and inlined copies of this
+/// function need not agree on it. Every other result is the same whatever
+/// the order.
+#[inline]
+pub(crate) fn float_arith(op: IrBinOp, x: f32, y: f32) -> f32 {
+    let r = float_arith_raw(op, x, y);
+    if r.is_nan() {
+        float_arith_nan(op, x, y)
+    } else {
+        r
+    }
+}
+
+#[inline(always)]
+fn float_arith_raw(op: IrBinOp, x: f32, y: f32) -> f32 {
+    match op {
+        IrBinOp::Add => x + y,
+        IrBinOp::Sub => x - y,
+        IrBinOp::Mul => x * y,
+        IrBinOp::Div => x / y,
+        IrBinOp::Rem => x % y,
+        _ => unreachable!("{op:?} is not float arithmetic"),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn float_arith_nan(op: IrBinOp, x: f32, y: f32) -> f32 {
+    float_arith_raw(op, x, y)
+}
+
+/// `float` to `int`: truncation toward zero, saturating at the ends of
+/// the `int` range, NaN to 0.
+#[inline]
+pub(crate) fn float_to_int(x: f32) -> i32 {
+    x as i32
+}
+
+/// `int` where a `bool` is expected: nonzero is true.
+#[inline]
+pub(crate) fn int_to_bool(x: i32) -> bool {
+    x != 0
+}
+
+/// Unary `-`; wraps on `INT_MIN` like the binary int operators.
+#[inline]
+pub(crate) fn negate(v: &Value) -> IResult<Value> {
+    match v {
+        Value::I(x) => Ok(Value::I(x.wrapping_neg())),
+        Value::F(x) => Ok(Value::F(-x)),
+        other => Err(InterpError::new(format!("cannot negate {other:?}"))),
+    }
+}
+
+/// `(int) v`.
+#[inline]
+pub(crate) fn cast_int(v: &Value) -> IResult<Value> {
+    match v {
+        Value::I(x) => Ok(Value::I(*x)),
+        Value::F(x) => Ok(Value::I(float_to_int(*x))),
+        Value::B(x) => Ok(Value::I(i32::from(*x))),
+        other => Err(InterpError::new(format!("cannot cast {other:?} to int"))),
+    }
+}
+
 pub(crate) fn eval_bin(op: IrBinOp, a: &Value, b: &Value) -> IResult<Value> {
     use IrBinOp::*;
     // Numeric promotion: float if either side is float.
@@ -1535,27 +1715,15 @@ pub(crate) fn eval_bin(op: IrBinOp, a: &Value, b: &Value) -> IResult<Value> {
     match op {
         Add | Sub | Mul | Div | Rem => {
             if float {
-                let (x, y) = (a.as_f()?, b.as_f()?);
-                let r = match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => x / y,
-                    Rem => x % y,
-                    _ => unreachable!(),
-                };
-                Ok(Value::F(r))
+                Ok(Value::F(float_arith(op, a.as_f()?, b.as_f()?)))
             } else {
                 let (x, y) = (a.as_i()?, b.as_i()?);
-                if matches!(op, Div | Rem) && y == 0 {
-                    return Err(InterpError::new("integer division by zero"));
-                }
                 let r = match op {
                     Add => x.wrapping_add(y),
                     Sub => x.wrapping_sub(y),
                     Mul => x.wrapping_mul(y),
-                    Div => x / y,
-                    Rem => x % y,
+                    Div => int_div(x, y)?,
+                    Rem => int_rem(x, y)?,
                     _ => unreachable!(),
                 };
                 Ok(Value::I(r))

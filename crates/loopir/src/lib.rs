@@ -24,6 +24,7 @@ pub mod interp;
 mod ir;
 mod kernel;
 mod resolve;
+mod scalar_loop;
 pub mod snapshot;
 pub mod transform;
 mod vm;
@@ -31,8 +32,8 @@ mod vm;
 pub use cmmx::CmmxError;
 pub use emit::EmitError;
 pub use interp::{
-    BufHandle, FnProfile, Interp, InterpError, InterpErrorKind, InterpProfile, LimitKind, Limits,
-    LoopCost, Tier, Value,
+    BoxedLoop, BufHandle, FnProfile, Interp, InterpError, InterpErrorKind, InterpProfile,
+    LimitKind, Limits, LoopCost, Tier, Value,
 };
 pub use cmm_forkjoin::{
     schedule::DEFAULT_DYNAMIC_CHUNK, schedule::DEFAULT_GUIDED_MIN_CHUNK, ForkJoinPool, Schedule,

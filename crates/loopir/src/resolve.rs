@@ -159,6 +159,11 @@ pub(crate) struct RFunction {
     pub name: String,
     pub nparams: usize,
     pub nslots: usize,
+    /// Declared type of each slot (parameter and `Decl` types; loop
+    /// indices are `int`). A prediction, not a guarantee — a `Decl` stores
+    /// whatever its initializer evaluates to — so the VM's unboxed loops
+    /// ([`crate::scalar_loop`]) check it against the frame at entry.
+    pub slot_types: Vec<CType>,
     pub body: Vec<RStmt>,
 }
 
@@ -188,33 +193,35 @@ struct Resolver<'a> {
     by_name: &'a HashMap<String, usize>,
     /// Lexical scopes, innermost last; each maps a name to its slot.
     scopes: Vec<HashMap<String, u32>>,
-    nslots: u32,
+    /// Declared type of every slot allocated so far.
+    slot_types: Vec<CType>,
 }
 
 fn resolve_function(f: &IrFunction, by_name: &HashMap<String, usize>) -> RFunction {
     let mut r = Resolver {
         by_name,
         scopes: vec![HashMap::new()],
-        nslots: 0,
+        slot_types: Vec::new(),
     };
-    for (pname, _) in &f.params {
-        let slot = r.fresh(pname);
+    for (pname, ty) in &f.params {
+        let slot = r.fresh(pname, *ty);
         debug_assert!((slot as usize) < f.params.len());
     }
     let body = r.block(&f.body);
     RFunction {
         name: f.name.clone(),
         nparams: f.params.len(),
-        nslots: r.nslots as usize,
+        nslots: r.slot_types.len(),
+        slot_types: r.slot_types,
         body,
     }
 }
 
 impl Resolver<'_> {
     /// Allocate a fresh slot for a declaration in the current scope.
-    fn fresh(&mut self, name: &str) -> u32 {
-        let slot = self.nslots;
-        self.nslots += 1;
+    fn fresh(&mut self, name: &str, ty: CType) -> u32 {
+        let slot = self.slot_types.len() as u32;
+        self.slot_types.push(ty);
         self.scopes
             .last_mut()
             .expect("at least the function scope")
@@ -262,7 +269,7 @@ impl Resolver<'_> {
             IrStmt::Decl { ty, name, init } => {
                 // Initializer first: `int x = x + 1` reads the outer `x`.
                 let init = init.as_ref().map(|e| self.expr(e));
-                let slot = self.fresh(name);
+                let slot = self.fresh(name, *ty);
                 out.push(RStmt::Decl { slot, ty: *ty, init });
             }
             IrStmt::Assign { name, value } => out.push(RStmt::Assign {
@@ -280,9 +287,9 @@ impl Resolver<'_> {
                 // Slots below this watermark belong to enclosing scopes;
                 // any the body touches must be captured by parallel
                 // participants.
-                let outer_slots = self.nslots;
+                let outer_slots = self.slot_types.len() as u32;
                 self.scopes.push(HashMap::new());
-                let var = self.fresh(&f.var);
+                let var = self.fresh(&f.var, CType::Int);
                 let body = self.block(&f.body);
                 self.scopes.pop();
                 let captured = if f.parallel {

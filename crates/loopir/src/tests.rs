@@ -1758,6 +1758,40 @@ mod vm_tests {
         ]);
         assert!(assert_error_parity(&div0, 1).message.contains("division by zero"));
 
+        // `INT_MIN / -1` and `INT_MIN % -1` have no int result: the same
+        // typed error from the tree tier's `eval_bin` and the VM's int
+        // fast path ...
+        let int_min = i(i64::from(i32::MIN));
+        for op in [B::Div, B::Rem] {
+            let overflow = main_with(vec![
+                IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![i(1)])),
+                IrStmt::Expr(IrExpr::bin(op, int_min.clone(), i(-1))),
+            ]);
+            assert_eq!(assert_error_parity(&overflow, 1).message, "integer division overflow");
+            // ... and after a bail from an unboxed loop, at iteration 2.
+            let in_loop = main_with(vec![IrStmt::For(ForLoop {
+                schedule: None,
+                var: "x".into(),
+                lo: i(0),
+                hi: i(4),
+                body: vec![IrStmt::Decl {
+                    ty: CType::Int,
+                    name: "q".into(),
+                    init: Some(IrExpr::bin(op, int_min.clone(), IrExpr::bin(B::Sub, v("x"), i(3)))),
+                }],
+                parallel: false,
+                vector: false,
+            })]);
+            assert_eq!(assert_error_parity(&in_loop, 1).message, "integer division overflow");
+        }
+        // Unary minus wraps in both tiers (it used to panic debug builds).
+        let negated = main_with(vec![IrStmt::Expr(IrExpr::Builtin(
+            Builtin::PrintI32,
+            vec![IrExpr::Neg(Box::new(int_min))],
+        ))]);
+        assert_tiers_agree(&negated, 1);
+        assert_eq!(run_tier(&negated, 1, Tier::Vm).1, "-2147483648\n");
+
         // Negative and out-of-bounds indices.
         let neg = main_with(vec![
             IrStmt::Decl {

@@ -32,11 +32,21 @@
 //!
 //! ## Parallel regions
 //!
-//! `ParFor` mirrors the tree-walker's fork-join execution: participants
-//! claim chunks from a shared counter under the loop's schedule, each
-//! running the loop body's bytecode against a private frame seeded with
-//! the captured slots. `PoolMetrics` chunk accounting and the profiling
-//! counters are fed identically.
+//! `ParFor` runs on the driver the tree-walker uses
+//! (`Interp::run_parallel_loop`): the iteration range is self-scheduled
+//! over the pool's work-stealing deques under the loop's schedule, and
+//! each participant runs the loop body's bytecode against a private frame
+//! seeded with the captured slots. `PoolMetrics` chunk accounting and the
+//! profiling counters are fed identically.
+//!
+//! ## Unboxed loops
+//!
+//! A sequential loop whose body compiled to straight-line scalar bytecode
+//! also gets a typed program over unboxed registers, derived from that
+//! bytecode ([`crate::scalar_loop`]). [`Instr::ScalarLoop`] sits before
+//! the loop's `ForHead` and runs the iterations in its place; the bytecode
+//! stays, as the path taken when the operands are not as predicted and as
+//! the place a failing iteration is handed back to.
 //!
 //! ## Compile-once / execute-many
 //!
@@ -51,12 +61,13 @@ use std::sync::atomic::Ordering;
 use cmm_forkjoin::Schedule;
 
 use crate::interp::{
-    default_value, dim_of, eval_bin, lock_ignore_poison, Frame, IResult, Interp, InterpError,
-    Pending, Value,
+    cast_int, default_value, dim_of, eval_bin, int_div, int_rem, lock_ignore_poison, negate,
+    BoxedLoop, Frame, IResult, Interp, InterpError, Pending, Value,
 };
-use crate::ir::{Builtin, IrBinOp};
+use crate::ir::{Builtin, CType, IrBinOp};
 use crate::kernel::run_matmul;
 use crate::resolve::{RCallee, RExpr, RFor, RFunction, RMatMul, RProgram, RStmt, RTarget};
+use crate::scalar_loop::{self, ScalarLoop};
 
 /// Why a program cannot be lowered to bytecode (the interpreter falls
 /// back to the tree-walking tier when compilation reports one of these).
@@ -133,6 +144,12 @@ pub(crate) enum Instr {
     /// operands are not what the site describes ([`crate::kernel`]).
     /// Charges the nest's fuel itself.
     Kernel { id: u16, done: u32 },
+    /// Run the loop whose `ForHead` follows as `scalar_loops[id]` and jump
+    /// to `done`, past its `ForNext` — or fall through into the `ForHead`,
+    /// which runs the iterations the counter register says remain (all of
+    /// them after a decline, from the failing one on after a bail). Charges
+    /// the iterations it ran itself.
+    ScalarLoop { id: u16, done: u32 },
     /// Raise the prebuilt runtime error `msgs[msg]` (undefined
     /// variable/assignment/function — resolution keeps these lazy).
     Fail { msg: u16 },
@@ -183,12 +200,31 @@ pub(crate) struct VmFunction {
     pub spawns: Vec<SpawnData>,
     pub parfors: Vec<ParForData>,
     pub kernels: Vec<RMatMul>,
+    pub scalar_loops: Vec<ScalarLoop>,
+    /// Sequential innermost loops left boxed: index variable and reason.
+    pub boxed_loops: Vec<(String, &'static str)>,
 }
 
 /// A compiled program: pure data, shareable across runs.
 #[derive(Debug, Clone)]
 pub(crate) struct VmProgram {
     pub funcs: Vec<VmFunction>,
+}
+
+impl VmProgram {
+    /// Every loop left boxed, given the functions' names in order.
+    pub(crate) fn boxed_loops<'a>(&self, names: impl Iterator<Item = &'a str>) -> Vec<BoxedLoop> {
+        let per_fn = self.funcs.iter().zip(names);
+        per_fn
+            .flat_map(|(f, name)| {
+                f.boxed_loops.iter().map(move |(var, reason)| BoxedLoop {
+                    function: name.to_string(),
+                    var: var.clone(),
+                    reason,
+                })
+            })
+            .collect()
+    }
 }
 
 /// Lower a resolved program to bytecode.
@@ -203,7 +239,9 @@ pub(crate) fn compile(p: &RProgram) -> Result<VmProgram, VmLimit> {
 
 // --- lowering -----------------------------------------------------------
 
-struct FnCompiler {
+struct FnCompiler<'a> {
+    /// Declared slot types, for the unboxed loops' kind inference.
+    slot_types: &'a [CType],
     code: Vec<Instr>,
     consts: Vec<Value>,
     msgs: Vec<String>,
@@ -211,6 +249,8 @@ struct FnCompiler {
     spawns: Vec<SpawnData>,
     parfors: Vec<ParForData>,
     kernels: Vec<RMatMul>,
+    scalar_loops: Vec<ScalarLoop>,
+    boxed_loops: Vec<(String, &'static str)>,
     /// Next free register (watermark allocator: statements reset it,
     /// loop bounds hold theirs across the body).
     temp: usize,
@@ -226,6 +266,7 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
         return Err(VmLimit("too many frame slots"));
     }
     let mut c = FnCompiler {
+        slot_types: &f.slot_types,
         code: Vec::new(),
         consts: Vec::new(),
         msgs: Vec::new(),
@@ -233,6 +274,8 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
         spawns: Vec::new(),
         parfors: Vec::new(),
         kernels: Vec::new(),
+        scalar_loops: Vec::new(),
+        boxed_loops: Vec::new(),
         temp: f.nslots,
         max_reg: f.nslots,
         fuse_barrier: 0,
@@ -247,6 +290,8 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
         spawns: c.spawns,
         parfors: c.parfors,
         kernels: c.kernels,
+        scalar_loops: c.scalar_loops,
+        boxed_loops: c.boxed_loops,
     };
     vf.validate()?;
     Ok(vf)
@@ -260,7 +305,9 @@ impl VmFunction {
     /// stream. `Frame::slots` is always exactly `nregs` long
     /// (`call_function` resizes, `run_parfor` builds templates of that
     /// length), so a validated function's dispatch loop may use unchecked
-    /// register access. A violation here is a lowering bug; surfacing it
+    /// register access. The typed programs of the unboxed loops are held
+    /// to the same ([`ScalarLoop::validate`]). A violation here is a
+    /// lowering bug; surfacing it
     /// as a `VmLimit` makes the interpreter fall back to the tree tier
     /// instead of panicking (or worse).
     fn validate(&self) -> Result<(), VmLimit> {
@@ -365,6 +412,10 @@ impl VmFunction {
                         id(*k, self.kernels.len())?;
                         jump(*done)?;
                     }
+                    Instr::ScalarLoop { id: l, done } => {
+                        id(*l, self.scalar_loops.len())?;
+                        jump(*done)?;
+                    }
                     Instr::Fail { msg } => id(*msg, self.msgs.len())?,
                     Instr::Ret { src } => reg(*src)?,
                 }
@@ -385,6 +436,9 @@ impl VmFunction {
                 }
             }
         }
+        if !self.scalar_loops.iter().all(|lp| lp.validate(self.nregs)) {
+            return Err(BAD);
+        }
         Ok(())
     }
 }
@@ -404,7 +458,16 @@ fn is_simple(s: &RStmt) -> bool {
     )
 }
 
-impl FnCompiler {
+/// Whether no statement of `body`, at any depth, is itself a loop.
+fn is_innermost(body: &[RStmt]) -> bool {
+    body.iter().all(|s| match s {
+        RStmt::For(_) | RStmt::While { .. } | RStmt::Kernel { .. } => false,
+        RStmt::If { then_b, else_b, .. } => is_innermost(then_b) && is_innermost(else_b),
+        _ => true,
+    })
+}
+
+impl FnCompiler<'_> {
     fn emit(&mut self, i: Instr) -> usize {
         self.code.push(i);
         self.code.len() - 1
@@ -444,7 +507,7 @@ impl FnCompiler {
             | Instr::JumpIfFalse { to, .. }
             | Instr::JumpIfTrue { to, .. } => *to = here,
             Instr::ForHead { exit, .. } => *exit = here,
-            Instr::Kernel { done, .. } => *done = here,
+            Instr::Kernel { done, .. } | Instr::ScalarLoop { done, .. } => *done = here,
             other => unreachable!("patching non-jump {other:?}"),
         }
         self.fuse_barrier = self.code.len();
@@ -636,6 +699,11 @@ impl FnCompiler {
                 });
                 self.compile_block(&f.body)?;
                 self.emit(Instr::ForNext { counter, head: head as u32 });
+                // Unboxed, the `ScalarLoop` is at `head` and the `ForHead`
+                // after it; both leave the loop here.
+                if self.unbox_loop(f, head)? {
+                    self.patch_to_here(head + 1);
+                }
                 self.patch_to_here(head);
             }
             RStmt::Return(e) => match e {
@@ -650,6 +718,38 @@ impl FnCompiler {
             other => unreachable!("simple statement compiled as compound: {other:?}"),
         }
         Ok(())
+    }
+
+    /// Give the innermost loop just compiled (`ForHead` at `head`,
+    /// `ForNext` last) a typed program if its body has one, entered by a
+    /// `ScalarLoop` inserted before the `ForHead`; otherwise note why not.
+    /// (A loop around other loops is no candidate: its body branches.)
+    fn unbox_loop(&mut self, f: &RFor, head: usize) -> Result<bool, VmLimit> {
+        if !is_innermost(&f.body) {
+            return Ok(false);
+        }
+        let (for_head, rest) = self.code[head..].split_first().expect("the ForHead");
+        let (_, body) = rest.split_last().expect("the ForNext");
+        match scalar_loop::translate(for_head, body, &self.consts, self.slot_types) {
+            Ok(lp) => {
+                if self.scalar_loops.len() >= u16::MAX as usize {
+                    return Err(VmLimit("unboxed-loop table overflow"));
+                }
+                let id = self.scalar_loops.len() as u16;
+                self.scalar_loops.push(lp);
+                // A translated body is straight-line — nothing jumps into
+                // or out of it — so only the back-edge moves with it.
+                self.code.insert(head, Instr::ScalarLoop { id, done: 0 });
+                if let Some(Instr::ForNext { head: back, .. }) = self.code.last_mut() {
+                    *back += 1;
+                }
+                Ok(true)
+            }
+            Err(reason) => {
+                self.boxed_loops.push((f.name.clone(), reason));
+                Ok(false)
+            }
+        }
     }
 
     /// A kernel op costs no step of its own and is a branch: the kernel
@@ -1031,8 +1131,8 @@ fn exec_impl<const BATCH: bool>(
                         IrBinOp::Add => Value::I(x.wrapping_add(*y)),
                         IrBinOp::Sub => Value::I(x.wrapping_sub(*y)),
                         IrBinOp::Mul => Value::I(x.wrapping_mul(*y)),
-                        IrBinOp::Div if *y != 0 => Value::I(x / y),
-                        IrBinOp::Rem if *y != 0 => Value::I(x % y),
+                        IrBinOp::Div => Value::I(int_div(*x, *y)?),
+                        IrBinOp::Rem => Value::I(int_rem(*x, *y)?),
                         IrBinOp::Lt => Value::B(x < y),
                         IrBinOp::Le => Value::B(x <= y),
                         IrBinOp::Gt => Value::B(x > y),
@@ -1047,14 +1147,7 @@ fn exec_impl<const BATCH: bool>(
                 set!(dst, r);
             }
             Instr::Neg { dst, src } => {
-                let r = match reg!(src) {
-                    Value::I(x) => Value::I(-x),
-                    Value::F(x) => Value::F(-x),
-                    other => {
-                        return Err(InterpError::new(format!("cannot negate {other:?}")))
-                    }
-                };
-                set!(dst, r);
+                set!(dst, negate(reg!(src))?);
             }
             Instr::Not { dst, src } => {
                 let b = reg!(src).as_b()?;
@@ -1065,17 +1158,7 @@ fn exec_impl<const BATCH: bool>(
                 set!(dst, Value::I(i));
             }
             Instr::CastInt { dst, src } => {
-                let r = match reg!(src) {
-                    Value::I(x) => Value::I(*x),
-                    Value::F(x) => Value::I(*x as i32),
-                    Value::B(x) => Value::I(i32::from(*x)),
-                    other => {
-                        return Err(InterpError::new(format!(
-                            "cannot cast {other:?} to int"
-                        )))
-                    }
-                };
-                set!(dst, r);
+                set!(dst, cast_int(reg!(src))?);
             }
             Instr::CastFloat { dst, src } => {
                 let x = reg!(src).as_f()?;
@@ -1192,6 +1275,12 @@ fn exec_impl<const BATCH: bool>(
             Instr::Kernel { id, done } => {
                 let batch = if BATCH { Some(&mut *local) } else { None };
                 if run_matmul(interp, &f.kernels[*id as usize], frame, batch)? {
+                    pc = *done as usize;
+                }
+            }
+            Instr::ScalarLoop { id, done } => {
+                let batch = if BATCH { Some(&mut *local) } else { None };
+                if scalar_loop::run(interp, &f.scalar_loops[*id as usize], frame, batch)? {
                     pc = *done as usize;
                 }
             }

@@ -215,6 +215,33 @@ fn serves_run_compile_check_ping_stats_over_tcp() {
     assert_eq!(report.stats.codes[2], 1, "one bad request");
 }
 
+/// `INT_MIN / -1` is the tenant's program error (code 1, like division by
+/// zero), not a panic of the session (code 7, a compiler-bug report), and
+/// the daemon goes on answering.
+#[test]
+fn int_division_overflow_is_a_runtime_error_not_a_panic() {
+    let handle = start(ServeConfig::default()).expect("start");
+    let mut c = Client::connect(handle.local_addr());
+    for op in ["/", "%"] {
+        let v = c.roundtrip(&format!(
+            r#"{{"id": "o", "cmd": "run", "src": "int main() {{ int a = 0 - 2147483647 - 1; int b = 0 - 1; printInt(a {op} b); return 0; }}"}}"#
+        ));
+        assert_eq!(code(&v), 1, "a {op} b: {v:?}");
+        assert_eq!(v.get("status").unwrap().as_str(), Some("runtime"));
+        let error = v.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("integer division overflow"), "{error}");
+    }
+    let v = c.roundtrip(
+        r#"{"id": "after", "cmd": "run", "src": "int main() { printInt(6 * 7); return 0; }"}"#,
+    );
+    assert_eq!(code(&v), 0, "{v:?}");
+    assert_eq!(v.get("output").unwrap().as_str(), Some("42\n"));
+    let report = handle.shutdown();
+    assert!(report.clean);
+    assert_eq!(report.stats.codes[RespCode::Runtime as usize], 2);
+    assert_eq!(report.stats.codes[RespCode::Panic as usize], 0);
+}
+
 #[test]
 fn malformed_lines_get_bad_request_and_keep_the_connection() {
     let handle = start(ServeConfig::default()).expect("start");

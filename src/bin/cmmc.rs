@@ -226,7 +226,7 @@ fn fuzz_command(args: &[String]) -> ExitCode {
     let names: Vec<&str> = cfg.oracles.iter().map(|o| o.name()).collect();
     println!(
         "fuzz: seed {} · {} case(s) · oracles [{}] · comparisons: \
-         transform {}, schedule {}, limits {}, vm {}, tuned {}, gcc {}",
+         transform {}, schedule {}, limits {}, vm {} ({} entered an unboxed loop), tuned {}, gcc {}",
         cfg.seed,
         outcome.cases,
         names.join(", "),
@@ -234,6 +234,7 @@ fn fuzz_command(args: &[String]) -> ExitCode {
         outcome.counts.schedule,
         outcome.counts.limits,
         outcome.counts.vm,
+        outcome.counts.unboxed,
         outcome.counts.tuned,
         outcome.counts.gcc,
     );

@@ -160,6 +160,42 @@ fn runtime_error_is_one_line_with_exit_1() {
     std::fs::remove_file(path).ok();
 }
 
+/// `INT_MIN / -1` and `INT_MIN % -1` have no `int` result: a program error
+/// like division by zero, reported the same way by both tiers — not a
+/// panic of the interpreter (exit 101 and a backtrace).
+#[test]
+fn int_min_divided_by_minus_one_is_a_runtime_error_in_both_tiers() {
+    for op in ["/", "%"] {
+        let path = write_program(
+            &format!("divoverflow{}.xc", if op == "/" { "div" } else { "rem" }),
+            &format!(
+                "int main() {{ int a = 0 - 2147483647 - 1; int b = 0 - 1; printInt(a {op} b); return 0; }}"
+            ),
+        );
+        for tier in ["vm", "tree"] {
+            let out = cmmc().args(["run", &path, "--tier", tier]).output().expect("spawn cmmc");
+            assert_eq!(out.status.code(), Some(1), "{tier}: a {op} b exits with code 1");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                stderr, "cmmc: runtime error: integer division overflow\n",
+                "{tier}: a {op} b"
+            );
+        }
+        std::fs::remove_file(path).ok();
+    }
+    // Unary minus wraps, as the binary int operators do.
+    let path = write_program(
+        "negmin.xc",
+        "int main() { int a = 0 - 2147483647 - 1; printInt(-a); return 0; }",
+    );
+    for tier in ["vm", "tree"] {
+        let out = cmmc().args(["run", &path, "--tier", tier]).output().expect("spawn cmmc");
+        assert_eq!(out.status.code(), Some(0), "{tier}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "-2147483648\n", "{tier}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn usage_error_exits_2() {
     let out = cmmc()

@@ -215,3 +215,48 @@ fn kernel_calls_are_counted_per_tier() {
     assert_eq!(json_u64(&vm.to_json(), "kernel_calls"), 2);
     assert!(vm.render_table().contains("kernel calls                    2\n"));
 }
+
+/// Unboxed loops are visible the same way — four counters in the table
+/// and the JSON, zero in the tree tier — and a loop that stayed boxed
+/// says why, in the table.
+#[test]
+fn unboxed_loops_are_counted_and_boxed_loops_say_why() {
+    let _guard = RC_LOCK.lock().unwrap();
+    let src = "int twice(int x) { return x * 2; }
+int main() {
+    printInt(with ([0] <= [i] < [10]) fold(+, 0, i * i));
+    printInt(with ([0] <= [k] < [10]) fold(+, 0, twice(k)));
+    return 0;
+}";
+    let profile = |tier| {
+        let mut compiler = full_compiler();
+        compiler.tier = tier;
+        let (result, report) = compiler.run_profiled(src, 2, Limits::default()).expect("profiled run");
+        assert_eq!(result.output, "285\n90\n");
+        report
+    };
+    let vm = profile(cmm::loopir::Tier::Vm);
+    let tree = profile(cmm::loopir::Tier::Tree);
+    let (vi, ti) = (vm.interp.as_ref().unwrap(), tree.interp.as_ref().unwrap());
+    assert_eq!(
+        (vi.unboxed_loops, vi.unboxed_iters, vi.unboxed_declines, vi.unboxed_bails),
+        (1, 10, 0, 0)
+    );
+    assert_eq!((ti.unboxed_loops, ti.unboxed_iters), (0, 0));
+    assert_eq!(ti.boxed_loops, []);
+    assert_eq!(vi.total_steps, ti.total_steps);
+    let json = vm.to_json();
+    for (key, want) in [
+        ("unboxed_loops", 1),
+        ("unboxed_iters", 10),
+        ("unboxed_declines", 0),
+        ("unboxed_bails", 0),
+    ] {
+        assert_eq!(json_u64(&json, key), want, "{key}");
+    }
+    let table = vm.render_table();
+    assert!(table.contains("unboxed loops                   1\n"), "{table}");
+    assert!(table.contains("unboxed iterations             10\n"), "{table}");
+    assert!(table.contains("boxed main: loop k — body calls a user function\n"), "{table}");
+    assert!(!table.contains("loop i —"), "{table}");
+}
