@@ -427,6 +427,24 @@ impl Compiler {
         self.frontend_checked(src, None).map(|(ast, _)| ast)
     }
 
+    /// [`Compiler::frontend`] with the wall times of its three passes
+    /// (`parse`, `build`, `check`): what `cmmc check --profile` reports.
+    pub fn frontend_metered(
+        &self,
+        src: &str,
+    ) -> Result<(cmm_ast::Program, CompileMetrics), CompileError> {
+        let mut m = self.fresh_metrics();
+        let (ast, _) = self.frontend_checked(src, Some(&mut m))?;
+        Ok((ast, m))
+    }
+
+    fn fresh_metrics(&self) -> CompileMetrics {
+        CompileMetrics {
+            parser_cache: self.cache.stats(),
+            ..CompileMetrics::default()
+        }
+    }
+
     /// Front half of the pipeline, keeping the type information so the
     /// back half need not re-run the checker. When `metrics` is given,
     /// each pass is timed into it.
@@ -480,10 +498,27 @@ impl Compiler {
     /// emitter runs (output discarded) so the full pipeline of the paper
     /// — parse through emit — is accounted.
     pub fn compile_metered(&self, src: &str) -> Result<(IrProgram, CompileMetrics), CompileError> {
-        let mut m = CompileMetrics {
-            parser_cache: self.cache.stats(),
-            ..CompileMetrics::default()
-        };
+        let (ir, _, m) = self.translate_metered(src)?;
+        Ok((ir, m))
+    }
+
+    /// [`Compiler::compile_to_c`] with the six pass timings of
+    /// [`Compiler::compile_metered`] — the same one run of the emitter,
+    /// its output kept: what `cmmc emit --profile` reports.
+    pub fn compile_to_c_metered(
+        &self,
+        src: &str,
+    ) -> Result<(String, CompileMetrics), CompileError> {
+        let (_, c, m) = self.translate_metered(src)?;
+        Ok((c, m))
+    }
+
+    /// The metered pipeline, parse through emit: the IR and its C.
+    fn translate_metered(
+        &self,
+        src: &str,
+    ) -> Result<(IrProgram, String, CompileMetrics), CompileError> {
+        let mut m = self.fresh_metrics();
         let (ast, info) = self.frontend_checked(src, Some(&mut m))?;
         let t0 = Instant::now();
         let (ast, fusions) = if self.options.fuse_slice_index && has_fusable_slice_index(&ast) {
@@ -518,7 +553,7 @@ impl Compiler {
             items: c.len() as u64,
             unit: "bytes",
         });
-        Ok((ir, m))
+        Ok((ir, c, m))
     }
 
     /// Translate to plain parallel C — the paper's output artifact.

@@ -12,7 +12,7 @@
 //! consuming `cmmc run --metrics-json` should check it. The tag moves
 //! only when existing keys change meaning or shape; purely additive
 //! keys (the pool block's per-worker `steals` / `steal_failures`,
-//! added with the work-stealing scheduler; the interp block's four
+//! added with the work-stealing scheduler; the interp block's five
 //! `unboxed_*` counters) keep the tag.
 
 use std::fmt::Write as _;
@@ -183,10 +183,16 @@ impl ProfileReport {
             let _ = writeln!(out, "{:<22} {:>10}", "kernel calls", interp.kernel_calls);
             let _ = writeln!(out, "{:<22} {:>10}", "unboxed loops", interp.unboxed_loops);
             let _ = writeln!(out, "{:<22} {:>10}", "unboxed iterations", interp.unboxed_iters);
+            let _ = writeln!(out, "{:<22} {:>10}", "strip iterations", interp.unboxed_strip_iters);
+            let _ = writeln!(out, "{:<22} {:>10}", "full strips", interp.unboxed_full_strips);
             let _ = writeln!(out, "{:<22} {:>10}", "unboxed declines", interp.unboxed_declines);
             let _ = writeln!(out, "{:<22} {:>10}", "unboxed bails", interp.unboxed_bails);
             for l in &interp.boxed_loops {
                 let _ = writeln!(out, "boxed {}: loop {} — {}", l.function, l.var, l.reason);
+            }
+            for l in &interp.per_iteration_loops {
+                let (function, var, reason) = (&l.function, &l.var, l.reason);
+                let _ = writeln!(out, "per-iteration {function}: loop {var} — {reason}");
             }
             let _ = writeln!(
                 out,
@@ -270,6 +276,11 @@ impl ProfileReport {
                 let _ = writeln!(out, "    \"kernel_calls\": {},", interp.kernel_calls);
                 let _ = writeln!(out, "    \"unboxed_loops\": {},", interp.unboxed_loops);
                 let _ = writeln!(out, "    \"unboxed_iters\": {},", interp.unboxed_iters);
+                let _ = writeln!(
+                    out,
+                    "    \"unboxed_strip_iters\": {},",
+                    interp.unboxed_strip_iters
+                );
                 let _ = writeln!(out, "    \"unboxed_declines\": {},", interp.unboxed_declines);
                 let _ = writeln!(out, "    \"unboxed_bails\": {},", interp.unboxed_bails);
                 let _ = writeln!(out, "    \"peak_live_bytes\": {},", interp.peak_live_bytes);

@@ -20,8 +20,13 @@
 //!   so no NaN can arise and printing is identical across backends;
 //! * folds are `+` / `max` / `min` (never `*`), matching the backends'
 //!   sequential fold evaluation;
-//! * matrix extents are small literals tracked at generation time, so
-//!   every literal subscript and slice is in bounds;
+//! * matrix extents are literals tracked at generation time, so every
+//!   literal subscript and slice is in bounds. They are small (3–8), but
+//!   for one rank-1 matrix in about a tenth of the cases, whose extent is
+//!   around one or two strips of the VM's unboxed loops
+//!   ([`LONG_EXTENT`]) so that the `vm` oracle sees full strips and strip
+//!   boundaries; its int elements are `% 97`-reduced like every other, so
+//!   a fold over it stays below 2¹⁵, and it never enters a product;
 //! * `print*` calls appear only in sequential positions (helper
 //!   functions mapped or spawned in parallel are pure).
 
@@ -30,6 +35,7 @@ use cmm_ast::{
     BinOp, ElemKind, Expr, FoldKind, Function, IndexExpr, Stmt, TransformSpec, Type,
 };
 use cmm_lang::SurfaceBuiltin as Sb;
+use cmm_loopir::UNBOXED_STRIP as STRIP;
 use cmm_tune::search::{self, DirectiveRng};
 use proptest::test_runner::TestRng;
 
@@ -52,6 +58,10 @@ fn builtin(f: Sb, args: Vec<Expr>) -> Expr {
 
 /// Bound for scalar int variables: every assignment reduces `% 97`.
 const INT_MOD: i64 = 97;
+
+/// Extents of the one long vector a case may have: just under a full strip
+/// of an unboxed loop to a little over two.
+const LONG_EXTENT: (i64, i64) = (STRIP as i64 - 1, 2 * STRIP as i64 + 3);
 
 /// Render the case-`index` program of stream `seed` as source text.
 pub fn generate_source(seed: u64, index: u32) -> String {
@@ -83,6 +93,8 @@ struct Gen {
     bools: Vec<String>,
     /// Literal-valued size variables, never reassigned.
     sizes: Vec<(String, i64)>,
+    /// The case's next rank-1 matrix takes a [`LONG_EXTENT`].
+    long_vector: bool,
     mats: Vec<Mat>,
     has_map_helper: bool,
     has_tuple_helper: bool,
@@ -92,7 +104,12 @@ struct Gen {
 impl Gen {
     fn new(seed: u64, index: u32) -> Gen {
         let case_seed = seed ^ u64::from(index).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // Drawn from a stream of its own: the other nine tenths of the
+        // cases are the programs they were before long vectors existed.
+        let mut own = TestRng::with_seed(case_seed ^ 0x006c_6f6e_6776_6563);
+        let long_vector = own.next_u64() % 10 < 1;
         Gen {
+            long_vector,
             rng: TestRng::with_seed(case_seed),
             next: 0,
             ints: Vec::new(),
@@ -474,6 +491,19 @@ impl Gen {
         self.pick(&self.sizes.clone()).clone()
     }
 
+    /// The extent of a rank-1 matrix: [`Gen::some_size`], or the case's
+    /// long extent — a size variable of its own that no other matrix
+    /// shares, so the case stays quick in the tree tier.
+    fn vector_size(&mut self, out: &mut Vec<Stmt>) -> (String, i64) {
+        if !std::mem::take(&mut self.long_vector) {
+            return self.some_size(out);
+        }
+        let name = self.fresh("n");
+        let v = self.int_in(LONG_EXTENT.0, LONG_EXTENT.1);
+        out.push(b::decl(Type::Int, &name, b::int(v)));
+        (name, v)
+    }
+
     /// A size variable holding exactly `v`, minted (and declared onto
     /// `out`) when none is in scope.
     fn size_of_value(&mut self, v: i64, out: &mut Vec<Stmt>) -> (String, i64) {
@@ -489,7 +519,7 @@ impl Gen {
     /// `Matrix <elem> <1> v = with ([0] <= [i] < [n]) genarray([n], body);`
     fn stmt_genarray1(&mut self) -> Vec<Stmt> {
         let mut out = Vec::new();
-        let (nvar, nval) = self.some_size(&mut out);
+        let (nvar, nval) = self.vector_size(&mut out);
         let name = self.fresh("v");
         let iv = self.fresh("i");
         let float_elem = self.chance(55);
@@ -505,6 +535,12 @@ impl Gen {
         let with = b::with_genarray(gen, vec![b::var_ref(&nvar)], body);
         out.push(b::decl(Type::Matrix(elem, 1), &name, with));
         self.mats.push(Mat { name, elem, extents: vec![nval], derived: false });
+        if nval >= LONG_EXTENT.0 {
+            // Its fill is a one-deep parallel loop, which does not run
+            // unboxed; a `+` fold over it is a sequential loop with a
+            // straight-line body, which does.
+            out.extend(self.fold_over(self.mats.len() - 1, FoldKind::Add));
+        }
         out
     }
 
@@ -580,7 +616,7 @@ impl Gen {
     /// Rank-1 transformed with-assign (split / unroll / schedule).
     fn stmt_transformed1(&mut self) -> Vec<Stmt> {
         let mut out = Vec::new();
-        let (nvar, nval) = self.some_size(&mut out);
+        let (nvar, nval) = self.vector_size(&mut out);
         let name = self.fresh("v");
         let iv = self.fresh("i");
         let idxs = vec![iv.clone()];
@@ -595,6 +631,9 @@ impl Gen {
         out.push(b::decl(ty.clone(), &name, b::init_matrix(ty, vec![b::var_ref(&nvar)])));
         out.push(b::assign_transformed(b::lv_var(&name), with, transforms));
         self.mats.push(Mat { name, elem: ElemKind::Int, extents: vec![nval], derived: false });
+        if nval >= LONG_EXTENT.0 {
+            out.extend(self.fold_over(self.mats.len() - 1, FoldKind::Add));
+        }
         out
     }
 
@@ -650,11 +689,16 @@ impl Gen {
         let Some(mi) = self.pick_mat(|_| true) else {
             return self.stmt_genarray1();
         };
+        let kind = *self.pick(&[FoldKind::Add, FoldKind::Max, FoldKind::Min]);
+        self.fold_over(mi, kind)
+    }
+
+    /// [`Gen::stmt_fold`] of kind `kind` over matrix `mi`.
+    fn fold_over(&mut self, mi: usize, kind: FoldKind) -> Vec<Stmt> {
         let (name, elem, extents) = {
             let m = &self.mats[mi];
             (m.name.clone(), m.elem, m.extents.clone())
         };
-        let kind = *self.pick(&[FoldKind::Add, FoldKind::Max, FoldKind::Min]);
         let vars: Vec<String> = (0..extents.len()).map(|_| self.fresh("k")).collect();
         let var_refs: Vec<&str> = vars.iter().map(|s| s.as_str()).collect();
         let gen = b::generator(
@@ -1024,19 +1068,43 @@ mod tests {
     /// The generator's with-loops are the unboxed-loop executor's input
     /// (genarray fills, `fold(+|*)`, elementwise nests): the `vm` and
     /// `limits` oracles only test that executor on cases that enter it.
-    /// Measured: 478 of 500. The floor leaves room for generator changes
-    /// but not for a refactor that silently makes loops ineligible.
+    /// Measured: 479 of 500. The floor leaves room for generator changes
+    /// but not for a refactor that silently makes loops ineligible. Their
+    /// extents are 3–8, so only the long vectors run a strip to its full
+    /// width or cross from one strip into the next: measured 39 of 500.
     #[test]
-    fn most_cases_enter_an_unboxed_loop() {
+    fn most_cases_enter_an_unboxed_loop_and_some_run_a_full_strip() {
         let harness = crate::Harness::new().expect("harness");
-        let entered = (0..500)
-            .filter(|&case| {
-                harness
-                    .enters_unboxed_loop(&generate_source(42, case), false)
-                    .expect("generated programs run")
-            })
-            .count();
+        let (mut entered, mut full_strip) = (0, 0);
+        for case in 0..500 {
+            let reach = harness
+                .unboxed_reach(&generate_source(42, case), false)
+                .expect("generated programs run");
+            entered += u32::from(reach.0);
+            full_strip += u32::from(reach.1);
+        }
         assert!(entered >= 450, "only {entered} of seed 42's 500 cases enter an unboxed loop");
+        assert!(full_strip >= 30, "only {full_strip} of seed 42's 500 cases run a full strip");
+    }
+
+    /// A long vector is one matrix of a case, not a size other matrices
+    /// share: no case has two.
+    #[test]
+    fn a_case_has_at_most_one_long_extent() {
+        let long = |line: &&str| {
+            let declared = line.trim().strip_prefix("int n");
+            let literal = declared.and_then(|l| l.split_once(" = "));
+            let value = literal.and_then(|(_, v)| v.trim_end_matches(';').parse::<i64>().ok());
+            value.is_some_and(|v| v >= LONG_EXTENT.0)
+        };
+        let per_case = (0..500).map(|case| generate_source(42, case).lines().filter(long).count());
+        let counts: Vec<usize> = per_case.collect();
+        assert!(counts.iter().all(|&n| n <= 1), "{counts:?}");
+        let cases = counts.iter().filter(|&&n| n == 1).count();
+        assert!(
+            (25..=75).contains(&cases),
+            "{cases} of 500 cases have a long vector"
+        );
     }
 
     /// The `vm` oracle is the matmul kernel's differential test, so the

@@ -113,6 +113,10 @@ pub struct CheckCounts {
     /// `limits` oracles are the differential oracles of). A campaign in
     /// which this is not a clear majority no longer tests that executor.
     pub unboxed: u64,
+    /// Of those, the cases in which some strip of such a loop ran all its
+    /// lanes: the generator's long vectors (`generator::LONG_EXTENT`).
+    /// Zero means the campaign never saw a full strip or a strip boundary.
+    pub full_strip: u64,
     /// Tuned-oracle comparisons run (autotune + tuned re-run).
     pub tuned: u64,
     /// Gcc-oracle comparisons run (0 when gcc is absent).
@@ -127,6 +131,7 @@ impl CheckCounts {
         self.limits += o.limits;
         self.vm += o.vm;
         self.unboxed += o.unboxed;
+        self.full_strip += o.full_strip;
         self.tuned += o.tuned;
         self.gcc += o.gcc;
     }
@@ -301,7 +306,9 @@ impl Harness {
                 OracleKind::Vm => {
                     self.check_vm(src, &base, bounded)?;
                     counts.vm += 1;
-                    counts.unboxed += u64::from(self.enters_unboxed_loop(src, bounded)?);
+                    let (entered, full_strip) = self.unboxed_reach(src, bounded)?;
+                    counts.unboxed += u64::from(entered);
+                    counts.full_strip += u64::from(full_strip);
                 }
                 OracleKind::Tuned => {
                     self.check_tuned(src, &base, bounded)?;
@@ -453,10 +460,10 @@ impl Harness {
         Ok(())
     }
 
-    /// Whether a VM run of `src` enters an unboxed loop: a profiled run
-    /// (the counters are only kept under profiling) of a program the
-    /// baseline already ran.
-    pub fn enters_unboxed_loop(&self, src: &str, bounded: bool) -> Result<bool, Failure> {
+    /// Whether a VM run of `src` enters an unboxed loop, and whether it
+    /// runs a full strip of one: a profiled run (the counters are only kept
+    /// under profiling) of a program the baseline already ran.
+    pub fn unboxed_reach(&self, src: &str, bounded: bool) -> Result<(bool, bool), Failure> {
         let limits = if bounded { bounded_limits() } else { Limits::default() };
         let (_, report) = self
             .opt
@@ -465,7 +472,8 @@ impl Harness {
                 oracle: Some(OracleKind::Vm),
                 detail: format!("profiled VM run failed where the unprofiled one succeeded: {e}"),
             })?;
-        Ok(report.interp.is_some_and(|p| p.unboxed_loops > 0))
+        let profile = report.interp.unwrap_or_default();
+        Ok((profile.unboxed_loops > 0, profile.unboxed_full_strips > 0))
     }
 
     /// Autotune the program with a fixed seed and a small budget, then

@@ -161,23 +161,38 @@ fn validate_function(f: &IrFunction) -> Result<(), EmitError> {
     f.body.iter().try_for_each(|s| walk_stmt(s, &f.name))
 }
 
-/// C name of user function `name`. The runtime prelude owns the
-/// builtins' names and the `cmm_` prefix, so a user function spelled like
-/// either is emitted as `cmm_user_<name>` — injective, and no other user
-/// function can already have that name without being renamed itself.
-fn user_fn(name: &str) -> std::borrow::Cow<'_, str> {
-    if name.starts_with("cmm_") || Builtin::from_c_name(name).is_some() {
+/// C name of the user function or variable `name`. The runtime prelude
+/// owns the builtins' names and the `cmm_` prefix (as do the emitter's own
+/// temporaries), so a user name spelled like either is emitted as
+/// `cmm_user_<name>` — injective, and no other user name can already be
+/// that without being renamed itself. A variable needs it as much as a
+/// function: a parameter `dim` would shadow the prelude's `dim()` that the
+/// subscripts of its own function call.
+fn user_name(name: &str) -> std::borrow::Cow<'_, str> {
+    let owned = || name.starts_with("cmm_") || Builtin::from_c_name(name).is_some();
+    if may_be_prelude_name(name) && owned() {
         format!("cmm_user_{name}").into()
     } else {
         name.into()
     }
 }
 
+/// The initials of the prelude's names. Every variable reference is named
+/// through [`user_name`]; this keeps the scan of the builtin table off that
+/// path for the likes of `i`, `n` and `__m_3` (a test holds the list to the
+/// table).
+fn may_be_prelude_name(name: &str) -> bool {
+    matches!(
+        name.as_bytes().first(),
+        Some(b'a' | b'c' | b'd' | b'l' | b'p' | b'r' | b'w')
+    )
+}
+
 fn signature(f: &IrFunction) -> String {
     let params: Vec<String> = f
         .params
         .iter()
-        .map(|(n, t)| format!("{} {n}", t.c_name()))
+        .map(|(n, t)| format!("{} {}", t.c_name(), user_name(n)))
         .collect();
     let params = if params.is_empty() {
         "void".to_string()
@@ -188,10 +203,10 @@ fn signature(f: &IrFunction) -> String {
     if f.name == "main" {
         "int main(void)".to_string()
     } else if f.ret_tuple.is_some() {
-        let name = user_fn(&f.name);
+        let name = user_name(&f.name);
         format!("struct {name}_ret {name}({params})")
     } else {
-        format!("{} {}({params})", f.ret.c_name(), user_fn(&f.name))
+        format!("{} {}({params})", f.ret.c_name(), user_name(&f.name))
     }
 }
 
@@ -203,13 +218,14 @@ fn tuple_struct(f: &IrFunction) -> Option<String> {
         .enumerate()
         .map(|(i, t)| format!("{} _{i};", t.c_name()))
         .collect();
-    Some(format!("struct {}_ret {{ {} }};", user_fn(&f.name), fields.join(" ")))
+    let name = user_name(&f.name);
+    Some(format!("struct {name}_ret {{ {} }};", fields.join(" ")))
 }
 
 fn emit_function(f: &IrFunction, out: &mut String) {
     let _ = writeln!(out, "{} {{", signature(f));
     let mut ctx = EmitCtx {
-        ret_struct: f.ret_tuple.as_ref().map(|_| user_fn(&f.name).into_owned()),
+        ret_struct: (f.ret_tuple.as_ref()).map(|_| user_name(&f.name).into_owned()),
         ..EmitCtx::default()
     };
     for s in &f.body {
@@ -251,7 +267,7 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
             ind(level, out);
             match init {
                 Some(e) => {
-                    let _ = writeln!(out, "{} {name} = {};", ty.c_name(), expr(e));
+                    let _ = writeln!(out, "{} {} = {};", ty.c_name(), user_name(name), expr(e));
                 }
                 None => {
                     let zero = match ty {
@@ -260,13 +276,13 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
                         CType::Void => "",
                         _ => " = 0",
                     };
-                    let _ = writeln!(out, "{} {name}{zero};", ty.c_name());
+                    let _ = writeln!(out, "{} {}{zero};", ty.c_name(), user_name(name));
                 }
             }
         }
         IrStmt::Assign { name, value } => {
             ind(level, out);
-            let _ = writeln!(out, "{name} = {};", expr(value));
+            let _ = writeln!(out, "{} = {};", user_name(name), expr(value));
         }
         IrStmt::Store { elem, buf, idx, value } => {
             ind(level, out);
@@ -293,7 +309,7 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
                 "for (int {v} = {}; {v} < {}; {v}++) {{",
                 expr(&f.lo),
                 expr(&f.hi),
-                v = f.var
+                v = user_name(&f.var)
             );
             for s in &f.body {
                 emit_stmt(s, level + 1, ctx, out);
@@ -359,9 +375,9 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
             // Serial elision: a Cilk program run with the spawn treated as
             // a plain call is a legal schedule of the parallel program.
             let rendered: Vec<String> = args.iter().map(expr).collect();
-            let call = format!("{}({})", user_fn(func), rendered.join(", "));
+            let call = format!("{}({})", user_name(func), rendered.join(", "));
             ind(level, out);
-            match target {
+            match target.as_deref().map(user_name) {
                 Some(t) if *target_is_buf => {
                     let tmp = ctx.fresh("spawn");
                     let _ = writeln!(
@@ -389,10 +405,11 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
             };
             let tmp = ctx.fresh("tupret");
             ind(level, out);
-            let _ = writeln!(out, "struct {}_ret {tmp} = {};", user_fn(fname), expr(call));
+            let ret = user_name(fname);
+            let _ = writeln!(out, "struct {ret}_ret {tmp} = {};", expr(call));
             for (i, t) in targets.iter().enumerate() {
                 ind(level, out);
-                let _ = writeln!(out, "{t} = {tmp}._{i};");
+                let _ = writeln!(out, "{} = {tmp}._{i};", user_name(t));
             }
         }
         IrStmt::Comment(c) => {
@@ -451,7 +468,7 @@ fn expr(e: &IrExpr) -> String {
         }
         IrExpr::Bool(v) => if *v { "1" } else { "0" }.to_string(),
         IrExpr::Str(s) => format!("{s:?}"),
-        IrExpr::Var(n) => n.clone(),
+        IrExpr::Var(n) => user_name(n).into_owned(),
         IrExpr::Bin(op, a, b) => format!("({} {} {})", expr(a), op.c_symbol(), expr(b)),
         IrExpr::Neg(e) => format!("(-{})", expr(e)),
         IrExpr::Not(e) => format!("(!{})", expr(e)),
@@ -460,7 +477,7 @@ fn expr(e: &IrExpr) -> String {
         }
         IrExpr::Call(name, args) => {
             let rendered: Vec<String> = args.iter().map(expr).collect();
-            format!("{}({})", user_fn(name), rendered.join(", "))
+            format!("{}({})", user_name(name), rendered.join(", "))
         }
         IrExpr::Builtin(b, args) => {
             let mut rendered: Vec<String> = args.iter().map(expr).collect();
@@ -534,7 +551,7 @@ fn emit_scheduled_loop(f: &ForLoop, level: usize, ctx: &mut EmitCtx, out: &mut S
     ind(level + 3, out);
     let _ = writeln!(out, "for (long {k} = {c_lo}; {k} < {c_hi}; {k}++) {{");
     ind(level + 4, out);
-    let _ = writeln!(out, "int {v} = (int)({lo_v} + {k});", v = f.var);
+    let _ = writeln!(out, "int {v} = (int)({lo_v} + {k});", v = user_name(&f.var));
     for s in &f.body {
         emit_stmt(s, level + 4, ctx, out);
     }
@@ -574,10 +591,10 @@ fn emit_vector_stmt(s: &IrStmt, lane: &str, level: usize, ctx: &mut EmitCtx, out
             match init {
                 Some(e) => {
                     let v = vec_expr(e, lane, ctx, level, out);
-                    let _ = writeln!(out, "__m128 {name} = {v};");
+                    let _ = writeln!(out, "__m128 {} = {v};", user_name(name));
                 }
                 None => {
-                    let _ = writeln!(out, "__m128 {name} = _mm_setzero_ps();");
+                    let _ = writeln!(out, "__m128 {} = _mm_setzero_ps();", user_name(name));
                 }
             }
         }
@@ -586,21 +603,21 @@ fn emit_vector_stmt(s: &IrStmt, lane: &str, level: usize, ctx: &mut EmitCtx, out
             ind(level, out);
             match init {
                 Some(e) => {
-                    let _ = writeln!(out, "{} {name} = {};", ty.c_name(), expr(e));
+                    let _ = writeln!(out, "{} {} = {};", ty.c_name(), user_name(name), expr(e));
                 }
                 None => {
-                    let _ = writeln!(out, "{} {name} = 0;", ty.c_name());
+                    let _ = writeln!(out, "{} {} = 0;", ty.c_name(), user_name(name));
                 }
             }
         }
         IrStmt::Assign { name, value } if ctx.vector_vars.contains(name) => {
             let v = vec_expr(value, lane, ctx, level, out);
             ind(level, out);
-            let _ = writeln!(out, "{name} = {v};");
+            let _ = writeln!(out, "{} = {v};", user_name(name));
         }
         IrStmt::Assign { name, value } => {
             ind(level, out);
-            let _ = writeln!(out, "{name} = {};", expr(value));
+            let _ = writeln!(out, "{} = {};", user_name(name), expr(value));
         }
         IrStmt::Store {
             elem: Elem::F32,
@@ -663,7 +680,7 @@ fn emit_vector_stmt(s: &IrStmt, lane: &str, level: usize, ctx: &mut EmitCtx, out
                 "for (int {v} = {}; {v} < {}; {v}++) {{",
                 expr(&inner.lo),
                 expr(&inner.hi),
-                v = inner.var
+                v = user_name(&inner.var)
             );
             for s in &inner.body {
                 emit_vector_stmt(s, lane, level + 1, ctx, out);
@@ -692,7 +709,7 @@ fn emit_vector_stmt(s: &IrStmt, lane: &str, level: usize, ctx: &mut EmitCtx, out
 fn vec_expr(e: &IrExpr, lane: &str, ctx: &mut EmitCtx, level: usize, out: &mut String) -> String {
     match e {
         IrExpr::Float(_) | IrExpr::Int(_) => format!("_mm_set1_ps({})", scalar_as_float(e)),
-        IrExpr::Var(n) if ctx.vector_vars.contains(n) => n.clone(),
+        IrExpr::Var(n) if ctx.vector_vars.contains(n) => user_name(n).into_owned(),
         IrExpr::Var(n) if n == lane => "_mm_set_ps(3.0f, 2.0f, 1.0f, 0.0f)".to_string(),
         IrExpr::Var(_) => format!("_mm_set1_ps({})", scalar_as_float(e)),
         IrExpr::Bin(op, a, b) if matches!(op, IrBinOp::Add | IrBinOp::Sub | IrBinOp::Mul | IrBinOp::Div) => {

@@ -439,6 +439,13 @@ impl CellView<'_> {
         _buf: std::marker::PhantomData,
     };
 
+    /// Whether both views are of the same cells: two handles of one buffer
+    /// (a matrix passed under two names) share storage, two buffers never
+    /// do.
+    pub(crate) fn same_storage(&self, other: &CellView<'_>) -> bool {
+        std::ptr::eq(self.cells, other.cells)
+    }
+
     /// Bits of cell `idx`, `None` out of bounds. `idx` is the lowered
     /// `int` index sign-extended, so a negative one is out of bounds too.
     #[inline(always)]
@@ -609,6 +616,15 @@ pub struct InterpProfile {
     pub unboxed_loops: u64,
     /// Iterations those entries completed.
     pub unboxed_iters: u64,
+    /// Of those, the iterations that ran in strips — an operation at a time
+    /// over up to 128 consecutive iterations. The rest ran one iteration at
+    /// a time: entries of fewer than ten trips, entries whose body loads
+    /// from the storage it stores to, and the loops of
+    /// `per_iteration_loops`.
+    pub unboxed_strip_iters: u64,
+    /// Strips that ran all 128 lanes (`unboxed_strip_iters` ÷ 128 when
+    /// every loop is long; 0 when no entry reaches 128 trips).
+    pub unboxed_full_strips: u64,
     /// Entries whose guard failed — a live-in slot not of its declared
     /// type, a freed or retyped buffer, a failing hoisted operation — and
     /// that the ordinary bytecode ran instead.
@@ -619,6 +635,9 @@ pub struct InterpProfile {
     /// Sequential innermost loops the VM tier did not translate, with the
     /// reason (a compile-time fact: listed whether or not they ran).
     pub boxed_loops: Vec<BoxedLoop>,
+    /// Translated loops whose body has no strip plan, with the reason:
+    /// unboxed, but never in strips.
+    pub per_iteration_loops: Vec<BoxedLoop>,
     /// High-water mark of live matrix bytes.
     pub peak_live_bytes: u64,
     /// Total interpreter steps (statements + loop iterations).
@@ -659,6 +678,8 @@ pub struct Interp<'p> {
     pub(crate) kernel_calls: AtomicU64,
     pub(crate) unboxed_loops: AtomicU64,
     pub(crate) unboxed_iters: AtomicU64,
+    pub(crate) unboxed_strip_iters: AtomicU64,
+    pub(crate) unboxed_full_strips: AtomicU64,
     pub(crate) unboxed_declines: AtomicU64,
     pub(crate) unboxed_bails: AtomicU64,
     peak_live_bytes: AtomicU64,
@@ -722,6 +743,8 @@ impl<'p> Interp<'p> {
             kernel_calls: AtomicU64::new(0),
             unboxed_loops: AtomicU64::new(0),
             unboxed_iters: AtomicU64::new(0),
+            unboxed_strip_iters: AtomicU64::new(0),
+            unboxed_full_strips: AtomicU64::new(0),
             unboxed_declines: AtomicU64::new(0),
             unboxed_bails: AtomicU64::new(0),
             peak_live_bytes: AtomicU64::new(0),
@@ -821,6 +844,10 @@ impl<'p> Interp<'p> {
             })
             .collect();
         functions.sort_by(|a, b| b.steps.cmp(&a.steps).then_with(|| a.name.cmp(&b.name)));
+        let noted = |notes: fn(&crate::vm::VmFunction) -> &[crate::vm::LoopNote]| {
+            let names = self.resolved.functions.iter().map(|f| f.name.as_str());
+            (self.vm.as_ref()).map_or_else(Vec::new, |vm| vm.noted_loops(names, notes))
+        };
         InterpProfile {
             functions,
             par_loops: self.par_loops.load(Ordering::Relaxed),
@@ -828,11 +855,12 @@ impl<'p> Interp<'p> {
             kernel_calls: self.kernel_calls.load(Ordering::Relaxed),
             unboxed_loops: self.unboxed_loops.load(Ordering::Relaxed),
             unboxed_iters: self.unboxed_iters.load(Ordering::Relaxed),
+            unboxed_strip_iters: self.unboxed_strip_iters.load(Ordering::Relaxed),
+            unboxed_full_strips: self.unboxed_full_strips.load(Ordering::Relaxed),
             unboxed_declines: self.unboxed_declines.load(Ordering::Relaxed),
             unboxed_bails: self.unboxed_bails.load(Ordering::Relaxed),
-            boxed_loops: self.vm.as_ref().map_or_else(Vec::new, |vm| {
-                vm.boxed_loops(self.resolved.functions.iter().map(|f| f.name.as_str()))
-            }),
+            boxed_loops: noted(|f| &f.boxed_loops),
+            per_iteration_loops: noted(|f| &f.per_iteration_loops),
             peak_live_bytes: self.peak_live_bytes.load(Ordering::Relaxed),
             total_steps: self.steps_used(),
         }
@@ -1656,8 +1684,12 @@ pub(crate) fn float_arith(op: IrBinOp, x: f32, y: f32) -> f32 {
     }
 }
 
+/// The bare machine operation of [`float_arith`]. A NaN it yields is not
+/// the one the language defines: the strip walk of [`crate::scalar_loop`],
+/// the one caller outside this file, sends any strip that produced a NaN
+/// through [`float_arith`] again.
 #[inline(always)]
-fn float_arith_raw(op: IrBinOp, x: f32, y: f32) -> f32 {
+pub(crate) fn float_arith_raw(op: IrBinOp, x: f32, y: f32) -> f32 {
     match op {
         IrBinOp::Add => x + y,
         IrBinOp::Sub => x - y,

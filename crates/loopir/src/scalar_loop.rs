@@ -39,12 +39,60 @@
 //!   at the nest's cadence. A block the fuel budget cannot pay for is
 //!   un-charged and handed to the bytecode, which stops at exactly the
 //!   iteration the nest stops at.
+//!
+//! ## Strips
+//!
+//! Walked an iteration at a time ([`step`]) the typed program pays one
+//! dispatch, two register loads and a store per operation per iteration.
+//! The same program is therefore also walked an *operation* at a time, over
+//! a strip of up to [`STRIP`] consecutive iterations (the paper's `split j
+//! by 4, jin, jout` then `vectorize jin`, Fig 9 → 11, done by the
+//! executor): [`ScalarLoop::strip_plan`] partitions the body once into
+//!
+//! * **lane-parallel** operations, which depend on no loop-carried
+//!   register. Each runs over the whole strip before the next starts
+//!   ([`sweep`]), reading and writing one `[u32; STRIP]` row per register
+//!   — the index row holds `t, t+1, …`, a loop-invariant operand is
+//!   broadcast into its row once per entry — in a loop the compiler can
+//!   vectorise;
+//! * the **carried chain** (`acc = acc + x` and whatever depends on it),
+//!   which runs afterwards, lane by lane in iteration order: a fold's
+//!   single accumulate as a tight loop of its own, anything longer through
+//!   [`step`].
+//!
+//! Every value is produced by the same scalar operation on the same
+//! operands in the same order as before; only dispatch is amortised. The
+//! body is stored lane-parallel operations first (they read nothing the
+//! chain writes, and every register is written once, so [`step`] computes
+//! the same either way): one program, two walks.
+//!
+//! A check failing in lane `k` truncates the strip to `k` lanes for every
+//! later operation and for the chain. Lanes beyond `k` of *earlier*
+//! operations have only read buffers and written rows, and the store is
+//! the last checked operation, so by the time anything is stored `k` is
+//! final: frame and buffers are what the bytecode has at the top of
+//! iteration `t + k`, which is the bail contract. A float operation whose
+//! strip produced a NaN runs again through [`float_arith`], so NaN bits
+//! still come from its one compiled copy. Int `/` and `%` by a
+//! loop-invariant divisor `d`, `|d| ≥ 2`, multiply and shift ([`Magic`]);
+//! 0, 1 and -1 take the checked per-lane path (0 completes no lane, and the
+//! bytecode raises its error).
+//!
+//! A body has no plan — [`step`] runs it as before, and `--profile` says
+//! why — when a checked operation sits on the carried chain (a failing lane
+//! could not be known before the chain ran) or a lane-parallel operation
+//! writes a carried register. An entry runs per iteration when it has
+//! fewer than [`SHORT_ENTRY`] trips (filling rows costs more than it saves)
+//! or when the body loads from the storage it stores to (a strip would load
+//! lanes `k+1…` before lane `k` stored; compared by cells, so one buffer
+//! passed under two names counts).
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::interp::{
-    float_arith, float_to_int, int_div, int_rem, int_to_bool, CellView, Frame, IResult, Interp,
-    LimitKind, Value,
+    float_arith, float_arith_raw, float_to_int, int_div, int_rem, int_to_bool, CellView, Frame,
+    IResult, Interp, LimitKind, Value,
 };
 use crate::ir::{CType, Elem, IrBinOp};
 use crate::vm::Instr;
@@ -56,6 +104,45 @@ const MAX_REGS: usize = 256;
 const MAX_BUFS: usize = 16;
 /// Iterations charged ahead of running them when charges are metered.
 const BLOCK: i32 = 1024;
+/// Iterations one strip of an unboxed loop covers (exported as
+/// `UNBOXED_STRIP` so that tests and the fuzz generator can size loops
+/// around it). A row is 512 bytes, so the rows of a ten-register body stay
+/// in L1; EXPERIMENTS.md E-K3 has the sweep.
+pub const STRIP: usize = 128;
+/// An entry of fewer trips than this runs per iteration: filling the index
+/// row, broadcasting and one sweep call per operation cost ≈30 ns an entry,
+/// which a four-operation body needs ten iterations to repay (E-K3's trip
+/// table; a richer body breaks even sooner, at five or six).
+const SHORT_ENTRY: u64 = 10;
+
+/// The values one register takes across a strip, by lane.
+type Row = [u32; STRIP];
+
+/// A set of unboxed registers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RegSet([u64; MAX_REGS / 64]);
+
+impl RegSet {
+    fn insert(&mut self, r: u8) {
+        self.0[r as usize / 64] |= 1 << (r % 64);
+    }
+
+    fn contains(&self, r: u8) -> bool {
+        self.0[r as usize / 64] >> (r % 64) & 1 == 1
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(word, &members)| {
+            let mut left = members;
+            std::iter::from_fn(move || {
+                let r = (left != 0).then(|| word * 64 + left.trailing_zeros() as usize)?;
+                left &= left - 1;
+                Some(r)
+            })
+        })
+    }
+}
 
 /// What the 32 bits of an unboxed register mean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,6 +255,19 @@ impl Code {
             Code::Mov | Code::INeg | Code::FNeg | Code::Not | Code::IntToFloat | Code::FloatToInt
         )
     }
+
+    /// The [`float_arith`] operation of the five codes that are one.
+    #[inline(always)]
+    fn float_op(self) -> IrBinOp {
+        match self {
+            Code::FAdd => IrBinOp::Add,
+            Code::FSub => IrBinOp::Sub,
+            Code::FMul => IrBinOp::Mul,
+            Code::FDiv => IrBinOp::Div,
+            Code::FRem => IrBinOp::Rem,
+            other => unreachable!("{other:?} is not float arithmetic"),
+        }
+    }
 }
 
 /// One typed operation: `d` is the destination register (the stored value
@@ -238,6 +338,26 @@ pub(crate) struct ScalarLoop {
     /// The live-in slots among them, by the register that holds their
     /// top-of-iteration value: boxed back when the bytecode takes over.
     carried: Vec<Slot>,
+    /// How `body` runs in strips, or why it only runs per iteration.
+    plan: Result<Plan, Reason>,
+}
+
+/// How a body runs in strips (module docs, "Strips"). Held inline: a file
+/// of a few hundred functions translates thousands of loops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Plan {
+    /// `body[..par]` are the lane-parallel operations, the rest is the
+    /// carried chain; both in program order.
+    par: u16,
+    /// The chain is one `acc = acc ⊕ x` with `x` lane-varying.
+    fold: bool,
+    /// Loop-invariant registers the lane-parallel operations read:
+    /// broadcast into their rows once per entry.
+    broadcast: RegSet,
+    /// The buffer operand stored to and (one bit each) those loaded from:
+    /// an entry where they share cells runs per iteration.
+    stored: Option<u8>,
+    loaded: u16,
 }
 
 // --- translation ----------------------------------------------------------
@@ -247,6 +367,9 @@ type Reason = &'static str;
 
 const NO_UNBOXED_FORM: Reason = "operand types have no unboxed form";
 const BRANCH: Reason = "branch in body";
+/// Why a translated body has no strip plan.
+const CHECKED_ON_CHAIN: Reason = "checked operation depends on a loop-carried value";
+const CARRIED_OVERWRITTEN: Reason = "loop-carried slot assigned a value that does not depend on it";
 
 /// The unboxed register currently standing for a bytecode register.
 #[derive(Debug, Clone, Copy)]
@@ -321,6 +444,7 @@ pub(crate) fn translate(
             body: Vec::with_capacity(body.len()),
             written: Vec::new(),
             carried: Vec::new(),
+            plan: Err("not planned"),
         },
     };
     t.lp.var = t.define(var, Kind::Int, false)?;
@@ -650,6 +774,7 @@ impl Translator<'_> {
             .filter(|b| (b.reg as usize) < nslots && self.writes.contains(&b.reg))
             .map(Binding::slot)
             .collect();
+        self.lp.plan = self.lp.strip_plan();
         Ok(self.lp)
     }
 
@@ -691,6 +816,86 @@ impl Translator<'_> {
 }
 
 impl ScalarLoop {
+    /// Partition `body` for the strip walk (module docs, "Strips"), moving
+    /// the lane-parallel operations ahead of the carried chain. Every
+    /// register but a carried slot's entry register is written by one
+    /// operation, and a lane-parallel operation reads nothing the chain
+    /// writes, so the reordered body computes what the original does; a
+    /// body with no plan is left as it is.
+    fn strip_plan(&mut self) -> Result<Plan, Reason> {
+        let mut carried = RegSet::default();
+        for s in &self.carried {
+            carried.insert(s.treg);
+        }
+        // Registers whose value depends on a carried one, and registers
+        // with a value per lane.
+        let mut on_chain = carried;
+        let mut varying = RegSet::default();
+        varying.insert(self.var);
+        let mut plan = Plan {
+            par: 0,
+            fold: false,
+            broadcast: RegSet::default(),
+            stored: None,
+            loaded: 0,
+        };
+        let mut body = Vec::with_capacity(self.body.len());
+        for &op in &self.body {
+            if op.sources().any(|s| on_chain.contains(s)) {
+                if op.code.checked() {
+                    return Err(CHECKED_ON_CHAIN);
+                }
+                on_chain.insert(op.d);
+                body.push(op);
+                continue;
+            }
+            for s in op.sources().filter(|&s| !varying.contains(s)) {
+                plan.broadcast.insert(s);
+            }
+            if op.code == Code::Store {
+                plan.stored = Some(op.a);
+            } else if carried.contains(op.d) {
+                return Err(CARRIED_OVERWRITTEN);
+            } else {
+                if matches!(op.code, Code::Load | Code::LoadBool) {
+                    plan.loaded |= 1 << op.a;
+                }
+                varying.insert(op.d);
+            }
+            body.insert(plan.par as usize, op);
+            plan.par += 1;
+        }
+        plan.fold = matches!(
+            body[plan.par as usize..],
+            [op] if !op.code.unary() && op.d == op.a && varying.contains(op.b)
+        );
+        self.body = body;
+        Ok(plan)
+    }
+
+    /// Why the loop only ever runs per iteration, if it has no strip plan.
+    pub(crate) fn per_iteration_reason(&self) -> Option<Reason> {
+        self.plan.err()
+    }
+
+    /// What the strip walk relies on beyond [`ScalarLoop::validate`]'s
+    /// operand ranges: the split is inside the body, a lane-parallel
+    /// operation's destination row is none of its source rows, nothing on
+    /// the chain can fail, and a fold is one in-place binary operation.
+    fn plan_is_well_formed(&self) -> bool {
+        let Ok(plan) = &self.plan else {
+            return true;
+        };
+        let Some((par, chain)) = self.body.split_at_checked(plan.par as usize) else {
+            return false;
+        };
+        par.iter()
+            .all(|op| op.code == Code::Store || op.sources().all(|s| s != op.d))
+            && chain.iter().all(|op| !op.code.checked())
+            && (!plan.fold || matches!(chain, [op] if !op.code.unary() && op.d == op.a))
+            && plan.stored.is_none_or(|s| (s as usize) < self.bufs.len())
+    }
+
     /// The bytecode well-formedness check for the typed program (see
     /// `VmFunction::validate`): every frame register is below `nregs`,
     /// every unboxed register below the count in use, every buffer operand
@@ -724,6 +929,7 @@ impl ScalarLoop {
             && tregs.into_iter().all(|r| (r as usize) < self.nregs)
             && bufs.into_iter().all(|b| (b as usize) < self.bufs.len())
             && self.body.iter().all(|op| op.code != Code::Dim)
+            && self.plan_is_well_formed()
     }
 }
 
@@ -746,6 +952,58 @@ impl Operand<'_> {
 type Regs = [u32; MAX_REGS];
 type Operands<'a> = [Operand<'a>; MAX_BUFS];
 
+/// The cell an `int` index names: a negative one sign-extends to one past
+/// any length.
+#[inline(always)]
+fn cell_of(index: u32) -> usize {
+    index as i32 as isize as usize
+}
+
+/// One operation, on register bits: `x` and `y` are its operand registers
+/// (`y` the index of a buffer operation on `buf`, `x` then unused),
+/// `stored` the value a `Store` writes (and yields). `None`: its check
+/// failed, nothing was written. [`step`] and the strip walk both compute
+/// through this, so a value does not depend on which of them produced it.
+#[inline(always)]
+fn apply(code: Code, x: u32, y: u32, stored: u32, buf: &Operand<'_>) -> Option<u32> {
+    let (xi, yi) = (x as i32, y as i32);
+    let (xf, yf) = (f32::from_bits(x), f32::from_bits(y));
+    Some(match code {
+        Code::Mov => x,
+        Code::IAdd => x.wrapping_add(y),
+        Code::ISub => x.wrapping_sub(y),
+        Code::IMul => x.wrapping_mul(y),
+        Code::IDiv => int_div(xi, yi).ok()? as u32,
+        Code::IRem => int_rem(xi, yi).ok()? as u32,
+        Code::ILt => u32::from(xi < yi),
+        Code::ILe => u32::from(xi <= yi),
+        Code::IEq => u32::from(x == y),
+        Code::INe => u32::from(x != y),
+        Code::INeg => x.wrapping_neg(),
+        Code::FAdd | Code::FSub | Code::FMul | Code::FDiv | Code::FRem => {
+            float_arith(code.float_op(), xf, yf).to_bits()
+        }
+        Code::FLt => u32::from(xf < yf),
+        Code::FLe => u32::from(xf <= yf),
+        Code::FEq => u32::from(xf == yf),
+        Code::FNe => u32::from(xf != yf),
+        Code::FNeg => (-xf).to_bits(),
+        Code::Not => u32::from(!int_to_bool(xi)),
+        Code::IntToFloat => (xi as f32).to_bits(),
+        Code::FloatToInt => float_to_int(xf) as u32,
+        Code::Load => buf.cells.read(cell_of(y))?,
+        Code::LoadBool => u32::from(int_to_bool(buf.cells.read(cell_of(y))? as i32)),
+        Code::Store => {
+            if !buf.cells.write(cell_of(y), stored) {
+                return None;
+            }
+            stored
+        }
+        // `dim_of`: a negative dimension wraps out of range.
+        Code::Dim => *buf.dims.get(yi as usize)? as i32 as u32,
+    })
+}
+
 /// Run `ops` once. `false` means a check failed at some operation: the
 /// registers written so far keep their values, no later operation ran.
 #[inline(always)]
@@ -754,68 +1012,300 @@ fn step(ops: &[Op], regs: &mut Regs, bufs: &Operands<'_>) -> bool {
         let (d, a, b) = (op.d as usize, op.a as usize, op.b as usize);
         // For a unary operation `b` is 0 and for a buffer operation `a` is
         // a table index: the register read either way is just not used.
-        let (x, y) = (regs[a], regs[b]);
-        let (xi, yi) = (x as i32, y as i32);
-        let (xf, yf) = (f32::from_bits(x), f32::from_bits(y));
         // `validate` put every buffer operand inside the table; the
         // remainder only lets the compiler see it.
-        let buf = &bufs[a % MAX_BUFS];
-        // A negative index sign-extends to one past any length.
-        let cell = yi as isize as usize;
-        regs[d] = match op.code {
-            Code::Mov => x,
-            Code::IAdd => x.wrapping_add(y),
-            Code::ISub => x.wrapping_sub(y),
-            Code::IMul => x.wrapping_mul(y),
-            Code::IDiv => match int_div(xi, yi) {
-                Ok(q) => q as u32,
-                Err(_) => return false,
-            },
-            Code::IRem => match int_rem(xi, yi) {
-                Ok(r) => r as u32,
-                Err(_) => return false,
-            },
-            Code::ILt => u32::from(xi < yi),
-            Code::ILe => u32::from(xi <= yi),
-            Code::IEq => u32::from(x == y),
-            Code::INe => u32::from(x != y),
-            Code::INeg => x.wrapping_neg(),
-            Code::FAdd => float_arith(IrBinOp::Add, xf, yf).to_bits(),
-            Code::FSub => float_arith(IrBinOp::Sub, xf, yf).to_bits(),
-            Code::FMul => float_arith(IrBinOp::Mul, xf, yf).to_bits(),
-            Code::FDiv => float_arith(IrBinOp::Div, xf, yf).to_bits(),
-            Code::FRem => float_arith(IrBinOp::Rem, xf, yf).to_bits(),
-            Code::FLt => u32::from(xf < yf),
-            Code::FLe => u32::from(xf <= yf),
-            Code::FEq => u32::from(xf == yf),
-            Code::FNe => u32::from(xf != yf),
-            Code::FNeg => (-xf).to_bits(),
-            Code::Not => u32::from(!int_to_bool(xi)),
-            Code::IntToFloat => (xi as f32).to_bits(),
-            Code::FloatToInt => float_to_int(xf) as u32,
-            Code::Load | Code::LoadBool => match buf.cells.read(cell) {
-                Some(bits) if op.code == Code::Load => bits,
-                Some(bits) => u32::from(int_to_bool(bits as i32)),
-                None => return false,
-            },
-            Code::Store => {
-                if !buf.cells.write(cell, regs[d]) {
-                    return false;
-                }
-                continue;
-            }
-            // `dim_of`: a negative dimension wraps out of range.
-            Code::Dim => match buf.dims.get(yi as usize) {
-                Some(&dim) => dim as i32 as u32,
-                None => return false,
-            },
+        let Some(bits) = apply(op.code, regs[a], regs[b], regs[d], &bufs[a % MAX_BUFS]) else {
+            return false;
         };
+        regs[d] = bits;
     }
     true
 }
 
-/// Run iterations `from..to`; returns the first that did not complete
-/// (`to` when all did).
+// --- strips -------------------------------------------------------------------
+
+/// `$run(Code::C)` for the `C` among the listed codes that `$code` is:
+/// `$run`, a closure over an `#[inline(always)]` loop, sees a constant, so
+/// the [`apply`] in that loop is one operation and, where that operation
+/// has no check, the loop one the compiler can vectorise.
+macro_rules! per_code {
+    ($code:expr, [$($c:ident)*], $run:expr) => {
+        match $code {
+            $(Code::$c => ($run)(Code::$c),)*
+            other => unreachable!("{other:?} is not one of this walk's operations"),
+        }
+    };
+}
+
+/// `rd[k] = code(ra[k], rb[k])` up the lanes until a check fails; returns
+/// the lanes completed.
+#[inline(always)]
+fn lanes(code: Code, rd: &mut [u32], ra: &[u32], rb: &[u32], buf: &Operand<'_>) -> usize {
+    for (k, ((d, &x), &y)) in rd.iter_mut().zip(ra).zip(rb).enumerate() {
+        match apply(code, x, y, 0, buf) {
+            Some(bits) => *d = bits,
+            None => return k,
+        }
+    }
+    rd.len()
+}
+
+/// Float arithmetic over a strip: the bare operation, and — which NaN it
+/// yields being the one thing that may differ between compiled copies —
+/// the whole strip again through [`float_arith`] if any lane produced one.
+#[inline(always)]
+fn float_lanes(code: Code, rd: &mut [u32], ra: &[u32], rb: &[u32]) -> usize {
+    let mut nan = false;
+    for ((d, &x), &y) in rd.iter_mut().zip(ra).zip(rb) {
+        let r = float_arith_raw(code.float_op(), f32::from_bits(x), f32::from_bits(y));
+        nan |= r.is_nan();
+        *d = r.to_bits();
+    }
+    if nan {
+        lanes(code, rd, ra, rb, &Operand::NONE);
+    }
+    rd.len()
+}
+
+/// `acc = acc ⊕ x` down the lanes of `xs`, in iteration order.
+#[inline(always)]
+fn fold_lanes(code: Code, acc: &mut u32, xs: &[u32]) {
+    let mut folded = *acc;
+    for &x in xs {
+        folded = apply(code, folded, x, 0, &Operand::NONE).expect("a fold is unchecked");
+    }
+    *acc = folded;
+}
+
+/// Truncating `int` division by a divisor `d` with `|d| ≥ 2` as a multiply
+/// and a shift (Hacker's Delight §10; Granlund and Montgomery's round-up
+/// multiplier). With `l = ⌈log₂|d|⌉` and `m = ⌊2^(31+l) / |d|⌋ + 1`,
+/// `m·|d|` exceeds `2^(31+l)` by at most `2^l`, so for every `int` `x` the
+/// product `x·m / 2^(31+l)` lies away from zero of `x / |d|` by at most
+/// `1 / |d|` (by less for `x ≥ 0`): its floor is the truncated quotient
+/// for `x ≥ 0` and one below it for `x < 0`. `m ≤ 2^32` and `|x| ≤ 2^31`,
+/// so the product fits an `i64`.
+#[derive(Debug, Clone, Copy)]
+struct Magic {
+    mul: i64,
+    shift: u32,
+    /// The divisor, and its sign as a mask (0 or -1).
+    d: i32,
+    sign: i32,
+}
+
+impl Magic {
+    /// `None` for 0, 1 and -1: [`int_div`] decides those, lane by lane.
+    fn new(d: i32) -> Option<Magic> {
+        let magnitude = d.unsigned_abs();
+        if magnitude < 2 {
+            return None;
+        }
+        let shift = 31 + (32 - (magnitude - 1).leading_zeros());
+        Some(Magic {
+            mul: ((1u64 << shift) / u64::from(magnitude)) as i64 + 1,
+            shift,
+            d,
+            sign: d >> 31,
+        })
+    }
+
+    /// `int_div(x, d)`, which cannot fail for this `d`.
+    #[inline(always)]
+    fn div(self, x: i32) -> i32 {
+        let q = ((i64::from(x) * self.mul) >> self.shift) as i32 + i32::from(x < 0);
+        // Negated for a negative divisor.
+        (q ^ self.sign).wrapping_sub(self.sign)
+    }
+
+    /// `int_rem(x, d)`.
+    #[inline(always)]
+    fn rem(self, x: i32) -> i32 {
+        x.wrapping_sub(self.div(x).wrapping_mul(self.d))
+    }
+}
+
+/// Int `/` (`IDiv`) or `%` (`IRem`) by the one divisor every lane has.
+#[inline(always)]
+fn magic_lanes(code: Code, magic: Magic, rd: &mut [u32], rx: &[u32]) -> usize {
+    for (d, &x) in rd.iter_mut().zip(rx) {
+        *d = match code {
+            Code::IDiv => magic.div(x as i32),
+            _ => magic.rem(x as i32),
+        } as u32;
+    }
+    rd.len()
+}
+
+const DISJOINT: &str = "validated: a lane-parallel destination is none of its sources";
+
+/// Run the lane-parallel `op` over lanes `..n` of its rows. Returns the
+/// lanes completed: `k < n` when lane `k`'s check failed, lanes from `k` on
+/// then being unspecified in the destination row.
+fn sweep(op: Op, plan: &Plan, rows: &mut [Row], n: usize, bufs: &Operands<'_>) -> usize {
+    let (d, a, b) = (op.d as usize, op.a as usize, op.b as usize);
+    let buf = &bufs[a % MAX_BUFS];
+    if op.code == Code::Store {
+        let (value, index) = (&rows[d][..n], &rows[b][..n]);
+        let stored = |(&v, &i)| apply(Code::Store, 0, i, v, buf).is_some();
+        return value
+            .iter()
+            .zip(index)
+            .position(|lane| !stored(lane))
+            .unwrap_or(n);
+    }
+    // The operand rows: a unary operation and a load have one, which
+    // stands for both, and so do the likes of `x * x`.
+    let (a, b) = match op.code {
+        Code::Load | Code::LoadBool => (b, b),
+        code if code.unary() => (a, a),
+        _ => (a, b),
+    };
+    let (rd, ra, rb) = if a == b {
+        let [rd, ra] = rows.get_disjoint_mut([d, a]).expect(DISJOINT);
+        (rd, &*ra, &*ra)
+    } else {
+        let [rd, ra, rb] = rows.get_disjoint_mut([d, a, b]).expect(DISJOINT);
+        (rd, &*ra, &*rb)
+    };
+    let (rd, ra, rb) = (&mut rd[..n], &ra[..n], &rb[..n]);
+    // A loop-invariant divisor (every lane of its row is the one value)
+    // other than 0, 1 and -1 divides by multiplying.
+    let divides = matches!(op.code, Code::IDiv | Code::IRem) && plan.broadcast.contains(op.b);
+    let magic = rb
+        .first()
+        .filter(|_| divides)
+        .and_then(|&y| Magic::new(y as i32));
+    match (op.code, magic) {
+        (Code::FAdd | Code::FSub | Code::FMul | Code::FDiv | Code::FRem, _) => {
+            per_code!(op.code, [FAdd FSub FMul FDiv FRem], |c| float_lanes(c, rd, ra, rb))
+        }
+        (code, Some(magic)) => per_code!(code, [IDiv IRem], |c| magic_lanes(c, magic, rd, ra)),
+        (code, None) => per_code!(
+            code,
+            [Mov IAdd ISub IMul IDiv IRem ILt ILe IEq INe INeg FLt FLe FEq FNe FNeg Not
+             IntToFloat FloatToInt Load LoadBool],
+            |c| lanes(c, rd, ra, rb, buf)
+        ),
+    }
+}
+
+thread_local! {
+    /// The thread's lane rows, one per unboxed register of the largest
+    /// loop it has run in strips (only rows of lane-varying and broadcast
+    /// registers are ever touched): no entry but the first to need more
+    /// rows allocates. `run` calls nothing that could re-enter it, so the
+    /// rows are never borrowed twice.
+    static ROWS: RefCell<Vec<Row>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Plan {
+    /// Whether an entry of `trips` iterations on the operands `bufs` runs
+    /// in strips.
+    fn admits(&self, bufs: &Operands<'_>, trips: u64) -> bool {
+        let clash = || {
+            let Some(stored) = self.stored else {
+                return false;
+            };
+            let stored = &bufs[stored as usize % MAX_BUFS].cells;
+            let mut loaded = (0..MAX_BUFS).filter(|at| (self.loaded >> at) & 1 == 1);
+            loaded.any(|at| bufs[at].cells.same_storage(stored))
+        };
+        trips >= SHORT_ENTRY && !clash()
+    }
+}
+
+/// The strip walk of one entry.
+struct Strips<'a> {
+    lp: &'a ScalarLoop,
+    plan: &'a Plan,
+    rows: &'a mut [Row],
+    /// Strips that completed all [`STRIP`] lanes, for the profile.
+    full: u64,
+}
+
+impl<'a> Strips<'a> {
+    /// The walk of an entry of `trips` iterations that `plan` admits:
+    /// `regs` hold the entry's invariants.
+    fn enter(
+        lp: &'a ScalarLoop,
+        plan: &'a Plan,
+        rows: &'a mut Vec<Row>,
+        regs: &Regs,
+        trips: u64,
+    ) -> Self {
+        if rows.len() < lp.nregs {
+            rows.resize(lp.nregs, [0; STRIP]);
+        }
+        let lanes = trips.min(STRIP as u64) as usize;
+        for r in plan.broadcast.iter() {
+            rows[r][..lanes].fill(regs[r]);
+        }
+        Strips {
+            lp,
+            plan,
+            rows,
+            full: 0,
+        }
+    }
+
+    /// Run iterations `from..to`; returns the first that did not complete
+    /// (`to` when all did). `regs` end as [`iterate`] leaves them: holding
+    /// what the last completed iteration computed.
+    fn run(&mut self, regs: &mut Regs, bufs: &Operands<'_>, from: i32, to: i32) -> i32 {
+        let (plan, rows) = (self.plan, &mut *self.rows);
+        let (par, chain) = self.lp.body.split_at(plan.par as usize);
+        let var = self.lp.var as usize;
+        // Lane `k`'s value of every lane-varying register, for `step`.
+        let lane = |regs: &mut Regs, rows: &[Row], k: usize| {
+            regs[var] = rows[var][k];
+            for op in par.iter().filter(|op| op.code != Code::Store) {
+                regs[op.d as usize] = rows[op.d as usize][k];
+            }
+        };
+        let mut t = from;
+        while t < to {
+            let strip = trips(t, to).min(STRIP as u64) as usize;
+            for (k, index) in rows[var][..strip].iter_mut().enumerate() {
+                *index = t.wrapping_add(k as i32) as u32;
+            }
+            let mut n = strip;
+            for &op in par {
+                n = sweep(op, plan, rows, n, bufs);
+            }
+            match chain {
+                [] => {}
+                [op] if plan.fold => {
+                    let (acc, xs) = (&mut regs[op.d as usize], &rows[op.b as usize][..n]);
+                    per_code!(
+                        op.code,
+                        [IAdd ISub IMul ILt ILe IEq INe FAdd FSub FMul FDiv FRem FLt FLe FEq FNe],
+                        |c| fold_lanes(c, acc, xs)
+                    );
+                }
+                _ => {
+                    for k in 0..n {
+                        lane(regs, rows, k);
+                        let completed = step(chain, regs, bufs);
+                        debug_assert!(completed, "validated: nothing on the chain is checked");
+                    }
+                }
+            }
+            if n > 0 {
+                lane(regs, rows, n - 1);
+            }
+            self.full += u64::from(n == STRIP);
+            t = t.wrapping_add(n as i32);
+            if n < strip {
+                break;
+            }
+        }
+        t
+    }
+}
+
+/// Run iterations `from..to` one at a time; returns the first that did not
+/// complete (`to` when all did).
 fn iterate(lp: &ScalarLoop, regs: &mut Regs, bufs: &Operands<'_>, from: i32, to: i32) -> i32 {
     let mut t = from;
     while t < to {
@@ -826,6 +1316,54 @@ fn iterate(lp: &ScalarLoop, regs: &mut Regs, bufs: &Operands<'_>, from: i32, to:
         t += 1;
     }
     t
+}
+
+/// The wrapped difference of `from < to`: the exact trip count even when
+/// `to - from` overflows.
+fn trips(from: i32, to: i32) -> u64 {
+    u64::from(to.wrapping_sub(from) as u32)
+}
+
+/// Run iterations `lo..hi` through `advance` (which takes a range and
+/// returns the first iteration that did not complete), paying for them in
+/// closed form. Returns where the loop stopped and whether an iteration
+/// bailed there.
+#[inline(always)] // as a call it cost a one-trip entry 20 ns (E-K3's `short_1`)
+fn metered(
+    interp: &Interp<'_>,
+    charge: u32,
+    batch: Option<&mut u64>,
+    (lo, hi): (i32, i32),
+    mut advance: impl FnMut(i32, i32) -> i32,
+) -> IResult<(i32, bool)> {
+    let per_iter = u64::from(charge);
+    let Some(local) = batch else {
+        let mut t = lo;
+        while t < hi {
+            let end = t.saturating_add(BLOCK).min(hi);
+            let ahead = trips(t, end) * per_iter;
+            match interp.charge(ahead) {
+                Ok(()) => {}
+                Err(e) if e.limit_kind() == Some(LimitKind::Fuel) => {
+                    // The budget ends inside this block: the bytecode
+                    // finds the exact iteration.
+                    interp.steps.fetch_sub(ahead, Ordering::Relaxed);
+                    break;
+                }
+                Err(e) => return Err(e),
+            }
+            t = advance(t, end);
+            if t < end {
+                let unrun = trips(t, end) * per_iter;
+                interp.steps.fetch_sub(unrun, Ordering::Relaxed);
+                return Ok((t, true));
+            }
+        }
+        return Ok((t, false));
+    };
+    let t = advance(lo, hi);
+    *local += trips(lo, t) * per_iter;
+    Ok((t, t < hi))
 }
 
 /// Execute the loop `lp` stands for, from the counter register's value.
@@ -884,44 +1422,29 @@ pub(crate) fn run(
         return Ok(false);
     }
 
-    // Iterations, paid for in closed form. `lo < hi`, so the wrapped
-    // difference is the exact trip count even when `hi - lo` overflows.
-    let trips = |from: i32, to: i32| u64::from(to.wrapping_sub(from) as u32);
-    let per_iter = u64::from(lp.charge);
-    let mut t = lo;
-    let mut bailed = false;
-    match batch {
-        Some(local) => {
-            t = iterate(lp, &mut regs, &bufs, lo, hi);
-            bailed = t < hi;
-            *local += trips(lo, t) * per_iter;
-        }
+    // The iterations, in strips or one at a time.
+    let plan = (lp.plan.as_ref().ok()).filter(|plan| plan.admits(&bufs, trips(lo, hi)));
+    let mut full_strips = 0;
+    let (t, bailed) = match plan {
+        Some(plan) => ROWS.with_borrow_mut(|rows| {
+            let mut strips = Strips::enter(lp, plan, rows, &regs, trips(lo, hi));
+            let advance = |from, to| strips.run(&mut regs, &bufs, from, to);
+            let stopped = metered(interp, lp.charge, batch, (lo, hi), advance);
+            full_strips = strips.full;
+            stopped
+        }),
         None => {
-            while t < hi && !bailed {
-                let end = t.saturating_add(BLOCK).min(hi);
-                let ahead = trips(t, end) * per_iter;
-                match interp.charge(ahead) {
-                    Ok(()) => {}
-                    Err(e) if e.limit_kind() == Some(LimitKind::Fuel) => {
-                        // The budget ends inside this block: the bytecode
-                        // finds the exact iteration.
-                        interp.steps.fetch_sub(ahead, Ordering::Relaxed);
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
-                t = iterate(lp, &mut regs, &bufs, t, end);
-                if t < end {
-                    bailed = true;
-                    interp
-                        .steps
-                        .fetch_sub(trips(t, end) * per_iter, Ordering::Relaxed);
-                }
-            }
+            let advance = |from, to| iterate(lp, &mut regs, &bufs, from, to);
+            metered(interp, lp.charge, batch, (lo, hi), advance)
         }
-    }
+    }?;
     count(&interp.unboxed_loops, u64::from(t > lo));
     count(&interp.unboxed_iters, trips(lo, t));
+    count(
+        &interp.unboxed_strip_iters,
+        plan.map_or(0, |_| trips(lo, t)),
+    );
+    count(&interp.unboxed_full_strips, full_strips);
     count(&interp.unboxed_bails, u64::from(bailed));
 
     let done = t == hi;
@@ -1219,5 +1742,251 @@ mod tests {
         let mut bad = good.clone();
         bad.body.push(bad.pre[0]);
         assert!(!bad.validate(12));
+    }
+
+    // ---- strips ----------------------------------------------------------
+
+    #[test]
+    fn row_work_plans_four_lane_parallel_operations_and_one_accumulate() {
+        let (body, consts) = row_work();
+        let lp = translated(&body, &consts).expect("eligible");
+        assert_eq!(lp.per_iteration_reason(), None);
+        let plan = lp.plan.expect("planned");
+        // `j / 160`, `+`, the load and `* 0.5` run a strip at a time, the
+        // accumulate lane by lane after them; the order is the program's.
+        assert_eq!((plan.par, plan.fold), (4, true));
+        assert_eq!(
+            codes(&lp.body),
+            [Code::IDiv, Code::IAdd, Code::Load, Code::FMul, Code::FAdd]
+        );
+        // Broadcast: the divisor, `i * dim(grid, 1)` and `0.5` — not the
+        // literal 1 only `dim()` reads, not the index, not `acc`.
+        let broadcast: Vec<usize> = plan.broadcast.iter().collect();
+        let mut want = [lp.consts[1].0, lp.pre[1].d, lp.consts[2].0].map(usize::from);
+        want.sort();
+        assert_eq!(broadcast, want);
+        assert_eq!(
+            (plan.stored, plan.loaded),
+            (None, 1),
+            "loads grid, stores nothing"
+        );
+        // Held inline in every translated loop: no heap, and no larger
+        // than two `Vec` headers.
+        assert!(std::mem::size_of::<Result<Plan, Reason>>() <= 48);
+    }
+
+    #[test]
+    fn the_carried_chain_moves_behind_the_lane_parallel_operations() {
+        // `acc = acc * acc; out[j] = j`: the store can bail, so the update
+        // goes to a fresh register and a move closes the iteration — and
+        // both follow the store in the planned body.
+        let body = [
+            Instr::Bin {
+                op: B::Mul,
+                dst: 1,
+                a: 1,
+                b: 1,
+            },
+            Instr::Store {
+                buf: 5,
+                idx: 0,
+                val: 0,
+            },
+        ];
+        let lp = translated(&body, &[]).expect("eligible");
+        assert_eq!(codes(&lp.body), [Code::Store, Code::FMul, Code::Mov]);
+        let plan = lp.plan.expect("planned");
+        assert_eq!(
+            (plan.par, plan.fold),
+            (1, false),
+            "two operations: not a fold"
+        );
+        assert_eq!((plan.stored, plan.loaded), (Some(0), 0));
+        assert!(lp.validate(12));
+    }
+
+    #[test]
+    fn bodies_without_a_strip_plan_say_why() {
+        let carried_index_then_load = [
+            Instr::Bin {
+                op: B::Add,
+                dst: 3,
+                a: 3,
+                b: 0,
+            },
+            Instr::AsInt { dst: 8, src: 3 },
+            Instr::Load {
+                dst: 1,
+                buf: 2,
+                idx: 8,
+            },
+        ];
+        // `i = i / j`: the division's failing lane would depend on the
+        // lanes before it.
+        let division_on_the_chain = [Instr::Bin {
+            op: B::Div,
+            dst: 3,
+            a: 3,
+            b: 0,
+        }];
+        // `flag = i < j; i = j`: `i` is carried, yet its new value is a
+        // per-lane one.
+        let carried_overwritten = [
+            Instr::Bin {
+                op: B::Lt,
+                dst: 4,
+                a: 3,
+                b: 0,
+            },
+            Instr::Copy { dst: 3, src: 0 },
+        ];
+        let cases: [(&[Instr], Reason); 3] = [
+            (&carried_index_then_load, CHECKED_ON_CHAIN),
+            (&division_on_the_chain, CHECKED_ON_CHAIN),
+            (&carried_overwritten, CARRIED_OVERWRITTEN),
+        ];
+        for (body, why) in cases {
+            let lp = translated(body, &[]).expect("translated all the same");
+            assert_eq!(lp.per_iteration_reason(), Some(why), "{body:?}");
+            assert!(lp.validate(12));
+        }
+        // A planless body is the body `step` always ran.
+        let lp = translated(&carried_index_then_load, &[]).expect("translated");
+        assert_eq!(codes(&lp.body), [Code::IAdd, Code::Load, Code::Mov]);
+    }
+
+    #[test]
+    fn validate_rejects_a_plan_the_body_does_not_fit() {
+        let (body, consts) = row_work();
+        let good = translated(&body, &consts).expect("eligible");
+        let plan = good.plan.expect("planned");
+        let with_plan = |plan: Plan| ScalarLoop {
+            plan: Ok(plan),
+            ..good.clone()
+        };
+        // The split beyond the body; a checked operation left on the
+        // chain; a "fold" that is not one in-place operation; a stored
+        // operand beyond the table.
+        assert!(!with_plan(Plan { par: 6, ..plan }).validate(12));
+        assert!(!with_plan(Plan {
+            par: 2,
+            fold: false,
+            ..plan
+        })
+        .validate(12));
+        assert!(!with_plan(Plan { par: 3, ..plan }).validate(12));
+        assert!(!with_plan(Plan {
+            stored: Some(1),
+            ..plan
+        })
+        .validate(12));
+        // A destination row that is also a source row.
+        let mut bad = good.clone();
+        bad.body[1].d = bad.body[1].a;
+        assert!(!bad.validate(12));
+    }
+
+    /// The multiply-shift is `int_div` and `int_rem` wherever it is used,
+    /// and leaves 0, 1 and -1 to them.
+    #[test]
+    fn magic_division_is_int_div_and_int_rem() {
+        for d in [0, 1, -1] {
+            assert!(
+                Magic::new(d).is_none(),
+                "{d} takes the checked per-lane path"
+            );
+        }
+        let mut divisors = vec![2, 3, 5, 7, 16, 800, 9973, i32::MAX, i32::MIN];
+        for k in 1..31 {
+            divisors.extend([1 << k, (1 << k) + 1, (1 << k) - 1]);
+        }
+        divisors.retain(|d: &i32| d.unsigned_abs() >= 2);
+        divisors.extend(divisors.clone().iter().map(|d| d.wrapping_neg()));
+        // Seeded: the draws repeat.
+        let mut rng = proptest::test_runner::TestRng::with_seed(0x5eed);
+        let mut draw = move || rng.next_u64() as i32;
+        let draws = 1_000_000 / divisors.len() + 1;
+        for &d in &divisors {
+            let magic = Magic::new(d).expect("a multiplier");
+            let mut dividends = vec![0, 1, -1, i32::MIN, i32::MIN + 1, i32::MAX];
+            for near in [d, d.wrapping_neg()] {
+                dividends.extend([near, near.wrapping_add(1), near.wrapping_sub(1)]);
+            }
+            dividends.extend((0..draws).map(|_| draw()));
+            for x in dividends {
+                assert_eq!(Some(magic.div(x)), int_div(x, d).ok(), "{x} / {d}");
+                assert_eq!(Some(magic.rem(x)), int_rem(x, d).ok(), "{x} % {d}");
+            }
+        }
+    }
+
+    /// `for j in 0..2·STRIP+5`, `out` being `cells` long: `i = i + j` and
+    /// `out[j] = j`, the store first or last. Returns what `run` returned
+    /// and left behind: `i`, the counter, the steps charged, `out`.
+    fn run_accumulate_and_store(
+        store_first: bool,
+        cells: usize,
+    ) -> (bool, i32, i32, u64, Vec<i32>) {
+        let accumulate = Instr::Bin {
+            op: B::Add,
+            dst: 3,
+            a: 3,
+            b: 0,
+        };
+        let store = Instr::Store {
+            buf: 5,
+            idx: 0,
+            val: 0,
+        };
+        let body = if store_first {
+            [store, accumulate]
+        } else {
+            [accumulate, store]
+        };
+        let lp = translated(&body, &[]).expect("eligible");
+        let plan = lp.plan.expect("planned");
+        assert_eq!(
+            plan.fold, store_first,
+            "in place only when nothing after it can bail"
+        );
+
+        let program = crate::ir::IrProgram { functions: vec![] };
+        let interp = Interp::new(&program, 1);
+        let out = crate::interp::BufHandle::from_i32(vec![cells], &vec![-1; cells]);
+        let mut frame = Frame {
+            slots: vec![Value::Unit; 12],
+            pending: Vec::new(),
+        };
+        frame.slots[3] = Value::I(1000);
+        frame.slots[5] = Value::Buf(out.clone());
+        frame.slots[6] = Value::I(0);
+        frame.slots[7] = Value::I(2 * STRIP as i32 + 5);
+        let mut steps = 0;
+        let done = run(&interp, &lp, &mut frame, Some(&mut steps)).expect("no limit");
+        let (Value::I(i), Value::I(counter)) = (&frame.slots[3], &frame.slots[6]) else {
+            panic!("ints: {:?}", &frame.slots[..8]);
+        };
+        (done, *i, *counter, steps, out.to_i32_vec().expect("live"))
+    }
+
+    /// The bail contract across strips: when the store of iteration `f`
+    /// fails, the accumulator holds what iterations `..f` made of it and
+    /// the counter holds `f` — with `f` the first lane of a strip, the
+    /// middle, the last lane, the first of the second strip — whether the
+    /// chain is the fold's tight loop or runs through `step`.
+    #[test]
+    fn a_strip_that_bails_leaves_the_frame_at_the_top_of_the_failing_iteration() {
+        let total = 2 * STRIP + 5;
+        for store_first in [true, false] {
+            for f in [0, 57, STRIP - 1, STRIP, STRIP + 1, total] {
+                let (done, i, counter, steps, out) = run_accumulate_and_store(store_first, f);
+                let what = format!("store first: {store_first}, {f} cells");
+                assert_eq!(done, f == total, "{what}");
+                assert_eq!(counter as usize, f, "{what}");
+                assert_eq!(i as usize, 1000 + f * f.saturating_sub(1) / 2, "{what}");
+                assert_eq!(steps, 3 * f as u64, "{what}: three steps an iteration");
+                assert_eq!(out, (0..f as i32).collect::<Vec<_>>(), "{what}");
+            }
+        }
     }
 }

@@ -1106,6 +1106,8 @@ mod emit_tests {
     /// The builtin table against the prelude: every variant's C name is a
     /// function the emitted runtime defines, and names map back to their
     /// variant (how the emitter spots a user function that would collide).
+    /// A user function or variable spelled like one is renamed — for every
+    /// variant, which holds the emitter's shortcut by initial to the table.
     #[test]
     fn every_builtin_is_defined_by_the_prelude_and_found_by_name() {
         let c = emit_program(&IrProgram::default()).unwrap();
@@ -1116,6 +1118,19 @@ mod emit_tests {
                 .lines()
                 .any(|l| l.starts_with("static ") && l.contains(&format!(" {name}(")));
             assert!(defined, "the prelude does not define {name}");
+
+            let user = IrProgram {
+                functions: vec![IrFunction {
+                    name: name.into(),
+                    params: vec![(name.into(), CType::Int)],
+                    ret: CType::Int,
+                    ret_tuple: None,
+                    body: vec![IrStmt::Return(Some(IrExpr::var(name)))],
+                }],
+            };
+            let c = emit_program(&user).unwrap();
+            let renamed = format!("int cmm_user_{name}(int cmm_user_{name}) {{\n    return cmm_user_{name};");
+            assert!(c.contains(&renamed), "{name} as a user name:\n{}", &c[c.len() - 200..]);
         }
         assert_eq!(Builtin::from_c_name("main"), None);
     }

@@ -202,8 +202,13 @@ pub(crate) struct VmFunction {
     pub kernels: Vec<RMatMul>,
     pub scalar_loops: Vec<ScalarLoop>,
     /// Sequential innermost loops left boxed: index variable and reason.
-    pub boxed_loops: Vec<(String, &'static str)>,
+    pub boxed_loops: Vec<LoopNote>,
+    /// Translated loops that never run in strips, likewise.
+    pub per_iteration_loops: Vec<LoopNote>,
 }
+
+/// A loop's index variable and why it runs the slower way.
+pub(crate) type LoopNote = (String, &'static str);
 
 /// A compiled program: pure data, shareable across runs.
 #[derive(Debug, Clone)]
@@ -212,12 +217,17 @@ pub(crate) struct VmProgram {
 }
 
 impl VmProgram {
-    /// Every loop left boxed, given the functions' names in order.
-    pub(crate) fn boxed_loops<'a>(&self, names: impl Iterator<Item = &'a str>) -> Vec<BoxedLoop> {
+    /// Every loop of the list `notes` picks (`boxed_loops` or
+    /// `per_iteration_loops`), given the functions' names in order.
+    pub(crate) fn noted_loops<'a>(
+        &self,
+        names: impl Iterator<Item = &'a str>,
+        notes: impl Fn(&VmFunction) -> &[LoopNote],
+    ) -> Vec<BoxedLoop> {
         let per_fn = self.funcs.iter().zip(names);
         per_fn
             .flat_map(|(f, name)| {
-                f.boxed_loops.iter().map(move |(var, reason)| BoxedLoop {
+                notes(f).iter().map(move |(var, reason)| BoxedLoop {
                     function: name.to_string(),
                     var: var.clone(),
                     reason,
@@ -250,7 +260,8 @@ struct FnCompiler<'a> {
     parfors: Vec<ParForData>,
     kernels: Vec<RMatMul>,
     scalar_loops: Vec<ScalarLoop>,
-    boxed_loops: Vec<(String, &'static str)>,
+    boxed_loops: Vec<LoopNote>,
+    per_iteration_loops: Vec<LoopNote>,
     /// Next free register (watermark allocator: statements reset it,
     /// loop bounds hold theirs across the body).
     temp: usize,
@@ -276,6 +287,7 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
         kernels: Vec::new(),
         scalar_loops: Vec::new(),
         boxed_loops: Vec::new(),
+        per_iteration_loops: Vec::new(),
         temp: f.nslots,
         max_reg: f.nslots,
         fuse_barrier: 0,
@@ -292,6 +304,7 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
         kernels: c.kernels,
         scalar_loops: c.scalar_loops,
         boxed_loops: c.boxed_loops,
+        per_iteration_loops: c.per_iteration_loops,
     };
     vf.validate()?;
     Ok(vf)
@@ -736,6 +749,9 @@ impl FnCompiler<'_> {
                     return Err(VmLimit("unboxed-loop table overflow"));
                 }
                 let id = self.scalar_loops.len() as u16;
+                if let Some(reason) = lp.per_iteration_reason() {
+                    self.per_iteration_loops.push((f.name.clone(), reason));
+                }
                 self.scalar_loops.push(lp);
                 // A translated body is straight-line — nothing jumps into
                 // or out of it — so only the back-edge moves with it.

@@ -31,6 +31,7 @@
 //!   --tier T         execution tier for `run`: vm (default, bytecode)
 //!                    or tree (reference tree-walking interpreter)
 //!   --profile        print a pass/region/interpreter profile to stderr
+//!                    (`check`, `emit`: the compile passes only)
 //!   --metrics-json F write the profile as JSON (schema cmm-metrics-v1) to F
 //! ```
 //!
@@ -40,7 +41,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use cmm::core::{CompileError, Registry, ALL_EXTENSIONS};
+use cmm::core::{CompileError, CompileMetrics, ProfileReport, Registry, ALL_EXTENSIONS};
 use cmm::loopir::{Limits, Schedule, Tier};
 
 const EXIT_RUNTIME: u8 = 1;
@@ -226,7 +227,8 @@ fn fuzz_command(args: &[String]) -> ExitCode {
     let names: Vec<&str> = cfg.oracles.iter().map(|o| o.name()).collect();
     println!(
         "fuzz: seed {} · {} case(s) · oracles [{}] · comparisons: \
-         transform {}, schedule {}, limits {}, vm {} ({} entered an unboxed loop), tuned {}, gcc {}",
+         transform {}, schedule {}, limits {}, vm {} ({} entered an unboxed loop, {} ran a full strip), \
+         tuned {}, gcc {}",
         cfg.seed,
         outcome.cases,
         names.join(", "),
@@ -235,6 +237,7 @@ fn fuzz_command(args: &[String]) -> ExitCode {
         outcome.counts.limits,
         outcome.counts.vm,
         outcome.counts.unboxed,
+        outcome.counts.full_strip,
         outcome.counts.tuned,
         outcome.counts.gcc,
     );
@@ -512,36 +515,82 @@ fn main() -> ExitCode {
     compiler.options.fuse_slice_index = fusion;
     compiler.tier = tier;
 
+    // `--profile` to stderr, `--metrics-json` to its file; for `check` and
+    // `emit` the report is the compile-only one (no pool, no interpreter).
+    let metered = profile || metrics_json.is_some();
+    let report_to = |report: &ProfileReport| {
+        if profile {
+            eprint!("{}", report.render_table());
+        }
+        let Some(path) = &metrics_json else {
+            return ExitCode::SUCCESS;
+        };
+        match std::fs::write(path, report.to_json()) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("cmmc: cannot write {path}: {e}");
+                ExitCode::from(EXIT_FILE)
+            }
+        }
+    };
+    let report_passes = |compile: Option<CompileMetrics>| match compile {
+        Some(compile) => report_to(&ProfileReport {
+            compile,
+            threads,
+            tier,
+            ..ProfileReport::default()
+        }),
+        None => ExitCode::SUCCESS,
+    };
+
     match command {
-        "check" => match compiler.frontend(&src) {
-            Ok(prog) => {
-                println!(
-                    "{file}: ok ({} function{})",
-                    prog.functions.len(),
-                    if prog.functions.len() == 1 { "" } else { "s" }
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(&e),
-        },
-        "emit" => match compiler.compile_to_c(&src) {
-            Ok(c) => {
-                match out_file {
-                    Some(path) => {
-                        if let Err(e) = std::fs::write(&path, c) {
-                            eprintln!("cmmc: cannot write {path}: {e}");
-                            return ExitCode::from(EXIT_FILE);
-                        }
-                        eprintln!("wrote {path} (compile with: gcc -O2 -fopenmp -msse2 {path})");
-                    }
-                    None => print!("{c}"),
+        "check" => {
+            let checked = if metered {
+                let checked = compiler.frontend_metered(&src);
+                checked.map(|(prog, m)| (prog, Some(m)))
+            } else {
+                compiler.frontend(&src).map(|prog| (prog, None))
+            };
+            match checked {
+                Ok((prog, passes)) => {
+                    println!(
+                        "{file}: ok ({} function{})",
+                        prog.functions.len(),
+                        if prog.functions.len() == 1 { "" } else { "s" }
+                    );
+                    report_passes(passes)
                 }
-                ExitCode::SUCCESS
+                Err(e) => fail(&e),
             }
-            Err(e) => fail(&e),
-        },
+        }
+        "emit" => {
+            let emitted = if metered {
+                let emitted = compiler.compile_to_c_metered(&src);
+                emitted.map(|(c, m)| (c, Some(m)))
+            } else {
+                compiler.compile_to_c(&src).map(|c| (c, None))
+            };
+            match emitted {
+                Ok((c, passes)) => {
+                    match out_file {
+                        Some(path) => {
+                            if let Err(e) = std::fs::write(&path, c) {
+                                eprintln!("cmmc: cannot write {path}: {e}");
+                                return ExitCode::from(EXIT_FILE);
+                            }
+                            eprintln!(
+                                "wrote {path} (compile with: gcc -O2 -fopenmp -msse2 {path})"
+                            );
+                        }
+                        None => print!("{c}"),
+                    }
+                    report_passes(passes)
+                }
+                Err(e) => fail(&e),
+            }
+        }
         "run" => {
-            if profile || metrics_json.is_some() {
+            if metered {
                 match compiler.run_profiled_scheduled(&src, threads, limits, schedule) {
                     Ok((result, report)) => {
                         print!("{}", result.output);
@@ -551,16 +600,7 @@ fn main() -> ExitCode {
                                 result.leaked, result.allocations
                             );
                         }
-                        if profile {
-                            eprint!("{}", report.render_table());
-                        }
-                        if let Some(path) = metrics_json {
-                            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                                eprintln!("cmmc: cannot write {path}: {e}");
-                                return ExitCode::from(EXIT_FILE);
-                            }
-                        }
-                        ExitCode::SUCCESS
+                        report_to(&report)
                     }
                     Err(e) => fail(&e),
                 }

@@ -292,6 +292,67 @@ fn metrics_json_writes_schema_tagged_file() {
     std::fs::remove_file(json_path).ok();
 }
 
+/// `emit` and `check` take `--profile` and `--metrics-json` too: the
+/// compile-only report (`"pool": null`, `"interp": null`) with the six
+/// passes of a translation or the three of a check — and what they print
+/// or write otherwise is what they print or write without the flags.
+#[test]
+fn emit_and_check_report_their_passes() {
+    let path = write_program("passes.xc", PROGRAM);
+    let tmp = |name: &str| {
+        let file = format!("cmmc-{}-passes-{name}", std::process::id());
+        std::env::temp_dir().join(file).display().to_string()
+    };
+    let pass_names = |json: &str| -> Vec<String> {
+        let names = json.split("{\"name\": \"").skip(1);
+        names.map(|rest| rest[..rest.find('"').expect("closing quote")].to_string()).collect()
+    };
+    let run = |args: &[&str]| {
+        let out = cmmc().args(args).output().expect("spawn cmmc");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        out
+    };
+    let compile_only = |json_path: &str, passes: &[&str]| {
+        let json = std::fs::read_to_string(json_path).expect("metrics file written");
+        assert!(json.contains("\"schema\": \"cmm-metrics-v1\""), "{json}");
+        assert!(json.contains("\"pool\": null") && json.contains("\"interp\": null"), "{json}");
+        assert_eq!(pass_names(&json), passes, "{json}");
+        std::fs::remove_file(json_path).ok();
+    };
+    let six = ["parse", "build", "check", "optimize", "lower", "emit"];
+
+    // emit to stdout.
+    let json = tmp("emit.json");
+    let plain = run(&["emit", &path]);
+    let metered = run(&["emit", &path, "--metrics-json", &json]);
+    assert_eq!(metered.stdout, plain.stdout);
+    assert_eq!(String::from_utf8_lossy(&metered.stderr), "", "no table without --profile");
+    compile_only(&json, &six);
+
+    // emit -o, with the table as well.
+    let (c_plain, c_metered) = (tmp("plain.c"), tmp("metered.c"));
+    run(&["emit", &path, "-o", &c_plain]);
+    let metered = run(&["emit", &path, "-o", &c_metered, "--profile", "--metrics-json", &json]);
+    let written = |p: &str| std::fs::read(p).expect("C written");
+    assert_eq!(written(&c_metered), written(&c_plain));
+    assert_eq!(written(&c_plain), plain.stdout);
+    let table = String::from_utf8_lossy(&metered.stderr).to_string();
+    for pass in six {
+        assert!(table.lines().any(|l| l.starts_with(pass)), "missing {pass} in: {table}");
+    }
+    assert!(!table.contains("interpreter") && !table.contains("fork-join"), "{table}");
+    compile_only(&json, &six);
+    std::fs::remove_file(c_plain).ok();
+    std::fs::remove_file(c_metered).ok();
+
+    // check.
+    let plain = run(&["check", &path]);
+    let metered = run(&["check", &path, "--metrics-json", &json]);
+    assert_eq!(metered.stdout, plain.stdout);
+    compile_only(&json, &["parse", "build", "check"]);
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn metrics_json_unwritable_path_exits_3() {
     let path = write_program("mjson-bad.xc", PROGRAM);

@@ -10,7 +10,7 @@ use cmm::eddy::programs::{full_compiler, temporal_mean_program};
 use cmm::eddy::{synthetic_ssh, SshParams};
 use cmm::loopir::{
     BufHandle, Builtin, CType, Elem, ForLoop, Interp, InterpProfile, IrBinOp as B, IrExpr,
-    IrFunction, IrProgram, IrStmt, LimitKind, Limits, Tier, Value,
+    IrFunction, IrProgram, IrStmt, LimitKind, Limits, Tier, Value, UNBOXED_STRIP as STRIP,
 };
 use cmm::runtime::write_matrix;
 use proptest::prelude::*;
@@ -437,9 +437,15 @@ proptest! {
 
     /// Every generated body, under a sequential and under a parallel outer
     /// loop, at one and two threads, with charges batched and (profiled)
-    /// metered: the VM leaves what the tree tier leaves.
+    /// metered: the VM leaves what the tree tier leaves. The extent is
+    /// short, around one full strip, or a little over two, alike.
     #[test]
-    fn prop_vm_loops_are_the_tree_loops(seed in any::<u64>(), n in 0usize..40) {
+    fn prop_vm_loops_are_the_tree_loops(seed in any::<u64>(), range in 0usize..3, at in 0usize..40) {
+        let n = match range {
+            0 => at,
+            1 => STRIP - 2 + at % 5,
+            _ => 2 * STRIP + at % 6,
+        };
         for parallel in [false, true] {
             let ir = kernel_program(seed, parallel);
             let (want, _) = observe(&ir, Tier::Tree, 1, false, seed, n);
@@ -457,21 +463,35 @@ proptest! {
 }
 
 /// The property above is only worth its name if the generated bodies are
-/// this kernel's input: most must be translated, and the failing paths —
-/// an entry guard that declines, an iteration that bails — must occur.
+/// this kernel's input: most must be translated, a good share of those
+/// must run in strips (and some, lacking a plan, must not), and the
+/// failing paths — an entry guard that declines, an iteration that bails,
+/// in a strip too — must occur.
 #[test]
 fn generated_bodies_reach_the_kernel() {
     let (mut ran, mut declined, mut bailed, mut failed) = (0, 0, 0, 0);
+    let (mut stripped, mut planless, mut bailed_in_a_strip) = (0, 0, 0);
     let cases = 200;
     for seed in 0..cases {
         let ir = kernel_program(seed, false);
-        let (seen, profile) = observe(&ir, Tier::Vm, 1, true, seed, 24);
+        let (seen, profile) = observe(&ir, Tier::Vm, 1, true, seed, STRIP + 24);
+        assert!(profile.unboxed_strip_iters <= profile.unboxed_iters);
         ran += u64::from(profile.unboxed_loops > 0);
+        stripped += u64::from(profile.unboxed_strip_iters > 0);
+        planless += u64::from(!profile.per_iteration_loops.is_empty());
         declined += u64::from(profile.unboxed_declines > 0);
         bailed += u64::from(profile.unboxed_bails > 0);
+        bailed_in_a_strip +=
+            u64::from(profile.unboxed_bails > 0 && profile.unboxed_strip_iters > 0);
         failed += u64::from(seen.error.is_some());
     }
     assert!(ran * 2 > cases, "only {ran} of {cases} bodies ran unboxed");
+    assert!(stripped * 2 > ran, "only {stripped} of {ran} ran in strips");
+    assert!(planless > 10, "{planless} bodies have no strip plan");
+    assert!(
+        bailed_in_a_strip > 10,
+        "{bailed_in_a_strip} bodies bailed out of a strip"
+    );
     assert!(
         failed > 10 && failed < ran,
         "{failed} of {cases} bodies fail"
@@ -488,17 +508,23 @@ fn compile(src: &str, parallelize: bool) -> IrProgram {
     compiler.compile(src).expect("program compiles")
 }
 
-/// Two loops of 40 iterations, a fill and a fold, both translated.
-const SWEPT: &str = "int main() {
-    int n = 40;
+/// Two loops of `2·STRIP + 5` iterations — two full strips and a short one
+/// each — a fill and a fold, both translated.
+fn swept() -> String {
+    format!(
+        "int main() {{
+    int n = {};
     Matrix int <1> x = with ([0] <= [i] < [n]) genarray([n], i * 3 % 7);
     printInt(with ([0] <= [i] < [n]) fold(+, 0, x[i] * 2));
     return 0;
-}";
+}}",
+        2 * STRIP + 5
+    )
+}
 
 #[test]
 fn every_fuel_budget_passes_or_fails_alike() {
-    let ir = compile(SWEPT, false);
+    let ir = compile(&swept(), false);
     let run = |tier, fuel| {
         let limits = Limits {
             fuel,
@@ -509,9 +535,9 @@ fn every_fuel_budget_passes_or_fails_alike() {
         (r, interp.steps_used())
     };
     let (free, total) = run(Tier::Vm, None);
-    assert_eq!(free.expect("runs"), "242\n");
+    assert_eq!(free.expect("runs"), "1560\n");
     assert_eq!(run(Tier::Tree, None).1, total);
-    assert!(total > 200, "two loops of 40 iterations: {total}");
+    assert!(total > 1000, "two loops of 261 iterations: {total}");
     for fuel in 0..=total + 1 {
         let (vm, vm_used) = run(Tier::Vm, Some(fuel));
         let (tree, _) = run(Tier::Tree, Some(fuel));
@@ -756,6 +782,332 @@ fn a_bail_under_a_fuel_budget_is_still_the_runtime_error() {
             assert_eq!((vm, tree), (None, None), "fuel {fuel}");
         }
     }
+}
+
+// ---- (c') bails, clashes and NaNs inside strips ------------------------------
+
+/// `void main(b0, b1, …)` over int buffers of the given lengths, every cell
+/// -1, handed in so that they can be read after the run failed. Returns
+/// the error text, if any, the buffers and the profile.
+fn run_over(
+    body: Vec<IrStmt>,
+    tier: Tier,
+    lens: &[usize],
+) -> (Option<String>, Vec<Vec<i32>>, InterpProfile) {
+    let name = |at: usize| format!("b{at}");
+    let ir = IrProgram {
+        functions: vec![IrFunction {
+            name: "main".into(),
+            params: (0..lens.len())
+                .map(|at| (name(at), CType::Buf(Elem::I32)))
+                .collect(),
+            ret: CType::Void,
+            ret_tuple: None,
+            body,
+        }],
+    };
+    let bufs: Vec<BufHandle> = lens
+        .iter()
+        .map(|&len| BufHandle::from_i32(vec![len], &vec![-1; len]))
+        .collect();
+    let interp = Interp::new(&ir, 1).with_tier(tier).with_profiling(true);
+    let args = bufs.iter().cloned().map(Value::Buf).collect();
+    let error = interp.call("main", args).err().map(|e| e.to_string());
+    let cells = bufs.iter().map(|b| b.to_i32_vec().expect("live")).collect();
+    (error, cells, interp.profile())
+}
+
+/// A loop of two full strips and a short one whose iteration `f` fails —
+/// `f` the first lane of the first strip, mid-strip, the last lane, the
+/// first lane of the second strip — leaves what the tree tier leaves: the
+/// error text and every cell of every buffer. The iterations before `f`
+/// ran in strips.
+#[test]
+fn a_failing_lane_fails_as_the_bytecode_does() {
+    let n = 2 * STRIP + 5;
+    let i = || var("i");
+    for f in [0, 57, STRIP - 1, STRIP] {
+        let index_error = format!("index {f} out of bounds for buffer of {f}");
+        let fi = f as i64;
+        let cases: Vec<(&str, Vec<IrStmt>, Vec<usize>, String)> = vec![
+            (
+                "store",
+                vec![store(Elem::I32, "b0", i(), IrExpr::mul(i(), i()))],
+                vec![f],
+                index_error.clone(),
+            ),
+            (
+                "load",
+                vec![store(
+                    Elem::I32,
+                    "b1",
+                    i(),
+                    IrExpr::add(load(Elem::I32, "b0", i()), i()),
+                )],
+                vec![f, n],
+                index_error.clone(),
+            ),
+            // A lane-varying divisor that reaches zero at lane `f`.
+            (
+                "divisor",
+                vec![store(
+                    Elem::I32,
+                    "b0",
+                    i(),
+                    IrExpr::bin(B::Div, int(60), IrExpr::bin(B::Sub, int(fi), i())),
+                )],
+                vec![n],
+                "integer division by zero".into(),
+            ),
+            // A carried accumulator updated before the store that fails
+            // (what it holds at the bail: `scalar_loop`'s unit tests).
+            (
+                "accumulator",
+                vec![
+                    assign("acc", IrExpr::add(var("acc"), i())),
+                    store(Elem::I32, "b0", i(), IrExpr::bin(B::Rem, i(), int(7))),
+                ],
+                vec![f],
+                index_error.clone(),
+            ),
+        ];
+        for (what, body, lens, message) in cases {
+            let body = vec![
+                decl(CType::Int, "acc", int(0)),
+                for_loop("i", int(n as i64), body, false),
+            ];
+            let (tree_error, tree_cells, _) = run_over(body.clone(), Tier::Tree, &lens);
+            let (vm_error, vm_cells, profile) = run_over(body, Tier::Vm, &lens);
+            let what = format!("failing {what} at iteration {f}");
+            assert_eq!(
+                tree_error,
+                Some(format!("runtime error: {message}")),
+                "{what}"
+            );
+            assert_eq!(vm_error, tree_error, "{what}");
+            assert_eq!(vm_cells, tree_cells, "{what}");
+            assert_eq!(profile.per_iteration_loops, [], "{what}");
+            assert_eq!(
+                (
+                    profile.unboxed_bails,
+                    profile.unboxed_iters,
+                    profile.unboxed_strip_iters,
+                    profile.unboxed_declines
+                ),
+                (1, f as u64, f as u64, 0),
+                "{what}: the iterations before it ran, in strips"
+            );
+        }
+    }
+}
+
+/// A loop-invariant divisor of zero: the first strip completes no lane and
+/// the bytecode raises its error; of -1: every lane is checked, and the one
+/// dividing `INT_MIN` fails.
+#[test]
+fn an_invariant_divisor_of_zero_or_minus_one_fails_as_the_bytecode_does() {
+    let n = (STRIP + 9) as i64;
+    // `b0[i] = (i - 57 + INT_MIN) / z`: `INT_MIN / z` at iteration 57.
+    let dividend = IrExpr::add(
+        IrExpr::bin(B::Sub, var("i"), int(57)),
+        int(i64::from(i32::MIN)),
+    );
+    for (z, message, ran) in [
+        (0, "integer division by zero", 0),
+        (-1, "integer division overflow", 57),
+    ] {
+        let body = vec![
+            decl(CType::Int, "z", int(z)),
+            for_loop(
+                "i",
+                int(n),
+                vec![store(
+                    Elem::I32,
+                    "b0",
+                    var("i"),
+                    IrExpr::bin(B::Div, dividend.clone(), var("z")),
+                )],
+                false,
+            ),
+        ];
+        let lens = [n as usize];
+        let (tree_error, tree_cells, _) = run_over(body.clone(), Tier::Tree, &lens);
+        let (vm_error, vm_cells, profile) = run_over(body, Tier::Vm, &lens);
+        assert_eq!(tree_error, Some(format!("runtime error: {message}")));
+        assert_eq!(vm_error, tree_error);
+        assert_eq!(vm_cells, tree_cells, "divisor {z}");
+        assert_eq!(
+            (profile.unboxed_bails, profile.unboxed_strip_iters),
+            (1, ran),
+            "divisor {z}"
+        );
+    }
+}
+
+/// `out[i + 1] = in[i] + 1`: with `in` and `out` one buffer every iteration
+/// reads what the one before it wrote, which a strip — all its loads, then
+/// all its stores — would not. Such an entry runs per iteration; with two
+/// buffers the same loop runs in strips.
+#[test]
+fn a_loop_that_loads_from_the_storage_it_stores_to_runs_per_iteration() {
+    let n = 2 * STRIP + 5;
+    let ir = IrProgram {
+        functions: vec![IrFunction {
+            name: "shift".into(),
+            params: vec![
+                ("in".into(), CType::Buf(Elem::I32)),
+                ("out".into(), CType::Buf(Elem::I32)),
+            ],
+            ret: CType::Void,
+            ret_tuple: None,
+            body: vec![for_loop(
+                "i",
+                int(n as i64 - 1),
+                vec![store(
+                    Elem::I32,
+                    "out",
+                    IrExpr::add(var("i"), int(1)),
+                    IrExpr::add(load(Elem::I32, "in", var("i")), int(1)),
+                )],
+                false,
+            )],
+        }],
+    };
+    let run = |tier, aliased: bool| {
+        let input = BufHandle::from_i32(vec![n], &vec![0; n]);
+        let output = if aliased {
+            input.clone()
+        } else {
+            BufHandle::from_i32(vec![n], &vec![0; n])
+        };
+        let interp = Interp::new(&ir, 1).with_tier(tier).with_profiling(true);
+        let args = vec![Value::Buf(input), Value::Buf(output.clone())];
+        interp.call("shift", args).expect("runs");
+        (output.to_i32_vec().expect("live"), interp.profile())
+    };
+    let trips = n as u64 - 1;
+
+    let (tree, _) = run(Tier::Tree, true);
+    let (vm, profile) = run(Tier::Vm, true);
+    assert_eq!(tree, (0..n as i32).collect::<Vec<_>>(), "a running count");
+    assert_eq!(vm, tree);
+    assert_eq!(profile.per_iteration_loops, [], "the body has a plan");
+    assert_eq!(
+        (profile.unboxed_iters, profile.unboxed_strip_iters),
+        (trips, 0),
+        "unboxed, not in strips"
+    );
+
+    let (tree, _) = run(Tier::Tree, false);
+    let (vm, profile) = run(Tier::Vm, false);
+    assert_eq!(tree[..3], [0, 1, 1]);
+    assert_eq!(vm, tree);
+    assert_eq!(
+        (profile.unboxed_iters, profile.unboxed_strip_iters),
+        (trips, trips)
+    );
+}
+
+/// NaNs produced mid-strip carry the bits the tree tier gives them: which
+/// NaN `+NaN + -NaN` yields depends on the operand order the compiler
+/// picked for the instruction, so the strip that produced one is computed
+/// again by the tree tier's own copy of the operation.
+#[test]
+fn nans_produced_mid_strip_have_the_tree_tiers_bits() {
+    let n = STRIP + 40;
+    let negative_nan = f32::from_bits(f32::NAN.to_bits() | 0x8000_0000);
+    let payload_nan = f32::from_bits(0x7fc0_1234);
+    // Operand pairs planted at lanes of the first and of the second strip.
+    let planted = [
+        (5, f32::NAN, negative_nan),
+        (57, negative_nan, f32::NAN),
+        (58, f32::INFINITY, f32::INFINITY),
+        (59, 0.0, f32::INFINITY),
+        (60, f32::NEG_INFINITY, f32::INFINITY),
+        (STRIP - 1, payload_nan, negative_nan),
+        (STRIP, negative_nan, payload_nan),
+        (STRIP + 20, f32::INFINITY, 0.0),
+    ];
+    let mut a: Vec<f32> = (0..n).map(|k| k as f32 * 0.5 - 20.0).collect();
+    let mut b: Vec<f32> = (0..n).map(|k| 3.0 - k as f32 * 0.25).collect();
+    for (lane, x, y) in planted {
+        (a[lane], b[lane]) = (x, y);
+    }
+    // One loop an operation, and a fold whose accumulator goes NaN part-way
+    // (`+inf` then `-inf`).
+    let ops = [B::Add, B::Sub, B::Mul, B::Div, B::Rem];
+    let mut body = vec![decl(CType::Float, "acc", IrExpr::Float(0.0))];
+    for (at, op) in ops.into_iter().enumerate() {
+        let operand = |buf| load(Elem::F32, buf, var("i"));
+        body.push(for_loop(
+            "i",
+            var("n"),
+            vec![store(
+                Elem::F32,
+                &format!("r{at}"),
+                var("i"),
+                IrExpr::bin(op, operand("a"), operand("b")),
+            )],
+            false,
+        ));
+    }
+    body.push(for_loop(
+        "i",
+        var("n"),
+        vec![assign(
+            "acc",
+            IrExpr::add(var("acc"), load(Elem::F32, "b", var("i"))),
+        )],
+        false,
+    ));
+    body.push(store(Elem::F32, "r0", int(0), var("acc")));
+    let buf = |name: String| (name, CType::Buf(Elem::F32));
+    let mut params = vec![buf("a".into()), buf("b".into())];
+    params.extend((0..ops.len()).map(|at| buf(format!("r{at}"))));
+    params.push(("n".into(), CType::Int));
+    let ir = IrProgram {
+        functions: vec![IrFunction {
+            name: "main".into(),
+            params,
+            ret: CType::Void,
+            ret_tuple: None,
+            body,
+        }],
+    };
+    let run = |tier| {
+        let results: Vec<BufHandle> = (0..ops.len())
+            .map(|_| BufHandle::new(Elem::F32, vec![n]))
+            .collect();
+        let mut args = vec![
+            Value::Buf(BufHandle::from_f32(vec![n], &a)),
+            Value::Buf(BufHandle::from_f32(vec![n], &b)),
+        ];
+        args.extend(results.iter().cloned().map(Value::Buf));
+        args.push(Value::I(n as i32));
+        let interp = Interp::new(&ir, 1).with_tier(tier).with_profiling(true);
+        interp.call("main", args).expect("runs");
+        let bits: Vec<Vec<u32>> = results
+            .iter()
+            .map(|r| {
+                let cells = r.to_i32_vec().expect("live");
+                cells.into_iter().map(|x| x as u32).collect()
+            })
+            .collect();
+        (bits, interp.profile())
+    };
+    let (tree, _) = run(Tier::Tree);
+    let (vm, profile) = run(Tier::Vm);
+    assert_eq!(
+        profile.unboxed_strip_iters,
+        6 * n as u64,
+        "all six loops ran in strips"
+    );
+    for (at, op) in ops.into_iter().enumerate() {
+        let nans = tree[at].iter().filter(|x| f32::from_bits(**x).is_nan());
+        assert!(nans.count() >= 4, "{op:?} produced NaNs");
+        assert_eq!(vm[at], tree[at], "{op:?}");
+    }
+    assert!(f32::from_bits(tree[0][0]).is_nan(), "the fold went NaN");
 }
 
 // ---- (d) eligibility -------------------------------------------------------

@@ -216,7 +216,7 @@ fn kernel_calls_are_counted_per_tier() {
     assert!(vm.render_table().contains("kernel calls                    2\n"));
 }
 
-/// Unboxed loops are visible the same way — four counters in the table
+/// Unboxed loops are visible the same way — five counters in the table
 /// and the JSON, zero in the tree tier — and a loop that stayed boxed
 /// says why, in the table.
 #[test]
@@ -249,6 +249,7 @@ int main() {
     for (key, want) in [
         ("unboxed_loops", 1),
         ("unboxed_iters", 10),
+        ("unboxed_strip_iters", 10),
         ("unboxed_declines", 0),
         ("unboxed_bails", 0),
     ] {
@@ -257,6 +258,48 @@ int main() {
     let table = vm.render_table();
     assert!(table.contains("unboxed loops                   1\n"), "{table}");
     assert!(table.contains("unboxed iterations             10\n"), "{table}");
+    assert!(table.contains("strip iterations               10\n"), "{table}");
     assert!(table.contains("boxed main: loop k — body calls a user function\n"), "{table}");
     assert!(!table.contains("loop i —"), "{table}");
+}
+
+/// Every unboxed iteration of `examples/imbalanced.xc` runs in a strip:
+/// its three loop shapes all have a plan and no entry is short.
+#[test]
+fn the_imbalanced_example_runs_every_unboxed_iteration_in_strips() {
+    let _guard = RC_LOCK.lock().unwrap();
+    let src = include_str!("../examples/imbalanced.xc");
+    let (_, report) = full_compiler()
+        .run_profiled(src, 2, Limits::default())
+        .expect("profiled run");
+    let interp = report.interp.as_ref().expect("interp profile");
+    assert_eq!((interp.unboxed_strip_iters, interp.unboxed_iters), (191_280, 191_280));
+    assert_eq!(interp.per_iteration_loops, []);
+    assert_eq!(json_u64(&report.to_json(), "unboxed_strip_iters"), 191_280);
+}
+
+/// A translated loop whose body has no strip plan is listed with the
+/// reason, beside the boxed ones (no with-loop lowers to such a body;
+/// `tests/kernel_scalar_loop.rs` builds them from IR).
+#[test]
+fn a_loop_without_a_strip_plan_says_why() {
+    let note = |var: &str, reason| cmm::loopir::BoxedLoop {
+        function: "scan".into(),
+        var: var.into(),
+        reason,
+    };
+    let report = ProfileReport {
+        interp: Some(cmm::loopir::InterpProfile {
+            boxed_loops: vec![note("k", "branch in body")],
+            per_iteration_loops: vec![note("j", "checked operation depends on a loop-carried value")],
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
+    let table = report.render_table();
+    let boxed = table.find("boxed scan: loop k — branch in body\n").expect("boxed line");
+    let per_iteration = table
+        .find("per-iteration scan: loop j — checked operation depends on a loop-carried value\n")
+        .expect("per-iteration line");
+    assert!(boxed < per_iteration, "{table}");
 }
