@@ -44,13 +44,13 @@ pub use cmm_lang::typecheck::ExtSet as EnabledExtensions;
 
 mod cache;
 mod gcc;
+pub mod json;
 mod metrics;
 pub use gcc::{
     compile_and_run_c, compile_and_run_c_with_timeout, gcc_available, gcc_available_or_skip,
 };
-pub use metrics::{
-    json_str, CompileMetrics, ParserCacheStats, PassTiming, ProfileReport, METRICS_SCHEMA,
-};
+pub use json::{json_str, Json};
+pub use metrics::{CompileMetrics, ParserCacheStats, PassTiming, ProfileReport, METRICS_SCHEMA};
 
 /// One composition of the host with a selected set of extensions: the
 /// parser, and what was decided while building it. An entry exists only
@@ -680,6 +680,22 @@ impl Compiler {
         limits: Limits,
         schedule: Schedule,
     ) -> Result<(RunResult, ProfileReport), CompileError> {
+        let (outcome, report) = self.run_profiled_outcome(src, threads, limits, schedule)?;
+        Ok((outcome?, report))
+    }
+
+    /// [`Compiler::run_profiled_scheduled`] that hands the report back
+    /// whether or not the run succeeded: a program stopped by a limit or a
+    /// runtime error is the one whose profile says where the steps went.
+    /// The outer error is a compile failure, before which there is nothing
+    /// to report.
+    pub fn run_profiled_outcome(
+        &self,
+        src: &str,
+        threads: usize,
+        limits: Limits,
+        schedule: Schedule,
+    ) -> Result<(Result<RunResult, CompileError>, ProfileReport), CompileError> {
         let rc_before = cmm_rc::pool_stats();
         let (ir, compile) = self.compile_metered(src)?;
         let pool = Arc::new(ForkJoinPool::new(threads));
@@ -689,7 +705,11 @@ impl Compiler {
             .with_limits(limits)
             .with_profiling(true)
             .with_tier(self.tier);
-        let run_err = interp.run_main().map_err(map_interp_error).err();
+        let outcome = interp.run_main().map_err(map_interp_error).map(|_| RunResult {
+            output: interp.output(),
+            allocations: interp.alloc_count(),
+            leaked: interp.live_buffers(),
+        });
         let rc_after = cmm_rc::pool_stats();
         let report = ProfileReport {
             compile,
@@ -703,17 +723,7 @@ impl Compiler {
             },
             threads: pool.threads(),
         };
-        match run_err {
-            Some(e) => Err(e),
-            None => Ok((
-                RunResult {
-                    output: interp.output(),
-                    allocations: interp.alloc_count(),
-                    leaked: interp.live_buffers(),
-                },
-                report,
-            )),
-        }
+        Ok((outcome, report))
     }
 }
 

@@ -7,19 +7,24 @@
 //! profile under `with_profiling(true)` — so the default pipeline pays
 //! nothing for any of this.
 //!
-//! The JSON schema is hand-rolled (no serde in this workspace) and
-//! versioned via the top-level `"schema": "cmm-metrics-v1"` tag; tools
-//! consuming `cmmc run --metrics-json` should check it. The tag moves
-//! only when existing keys change meaning or shape; purely additive
-//! keys (the pool block's per-worker `steals` / `steal_failures`,
-//! added with the work-stealing scheduler; the interp block's five
-//! `unboxed_*` counters) keep the tag.
+//! The document is a [`crate::json::Json`] value, versioned via the
+//! top-level `"schema": "cmm-metrics-v1"` tag; tools consuming `cmmc run
+//! --metrics-json` should check it. The tag moves only when existing keys
+//! change meaning or shape; purely additive keys (the pool block's
+//! per-worker `steals` / `steal_failures`, added with the work-stealing
+//! scheduler; the interp block's six `unboxed_*` counters and its
+//! `boxed_loops` / `per_iteration_loops` arrays of `{"function", "var",
+//! "reason"}`) keep the tag. The interpreter, rc-pool and parser-cache
+//! rows are listed once and both renderings walk the list, so whatever
+//! the `--profile` table prints there the document carries too.
 
 use std::fmt::Write as _;
 
 use cmm_forkjoin::PoolMetrics;
-use cmm_loopir::{InterpProfile, Tier};
+use cmm_loopir::{BoxedLoop, InterpProfile, Tier};
 use cmm_rc::PoolStats;
+
+use crate::json::{Json, Member};
 
 /// JSON schema tag emitted by [`ProfileReport::to_json`].
 pub const METRICS_SCHEMA: &str = "cmm-metrics-v1";
@@ -54,6 +59,14 @@ pub struct ParserCacheStats {
     /// on a daemon means the working set of extension sets exceeds the
     /// cache capacity.
     pub evictions: u64,
+}
+
+impl ParserCacheStats {
+    /// `{hits, misses, evictions}`: the cache as the metrics document and
+    /// the serve stats both report it.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(json_rows(&parser_cache_rows(self)))
+    }
 }
 
 /// Timings for one front-to-back compilation.
@@ -177,29 +190,7 @@ impl ProfileReport {
         }
         if let Some(interp) = &self.interp {
             let _ = writeln!(out, "── interpreter ({} tier) ───────────────────", self.tier);
-            let _ = writeln!(out, "{:<22} {:>10}", "total steps", interp.total_steps);
-            let _ = writeln!(out, "{:<22} {:>10}", "parallel loops", interp.par_loops);
-            let _ = writeln!(out, "{:<22} {:>10}", "parallel iterations", interp.par_iters);
-            let _ = writeln!(out, "{:<22} {:>10}", "kernel calls", interp.kernel_calls);
-            let _ = writeln!(out, "{:<22} {:>10}", "unboxed loops", interp.unboxed_loops);
-            let _ = writeln!(out, "{:<22} {:>10}", "unboxed iterations", interp.unboxed_iters);
-            let _ = writeln!(out, "{:<22} {:>10}", "strip iterations", interp.unboxed_strip_iters);
-            let _ = writeln!(out, "{:<22} {:>10}", "full strips", interp.unboxed_full_strips);
-            let _ = writeln!(out, "{:<22} {:>10}", "unboxed declines", interp.unboxed_declines);
-            let _ = writeln!(out, "{:<22} {:>10}", "unboxed bails", interp.unboxed_bails);
-            for l in &interp.boxed_loops {
-                let _ = writeln!(out, "boxed {}: loop {} — {}", l.function, l.var, l.reason);
-            }
-            for l in &interp.per_iteration_loops {
-                let (function, var, reason) = (&l.function, &l.var, l.reason);
-                let _ = writeln!(out, "per-iteration {function}: loop {var} — {reason}");
-            }
-            let _ = writeln!(
-                out,
-                "{:<22} {:>10}",
-                "peak live bytes",
-                interp.peak_live_bytes
-            );
+            table_rows(&mut out, &interp_rows(interp));
             for f in &interp.functions {
                 let _ = writeln!(
                     out,
@@ -209,132 +200,135 @@ impl ProfileReport {
             }
         }
         let _ = writeln!(out, "── rc pool ─────────────────────────────────");
-        let _ = writeln!(out, "{:<22} {:>10}", "hits", self.rc.hits);
-        let _ = writeln!(out, "{:<22} {:>10}", "misses", self.rc.misses);
-        let _ = writeln!(out, "{:<22} {:>10}", "recycled", self.rc.recycled);
+        table_rows(&mut out, &rc_rows(&self.rc));
         let _ = writeln!(out, "── parser cache ────────────────────────────");
-        let _ = writeln!(out, "{:<22} {:>10}", "hits", self.compile.parser_cache.hits);
-        let _ = writeln!(out, "{:<22} {:>10}", "misses", self.compile.parser_cache.misses);
-        let _ = writeln!(
-            out,
-            "{:<22} {:>10}",
-            "evictions", self.compile.parser_cache.evictions
-        );
+        table_rows(&mut out, &parser_cache_rows(&self.compile.parser_cache));
         out
     }
 
-    /// Render as JSON with the stable [`METRICS_SCHEMA`] layout (what
-    /// `--metrics-json` writes).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{METRICS_SCHEMA}\",");
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"tier\": \"{}\",", self.tier);
-        out.push_str("  \"passes\": [\n");
-        for (i, p) in self.compile.passes.iter().enumerate() {
-            let comma = if i + 1 < self.compile.passes.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": {}, \"nanos\": {}, \"items\": {}, \"unit\": {}}}{comma}",
-                json_str(p.name),
-                p.nanos,
-                p.items,
-                json_str(p.unit)
-            );
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"total_nanos\": {},", self.compile.total_nanos());
-        match &self.pool {
-            Some(pool) => {
-                out.push_str("  \"pool\": {\n");
-                let _ = writeln!(out, "    \"regions\": {},", pool.regions_measured);
-                let _ = writeln!(out, "    \"region_nanos\": {},", pool.region_nanos);
-                let _ = writeln!(out, "    \"barrier_wait_nanos\": {},", pool.barrier_wait_nanos);
-                let busy: Vec<String> = pool.busy_nanos.iter().map(|b| b.to_string()).collect();
-                let _ = writeln!(out, "    \"busy_nanos\": [{}],", busy.join(", "));
-                let _ = writeln!(out, "    \"chunks_issued\": {},", pool.chunks_issued);
-                let taken: Vec<String> =
-                    pool.chunks_taken.iter().map(|c| c.to_string()).collect();
-                let _ = writeln!(out, "    \"chunks_taken\": [{}],", taken.join(", "));
-                let steals: Vec<String> = pool.steals.iter().map(|s| s.to_string()).collect();
-                let _ = writeln!(out, "    \"steals\": [{}],", steals.join(", "));
-                let fails: Vec<String> =
-                    pool.steal_failures.iter().map(|s| s.to_string()).collect();
-                let _ = writeln!(out, "    \"steal_failures\": [{}],", fails.join(", "));
-                let _ = writeln!(out, "    \"imbalance_ratio\": {:.6}", pool.imbalance_ratio());
-                out.push_str("  },\n");
-            }
-            None => out.push_str("  \"pool\": null,\n"),
-        }
-        match &self.interp {
-            Some(interp) => {
-                out.push_str("  \"interp\": {\n");
-                let _ = writeln!(out, "    \"total_steps\": {},", interp.total_steps);
-                let _ = writeln!(out, "    \"par_loops\": {},", interp.par_loops);
-                let _ = writeln!(out, "    \"par_iters\": {},", interp.par_iters);
-                let _ = writeln!(out, "    \"kernel_calls\": {},", interp.kernel_calls);
-                let _ = writeln!(out, "    \"unboxed_loops\": {},", interp.unboxed_loops);
-                let _ = writeln!(out, "    \"unboxed_iters\": {},", interp.unboxed_iters);
-                let _ = writeln!(
-                    out,
-                    "    \"unboxed_strip_iters\": {},",
-                    interp.unboxed_strip_iters
-                );
-                let _ = writeln!(out, "    \"unboxed_declines\": {},", interp.unboxed_declines);
-                let _ = writeln!(out, "    \"unboxed_bails\": {},", interp.unboxed_bails);
-                let _ = writeln!(out, "    \"peak_live_bytes\": {},", interp.peak_live_bytes);
-                out.push_str("    \"functions\": [\n");
-                for (i, f) in interp.functions.iter().enumerate() {
-                    let comma = if i + 1 < interp.functions.len() { "," } else { "" };
-                    let _ = writeln!(
-                        out,
-                        "      {{\"name\": {}, \"calls\": {}, \"steps\": {}}}{comma}",
-                        json_str(&f.name),
-                        f.calls,
-                        f.steps
-                    );
-                }
-                out.push_str("    ]\n  },\n");
-            }
-            None => out.push_str("  \"interp\": null,\n"),
-        }
-        let _ = writeln!(
-            out,
-            "  \"rc\": {{\"hits\": {}, \"misses\": {}, \"recycled\": {}}},",
-            self.rc.hits, self.rc.misses, self.rc.recycled
-        );
-        let _ = writeln!(
-            out,
-            "  \"parser_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}",
-            self.compile.parser_cache.hits,
-            self.compile.parser_cache.misses,
-            self.compile.parser_cache.evictions
-        );
-        out.push_str("}\n");
-        out
+    /// The report as a [`METRICS_SCHEMA`] document (`--metrics-json`
+    /// writes its [`Json::to_pretty`] layout).
+    pub fn to_json(&self) -> Json {
+        let passes = self.compile.passes.iter().map(|p| {
+            Json::obj([
+                ("name", p.name.into()),
+                ("nanos", p.nanos.into()),
+                ("items", p.items.into()),
+                ("unit", p.unit.into()),
+            ])
+        });
+        let pool = self.pool.as_ref().map_or(Json::Null, |pool| {
+            let per_worker = |counts: &[u64]| Json::arr(counts.iter().copied());
+            Json::obj([
+                ("regions", pool.regions_measured.into()),
+                ("region_nanos", pool.region_nanos.into()),
+                ("barrier_wait_nanos", pool.barrier_wait_nanos.into()),
+                ("busy_nanos", per_worker(&pool.busy_nanos)),
+                ("chunks_issued", pool.chunks_issued.into()),
+                ("chunks_taken", per_worker(&pool.chunks_taken)),
+                ("steals", per_worker(&pool.steals)),
+                ("steal_failures", per_worker(&pool.steal_failures)),
+                ("imbalance_ratio", Json::fixed(pool.imbalance_ratio(), 6)),
+            ])
+        });
+        let interp = self.interp.as_ref().map_or(Json::Null, |interp| {
+            let functions = interp.functions.iter().map(|f| {
+                Json::obj([
+                    ("name", f.name.as_str().into()),
+                    ("calls", f.calls.into()),
+                    ("steps", f.steps.into()),
+                ])
+            });
+            let mut members = json_rows(&interp_rows(interp));
+            members.push(("functions".into(), Json::arr(functions)));
+            Json::Obj(members)
+        });
+        Json::obj([
+            ("schema", METRICS_SCHEMA.into()),
+            ("threads", self.threads.into()),
+            ("tier", self.tier.to_string().into()),
+            ("passes", Json::arr(passes)),
+            ("total_nanos", self.compile.total_nanos().into()),
+            ("pool", pool),
+            ("interp", interp),
+            ("rc", Json::Obj(json_rows(&rc_rows(&self.rc)))),
+            ("parser_cache", self.compile.parser_cache.to_json()),
+        ])
     }
 }
 
-/// Escape and quote `s` as a JSON string literal — the one escaper every
-/// JSON writer in the workspace (metrics, serve responses, tune reports)
-/// goes through.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// One row of the interpreter, rc-pool or parser-cache section: its label
+/// in the table, its key in the document, its value. Both renderings walk
+/// these lists, so the table and the document cannot drift apart.
+enum Row<'a> {
+    /// A counter.
+    Count(&'static str, &'static str, u64),
+    /// Loops that did not take a fast path, one table line each.
+    Loops(&'static str, &'static str, &'a [BoxedLoop]),
+}
+
+fn interp_rows(p: &InterpProfile) -> [Row<'_>; 13] {
+    [
+        Row::Count("total steps", "total_steps", p.total_steps),
+        Row::Count("parallel loops", "par_loops", p.par_loops),
+        Row::Count("parallel iterations", "par_iters", p.par_iters),
+        Row::Count("kernel calls", "kernel_calls", p.kernel_calls),
+        Row::Count("unboxed loops", "unboxed_loops", p.unboxed_loops),
+        Row::Count("unboxed iterations", "unboxed_iters", p.unboxed_iters),
+        Row::Count("strip iterations", "unboxed_strip_iters", p.unboxed_strip_iters),
+        Row::Count("full strips", "unboxed_full_strips", p.unboxed_full_strips),
+        Row::Count("unboxed declines", "unboxed_declines", p.unboxed_declines),
+        Row::Count("unboxed bails", "unboxed_bails", p.unboxed_bails),
+        Row::Loops("boxed", "boxed_loops", &p.boxed_loops),
+        Row::Loops("per-iteration", "per_iteration_loops", &p.per_iteration_loops),
+        Row::Count("peak live bytes", "peak_live_bytes", p.peak_live_bytes),
+    ]
+}
+
+fn rc_rows(rc: &PoolStats) -> [Row<'static>; 3] {
+    [
+        Row::Count("hits", "hits", rc.hits),
+        Row::Count("misses", "misses", rc.misses),
+        Row::Count("recycled", "recycled", rc.recycled),
+    ]
+}
+
+fn parser_cache_rows(cache: &ParserCacheStats) -> [Row<'static>; 3] {
+    [
+        Row::Count("hits", "hits", cache.hits),
+        Row::Count("misses", "misses", cache.misses),
+        Row::Count("evictions", "evictions", cache.evictions),
+    ]
+}
+
+fn table_rows(out: &mut String, rows: &[Row]) {
+    for row in rows {
+        match row {
+            Row::Count(label, _, n) => {
+                let _ = writeln!(out, "{label:<22} {n:>10}");
             }
-            c => out.push(c),
+            Row::Loops(label, _, loops) => {
+                for l in *loops {
+                    let _ = writeln!(out, "{label} {}: loop {} — {}", l.function, l.var, l.reason);
+                }
+            }
         }
     }
-    out.push('"');
-    out
+}
+
+fn json_rows(rows: &[Row]) -> Vec<Member> {
+    let member = |row: &Row| match *row {
+        Row::Count(_, key, n) => (key.into(), n.into()),
+        Row::Loops(_, key, loops) => {
+            let loops = loops.iter().map(|l| {
+                Json::obj([
+                    ("function", l.function.as_str().into()),
+                    ("var", l.var.as_str().into()),
+                    ("reason", l.reason.into()),
+                ])
+            });
+            (key.into(), Json::arr(loops))
+        }
+    };
+    rows.iter().map(member).collect()
 }

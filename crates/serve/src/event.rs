@@ -634,7 +634,7 @@ fn admit(shared: &Arc<Shared>, line: &str, token: u64) -> Handled {
         Cmd::Ping => return Handled::Inline(Response::ok(&req.id, Some("pong".to_string()), None)),
         Cmd::Stats => {
             let mut resp = Response::ok(&req.id, None, None);
-            resp.stats_json = Some(shared.snapshot().to_json());
+            resp.stats = Some(Box::new(shared.snapshot()));
             return Handled::Inline(resp);
         }
         Cmd::Run | Cmd::Compile | Cmd::Check => {}

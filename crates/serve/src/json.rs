@@ -1,362 +1,4 @@
-//! Minimal JSON reader for the serve protocol.
-//!
-//! The workspace is deliberately dependency-free (no serde); the metrics
-//! side already hand-rolls JSON *output*, and the serve protocol needs the
-//! matching *input* half. This is a strict-enough recursive-descent parser
-//! for the protocol's needs: objects, arrays, strings (with escapes),
-//! numbers, booleans, null. Numbers are held as `f64`, which is exact for
-//! every integer the protocol carries (ids, byte counts, milliseconds —
-//! all far below 2^53).
-//!
-//! Depth is bounded and input size is bounded by the connection's
-//! line-length cap before the parser ever sees it, so a hostile request
-//! cannot stack-overflow or balloon the daemon.
+//! The serve protocol's JSON is the workspace's: [`cmm_core::json`]. The
+//! re-export keeps the path requests have always been parsed through.
 
-use std::collections::BTreeMap;
-
-/// Maximum nesting depth accepted (requests are depth ≤ 3 in practice).
-const MAX_DEPTH: usize = 32;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (exact for |n| < 2^53).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object; key order is irrelevant to the protocol.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member of an object, if this is an object that has it.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// String payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Numeric payload as u64 (rejects negatives and fractions).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// Numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Bool payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Array items, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one JSON document; trailing non-whitespace is an error.
-pub fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err("nesting too deep".into());
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number '{text}': {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            // Surrogates map to the replacement character;
-                            // the protocol never needs astral pairs.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(format!("bad escape {:?}", other.map(|c| c as char)))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim;
-                    // the input is a &str so boundaries are already valid.
-                    let s = &self.bytes[self.pos..];
-                    let step = match s[0] {
-                        c if c < 0x80 => 1,
-                        c if c >= 0xf0 => 4,
-                        c if c >= 0xe0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = std::str::from_utf8(&s[..step.min(s.len())])
-                        .map_err(|e| e.to_string())?;
-                    out.push_str(chunk);
-                    self.pos += chunk.len();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value(depth + 1)?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_protocol_shapes() {
-        let v = parse(
-            r#"{"id": "r1", "cmd": "run", "src": "int main() { return 0; }",
-                "ext": ["ext-matrix", "ext-cilk"], "fuel": 1000, "deadline_ms": 250.0,
-                "nested": {"a": [1, -2.5, true, null]}}"#,
-        )
-        .unwrap();
-        assert_eq!(v.get("id").unwrap().as_str(), Some("r1"));
-        assert_eq!(v.get("fuel").unwrap().as_u64(), Some(1000));
-        assert_eq!(v.get("deadline_ms").unwrap().as_u64(), Some(250));
-        assert_eq!(v.get("ext").unwrap().as_array().unwrap().len(), 2);
-        assert_eq!(
-            v.get("nested").unwrap().get("a").unwrap().as_array().unwrap()[1],
-            Json::Num(-2.5)
-        );
-    }
-
-    #[test]
-    fn escapes_round_trip() {
-        let original = "line1\nline2\t\"quoted\" \\ end\u{0001}é";
-        let quoted = cmm_core::json_str(original);
-        let back = parse(&quoted).unwrap();
-        assert_eq!(back.as_str(), Some(original));
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\" 1}",
-            "[1, 2",
-            "\"unterminated",
-            "{\"a\": 1} trailing",
-            "nul",
-            "--5",
-        ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn rejects_fractional_and_negative_u64() {
-        assert_eq!(parse("1.5").unwrap().as_u64(), None);
-        assert_eq!(parse("-3").unwrap().as_u64(), None);
-        assert_eq!(parse("42").unwrap().as_u64(), Some(42));
-    }
-
-    #[test]
-    fn depth_is_bounded() {
-        let deep = "[".repeat(64) + &"]".repeat(64);
-        assert!(parse(&deep).is_err());
-    }
-}
+pub use cmm_core::json::{parse, Json};

@@ -55,7 +55,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cmm_core::{CompileError, ParserCacheStats, Registry};
+use cmm_core::{CompileError, Json, ParserCacheStats, Registry};
 use cmm_loopir::Limits;
 
 mod event;
@@ -209,53 +209,45 @@ impl ServeStats {
         self.codes[RespCode::Panic as usize]
     }
 
-    /// Render as JSON (the `stats` command payload and what `cmmc serve`
-    /// prints after draining).
-    pub fn to_json(&self) -> String {
-        let code_name = [
-            "ok",
-            "runtime",
-            "bad_request",
-            "io",
-            "compile",
-            "limit",
-            "overloaded",
-            "panic",
+    /// The snapshot as a [`STATS_SCHEMA`] document (the `stats` command
+    /// payload and what `cmmc serve` prints, as one line, after draining).
+    pub fn to_json(&self) -> Json {
+        let codes = [
+            RespCode::Ok,
+            RespCode::Runtime,
+            RespCode::BadRequest,
+            RespCode::Io,
+            RespCode::Compile,
+            RespCode::Limit,
+            RespCode::Overloaded,
+            RespCode::Panic,
         ];
-        let codes: Vec<String> = code_name
-            .iter()
-            .zip(self.codes.iter())
-            .map(|(name, n)| format!("\"{name}\": {n}"))
-            .collect();
-        format!(
-            "{{\"schema\": \"{STATS_SCHEMA}\", \"connections\": {}, \"requests\": {}, \
-             \"in_flight\": {}, \"draining\": {}, \"codes\": {{{}}}, \"shed\": {}, \
-             \"panics_isolated\": {}, \"degraded_sessions\": {}, \"server_threads\": {}, \
-             \"open_connections\": {}, \"streamed\": {}, \"active_tenants\": {}, \
-             \"pool_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"cached\": {}, \"construct_ns\": {}}}, \
-             \"compose_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}}}",
-            self.connections,
-            self.requests,
-            self.in_flight,
-            self.draining,
-            codes.join(", "),
-            self.shed(),
-            self.panics_isolated(),
-            self.degraded_sessions,
-            self.server_threads,
-            self.open_connections,
-            self.streamed,
-            self.active_tenants,
-            self.pool_cache.hits,
-            self.pool_cache.misses,
-            self.pool_cache.evictions,
-            self.pool_cache.cached,
-            self.pool_cache.construct_nanos,
-            self.compose_cache.hits,
-            self.compose_cache.misses,
-            self.compose_cache.evictions,
-        )
+        Json::obj([
+            ("schema", STATS_SCHEMA.into()),
+            ("connections", self.connections.into()),
+            ("requests", self.requests.into()),
+            ("in_flight", self.in_flight.into()),
+            ("draining", self.draining.into()),
+            ("codes", Json::obj(codes.map(|c| (c.status(), self.codes[c as usize].into())))),
+            ("shed", self.shed().into()),
+            ("panics_isolated", self.panics_isolated().into()),
+            ("degraded_sessions", self.degraded_sessions.into()),
+            ("server_threads", self.server_threads.into()),
+            ("open_connections", self.open_connections.into()),
+            ("streamed", self.streamed.into()),
+            ("active_tenants", self.active_tenants.into()),
+            (
+                "pool_cache",
+                Json::obj([
+                    ("hits", self.pool_cache.hits.into()),
+                    ("misses", self.pool_cache.misses.into()),
+                    ("evictions", self.pool_cache.evictions.into()),
+                    ("cached", self.pool_cache.cached.into()),
+                    ("construct_ns", self.pool_cache.construct_nanos.into()),
+                ]),
+            ),
+            ("compose_cache", self.compose_cache.to_json()),
+        ])
     }
 }
 

@@ -38,10 +38,11 @@
 
 use std::time::Duration;
 
-use cmm_core::{json_str, CompileError};
+use cmm_core::CompileError;
 use cmm_forkjoin::Schedule;
 
 use crate::json::{self, Json};
+use crate::ServeStats;
 
 /// Typed response code. The numeric value is the wire `code` and mirrors
 /// the CLI exit code of the same failure class (6 and 7 have no CLI
@@ -165,14 +166,12 @@ impl Request {
         let v = json::parse(line).map_err(|e| (None, format!("invalid JSON: {e}")))?;
         let id = match v.get("id") {
             Some(Json::Str(s)) => s.clone(),
-            Some(Json::Num(n)) => {
-                // Integral ids echo without a trailing ".0".
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    format!("{}", *n as i64)
-                } else {
-                    format!("{n}")
-                }
-            }
+            // Integral ids echo exactly and without a trailing ".0" (an
+            // `f64` prints that way too).
+            Some(n @ Json::Num(_)) => match n.as_u64() {
+                Some(n) => n.to_string(),
+                None => n.as_f64().expect("a number").to_string(),
+            },
             Some(_) => return Err((None, "field 'id' must be a string or number".into())),
             None => return Err((None, "missing required field 'id'".into())),
         };
@@ -307,8 +306,9 @@ pub struct Response {
     pub error: Option<String>,
     /// Execution metrics for run/compile/check responses.
     pub metrics: Option<RespMetrics>,
-    /// Pre-rendered JSON payload for `stats` responses.
-    pub stats_json: Option<String>,
+    /// The snapshot a `stats` response carries (boxed: every other
+    /// response travels without one).
+    pub stats: Option<Box<ServeStats>>,
 }
 
 impl Response {
@@ -320,7 +320,7 @@ impl Response {
             output,
             error: None,
             metrics,
-            stats_json: None,
+            stats: None,
         }
     }
 
@@ -332,13 +332,13 @@ impl Response {
             output: None,
             error: Some(message.into()),
             metrics: None,
-            stats_json: None,
+            stats: None,
         }
     }
 
     /// Serialize as one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
-        self.render(None)
+        self.to_json(None).to_line()
     }
 
     /// Serialize as a streaming *header* line: the normal response
@@ -346,7 +346,7 @@ impl Response {
     /// `chunks` count — but without the `output` itself, which follows
     /// as data frames (see [`Response::stream_frame`]).
     pub fn to_stream_header(&self, output_bytes: usize, chunks: usize) -> String {
-        self.render(Some((output_bytes, chunks)))
+        self.to_json(Some((output_bytes, chunks))).to_line()
     }
 
     /// Serialize one streaming *data frame* (no trailing newline):
@@ -354,61 +354,50 @@ impl Response {
     /// values from 0; `last: true` marks the final frame of the
     /// response.
     pub fn stream_frame(id: &str, seq: usize, data: &str, last: bool) -> String {
-        format!(
-            "{{\"id\": {}, \"seq\": {seq}, \"data\": {}, \"last\": {last}}}",
-            json_str(id),
-            json_str(data)
-        )
+        Json::obj([
+            ("id", id.into()),
+            ("seq", seq.into()),
+            ("data", data.into()),
+            ("last", last.into()),
+        ])
+        .to_line()
     }
 
-    fn render(&self, stream: Option<(usize, usize)>) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"id\": ");
-        out.push_str(&json_str(&self.id));
-        out.push_str(&format!(
-            ", \"ok\": {}, \"code\": {}, \"status\": \"{}\", \"retryable\": {}",
-            self.code == RespCode::Ok,
-            self.code as u8,
-            self.code.status(),
-            self.code.retryable()
-        ));
+    /// The response object; `stream` is a header's `(output_bytes,
+    /// chunks)`, which stand in for the `output`.
+    fn to_json(&self, stream: Option<(usize, usize)>) -> Json {
+        // Five members always, at most four more (a streamed header).
+        let mut members = Vec::with_capacity(9);
+        members.extend([
+            ("id".into(), self.id.as_str().into()),
+            ("ok".into(), (self.code == RespCode::Ok).into()),
+            ("code".into(), (self.code as u8).into()),
+            ("status".into(), self.code.status().into()),
+            ("retryable".into(), self.code.retryable().into()),
+        ]);
         match stream {
-            Some((output_bytes, chunks)) => {
-                out.push_str(&format!(
-                    ", \"stream\": true, \"output_bytes\": {output_bytes}, \"chunks\": {chunks}"
-                ));
-            }
-            None => {
-                if let Some(output) = &self.output {
-                    out.push_str(", \"output\": ");
-                    out.push_str(&json_str(output));
-                }
-            }
+            Some((output_bytes, chunks)) => members.extend([
+                ("stream".into(), true.into()),
+                ("output_bytes".into(), output_bytes.into()),
+                ("chunks".into(), chunks.into()),
+            ]),
+            None => members.extend(self.output.as_deref().map(|o| ("output".into(), o.into()))),
         }
-        if let Some(error) = &self.error {
-            out.push_str(", \"error\": ");
-            out.push_str(&json_str(error));
-        }
+        members.extend(self.error.as_deref().map(|e| ("error".into(), e.into())));
         if let Some(m) = &self.metrics {
-            out.push_str(&format!(
-                ", \"metrics\": {{\"elapsed_ms\": {}, \"queue_ms\": {}, \"threads\": {}, \
-                 \"degraded\": {}, \"allocations\": {}, \"leaked\": {}, \"pool_hit\": {}, \
-                 \"pool_construct_ns\": {}}}",
-                m.elapsed_ms,
-                m.queue_ms,
-                m.threads,
-                m.degraded,
-                m.allocations,
-                m.leaked,
-                m.pool_hit,
-                m.pool_construct_ns
-            ));
+            let metrics = Json::obj([
+                ("elapsed_ms", m.elapsed_ms.into()),
+                ("queue_ms", m.queue_ms.into()),
+                ("threads", m.threads.into()),
+                ("degraded", m.degraded.into()),
+                ("allocations", m.allocations.into()),
+                ("leaked", m.leaked.into()),
+                ("pool_hit", m.pool_hit.into()),
+                ("pool_construct_ns", m.pool_construct_ns.into()),
+            ]);
+            members.push(("metrics".into(), metrics));
         }
-        if let Some(stats) = &self.stats_json {
-            out.push_str(", \"stats\": ");
-            out.push_str(stats);
-        }
-        out.push('}');
-        out
+        members.extend(self.stats.as_ref().map(|s| ("stats".into(), s.to_json())));
+        Json::Obj(members)
     }
 }

@@ -31,8 +31,20 @@ fn request_parses_all_fields() {
 
 #[test]
 fn request_numeric_id_echoes_as_integer() {
-    let req = Request::parse(r#"{"id": 7, "cmd": "ping"}"#).unwrap();
-    assert_eq!(req.id, "7");
+    for (id, echoed) in [("7", "7"), ("7.0", "7"), ("-3", "-3"), ("2.5", "2.5"), ("9007199254740993", "9007199254740993")] {
+        let req = Request::parse(&format!(r#"{{"id": {id}, "cmd": "ping"}}"#)).unwrap();
+        assert_eq!(req.id, echoed);
+    }
+}
+
+/// What Python's default `json.dumps` sends for `job-😀`: the id a client
+/// matches its response by, and the tenant its quota is counted under.
+#[test]
+fn request_strings_decode_surrogate_pairs() {
+    let req = Request::parse(r#"{"id": "job-\ud83d\ude00", "cmd": "ping", "tenant": "\ud83d\ude01"}"#)
+        .unwrap();
+    assert_eq!((req.id.as_str(), req.tenant.as_str()), ("job-😀", "😁"));
+    assert!(Response::ok(&req.id, None, None).to_line().starts_with(r#"{"id": "job-😀", "#));
 }
 
 #[test]
@@ -50,8 +62,25 @@ fn request_rejections_keep_the_id_when_recoverable() {
     assert!(id.is_none());
     assert!(msg.contains("'id'"), "{msg}");
 
-    // Not JSON.
-    assert!(Request::parse("run it please").is_err());
+    // Not JSON — by RFC 8259, not by what `f64` parsing lets through.
+    for line in [
+        "run it please",
+        r#"{"id": 1e400, "cmd": "ping"}"#,
+        r#"{"id": 01, "cmd": "ping"}"#,
+        "{\"id\": \"a\tb\", \"cmd\": \"ping\"}",
+        r#"{"id": "\ud83d", "cmd": "ping"}"#,
+    ] {
+        let (id, msg) = Request::parse(line).unwrap_err();
+        assert!(id.is_none() && msg.starts_with("invalid JSON: "), "{line}: {msg}");
+    }
+
+    // 2^64 is a number, but no budget: `u64::MAX as f64` is 2^64 too, so a
+    // range check in `f64` lets it in and the cast saturates.
+    let line = r#"{"id": "z", "cmd": "run", "src": "", "fuel": 18446744073709551616}"#;
+    let (id, msg) = Request::parse(line).unwrap_err();
+    assert_eq!((id.as_deref(), msg.as_str()), (Some("z"), "field 'fuel' must be a non-negative integer"));
+    let line = r#"{"id": "z", "cmd": "run", "src": "", "fuel": 9007199254740993}"#;
+    assert_eq!(Request::parse(line).unwrap().fuel, Some(9_007_199_254_740_993));
 }
 
 #[test]
@@ -586,7 +615,7 @@ fn stats_report_the_composition_cache_after_the_pool_cache() {
     assert!(cc.get("hits").unwrap().as_u64().unwrap() >= after.hits);
     // Readers that take the first "hits" in the line for the pool
     // cache's (the benchmark does) rely on the order.
-    let line = handle.stats().to_json();
+    let line = handle.stats().to_json().to_line();
     assert!(line.find("\"pool_cache\"").unwrap() < line.find("\"compose_cache\"").unwrap());
     handle.shutdown();
 }

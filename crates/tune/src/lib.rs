@@ -43,7 +43,8 @@ use std::fmt;
 
 use cmm_ast::display::{print_program, print_transform};
 use cmm_ast::TransformSpec;
-use cmm_core::{json_str, CompileError, Compiler, Registry};
+use cmm_core::json::{Json, Member};
+use cmm_core::{CompileError, Compiler, Registry};
 use cmm_forkjoin::{deque_makespan, Schedule, TilePolicy, DEFAULT_GEOMETRY};
 use cmm_loopir::{Interp, Limits, LoopCost, Tier};
 
@@ -397,130 +398,100 @@ pub fn tune(src: &str, cfg: &TuneConfig) -> Result<TuneOutcome, TuneError> {
         }
     };
 
-    let report = write_report(
-        cfg,
-        grain,
-        tile_edge,
-        &baseline,
-        &results,
-        tuned_cost,
-        changed,
-        verified,
-        joint_note.as_deref(),
-    );
-    Ok(TuneOutcome {
+    let mut outcome = TuneOutcome {
         sites: results,
         baseline_cost: baseline.modeled,
         tuned_cost,
         tuned_source,
         changed,
         verified,
-        report,
-    })
+        report: String::new(),
+    };
+    outcome.report =
+        report(cfg, grain, tile_edge, &baseline, &outcome, joint_note).to_pretty();
+    Ok(outcome)
 }
 
-fn pct_vs(baseline: u64, tuned: u64) -> f64 {
-    if baseline == 0 {
+fn pct_vs(baseline: u64, tuned: u64) -> Json {
+    let pct = if baseline == 0 {
         0.0
     } else {
         100.0 * (baseline as f64 - tuned as f64) / baseline as f64
-    }
+    };
+    Json::fixed(pct, 1)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_report(
+/// The `cmm-tune-report-v1` document for `outcome`.
+fn report(
     cfg: &TuneConfig,
     grain: usize,
     tile_edge: usize,
     baseline: &Probe,
-    results: &[SiteResult],
-    tuned_cost: u64,
-    changed: bool,
-    verified: bool,
-    joint_note: Option<&str>,
-) -> String {
-    let mut o = String::new();
-    o.push_str("{\n");
-    o.push_str(&format!("  \"schema\": \"{REPORT_SCHEMA}\",\n"));
-    o.push_str(&format!("  \"program\": {},\n", json_str(&cfg.program)));
-    o.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    o.push_str(&format!("  \"budget\": {},\n", cfg.budget));
-    o.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    o.push_str(&format!("  \"static_grain\": {grain},\n"));
-    o.push_str(&format!("  \"tile_edge\": {tile_edge},\n"));
-    o.push_str(&format!(
-        "  \"baseline\": {{\"modeled_cost\": {}, \"makespan\": {}, \"fuel\": {}, \"compile_items\": {}}},\n",
-        baseline.modeled, baseline.makespan, baseline.fuel, baseline.compile_items
-    ));
-    o.push_str("  \"sites\": [\n");
-    for (si, r) in results.iter().enumerate() {
-        o.push_str("    {\n");
-        o.push_str(&format!("      \"id\": {},\n", r.site.id));
-        o.push_str(&format!("      \"function\": {},\n", json_str(&r.site.function)));
-        o.push_str(&format!("      \"target\": {},\n", json_str(&r.site.target)));
-        o.push_str(&format!(
-            "      \"indices\": [{}],\n",
-            r.site
-                .indices
-                .iter()
-                .map(|i| json_str(i))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        o.push_str(&format!(
-            "      \"winner\": {},\n",
-            json_str(&r.candidates[r.winner].rendered)
-        ));
-        if let CandidateStatus::Scored { modeled_cost, .. } = r.candidates[r.winner].status {
-            o.push_str(&format!(
-                "      \"winner_improvement_pct\": {:.1},\n",
-                pct_vs(baseline.modeled, modeled_cost)
-            ));
-        }
-        o.push_str("      \"candidates\": [\n");
-        for (ci, c) in r.candidates.iter().enumerate() {
-            let comma = if ci + 1 < r.candidates.len() { "," } else { "" };
-            match &c.status {
-                CandidateStatus::Scored { modeled_cost, makespan, fuel, compile_items } => {
-                    o.push_str(&format!(
-                        "        {{\"directives\": {}, \"status\": \"ok\", \"modeled_cost\": {modeled_cost}, \"makespan\": {makespan}, \"fuel\": {fuel}, \"compile_items\": {compile_items}}}{comma}\n",
-                        json_str(&c.rendered)
-                    ));
-                }
-                CandidateStatus::Pruned { error } => {
-                    o.push_str(&format!(
-                        "        {{\"directives\": {}, \"status\": \"pruned\", \"error\": {}}}{comma}\n",
-                        json_str(&c.rendered),
-                        json_str(error)
-                    ));
-                }
-                CandidateStatus::Failed { error } => {
-                    o.push_str(&format!(
-                        "        {{\"directives\": {}, \"status\": \"failed\", \"error\": {}}}{comma}\n",
-                        json_str(&c.rendered),
-                        json_str(error)
-                    ));
-                }
+    outcome: &TuneOutcome,
+    joint_note: Option<String>,
+) -> Json {
+    let candidate = |c: &Candidate| {
+        let error = |e: &str| vec![("error".into(), e.into())];
+        let (status, rest) = match &c.status {
+            CandidateStatus::Scored { modeled_cost, makespan, fuel, compile_items } => {
+                ("ok", score_members(*modeled_cost, *makespan, *fuel, *compile_items).to_vec())
             }
+            CandidateStatus::Pruned { error: e } => ("pruned", error(e)),
+            CandidateStatus::Failed { error: e } => ("failed", error(e)),
+        };
+        let mut members = vec![
+            ("directives".into(), c.rendered.as_str().into()),
+            ("status".into(), status.into()),
+        ];
+        members.extend(rest);
+        Json::Obj(members)
+    };
+    let site = |r: &SiteResult| {
+        let winner = &r.candidates[r.winner];
+        let mut members = vec![
+            ("id".into(), r.site.id.into()),
+            ("function".into(), r.site.function.as_str().into()),
+            ("target".into(), r.site.target.as_str().into()),
+            ("indices".into(), Json::arr(r.site.indices.iter().map(String::as_str))),
+            ("winner".into(), winner.rendered.as_str().into()),
+        ];
+        if let CandidateStatus::Scored { modeled_cost, .. } = winner.status {
+            members.push(("winner_improvement_pct".into(), pct_vs(baseline.modeled, modeled_cost)));
         }
-        o.push_str("      ]\n");
-        let comma = if si + 1 < results.len() { "," } else { "" };
-        o.push_str(&format!("    }}{comma}\n"));
-    }
-    o.push_str("  ],\n");
-    o.push_str(&format!(
-        "  \"tuned\": {{\"modeled_cost\": {tuned_cost}, \"changed\": {changed}, \"verified\": {verified}{}}},\n",
-        match joint_note {
-            Some(n) => format!(", \"note\": {}", json_str(n)),
-            None => String::new(),
-        }
-    ));
-    o.push_str(&format!(
-        "  \"improvement_pct\": {:.1}\n",
-        pct_vs(baseline.modeled, tuned_cost)
-    ));
-    o.push_str("}\n");
-    o
+        members.push(("candidates".into(), Json::arr(r.candidates.iter().map(candidate))));
+        Json::Obj(members)
+    };
+    let Probe { modeled, makespan, fuel, compile_items, .. } = *baseline;
+    let mut tuned = vec![
+        ("modeled_cost".into(), outcome.tuned_cost.into()),
+        ("changed".into(), outcome.changed.into()),
+        ("verified".into(), outcome.verified.into()),
+    ];
+    tuned.extend(joint_note.map(|note| ("note".into(), note.into())));
+    Json::obj([
+        ("schema", REPORT_SCHEMA.into()),
+        ("program", cfg.program.as_str().into()),
+        ("seed", cfg.seed.into()),
+        ("budget", cfg.budget.into()),
+        ("threads", cfg.threads.into()),
+        ("static_grain", grain.into()),
+        ("tile_edge", tile_edge.into()),
+        ("baseline", Json::obj(score_members(modeled, makespan, fuel, compile_items))),
+        ("sites", Json::arr(outcome.sites.iter().map(site))),
+        ("tuned", Json::Obj(tuned)),
+        ("improvement_pct", pct_vs(baseline.modeled, outcome.tuned_cost)),
+    ])
+}
+
+/// The four numbers of a scored probe, as the baseline and every scored
+/// candidate report them.
+fn score_members(modeled_cost: u64, makespan: u64, fuel: u64, compile_items: u64) -> [Member; 4] {
+    [
+        ("modeled_cost".into(), modeled_cost.into()),
+        ("makespan".into(), makespan.into()),
+        ("fuel".into(), fuel.into()),
+        ("compile_items".into(), compile_items.into()),
+    ]
 }
 
 #[cfg(test)]

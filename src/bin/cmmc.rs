@@ -169,7 +169,7 @@ fn serve_command(args: &[String]) -> ExitCode {
         if report.clean { "cleanly" } else { "UNCLEANLY (session abandoned)" },
         report.waited.as_millis()
     );
-    println!("{}", report.stats.to_json());
+    println!("{}", report.stats.to_json().to_line());
     if report.clean {
         ExitCode::SUCCESS
     } else {
@@ -525,7 +525,7 @@ fn main() -> ExitCode {
         let Some(path) = &metrics_json else {
             return ExitCode::SUCCESS;
         };
-        match std::fs::write(path, report.to_json()) {
+        match std::fs::write(path, report.to_json().to_pretty()) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("cmmc: cannot write {path}: {e}");
@@ -590,34 +590,30 @@ fn main() -> ExitCode {
             }
         }
         "run" => {
-            if metered {
-                match compiler.run_profiled_scheduled(&src, threads, limits, schedule) {
-                    Ok((result, report)) => {
-                        print!("{}", result.output);
-                        if result.leaked > 0 {
-                            eprintln!(
-                                "cmmc: warning: {} of {} buffers leaked",
-                                result.leaked, result.allocations
-                            );
-                        }
-                        report_to(&report)
-                    }
-                    Err(e) => fail(&e),
+            // A run stopped by a limit or a runtime error still reports:
+            // its profile is the one that says where the steps went. The
+            // run's own exit code wins over a failed report write.
+            let (outcome, report) = if metered {
+                match compiler.run_profiled_outcome(&src, threads, limits, schedule) {
+                    Ok((outcome, report)) => (outcome, Some(report)),
+                    Err(e) => return fail(&e),
                 }
             } else {
-                match compiler.run_with_schedule(&src, threads, limits, schedule) {
-                    Ok(result) => {
-                        print!("{}", result.output);
-                        if result.leaked > 0 {
-                            eprintln!(
-                                "cmmc: warning: {} of {} buffers leaked",
-                                result.leaked, result.allocations
-                            );
-                        }
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(&e),
+                (compiler.run_with_schedule(&src, threads, limits, schedule), None)
+            };
+            if let Ok(result) = &outcome {
+                print!("{}", result.output);
+                if result.leaked > 0 {
+                    eprintln!(
+                        "cmmc: warning: {} of {} buffers leaked",
+                        result.leaked, result.allocations
+                    );
                 }
+            }
+            let reported = report.map_or(ExitCode::SUCCESS, |report| report_to(&report));
+            match outcome {
+                Ok(_) => reported,
+                Err(e) => fail(&e),
             }
         }
         _ => usage(),

@@ -353,6 +353,42 @@ fn emit_and_check_report_their_passes() {
     std::fs::remove_file(path).ok();
 }
 
+/// A run that a limit or a runtime error stops still reports — it is the
+/// run whose profile says where the steps went — and then exits with the
+/// run's own code, which also wins over a report that cannot be written.
+#[test]
+fn a_failed_run_still_prints_its_table_and_writes_its_file() {
+    let json_path = std::env::temp_dir().join(format!("cmmc-{}-failed.json", std::process::id()));
+    let json_path = json_path.display().to_string();
+    let failing = ["run", "examples/imbalanced.xc", "--fuel", "5000"];
+    let plain = cmmc().args(failing).output().expect("spawn cmmc");
+    let metered = cmmc()
+        .args(failing)
+        .args(["--profile", "--metrics-json", &json_path])
+        .output()
+        .expect("spawn cmmc");
+    assert_eq!((plain.status.code(), metered.status.code()), (Some(5), Some(5)));
+    assert_eq!(metered.stdout, plain.stdout);
+    let stderr = String::from_utf8_lossy(&metered.stderr);
+    assert!(stderr.contains("fuel budget of 5000 steps exhausted"), "{stderr}");
+    assert!(stderr.contains("total steps"), "{stderr}");
+    let written = std::fs::read_to_string(&json_path).expect("metrics file written");
+    let doc = cmm::core::json::parse(&written).expect("the metrics file parses");
+    let steps = doc.get("interp").and_then(|i| i.get("total_steps")).and_then(|n| n.as_u64());
+    assert!(steps.is_some_and(|n| n >= 5000), "{written}");
+    std::fs::remove_file(json_path).ok();
+
+    let path = write_program("failed-div.xc", "int main() { int z = 0; printInt(1 / z); return 0; }");
+    let out = cmmc()
+        .args(["run", &path, "--profile", "--metrics-json", "/nonexistent/dir/m.json"])
+        .output()
+        .expect("spawn cmmc");
+    assert_eq!(out.status.code(), Some(1), "the runtime error's code, not the write's 3");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("total steps") && stderr.contains("cannot write"), "{stderr}");
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn metrics_json_unwritable_path_exits_3() {
     let path = write_program("mjson-bad.xc", PROGRAM);

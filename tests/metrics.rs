@@ -1,10 +1,11 @@
 //! Pipeline observability (PR 2): pass timings from `compile_metered`,
 //! fork-join region telemetry and rc-pool deltas from `run_profiled`, and
-//! the stable `cmm-metrics-v1` JSON layout — parsed here by hand, since
-//! the workspace has no serde and downstream tools shouldn't need one.
+//! the stable `cmm-metrics-v1` document — written, parsed back with the
+//! workspace's own `cmm::core::json`, and read as a value.
 
 use std::sync::Mutex;
 
+use cmm::core::json::{self, Json};
 use cmm::core::{CompileMetrics, ProfileReport, METRICS_SCHEMA};
 use cmm::eddy::programs::full_compiler;
 use cmm::loopir::Limits;
@@ -99,50 +100,138 @@ fn rc_counters_are_per_run_deltas_not_cumulative() {
     assert_eq!(second.rc.misses, 0, "{:?}", second.rc);
 }
 
-/// Extract `"key": <uint>` from the hand-rolled JSON.
-fn json_u64(json: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\": ");
-    let at = json.find(&needle).unwrap_or_else(|| panic!("missing {key} in {json}"));
-    let rest = &json[at + needle.len()..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().unwrap_or_else(|_| panic!("{key} is not a uint in {json}"))
+/// What `--metrics-json` writes for `report`, parsed back.
+fn document(report: &ProfileReport) -> Json {
+    json::parse(&report.to_json().to_pretty()).expect("the metrics document parses")
+}
+
+/// Member `path` (keys joined by dots) of `doc`.
+fn member<'a>(doc: &'a Json, path: &str) -> &'a Json {
+    let found = path.split('.').try_fold(doc, |v, key| v.get(key));
+    found.unwrap_or_else(|| panic!("no {path} in {doc:?}"))
+}
+
+fn uint(doc: &Json, path: &str) -> u64 {
+    member(doc, path).as_u64().unwrap_or_else(|| panic!("{path} is not a uint in {doc:?}"))
+}
+
+fn uints(doc: &Json, path: &str) -> Vec<u64> {
+    let items = member(doc, path).as_array().unwrap_or_else(|| panic!("{path} is not an array"));
+    items.iter().map(|n| n.as_u64().expect("uint item")).collect()
 }
 
 #[test]
 fn metrics_json_round_trips_without_serde() {
     let _guard = RC_LOCK.lock().unwrap();
     let report = profiled(3);
-    let json = report.to_json();
+    let doc = document(&report);
+    assert_eq!(doc, report.to_json(), "parse(write(v)) == v");
 
-    assert!(json.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")), "{json}");
-    assert_eq!(json_u64(&json, "threads"), 3);
-    assert_eq!(json_u64(&json, "total_nanos"), report.compile.total_nanos());
-    for p in &report.compile.passes {
-        assert!(json.contains(&format!("{{\"name\": \"{}\", \"nanos\": {}", p.name, p.nanos)), "{json}");
+    assert_eq!(member(&doc, "schema").as_str(), Some(METRICS_SCHEMA));
+    assert_eq!(member(&doc, "tier").as_str(), Some("vm"));
+    assert_eq!(uint(&doc, "threads"), 3);
+    assert_eq!(uint(&doc, "total_nanos"), report.compile.total_nanos());
+    let passes = member(&doc, "passes").as_array().expect("passes");
+    assert_eq!(passes.len(), report.compile.passes.len());
+    for (p, want) in passes.iter().zip(&report.compile.passes) {
+        assert_eq!(member(p, "name").as_str(), Some(want.name));
+        assert_eq!((uint(p, "nanos"), uint(p, "items")), (want.nanos, want.items));
+        assert_eq!(member(p, "unit").as_str(), Some(want.unit));
     }
+    let names: Vec<_> = passes.iter().map(|p| member(p, "name").as_str().expect("name")).collect();
+    assert_eq!(names, ["parse", "build", "check", "optimize", "lower", "emit"]);
     let pool = report.pool.as_ref().expect("pool metrics");
-    assert_eq!(json_u64(&json, "regions"), pool.regions_measured);
-    assert_eq!(json_u64(&json, "region_nanos"), pool.region_nanos);
-    assert_eq!(json_u64(&json, "barrier_wait_nanos"), pool.barrier_wait_nanos);
-    // Steal telemetry: one array entry per participant, mirroring
-    // PoolMetrics (additive keys under the v1 schema tag).
-    let steals: Vec<String> = pool.steals.iter().map(|s| s.to_string()).collect();
-    assert!(json.contains(&format!("\"steals\": [{}]", steals.join(", "))), "{json}");
-    assert!(json.contains("\"steal_failures\": ["), "{json}");
-    assert!(json.contains("\"imbalance_ratio\": "), "{json}");
+    assert_eq!(uint(&doc, "pool.regions"), pool.regions_measured);
+    assert_eq!(uint(&doc, "pool.region_nanos"), pool.region_nanos);
+    assert_eq!(uint(&doc, "pool.barrier_wait_nanos"), pool.barrier_wait_nanos);
+    // One array entry per participant, mirroring PoolMetrics.
+    assert_eq!(uints(&doc, "pool.busy_nanos"), pool.busy_nanos);
+    assert_eq!(uints(&doc, "pool.chunks_taken"), pool.chunks_taken);
+    assert_eq!(uints(&doc, "pool.steals"), pool.steals);
+    assert_eq!(uints(&doc, "pool.steal_failures"), pool.steal_failures);
+    for per_worker in ["busy_nanos", "chunks_taken", "steals", "steal_failures"] {
+        assert_eq!(uints(&doc, &format!("pool.{per_worker}")).len(), 3, "{per_worker}");
+    }
+    let ratio = member(&doc, "pool.imbalance_ratio").as_f64().expect("imbalance_ratio");
+    assert!((ratio - pool.imbalance_ratio()).abs() < 1e-6);
     let interp = report.interp.as_ref().expect("interp profile");
-    assert_eq!(json_u64(&json, "total_steps"), interp.total_steps);
-    assert_eq!(json_u64(&json, "par_iters"), interp.par_iters);
-    assert_eq!(json_u64(&json, "peak_live_bytes"), interp.peak_live_bytes);
-    assert_eq!(json_u64(&json, "hits"), report.rc.hits);
-    assert_eq!(json_u64(&json, "misses"), report.rc.misses);
-    assert_eq!(json_u64(&json, "recycled"), report.rc.recycled);
-    // Parser-cache counters ride last; scope the search so the rc-pool
-    // "hits"/"misses" keys above don't shadow them.
-    let pc = &json[json.find("\"parser_cache\"").expect("parser_cache key")..];
-    assert_eq!(json_u64(pc, "hits"), report.compile.parser_cache.hits);
-    assert_eq!(json_u64(pc, "misses"), report.compile.parser_cache.misses);
-    assert_eq!(json_u64(pc, "evictions"), report.compile.parser_cache.evictions);
+    assert_eq!(uint(&doc, "interp.total_steps"), interp.total_steps);
+    assert_eq!(uint(&doc, "interp.par_iters"), interp.par_iters);
+    assert_eq!(uint(&doc, "interp.kernel_calls"), 0, "no matrix product here");
+    assert_eq!(uint(&doc, "interp.peak_live_bytes"), interp.peak_live_bytes);
+    let functions = member(&doc, "interp.functions").as_array().expect("functions");
+    let names: Vec<_> = functions.iter().map(|f| member(f, "name").as_str()).collect();
+    assert!(names.contains(&Some("main")) && names.contains(&Some("rowScore")), "{names:?}");
+    assert_eq!(uint(&doc, "rc.hits"), report.rc.hits);
+    assert_eq!(uint(&doc, "rc.misses"), report.rc.misses);
+    assert_eq!(uint(&doc, "rc.recycled"), report.rc.recycled);
+    assert_eq!(uint(&doc, "parser_cache.hits"), report.compile.parser_cache.hits);
+    assert_eq!(uint(&doc, "parser_cache.misses"), report.compile.parser_cache.misses);
+    assert_eq!(uint(&doc, "parser_cache.evictions"), report.compile.parser_cache.evictions);
+}
+
+/// Under a self-scheduling default (`cmmc run examples/imbalanced.xc
+/// --threads 4 --schedule dynamic:4 --metrics-json`) the pool block carries
+/// the chunk-claim and steal telemetry, one entry per participant.
+#[test]
+fn a_scheduled_run_reports_chunk_and_steal_telemetry() {
+    let _guard = RC_LOCK.lock().unwrap();
+    let src = include_str!("../examples/imbalanced.xc");
+    let schedule = "dynamic:4".parse().expect("a schedule");
+    let (_, report) = full_compiler()
+        .run_profiled_scheduled(src, 4, Limits::default(), schedule)
+        .expect("profiled run");
+    let doc = document(&report);
+    assert_eq!(uint(&doc, "threads"), 4);
+    assert!(uint(&doc, "pool.chunks_issued") > 0, "{doc:?}");
+    let taken = uints(&doc, "pool.chunks_taken");
+    assert_eq!(taken.len(), 4);
+    assert_eq!(taken.iter().sum::<u64>(), uint(&doc, "pool.chunks_issued"));
+    assert_eq!((uints(&doc, "pool.steals").len(), uints(&doc, "pool.steal_failures").len()), (4, 4));
+    assert!(member(&doc, "pool.imbalance_ratio").as_f64().expect("a ratio") >= 1.0);
+}
+
+/// The interpreter, rc-pool and parser-cache sections say the same thing
+/// in both renderings: with every counter given its own value, the
+/// numbers down the table's rows are the numbers down the document's
+/// members, in order — a counter added to one and not the other shows.
+#[test]
+fn every_counter_row_of_the_table_is_a_key_of_the_document() {
+    let report = ProfileReport {
+        interp: Some(cmm::loopir::InterpProfile {
+            total_steps: 101,
+            par_loops: 102,
+            par_iters: 103,
+            kernel_calls: 104,
+            unboxed_loops: 105,
+            unboxed_iters: 106,
+            unboxed_strip_iters: 107,
+            unboxed_full_strips: 108,
+            unboxed_declines: 109,
+            unboxed_bails: 110,
+            peak_live_bytes: 111,
+            ..Default::default()
+        }),
+        rc: cmm::rc::PoolStats { hits: 201, misses: 202, recycled: 203 },
+        compile: CompileMetrics {
+            parser_cache: cmm::core::ParserCacheStats { hits: 301, misses: 302, evictions: 303 },
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let table = report.render_table();
+    let doc = document(&report);
+    for (section, key) in [("interpreter", "interp"), ("rc pool", "rc"), ("parser cache", "parser_cache")] {
+        let rows = table.lines().skip_while(|l| !l.contains(section)).skip(1);
+        let in_table: Vec<u64> = rows
+            .take_while(|l| !l.starts_with('─'))
+            .map(|l| l.split_whitespace().last().and_then(|n| n.parse().ok()).expect(l))
+            .collect();
+        let Json::Obj(members) = member(&doc, key) else { panic!("{key} is not an object") };
+        let in_document: Vec<u64> = members.iter().filter_map(|(_, v)| v.as_u64()).collect();
+        assert!(in_table.len() >= 3, "{section}: {table}");
+        assert_eq!(in_table, in_document, "{section} / {key}:\n{table}\n{doc:?}");
+    }
 }
 
 #[test]
@@ -212,20 +301,20 @@ fn kernel_calls_are_counted_per_tier() {
     assert_eq!((vi.kernel_calls, ti.kernel_calls), (2, 0));
     assert_eq!((vi.par_loops, vi.par_iters), (ti.par_loops, ti.par_iters));
     assert_eq!(vi.total_steps, ti.total_steps);
-    assert_eq!(json_u64(&vm.to_json(), "kernel_calls"), 2);
+    assert_eq!(uint(&document(&vm), "interp.kernel_calls"), 2);
     assert!(vm.render_table().contains("kernel calls                    2\n"));
 }
 
-/// Unboxed loops are visible the same way — five counters in the table
-/// and the JSON, zero in the tree tier — and a loop that stayed boxed
-/// says why, in the table.
+/// Unboxed loops are visible the same way — their counters in the table
+/// and the document, zero in the tree tier — and a loop that stayed boxed
+/// says why, in both.
 #[test]
 fn unboxed_loops_are_counted_and_boxed_loops_say_why() {
     let _guard = RC_LOCK.lock().unwrap();
     let src = "int twice(int x) { return x * 2; }
 int main() {
-    printInt(with ([0] <= [i] < [10]) fold(+, 0, i * i));
-    printInt(with ([0] <= [k] < [10]) fold(+, 0, twice(k)));
+    printInt(with ([0] <= [k] < [10]) fold(+, 0, k * k));
+    printInt(with ([0] <= [i] < [10]) fold(+, 0, twice(i)));
     return 0;
 }";
     let profile = |tier| {
@@ -245,22 +334,30 @@ int main() {
     assert_eq!((ti.unboxed_loops, ti.unboxed_iters), (0, 0));
     assert_eq!(ti.boxed_loops, []);
     assert_eq!(vi.total_steps, ti.total_steps);
-    let json = vm.to_json();
+    let doc = document(&vm);
     for (key, want) in [
-        ("unboxed_loops", 1),
-        ("unboxed_iters", 10),
-        ("unboxed_strip_iters", 10),
-        ("unboxed_declines", 0),
-        ("unboxed_bails", 0),
+        ("interp.unboxed_loops", 1),
+        ("interp.unboxed_iters", 10),
+        ("interp.unboxed_strip_iters", 10),
+        ("interp.unboxed_full_strips", 0),
+        ("interp.unboxed_declines", 0),
+        ("interp.unboxed_bails", 0),
     ] {
-        assert_eq!(json_u64(&json, key), want, "{key}");
+        assert_eq!(uint(&doc, key), want, "{key}");
     }
+    let boxed = Json::obj([
+        ("function", "main".into()),
+        ("var", "i".into()),
+        ("reason", "body calls a user function".into()),
+    ]);
+    assert_eq!(member(&doc, "interp.boxed_loops"), &Json::arr([boxed]));
+    assert_eq!(member(&doc, "interp.per_iteration_loops"), &Json::arr::<Json>([]));
     let table = vm.render_table();
     assert!(table.contains("unboxed loops                   1\n"), "{table}");
     assert!(table.contains("unboxed iterations             10\n"), "{table}");
     assert!(table.contains("strip iterations               10\n"), "{table}");
-    assert!(table.contains("boxed main: loop k — body calls a user function\n"), "{table}");
-    assert!(!table.contains("loop i —"), "{table}");
+    assert!(table.contains("boxed main: loop i — body calls a user function\n"), "{table}");
+    assert!(!table.contains("loop k —"), "{table}");
 }
 
 /// Every unboxed iteration of `examples/imbalanced.xc` runs in a strip:
@@ -275,7 +372,7 @@ fn the_imbalanced_example_runs_every_unboxed_iteration_in_strips() {
     let interp = report.interp.as_ref().expect("interp profile");
     assert_eq!((interp.unboxed_strip_iters, interp.unboxed_iters), (191_280, 191_280));
     assert_eq!(interp.per_iteration_loops, []);
-    assert_eq!(json_u64(&report.to_json(), "unboxed_strip_iters"), 191_280);
+    assert_eq!(uint(&document(&report), "interp.unboxed_strip_iters"), 191_280);
 }
 
 /// A translated loop whose body has no strip plan is listed with the
@@ -302,4 +399,7 @@ fn a_loop_without_a_strip_plan_says_why() {
         .find("per-iteration scan: loop j — checked operation depends on a loop-carried value\n")
         .expect("per-iteration line");
     assert!(boxed < per_iteration, "{table}");
+    let doc = document(&report);
+    let listed = member(&doc, "interp.per_iteration_loops").as_array().expect("array");
+    assert_eq!(member(&listed[0], "var").as_str(), Some("j"));
 }

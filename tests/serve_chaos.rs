@@ -192,11 +192,15 @@ fn chaos_mixed_workload_under_full_fault_injection() {
         let stream = TcpStream::connect(addr).expect("post-storm connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = stream;
-        writeln!(writer, r#"{{"id": "alive", "cmd": "ping"}}"#).unwrap();
+        // The id is spelled as Python's default `json.dumps` spells
+        // `alive-😀`; the client matches its answer by the id it chose.
+        writeln!(writer, r#"{{"id": "alive-\ud83d\ude00", "cmd": "ping"}}"#).unwrap();
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
         let v = json::parse(&resp).unwrap();
         assert_eq!(code(&v), 0, "daemon must answer ping after chaos: {resp}");
+        assert_eq!(v.get("id").unwrap().as_str(), Some("alive-😀"), "{resp}");
+        assert!(resp.starts_with(r#"{"id": "alive-😀", "#), "echoed verbatim: {resp}");
     }
 
     let report = handle.shutdown();
@@ -227,4 +231,55 @@ fn chaos_mixed_workload_under_full_fault_injection() {
     // Injection bookkeeping agrees with the protocol-level tallies.
     assert_eq!(faultinject::panics_injected(), 40);
     assert!(faultinject::alloc_failures_injected() >= 40);
+}
+
+/// Two tenants whose names a client escaped (`"\ud83d\ude00"`,
+/// `"\ud83d\ude01"`) are two tenants: each is admitted up to its own
+/// quota and shed past it. Scalar single-thread programs only — the chaos
+/// test's fault plan is the process's, and these are out of its reach.
+#[test]
+fn escaped_tenant_names_keep_their_own_quota() {
+    let cfg = ServeConfig { tenant_quota: Some(1), ..ServeConfig::default() };
+    let handle = start(cfg).expect("start server");
+    let connect = || {
+        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        (BufReader::new(stream.try_clone().expect("clone")), stream)
+    };
+    // Holds its tenant's one slot until the deadline stops it.
+    let spin = |id: &str, tenant: &str| {
+        format!(
+            r#"{{"id": "{id}", "cmd": "run", "threads": 1, "tenant": "{tenant}", "deadline_ms": 2000, "src": "int main() {{ while (1 > 0) {{ }} return 0; }}"}}"#
+        )
+    };
+    let recv = |reader: &mut BufReader<TcpStream>| {
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("recv");
+        json::parse(&resp).unwrap_or_else(|e| panic!("bad response JSON ({e}): {resp}"))
+    };
+
+    let mut held = Vec::new();
+    for (n, (escaped, name)) in [(r"\ud83d\ude00", "😀"), (r"\ud83d\ude01", "😁")].into_iter().enumerate() {
+        // The tenant's first request is admitted, whoever else is at quota ...
+        let (reader, mut writer) = connect();
+        writeln!(writer, "{}", spin(&format!("hold-{n}"), escaped)).unwrap();
+        while handle.stats().in_flight <= n {
+            assert!(handle.stats().shed() <= n as u64, "tenant {name} was shed below its quota");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        held.push((reader, writer));
+        // ... and its second is shed, in its own name.
+        let (mut reader, mut writer) = connect();
+        writeln!(writer, "{}", spin(&format!("over-{n}"), escaped)).unwrap();
+        let v = recv(&mut reader);
+        assert_eq!(code(&v), 6, "{v:?}");
+        let error = v.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains(&format!("tenant '{name}' quota reached")), "{error}");
+    }
+    assert_eq!(handle.stats().active_tenants, 2);
+    for (n, (mut reader, _writer)) in held.into_iter().enumerate() {
+        let v = recv(&mut reader);
+        assert_eq!(v.get("id").unwrap().as_str(), Some(format!("hold-{n}").as_str()));
+        assert_eq!(code(&v), 5, "stopped by its deadline: {v:?}");
+    }
+    assert!(handle.shutdown().clean);
 }
