@@ -1,0 +1,49 @@
+//! Composes the standard language when `cmm-core` is built, the way
+//! Copper generates a translator's parser once (§VI-A): every
+//! independently composable extension is verified with `isComposable`,
+//! the full selection is composed, and its LALR(1) tables and scanner DFA
+//! are written to `OUT_DIR` as `static` arrays, next to the encoding of
+//! the fragments they were built from. `lib.rs` includes both. An
+//! extension that does not compose fails the build.
+
+// The build reads the fragments and their packaging, nothing else.
+#[allow(dead_code)]
+#[path = "src/standard.rs"]
+mod standard;
+
+use std::path::PathBuf;
+
+use cmm_grammar::{is_composable, ComposedGrammar, GrammarFragment, Parser};
+
+fn main() {
+    println!("cargo:rerun-if-changed=build.rs");
+    println!("cargo:rerun-if-changed=src/standard.rs");
+    let host = cmm_lang::host_grammar();
+    let extensions = standard::extensions();
+    // Selecting every extension selects every one: none is packaged with
+    // an extension outside the list.
+    let selected: Vec<&standard::Extension> = extensions.iter().collect();
+    for e in selected.iter().filter(|e| e.packaged.is_none()) {
+        let report = is_composable(&host, &e.grammar);
+        assert!(report.passed, "the standard language does not compose:\n{report}");
+    }
+    let fragments: Vec<&GrammarFragment> = selected.iter().map(|e| &e.grammar).collect();
+    let grammar = ComposedGrammar::compose(&host, &fragments)
+        .unwrap_or_else(|e| panic!("the standard language does not compose: {e}"));
+    let parser = Parser::new(grammar).unwrap_or_else(|conflicts| {
+        let first = &conflicts[0];
+        panic!(
+            "the standard language is not LALR(1): {} conflicts, first on '{}' in state {}: {}",
+            conflicts.len(),
+            first.terminal,
+            first.state,
+            first.description
+        )
+    });
+    let out = PathBuf::from(std::env::var_os("OUT_DIR").expect("cargo sets OUT_DIR"));
+    let write = |name: &str, bytes: &[u8]| {
+        std::fs::write(out.join(name), bytes).unwrap_or_else(|e| panic!("write {name}: {e}"))
+    };
+    write("standard.enc", &standard::composition_encoding(&host, &selected));
+    write("standard_parser.rs", parser.static_source("standard_parser").as_bytes());
+}

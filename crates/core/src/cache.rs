@@ -40,6 +40,7 @@ pub(crate) struct LruCache<V> {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    prebuilt: AtomicU64,
 }
 
 impl<V: Clone> LruCache<V> {
@@ -54,6 +55,7 @@ impl<V: Clone> LruCache<V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            prebuilt: AtomicU64::new(0),
         }
     }
 
@@ -124,12 +126,19 @@ impl<V: Clone> LruCache<V> {
             .contains_key(key)
     }
 
-    /// Hit/miss/eviction counters.
+    /// Count a miss whose build found its value prebuilt (called from
+    /// the build closure, before the miss itself is counted).
+    pub(crate) fn count_prebuilt(&self) {
+        self.prebuilt.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Hit/miss/eviction/prebuilt counters.
     pub(crate) fn stats(&self) -> ParserCacheStats {
         ParserCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            prebuilt: self.prebuilt.load(Ordering::Relaxed),
         }
     }
 }
@@ -153,7 +162,7 @@ mod tests {
         let r = c.get_or_build::<()>(key("a"), || panic!("must not rebuild on hit"));
         assert_eq!(r.unwrap(), 1);
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (1, 1, 0));
+        assert_eq!((s.hits, s.misses, s.evictions, s.prebuilt), (1, 1, 0, 0));
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! * [`Registry::compiler`] composes the chosen extensions — verifying
 //!   each independently composable one with the modular determinism
 //!   analysis first — and constructs a [`Compiler`]. Both happen the first
-//!   time a set of extensions is selected; the result is cached.
+//!   time a set of extensions is selected; the result is cached. For the
+//!   standard full language both happened when this crate was built
+//!   (`build.rs`, as Copper generates a parser once), and the first
+//!   selection reads the tables that build wrote.
 //! * [`Compiler`] runs the full pipeline: context-aware scan + LALR(1)
 //!   parse → AST → extended semantic analysis → high-level optimizations
 //!   → lowering to parallel loop IR → C emission ([`Compiler::compile_to_c`])
@@ -27,11 +30,11 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use cmm_ag::{analyze_fragment, AgFragment, WellDefinednessReport};
+use cmm_ag::{analyze_fragment, WellDefinednessReport};
 use cmm_ast::Diag;
 use cmm_forkjoin::{ForkJoinPool, Schedule};
 use cmm_grammar::{is_composable, ComposabilityReport, ComposedGrammar, GrammarFragment, Parser};
-use cmm_lang::typecheck::{Ext, ExtSet, TypeInfo};
+use cmm_lang::typecheck::{ExtSet, TypeInfo};
 use cmm_lang::{
     build_program, check_program, fuse_slice_indices, has_fusable_slice_index, host_ag, host_grammar, lower_program,
     LowerOptions,
@@ -46,11 +49,13 @@ mod cache;
 mod gcc;
 pub mod json;
 mod metrics;
+mod standard;
 pub use gcc::{
     compile_and_run_c, compile_and_run_c_with_timeout, gcc_available, gcc_available_or_skip,
 };
 pub use json::{json_str, Json};
 pub use metrics::{CompileMetrics, ParserCacheStats, PassTiming, ProfileReport, METRICS_SCHEMA};
+pub use standard::Extension;
 
 /// One composition of the host with a selected set of extensions: the
 /// parser, and what was decided while building it. An entry exists only
@@ -73,7 +78,9 @@ struct Composition {
 /// grammar, its LALR(1) tables and scanner DFA — happens on the miss
 /// path, once per set per process (the CLI builds one compiler per
 /// invocation, but tests, benchmarks, and a `cmmc serve` daemon build
-/// many); a hit is a lock, a lookup and an `Arc` clone. [`Parser`] has no
+/// many), except for the standard full set, whose miss reads the tables
+/// built with the crate ([`ParserCacheStats::prebuilt`] counts those); a
+/// hit is a lock, a lookup and an `Arc` clone. [`Parser`] has no
 /// interior mutability, so one entry is safely shared across compilers
 /// and threads. Failures are never cached: a failing extension set
 /// re-runs the analysis and reports fresh each time.
@@ -93,7 +100,9 @@ pub const DEFAULT_PARSER_CACHE_CAPACITY: usize = 16;
 
 /// The process-wide cache shared by every [`Registry::standard`]
 /// instance. Sharing is sound because `standard()` always registers the
-/// same grammar fragments, so equal name sets imply equal compositions.
+/// same grammar fragments and nothing can change them — a registry that
+/// [adds](Registry::add_extension) one moves to a cache of its own — so
+/// equal name sets imply equal compositions.
 fn shared_parser_cache() -> Arc<ParserCache> {
     static CACHE: OnceLock<Arc<ParserCache>> = OnceLock::new();
     Arc::clone(
@@ -111,34 +120,20 @@ pub const ALL_EXTENSIONS: [&str; 5] = [
     cmm_ext_cilk::NAME,
 ];
 
-/// One pluggable language extension: its specifications plus packaging
-/// status as determined by the modular analyses.
-pub struct Extension {
-    /// Extension name.
-    pub name: String,
-    /// Concrete-syntax fragment.
-    pub grammar: GrammarFragment,
-    /// Attribute-grammar module.
-    pub ag: AgFragment,
-    /// `None` when the extension composes independently (passes
-    /// `isComposable`); `Some(reason)` when it must be packaged with the
-    /// host/another extension instead.
-    pub packaged: Option<String>,
-    /// The extension this one is packaged with: selecting this one has no
-    /// effect unless that one is selected too.
-    pub requires: Option<&'static str>,
-    /// The semantic-analysis switch selecting this extension turns on.
-    pub ext: Ext,
+/// The standard full composition as `build.rs` verified and built it when
+/// this crate was compiled: the encoding of what it was built from
+/// ([`standard::composition_encoding`]) and `standard_parser`, which reads
+/// the tables it wrote in place.
+mod prebuilt {
+    pub(crate) static ENCODING: &[u8] = include_bytes!(concat!(env!("OUT_DIR"), "/standard.enc"));
+    include!(concat!(env!("OUT_DIR"), "/standard_parser.rs"));
 }
 
 /// The host specification plus available extensions.
 pub struct Registry {
-    /// Host grammar fragment.
-    pub host: GrammarFragment,
-    /// Host AG module.
-    pub host_ag: AgFragment,
+    host: GrammarFragment,
     /// Available extensions in registration order.
-    pub extensions: Vec<Extension>,
+    extensions: Vec<Extension>,
     /// Composition memo; `standard()` registries share one process-wide
     /// cache so repeated compiler construction for the same extension set
     /// costs one verification and one composition, total.
@@ -146,65 +141,43 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// The paper's configuration: CMINUS host; matrix and rc-pointer
-    /// extensions independently composable; tuples packaged with the
-    /// host; transformations packaged with the matrix extension.
+    /// The paper's configuration: CMINUS host; matrix, rc-pointer and cilk
+    /// extensions independently composable; tuples packaged with the host;
+    /// transformations packaged with the matrix extension.
     pub fn standard() -> Registry {
         Registry {
             host: host_grammar(),
-            host_ag: host_ag(),
-            extensions: vec![
-                Extension {
-                    name: cmm_ext_matrix::NAME.to_string(),
-                    grammar: cmm_ext_matrix::grammar(),
-                    ag: cmm_ext_matrix::ag(),
-                    packaged: None,
-                    requires: None,
-                    ext: Ext::Matrix,
-                },
-                Extension {
-                    name: cmm_ext_rcptr::NAME.to_string(),
-                    grammar: cmm_ext_rcptr::grammar(),
-                    ag: cmm_ext_rcptr::ag(),
-                    packaged: None,
-                    requires: None,
-                    ext: Ext::Rcptr,
-                },
-                Extension {
-                    name: cmm_ext_cilk::NAME.to_string(),
-                    grammar: cmm_ext_cilk::grammar(),
-                    ag: cmm_ext_cilk::ag(),
-                    packaged: None,
-                    requires: None,
-                    ext: Ext::Cilk,
-                },
-                Extension {
-                    name: cmm_ext_tuples::NAME.to_string(),
-                    grammar: cmm_ext_tuples::grammar(),
-                    ag: cmm_ext_tuples::ag(),
-                    packaged: Some(
-                        "fails the modular determinism analysis (initial terminal is the \
-                         host's '('); packaged as part of the host language (§VI-A)"
-                            .to_string(),
-                    ),
-                    requires: None,
-                    ext: Ext::Tuples,
-                },
-                Extension {
-                    name: cmm_ext_transform::NAME.to_string(),
-                    grammar: cmm_ext_transform::grammar(),
-                    ag: cmm_ext_transform::ag(),
-                    packaged: Some(
-                        "its clause begins with host syntax (the transformed assignment); \
-                         packaged with the matrix extension it extends (§V)"
-                            .to_string(),
-                    ),
-                    requires: Some(cmm_ext_matrix::NAME),
-                    ext: Ext::Transform,
-                },
-            ],
+            extensions: standard::extensions(),
             parser_cache: shared_parser_cache(),
         }
+    }
+
+    /// The host grammar fragment.
+    pub fn host(&self) -> &GrammarFragment {
+        &self.host
+    }
+
+    /// The registered extensions, in registration order.
+    pub fn extensions(&self) -> &[Extension] {
+        &self.extensions
+    }
+
+    /// Register `extension` after the others, unless its name is taken.
+    ///
+    /// The process-wide cache of `standard()` registries is keyed by
+    /// extension names, which stand for fragments only while every
+    /// registry holding the cache registers the same ones; from here on
+    /// this registry composes into a cache of its own.
+    pub fn add_extension(&mut self, extension: Extension) -> Result<(), CompileError> {
+        if self.extensions.iter().any(|e| e.name == extension.name) {
+            return Err(CompileError::Compose(format!(
+                "extension '{}' is already registered",
+                extension.name
+            )));
+        }
+        self.extensions.push(extension);
+        self.parser_cache = Arc::new(ParserCache::with_capacity(DEFAULT_PARSER_CACHE_CAPACITY));
+        Ok(())
     }
 
     /// Run the modular determinism analysis for every extension.
@@ -217,9 +190,10 @@ impl Registry {
 
     /// Run the modular well-definedness analysis for every extension.
     pub fn well_definedness_reports(&self) -> Vec<WellDefinednessReport> {
+        let host = host_ag();
         self.extensions
             .iter()
-            .map(|e| analyze_fragment(&self.host_ag, &e.ag))
+            .map(|e| analyze_fragment(&host, &(e.ag)()))
             .collect()
     }
 
@@ -268,7 +242,25 @@ impl Registry {
     }
 
     /// The miss path of [`Registry::compiler`]: verify, then compose.
+    ///
+    /// `build.rs` did both for the standard full selection when this crate
+    /// was compiled. If the selected fragments and their packaging are
+    /// exactly those, byte for byte, the parser reads the tables it wrote
+    /// and neither the analyses nor the builders run again: they are
+    /// functions of that input alone. Anything else — a subset, an added
+    /// extension, another host — is verified and built here.
     fn compose(&self, selected: &[&Extension]) -> Result<Composition, CompileError> {
+        let exts = selected.iter().fold(ExtSet::HOST, |set, e| set.with(e.ext));
+        let fragments: Vec<&GrammarFragment> = selected.iter().map(|e| &e.grammar).collect();
+        if standard::composition_encoding(&self.host, selected) == prebuilt::ENCODING {
+            let grammar = ComposedGrammar::compose(&self.host, &fragments)
+                .expect("build.rs composed these fragments");
+            self.parser_cache.count_prebuilt();
+            return Ok(Composition {
+                parser: prebuilt::standard_parser(grammar),
+                exts,
+            });
+        }
         // Verify the independently composable ones.
         let failing: Vec<ComposabilityReport> = selected
             .iter()
@@ -279,7 +271,6 @@ impl Registry {
         if !failing.is_empty() {
             return Err(CompileError::Composition(failing));
         }
-        let fragments: Vec<&GrammarFragment> = selected.iter().map(|e| &e.grammar).collect();
         let grammar = ComposedGrammar::compose(&self.host, &fragments)
             .map_err(|e| CompileError::Compose(e.to_string()))?;
         let parser = Parser::new(grammar).map_err(|conflicts| {
@@ -292,10 +283,7 @@ impl Registry {
                     .unwrap_or_default()
             ))
         })?;
-        Ok(Composition {
-            parser,
-            exts: selected.iter().fold(ExtSet::HOST, |set, e| set.with(e.ext)),
-        })
+        Ok(Composition { parser, exts })
     }
 }
 

@@ -14,9 +14,10 @@
 //! per-worker `steals` / `steal_failures`, added with the work-stealing
 //! scheduler; the interp block's six `unboxed_*` counters and its
 //! `boxed_loops` / `per_iteration_loops` arrays of `{"function", "var",
-//! "reason"}`) keep the tag. The interpreter, rc-pool and parser-cache
-//! rows are listed once and both renderings walk the list, so whatever
-//! the `--profile` table prints there the document carries too.
+//! "reason"}`; the parser cache's `prebuilt` count, appended last) keep
+//! the tag. The interpreter, rc-pool and parser-cache rows are listed once
+//! and both renderings walk the list, so whatever the `--profile` table
+//! prints there the document carries too.
 
 use std::fmt::Write as _;
 
@@ -59,11 +60,15 @@ pub struct ParserCacheStats {
     /// on a daemon means the working set of extension sets exceeds the
     /// cache capacity.
     pub evictions: u64,
+    /// Misses served from the tables `build.rs` wrote when `cmmc` was
+    /// built (the standard full language): these ran neither the analyses
+    /// nor the builders, so `misses - prebuilt` is the count that did.
+    pub prebuilt: u64,
 }
 
 impl ParserCacheStats {
-    /// `{hits, misses, evictions}`: the cache as the metrics document and
-    /// the serve stats both report it.
+    /// `{hits, misses, evictions, prebuilt}`: the cache as the metrics
+    /// document and the serve stats both report it.
     pub fn to_json(&self) -> Json {
         Json::Obj(json_rows(&parser_cache_rows(self)))
     }
@@ -293,11 +298,12 @@ fn rc_rows(rc: &PoolStats) -> [Row<'static>; 3] {
     ]
 }
 
-fn parser_cache_rows(cache: &ParserCacheStats) -> [Row<'static>; 3] {
+fn parser_cache_rows(cache: &ParserCacheStats) -> [Row<'static>; 4] {
     [
         Row::Count("hits", "hits", cache.hits),
         Row::Count("misses", "misses", cache.misses),
         Row::Count("evictions", "evictions", cache.evictions),
+        Row::Count("prebuilt", "prebuilt", cache.prebuilt),
     ]
 }
 

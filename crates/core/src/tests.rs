@@ -52,11 +52,11 @@ mod registry {
     fn composition_of_passing_extensions_is_lalr() {
         // The §VI-A theorem, checked on the real language.
         let reg = Registry::standard();
-        let mx = &reg.extensions[0].grammar;
-        let rc = &reg.extensions[1].grammar;
-        assert!(cmm_grammar::is_lalr(&reg.host, &[mx]).unwrap());
-        assert!(cmm_grammar::is_lalr(&reg.host, &[rc]).unwrap());
-        assert!(cmm_grammar::is_lalr(&reg.host, &[mx, rc]).unwrap());
+        let mx = &reg.extensions()[0].grammar;
+        let rc = &reg.extensions()[1].grammar;
+        assert!(cmm_grammar::is_lalr(reg.host(), &[mx]).unwrap());
+        assert!(cmm_grammar::is_lalr(reg.host(), &[rc]).unwrap());
+        assert!(cmm_grammar::is_lalr(reg.host(), &[mx, rc]).unwrap());
     }
 
     #[test]
@@ -141,7 +141,11 @@ mod parser_cache {
 
 mod composition {
     use super::*;
-    use cmm_grammar::{Sym, Terminal};
+    use cmm_ag::AgFragment;
+    use cmm_grammar::{is_composable, Sym, Terminal};
+    use cmm_lang::typecheck::Ext;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     /// The standard registry on a cache of its own, so that counts and
     /// timings below see no other test.
@@ -152,31 +156,221 @@ mod composition {
         }
     }
 
-    /// `unless a b`: a marking terminal of its own (rule 1 holds), but two
-    /// juxtaposed operands — `unless a - b` reads two ways, so host ∪
-    /// extension is not LALR(1) and the analysis must reject it.
-    fn unless_extension() -> Extension {
-        let n = |s: &str| Sym::N(s.to_string());
+    /// An extension adding one `Primary` production behind its own keyword.
+    fn keyword_extension(name: &str, keyword: &str, rhs: Vec<Sym>) -> Extension {
+        let kw = format!("KW_{}", keyword.to_uppercase());
+        let mut full = vec![Sym::T(kw.clone())];
+        full.extend(rhs);
         Extension {
-            name: "ext-unless".to_string(),
-            grammar: GrammarFragment::new("ext-unless")
-                .terminal(Terminal::keyword("KW_UNLESS", "unless"))
-                .production(
-                    "prim_unless",
-                    "Primary",
-                    vec![Sym::T("KW_UNLESS".to_string()), n("AddExpr"), n("AddExpr")],
-                ),
-            ag: AgFragment::new("ext-unless"),
+            name: name.to_string(),
+            grammar: GrammarFragment::new(name)
+                .terminal(Terminal::keyword(&kw, keyword))
+                .production(&format!("prim_{keyword}"), "Primary", full),
+            ag: || AgFragment::new("ext-added"),
             packaged: None,
             requires: None,
             ext: Ext::Cilk,
         }
     }
 
+    /// `unless a b`: a marking terminal of its own (rule 1 holds), but two
+    /// juxtaposed operands — `unless a - b` reads two ways, so host ∪
+    /// extension is not LALR(1) and the analysis must reject it.
+    fn unless_extension() -> Extension {
+        let n = |s: &str| Sym::N(s.to_string());
+        keyword_extension("ext-unless", "unless", vec![n("AddExpr"), n("AddExpr")])
+    }
+
+    /// `twice(e)`: composes with anything.
+    fn twice_extension() -> Extension {
+        let rhs = vec![Sym::T("LP".into()), Sym::N("Expr".into()), Sym::T("RP".into())];
+        keyword_extension("ext-twice", "twice", rhs)
+    }
+
+    /// Every table entry of `a` is `b`'s: LALR(1) actions and gotos, DFA
+    /// transitions and accept sets, and the state counts.
+    fn assert_same_tables(a: &Parser, b: &Parser) {
+        assert_eq!(a.num_states(), b.num_states());
+        let g = a.grammar();
+        let (ta, tb) = (a.tables(), b.tables());
+        for s in 0..a.num_states() as u32 {
+            for t in 0..g.num_terminals() as u16 {
+                assert_eq!(ta.action(s, t), tb.action(s, t), "action({s}, {t})");
+            }
+            for n in 0..g.num_nonterminals() as u16 {
+                assert_eq!(ta.goto(s, n), tb.goto(s, n), "goto({s}, {n})");
+            }
+        }
+        let (da, db) = (a.dfa(), b.dfa());
+        assert_eq!(da.num_states(), db.num_states());
+        for s in 0..da.num_states() as u32 {
+            assert_eq!(da.accepts(s), db.accepts(s), "accepts({s})");
+            for byte in 0..=255u8 {
+                assert_eq!(da.step(s, byte), db.step(s, byte), "next({s}, {byte})");
+            }
+        }
+    }
+
+    /// What the runtime path builds for `reg`'s full selection, from
+    /// scratch: `None` where it fails (an unpackaged extension fails
+    /// `isComposable`, composition fails, or the result is not LALR(1)).
+    fn built_from_scratch(reg: &Registry) -> Option<Parser> {
+        let verified = reg
+            .extensions
+            .iter()
+            .filter(|e| e.packaged.is_none())
+            .all(|e| is_composable(&reg.host, &e.grammar).passed);
+        let fragments: Vec<&GrammarFragment> = reg.extensions.iter().map(|e| &e.grammar).collect();
+        let grammar = ComposedGrammar::compose(&reg.host, &fragments).ok();
+        grammar.filter(|_| verified).and_then(|g| Parser::new(g).ok())
+    }
+
+    #[test]
+    fn the_embedded_tables_are_the_ones_the_builders_make() {
+        let reg = private_registry();
+        let compiler = reg.compiler(&ALL_EXTENSIONS).expect("the full language");
+        let stats = reg.parser_cache.stats();
+        assert_eq!((stats.misses, stats.prebuilt), (1, 1), "served from the embedded tables");
+        assert_eq!(compiler.parser().num_states(), 281);
+        assert_same_tables(compiler.parser(), &built_from_scratch(&reg).expect("builds"));
+        // A subset is built here, as before.
+        reg.compiler(&["ext-matrix"]).expect("matrix alone");
+        let stats = reg.parser_cache.stats();
+        assert_eq!((stats.misses, stats.prebuilt), (2, 1));
+    }
+
+    /// One field of one standard fragment changed: a terminal's pattern,
+    /// precedence or `ignore`; a production's name, lhs or one rhs symbol;
+    /// or the start symbol. Always a real change.
+    fn edit_one_field(reg: &mut Registry, rng: &mut TestRng) -> String {
+        let pick = |rng: &mut TestRng, n: usize| (rng.next_u64() % n as u64) as usize;
+        let which = pick(rng, 1 + reg.extensions.len());
+        let frag = match which {
+            0 => &mut reg.host,
+            i => &mut reg.extensions[i - 1].grammar,
+        };
+        let what = format!("{}: ", frag.name);
+        let mut kind = pick(rng, 7);
+        if kind < 3 && frag.terminals.is_empty() {
+            kind += 3;
+        }
+        let symbols: Vec<Sym> = frag.productions.iter().flat_map(|p| p.rhs.clone()).collect();
+        let lhss: Vec<String> = frag.productions.iter().map(|p| p.lhs.clone()).collect();
+        match kind {
+            0..=2 => {
+                let i = pick(rng, frag.terminals.len());
+                let t = &mut frag.terminals[i];
+                match kind {
+                    0 => t.pattern.push('x'),
+                    1 => t.precedence += 1,
+                    _ => t.ignore = !t.ignore,
+                }
+                format!("{what}terminal {} field {kind}", t.name)
+            }
+            3..=5 => {
+                let i = pick(rng, frag.productions.len());
+                let p = &mut frag.productions[i];
+                match kind {
+                    3 => p.name.push_str("_edited"),
+                    4 => {
+                        let other = lhss.iter().find(|l| **l != p.lhs).cloned();
+                        p.lhs = other.unwrap_or_else(|| format!("{}Edited", p.lhs));
+                    }
+                    _ => match p.rhs.len() {
+                        0 => p.rhs.push(Sym::T("SEMI".into())),
+                        n => {
+                            let at = pick(rng, n);
+                            let start = pick(rng, symbols.len());
+                            let mut others = symbols.iter().cycle().skip(start).take(symbols.len());
+                            let other = others.find(|s| **s != p.rhs[at]).cloned();
+                            p.rhs[at] = other.unwrap_or_else(|| Sym::N("Expr".into()));
+                        }
+                    },
+                }
+                format!("{what}production {i} field {kind}")
+            }
+            _ => {
+                frag.start = match &frag.start {
+                    Some(_) => Some("Stmt".to_string()),
+                    None => Some("Program".to_string()),
+                };
+                format!("{what}start")
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any single-field edit of any standard fragment takes the runtime
+        /// path, and what it builds is what the builders build.
+        #[test]
+        fn prop_an_edited_fragment_is_built_not_read(seed in any::<u64>()) {
+            let mut reg = private_registry();
+            let edit = edit_one_field(&mut reg, &mut TestRng::with_seed(seed));
+            let composed = reg.compiler(&ALL_EXTENSIONS);
+            prop_assert_eq!(reg.parser_cache.stats().prebuilt, 0, "{}", edit);
+            match (composed, built_from_scratch(&reg)) {
+                (Ok(compiler), Some(reference)) => assert_same_tables(compiler.parser(), &reference),
+                (Err(_), None) => {}
+                (Ok(_), None) => prop_assert!(false, "{}: composed, but the builders fail", edit),
+                (Err(e), Some(_)) => prop_assert!(false, "{}: {}", edit, e),
+            }
+        }
+    }
+
+    #[test]
+    fn an_added_extension_gets_a_cache_of_its_own_and_no_stale_parser() {
+        // ROADMAP 2(d): the process-wide cache is keyed by names, so a
+        // registry whose names meant other fragments used to be handed
+        // the standard parser for them.
+        let standard = Registry::standard();
+        standard.compiler(&ALL_EXTENSIONS).expect("the full language");
+        let mut reg = Registry::standard();
+        reg.add_extension(twice_extension()).expect("a new name");
+        assert!(!Arc::ptr_eq(&reg.parser_cache, &standard.parser_cache));
+        let mut with_twice = ALL_EXTENSIONS.to_vec();
+        with_twice.push("ext-twice");
+        // `twice(3)` is a call of an undefined function without the
+        // extension and the extension's own construct with it.
+        fn uses(cst: &cmm_grammar::Cst, p: &Parser, name: &str) -> bool {
+            cst.prod_name(p.grammar()) == Some(name) || cst.children().iter().any(|c| uses(c, p, name))
+        }
+        let src = "int main() { printInt(twice(3) + 1); return 0; }";
+        let without = reg.compiler(&ALL_EXTENSIONS).unwrap();
+        assert!(uses(&without.parser().parse(src).unwrap(), without.parser(), "prim_call"));
+        let with = reg.compiler(&with_twice).expect("twice composes");
+        assert!(uses(&with.parser().parse(src).unwrap(), with.parser(), "prim_twice"));
+        // Both compositions went to this registry's cache — the standard
+        // full one from the embedded tables, the other built — and none
+        // reached the shared cache, whose counters therefore never saw them.
+        let stats = reg.parser_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.prebuilt), (0, 2, 1));
+        let mut key: Vec<String> = with_twice.iter().map(|n| n.to_string()).collect();
+        key.sort();
+        assert!(!standard.parser_cache.contains(&key));
+    }
+
+    #[test]
+    fn a_registered_name_cannot_be_added_again() {
+        let mut reg = Registry::standard();
+        let mut matrix = twice_extension();
+        matrix.name = "ext-matrix".to_string();
+        let err = reg.add_extension(matrix).unwrap_err();
+        assert_eq!(err.to_string(), "composition failed: extension 'ext-matrix' is already registered");
+        assert_eq!(reg.extensions().len(), ALL_EXTENSIONS.len());
+        assert!(Arc::ptr_eq(&reg.parser_cache, &shared_parser_cache()), "a refusal changes nothing");
+        reg.add_extension(twice_extension()).expect("a new name");
+        assert!(reg.add_extension(twice_extension()).is_err());
+        assert_eq!(reg.extensions().len(), ALL_EXTENSIONS.len() + 1);
+        // The accepted addition moved the registry to a fresh cache.
+        assert_eq!(reg.parser_cache_stats(), ParserCacheStats::default());
+    }
+
     #[test]
     fn failing_extension_is_rejected_with_its_report_every_time() {
-        let mut reg = private_registry();
-        reg.extensions.push(unless_extension());
+        let mut reg = Registry::standard();
+        reg.add_extension(unless_extension()).expect("a new name");
         let rejection = |reg: &Registry| match reg.compiler(&["ext-matrix", "ext-unless"]) {
             Err(CompileError::Composition(reports)) => {
                 assert_eq!(reports.len(), 1, "only the failing extension is reported");
@@ -211,22 +405,27 @@ mod composition {
 
     #[test]
     fn a_hundred_warm_compositions_cost_less_than_the_cold_one() {
-        // A ratio that survives a host change: the cold call verifies
-        // three extensions and builds the tables and the scanner; a warm
+        // A ratio that survives a host change. The standard full language
+        // is read from tables built with the crate, so the cold call here
+        // selects an added extension too: it verifies four extensions with
+        // `isComposable` and builds the tables and the scanner. A warm
         // call is a lookup. (Before the analysis moved into the miss path
         // a warm call was about two fifths of a cold one.)
-        let reg = private_registry();
+        let mut reg = Registry::standard();
+        reg.add_extension(twice_extension()).expect("a new name");
+        let mut all = ALL_EXTENSIONS.to_vec();
+        all.push("ext-twice");
         let t0 = Instant::now();
-        reg.compiler(&ALL_EXTENSIONS).expect("cold composition");
+        reg.compiler(&all).expect("cold composition");
         let cold = t0.elapsed();
         let t0 = Instant::now();
         for _ in 0..100 {
-            reg.compiler(&ALL_EXTENSIONS).expect("warm composition");
+            reg.compiler(&all).expect("warm composition");
         }
         let warm = t0.elapsed();
         assert!(warm < cold, "100 warm calls took {warm:?}, the cold call {cold:?}");
         let stats = reg.parser_cache.stats();
-        assert_eq!((stats.hits, stats.misses), (100, 1));
+        assert_eq!((stats.hits, stats.misses, stats.prebuilt), (100, 1, 0));
     }
 }
 

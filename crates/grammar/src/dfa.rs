@@ -6,6 +6,7 @@
 //! valid-terminal set at match time, which is what lets composed languages
 //! reuse overlapping lexical syntax (§VI-A).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::regex::{ByteSet, Nfa, Regex};
@@ -14,11 +15,18 @@ use crate::regex::{ByteSet, Nfa, Regex};
 pub const DEAD: u32 = u32::MAX;
 
 /// Deterministic automaton over bytes with terminal-accept sets per state.
+///
+/// The arrays are owned when [`Dfa::build`] made them and borrowed when
+/// they are `static`s written by [`crate::Parser::static_source`]; either
+/// way [`Dfa::step`] and [`Dfa::accepts`] read them the same way.
 pub struct Dfa {
     /// `next[state * 256 + byte]` = target state or [`DEAD`].
-    next: Vec<u32>,
-    /// Terminal ids accepting in each state (sorted).
-    accepts: Vec<Vec<u16>>,
+    pub(crate) next: Cow<'static, [u32]>,
+    /// Terminal ids accepting in each state, state after state (each run
+    /// sorted).
+    pub(crate) accept_ids: Cow<'static, [u16]>,
+    /// State `s` accepts `accept_ids[accept_offsets[s]..accept_offsets[s + 1]]`.
+    pub(crate) accept_offsets: Cow<'static, [u32]>,
 }
 
 impl Dfa {
@@ -136,17 +144,20 @@ impl Dfa {
         let mut index = HashMap::new();
         index.insert(start_set, 0u32);
         let mut class_next: Vec<u32> = Vec::new(); // [state * classes + class]
-        let mut accepts: Vec<Vec<u16>> = Vec::new();
+        let mut accept_ids: Vec<u16> = Vec::new();
+        let mut accept_offsets: Vec<u32> = vec![0];
         let mut moves: Vec<Vec<u32>> = vec![Vec::new(); classes];
         let mut work = 0usize;
         while work < states.len() {
-            let mut acc: Vec<u16> = states[work]
-                .iter()
-                .map(|&s| accept_of[s as usize])
-                .filter(|&tid| tid != NONE)
-                .collect();
-            acc.sort_unstable();
-            accepts.push(acc);
+            let at = accept_ids.len();
+            accept_ids.extend(
+                states[work]
+                    .iter()
+                    .map(|&s| accept_of[s as usize])
+                    .filter(|&tid| tid != NONE),
+            );
+            accept_ids[at..].sort_unstable();
+            accept_offsets.push(accept_ids.len() as u32);
             // One pass over the subset's byte edges, each target dropped
             // into the classes its set covers.
             for &s in &states[work] {
@@ -192,7 +203,11 @@ impl Dfa {
         for row in class_next.chunks_exact(classes) {
             next.extend(class_of.iter().map(|&c| row[c as usize]));
         }
-        Dfa { next, accepts }
+        Dfa {
+            next: next.into(),
+            accept_ids: accept_ids.into(),
+            accept_offsets: accept_offsets.into(),
+        }
     }
 
     /// Start state (always 0).
@@ -210,11 +225,12 @@ impl Dfa {
     /// Terminals accepting in `state` (sorted ids).
     #[inline]
     pub fn accepts(&self, state: u32) -> &[u16] {
-        &self.accepts[state as usize]
+        let s = state as usize;
+        &self.accept_ids[self.accept_offsets[s] as usize..self.accept_offsets[s + 1] as usize]
     }
 
     /// Number of DFA states.
     pub fn num_states(&self) -> usize {
-        self.accepts.len()
+        self.accept_offsets.len() - 1
     }
 }

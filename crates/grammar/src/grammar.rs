@@ -145,6 +145,46 @@ impl GrammarFragment {
         self.start = Some(nt.to_string());
         self
     }
+
+    /// Append the fragment's canonical encoding to `out`: every field in
+    /// declaration order, counts and strings length-prefixed, so two
+    /// fragments encode alike exactly when they are equal. A parser built
+    /// ahead of time is reused only for input whose encoding matches the
+    /// one it was built from byte for byte.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        fn len(out: &mut Vec<u8>, n: usize) {
+            out.extend_from_slice(&(n as u32).to_le_bytes());
+        }
+        fn text(out: &mut Vec<u8>, s: &str) {
+            len(out, s.len());
+            out.extend_from_slice(s.as_bytes());
+        }
+        text(out, &self.name);
+        len(out, self.terminals.len());
+        for t in &self.terminals {
+            text(out, &t.name);
+            text(out, &t.pattern);
+            out.extend_from_slice(&t.precedence.to_le_bytes());
+            out.push(t.ignore as u8);
+        }
+        len(out, self.productions.len());
+        for p in &self.productions {
+            text(out, &p.name);
+            text(out, &p.lhs);
+            len(out, p.rhs.len());
+            for sym in &p.rhs {
+                out.push(matches!(sym, Sym::N(_)) as u8);
+                text(out, sym.name());
+            }
+        }
+        match &self.start {
+            None => out.push(0),
+            Some(start) => {
+                out.push(1);
+                text(out, start);
+            }
+        }
+    }
 }
 
 /// Error raised while composing fragments.

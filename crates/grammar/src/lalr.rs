@@ -18,10 +18,12 @@
 //!   answers the ε-reductions at table-fill time;
 //! * lookahead sets are rows of one bit matrix ([`BitRows`]).
 //!
-//! Cold composition of the full language (116 productions, 73 terminals,
-//! 281 states) is one of these builds plus one per independently
-//! composable extension; EXPERIMENTS.md E-C1 has the timings.
+//! Composing the full language (116 productions, 73 terminals, 281
+//! states) from scratch is one of these builds plus one per independently
+//! composable extension — since `cmm-core`'s build script does it, at
+//! build time; EXPERIMENTS.md E-C1 and E-S1 have the timings.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::grammar::{ComposedGrammar, GSym, EOF};
@@ -51,14 +53,16 @@ pub struct Conflict {
     pub description: String,
 }
 
-/// LALR(1) parse tables.
+/// LALR(1) parse tables: owned when [`build`] made them, borrowed when
+/// they are `static`s written by [`crate::Parser::static_source`], read
+/// the same way either way.
 pub struct Tables {
     /// `action[state * num_terminals + terminal]`.
-    action: Vec<Action>,
+    pub(crate) action: Cow<'static, [Action]>,
     /// `goto_nt[state * num_nonterminals + nt]` = target state or u32::MAX.
-    goto_nt: Vec<u32>,
-    num_terminals: usize,
-    num_nonterminals: usize,
+    pub(crate) goto_nt: Cow<'static, [u32]>,
+    pub(crate) num_terminals: usize,
+    pub(crate) num_nonterminals: usize,
     /// Conflicts found during construction; non-empty means the composed
     /// grammar is not LALR(1).
     pub conflicts: Vec<Conflict>,
@@ -622,8 +626,8 @@ pub fn build(grammar: &ComposedGrammar) -> Tables {
     }
 
     Tables {
-        action,
-        goto_nt,
+        action: action.into(),
+        goto_nt: goto_nt.into(),
         num_terminals: t_count,
         num_nonterminals: nt_count,
         conflicts,

@@ -110,8 +110,6 @@ pub struct Parser {
     grammar: ComposedGrammar,
     tables: Tables,
     dfa: Dfa,
-    /// Per-state valid-terminal membership, precomputed for the scanner.
-    valid: Vec<Vec<bool>>,
     /// Grammar-derived scanner state (layout table, interned spellings),
     /// built once so per-parse scanner setup is allocation-free.
     scan_cache: ScanCache,
@@ -126,24 +124,93 @@ impl Parser {
             return Err(tables.conflicts);
         }
         let dfa = Dfa::build(&grammar.patterns[1..]);
-        let nt = grammar.num_terminals();
-        let valid = (0..tables.num_states as u32)
-            .map(|s| {
-                let mut row = vec![false; nt];
-                for t in tables.valid_terminals(s) {
-                    row[t as usize] = true;
-                }
-                row
-            })
-            .collect();
+        Ok(Parser::assemble(grammar, tables, dfa))
+    }
+
+    /// A parser over tables that [`Parser::new`] built for `grammar` in
+    /// another process and [`Parser::static_source`] wrote out as `static`
+    /// arrays: they are read in place, nothing is built. The caller vouches
+    /// that the arrays were written for exactly this grammar; only their
+    /// dimensions are checked here.
+    pub fn from_static(
+        grammar: ComposedGrammar,
+        action: &'static [Action],
+        goto: &'static [u32],
+        next: &'static [u32],
+        accept_ids: &'static [u16],
+        accept_offsets: &'static [u32],
+    ) -> Parser {
+        let (num_terminals, num_nonterminals) = (grammar.num_terminals(), grammar.num_nonterminals());
+        let num_states = action.len() / num_terminals;
+        assert!(
+            action.len() == num_states * num_terminals
+                && goto.len() == num_states * num_nonterminals
+                && !accept_offsets.is_empty()
+                && next.len() == (accept_offsets.len() - 1) * 256
+                && accept_offsets.last().map(|&n| n as usize) == Some(accept_ids.len()),
+            "static parser tables do not fit the grammar"
+        );
+        let tables = Tables {
+            action: action.into(),
+            goto_nt: goto.into(),
+            num_terminals,
+            num_nonterminals,
+            conflicts: Vec::new(),
+            num_states,
+        };
+        let dfa = Dfa {
+            next: next.into(),
+            accept_ids: accept_ids.into(),
+            accept_offsets: accept_offsets.into(),
+        };
+        Parser::assemble(grammar, tables, dfa)
+    }
+
+    fn assemble(grammar: ComposedGrammar, tables: Tables, dfa: Dfa) -> Parser {
         let scan_cache = ScanCache::new(&grammar);
-        Ok(Parser {
+        Parser {
             grammar,
             tables,
             dfa,
-            valid,
             scan_cache,
-        })
+        }
+    }
+
+    /// Rust source of a function `pub fn <name>(grammar: ComposedGrammar) ->
+    /// Parser` that returns this parser again, its tables `static` arrays
+    /// of plain integers and [`Action`]s (no pointers, so nothing to
+    /// relocate at load) handed to [`Parser::from_static`]. This writer and
+    /// `from_static` are the only code that knows the layout. The source
+    /// names the crate `::cmm_grammar`.
+    pub fn static_source(&self, name: &str) -> String {
+        use std::fmt::Write as _;
+        fn array<T>(out: &mut String, name: &str, ty: &str, items: &[T], item: impl Fn(&T) -> String) {
+            let _ = write!(out, "    static {name}: [{ty}; {}] = [", items.len());
+            for (i, x) in items.iter().enumerate() {
+                out.push_str(if i % 16 == 0 { "\n        " } else { " " });
+                let _ = write!(out, "{},", item(x));
+            }
+            out.push_str("\n    ];\n");
+        }
+        let mut out = format!(
+            "pub fn {name}(grammar: ::cmm_grammar::ComposedGrammar) -> ::cmm_grammar::Parser {{\n    \
+             use ::cmm_grammar::Action::{{Accept as A, Error as E, Reduce as R, Shift as S}};\n"
+        );
+        let action = |a: &Action| match a {
+            Action::Error => "E".to_string(),
+            Action::Shift(s) => format!("S({s})"),
+            Action::Reduce(p) => format!("R({p})"),
+            Action::Accept => "A".to_string(),
+        };
+        array(&mut out, "ACTION", "::cmm_grammar::Action", &self.tables.action, action);
+        array(&mut out, "GOTO", "u32", &self.tables.goto_nt, u32::to_string);
+        array(&mut out, "NEXT", "u32", &self.dfa.next, u32::to_string);
+        array(&mut out, "ACCEPT_IDS", "u16", &self.dfa.accept_ids, u16::to_string);
+        array(&mut out, "ACCEPT_OFFSETS", "u32", &self.dfa.accept_offsets, u32::to_string);
+        out.push_str(
+            "    ::cmm_grammar::Parser::from_static(grammar, &ACTION, &GOTO, &NEXT, &ACCEPT_IDS, &ACCEPT_OFFSETS)\n}\n",
+        );
+        out
     }
 
     /// The composed grammar.
@@ -154,6 +221,16 @@ impl Parser {
     /// Number of LALR states (exposed for reporting).
     pub fn num_states(&self) -> usize {
         self.tables.num_states
+    }
+
+    /// The LALR(1) tables.
+    pub fn tables(&self) -> &Tables {
+        &self.tables
+    }
+
+    /// The scanner DFA.
+    pub fn dfa(&self) -> &Dfa {
+        &self.dfa
     }
 
     /// Parse a full source string to a CST.
@@ -170,8 +247,8 @@ impl Parser {
         loop {
             let state = *states.last().expect("state stack never empty");
             if lookahead.is_none() {
-                let row = &self.valid[state as usize];
-                lookahead = Some(scanner.next_token(|t| row[t as usize])?);
+                let valid = |t| self.tables.action(state, t) != Action::Error;
+                lookahead = Some(scanner.next_token(valid)?);
             }
             let tok = lookahead.as_ref().expect("lookahead present");
             match self.tables.action(state, tok.terminal) {

@@ -298,6 +298,93 @@ mod parser_tests {
             other => panic!("wrong error: {other:?}"),
         }
     }
+
+    #[test]
+    fn static_tables_parse_what_built_tables_parse() {
+        // `from_static` over copies of a built parser's arrays, leaked to
+        // 'static as generated statics are: same trees, same errors.
+        fn leak<T: Clone>(v: &[T]) -> &'static [T] {
+            Box::leak(v.to_vec().into_boxed_slice())
+        }
+        let grammar = || ComposedGrammar::compose(&expr_host(), &[]).unwrap();
+        let built = Parser::new(grammar()).unwrap();
+        let (t, d) = (built.tables(), built.dfa());
+        let copy = Parser::from_static(
+            grammar(),
+            leak(&t.action),
+            leak(&t.goto_nt),
+            leak(&d.next),
+            leak(&d.accept_ids),
+            leak(&d.accept_offsets),
+        );
+        assert_eq!(copy.num_states(), built.num_states());
+        for src in ["1 + 2 * x", "(1 + 2) * 3", "1 + * 2", "1 + $", "1 +\n+ 2"] {
+            assert_eq!(copy.parse(src), built.parse(src), "{src:?}");
+        }
+        let source = built.static_source("expr_parser");
+        assert!(source.starts_with(
+            "pub fn expr_parser(grammar: ::cmm_grammar::ComposedGrammar) -> ::cmm_grammar::Parser {\n"
+        ));
+        let action = format!("static ACTION: [::cmm_grammar::Action; {}] = [", t.action.len());
+        assert!(source.contains(&action), "{source}");
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit the grammar")]
+    fn static_tables_of_another_grammar_are_refused() {
+        let built = Parser::new(ComposedGrammar::compose(&expr_host(), &[]).unwrap()).unwrap();
+        let (t, d) = (built.tables(), built.dfa());
+        let leak = |v: &[u32]| -> &'static [u32] { Box::leak(v.to_vec().into_boxed_slice()) };
+        let action: &'static [Action] = Box::leak(t.action.to_vec().into_boxed_slice());
+        let ids: &'static [u16] = Box::leak(d.accept_ids.to_vec().into_boxed_slice());
+        let mut other = expr_host();
+        other.terminals.push(Terminal::new("MINUS", "-"));
+        let other = ComposedGrammar::compose(&other, &[]).unwrap();
+        Parser::from_static(other, action, leak(&t.goto_nt), leak(&d.next), ids, leak(&d.accept_offsets));
+    }
+}
+
+mod encoding_tests {
+    use super::*;
+
+    fn encode(f: &GrammarFragment) -> Vec<u8> {
+        let mut out = Vec::new();
+        f.encode(&mut out);
+        out
+    }
+
+    #[test]
+    fn equal_fragments_encode_alike_and_every_field_edit_shows() {
+        assert_eq!(encode(&expr_host()), encode(&expr_host()));
+        let edits: [fn(&mut GrammarFragment); 12] = [
+            |f| f.name.push('x'),
+            |f| f.terminals[1].name.push('x'),
+            |f| f.terminals[1].pattern.push('x'),
+            |f| f.terminals[1].precedence += 1,
+            |f| f.terminals[1].ignore ^= true,
+            |f| f.terminals.swap(1, 2),
+            |f| f.productions[0].name.push('x'),
+            |f| f.productions[0].lhs = "Term".into(),
+            |f| f.productions[0].rhs[1] = Sym::N("PLUS".into()),
+            |f| {
+                f.productions[0].rhs.pop();
+            },
+            |f| f.start = None,
+            // Moving a byte across a string boundary: lengths tell.
+            |f| {
+                f.productions[0].name = "expr_ad".into();
+                f.productions[0].lhs = "dExpr".into();
+            },
+        ];
+        let mut seen = vec![encode(&expr_host())];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut f = expr_host();
+            edit(&mut f);
+            let bytes = encode(&f);
+            assert!(!seen.contains(&bytes), "edit {i} encodes like an earlier fragment");
+            seen.push(bytes);
+        }
+    }
 }
 
 mod scanner_tests {

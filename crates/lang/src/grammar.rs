@@ -262,7 +262,7 @@ pub fn host_ag() -> AgFragment {
     let mut all_nts: Vec<&str> = Vec::new();
     for p in &g.productions {
         if !all_nts.contains(&p.lhs.as_str()) {
-            all_nts.push(Box::leak(p.lhs.clone().into_boxed_str()));
+            all_nts.push(&p.lhs);
         }
     }
     for nt in &all_nts {

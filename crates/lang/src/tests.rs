@@ -47,6 +47,51 @@ fn expect_error(src: &str, needle: &str) {
     );
 }
 
+mod host_ag_memory {
+    use super::*;
+
+    /// Resident pages of this process, where `/proc` says (Linux).
+    fn resident_pages() -> Option<i64> {
+        let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
+        statm.split_whitespace().nth(1)?.parse().ok()
+    }
+
+    /// Builds and drops the host AG module 2000 times and prints how far
+    /// the resident set grew. A leak of the 24 nonterminal names per call
+    /// (what `host_ag` used to `Box::leak`) is ≥ 1.5 MB of it.
+    #[test]
+    #[ignore = "run alone in a child process by host_ag_does_not_leak"]
+    fn host_ag_resident_growth() {
+        drop(host_ag());
+        let before = resident_pages().expect("statm");
+        for _ in 0..2000 {
+            drop(host_ag());
+        }
+        println!("resident growth {} pages", resident_pages().expect("statm") - before);
+    }
+
+    #[test]
+    fn host_ag_does_not_leak() {
+        if resident_pages().is_none() {
+            return;
+        }
+        // A process of its own: no other test allocates while it measures.
+        let name = "tests::host_ag_memory::host_ag_resident_growth";
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--ignored", "--exact", name, "--nocapture", "--test-threads=1"])
+            .output()
+            .expect("spawn the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let pages: i64 = stdout
+            .split("resident growth ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no measurement in: {stdout}"));
+        assert!(pages * 4096 < 512 * 1024, "host_ag() grew the resident set by {pages} pages");
+    }
+}
+
 mod pipeline {
     use super::*;
 

@@ -609,7 +609,7 @@ fn stats_report_the_composition_cache_after_the_pool_cache() {
 
     let v = c.roundtrip(r#"{"id": "s", "cmd": "stats"}"#);
     let cc = v.get("stats").unwrap().get("compose_cache").expect("compose_cache stats");
-    for key in ["hits", "misses", "evictions"] {
+    for key in ["hits", "misses", "evictions", "prebuilt"] {
         assert!(cc.get(key).and_then(Json::as_u64).is_some(), "{key} missing: {v:?}");
     }
     assert!(cc.get("hits").unwrap().as_u64().unwrap() >= after.hits);

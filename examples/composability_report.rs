@@ -21,7 +21,7 @@ fn main() {
     );
     for report in registry.composability_reports() {
         let ext = registry
-            .extensions
+            .extensions()
             .iter()
             .find(|e| e.name == report.extension)
             .expect("registered");

@@ -292,6 +292,31 @@ fn metrics_json_writes_schema_tagged_file() {
     std::fs::remove_file(json_path).ok();
 }
 
+/// A `cmmc` process composes once: the default (full) language from the
+/// tables built with `cmmc`, a `--ext` subset with the analyses and the
+/// builders. The parser-cache block says which.
+#[test]
+fn metrics_json_says_whether_the_composition_was_prebuilt() {
+    let path = write_program("prebuilt.xc", PROGRAM);
+    for (ext, prebuilt) in [(None, 1), (Some("ext-matrix"), 0)] {
+        let json_path = std::env::temp_dir().join(format!("cmmc-{}-prebuilt-{prebuilt}.json", std::process::id()));
+        let json_path = json_path.display().to_string();
+        let mut cmd = cmmc();
+        cmd.args(["run", &path, "--metrics-json", &json_path]);
+        if let Some(ext) = ext {
+            cmd.args(["--ext", ext]);
+        }
+        let out = cmd.output().expect("spawn cmmc");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let written = std::fs::read_to_string(&json_path).expect("metrics file written");
+        let doc = cmm::core::json::parse(&written).expect("the metrics file parses");
+        let count = |key: &str| doc.get("parser_cache").and_then(|c| c.get(key)).and_then(|n| n.as_u64());
+        assert_eq!((count("misses"), count("prebuilt")), (Some(1), Some(prebuilt)), "{ext:?}: {written}");
+        std::fs::remove_file(json_path).ok();
+    }
+    std::fs::remove_file(path).ok();
+}
+
 /// `emit` and `check` take `--profile` and `--metrics-json` too: the
 /// compile-only report (`"pool": null`, `"interp": null`) with the six
 /// passes of a translation or the three of a check — and what they print

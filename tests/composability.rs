@@ -50,11 +50,11 @@ fn composition_theorem_holds_for_passing_extensions() {
     // pass(E1) ∧ pass(E2) ⇒ isLALR(H ∪ E1 ∪ E2), without any
     // whole-composition involvement from the user.
     let registry = Registry::standard();
-    let matrix = &registry.extensions[0];
-    let rcptr = &registry.extensions[1];
-    assert!(cmm::grammar::is_composable(&registry.host, &matrix.grammar).passed);
-    assert!(cmm::grammar::is_composable(&registry.host, &rcptr.grammar).passed);
-    assert!(cmm::grammar::is_lalr(&registry.host, &[&matrix.grammar, &rcptr.grammar])
+    let matrix = &registry.extensions()[0];
+    let rcptr = &registry.extensions()[1];
+    assert!(cmm::grammar::is_composable(registry.host(), &matrix.grammar).passed);
+    assert!(cmm::grammar::is_composable(registry.host(), &rcptr.grammar).passed);
+    assert!(cmm::grammar::is_lalr(registry.host(), &[&matrix.grammar, &rcptr.grammar])
         .expect("composes"));
 }
 

@@ -2,7 +2,8 @@
 //! what it writes it reads back (property), the request parser reads the
 //! writer's own strings (property), and the documents are byte for byte
 //! what the hand-laid writers before it produced (`tests/golden/`, text
-//! captured from the binary of the commit before the one writer).
+//! captured from the binary of the commit before the one writer; the
+//! parser cache's `prebuilt` count, appended since, re-captured in).
 
 use cmm::core::json::{self, Json};
 use cmm::core::{CompileMetrics, ParserCacheStats, PassTiming, ProfileReport};
@@ -110,6 +111,7 @@ fn compile_metrics() -> CompileMetrics {
             hits: 3,
             misses: 1,
             evictions: 0,
+            prebuilt: 1,
         },
     }
 }
@@ -207,6 +209,7 @@ fn serve_stats() -> ServeStats {
             hits: 116,
             misses: 4,
             evictions: 0,
+            prebuilt: 1,
         },
     }
 }

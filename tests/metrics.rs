@@ -6,7 +6,8 @@
 use std::sync::Mutex;
 
 use cmm::core::json::{self, Json};
-use cmm::core::{CompileMetrics, ProfileReport, METRICS_SCHEMA};
+use cmm::core::{CompileMetrics, Extension, ProfileReport, Registry, ALL_EXTENSIONS, METRICS_SCHEMA};
+use cmm::grammar::{GrammarFragment, Sym, Terminal};
 use cmm::eddy::programs::full_compiler;
 use cmm::loopir::Limits;
 
@@ -168,6 +169,7 @@ fn metrics_json_round_trips_without_serde() {
     assert_eq!(uint(&doc, "parser_cache.hits"), report.compile.parser_cache.hits);
     assert_eq!(uint(&doc, "parser_cache.misses"), report.compile.parser_cache.misses);
     assert_eq!(uint(&doc, "parser_cache.evictions"), report.compile.parser_cache.evictions);
+    assert_eq!(uint(&doc, "parser_cache.prebuilt"), report.compile.parser_cache.prebuilt);
 }
 
 /// Under a self-scheduling default (`cmmc run examples/imbalanced.xc
@@ -214,7 +216,7 @@ fn every_counter_row_of_the_table_is_a_key_of_the_document() {
         }),
         rc: cmm::rc::PoolStats { hits: 201, misses: 202, recycled: 203 },
         compile: CompileMetrics {
-            parser_cache: cmm::core::ParserCacheStats { hits: 301, misses: 302, evictions: 303 },
+            parser_cache: cmm::core::ParserCacheStats { hits: 301, misses: 302, evictions: 303, prebuilt: 304 },
             ..Default::default()
         },
         ..Default::default()
@@ -257,6 +259,38 @@ fn parser_cache_amortizes_repeat_compositions() {
     );
     assert!(second.parser_cache.misses >= first.parser_cache.misses);
     assert!(first.parser_cache.misses >= 1, "someone built the tables once");
+}
+
+/// `prebuilt` counts the misses served from the tables built with `cmmc`:
+/// the standard full language only. A registry with an added extension
+/// composes into a cache of its own, so its counts are exact.
+#[test]
+fn prebuilt_counts_only_the_standard_full_language() {
+    let mut registry = Registry::standard();
+    let kw = |s: &str| Sym::T(s.to_string());
+    registry
+        .add_extension(Extension {
+            name: "ext-twice".to_string(),
+            grammar: GrammarFragment::new("ext-twice")
+                .terminal(Terminal::keyword("KW_TWICE", "twice"))
+                .production("prim_twice", "Primary", vec![kw("KW_TWICE"), kw("LP"), Sym::N("Expr".into()), kw("RP")]),
+            ag: || cmm::ag::AgFragment::new("ext-twice"),
+            packaged: None,
+            requires: None,
+            ext: cmm::lang::Ext::Cilk,
+        })
+        .expect("a new name");
+    let cache = |enabled: &[&str]| {
+        let compiler = registry.compiler(enabled).expect("composes");
+        let (_, metrics) = compiler.compile_metered(PROGRAM).expect("compile");
+        let doc = document(&ProfileReport { compile: metrics, ..Default::default() });
+        (uint(&doc, "parser_cache.misses"), uint(&doc, "parser_cache.prebuilt"))
+    };
+    let mut with_twice = ALL_EXTENSIONS.to_vec();
+    with_twice.push("ext-twice");
+    assert_eq!(cache(&with_twice), (1, 0), "selecting the added extension builds");
+    assert_eq!(cache(&ALL_EXTENSIONS), (2, 1), "the standard full language is read");
+    assert_eq!(cache(&["ext-matrix"]), (3, 1), "a subset builds");
 }
 
 #[test]
