@@ -36,8 +36,8 @@ use cmm_forkjoin::{ForkJoinPool, Schedule};
 use cmm_grammar::{is_composable, ComposabilityReport, ComposedGrammar, GrammarFragment, Parser};
 use cmm_lang::typecheck::{ExtSet, TypeInfo};
 use cmm_lang::{
-    build_program, check_program, fuse_slice_indices, has_fusable_slice_index, host_ag, host_grammar, lower_program,
-    LowerOptions,
+    check_program, fuse_slice_indices, has_fusable_slice_index, host_ag, host_grammar, lower_program, parse_program,
+    Handlers, LowerOptions,
 };
 use cmm_loopir::{
     emit, EmitError, Interp, InterpError, IrProgram, IrStmt, LimitKind, Limits, LoopCost, Tier,
@@ -58,15 +58,25 @@ pub use metrics::{CompileMetrics, ParserCacheStats, PassTiming, ProfileReport, M
 pub use standard::Extension;
 
 /// One composition of the host with a selected set of extensions: the
-/// parser, and what was decided while building it. An entry exists only
+/// parser, the build rule of each of its productions, and what was
+/// decided while building it. An entry exists only
 /// if every selected independently-composable extension passed
 /// `isComposable` — the paper's §VI-A guarantee is a property of the
 /// (host, extension) pairs, so it is established when the set is first
 /// selected and not argued again at each use.
 struct Composition {
     parser: Parser,
+    /// The parser's semantic actions, by production id.
+    handlers: Handlers,
     /// The semantic-analysis switches of the selected extensions.
     exts: ExtSet,
+}
+
+impl Composition {
+    fn new(parser: Parser, exts: ExtSet) -> Composition {
+        let handlers = Handlers::new(parser.grammar());
+        Composition { parser, handlers, exts }
+    }
 }
 
 /// Memo of compositions keyed by the canonical (sorted) set of selected
@@ -256,10 +266,7 @@ impl Registry {
             let grammar = ComposedGrammar::compose(&self.host, &fragments)
                 .expect("build.rs composed these fragments");
             self.parser_cache.count_prebuilt();
-            return Ok(Composition {
-                parser: prebuilt::standard_parser(grammar),
-                exts,
-            });
+            return Ok(Composition::new(prebuilt::standard_parser(grammar), exts));
         }
         // Verify the independently composable ones.
         let failing: Vec<ComposabilityReport> = selected
@@ -283,7 +290,7 @@ impl Registry {
                     .unwrap_or_default()
             ))
         })?;
-        Ok(Composition { parser, exts })
+        Ok(Composition::new(parser, exts))
     }
 }
 
@@ -398,6 +405,11 @@ impl Compiler {
         &self.composition.parser
     }
 
+    /// The build rules the parser reduces with (exposed for tests).
+    pub fn handlers(&self) -> &Handlers {
+        &self.composition.handlers
+    }
+
     /// The semantic-analysis switches of this composition: one per
     /// selected extension (after the packaging rules).
     pub fn extensions(&self) -> ExtSet {
@@ -435,7 +447,9 @@ impl Compiler {
 
     /// Front half of the pipeline, keeping the type information so the
     /// back half need not re-run the checker. When `metrics` is given,
-    /// each pass is timed into it.
+    /// each pass is timed into it: `parse` is source to AST (the parser
+    /// builds the AST as it reduces), `build` what remains once the parse
+    /// has accepted — surfacing a held-back construction error.
     fn frontend_checked(
         &self,
         src: &str,
@@ -452,14 +466,11 @@ impl Compiler {
             }
         };
         let t0 = Instant::now();
-        let cst = self
-            .parser()
-            .parse(src)
+        let built = parse_program(self.parser(), self.handlers(), src)
             .map_err(|e| CompileError::Parse(e.to_string()))?;
         timed("parse", src.len() as u64, "bytes", t0);
         let t0 = Instant::now();
-        let ast = build_program(self.parser().grammar(), &cst)
-            .map_err(|e| CompileError::Build(e.to_string()))?;
+        let ast = built.map_err(|e| CompileError::Build(e.to_string()))?;
         timed("build", ast.functions.len() as u64, "functions", t0);
         let t0 = Instant::now();
         let (info, diags) = check_program(&ast, self.extensions());
@@ -486,23 +497,16 @@ impl Compiler {
     /// emitter runs (output discarded) so the full pipeline of the paper
     /// — parse through emit — is accounted.
     pub fn compile_metered(&self, src: &str) -> Result<(IrProgram, CompileMetrics), CompileError> {
-        let (ir, _, m) = self.translate_metered(src)?;
+        let (ir, _, m) = self.compile_to_c_metered(src)?;
         Ok((ir, m))
     }
 
     /// [`Compiler::compile_to_c`] with the six pass timings of
     /// [`Compiler::compile_metered`] — the same one run of the emitter,
-    /// its output kept: what `cmmc emit --profile` reports.
+    /// its output kept: what `cmmc emit --profile` reports. The IR the C
+    /// was emitted from comes back too, so that the caller decides when it
+    /// is freed.
     pub fn compile_to_c_metered(
-        &self,
-        src: &str,
-    ) -> Result<(String, CompileMetrics), CompileError> {
-        let (_, c, m) = self.translate_metered(src)?;
-        Ok((c, m))
-    }
-
-    /// The metered pipeline, parse through emit: the IR and its C.
-    fn translate_metered(
         &self,
         src: &str,
     ) -> Result<(IrProgram, String, CompileMetrics), CompileError> {

@@ -351,6 +351,26 @@ mod composition {
         assert!(!standard.parser_cache.contains(&key));
     }
 
+    /// A production that composes but has no build rule fails the first
+    /// program that uses it, at the production, in the words of its
+    /// left-hand side's category.
+    #[test]
+    fn a_production_without_a_rule_is_an_error_where_it_is_used() {
+        let mut reg = private_registry();
+        reg.add_extension(twice_extension()).expect("a new name");
+        let mut with_twice = ALL_EXTENSIONS.to_vec();
+        with_twice.push("ext-twice");
+        let compiler = reg.compiler(&with_twice).expect("twice composes");
+        let err = compiler
+            .frontend("int main() {\n    printInt(1 + twice(3));\n    return 0;\n}")
+            .unwrap_err();
+        assert!(matches!(err, CompileError::Build(_)), "{err}");
+        assert_eq!(err.to_string(), "2:18: unexpected expression production 'prim_twice'");
+        // A syntax error later in the source still wins.
+        let err = compiler.frontend("int main() { printInt(twice(3)); return 0 }").unwrap_err();
+        assert!(matches!(err, CompileError::Parse(_)), "{err}");
+    }
+
     #[test]
     fn a_registered_name_cannot_be_added_again() {
         let mut reg = Registry::standard();

@@ -21,8 +21,8 @@ pub mod scanner;
 pub use compose::{compose_verified, is_composable, is_lalr, ComposabilityReport};
 pub use grammar::{ComposeError, ComposedGrammar, GSym, GrammarFragment, Production, Sym, Terminal, EOF};
 pub use lalr::{Action, Conflict, Tables};
-pub use parser::{Cst, ParseError, Parser};
-pub use scanner::{ScanCache, ScanError, Scanner, Token};
+pub use parser::{Cst, ParseError, Parser, Reducer};
+pub use scanner::{Lexeme, ScanCache, ScanError, Scanner, Token};
 
 #[cfg(test)]
 mod tests;

@@ -1,14 +1,63 @@
-//! LR parse driver producing concrete syntax trees.
+//! The LR parse driver.
 //!
 //! The driver couples the LALR(1) tables with the context-aware scanner:
 //! before requesting a token it computes the set of terminals with a
 //! non-error action in the current state and passes that set to the
-//! scanner as the "context" (§VI-A).
+//! scanner as the "context" (§VI-A). What a parse builds is up to its
+//! [`Reducer`], which the driver calls on every shift and every reduce,
+//! as a parser generator runs semantic actions: [`Parser::parse`] builds
+//! a [`Cst`] with one; the translator builds its AST with another.
+
+use std::vec::Drain;
 
 use crate::dfa::Dfa;
 use crate::grammar::ComposedGrammar;
 use crate::lalr::{Action, Tables};
-use crate::scanner::{ScanCache, ScanError, Scanner, Token};
+use crate::scanner::{Lexeme, ScanCache, ScanError, Scanner, Token};
+
+/// The semantic actions of a parse: a value for each shifted token and
+/// for each reduced production, from the values of its right-hand side.
+pub trait Reducer {
+    /// What a token or a production stands for.
+    type Value;
+
+    /// The value of a shifted token.
+    fn shift(&mut self, lexeme: Lexeme) -> Self::Value;
+
+    /// The value of production `prod` (an index into
+    /// [`ComposedGrammar::productions`]); `children` yields its
+    /// right-hand side's values in order.
+    fn reduce(&mut self, prod: u32, children: Drain<'_, Self::Value>) -> Self::Value;
+
+    /// Whether production `prod`, which has one right-hand-side symbol,
+    /// has that symbol's value as its own. The driver then leaves the value
+    /// where it is and calls nothing.
+    fn forwards(&self, _prod: u32) -> bool {
+        false
+    }
+}
+
+/// The reducer behind [`Parser::parse`]: a leaf per token, a node per
+/// production.
+struct CstReducer<'a> {
+    cache: &'a ScanCache,
+    src: &'a str,
+}
+
+impl Reducer for CstReducer<'_> {
+    type Value = Cst;
+
+    fn shift(&mut self, lexeme: Lexeme) -> Cst {
+        Cst::Leaf(self.cache.token(lexeme, self.src))
+    }
+
+    fn reduce(&mut self, prod: u32, children: Drain<'_, Cst>) -> Cst {
+        Cst::Node {
+            prod,
+            children: children.collect(),
+        }
+    }
+}
 
 /// Concrete syntax tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,35 +284,48 @@ impl Parser {
 
     /// Parse a full source string to a CST.
     pub fn parse(&self, src: &str) -> Result<Cst, ParseError> {
+        let cache = &self.scan_cache;
+        self.parse_with(src, &mut CstReducer { cache, src })
+    }
+
+    /// Parse a full source string, building with `reducer`: the value of
+    /// the start production, or the first scan or syntax error.
+    pub fn parse_with<R: Reducer>(
+        &self,
+        src: &str,
+        reducer: &mut R,
+    ) -> Result<R::Value, ParseError> {
         let mut scanner = Scanner::new(&self.grammar, &self.dfa, &self.scan_cache, src);
-        // Token and stack-depth counts scale with source length; size the
-        // stacks once so a typical parse never reallocates them.
-        let cap = 16 + src.len() / 8;
-        let mut states: Vec<u32> = Vec::with_capacity(cap);
+        // Both stacks are as deep as the parse nests, not as long as the
+        // source: lists are left-recursive.
+        let mut states: Vec<u32> = Vec::with_capacity(64);
         states.push(0);
-        let mut nodes: Vec<Cst> = Vec::with_capacity(cap);
-        let mut lookahead: Option<Token> = None;
+        let mut values: Vec<R::Value> = Vec::with_capacity(64);
+        let mut lookahead: Option<Lexeme> = None;
 
         loop {
             let state = *states.last().expect("state stack never empty");
-            if lookahead.is_none() {
-                let valid = |t| self.tables.action(state, t) != Action::Error;
-                lookahead = Some(scanner.next_token(valid)?);
-            }
-            let tok = lookahead.as_ref().expect("lookahead present");
+            let tok = match lookahead {
+                Some(tok) => tok,
+                None => {
+                    let valid = |t| self.tables.action(state, t) != Action::Error;
+                    *lookahead.insert(scanner.next_lexeme(valid)?)
+                }
+            };
             match self.tables.action(state, tok.terminal) {
                 Action::Shift(next) => {
                     states.push(next);
-                    nodes.push(Cst::Leaf(lookahead.take().expect("shift consumes token")));
+                    values.push(reducer.shift(tok));
+                    lookahead = None;
                 }
                 Action::Reduce(p) => {
                     let (lhs, rhs) = &self.grammar.prods[p as usize];
                     let n = rhs.len();
-                    let children = nodes.split_off(nodes.len() - n);
-                    for _ in 0..n {
-                        states.pop();
+                    states.truncate(states.len() - n);
+                    if n != 1 || !reducer.forwards(p) {
+                        let value = reducer.reduce(p, values.drain(values.len() - n..));
+                        values.push(value);
                     }
-                    nodes.push(Cst::Node { prod: p, children });
                     let top = *states.last().expect("state under reduction");
                     let goto = self
                         .tables
@@ -272,7 +334,7 @@ impl Parser {
                     states.push(goto);
                 }
                 Action::Accept => {
-                    return Ok(nodes.pop().expect("accept with one node"));
+                    return Ok(values.pop().expect("accept with one value"));
                 }
                 Action::Error => {
                     let expected = self
@@ -282,7 +344,7 @@ impl Parser {
                         .map(|t| self.grammar.terminals[t as usize].name.clone())
                         .collect();
                     return Err(ParseError::Unexpected {
-                        found: tok.text.to_string(),
+                        found: tok.text(src).into_owned(),
                         terminal: self.grammar.terminals[tok.terminal as usize].name.clone(),
                         line: tok.line,
                         col: tok.col,

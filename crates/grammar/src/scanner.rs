@@ -13,15 +13,45 @@
 //! highest [`crate::grammar::Terminal::precedence`] wins (keywords beat
 //! identifiers).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::dfa::{Dfa, DEAD};
 use crate::grammar::{ComposedGrammar, EOF};
 use crate::regex::Regex;
 
-/// A scanned token. `text` is shared (`Arc<str>`): fixed-spelling
-/// terminals (keywords, punctuation) all reference one interned copy, so
-/// scanning them never allocates.
+/// What the scanner returns: a terminal and where its text is in the
+/// source. Copying one allocates nothing; the text is read from the source
+/// only by whoever needs it ([`Lexeme::text`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lexeme {
+    /// Terminal id.
+    pub terminal: u16,
+    /// Byte offset in the source.
+    pub offset: usize,
+    /// Length in bytes.
+    pub len: usize,
+    /// 1-based line.
+    pub line: u32,
+    /// 1-based column.
+    pub col: u32,
+}
+
+impl Lexeme {
+    /// The matched text, borrowed from `src` (the source it was scanned
+    /// from) unless its ends are not character boundaries.
+    pub fn text<'s>(&self, src: &'s str) -> Cow<'s, str> {
+        let range = self.offset..self.offset + self.len;
+        match src.get(range.clone()) {
+            Some(text) => Cow::Borrowed(text),
+            None => String::from_utf8_lossy(&src.as_bytes()[range]),
+        }
+    }
+}
+
+/// A scanned token with its text, as a [`crate::Cst`] leaf holds it.
+/// `text` is shared (`Arc<str>`): fixed-spelling terminals (keywords,
+/// punctuation) all reference one interned copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// Terminal id.
@@ -58,6 +88,23 @@ impl ScanCache {
             ignore: grammar.terminals.iter().map(|t| t.ignore).collect(),
             fixed: grammar.patterns.iter().map(literal_spelling).collect(),
             empty: Arc::from(""),
+        }
+    }
+
+    /// The token `lexeme` of `src` stands for: fixed spellings and the
+    /// empty EOF text are the interned copies, other text is copied.
+    pub(crate) fn token(&self, lexeme: Lexeme, src: &str) -> Token {
+        let text = match &self.fixed[lexeme.terminal as usize] {
+            Some(interned) => interned.clone(),
+            None if lexeme.len == 0 => self.empty.clone(),
+            None => Arc::from(lexeme.text(src).as_ref()),
+        };
+        Token {
+            terminal: lexeme.terminal,
+            text,
+            offset: lexeme.offset,
+            line: lexeme.line,
+            col: lexeme.col,
         }
     }
 }
@@ -169,13 +216,13 @@ impl<'g, 's> Scanner<'g, 's> {
 
     /// Scan the next token, considering only `valid(t)` terminals (plus
     /// layout). EOF (id 0) is produced at end of input.
-    pub fn next_token<F: Fn(u16) -> bool>(&mut self, valid: F) -> Result<Token, ScanError> {
+    pub fn next_lexeme<F: Fn(u16) -> bool>(&mut self, valid: F) -> Result<Lexeme, ScanError> {
         loop {
             if self.pos >= self.src.len() {
-                return Ok(Token {
+                return Ok(Lexeme {
                     terminal: EOF,
-                    text: self.cache.empty.clone(),
                     offset: self.pos,
+                    len: 0,
                     line: self.line,
                     col: self.col,
                 });
@@ -229,23 +276,17 @@ impl<'g, 's> Scanner<'g, 's> {
             };
             if self.cache.ignore[tid as usize] {
                 self.advance(mlen);
-                continue; // layout: skip and rescan (no text allocation)
+                continue; // layout: skip and rescan
             }
-            let text = match &self.cache.fixed[tid as usize] {
-                Some(interned) => interned.clone(),
-                None => Arc::from(
-                    String::from_utf8_lossy(&self.src[self.pos..self.pos + mlen]).as_ref(),
-                ),
-            };
-            let token = Token {
+            let lexeme = Lexeme {
                 terminal: tid,
-                text,
                 offset: self.pos,
+                len: mlen,
                 line: self.line,
                 col: self.col,
             };
             self.advance(mlen);
-            return Ok(token);
+            return Ok(lexeme);
         }
     }
 }

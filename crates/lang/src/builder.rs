@@ -1,15 +1,27 @@
-//! Concrete-syntax-tree → AST construction.
+//! Source → AST construction: the semantic actions of the composed parser.
 //!
-//! The composed parser produces a generic CST whose nodes carry production
-//! names; this module dispatches on those names — host productions plus
-//! every extension's — to build the unified AST of `cmm-ast`. Structural
-//! validation that is not expressible in an LALR grammar happens here:
-//! assignment targets must be lvalues, with-loop generator variable lists
-//! must be identifiers, `matrixMap` dimension lists must be integer
-//! literals, matrix ranks must be literals, tuple element counts, etc.
+//! [`Handlers`] gives every production of a composition — host and
+//! extension — the [`Rule`] that builds its value, resolved from the
+//! production's name once per composition. [`parse_program`] runs the
+//! parser with those rules as its reducer, so the AST is built as the
+//! parser reduces: there is no intermediate tree to walk or free. A unit
+//! production whose value is its child's costs the driver nothing.
+//!
+//! Structural validation that is not expressible in an LALR grammar
+//! happens here: assignment targets must be lvalues, with-loop generator
+//! variable lists must be identifiers, `matrixMap` dimension lists must be
+//! integer literals, matrix ranks must be literals, tuple element counts,
+//! etc. Such an error does not stop the parse. It travels up as the value
+//! of the production that raised it, and each rule reads its children in
+//! source order, so the error reported is the first the program's
+//! left-to-right, outside-in reading reaches — and a syntax error anywhere
+//! wins over it.
+
+use std::borrow::Cow;
+use std::vec::Drain;
 
 use cmm_ast::*;
-use cmm_grammar::{ComposedGrammar, Cst, Token};
+use cmm_grammar::{ComposedGrammar, Lexeme, ParseError, Parser, Reducer};
 
 /// AST-construction failure with a source position.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,363 +49,479 @@ fn err<T>(span: Span, message: impl Into<String>) -> BResult<T> {
     })
 }
 
-/// Build a [`Program`] from a parsed CST.
-pub fn build_program(grammar: &ComposedGrammar, cst: &Cst) -> BResult<Program> {
-    let b = Builder { grammar };
-    b.program(cst)
+/// How a production's value is built from its children's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// A unit production: its child's value.
+    Forward,
+    /// The value of the middle child (`( e )`, `[ list ]`).
+    Inner,
+    /// A production no rule was written for: an error when reduced.
+    Unhandled,
+    // --- lists ---------------------------------------------------------
+    /// `x` → `[x]`.
+    ListOne,
+    /// `list [sep] x` → `list ++ [x]`.
+    ListMore,
+    NoParams,
+    NoStmts,
+    NoArgs,
+    // --- top level -------------------------------------------------------
+    Program,
+    Function,
+    Param,
+    // --- types -------------------------------------------------------------
+    Scalar(Scalar),
+    MatrixType,
+    TupleType,
+    RcType,
+    // --- statements ----------------------------------------------------------
+    Block,
+    Decl,
+    DeclInit,
+    Assign,
+    AssignTransform,
+    ExprStmt,
+    If,
+    IfElse,
+    While,
+    For,
+    Return,
+    ReturnVoid,
+    Nested,
+    Incr,
+    SpawnAssign,
+    SpawnCall,
+    Sync,
+    // --- transform clause ------------------------------------------------------
+    Split,
+    Vectorize,
+    Parallelize,
+    Reorder,
+    Interchange,
+    Unroll,
+    Tile,
+    Schedule(ScheduleKind, bool),
+    // --- expressions -------------------------------------------------------------
+    Binary(BinOp),
+    Unary(UnOp),
+    Cast,
+    Int,
+    Float,
+    Str,
+    Bool(bool),
+    Var,
+    Call,
+    Index,
+    At,
+    Range,
+    All,
+    End,
+    With,
+    Upper(bool),
+    Genarray,
+    Fold,
+    Modarray,
+    FoldOp(FoldKind),
+    MatrixMap,
+    Init,
+    Tuple,
+    RcAlloc,
 }
 
-struct Builder<'g> {
-    grammar: &'g ComposedGrammar,
+/// The scalar types a type production can name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scalar {
+    Int,
+    Float,
+    Bool,
+    Void,
 }
 
-fn token_span(t: &Token) -> Span {
-    Span::new(t.line, t.col)
+/// The rule of the production named `name`.
+fn rule(name: &str) -> Rule {
+    match name {
+        "expr_top" | "or_one" | "and_one" | "cmp_one" | "add_one" | "mul_one" | "unary_post"
+        | "post_primary" | "item_func" | "params_some" | "args_some" => Rule::Forward,
+        "prim_paren" | "bracketed" => Rule::Inner,
+        "items_one" | "params_one" | "typelist_one" | "exprs_one" | "idx_one" | "tlist_one"
+        | "idlist_one" => Rule::ListOne,
+        "items_more" | "params_more" | "typelist_more" | "stmts_more" | "exprs_more"
+        | "idx_more" | "tlist_more" | "idlist_more" => Rule::ListMore,
+        "params_none" => Rule::NoParams,
+        "stmts_none" => Rule::NoStmts,
+        "args_none" => Rule::NoArgs,
+        "program" => Rule::Program,
+        "func_def" => Rule::Function,
+        "param" => Rule::Param,
+        "type_int" => Rule::Scalar(Scalar::Int),
+        "type_float" => Rule::Scalar(Scalar::Float),
+        "type_bool" => Rule::Scalar(Scalar::Bool),
+        "type_void" => Rule::Scalar(Scalar::Void),
+        // [ext-matrix] Matrix elem <rank>
+        "type_matrix" => Rule::MatrixType,
+        // [ext-tuples] (T1, T2, ...)
+        "type_tuple" => Rule::TupleType,
+        // [ext-rcptr] rc<elem>
+        "type_rc" => Rule::RcType,
+        "block" => Rule::Block,
+        "stmt_decl" => Rule::Decl,
+        "stmt_decl_init" | "forinit_decl" => Rule::DeclInit,
+        "stmt_assign" | "forinit_assign" | "forstep_assign" => Rule::Assign,
+        // [ext-transform] assignment with transform clause (Fig 9)
+        "stmt_assign_transform" => Rule::AssignTransform,
+        "stmt_expr" => Rule::ExprStmt,
+        "stmt_if" => Rule::If,
+        "stmt_if_else" => Rule::IfElse,
+        "stmt_while" => Rule::While,
+        "stmt_for" => Rule::For,
+        "stmt_return" => Rule::Return,
+        "stmt_return_void" => Rule::ReturnVoid,
+        "stmt_block" => Rule::Nested,
+        "forstep_incr" => Rule::Incr,
+        // [ext-cilk] spawn / sync
+        "stmt_spawn_assign" => Rule::SpawnAssign,
+        "stmt_spawn_call" => Rule::SpawnCall,
+        "stmt_sync" => Rule::Sync,
+        // [ext-transform] directives
+        "t_split" => Rule::Split,
+        "t_vectorize" => Rule::Vectorize,
+        "t_parallelize" => Rule::Parallelize,
+        "t_reorder" => Rule::Reorder,
+        "t_interchange" => Rule::Interchange,
+        "t_unroll" => Rule::Unroll,
+        "t_tile" => Rule::Tile,
+        "t_schedule_static" => Rule::Schedule(ScheduleKind::Static, false),
+        "t_schedule_dynamic" => Rule::Schedule(ScheduleKind::Dynamic, false),
+        "t_schedule_dynamic_chunk" => Rule::Schedule(ScheduleKind::Dynamic, true),
+        "t_schedule_guided" => Rule::Schedule(ScheduleKind::Guided, false),
+        "t_schedule_guided_chunk" => Rule::Schedule(ScheduleKind::Guided, true),
+        "or_more" => Rule::Binary(BinOp::Or),
+        "and_more" => Rule::Binary(BinOp::And),
+        "cmp_lt" => Rule::Binary(BinOp::Lt),
+        "cmp_le" => Rule::Binary(BinOp::Le),
+        "cmp_gt" => Rule::Binary(BinOp::Gt),
+        "cmp_ge" => Rule::Binary(BinOp::Ge),
+        "cmp_eq" => Rule::Binary(BinOp::Eq),
+        "cmp_ne" => Rule::Binary(BinOp::Ne),
+        "add_plus" => Rule::Binary(BinOp::Add),
+        "add_minus" => Rule::Binary(BinOp::Sub),
+        "mul_star" => Rule::Binary(BinOp::Mul),
+        "mul_slash" => Rule::Binary(BinOp::Div),
+        "mul_percent" => Rule::Binary(BinOp::Rem),
+        // [ext-matrix] element-wise multiplication.
+        "mul_elemwise" => Rule::Binary(BinOp::ElemMul),
+        "unary_neg" => Rule::Unary(UnOp::Neg),
+        "unary_not" => Rule::Unary(UnOp::Not),
+        "unary_cast" => Rule::Cast,
+        "prim_int" => Rule::Int,
+        "prim_float" => Rule::Float,
+        "prim_str" => Rule::Str,
+        "prim_true" => Rule::Bool(true),
+        "prim_false" => Rule::Bool(false),
+        "prim_var" => Rule::Var,
+        "prim_call" => Rule::Call,
+        // [ext-matrix] indexing, `end`, with-loops, matrixMap, init.
+        "post_index" => Rule::Index,
+        "idxel_expr" => Rule::At,
+        "idxel_range" => Rule::Range,
+        "idxel_all" => Rule::All,
+        "prim_end" => Rule::End,
+        "prim_with" => Rule::With,
+        "withupper_le" => Rule::Upper(true),
+        "withupper_lt" => Rule::Upper(false),
+        "withop_genarray" => Rule::Genarray,
+        "withop_fold" => Rule::Fold,
+        "withop_modarray" => Rule::Modarray,
+        "foldop_add" => Rule::FoldOp(FoldKind::Add),
+        "foldop_mul" => Rule::FoldOp(FoldKind::Mul),
+        "foldop_max" => Rule::FoldOp(FoldKind::Max),
+        "foldop_min" => Rule::FoldOp(FoldKind::Min),
+        "prim_matrixmap" => Rule::MatrixMap,
+        "prim_init" => Rule::Init,
+        // [ext-tuples] anonymous tuple.
+        "prim_tuple" => Rule::Tuple,
+        // [ext-rcptr] rcAlloc.
+        "prim_rcalloc" => Rule::RcAlloc,
+        _ => Rule::Unhandled,
+    }
 }
 
-fn span_of(cst: &Cst) -> Span {
-    cst.first_token().map(token_span).unwrap_or(Span::SYNTH)
+/// What an unhandled production of nonterminal `lhs` is called in its
+/// error message.
+fn category(lhs: &str) -> Cow<'static, str> {
+    Cow::Borrowed(match lhs {
+        "Program" => "program",
+        "ItemList" | "Item" | "Function" => "item",
+        "ParamsOpt" | "ParamList" | "Param" => "parameter",
+        "Type" => "type",
+        "TypeList" => "type-list",
+        "Block" => "block",
+        "StmtList" => "statement-list",
+        "Stmt" => "statement",
+        "ForInit" => "for-init",
+        "ForStep" => "for-step",
+        "TransformList" => "transform-list",
+        "Transform" => "transform",
+        "IdListT" => "id-list",
+        "Expr" | "OrExpr" | "AndExpr" | "CmpExpr" | "AddExpr" | "MulExpr" | "UnaryExpr"
+        | "PostfixExpr" | "Primary" => "expression",
+        "ArgsOpt" => "argument",
+        "ExprList" => "expression-list",
+        "IndexList" => "index-list",
+        "IndexElem" => "index",
+        "Bracketed" => "bracketed",
+        "WithUpper" => "with-upper",
+        "WithOperation" => "with-operation",
+        "FoldOpSym" => "fold operator",
+        other => return Cow::Owned(other.to_string()),
+    })
 }
 
-impl Builder<'_> {
-    fn name(&self, cst: &Cst) -> &str {
-        cst.prod_name(self.grammar).unwrap_or("<leaf>")
-    }
+/// The build rule of every production of one composition, indexed by
+/// production id. Built once per composition (microseconds: one name match
+/// per production) and kept beside its parser.
+pub struct Handlers {
+    rules: Vec<Rule>,
+}
 
-    fn tok<'c>(&self, cst: &'c Cst, i: usize) -> BResult<&'c Token> {
-        cst.children()
-            .get(i)
-            .and_then(Cst::token)
-            .ok_or_else(|| BuildError {
-                message: format!("malformed {} node: expected token child {i}", self.name(cst)),
-                span: span_of(cst),
-            })
-    }
-
-    fn child<'c>(&self, cst: &'c Cst, i: usize) -> BResult<&'c Cst> {
-        cst.children().get(i).ok_or_else(|| BuildError {
-            message: format!("malformed {} node: missing child {i}", self.name(cst)),
-            span: span_of(cst),
-        })
-    }
-
-    // --- top level -----------------------------------------------------
-
-    fn program(&self, cst: &Cst) -> BResult<Program> {
-        // program -> ItemList
-        let mut functions = Vec::new();
-        self.collect_items(self.child(cst, 0)?, &mut functions)?;
-        Ok(Program { functions })
-    }
-
-    fn collect_items(&self, cst: &Cst, out: &mut Vec<Function>) -> BResult<()> {
-        match self.name(cst) {
-            "items_one" => self.collect_items(self.child(cst, 0)?, out),
-            "items_more" => {
-                self.collect_items(self.child(cst, 0)?, out)?;
-                self.collect_items(self.child(cst, 1)?, out)
-            }
-            "item_func" => self.collect_items(self.child(cst, 0)?, out),
-            "func_def" => {
-                out.push(self.function(cst)?);
-                Ok(())
-            }
-            other => err(span_of(cst), format!("unexpected item production '{other}'")),
+impl Handlers {
+    /// Resolve every production of `grammar` to its rule.
+    pub fn new(grammar: &ComposedGrammar) -> Handlers {
+        Handlers {
+            rules: grammar.productions.iter().map(|p| rule(&p.name)).collect(),
         }
     }
 
-    fn function(&self, cst: &Cst) -> BResult<Function> {
-        // func_def -> Type ID LP ParamsOpt RP Block
-        let ret = self.ty(self.child(cst, 0)?)?;
-        let name_tok = self.tok(cst, 1)?;
-        let params = self.params(self.child(cst, 3)?)?;
-        let body = self.block(self.child(cst, 5)?)?;
-        Ok(Function {
-            ret,
-            name: name_tok.text.to_string(),
-            params,
-            body,
-            span: token_span(name_tok),
-        })
+    /// Ids of the productions no rule was written for: each fails any
+    /// program that uses it. Empty for the standard language.
+    pub fn unhandled(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rules
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| **r == Rule::Unhandled)
+            .map(|(p, _)| p)
     }
+}
 
-    fn params(&self, cst: &Cst) -> BResult<Vec<Param>> {
-        let mut out = Vec::new();
-        self.collect_params(cst, &mut out)?;
-        Ok(out)
-    }
+/// Parse `src` and build its AST as the parser reduces. The outer error is
+/// the first scan or syntax error; the inner one is the first construction
+/// error, reported only when the whole source parsed. `handlers` must have
+/// been built from `parser`'s grammar.
+pub fn parse_program(
+    parser: &Parser,
+    handlers: &Handlers,
+    src: &str,
+) -> Result<BResult<Program>, ParseError> {
+    let mut reducer = AstReducer {
+        rules: &handlers.rules,
+        grammar: parser.grammar(),
+        src,
+    };
+    let root = parser.parse_with(src, &mut reducer)?;
+    Ok(match root.val {
+        Val::Program(program) => Ok(program),
+        Val::Err(e) => Err(*e),
+        _ => err(
+            root.span,
+            "malformed parse: the start production is not a program",
+        ),
+    })
+}
 
-    fn collect_params(&self, cst: &Cst, out: &mut Vec<Param>) -> BResult<()> {
-        match self.name(cst) {
-            "params_none" => Ok(()),
-            "params_some" | "params_one" => {
-                for c in cst.children() {
-                    self.collect_params(c, out)?;
-                }
-                Ok(())
-            }
-            "params_more" => {
-                self.collect_params(self.child(cst, 0)?, out)?;
-                self.collect_params(self.child(cst, 2)?, out)
-            }
-            "param" => {
-                let ty = self.ty(self.child(cst, 0)?)?;
-                let name = self.tok(cst, 1)?.text.to_string();
-                out.push(Param { ty, name });
-                Ok(())
-            }
-            other => err(span_of(cst), format!("unexpected parameter production '{other}'")),
+/// A built value on the parser's value stack.
+enum Val {
+    Tok(Lexeme),
+    /// A construction error, held back until the parse accepts.
+    Err(Box<BuildError>),
+    Program(Program),
+    Function(Function),
+    Functions(Vec<Function>),
+    Param(Param),
+    Params(Vec<Param>),
+    Type(Type),
+    Types(Vec<Type>),
+    Block(Block),
+    Stmt(Stmt),
+    Stmts(Vec<Stmt>),
+    Transform(TransformSpec),
+    Transforms(Vec<TransformSpec>),
+    Ids(Vec<String>),
+    Expr(Expr),
+    Exprs(Vec<Expr>),
+    Index(IndexExpr),
+    Indices(Vec<IndexExpr>),
+    Upper(bool, Vec<Expr>),
+    WithOp(WithOp),
+    Fold(FoldKind),
+}
+
+/// A value and the span of its first token ([`Span::SYNTH`] if it covers
+/// none), which is where diagnostics about it point.
+struct Node {
+    span: Span,
+    val: Val,
+}
+
+struct AstReducer<'a> {
+    rules: &'a [Rule],
+    grammar: &'a ComposedGrammar,
+    src: &'a str,
+}
+
+impl Reducer for AstReducer<'_> {
+    type Value = Node;
+
+    fn shift(&mut self, lexeme: Lexeme) -> Node {
+        Node {
+            span: Span::new(lexeme.line, lexeme.col),
+            val: Val::Tok(lexeme),
         }
     }
 
-    // --- types ----------------------------------------------------------
+    fn reduce(&mut self, prod: u32, children: Drain<'_, Node>) -> Node {
+        let span = children
+            .as_slice()
+            .iter()
+            .map(|c| c.span)
+            .find(|s| *s != Span::SYNTH)
+            .unwrap_or(Span::SYNTH);
+        let mut kids = Kids {
+            it: children,
+            at: 0,
+            prod,
+            span,
+            r: self,
+        };
+        let val = kids
+            .build(self.rules[prod as usize])
+            .unwrap_or_else(|e| Val::Err(Box::new(e)));
+        Node { span, val }
+    }
 
-    fn ty(&self, cst: &Cst) -> BResult<Type> {
-        match self.name(cst) {
-            "type_int" => Ok(Type::Int),
-            "type_float" => Ok(Type::Float),
-            "type_bool" => Ok(Type::Bool),
-            "type_void" => Ok(Type::Void),
-            // [ext-matrix] Matrix elem <rank>
-            "type_matrix" => {
-                let elem_ty = self.ty(self.child(cst, 1)?)?;
-                let elem = elem_ty.as_elem().ok_or_else(|| BuildError {
-                    message: format!(
-                        "matrices can only contain int, bool or float elements, not {elem_ty}"
-                    ),
-                    span: span_of(cst),
-                })?;
-                let rank_tok = self.tok(cst, 3)?;
-                let rank: u8 = rank_tok.text.parse().map_err(|_| BuildError {
-                    message: format!("matrix rank '{}' is not a small integer", rank_tok.text),
-                    span: token_span(rank_tok),
-                })?;
-                if rank == 0 {
-                    return err(token_span(rank_tok), "matrix rank must be at least 1");
-                }
-                Ok(Type::Matrix(elem, rank))
+    fn forwards(&self, prod: u32) -> bool {
+        self.rules[prod as usize] == Rule::Forward
+    }
+}
+
+/// The children of the production being reduced, read in order.
+struct Kids<'d, 'a> {
+    it: Drain<'d, Node>,
+    /// Index of the next child.
+    at: usize,
+    prod: u32,
+    /// The production's first-token span.
+    span: Span,
+    r: &'d AstReducer<'a>,
+}
+
+/// `Kids` methods that take the next child as one kind of value.
+macro_rules! take {
+    ($($name:ident -> $ty:ty = $variant:ident;)*) => {$(
+        fn $name(&mut self) -> BResult<$ty> {
+            match self.next()? {
+                Val::$variant(x) => Ok(x),
+                other => self.unexpected(other),
             }
-            // [ext-tuples] (T1, T2, ...)
-            "type_tuple" => {
-                let mut parts = vec![self.ty(self.child(cst, 1)?)?];
-                self.collect_types(self.child(cst, 3)?, &mut parts)?;
-                Ok(Type::Tuple(parts))
-            }
-            // [ext-rcptr] rc<elem>
-            "type_rc" => {
-                let inner = self.ty(self.child(cst, 2)?)?;
-                let elem = inner.as_elem().ok_or_else(|| BuildError {
-                    message: format!("rc pointers hold int, float or bool elements, not {inner}"),
-                    span: span_of(cst),
-                })?;
-                Ok(Type::Rc(elem))
-            }
-            other => err(span_of(cst), format!("unexpected type production '{other}'")),
+        }
+    )*};
+}
+
+impl<'a> Kids<'_, 'a> {
+    fn name(&self) -> &'a str {
+        &self.r.grammar.productions[self.prod as usize].name
+    }
+
+    /// An error about the child just read, which the rule did not
+    /// expect: only an edited grammar gets here.
+    fn malformed<T>(&self, what: &str) -> BResult<T> {
+        let (name, at) = (self.name(), self.at - 1);
+        err(self.span, format!("malformed {name} node: {what} {at}"))
+    }
+
+    fn next(&mut self) -> BResult<Val> {
+        self.at += 1;
+        match self.it.next() {
+            Some(node) => Ok(node.val),
+            None => self.malformed("missing child"),
         }
     }
 
-    fn collect_types(&self, cst: &Cst, out: &mut Vec<Type>) -> BResult<()> {
-        match self.name(cst) {
-            "typelist_one" => {
-                out.push(self.ty(self.child(cst, 0)?)?);
-                Ok(())
-            }
-            "typelist_more" => {
-                self.collect_types(self.child(cst, 0)?, out)?;
-                out.push(self.ty(self.child(cst, 2)?)?);
-                Ok(())
-            }
-            other => err(span_of(cst), format!("unexpected type-list production '{other}'")),
+    /// Pass over a token child (a keyword or punctuation).
+    fn skip(&mut self) {
+        self.at += 1;
+        self.it.next();
+    }
+
+    /// A held-back error is passed on; any other kind is a production
+    /// whose shape its rule does not expect.
+    fn unexpected<T>(&self, val: Val) -> BResult<T> {
+        match val {
+            Val::Err(e) => Err(*e),
+            Val::Tok(_) => self.malformed("unexpected token child"),
+            _ => self.malformed("unexpected child"),
         }
     }
 
-    // --- statements --------------------------------------------------------
-
-    fn block(&self, cst: &Cst) -> BResult<Block> {
-        // block -> LB StmtList RB
-        let mut stmts = Vec::new();
-        self.collect_stmts(self.child(cst, 1)?, &mut stmts)?;
-        Ok(Block { stmts })
-    }
-
-    fn collect_stmts(&self, cst: &Cst, out: &mut Vec<Stmt>) -> BResult<()> {
-        match self.name(cst) {
-            "stmts_none" => Ok(()),
-            "stmts_more" => {
-                self.collect_stmts(self.child(cst, 0)?, out)?;
-                out.push(self.stmt(self.child(cst, 1)?)?);
-                Ok(())
-            }
-            other => err(
-                span_of(cst),
-                format!("unexpected statement-list production '{other}'"),
-            ),
+    fn tok(&mut self) -> BResult<Lexeme> {
+        match self.next()? {
+            Val::Tok(t) => Ok(t),
+            _ => self.malformed("expected token child"),
         }
     }
 
-    fn stmt(&self, cst: &Cst) -> BResult<Stmt> {
-        let span = span_of(cst);
-        match self.name(cst) {
-            "stmt_decl" => Ok(Stmt::Decl {
-                ty: self.ty(self.child(cst, 0)?)?,
-                name: self.tok(cst, 1)?.text.to_string(),
-                init: None,
-                span,
-            }),
-            "stmt_decl_init" => Ok(Stmt::Decl {
-                ty: self.ty(self.child(cst, 0)?)?,
-                name: self.tok(cst, 1)?.text.to_string(),
-                init: Some(self.expr(self.child(cst, 3)?)?),
-                span,
-            }),
-            "stmt_assign" => {
-                let target = self.lvalue(self.child(cst, 0)?)?;
-                let value = self.expr(self.child(cst, 2)?)?;
-                Ok(Stmt::Assign {
-                    target,
-                    value,
-                    transforms: Vec::new(),
-                    span,
-                })
-            }
-            // [ext-transform] assignment with transform clause (Fig 9)
-            "stmt_assign_transform" => {
-                let target = self.lvalue(self.child(cst, 0)?)?;
-                let value = self.expr(self.child(cst, 2)?)?;
-                let mut transforms = Vec::new();
-                self.collect_transforms(self.child(cst, 4)?, &mut transforms)?;
-                Ok(Stmt::Assign {
-                    target,
-                    value,
-                    transforms,
-                    span,
-                })
-            }
-            "stmt_expr" => Ok(Stmt::ExprStmt {
-                expr: self.expr(self.child(cst, 0)?)?,
-                span,
-            }),
-            "stmt_if" => Ok(Stmt::If {
-                cond: self.expr(self.child(cst, 2)?)?,
-                then_blk: self.block(self.child(cst, 4)?)?,
-                else_blk: None,
-                span,
-            }),
-            "stmt_if_else" => Ok(Stmt::If {
-                cond: self.expr(self.child(cst, 2)?)?,
-                then_blk: self.block(self.child(cst, 4)?)?,
-                else_blk: Some(self.block(self.child(cst, 6)?)?),
-                span,
-            }),
-            "stmt_while" => Ok(Stmt::While {
-                cond: self.expr(self.child(cst, 2)?)?,
-                body: self.block(self.child(cst, 4)?)?,
-                span,
-            }),
-            "stmt_for" => Ok(Stmt::For {
-                init: Box::new(self.for_init(self.child(cst, 2)?)?),
-                cond: self.expr(self.child(cst, 4)?)?,
-                step: Box::new(self.for_step(self.child(cst, 6)?)?),
-                body: self.block(self.child(cst, 8)?)?,
-                span,
-            }),
-            "stmt_return" => Ok(Stmt::Return {
-                value: Some(self.expr(self.child(cst, 1)?)?),
-                span,
-            }),
-            "stmt_return_void" => Ok(Stmt::Return { value: None, span }),
-            "stmt_block" => Ok(Stmt::Nested(self.block(self.child(cst, 0)?)?)),
-            // [ext-cilk] spawn / sync
-            "stmt_spawn_assign" => {
-                let target = self.lvalue(self.child(cst, 1)?)?;
-                let LValue::Var(name, _) = target else {
-                    return err(span, "spawn targets must be plain variables");
-                };
-                let call = self.expr(self.child(cst, 3)?)?;
-                if !matches!(call, Expr::Call { .. }) {
-                    return err(span, "spawn applies to function calls");
-                }
-                Ok(Stmt::Spawn {
-                    target: Some(name),
-                    call,
-                    span,
-                })
-            }
-            "stmt_spawn_call" => {
-                let call = self.expr(self.child(cst, 1)?)?;
-                if !matches!(call, Expr::Call { .. }) {
-                    return err(span, "spawn applies to function calls");
-                }
-                Ok(Stmt::Spawn {
-                    target: None,
-                    call,
-                    span,
-                })
-            }
-            "stmt_sync" => Ok(Stmt::Sync { span }),
-            other => err(span, format!("unexpected statement production '{other}'")),
+    fn text(&self, t: Lexeme) -> Cow<'a, str> {
+        t.text(self.r.src)
+    }
+
+    fn ident(&mut self) -> BResult<String> {
+        let t = self.tok()?;
+        Ok(self.text(t).into_owned())
+    }
+
+    fn factor(&mut self) -> BResult<i64> {
+        let t = self.tok()?;
+        let text = self.text(t);
+        text.parse()
+            .or_else(|_| err(token_span(t), format!("bad transformation factor '{text}'")))
+    }
+
+    take! {
+        functions -> Vec<Function> = Functions;
+        params -> Vec<Param> = Params;
+        ty -> Type = Type;
+        types -> Vec<Type> = Types;
+        block -> Block = Block;
+        stmt -> Stmt = Stmt;
+        stmts -> Vec<Stmt> = Stmts;
+        transforms -> Vec<TransformSpec> = Transforms;
+        ids -> Vec<String> = Ids;
+        expr -> Expr = Expr;
+        exprs -> Vec<Expr> = Exprs;
+        indices -> Vec<IndexExpr> = Indices;
+        with_op -> WithOp = WithOp;
+        fold_kind -> FoldKind = Fold;
+    }
+
+    fn upper(&mut self) -> BResult<(bool, Vec<Expr>)> {
+        match self.next()? {
+            Val::Upper(inclusive, bounds) => Ok((inclusive, bounds)),
+            other => self.unexpected(other),
         }
     }
 
-    fn for_init(&self, cst: &Cst) -> BResult<Stmt> {
-        let span = span_of(cst);
-        match self.name(cst) {
-            "forinit_decl" => Ok(Stmt::Decl {
-                ty: self.ty(self.child(cst, 0)?)?,
-                name: self.tok(cst, 1)?.text.to_string(),
-                init: Some(self.expr(self.child(cst, 3)?)?),
-                span,
-            }),
-            "forinit_assign" => Ok(Stmt::Assign {
-                target: self.lvalue(self.child(cst, 0)?)?,
-                value: self.expr(self.child(cst, 2)?)?,
-                transforms: Vec::new(),
-                span,
-            }),
-            other => err(span, format!("unexpected for-init production '{other}'")),
-        }
-    }
-
-    fn for_step(&self, cst: &Cst) -> BResult<Stmt> {
-        let span = span_of(cst);
-        match self.name(cst) {
-            "forstep_assign" => Ok(Stmt::Assign {
-                target: self.lvalue(self.child(cst, 0)?)?,
-                value: self.expr(self.child(cst, 2)?)?,
-                transforms: Vec::new(),
-                span,
-            }),
-            "forstep_incr" => {
-                // i++ desugars to i = i + 1.
-                let target = self.lvalue(self.child(cst, 0)?)?;
-                let LValue::Var(name, vspan) = &target else {
-                    return err(span, "'++' applies to plain variables only");
-                };
-                let value = Expr::Binary {
-                    op: BinOp::Add,
-                    left: Box::new(Expr::Var(name.clone(), *vspan)),
-                    right: Box::new(Expr::IntLit(1, *vspan)),
-                    span: *vspan,
-                };
-                Ok(Stmt::Assign {
-                    target,
-                    value,
-                    transforms: Vec::new(),
-                    span,
-                })
-            }
-            other => err(span, format!("unexpected for-step production '{other}'")),
-        }
-    }
-
-    /// Convert an expression CST used in assignment-target position into
-    /// an [`LValue`], rejecting non-lvalues with a domain-specific error.
-    fn lvalue(&self, cst: &Cst) -> BResult<LValue> {
-        let e = self.expr(cst)?;
+    /// An expression in assignment-target position as an [`LValue`],
+    /// rejecting non-lvalues with a domain-specific error.
+    fn lvalue(&mut self) -> BResult<LValue> {
+        let e = self.expr()?;
         let span = e.span();
         match e {
             Expr::Var(name, s) => Ok(LValue::Var(name, s)),
-            Expr::Index { base, indices, span } => match *base {
+            Expr::Index {
+                base,
+                indices,
+                span,
+            } => match *base {
                 Expr::Var(name, _) => Ok(LValue::Index {
                     base: name,
                     indices,
@@ -421,211 +549,532 @@ impl Builder<'_> {
         }
     }
 
-    // --- transform clause ----------------------------------------------
-
-    fn collect_transforms(&self, cst: &Cst, out: &mut Vec<TransformSpec>) -> BResult<()> {
-        match self.name(cst) {
-            "tlist_one" => {
-                out.push(self.transform(self.child(cst, 0)?)?);
-                Ok(())
-            }
-            "tlist_more" => {
-                self.collect_transforms(self.child(cst, 0)?, out)?;
-                out.push(self.transform(self.child(cst, 2)?)?);
-                Ok(())
-            }
-            other => err(
-                span_of(cst),
-                format!("unexpected transform-list production '{other}'"),
-            ),
-        }
-    }
-
-    fn parse_factor(&self, tok: &Token) -> BResult<i64> {
-        tok.text.parse().map_err(|_| BuildError {
-            message: format!("bad transformation factor '{}'", tok.text),
-            span: token_span(tok),
+    /// The element type of the type read next; `what` words the error.
+    fn elem(&mut self, what: impl FnOnce(&Type) -> String) -> BResult<ElemKind> {
+        let ty = self.ty()?;
+        ty.as_elem().ok_or_else(|| BuildError {
+            message: what(&ty),
+            span: self.span,
         })
     }
 
-    fn transform(&self, cst: &Cst) -> BResult<TransformSpec> {
-        let span = span_of(cst);
-        match self.name(cst) {
-            // split ID by INT , ID , ID
-            "t_split" => Ok(TransformSpec::Split {
-                index: self.tok(cst, 1)?.text.to_string(),
-                by: self.parse_factor(self.tok(cst, 3)?)?,
-                inner: self.tok(cst, 5)?.text.to_string(),
-                outer: self.tok(cst, 7)?.text.to_string(),
-            }),
-            "t_vectorize" => Ok(TransformSpec::Vectorize {
-                index: self.tok(cst, 1)?.text.to_string(),
-            }),
-            "t_parallelize" => Ok(TransformSpec::Parallelize {
-                index: self.tok(cst, 1)?.text.to_string(),
-            }),
-            "t_reorder" => {
-                let mut order = Vec::new();
-                self.collect_ids(self.child(cst, 1)?, &mut order)?;
-                Ok(TransformSpec::Reorder { order })
+    /// The value of the production this rule belongs to.
+    fn build(&mut self, rule: Rule) -> BResult<Val> {
+        let span = self.span;
+        Ok(match rule {
+            Rule::Forward => self.next()?,
+            Rule::Inner => {
+                self.skip();
+                self.next()?
             }
-            "t_interchange" => Ok(TransformSpec::Interchange {
-                a: self.tok(cst, 1)?.text.to_string(),
-                b: self.tok(cst, 3)?.text.to_string(),
-            }),
-            "t_unroll" => Ok(TransformSpec::Unroll {
-                index: self.tok(cst, 1)?.text.to_string(),
-                by: self.parse_factor(self.tok(cst, 3)?)?,
-            }),
-            "t_tile" => Ok(TransformSpec::Tile {
-                i: self.tok(cst, 1)?.text.to_string(),
-                j: self.tok(cst, 3)?.text.to_string(),
-                bi: self.parse_factor(self.tok(cst, 5)?)?,
-                bj: self.parse_factor(self.tok(cst, 7)?)?,
-            }),
-            // schedule ID static|dynamic|guided [, INT]
-            "t_schedule_static" => Ok(TransformSpec::Schedule {
-                index: self.tok(cst, 1)?.text.to_string(),
-                kind: ScheduleKind::Static,
-                chunk: None,
-            }),
-            "t_schedule_dynamic" => Ok(TransformSpec::Schedule {
-                index: self.tok(cst, 1)?.text.to_string(),
-                kind: ScheduleKind::Dynamic,
-                chunk: None,
-            }),
-            "t_schedule_dynamic_chunk" => Ok(TransformSpec::Schedule {
-                index: self.tok(cst, 1)?.text.to_string(),
-                kind: ScheduleKind::Dynamic,
-                chunk: Some(self.parse_factor(self.tok(cst, 4)?)?),
-            }),
-            "t_schedule_guided" => Ok(TransformSpec::Schedule {
-                index: self.tok(cst, 1)?.text.to_string(),
-                kind: ScheduleKind::Guided,
-                chunk: None,
-            }),
-            "t_schedule_guided_chunk" => Ok(TransformSpec::Schedule {
-                index: self.tok(cst, 1)?.text.to_string(),
-                kind: ScheduleKind::Guided,
-                chunk: Some(self.parse_factor(self.tok(cst, 4)?)?),
-            }),
-            other => err(span, format!("unexpected transform production '{other}'")),
-        }
-    }
+            Rule::Unhandled => {
+                let p = &self.r.grammar.productions[self.prod as usize];
+                return err(
+                    span,
+                    format!("unexpected {} production '{}'", category(&p.lhs), p.name),
+                );
+            }
+            Rule::ListOne => match self.next()? {
+                Val::Function(f) => Val::Functions(vec![f]),
+                Val::Param(p) => Val::Params(vec![p]),
+                Val::Type(t) => Val::Types(vec![t]),
+                Val::Stmt(s) => Val::Stmts(vec![s]),
+                Val::Transform(t) => Val::Transforms(vec![t]),
+                Val::Tok(t) => Val::Ids(vec![self.text(t).into_owned()]),
+                Val::Expr(e) => Val::Exprs(vec![e]),
+                Val::Index(i) => Val::Indices(vec![i]),
+                other => return self.unexpected(other),
+            },
+            Rule::ListMore => {
+                let list = self.next()?;
+                let item = self.it.next_back().map(|node| node.val);
+                match (list, item) {
+                    (Val::Err(e), _) | (_, Some(Val::Err(e))) => return Err(*e),
+                    (Val::Functions(mut v), Some(Val::Function(x))) => {
+                        v.push(x);
+                        Val::Functions(v)
+                    }
+                    (Val::Params(mut v), Some(Val::Param(x))) => {
+                        v.push(x);
+                        Val::Params(v)
+                    }
+                    (Val::Types(mut v), Some(Val::Type(x))) => {
+                        v.push(x);
+                        Val::Types(v)
+                    }
+                    (Val::Stmts(mut v), Some(Val::Stmt(x))) => {
+                        v.push(x);
+                        Val::Stmts(v)
+                    }
+                    (Val::Transforms(mut v), Some(Val::Transform(x))) => {
+                        v.push(x);
+                        Val::Transforms(v)
+                    }
+                    (Val::Ids(mut v), Some(Val::Tok(t))) => {
+                        v.push(self.text(t).into_owned());
+                        Val::Ids(v)
+                    }
+                    (Val::Exprs(mut v), Some(Val::Expr(x))) => {
+                        v.push(x);
+                        Val::Exprs(v)
+                    }
+                    (Val::Indices(mut v), Some(Val::Index(x))) => {
+                        v.push(x);
+                        Val::Indices(v)
+                    }
+                    _ => return self.malformed("unexpected child"),
+                }
+            }
+            Rule::NoParams => Val::Params(Vec::new()),
+            Rule::NoStmts => Val::Stmts(Vec::new()),
+            Rule::NoArgs => Val::Exprs(Vec::new()),
 
-    fn collect_ids(&self, cst: &Cst, out: &mut Vec<String>) -> BResult<()> {
-        match self.name(cst) {
-            "idlist_one" => {
-                out.push(self.tok(cst, 0)?.text.to_string());
-                Ok(())
-            }
-            "idlist_more" => {
-                self.collect_ids(self.child(cst, 0)?, out)?;
-                out.push(self.tok(cst, 2)?.text.to_string());
-                Ok(())
-            }
-            other => err(span_of(cst), format!("unexpected id-list production '{other}'")),
-        }
-    }
-
-    // --- expressions -----------------------------------------------------
-
-    fn expr(&self, cst: &Cst) -> BResult<Expr> {
-        let span = span_of(cst);
-        match self.name(cst) {
-            // Pass-through levels.
-            "expr_top" | "or_one" | "and_one" | "cmp_one" | "add_one" | "mul_one"
-            | "unary_post" | "post_primary" => self.expr(self.child(cst, 0)?),
-            // Binary operators.
-            "or_more" => self.binary(cst, BinOp::Or),
-            "and_more" => self.binary(cst, BinOp::And),
-            "cmp_lt" => self.binary(cst, BinOp::Lt),
-            "cmp_le" => self.binary(cst, BinOp::Le),
-            "cmp_gt" => self.binary(cst, BinOp::Gt),
-            "cmp_ge" => self.binary(cst, BinOp::Ge),
-            "cmp_eq" => self.binary(cst, BinOp::Eq),
-            "cmp_ne" => self.binary(cst, BinOp::Ne),
-            "add_plus" => self.binary(cst, BinOp::Add),
-            "add_minus" => self.binary(cst, BinOp::Sub),
-            "mul_star" => self.binary(cst, BinOp::Mul),
-            "mul_slash" => self.binary(cst, BinOp::Div),
-            "mul_percent" => self.binary(cst, BinOp::Rem),
-            // [ext-matrix] element-wise multiplication.
-            "mul_elemwise" => self.binary(cst, BinOp::ElemMul),
-            // Unary.
-            "unary_neg" => Ok(Expr::Unary {
-                op: UnOp::Neg,
-                operand: Box::new(self.expr(self.child(cst, 1)?)?),
-                span,
+            // --- top level ---------------------------------------------
+            Rule::Program => Val::Program(Program {
+                functions: self.functions()?,
             }),
-            "unary_not" => Ok(Expr::Unary {
-                op: UnOp::Not,
-                operand: Box::new(self.expr(self.child(cst, 1)?)?),
-                span,
-            }),
-            "unary_cast" => Ok(Expr::Cast {
-                ty: self.ty(self.child(cst, 1)?)?,
-                expr: Box::new(self.expr(self.child(cst, 3)?)?),
-                span,
-            }),
-            // Primaries.
-            "prim_int" => {
-                let t = self.tok(cst, 0)?;
-                let v: i64 = t.text.parse().map_err(|_| BuildError {
-                    message: format!("integer literal '{}' out of range", t.text),
-                    span: token_span(t),
-                })?;
-                Ok(Expr::IntLit(v, token_span(t)))
-            }
-            "prim_float" => {
-                let t = self.tok(cst, 0)?;
-                let v: f32 = t.text.parse().map_err(|_| BuildError {
-                    message: format!("bad float literal '{}'", t.text),
-                    span: token_span(t),
-                })?;
-                Ok(Expr::FloatLit(v, token_span(t)))
-            }
-            "prim_str" => {
-                let t = self.tok(cst, 0)?;
-                Ok(Expr::StrLit(unescape(&t.text), token_span(t)))
-            }
-            "prim_true" => Ok(Expr::BoolLit(true, span)),
-            "prim_false" => Ok(Expr::BoolLit(false, span)),
-            "prim_var" => {
-                let t = self.tok(cst, 0)?;
-                Ok(Expr::Var(t.text.to_string(), token_span(t)))
-            }
-            "prim_paren" => self.expr(self.child(cst, 1)?),
-            "prim_call" => {
-                let t = self.tok(cst, 0)?;
-                let mut args = Vec::new();
-                self.collect_args(self.child(cst, 2)?, &mut args)?;
-                Ok(Expr::Call {
-                    name: t.text.to_string(),
-                    args,
-                    span: token_span(t),
+            Rule::Function => {
+                // func_def -> Type ID LP ParamsOpt RP Block
+                let ret = self.ty()?;
+                let name = self.tok()?;
+                self.skip();
+                let params = self.params()?;
+                self.skip();
+                let body = self.block()?;
+                Val::Function(Function {
+                    ret,
+                    name: self.text(name).into_owned(),
+                    params,
+                    body,
+                    span: token_span(name),
                 })
             }
-            // [ext-matrix] indexing.
-            "post_index" => {
-                let base = self.expr(self.child(cst, 0)?)?;
-                let indices = self.index_list(self.child(cst, 2)?)?;
-                Ok(Expr::Index {
-                    base: Box::new(base),
-                    indices,
+            Rule::Param => Val::Param(Param {
+                ty: self.ty()?,
+                name: self.ident()?,
+            }),
+
+            // --- types ---------------------------------------------------
+            Rule::Scalar(s) => Val::Type(match s {
+                Scalar::Int => Type::Int,
+                Scalar::Float => Type::Float,
+                Scalar::Bool => Type::Bool,
+                Scalar::Void => Type::Void,
+            }),
+            Rule::MatrixType => {
+                self.skip();
+                let elem = self.elem(|t| {
+                    format!("matrices can only contain int, bool or float elements, not {t}")
+                })?;
+                self.skip();
+                let rank_tok = self.tok()?;
+                let text = self.text(rank_tok);
+                let rank: u8 = text.parse().or_else(|_| {
+                    err(
+                        token_span(rank_tok),
+                        format!("matrix rank '{text}' is not a small integer"),
+                    )
+                })?;
+                if rank == 0 {
+                    return err(token_span(rank_tok), "matrix rank must be at least 1");
+                }
+                Val::Type(Type::Matrix(elem, rank))
+            }
+            Rule::TupleType => {
+                self.skip();
+                let mut parts = vec![self.ty()?];
+                self.skip();
+                parts.extend(self.types()?);
+                Val::Type(Type::Tuple(parts))
+            }
+            Rule::RcType => {
+                self.skip();
+                self.skip();
+                let elem = self
+                    .elem(|t| format!("rc pointers hold int, float or bool elements, not {t}"))?;
+                Val::Type(Type::Rc(elem))
+            }
+
+            // --- statements --------------------------------------------------
+            Rule::Block => {
+                // block -> LB StmtList RB
+                self.skip();
+                Val::Block(Block {
+                    stmts: self.stmts()?,
+                })
+            }
+            Rule::Decl => Val::Stmt(Stmt::Decl {
+                ty: self.ty()?,
+                name: self.ident()?,
+                init: None,
+                span,
+            }),
+            Rule::DeclInit => {
+                let ty = self.ty()?;
+                let name = self.ident()?;
+                self.skip();
+                Val::Stmt(Stmt::Decl {
+                    ty,
+                    name,
+                    init: Some(self.expr()?),
                     span,
                 })
             }
-            "prim_end" => Ok(Expr::End(span)),
-            // [ext-matrix] with-loop.
-            "prim_with" => self.with_expr(cst),
-            // [ext-matrix] matrixMap.
-            "prim_matrixmap" => {
-                let func = self.tok(cst, 2)?.text.to_string();
-                let matrix = self.expr(self.child(cst, 4)?)?;
-                let dim_exprs = self.bracketed(self.child(cst, 6)?)?;
-                let mut dims = Vec::with_capacity(dim_exprs.len());
-                for d in dim_exprs {
+            Rule::Assign | Rule::AssignTransform => {
+                let target = self.lvalue()?;
+                self.skip();
+                let value = self.expr()?;
+                let transforms = if rule == Rule::AssignTransform {
+                    self.skip();
+                    self.transforms()?
+                } else {
+                    Vec::new()
+                };
+                Val::Stmt(Stmt::Assign {
+                    target,
+                    value,
+                    transforms,
+                    span,
+                })
+            }
+            Rule::ExprStmt => Val::Stmt(Stmt::ExprStmt {
+                expr: self.expr()?,
+                span,
+            }),
+            Rule::If | Rule::IfElse | Rule::While => {
+                self.skip();
+                self.skip();
+                let cond = self.expr()?;
+                self.skip();
+                let body = self.block()?;
+                Val::Stmt(match rule {
+                    Rule::While => Stmt::While { cond, body, span },
+                    Rule::If => Stmt::If {
+                        cond,
+                        then_blk: body,
+                        else_blk: None,
+                        span,
+                    },
+                    _ => {
+                        self.skip();
+                        Stmt::If {
+                            cond,
+                            then_blk: body,
+                            else_blk: Some(self.block()?),
+                            span,
+                        }
+                    }
+                })
+            }
+            Rule::For => {
+                self.skip();
+                self.skip();
+                let init = Box::new(self.stmt()?);
+                self.skip();
+                let cond = self.expr()?;
+                self.skip();
+                let step = Box::new(self.stmt()?);
+                self.skip();
+                Val::Stmt(Stmt::For {
+                    init,
+                    cond,
+                    step,
+                    body: self.block()?,
+                    span,
+                })
+            }
+            Rule::Return => {
+                self.skip();
+                Val::Stmt(Stmt::Return {
+                    value: Some(self.expr()?),
+                    span,
+                })
+            }
+            Rule::ReturnVoid => Val::Stmt(Stmt::Return { value: None, span }),
+            Rule::Nested => Val::Stmt(Stmt::Nested(self.block()?)),
+            Rule::Incr => {
+                // i++ desugars to i = i + 1.
+                let target = self.lvalue()?;
+                let LValue::Var(name, vspan) = &target else {
+                    return err(span, "'++' applies to plain variables only");
+                };
+                let value = Expr::Binary {
+                    op: BinOp::Add,
+                    left: Box::new(Expr::Var(name.clone(), *vspan)),
+                    right: Box::new(Expr::IntLit(1, *vspan)),
+                    span: *vspan,
+                };
+                Val::Stmt(Stmt::Assign {
+                    target,
+                    value,
+                    transforms: Vec::new(),
+                    span,
+                })
+            }
+            Rule::SpawnAssign => {
+                self.skip();
+                let LValue::Var(name, _) = self.lvalue()? else {
+                    return err(span, "spawn targets must be plain variables");
+                };
+                self.skip();
+                Val::Stmt(Stmt::Spawn {
+                    target: Some(name),
+                    call: self.spawned_call()?,
+                    span,
+                })
+            }
+            Rule::SpawnCall => {
+                self.skip();
+                Val::Stmt(Stmt::Spawn {
+                    target: None,
+                    call: self.spawned_call()?,
+                    span,
+                })
+            }
+            Rule::Sync => Val::Stmt(Stmt::Sync { span }),
+
+            // --- transform clause ----------------------------------------------
+            Rule::Split => {
+                // split ID by INT , ID , ID
+                self.skip();
+                let index = self.ident()?;
+                self.skip();
+                let by = self.factor()?;
+                self.skip();
+                let inner = self.ident()?;
+                self.skip();
+                let outer = self.ident()?;
+                Val::Transform(TransformSpec::Split {
+                    index,
+                    by,
+                    inner,
+                    outer,
+                })
+            }
+            Rule::Vectorize => {
+                self.skip();
+                Val::Transform(TransformSpec::Vectorize {
+                    index: self.ident()?,
+                })
+            }
+            Rule::Parallelize => {
+                self.skip();
+                Val::Transform(TransformSpec::Parallelize {
+                    index: self.ident()?,
+                })
+            }
+            Rule::Reorder => {
+                self.skip();
+                Val::Transform(TransformSpec::Reorder { order: self.ids()? })
+            }
+            Rule::Interchange => {
+                self.skip();
+                let a = self.ident()?;
+                self.skip();
+                Val::Transform(TransformSpec::Interchange {
+                    a,
+                    b: self.ident()?,
+                })
+            }
+            Rule::Unroll => {
+                self.skip();
+                let index = self.ident()?;
+                self.skip();
+                Val::Transform(TransformSpec::Unroll {
+                    index,
+                    by: self.factor()?,
+                })
+            }
+            Rule::Tile => {
+                self.skip();
+                let i = self.ident()?;
+                self.skip();
+                let j = self.ident()?;
+                self.skip();
+                let bi = self.factor()?;
+                self.skip();
+                Val::Transform(TransformSpec::Tile {
+                    i,
+                    j,
+                    bi,
+                    bj: self.factor()?,
+                })
+            }
+            Rule::Schedule(kind, chunked) => {
+                // schedule ID static|dynamic|guided [, INT]
+                self.skip();
+                let index = self.ident()?;
+                let chunk = if chunked {
+                    self.skip();
+                    self.skip();
+                    Some(self.factor()?)
+                } else {
+                    None
+                };
+                Val::Transform(TransformSpec::Schedule { index, kind, chunk })
+            }
+
+            // --- expressions -----------------------------------------------------
+            Rule::Binary(op) => {
+                let left = Box::new(self.expr()?);
+                self.skip();
+                Val::Expr(Expr::Binary {
+                    op,
+                    left,
+                    right: Box::new(self.expr()?),
+                    span,
+                })
+            }
+            Rule::Unary(op) => {
+                self.skip();
+                Val::Expr(Expr::Unary {
+                    op,
+                    operand: Box::new(self.expr()?),
+                    span,
+                })
+            }
+            Rule::Cast => {
+                self.skip();
+                let ty = self.ty()?;
+                self.skip();
+                Val::Expr(Expr::Cast {
+                    ty,
+                    expr: Box::new(self.expr()?),
+                    span,
+                })
+            }
+            Rule::Int => {
+                let t = self.tok()?;
+                let text = self.text(t);
+                let v: i64 = text.parse().or_else(|_| {
+                    err(
+                        token_span(t),
+                        format!("integer literal '{text}' out of range"),
+                    )
+                })?;
+                Val::Expr(Expr::IntLit(v, token_span(t)))
+            }
+            Rule::Float => {
+                let t = self.tok()?;
+                let text = self.text(t);
+                let v: f32 = text
+                    .parse()
+                    .or_else(|_| err(token_span(t), format!("bad float literal '{text}'")))?;
+                Val::Expr(Expr::FloatLit(v, token_span(t)))
+            }
+            Rule::Str => {
+                let t = self.tok()?;
+                Val::Expr(Expr::StrLit(unescape(&self.text(t)), token_span(t)))
+            }
+            Rule::Bool(b) => Val::Expr(Expr::BoolLit(b, span)),
+            Rule::Var => {
+                let t = self.tok()?;
+                Val::Expr(Expr::Var(self.text(t).into_owned(), token_span(t)))
+            }
+            Rule::Call => {
+                let t = self.tok()?;
+                self.skip();
+                Val::Expr(Expr::Call {
+                    name: self.text(t).into_owned(),
+                    args: self.exprs()?,
+                    span: token_span(t),
+                })
+            }
+            Rule::Index => {
+                let base = Box::new(self.expr()?);
+                self.skip();
+                Val::Expr(Expr::Index {
+                    base,
+                    indices: self.indices()?,
+                    span,
+                })
+            }
+            Rule::At => Val::Index(IndexExpr::At(self.expr()?)),
+            Rule::Range => {
+                let lo = self.expr()?;
+                self.skip();
+                Val::Index(IndexExpr::Range(lo, self.expr()?))
+            }
+            Rule::All => Val::Index(IndexExpr::All),
+            Rule::End => Val::Expr(Expr::End(span)),
+            Rule::With => {
+                // prim_with -> KW_WITH LP Bracketed LE Bracketed WithUpper RP WithOperation
+                self.skip();
+                self.skip();
+                let lower = self.exprs()?;
+                self.skip();
+                let mut vars = Vec::new();
+                for v in self.exprs()? {
+                    match v {
+                        Expr::Var(n, _) => vars.push(n),
+                        other => {
+                            return err(
+                                other.span(),
+                                "with-loop generator variables must be plain identifiers",
+                            )
+                        }
+                    }
+                }
+                let (upper_inclusive, upper) = self.upper()?;
+                self.skip();
+                Val::Expr(Expr::With {
+                    generator: Generator {
+                        lower,
+                        vars,
+                        upper,
+                        upper_inclusive,
+                    },
+                    op: self.with_op()?,
+                    span,
+                })
+            }
+            Rule::Upper(inclusive) => {
+                self.skip();
+                Val::Upper(inclusive, self.exprs()?)
+            }
+            Rule::Genarray => {
+                self.skip();
+                self.skip();
+                let shape = self.exprs()?;
+                self.skip();
+                Val::WithOp(WithOp::Genarray {
+                    shape,
+                    body: Box::new(self.expr()?),
+                })
+            }
+            Rule::Fold => {
+                self.skip();
+                self.skip();
+                let op = self.fold_kind()?;
+                self.skip();
+                let base = Box::new(self.expr()?);
+                self.skip();
+                Val::WithOp(WithOp::Fold {
+                    op,
+                    base,
+                    body: Box::new(self.expr()?),
+                })
+            }
+            Rule::Modarray => {
+                self.skip();
+                self.skip();
+                let src = Box::new(self.expr()?);
+                self.skip();
+                Val::WithOp(WithOp::Modarray {
+                    src,
+                    body: Box::new(self.expr()?),
+                })
+            }
+            Rule::FoldOp(kind) => Val::Fold(kind),
+            Rule::MatrixMap => {
+                self.skip();
+                self.skip();
+                let func = self.ident()?;
+                self.skip();
+                let matrix = Box::new(self.expr()?);
+                self.skip();
+                let mut dims = Vec::new();
+                for d in self.exprs()? {
                     match d {
                         Expr::IntLit(v, _) => dims.push(v),
                         other => {
@@ -636,182 +1085,59 @@ impl Builder<'_> {
                         }
                     }
                 }
-                Ok(Expr::MatrixMap {
+                Val::Expr(Expr::MatrixMap {
                     func,
-                    matrix: Box::new(matrix),
+                    matrix,
                     dims,
                     span,
                 })
             }
-            // [ext-matrix] init.
-            "prim_init" => {
-                let ty = self.ty(self.child(cst, 2)?)?;
-                let mut dims = Vec::new();
-                self.collect_exprs(self.child(cst, 4)?, &mut dims)?;
-                Ok(Expr::Init { ty, dims, span })
-            }
-            // [ext-tuples] anonymous tuple.
-            "prim_tuple" => {
-                let mut parts = vec![self.expr(self.child(cst, 1)?)?];
-                self.collect_exprs(self.child(cst, 3)?, &mut parts)?;
-                Ok(Expr::Tuple(parts, span))
-            }
-            // [ext-rcptr] rcAlloc.
-            "prim_rcalloc" => {
-                let ty = self.ty(self.child(cst, 2)?)?;
-                let elem = ty.as_elem().ok_or_else(|| BuildError {
-                    message: format!("rcAlloc element type must be int, float or bool, not {ty}"),
-                    span,
-                })?;
-                Ok(Expr::RcAlloc {
-                    elem,
-                    len: Box::new(self.expr(self.child(cst, 4)?)?),
+            Rule::Init => {
+                self.skip();
+                self.skip();
+                let ty = self.ty()?;
+                self.skip();
+                Val::Expr(Expr::Init {
+                    ty,
+                    dims: self.exprs()?,
                     span,
                 })
             }
-            other => err(span, format!("unexpected expression production '{other}'")),
-        }
-    }
-
-    fn binary(&self, cst: &Cst, op: BinOp) -> BResult<Expr> {
-        Ok(Expr::Binary {
-            op,
-            left: Box::new(self.expr(self.child(cst, 0)?)?),
-            right: Box::new(self.expr(self.child(cst, 2)?)?),
-            span: span_of(cst),
+            Rule::Tuple => {
+                self.skip();
+                let mut parts = vec![self.expr()?];
+                self.skip();
+                parts.extend(self.exprs()?);
+                Val::Expr(Expr::Tuple(parts, span))
+            }
+            Rule::RcAlloc => {
+                self.skip();
+                self.skip();
+                let elem = self.elem(|t| {
+                    format!("rcAlloc element type must be int, float or bool, not {t}")
+                })?;
+                self.skip();
+                Val::Expr(Expr::RcAlloc {
+                    elem,
+                    len: Box::new(self.expr()?),
+                    span,
+                })
+            }
         })
     }
 
-    fn collect_args(&self, cst: &Cst, out: &mut Vec<Expr>) -> BResult<()> {
-        match self.name(cst) {
-            "args_none" => Ok(()),
-            "args_some" => self.collect_exprs(self.child(cst, 0)?, out),
-            other => err(span_of(cst), format!("unexpected argument production '{other}'")),
+    /// The call a `spawn` statement reads next.
+    fn spawned_call(&mut self) -> BResult<Expr> {
+        let call = self.expr()?;
+        if !matches!(call, Expr::Call { .. }) {
+            return err(self.span, "spawn applies to function calls");
         }
+        Ok(call)
     }
+}
 
-    fn collect_exprs(&self, cst: &Cst, out: &mut Vec<Expr>) -> BResult<()> {
-        match self.name(cst) {
-            "exprs_one" => {
-                out.push(self.expr(self.child(cst, 0)?)?);
-                Ok(())
-            }
-            "exprs_more" => {
-                self.collect_exprs(self.child(cst, 0)?, out)?;
-                out.push(self.expr(self.child(cst, 2)?)?);
-                Ok(())
-            }
-            other => err(
-                span_of(cst),
-                format!("unexpected expression-list production '{other}'"),
-            ),
-        }
-    }
-
-    fn bracketed(&self, cst: &Cst) -> BResult<Vec<Expr>> {
-        // bracketed -> LBRACK ExprList RBRACK
-        let mut out = Vec::new();
-        self.collect_exprs(self.child(cst, 1)?, &mut out)?;
-        Ok(out)
-    }
-
-    fn index_list(&self, cst: &Cst) -> BResult<Vec<IndexExpr>> {
-        let mut out = Vec::new();
-        self.collect_indices(cst, &mut out)?;
-        Ok(out)
-    }
-
-    fn collect_indices(&self, cst: &Cst, out: &mut Vec<IndexExpr>) -> BResult<()> {
-        match self.name(cst) {
-            "idx_one" => {
-                out.push(self.index_elem(self.child(cst, 0)?)?);
-                Ok(())
-            }
-            "idx_more" => {
-                self.collect_indices(self.child(cst, 0)?, out)?;
-                out.push(self.index_elem(self.child(cst, 2)?)?);
-                Ok(())
-            }
-            other => err(span_of(cst), format!("unexpected index-list production '{other}'")),
-        }
-    }
-
-    fn index_elem(&self, cst: &Cst) -> BResult<IndexExpr> {
-        match self.name(cst) {
-            "idxel_expr" => Ok(IndexExpr::At(self.expr(self.child(cst, 0)?)?)),
-            "idxel_range" => Ok(IndexExpr::Range(
-                self.expr(self.child(cst, 0)?)?,
-                self.expr(self.child(cst, 2)?)?,
-            )),
-            "idxel_all" => Ok(IndexExpr::All),
-            other => err(span_of(cst), format!("unexpected index production '{other}'")),
-        }
-    }
-
-    fn with_expr(&self, cst: &Cst) -> BResult<Expr> {
-        // prim_with -> KW_WITH LP Bracketed LE Bracketed WithUpper RP WithOperation
-        let span = span_of(cst);
-        let lower = self.bracketed(self.child(cst, 2)?)?;
-        let var_exprs = self.bracketed(self.child(cst, 4)?)?;
-        let mut vars = Vec::with_capacity(var_exprs.len());
-        for v in var_exprs {
-            match v {
-                Expr::Var(n, _) => vars.push(n),
-                other => {
-                    return err(
-                        other.span(),
-                        "with-loop generator variables must be plain identifiers",
-                    )
-                }
-            }
-        }
-        let upper_cst = self.child(cst, 5)?;
-        let upper_inclusive = match self.name(upper_cst) {
-            "withupper_le" => true,
-            "withupper_lt" => false,
-            other => return err(span, format!("unexpected with-upper production '{other}'")),
-        };
-        let upper = self.bracketed(self.child(upper_cst, 1)?)?;
-        let op_cst = self.child(cst, 7)?;
-        let op = match self.name(op_cst) {
-            "withop_genarray" => WithOp::Genarray {
-                shape: self.bracketed(self.child(op_cst, 2)?)?,
-                body: Box::new(self.expr(self.child(op_cst, 4)?)?),
-            },
-            "withop_fold" => {
-                let sym_cst = self.child(op_cst, 2)?;
-                let op = match self.name(sym_cst) {
-                    "foldop_add" => FoldKind::Add,
-                    "foldop_mul" => FoldKind::Mul,
-                    "foldop_max" => FoldKind::Max,
-                    "foldop_min" => FoldKind::Min,
-                    other => {
-                        return err(span, format!("unexpected fold operator production '{other}'"))
-                    }
-                };
-                WithOp::Fold {
-                    op,
-                    base: Box::new(self.expr(self.child(op_cst, 4)?)?),
-                    body: Box::new(self.expr(self.child(op_cst, 6)?)?),
-                }
-            }
-            "withop_modarray" => WithOp::Modarray {
-                src: Box::new(self.expr(self.child(op_cst, 2)?)?),
-                body: Box::new(self.expr(self.child(op_cst, 4)?)?),
-            },
-            other => return err(span, format!("unexpected with-operation production '{other}'")),
-        };
-        Ok(Expr::With {
-            generator: Generator {
-                lower,
-                vars,
-                upper,
-                upper_inclusive,
-            },
-            op,
-            span,
-        })
-    }
+fn token_span(t: Lexeme) -> Span {
+    Span::new(t.line, t.col)
 }
 
 /// Strip quotes and process escapes in a string literal.

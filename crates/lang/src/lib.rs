@@ -3,9 +3,9 @@
 //!
 //! This crate is the translator core that the composed extensions plug
 //! into (paper §II, §III): [`grammar`] declares the host fragment and its
-//! AG module; [`builder`] maps concrete syntax trees (from any composed
-//! parser including extension productions) to the unified AST of
-//! `cmm-ast`; [`typecheck`] performs the extended semantic analysis —
+//! AG module; [`builder`] holds the semantic actions that build the
+//! unified AST of `cmm-ast` as any composed parser (extension productions
+//! included) reduces; [`typecheck`] performs the extended semantic analysis —
 //! operator overloading on matrices, with-loop arity checks, tuple
 //! checking, domain-specific error messages; [`optimize`] applies the
 //! high-level matrix optimizations of §III-A4 (with-loop/assignment copy
@@ -21,7 +21,7 @@ pub mod lower;
 pub mod optimize;
 pub mod typecheck;
 
-pub use builder::{build_program, BuildError};
+pub use builder::{parse_program, BuildError, Handlers};
 pub use builtins::SurfaceBuiltin;
 pub use grammar::{host_ag, host_grammar};
 pub use lower::{lower_program, LowerOptions};

@@ -731,7 +731,8 @@ impl FnLower<'_> {
                         value: IrExpr::var(&src),
                     });
                 } else {
-                    // Library mode: copy into a fresh buffer.
+                    // Library mode: copy into a fresh buffer, whose one
+                    // reference passes to the target.
                     let dims = self.dims_of(&src, *rank);
                     let fresh = self.fresh("cp");
                     out.push(alloc_decl(&fresh, *elem, dims));
@@ -741,7 +742,6 @@ impl FnLower<'_> {
                         name: ir.clone(),
                         value: IrExpr::var(&fresh),
                     });
-                    self.incr(ir, out);
                 }
                 Ok(())
             }

@@ -16,6 +16,13 @@ fn parser() -> Parser {
     Parser::new(g).expect("composed grammar is LALR(1)")
 }
 
+/// Parse and build `src`, panicking on any error.
+fn build(p: &Parser, src: &str) -> cmm_ast::Program {
+    parse_program(p, &Handlers::new(p.grammar()), src)
+        .unwrap_or_else(|e| panic!("parse error: {e}"))
+        .unwrap_or_else(|e| panic!("build error: {e}"))
+}
+
 /// Full pipeline: returns captured `print*` output.
 fn run_src(src: &str, threads: usize) -> String {
     run_opts(src, threads, &LowerOptions::default())
@@ -23,8 +30,7 @@ fn run_src(src: &str, threads: usize) -> String {
 
 fn run_opts(src: &str, threads: usize, opts: &LowerOptions) -> String {
     let p = parser();
-    let cst = p.parse(src).unwrap_or_else(|e| panic!("parse error: {e}"));
-    let ast = build_program(p.grammar(), &cst).unwrap_or_else(|e| panic!("build error: {e}"));
+    let ast = build(&p, src);
     let (info, diags) = check_program(&ast, ExtSet::default());
     assert!(diags.is_empty(), "type errors: {diags:?}");
     let ir = lower_program(&ast, &info, opts).unwrap_or_else(|e| panic!("lowering error: {e}"));
@@ -38,8 +44,7 @@ fn run_opts(src: &str, threads: usize, opts: &LowerOptions) -> String {
 /// Expect at least one type error whose message contains `needle`.
 fn expect_error(src: &str, needle: &str) {
     let p = parser();
-    let cst = p.parse(src).unwrap_or_else(|e| panic!("parse error: {e}"));
-    let ast = build_program(p.grammar(), &cst).unwrap_or_else(|e| panic!("build error: {e}"));
+    let ast = build(&p, src);
     let (_info, diags) = check_program(&ast, ExtSet::default());
     assert!(
         diags.iter().any(|d| d.message.contains(needle)),
@@ -584,8 +589,7 @@ mod pipeline {
             }
         "#;
         let p = parser();
-        let cst = p.parse(src).unwrap();
-        let ast = build_program(p.grammar(), &cst).unwrap();
+        let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty());
         let err = lower_program(&ast, &info, &LowerOptions::default()).unwrap_err();
@@ -654,8 +658,7 @@ mod pipeline {
             }
         "#;
         let p = parser();
-        let cst = p.parse(src).unwrap();
-        let ast = build_program(p.grammar(), &cst).unwrap();
+        let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty(), "{diags:?}");
         let ir = lower_program(&ast, &info, &LowerOptions::default()).unwrap();
@@ -741,8 +744,7 @@ mod pipeline {
             }
         "#;
         let p = parser();
-        let cst = p.parse(src).unwrap();
-        let ast = build_program(p.grammar(), &cst).unwrap();
+        let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty());
         let count_allocs = |opts: &LowerOptions| {
@@ -770,8 +772,7 @@ mod leak_paths {
 
     fn assert_leak_free(src: &str) {
         let p = parser();
-        let cst = p.parse(src).unwrap();
-        let ast = build_program(p.grammar(), &cst).unwrap();
+        let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty(), "{diags:?}");
         let ir = lower_program(&ast, &info, &LowerOptions::default()).unwrap();
@@ -1072,8 +1073,7 @@ mod errors {
             }
         "#;
         let p = parser();
-        let cst = p.parse(src).unwrap();
-        let ast = build_program(p.grammar(), &cst).unwrap();
+        let ast = build(&p, src);
         let (_info, diags) = check_program(
             &ast,
             ExtSet {
@@ -1101,8 +1101,7 @@ mod errors {
             "dimSize(matrix, dim) takes two arguments",
         );
         let p = parser();
-        let cst = p.parse("int main() { printInt(dimSize(range(1, 3), 0)); return 0; }").unwrap();
-        let ast = build_program(p.grammar(), &cst).unwrap();
+        let ast = build(&p, "int main() { printInt(dimSize(range(1, 3), 0)); return 0; }");
         let (_info, diags) = check_program(&ast, ExtSet::HOST.with(Ext::Rcptr));
         assert!(
             diags.iter().any(|d| d.message.contains("dimSize requires the matrix extension")),
@@ -1121,8 +1120,7 @@ mod errors {
             }
         "#;
         let p = parser();
-        let cst = p.parse(src).unwrap();
-        let ast = build_program(p.grammar(), &cst).unwrap();
+        let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty());
         let ir = lower_program(&ast, &info, &LowerOptions::default()).unwrap();
@@ -1153,8 +1151,7 @@ mod emission {
             }
         "#;
         let p = parser();
-        let cst = p.parse(src).unwrap();
-        let ast = build_program(p.grammar(), &cst).unwrap();
+        let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty());
         let ir = lower_program(&ast, &info, &LowerOptions::default()).unwrap();

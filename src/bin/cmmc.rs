@@ -42,7 +42,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use cmm::core::{CompileError, CompileMetrics, ProfileReport, Registry, ALL_EXTENSIONS};
-use cmm::loopir::{Limits, Schedule, Tier};
+use cmm::loopir::{emit, Limits, Schedule, Tier};
 
 const EXIT_RUNTIME: u8 = 1;
 const EXIT_USAGE: u8 = 2;
@@ -543,6 +543,11 @@ fn main() -> ExitCode {
         None => ExitCode::SUCCESS,
     };
 
+    // `check` and `emit` leave the AST, the IR and the C text to the
+    // process's exit instead of dropping them: freeing a large program
+    // node by node costs milliseconds that nothing reads, and the
+    // operating system takes the pages back at once. The library API and
+    // `cmmc serve`, which live on, drop them as usual.
     match command {
         "check" => {
             let checked = if metered {
@@ -558,6 +563,7 @@ fn main() -> ExitCode {
                         prog.functions.len(),
                         if prog.functions.len() == 1 { "" } else { "s" }
                     );
+                    std::mem::forget(prog);
                     report_passes(passes)
                 }
                 Err(e) => fail(&e),
@@ -566,15 +572,19 @@ fn main() -> ExitCode {
         "emit" => {
             let emitted = if metered {
                 let emitted = compiler.compile_to_c_metered(&src);
-                emitted.map(|(c, m)| (c, Some(m)))
+                emitted.map(|(ir, c, m)| (ir, c, Some(m)))
             } else {
-                compiler.compile_to_c(&src).map(|c| (c, None))
+                compiler.compile(&src).and_then(|ir| {
+                    let c = emit::emit_program(&ir).map_err(CompileError::Emit)?;
+                    Ok((ir, c, None))
+                })
             };
             match emitted {
-                Ok((c, passes)) => {
+                Ok((ir, c, passes)) => {
+                    std::mem::forget(ir);
                     match out_file {
                         Some(path) => {
-                            if let Err(e) = std::fs::write(&path, c) {
+                            if let Err(e) = std::fs::write(&path, &c) {
                                 eprintln!("cmmc: cannot write {path}: {e}");
                                 return ExitCode::from(EXIT_FILE);
                             }
@@ -584,6 +594,7 @@ fn main() -> ExitCode {
                         }
                         None => print!("{c}"),
                     }
+                    std::mem::forget(c);
                     report_passes(passes)
                 }
                 Err(e) => fail(&e),

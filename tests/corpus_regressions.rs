@@ -11,7 +11,9 @@
 //! baseline and the tree-walker reference via the `vm` oracle), and
 //! gcc-compiled emitted C.
 
-use cmm::fuzz::{ALL_ORACLES, Harness};
+use cmm::core::{compile_and_run_c, gcc_available_or_skip, Registry, ALL_EXTENSIONS};
+use cmm::fuzz::{Harness, ALL_ORACLES};
+use cmm::loopir::Tier;
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
@@ -45,6 +47,45 @@ fn every_corpus_program_passes_all_oracles() {
         "corpus regressions:\n{}",
         failures.join("\n---\n")
     );
+}
+
+/// Without the with-loop / assignment fusion (`--no-fusion`), reassigning
+/// a matrix copies the new value into a fresh buffer. Its one reference
+/// passes to the target: both tiers free every buffer and print what the
+/// fused program prints, and the emitted C increments no copy it has just
+/// assigned.
+#[test]
+fn unfused_reassignment_leaks_nothing() {
+    let src = std::fs::read_to_string(corpus_dir().join("no-fusion-reassign.xc"))
+        .expect("corpus file");
+    let registry = Registry::standard();
+    let fused = registry.compiler(&ALL_EXTENSIONS).expect("full language");
+    let expected = fused.run(&src, 2).expect("fused run").output;
+    assert_eq!(expected, "5\n");
+    let mut unfused = registry.compiler(&ALL_EXTENSIONS).expect("full language");
+    unfused.options.fuse_with_assign = false;
+    for tier in [Tier::Vm, Tier::Tree] {
+        unfused.tier = tier;
+        let run = unfused.run(&src, 2).expect("unfused run");
+        assert_eq!(run.output, expected, "{tier:?}");
+        let (leaked, of) = (run.leaked, run.allocations);
+        assert_eq!(leaked, 0, "{tier:?}: {leaked} of {of} buffers leaked");
+    }
+    let c = unfused.compile_to_c(&src).expect("emit");
+    let lines: Vec<&str> = c.lines().map(str::trim).collect();
+    let mut copies = 0;
+    for pair in lines.windows(2) {
+        let assigned = pair[0].strip_suffix(';').and_then(|l| l.split_once(" = __cp_"));
+        if let Some((target, _)) = assigned {
+            assert_ne!(pair[1], format!("rc_incr({target});"), "the copy is counted twice");
+            copies += 1;
+        }
+    }
+    assert_eq!(copies, 1, "one reassignment, one copy:\n{c}");
+    if gcc_available_or_skip("unfused_reassignment_leaks_nothing") {
+        let ran = compile_and_run_c(&c, 2).expect("gcc build and run");
+        assert_eq!(ran, expected);
+    }
 }
 
 /// The corpus seeds must actually exercise the shapes they claim to
