@@ -199,7 +199,6 @@ pub fn analyze_fragment(host: &AgFragment, ext: &AgFragment) -> WellDefinednessR
 
     let host_prods: HashMap<&str, &crate::spec::ProductionSig> =
         host.productions.iter().map(|p| (p.name.as_str(), p)).collect();
-    let host_attrs: HashSet<&str> = host.attrs.iter().map(|a| a.name.as_str()).collect();
     let host_nts: HashSet<&str> = host
         .productions
         .iter()
@@ -288,7 +287,6 @@ pub fn analyze_fragment(host: &AgFragment, ext: &AgFragment) -> WellDefinednessR
                 ));
             }
         }
-        let _ = host_attrs;
     }
 
     report.finish()

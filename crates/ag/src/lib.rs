@@ -1,6 +1,5 @@
-//! Attribute-grammar substrate: declarative AG specifications, a
-//! demand-driven evaluator with Silver-style forwarding, and the modular
-//! well-definedness analysis (paper §VI-B).
+//! Attribute-grammar substrate: declarative AG specifications and the
+//! modular well-definedness analysis (paper §VI-B).
 //!
 //! Silver specifies semantic analysis as attribute grammars: syntax trees
 //! are decorated with attributes (types, errors, C translations) computed
@@ -20,22 +19,16 @@
 //!   forwarding) and the *modular* discipline that makes the composition
 //!   theorem go through (extensions only define their own attributes on
 //!   host productions, forward their bridge productions, etc.).
-//! * [`eval`] — an executable demand-driven evaluator over generic trees
-//!   with memoization and forwarding, demonstrating the semantics the
-//!   specifications describe. (The production translator in `cmm-lang`
-//!   implements its semantics in plain Rust for robustness — see
-//!   DESIGN.md — but exports [`spec`] data that this crate's analysis
-//!   validates, mirroring how Silver checks specifications before
-//!   generating a translator.)
+//!
+//! The fragments the translator is checked against are not written by
+//! hand: `cmm-lang` derives each one from its grammar fragment and the
+//! rule table that builds the AST, so a production the translator has no
+//! rule for fails the analysis.
 
 pub mod analysis;
-pub mod eval;
-#[cfg(test)]
-mod matrix_demo;
 pub mod spec;
 
 pub use analysis::{analyze_composition, analyze_fragment, WellDefinednessReport};
-pub use eval::{AgEvaluator, EvalError, Tree, Value};
 pub use spec::{AgFragment, AttrDecl, AttrKind, Equation, EquationTarget, Occurrence, ProductionSig};
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! extension. It declares attributes, states which nonterminals they occur
 //! on, lists production signatures, and gives equations. Equations carry no
 //! code here — the analysis only needs to know *that* a defining equation
-//! exists and who owns it; executable rules live in [`crate::eval`].
+//! exists and who owns it.
 
 /// Synthesized attributes flow up the tree; inherited flow down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

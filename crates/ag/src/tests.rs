@@ -1,6 +1,5 @@
 use crate::spec::*;
 use crate::*;
-use proptest::prelude::*;
 
 /// Host AG: an expression language with a synthesized `typeof` and
 /// `errors`, and an inherited `env`.
@@ -155,183 +154,5 @@ mod analysis_tests {
             .inh_eq("expr_with", "env", 0);
         let r = analyze_fragment(&host_ag(), &ext);
         assert!(r.passed, "{r}");
-    }
-}
-
-mod eval_tests {
-    use super::*;
-    use std::collections::HashMap;
-
-    pub(super) fn calc() -> AgEvaluator {
-        let mut ag = AgEvaluator::new();
-        ag.syn("num", "value", |ctx| {
-            Ok(Value::Int(ctx.lexeme()?.parse().map_err(|e| {
-                EvalError::Rule(format!("bad number: {e}"))
-            })?))
-        });
-        ag.syn("add", "value", |ctx| {
-            match (ctx.child(0, "value")?, ctx.child(1, "value")?) {
-                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a + b)),
-                _ => Err(EvalError::Rule("add needs ints".into())),
-            }
-        });
-        ag.syn("mul", "value", |ctx| {
-            match (ctx.child(0, "value")?, ctx.child(1, "value")?) {
-                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a * b)),
-                _ => Err(EvalError::Rule("mul needs ints".into())),
-            }
-        });
-        ag
-    }
-
-    #[test]
-    fn synthesized_evaluation() {
-        let ag = calc();
-        let t = Tree::node(
-            "mul",
-            vec![
-                Tree::node("add", vec![Tree::leaf("num", "2"), Tree::leaf("num", "3")]),
-                Tree::leaf("num", "4"),
-            ],
-        );
-        assert_eq!(ag.synthesized(&t, "value").unwrap(), Value::Int(20));
-    }
-
-    #[test]
-    fn missing_equation_error() {
-        let ag = calc();
-        let t = Tree::leaf("unknown", "x");
-        assert!(matches!(
-            ag.synthesized(&t, "value"),
-            Err(EvalError::MissingEquation { .. })
-        ));
-    }
-
-    #[test]
-    fn inherited_attributes_flow_down() {
-        let mut ag = calc();
-        // 'var' looks itself up in the inherited environment (a scale
-        // factor here).
-        ag.syn("var", "value", |ctx| {
-            let scale = ctx.inherited("scale")?;
-            Ok(Value::Int(scale.as_int().unwrap()))
-        });
-        // 'scaled' sets scale for its child.
-        ag.syn("scaled", "value", |ctx| ctx.child(0, "value"));
-        ag.inh("scaled", "scale", 0, |_| Ok(Value::Int(7)));
-        let t = Tree::node("scaled", vec![Tree::leaf("var", "x")]);
-        assert_eq!(ag.synthesized(&t, "value").unwrap(), Value::Int(7));
-    }
-
-    #[test]
-    fn autocopy_passes_inherited_through() {
-        let mut ag = calc();
-        ag.syn("var", "value", |ctx| ctx.inherited("scale"));
-        // 'add' has no explicit scale equations: autocopy applies.
-        let t = Tree::node("add", vec![Tree::leaf("var", "x"), Tree::leaf("num", "1")]);
-        let mut env = HashMap::new();
-        env.insert("scale".to_string(), Value::Int(9));
-        assert_eq!(ag.synthesized_with(&t, &env, "value").unwrap(), Value::Int(10));
-    }
-
-    #[test]
-    fn missing_inherited_reported() {
-        let mut ag = calc();
-        ag.syn("var", "value", |ctx| ctx.inherited("scale"));
-        let t = Tree::leaf("var", "x");
-        assert!(matches!(
-            ag.synthesized(&t, "value"),
-            Err(EvalError::MissingInherited { .. })
-        ));
-    }
-
-    #[test]
-    fn forwarding_gives_host_semantics() {
-        // 'double(e)' forwards to add(e, e): it gets 'value' for free,
-        // exactly how extension constructs get host attributes via their
-        // translation (§VI-B).
-        let mut ag = calc();
-        ag.forward("double", |ctx| {
-            let inner = ctx.subtree(0)?.clone();
-            Ok(Tree::node("add", vec![inner.clone(), inner]))
-        });
-        let t = Tree::node("double", vec![Tree::leaf("num", "21")]);
-        assert_eq!(ag.synthesized(&t, "value").unwrap(), Value::Int(42));
-    }
-
-    #[test]
-    fn explicit_equation_overrides_forward() {
-        let mut ag = calc();
-        ag.forward("double", |ctx| {
-            let inner = ctx.subtree(0)?.clone();
-            Ok(Tree::node("add", vec![inner.clone(), inner]))
-        });
-        // Explicit 'label' on double, while 'value' still forwards.
-        ag.syn("double", "label", |_| Ok(Value::Str("doubled".into())));
-        let t = Tree::node("double", vec![Tree::leaf("num", "5")]);
-        assert_eq!(ag.synthesized(&t, "value").unwrap(), Value::Int(10));
-        assert_eq!(
-            ag.synthesized(&t, "label").unwrap(),
-            Value::Str("doubled".into())
-        );
-    }
-
-    #[test]
-    fn chained_forwarding() {
-        let mut ag = calc();
-        ag.forward("quad", |ctx| {
-            Ok(Tree::node("double", vec![ctx.subtree(0)?.clone()]))
-        });
-        ag.forward("double", |ctx| {
-            let inner = ctx.subtree(0)?.clone();
-            Ok(Tree::node("add", vec![inner.clone(), inner]))
-        });
-        let t = Tree::node("quad", vec![Tree::leaf("num", "10")]);
-        // quad -> double(e) -> add(double... wait: quad forwards to
-        // double(e); double forwards to add(e, e) = 20.
-        assert_eq!(ag.synthesized(&t, "value").unwrap(), Value::Int(20));
-    }
-
-    #[test]
-    fn tree_valued_attributes() {
-        // Higher-order attribute: a rule that *builds* a transformed tree
-        // (the mechanism behind the §V split/vectorize transformations).
-        let mut ag = calc();
-        ag.syn("add", "swapped", |ctx| {
-            Ok(Value::Tree(Tree::node(
-                "add",
-                vec![ctx.subtree(1)?.clone(), ctx.subtree(0)?.clone()],
-            )))
-        });
-        let t = Tree::node("add", vec![Tree::leaf("num", "1"), Tree::leaf("num", "2")]);
-        let Value::Tree(swapped) = ag.synthesized(&t, "swapped").unwrap() else {
-            panic!("expected tree value");
-        };
-        assert_eq!(ag.synthesized(&swapped, "value").unwrap(), Value::Int(3));
-        assert_eq!(swapped.children[0].lexeme.as_deref(), Some("2"));
-    }
-}
-
-proptest! {
-    #[test]
-    fn prop_calc_evaluates_random_trees(ops in proptest::collection::vec(0u8..2, 0..24), seed in any::<u32>()) {
-        // Build a random binary tree of adds/muls over small ints and
-        // compare against direct computation.
-        fn build(ops: &[u8], seed: u32, depth: u32) -> (Tree, i64) {
-            if ops.is_empty() || depth > 6 {
-                let v = (seed % 10) as i64;
-                return (Tree::leaf("num", &v.to_string()), v);
-            }
-            let mid = ops.len() / 2;
-            let (l, lv) = build(&ops[..mid], seed.wrapping_mul(31).wrapping_add(1), depth + 1);
-            let (r, rv) = build(&ops[mid + 1..], seed.wrapping_mul(17).wrapping_add(2), depth + 1);
-            match ops[mid] {
-                0 => (Tree::node("add", vec![l, r]), lv + rv),
-                _ => (Tree::node("mul", vec![l, r]), lv * rv),
-            }
-        }
-        let ag = eval_tests::calc();
-        let (tree, expect) = build(&ops, seed, 0);
-        prop_assert_eq!(ag.synthesized(&tree, "value").unwrap(), Value::Int(expect));
     }
 }

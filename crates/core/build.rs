@@ -1,10 +1,13 @@
 //! Composes the standard language when `cmm-core` is built, the way
-//! Copper generates a translator's parser once (§VI-A): every
-//! independently composable extension is verified with `isComposable`,
-//! the full selection is composed, and its LALR(1) tables and scanner DFA
-//! are written to `OUT_DIR` as `static` arrays, next to the encoding of
-//! the fragments they were built from. `lib.rs` includes both. An
-//! extension that does not compose fails the build.
+//! Copper generates a translator's parser once (§VI-A). Every
+//! independently composable extension is verified with `isComposable`.
+//! Every extension's AG module, derived from its fragment and the AST
+//! rules, passes the modular well-definedness analysis (§VI-B), and so
+//! does their composition. The full selection is then composed, and its
+//! LALR(1) tables and scanner DFA are written to `OUT_DIR` as `static`
+//! arrays, next to the encoding of the fragments they were built from.
+//! `lib.rs` includes both. An extension that does not compose, or that
+//! has a production the AST builder has no rule for, fails the build.
 
 // The build reads the fragments and their packaging, nothing else.
 #[allow(dead_code)]
@@ -13,7 +16,9 @@ mod standard;
 
 use std::path::PathBuf;
 
+use cmm_ag::{analyze_composition, analyze_fragment, AgFragment};
 use cmm_grammar::{is_composable, ComposedGrammar, GrammarFragment, Parser};
+use cmm_lang::ag_fragment;
 
 fn main() {
     println!("cargo:rerun-if-changed=build.rs");
@@ -26,6 +31,15 @@ fn main() {
     for e in selected.iter().filter(|e| e.packaged.is_none()) {
         let report = is_composable(&host, &e.grammar);
         assert!(report.passed, "the standard language does not compose:\n{report}");
+    }
+    let host_ag = ag_fragment(&host, None);
+    let ags: Vec<AgFragment> = selected
+        .iter()
+        .map(|e| ag_fragment(&e.grammar, Some(&host)))
+        .collect();
+    let all = analyze_composition(&host_ag, &ags.iter().collect::<Vec<_>>());
+    for report in ags.iter().map(|ag| analyze_fragment(&host_ag, ag)).chain([all]) {
+        assert!(report.passed, "the standard language is not well defined:\n{report}");
     }
     let fragments: Vec<&GrammarFragment> = selected.iter().map(|e| &e.grammar).collect();
     let grammar = ComposedGrammar::compose(&host, &fragments)

@@ -36,8 +36,8 @@ use cmm_forkjoin::{ForkJoinPool, Schedule};
 use cmm_grammar::{is_composable, ComposabilityReport, ComposedGrammar, GrammarFragment, Parser};
 use cmm_lang::typecheck::{ExtSet, TypeInfo};
 use cmm_lang::{
-    check_program, fuse_slice_indices, has_fusable_slice_index, host_ag, host_grammar, lower_program, parse_program,
-    Handlers, LowerOptions,
+    ag_fragment, check_program, fuse_slice_indices, has_fusable_slice_index, host_grammar,
+    lower_program, parse_program, Handlers, LowerOptions,
 };
 use cmm_loopir::{
     emit, EmitError, Interp, InterpError, IrProgram, IrStmt, LimitKind, Limits, LoopCost, Tier,
@@ -198,12 +198,13 @@ impl Registry {
             .collect()
     }
 
-    /// Run the modular well-definedness analysis for every extension.
+    /// Run the modular well-definedness analysis for every extension, on
+    /// the AG modules derived from the fragments and the AST rules.
     pub fn well_definedness_reports(&self) -> Vec<WellDefinednessReport> {
-        let host = host_ag();
+        let host = ag_fragment(&self.host, None);
         self.extensions
             .iter()
-            .map(|e| analyze_fragment(&host, &(e.ag)()))
+            .map(|e| analyze_fragment(&host, &ag_fragment(&e.grammar, Some(&self.host))))
             .collect()
     }
 

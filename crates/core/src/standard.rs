@@ -4,7 +4,6 @@
 //! selection when this crate is built — so the parser built ahead of time
 //! is the parser of the registered language.
 
-use cmm_ag::AgFragment;
 use cmm_grammar::GrammarFragment;
 use cmm_lang::typecheck::Ext;
 
@@ -13,11 +12,9 @@ use cmm_lang::typecheck::Ext;
 pub struct Extension {
     /// Extension name.
     pub name: String,
-    /// Concrete-syntax fragment.
+    /// Concrete-syntax fragment; its attribute-grammar module is derived
+    /// from it ([`cmm_lang::ag_fragment`]).
     pub grammar: GrammarFragment,
-    /// Attribute-grammar module, built when the well-definedness analysis
-    /// asks for it (only `cmmc analyses` does).
-    pub ag: fn() -> AgFragment,
     /// `None` when the extension composes independently (passes
     /// `isComposable`); `Some(reason)` when it must be packaged with the
     /// host/another extension instead.
@@ -37,7 +34,6 @@ pub fn extensions() -> Vec<Extension> {
         Extension {
             name: cmm_ext_matrix::NAME.to_string(),
             grammar: cmm_ext_matrix::grammar(),
-            ag: cmm_ext_matrix::ag,
             packaged: None,
             requires: None,
             ext: Ext::Matrix,
@@ -45,7 +41,6 @@ pub fn extensions() -> Vec<Extension> {
         Extension {
             name: cmm_ext_rcptr::NAME.to_string(),
             grammar: cmm_ext_rcptr::grammar(),
-            ag: cmm_ext_rcptr::ag,
             packaged: None,
             requires: None,
             ext: Ext::Rcptr,
@@ -53,7 +48,6 @@ pub fn extensions() -> Vec<Extension> {
         Extension {
             name: cmm_ext_cilk::NAME.to_string(),
             grammar: cmm_ext_cilk::grammar(),
-            ag: cmm_ext_cilk::ag,
             packaged: None,
             requires: None,
             ext: Ext::Cilk,
@@ -61,7 +55,6 @@ pub fn extensions() -> Vec<Extension> {
         Extension {
             name: cmm_ext_tuples::NAME.to_string(),
             grammar: cmm_ext_tuples::grammar(),
-            ag: cmm_ext_tuples::ag,
             packaged: Some(
                 "fails the modular determinism analysis (initial terminal is the \
                  host's '('); packaged as part of the host language (§VI-A)"
@@ -73,7 +66,6 @@ pub fn extensions() -> Vec<Extension> {
         Extension {
             name: cmm_ext_transform::NAME.to_string(),
             grammar: cmm_ext_transform::grammar(),
-            ag: cmm_ext_transform::ag,
             packaged: Some(
                 "its clause begins with host syntax (the transformed assignment); \
                  packaged with the matrix extension it extends (§V)"

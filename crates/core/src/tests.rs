@@ -46,6 +46,15 @@ mod registry {
         for report in reg.well_definedness_reports() {
             assert!(report.passed, "{report}");
         }
+        // And, as the modular analysis promises, so does their composition.
+        let host = ag_fragment(reg.host(), None);
+        let exts: Vec<_> = reg
+            .extensions()
+            .iter()
+            .map(|e| ag_fragment(&e.grammar, Some(reg.host())))
+            .collect();
+        let all = cmm_ag::analyze_composition(&host, &exts.iter().collect::<Vec<_>>());
+        assert!(all.passed, "{all}");
     }
 
     #[test]
@@ -141,7 +150,6 @@ mod parser_cache {
 
 mod composition {
     use super::*;
-    use cmm_ag::AgFragment;
     use cmm_grammar::{is_composable, Sym, Terminal};
     use cmm_lang::typecheck::Ext;
     use proptest::prelude::*;
@@ -166,7 +174,6 @@ mod composition {
             grammar: GrammarFragment::new(name)
                 .terminal(Terminal::keyword(&kw, keyword))
                 .production(&format!("prim_{keyword}"), "Primary", full),
-            ag: || AgFragment::new("ext-added"),
             packaged: None,
             requires: None,
             ext: Ext::Cilk,
@@ -369,6 +376,46 @@ mod composition {
         // A syntax error later in the source still wins.
         let err = compiler.frontend("int main() { printInt(twice(3)); return 0 }").unwrap_err();
         assert!(matches!(err, CompileError::Parse(_)), "{err}");
+    }
+
+    /// The well-definedness analysis reads the AST rules: an extension
+    /// production without one fails it and is named — a bridge production
+    /// and a production on a nonterminal the extension introduces alike.
+    #[test]
+    fn a_production_without_a_rule_fails_well_definedness() {
+        let last_report = |ext: Extension| {
+            let mut reg = Registry::standard();
+            reg.add_extension(ext).expect("a new name");
+            let reports = reg.well_definedness_reports();
+            assert!(reports[..ALL_EXTENSIONS.len()].iter().all(|r| r.passed));
+            let report = reports
+                .last()
+                .cloned()
+                .expect("the added extension's report");
+            assert_eq!(
+                (report.subject.as_str(), report.passed),
+                ("ext-twice", false),
+                "{report}"
+            );
+            report.to_string()
+        };
+        let report = last_report(twice_extension());
+        assert!(report.contains("bridge production 'prim_twice'"), "{report}");
+        // `twice (TwiceArg)` with `TwiceArg -> Expr`: both are named.
+        let mut nested = twice_extension();
+        nested.grammar.productions[0].rhs[2] = Sym::N("TwiceArg".into());
+        let twice_arg = vec![Sym::N("Expr".into())];
+        nested.grammar = nested.grammar.production("twice_arg", "TwiceArg", twice_arg);
+        let report = last_report(nested);
+        assert!(report.contains("bridge production 'prim_twice'"), "{report}");
+        // The host's `errors` is demanded on the extension's own
+        // nonterminal too, not only `env` on the host child.
+        assert!(
+            report.contains(
+                "production 'twice_arg' lacks an equation for synthesized attribute 'errors'"
+            ),
+            "{report}"
+        );
     }
 
     #[test]

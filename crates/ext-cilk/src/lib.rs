@@ -31,7 +31,6 @@
 //! *serial elision* (each spawn becomes a plain call), Cilk's defining
 //! property.
 
-use cmm_ag::AgFragment;
 use cmm_grammar::{GrammarFragment, Sym, Terminal};
 
 /// Fragment name.
@@ -71,18 +70,6 @@ pub fn grammar() -> GrammarFragment {
         .production("stmt_sync", "Stmt", vec![t("KW_SYNC"), t("SEMI")])
 }
 
-/// The attribute-grammar module (bridge productions forward to their
-/// serial elisions).
-pub fn ag() -> AgFragment {
-    AgFragment::new(NAME)
-        .production("stmt_spawn_assign", "Stmt", &["Expr", "Expr"])
-        .production("stmt_spawn_call", "Stmt", &["Expr"])
-        .production("stmt_sync", "Stmt", &[])
-        .forward("stmt_spawn_assign")
-        .forward("stmt_spawn_call")
-        .forward("stmt_sync")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,11 +85,5 @@ mod tests {
             };
             assert!(own.contains(&first.as_str()), "{}", p.name);
         }
-    }
-
-    #[test]
-    fn ag_forwards_all() {
-        let a = ag();
-        assert_eq!(a.productions.len(), a.forwards.len());
     }
 }

@@ -1,20 +1,21 @@
 //! The matrix language extension (paper §III-A): specification data.
 //!
-//! This crate declares the extension's *specifications* — the concrete
-//! syntax it adds to CMINUS (as a [`cmm_grammar::GrammarFragment`]) and its
-//! attribute-grammar module (as a [`cmm_ag::AgFragment`]). Both are what
-//! the composability analyses operate on: the matrix extension is the
-//! paper's example of an extension that *passes* the modular determinism
-//! analysis (§VI-A) — every bridge production starts with a marking
-//! terminal owned by the extension (`Matrix`, `with`, `matrixMap`,
-//! `init`, `end`) or is a left-recursive host-operator production whose
-//! operator terminal is new (`.*`, `[`) — and that passes the modular
-//! well-definedness analysis (§VI-B).
+//! This crate declares the concrete syntax the extension adds to CMINUS,
+//! as a [`cmm_grammar::GrammarFragment`]: what the composability analyses
+//! operate on. The matrix extension is the paper's example of an
+//! extension that *passes* the modular determinism analysis (§VI-A) —
+//! every bridge production starts with a marking terminal owned by the
+//! extension (`Matrix`, `with`, `matrixMap`, `init`, `end`) or is a
+//! left-recursive host-operator production whose operator terminal is new
+//! (`.*`, `[`) — and that passes the modular well-definedness analysis
+//! (§VI-B).
 //!
-//! The semantics (type checking, high-level optimizations, lowering to
-//! parallel loop nests) are implemented in `cmm-lang` against these
-//! production names; see DESIGN.md for how physical modularity is mapped
-//! in this reproduction.
+//! The semantics (AST construction, type checking, high-level
+//! optimizations, lowering to parallel loop nests) are implemented in
+//! `cmm-lang` against these production names, and the attribute-grammar
+//! module the well-definedness analysis checks is derived there from the
+//! same names; see DESIGN.md for how physical modularity is mapped in
+//! this reproduction.
 //!
 //! Syntax added (Figs 1, 2, 4, 8):
 //!
@@ -34,10 +35,9 @@
 //! provided as a builtin function instead — substitution documented in
 //! DESIGN.md.
 
-use cmm_ag::{AgFragment, AttrKind};
 use cmm_grammar::{GrammarFragment, Sym, Terminal};
 
-/// Fragment name, shared by the grammar and AG modules.
+/// Fragment name.
 pub const NAME: &str = "ext-matrix";
 
 fn t(n: &str) -> Sym {
@@ -188,56 +188,6 @@ pub fn grammar() -> GrammarFragment {
         )
 }
 
-/// The attribute-grammar module of the matrix extension.
-///
-/// Every bridge production forwards (the Silver translation story: the
-/// construct's host-language attributes come from its expansion into
-/// plain C, §VI-B), and the extension introduces one new synthesized
-/// attribute, `matrixShape`, with aspect equations on every host
-/// expression production, exercising MWDA rule 4.
-pub fn ag() -> AgFragment {
-    let mut frag = AgFragment::new(NAME)
-        .attr("matrixShape", AttrKind::Synthesized)
-        .occurs_on("matrixShape", &["Expr"]);
-    // Own productions: signatures + forwarding.
-    for (name, lhs, children) in [
-        ("type_matrix", "Type", vec!["Type"]),
-        ("mul_elemwise", "MulExpr", vec!["MulExpr", "UnaryExpr"]),
-        ("post_index", "PostfixExpr", vec!["PostfixExpr", "IndexList"]),
-        ("idx_one", "IndexList", vec!["IndexElem"]),
-        ("idx_more", "IndexList", vec!["IndexList", "IndexElem"]),
-        ("idxel_expr", "IndexElem", vec!["Expr"]),
-        ("idxel_range", "IndexElem", vec!["Expr", "Expr"]),
-        ("idxel_all", "IndexElem", vec![]),
-        ("prim_end", "Primary", vec![]),
-        ("prim_with", "Primary", vec!["Bracketed", "Bracketed", "WithUpper", "WithOperation"]),
-        ("bracketed", "Bracketed", vec!["ExprList"]),
-        ("withupper_le", "WithUpper", vec!["Bracketed"]),
-        ("withupper_lt", "WithUpper", vec!["Bracketed"]),
-        ("withop_genarray", "WithOperation", vec!["Bracketed", "Expr"]),
-        ("withop_fold", "WithOperation", vec!["FoldOpSym", "Expr", "Expr"]),
-        ("withop_modarray", "WithOperation", vec!["Expr", "Expr"]),
-        ("foldop_add", "FoldOpSym", vec![]),
-        ("foldop_mul", "FoldOpSym", vec![]),
-        ("foldop_max", "FoldOpSym", vec![]),
-        ("foldop_min", "FoldOpSym", vec![]),
-        ("prim_matrixmap", "Primary", vec!["Expr", "Bracketed"]),
-        ("prim_init", "Primary", vec!["Type", "ExprList"]),
-    ] {
-        frag = frag.production(name, lhs, &children);
-        frag = frag.forward(name);
-    }
-    // Aspect equations: matrixShape on every host Expr production.
-    for host_expr_prod in crate::HOST_EXPR_PRODUCTIONS {
-        frag = frag.syn_eq(host_expr_prod, "matrixShape");
-    }
-    frag
-}
-
-/// Host productions whose LHS is `Expr` (mirrored from `cmm-lang`'s host
-/// fragment; used for the extension's aspect equations).
-pub const HOST_EXPR_PRODUCTIONS: &[&str] = &["expr_top"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,12 +231,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ag_fragment_covers_productions() {
-        let a = ag();
-        assert_eq!(a.productions.len(), a.forwards.len());
-        assert!(a.attrs.iter().any(|at| at.name == "matrixShape"));
     }
 }

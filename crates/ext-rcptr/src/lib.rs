@@ -19,7 +19,6 @@
 //! (`rc`, `rcAlloc`), so — unlike tuples — this general-purpose extension
 //! passes the modular determinism analysis.
 
-use cmm_ag::AgFragment;
 use cmm_grammar::{GrammarFragment, Sym, Terminal};
 
 /// Fragment name.
@@ -58,15 +57,6 @@ pub fn grammar() -> GrammarFragment {
         )
 }
 
-/// The attribute-grammar module (forwarding bridge productions).
-pub fn ag() -> AgFragment {
-    AgFragment::new(NAME)
-        .production("type_rc", "Type", &["Type"])
-        .production("prim_rcalloc", "Primary", &["Type", "Expr"])
-        .forward("type_rc")
-        .forward("prim_rcalloc")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,11 +72,5 @@ mod tests {
             };
             assert!(names.contains(&first.as_str()), "{}", p.name);
         }
-    }
-
-    #[test]
-    fn ag_forwards_bridges() {
-        let a = ag();
-        assert_eq!(a.forwards.len(), 2);
     }
 }

@@ -30,7 +30,6 @@
 //! composable unit. `is_composable` reports the violation honestly; the
 //! paper itself only claims the analysis passes for the matrix extension.
 
-use cmm_ag::AgFragment;
 use cmm_grammar::{GrammarFragment, Sym, Terminal};
 
 /// Fragment name.
@@ -167,41 +166,6 @@ pub fn grammar() -> GrammarFragment {
         )
 }
 
-/// The attribute-grammar module. The transform clause forwards to the
-/// plain assignment (its host semantics are the untransformed statement;
-/// the transformation itself is applied to the generated loop nest via
-/// higher-order attributes, §V).
-pub fn ag() -> AgFragment {
-    let mut frag = AgFragment::new(NAME);
-    for (name, lhs, children) in [
-        (
-            "stmt_assign_transform",
-            "Stmt",
-            vec!["Expr", "Expr", "TransformList"],
-        ),
-        ("tlist_one", "TransformList", vec!["Transform"]),
-        ("tlist_more", "TransformList", vec!["TransformList", "Transform"]),
-        ("t_split", "Transform", vec![]),
-        ("t_vectorize", "Transform", vec![]),
-        ("t_parallelize", "Transform", vec![]),
-        ("t_reorder", "Transform", vec!["IdListT"]),
-        ("t_interchange", "Transform", vec![]),
-        ("t_unroll", "Transform", vec![]),
-        ("t_tile", "Transform", vec![]),
-        ("t_schedule_static", "Transform", vec![]),
-        ("t_schedule_dynamic", "Transform", vec![]),
-        ("t_schedule_dynamic_chunk", "Transform", vec![]),
-        ("t_schedule_guided", "Transform", vec![]),
-        ("t_schedule_guided_chunk", "Transform", vec![]),
-        ("idlist_one", "IdListT", vec![]),
-        ("idlist_more", "IdListT", vec![]),
-    ] {
-        frag = frag.production(name, lhs, &children);
-        frag = frag.forward(name);
-    }
-    frag
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,11 +202,5 @@ mod tests {
         ] {
             assert!(g.productions.iter().any(|p| p.name == d), "{d}");
         }
-    }
-
-    #[test]
-    fn ag_forwards_everything() {
-        let a = ag();
-        assert_eq!(a.productions.len(), a.forwards.len());
     }
 }

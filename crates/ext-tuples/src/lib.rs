@@ -16,9 +16,10 @@
 //! extension will be packaged as part of the host language" (§VI-A).
 //! `cmm-core` reproduces exactly that: `is_composable` reports the
 //! violation, and the default registry merges this fragment into the host
-//! instead of composing it as an independent extension.
+//! instead of composing it as an independent extension. It still passes
+//! the modular well-definedness analysis: the two analyses are
+//! independent, as in Silver/Copper.
 
-use cmm_ag::AgFragment;
 use cmm_grammar::{GrammarFragment, Sym};
 
 /// Fragment name.
@@ -60,24 +61,6 @@ pub fn grammar() -> GrammarFragment {
         )
 }
 
-/// The attribute-grammar module: bridge productions forward (tuple
-/// constructs translate to scalarized host code), satisfying the modular
-/// well-definedness analysis even though the *grammar* analysis fails —
-/// the two analyses are independent, as in Silver/Copper.
-pub fn ag() -> AgFragment {
-    let mut frag = AgFragment::new(NAME);
-    for (name, lhs, children) in [
-        ("type_tuple", "Type", vec!["Type", "TypeList"]),
-        ("typelist_one", "TypeList", vec!["Type"]),
-        ("typelist_more", "TypeList", vec!["TypeList", "Type"]),
-        ("prim_tuple", "Primary", vec!["Expr", "ExprList"]),
-    ] {
-        frag = frag.production(name, lhs, &children);
-        frag = frag.forward(name);
-    }
-    frag
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,11 +78,5 @@ mod tests {
                 assert_eq!(p.rhs[0], Sym::T("LP".into()), "{}", p.name);
             }
         }
-    }
-
-    #[test]
-    fn ag_productions_all_forward() {
-        let a = ag();
-        assert_eq!(a.productions.len(), a.forwards.len());
     }
 }

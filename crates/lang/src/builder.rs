@@ -6,6 +6,9 @@
 //! parser with those rules as its reducer, so the AST is built as the
 //! parser reduces: there is no intermediate tree to walk or free. A unit
 //! production whose value is its child's costs the driver nothing.
+//! [`ag_fragment`] derives each fragment's attribute-grammar module from
+//! the same rules, so a production without one fails the modular
+//! well-definedness analysis (§VI-B) as well as any program that uses it.
 //!
 //! Structural validation that is not expressible in an LALR grammar
 //! happens here: assignment targets must be lvalues, with-loop generator
@@ -20,8 +23,9 @@
 use std::borrow::Cow;
 use std::vec::Drain;
 
+use cmm_ag::{AgFragment, AttrKind};
 use cmm_ast::*;
-use cmm_grammar::{ComposedGrammar, Lexeme, ParseError, Parser, Reducer};
+use cmm_grammar::{ComposedGrammar, GrammarFragment, Lexeme, ParseError, Parser, Reducer, Sym};
 
 /// AST-construction failure with a source position.
 #[derive(Debug, Clone, PartialEq)]
@@ -292,16 +296,82 @@ impl Handlers {
             rules: grammar.productions.iter().map(|p| rule(&p.name)).collect(),
         }
     }
+}
 
-    /// Ids of the productions no rule was written for: each fails any
-    /// program that uses it. Empty for the standard language.
-    pub fn unhandled(&self) -> impl Iterator<Item = usize> + '_ {
-        self.rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r == Rule::Unhandled)
-            .map(|(p, _)| p)
+/// The attribute-grammar module of `fragment`, derived from its
+/// productions and the rules above — the code that builds its AST — so the
+/// well-definedness analysis checks what runs. `host` is the fragment it
+/// extends, `None` for the host itself.
+///
+/// A signature is a production's left-hand side and the nonterminals of
+/// its right-hand side. A host production with a rule defines `errors` and
+/// `ctrans`, and `typeof` on an expression, and passes `env` to each
+/// child. An extension production with a rule forwards: what it builds is
+/// a host construct. An extension declares the host's `errors` and
+/// `ctrans` on each nonterminal it introduces, so its productions there
+/// are checked too. A production without a rule gets neither equations
+/// nor a forward, and the analysis names it.
+pub fn ag_fragment(fragment: &GrammarFragment, host: Option<&GrammarFragment>) -> AgFragment {
+    let mut nts: Vec<&str> = Vec::new();
+    for p in &fragment.productions {
+        if !nts.contains(&p.lhs.as_str()) {
+            nts.push(&p.lhs);
+        }
     }
+    // Nodes of the expression hierarchy carry types.
+    let typed = |nt: &str| category(nt) == "expression";
+    let mut ag = AgFragment::new(&fragment.name);
+    match host {
+        None => {
+            ag = ag
+                .attr("typeof", AttrKind::Synthesized)
+                .attr("errors", AttrKind::Synthesized)
+                .attr("ctrans", AttrKind::Synthesized)
+                .attr("env", AttrKind::Inherited);
+            for nt in nts {
+                if typed(nt) {
+                    ag = ag.occurs("typeof", nt);
+                }
+                ag = ag
+                    .occurs("errors", nt)
+                    .occurs("ctrans", nt)
+                    .occurs("env", nt);
+            }
+        }
+        Some(host) => {
+            for nt in nts
+                .into_iter()
+                .filter(|nt| host.productions.iter().all(|p| p.lhs != *nt))
+            {
+                ag = ag.occurs("errors", nt).occurs("ctrans", nt);
+            }
+        }
+    }
+    for p in &fragment.productions {
+        let children: Vec<&str> = p
+            .rhs
+            .iter()
+            .filter_map(|s| match s {
+                Sym::N(nt) => Some(nt.as_str()),
+                Sym::T(_) => None,
+            })
+            .collect();
+        ag = ag.production(&p.name, &p.lhs, &children);
+        match (rule(&p.name), host) {
+            (Rule::Unhandled, _) => {}
+            (_, Some(_)) => ag = ag.forward(&p.name),
+            (_, None) => {
+                ag = ag.syn_eq(&p.name, "errors").syn_eq(&p.name, "ctrans");
+                if typed(&p.lhs) {
+                    ag = ag.syn_eq(&p.name, "typeof");
+                }
+                for i in 0..children.len() {
+                    ag = ag.inh_eq(&p.name, "env", i);
+                }
+            }
+        }
+    }
+    ag
 }
 
 /// Parse `src` and build its AST as the parser reduces. The outer error is

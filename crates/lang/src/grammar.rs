@@ -1,4 +1,4 @@
-//! The CMINUS host-language grammar fragment and its AG module.
+//! The CMINUS host-language grammar fragment.
 //!
 //! CMINUS is "a rather complete subset of ANSI C" (§I): functions, scalar
 //! declarations, assignment, `if`/`while`/`for`, calls, casts, and the
@@ -6,7 +6,6 @@
 //! Extensions hook into the nonterminals declared here (`Type`, `Primary`,
 //! `MulExpr`, `PostfixExpr`, `Stmt`, `Expr`, `ExprList`).
 
-use cmm_ag::{AgFragment, AttrKind};
 use cmm_grammar::{GrammarFragment, Sym, Terminal};
 
 /// Host fragment name.
@@ -236,66 +235,4 @@ pub fn host_grammar() -> GrammarFragment {
             "ExprList",
             vec![n("ExprList"), t("COMMA"), n("Expr")],
         )
-}
-
-/// The host AG module: standard synthesized `typeof`/`errors`/`ctrans`
-/// and inherited `env`. Equations are generated uniformly — every host
-/// production defines the synthesized attributes on its LHS and threads
-/// `env` to each nonterminal child — mirroring how the real type checker
-/// and translator in this crate thread their environments.
-pub fn host_ag() -> AgFragment {
-    let g = host_grammar();
-    // Nonterminals whose nodes carry types (the expression hierarchy).
-    let expr_nts = [
-        "Expr", "OrExpr", "AndExpr", "CmpExpr", "AddExpr", "MulExpr", "UnaryExpr", "PostfixExpr",
-        "Primary",
-    ];
-    let mut frag = AgFragment::new(NAME)
-        .attr("typeof", AttrKind::Synthesized)
-        .attr("errors", AttrKind::Synthesized)
-        .attr("ctrans", AttrKind::Synthesized)
-        .attr("env", AttrKind::Inherited);
-    for nt in expr_nts {
-        frag = frag.occurs("typeof", nt);
-    }
-    // errors / ctrans / env occur everywhere in the tree.
-    let mut all_nts: Vec<&str> = Vec::new();
-    for p in &g.productions {
-        if !all_nts.contains(&p.lhs.as_str()) {
-            all_nts.push(&p.lhs);
-        }
-    }
-    for nt in &all_nts {
-        frag = frag.occurs("errors", nt).occurs("ctrans", nt).occurs("env", nt);
-    }
-    // Uniform equations.
-    for p in &g.productions {
-        frag = frag.production(
-            &p.name,
-            &p.lhs,
-            &p.rhs
-                .iter()
-                .filter_map(|s| match s {
-                    Sym::N(nn) => Some(nn.as_str()),
-                    Sym::T(_) => None,
-                })
-                .collect::<Vec<_>>(),
-        );
-        frag = frag.syn_eq(&p.name, "errors").syn_eq(&p.name, "ctrans");
-        if expr_nts.contains(&p.lhs.as_str()) {
-            frag = frag.syn_eq(&p.name, "typeof");
-        }
-        let child_nts: Vec<&str> = p
-            .rhs
-            .iter()
-            .filter_map(|s| match s {
-                Sym::N(nn) => Some(nn.as_str()),
-                Sym::T(_) => None,
-            })
-            .collect();
-        for (i, _) in child_nts.iter().enumerate() {
-            frag = frag.inh_eq(&p.name, "env", i);
-        }
-    }
-    frag
 }

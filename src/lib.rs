@@ -37,9 +37,9 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`core`] | `cmm-core` | extension registry, composition, [`core::Compiler`] |
-//! | [`lang`] | `cmm-lang` | host grammar, type checker, optimizer, lowering |
+//! | [`lang`] | `cmm-lang` | host grammar, AST rules and derived AG modules, type checker, optimizer, lowering |
 //! | [`grammar`] | `cmm-grammar` | context-aware scanner, LALR(1), `isComposable` |
-//! | [`ag`] | `cmm-ag` | attribute-grammar specs, evaluator, well-definedness |
+//! | [`ag`] | `cmm-ag` | attribute-grammar specs, well-definedness analysis |
 //! | [`ast`] | `cmm-ast` | the extended AST and types |
 //! | [`loopir`] | `cmm-loopir` | loop IR, §V transformations, C emitter, interpreter |
 //! | [`runtime`] | `cmm-runtime` | `Matrix<T>`, with-loop engines, `matrixMap`, IO |
@@ -49,7 +49,7 @@
 //! | [`tune`] | `cmm-tune` | profile-guided autotuner for transform directives |
 //! | [`rc`] | `cmm-rc` | refcounted buffers, pool allocator |
 //! | [`eddy`] | `cmm-eddy` | the §IV ocean-eddy application |
-//! | extensions | `cmm-ext-*` | grammar + AG specification fragments |
+//! | extensions | `cmm-ext-*` | grammar fragments |
 
 pub use cmm_ag as ag;
 pub use cmm_ast as ast;

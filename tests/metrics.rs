@@ -274,7 +274,6 @@ fn prebuilt_counts_only_the_standard_full_language() {
             grammar: GrammarFragment::new("ext-twice")
                 .terminal(Terminal::keyword("KW_TWICE", "twice"))
                 .production("prim_twice", "Primary", vec![kw("KW_TWICE"), kw("LP"), Sym::N("Expr".into()), kw("RP")]),
-            ag: || cmm::ag::AgFragment::new("ext-twice"),
             packaged: None,
             requires: None,
             ext: cmm::lang::Ext::Cilk,

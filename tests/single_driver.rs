@@ -1,34 +1,11 @@
 //! One LR driver, two reducers. `Parser::parse` builds a CST and the
 //! compiler's front end builds the AST as it reduces; both run the same
 //! parse loop, so on any input they must stop at the same syntax error
-//! with the same words. And the AST reducer has a rule for every
-//! production of the standard language: none of them falls back to the
-//! error a production without a rule raises.
+//! with the same words. (That the AST reducer has a rule for every
+//! production of the standard language is checked when `cmm-core` is
+//! built, by the well-definedness analysis.)
 
 use cmm::core::{CompileError, Registry, ALL_EXTENSIONS};
-
-#[test]
-fn every_standard_production_resolves_to_a_rule() {
-    let registry = Registry::standard();
-    // The full language and each extension alone with the host.
-    let mut selections: Vec<Vec<&str>> = ALL_EXTENSIONS.iter().map(|e| vec![*e]).collect();
-    selections.push(ALL_EXTENSIONS.to_vec());
-    for selection in selections {
-        let compiler = registry
-            .compiler(&selection)
-            .expect("a standard selection composes");
-        let grammar = compiler.parser().grammar();
-        let unhandled: Vec<&str> = compiler
-            .handlers()
-            .unhandled()
-            .map(|p| grammar.productions[p].name.as_str())
-            .collect();
-        assert!(
-            unhandled.is_empty(),
-            "{selection:?}: no rule for {unhandled:?}"
-        );
-    }
-}
 
 fn programs() -> Vec<(String, String)> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
