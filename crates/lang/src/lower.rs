@@ -15,12 +15,15 @@
 //! order (§V), and automatic parallelization is suppressed — the
 //! programmer has taken control.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::fmt::{Display, Write};
 
 use cmm_ast::*;
 use cmm_loopir::transform::{apply_all, LoopTransform};
 use cmm_loopir::{
     Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
+    Name,
 };
 
 use crate::builtins::SurfaceBuiltin;
@@ -69,15 +72,21 @@ pub fn lower_program(
         prog
     };
     let mut lifted: Vec<IrFunction> = Vec::new();
-    let mut tmp = 0u32;
+    let names = Namer::default();
+    let fn_names: HashMap<&str, Name> = prog
+        .functions
+        .iter()
+        .map(|f| (f.name.as_str(), Name::from(f.name.as_str())))
+        .collect();
     let mut functions = Vec::new();
     for f in &prog.functions {
         let mut fl = FnLower {
             sigs: &info.sigs,
+            fn_names: &fn_names,
             opts: *opts,
             vars: vec![HashMap::new()],
             owned: vec![Vec::new()],
-            tmp: &mut tmp,
+            names: &names,
             lifted: &mut lifted,
             ret: f.ret.clone(),
             current_end: None,
@@ -97,21 +106,21 @@ fn elem_ir(e: ElemKind) -> Elem {
 }
 
 /// `dim(var, d)`: the size of dimension `d` of buffer `var`.
-fn dim_of(var: &str, d: usize) -> IrExpr {
+fn dim_of(var: &Name, d: usize) -> IrExpr {
     IrExpr::Builtin(Builtin::Dim, vec![IrExpr::var(var), IrExpr::Int(d as i64)])
 }
 
 /// Release a reference to buffer `var`.
-fn release(var: &str) -> IrStmt {
+fn release(var: &Name) -> IrStmt {
     IrStmt::Expr(IrExpr::Builtin(Builtin::RcDecr, vec![IrExpr::var(var)]))
 }
 
 /// Declare buffer variable `name` as a fresh zeroed `elem` matrix of
 /// shape `dims`.
-fn alloc_decl(name: &str, elem: ElemKind, dims: Vec<IrExpr>) -> IrStmt {
+fn alloc_decl(name: &Name, elem: ElemKind, dims: Vec<IrExpr>) -> IrStmt {
     IrStmt::Decl {
         ty: CType::Buf(elem_ir(elem)),
-        name: name.to_string(),
+        name: name.clone(),
         init: Some(IrExpr::Builtin(Builtin::AllocMat(elem_ir(elem)), dims)),
     }
 }
@@ -132,12 +141,12 @@ fn scalar_ctype(t: &Type) -> CType {
 enum RV {
     Scalar(IrExpr, Type),
     Mat {
-        var: String,
+        var: Name,
         elem: ElemKind,
         rank: u8,
     },
     Rc {
-        var: String,
+        var: Name,
         elem: ElemKind,
     },
     Tuple(Vec<RV>),
@@ -153,7 +162,7 @@ impl RV {
         }
     }
 
-    fn mat_var(&self) -> &str {
+    fn mat_var(&self) -> &Name {
         match self {
             RV::Mat { var, .. } | RV::Rc { var, .. } => var,
             other => panic!("expected matrix value, got {other:?}"),
@@ -161,14 +170,41 @@ impl RV {
     }
 }
 
+/// Hands out the fresh IR names of one program, numbered across all its
+/// functions. Shared (`&self`), so that a name can be made while a scope
+/// entry is borrowed.
+#[derive(Default)]
+struct Namer {
+    count: Cell<u32>,
+    /// Where a name is formatted before it is copied into its `Name`.
+    buf: RefCell<String>,
+}
+
+impl Namer {
+    fn fresh(&self, prefix: impl Display) -> Name {
+        let id = self.count.get() + 1;
+        self.count.set(id);
+        let mut buf = self.buf.borrow_mut();
+        buf.clear();
+        // The separator keeps the scheme injective: the id is the digits
+        // after the last `_`, so a user variable named `v5` (id 5) can
+        // never mangle to the same name as a temp `v` (id 55).
+        let _ = write!(buf, "__{prefix}_{id}");
+        Name::from(buf.as_str())
+    }
+}
+
 struct FnLower<'a> {
     sigs: &'a HashMap<String, FuncSig>,
+    /// Each user function's IR name, made once for its definition and
+    /// every call.
+    fn_names: &'a HashMap<&'a str, Name>,
     opts: LowerOptions,
     /// Variable bindings per scope: AST name → (type, IR names).
-    vars: Vec<HashMap<String, (Type, Vec<String>)>>,
+    vars: Vec<HashMap<String, (Type, Vec<Name>)>>,
     /// Owned buffer IR names per scope (decremented at scope exit).
-    owned: Vec<Vec<String>>,
-    tmp: &'a mut u32,
+    owned: Vec<Vec<Name>>,
+    names: &'a Namer,
     lifted: &'a mut Vec<IrFunction>,
     ret: Type,
     /// IR expression `end` resolves to while lowering a subscript
@@ -179,31 +215,41 @@ struct FnLower<'a> {
 type LResult<T> = Result<T, Diag>;
 
 impl FnLower<'_> {
-    fn fresh(&mut self, prefix: &str) -> String {
-        *self.tmp += 1;
-        // The separator keeps the scheme injective: the id is the digits
-        // after the last `_`, so a user variable named `v5` (id 5) can
-        // never mangle to the same name as a temp `v` (id 55).
-        format!("__{prefix}_{}", *self.tmp)
+    fn fresh(&self, prefix: impl Display) -> Name {
+        self.names.fresh(prefix)
+    }
+
+    /// The IR name of user function `name`.
+    fn callee(&self, name: &str, span: Span) -> LResult<Name> {
+        self.fn_names
+            .get(name)
+            .cloned()
+            .ok_or_else(|| self.bug(span, format!("unknown function '{name}'")))
     }
 
     fn bug(&self, span: Span, msg: impl Into<String>) -> Diag {
         Diag::error(span, format!("lowering error: {}", msg.into()))
     }
 
-    fn lookup(&self, name: &str) -> Option<&(Type, Vec<String>)> {
+    fn lookup(&self, name: &str) -> Option<&(Type, Vec<Name>)> {
         self.vars.iter().rev().find_map(|s| s.get(name))
     }
 
-    fn declare_var(&mut self, name: &str, ty: Type, irs: Vec<String>) {
+    /// The binding of variable `name`, which the checker has put in scope.
+    fn binding(&self, name: &str, span: Span) -> LResult<&(Type, Vec<Name>)> {
+        self.lookup(name)
+            .ok_or_else(|| self.bug(span, format!("unbound variable '{name}'")))
+    }
+
+    fn declare_var(&mut self, name: &str, ty: Type, irs: Vec<Name>) {
         self.vars
             .last_mut()
             .expect("var scope")
             .insert(name.to_string(), (ty, irs));
     }
 
-    fn register_owned(&mut self, ir: &str) {
-        self.owned.last_mut().expect("owned scope").push(ir.to_string());
+    fn register_owned(&mut self, ir: &Name) {
+        self.owned.last_mut().expect("owned scope").push(ir.clone());
     }
 
     fn push_scope(&mut self) {
@@ -228,7 +274,7 @@ impl FnLower<'_> {
         }
     }
 
-    fn incr(&self, var: &str, out: &mut Vec<IrStmt>) {
+    fn incr(&self, var: &Name, out: &mut Vec<IrStmt>) {
         out.push(IrStmt::Expr(IrExpr::Builtin(Builtin::RcIncr, vec![IrExpr::var(var)])));
     }
 
@@ -238,7 +284,7 @@ impl FnLower<'_> {
         elem: ElemKind,
         dims: Vec<IrExpr>,
         out: &mut Vec<IrStmt>,
-    ) -> String {
+    ) -> Name {
         let var = self.fresh("m");
         out.push(alloc_decl(&var, elem, dims));
         self.register_owned(&var);
@@ -248,9 +294,9 @@ impl FnLower<'_> {
     /// The one element-wise loop: `dst[q] = value(q)` for every `q` below
     /// `len`, `dst` being an `elem` buffer.
     fn fill(
-        &mut self,
+        &self,
         elem: ElemKind,
-        dst: &str,
+        dst: &Name,
         len: IrExpr,
         out: &mut Vec<IrStmt>,
         value: impl FnOnce(&Self, IrExpr) -> IrExpr,
@@ -276,27 +322,27 @@ impl FnLower<'_> {
         len: IrExpr,
         out: &mut Vec<IrStmt>,
         value: impl FnOnce(&Self, IrExpr) -> IrExpr,
-    ) -> String {
+    ) -> Name {
         let result = self.alloc_tmp(elem, dims, out);
         self.fill(elem, &result, len, out, value);
         result
     }
 
     /// `dst[q] = src[q]` over all of `src`.
-    fn copy_cells(&mut self, elem: ElemKind, dst: &str, src: &str, out: &mut Vec<IrStmt>) {
+    fn copy_cells(&self, elem: ElemKind, dst: &Name, src: &Name, out: &mut Vec<IrStmt>) {
         self.fill(elem, dst, self.len_of(src), out, |lw, q| lw.load(elem, src, q));
     }
 
-    fn dims_of(&self, var: &str, rank: u8) -> Vec<IrExpr> {
+    fn dims_of(&self, var: &Name, rank: u8) -> Vec<IrExpr> {
         (0..rank as usize).map(|d| dim_of(var, d)).collect()
     }
 
-    fn len_of(&self, var: &str) -> IrExpr {
+    fn len_of(&self, var: &Name) -> IrExpr {
         IrExpr::Builtin(Builtin::Len, vec![IrExpr::var(var)])
     }
 
     /// Row-major flat offset for `var` given per-dimension index exprs.
-    fn flat_offset(&self, var: &str, idxs: &[IrExpr]) -> IrExpr {
+    fn flat_offset(&self, var: &Name, idxs: &[IrExpr]) -> IrExpr {
         let mut it = idxs.iter();
         let mut off = it.next().cloned().unwrap_or(IrExpr::Int(0));
         for (d, idx) in it.enumerate() {
@@ -306,7 +352,7 @@ impl FnLower<'_> {
         off
     }
 
-    fn load(&self, elem: ElemKind, var: &str, idx: IrExpr) -> IrExpr {
+    fn load(&self, elem: ElemKind, var: &Name, idx: IrExpr) -> IrExpr {
         IrExpr::Load {
             elem: elem_ir(elem),
             buf: Box::new(IrExpr::var(var)),
@@ -314,7 +360,7 @@ impl FnLower<'_> {
         }
     }
 
-    fn store(&self, elem: ElemKind, var: &str, idx: IrExpr, value: IrExpr) -> IrStmt {
+    fn store(&self, elem: ElemKind, var: &Name, idx: IrExpr, value: IrExpr) -> IrStmt {
         IrStmt::Store {
             elem: elem_ir(elem),
             buf: IrExpr::var(var),
@@ -339,14 +385,14 @@ impl FnLower<'_> {
     // ------------------------------------------------------------------
 
     fn function(&mut self, f: &Function) -> LResult<IrFunction> {
-        let mut params: Vec<(String, CType)> = Vec::new();
+        let mut params: Vec<(Name, CType)> = Vec::new();
         let mut body = Vec::new();
         for p in &f.params {
             match &p.ty {
                 Type::Tuple(parts) => {
                     let mut irs = Vec::new();
                     for (i, part) in parts.iter().enumerate() {
-                        let ir = format!("{}__{i}", p.name);
+                        let ir = Name::from(format!("{}__{i}", p.name));
                         params.push((ir.clone(), scalar_ctype(part)));
                         // Matrix components follow the callee-owns
                         // convention (caller incremented).
@@ -358,13 +404,14 @@ impl FnLower<'_> {
                     self.declare_var(&p.name, p.ty.clone(), irs);
                 }
                 other => {
-                    params.push((p.name.clone(), scalar_ctype(other)));
+                    let ir = Name::from(p.name.as_str());
+                    params.push((ir.clone(), scalar_ctype(other)));
                     if matches!(other, Type::Matrix(..) | Type::Rc(_)) {
                         // Callee owns its matrix arguments; the caller
                         // increments before the call (§III-B).
-                        self.register_owned(&p.name);
+                        self.register_owned(&ir);
                     }
-                    self.declare_var(&p.name, other.clone(), vec![p.name.clone()]);
+                    self.declare_var(&p.name, other.clone(), vec![ir]);
                 }
             }
         }
@@ -384,7 +431,7 @@ impl FnLower<'_> {
             other => (scalar_ctype(other), None),
         };
         Ok(IrFunction {
-            name: f.name.clone(),
+            name: self.callee(&f.name, f.span)?,
             params,
             ret,
             ret_tuple,
@@ -450,7 +497,7 @@ impl FnLower<'_> {
                 });
                 Ok(())
             }
-            Stmt::While { cond, body, .. } => self.while_loop(cond, body, out),
+            Stmt::While { cond, body, .. } => self.while_loop(cond, &body.stmts, None, out),
             Stmt::For {
                 init,
                 cond,
@@ -462,12 +509,7 @@ impl FnLower<'_> {
                 self.push_scope();
                 let mut inner = Vec::new();
                 self.stmt(init, &mut inner)?;
-                let step_block = Block {
-                    stmts: vec![(**step).clone()],
-                };
-                let mut merged = body.clone();
-                merged.stmts.extend(step_block.stmts);
-                self.while_loop(cond, &merged, &mut inner)?;
+                self.while_loop(cond, &body.stmts, Some(step), &mut inner)?;
                 self.pop_scope(&mut inner);
                 out.push(IrStmt::Block(inner));
                 Ok(())
@@ -492,7 +534,14 @@ impl FnLower<'_> {
         }
     }
 
-    fn while_loop(&mut self, cond: &Expr, body: &Block, out: &mut Vec<IrStmt>) -> LResult<()> {
+    /// `while (cond) { body; step }`, the statements lowered in place.
+    fn while_loop(
+        &mut self,
+        cond: &Expr,
+        body: &[Stmt],
+        step: Option<&Stmt>,
+        out: &mut Vec<IrStmt>,
+    ) -> LResult<()> {
         // Evaluate the condition before the loop and at the end of each
         // iteration (condition temps live in the iteration scope).
         let cvar = self.fresh("c");
@@ -502,37 +551,34 @@ impl FnLower<'_> {
             name: cvar.clone(),
             init: Some(c0),
         });
-        let mut loop_body = Vec::new();
         self.push_scope();
         let mut inner = Vec::new();
-        for s in &body.stmts {
+        for s in body.iter().chain(step) {
             self.stmt(s, &mut inner)?;
         }
-        // Re-evaluate the condition within the iteration scope.
+        // Re-evaluate the condition within the iteration scope, into a
+        // temp declared before the loop so that it outlives the block.
         let c1 = self.expr(cond, Some(&Type::Bool), &mut inner)?.scalar();
         let ctmp = self.fresh("c");
-        inner.push(IrStmt::Decl {
-            ty: CType::Bool,
+        inner.push(IrStmt::Assign {
             name: ctmp.clone(),
-            init: Some(c1),
+            value: c1,
         });
         self.pop_scope(&mut inner);
-        loop_body.push(IrStmt::Block(inner));
-        loop_body.push(IrStmt::Assign {
-            name: cvar.clone(),
-            value: IrExpr::var(&ctmp),
-        });
-        // `ctmp` must outlive the inner block: declare it up front.
         out.push(IrStmt::Decl {
             ty: CType::Bool,
             name: ctmp.clone(),
             init: Some(IrExpr::Bool(false)),
         });
-        // Remove the duplicate inner decl of ctmp (declared above).
-        fix_duplicate_decl(&mut loop_body, &ctmp);
         out.push(IrStmt::While {
             cond: IrExpr::var(&cvar),
-            body: loop_body,
+            body: vec![
+                IrStmt::Block(inner),
+                IrStmt::Assign {
+                    name: cvar,
+                    value: IrExpr::var(&ctmp),
+                },
+            ],
         });
         Ok(())
     }
@@ -560,7 +606,7 @@ impl FnLower<'_> {
                     None => None,
                 };
                 for (i, part) in parts.iter().enumerate() {
-                    let ir = self.fresh(&format!("{name}_{i}_"));
+                    let ir = self.fresh(format_args!("{name}_{i}_"));
                     let value = init_parts.as_ref().map(|ps| ps[i].clone());
                     self.bind_fresh(part, &ir, value, out)?;
                     irs.push(ir);
@@ -586,7 +632,7 @@ impl FnLower<'_> {
     fn bind_fresh(
         &mut self,
         ty: &Type,
-        ir: &str,
+        ir: &Name,
         value: Option<RV>,
         out: &mut Vec<IrStmt>,
     ) -> LResult<()> {
@@ -594,20 +640,20 @@ impl FnLower<'_> {
             Type::Matrix(elem, rank) => {
                 match value {
                     Some(rv @ (RV::Mat { .. } | RV::Rc { .. })) => {
-                        let src = rv.mat_var().to_string();
+                        let src = rv.mat_var();
                         if self.opts.fuse_with_assign {
                             // Copy elision: alias the handle, bump the count.
                             out.push(IrStmt::Decl {
                                 ty: CType::Buf(elem_ir(*elem)),
-                                name: ir.to_string(),
-                                init: Some(IrExpr::var(&src)),
+                                name: ir.clone(),
+                                init: Some(IrExpr::var(src)),
                             });
                             self.incr(ir, out);
                         } else {
                             // Library mode: materialize a copy.
-                            let dims = self.dims_of(&src, *rank);
+                            let dims = self.dims_of(src, *rank);
                             out.push(alloc_decl(ir, *elem, dims));
-                            self.copy_cells(*elem, ir, &src, out);
+                            self.copy_cells(*elem, ir, src, out);
                         }
                     }
                     None => {
@@ -629,11 +675,10 @@ impl FnLower<'_> {
             Type::Rc(elem) => {
                 match value {
                     Some(rv) => {
-                        let src = rv.mat_var().to_string();
                         out.push(IrStmt::Decl {
                             ty: CType::Buf(elem_ir(*elem)),
-                            name: ir.to_string(),
-                            init: Some(IrExpr::var(&src)),
+                            name: ir.clone(),
+                            init: Some(IrExpr::var(rv.mat_var())),
                         });
                         self.incr(ir, out);
                     }
@@ -657,7 +702,7 @@ impl FnLower<'_> {
                 };
                 out.push(IrStmt::Decl {
                     ty: scalar_ctype(ty),
-                    name: ir.to_string(),
+                    name: ir.clone(),
                     init,
                 });
                 Ok(())
@@ -679,30 +724,23 @@ impl FnLower<'_> {
     fn assign(&mut self, target: &LValue, value: &Expr, out: &mut Vec<IrStmt>) -> LResult<()> {
         match target {
             LValue::Var(name, span) => {
-                let (ty, irs) = self
-                    .lookup(name)
-                    .cloned()
-                    .ok_or_else(|| self.bug(*span, format!("unbound variable '{name}'")))?;
+                let ty = self.binding(name, *span)?.0.clone();
                 let rv = self.expr(value, Some(&ty), out)?;
-                self.assign_components(&ty, &irs, rv, out)
+                let (ty, irs) = self.binding(name, *span)?;
+                self.assign_components(ty, irs, rv, out)
             }
             LValue::Index { base, indices, span } => self.index_assign(base, indices, value, *span, out),
             LValue::Tuple(names, span) => {
                 let mut tys = Vec::new();
-                let mut all_irs = Vec::new();
                 for n in names {
-                    let (ty, irs) = self
-                        .lookup(n)
-                        .cloned()
-                        .ok_or_else(|| self.bug(*span, format!("unbound variable '{n}'")))?;
-                    tys.push(ty);
-                    all_irs.push(irs);
+                    tys.push(self.binding(n, *span)?.0.clone());
                 }
-                let rv = self.expr(value, Some(&Type::Tuple(tys.clone())), out)?;
+                let rv = self.expr(value, Some(&Type::Tuple(tys)), out)?;
                 let RV::Tuple(parts) = rv else {
                     return Err(self.bug(*span, "tuple assignment from non-tuple value"));
                 };
-                for ((ty, irs), part) in tys.iter().zip(&all_irs).zip(parts) {
+                for (n, part) in names.iter().zip(parts) {
+                    let (ty, irs) = self.binding(n, *span)?;
                     self.assign_components(ty, irs, part, out)?;
                 }
                 Ok(())
@@ -713,30 +751,30 @@ impl FnLower<'_> {
     /// Store an RV into existing variable slots (handles matrices, rc
     /// pointers, tuples and scalars uniformly).
     fn assign_components(
-        &mut self,
+        &self,
         ty: &Type,
-        irs: &[String],
+        irs: &[Name],
         rv: RV,
         out: &mut Vec<IrStmt>,
     ) -> LResult<()> {
         match (ty, rv) {
             (Type::Matrix(elem, rank), rv @ (RV::Mat { .. } | RV::Rc { .. })) => {
-                let src = rv.mat_var().to_string();
+                let src = rv.mat_var();
                 let ir = &irs[0];
                 if self.opts.fuse_with_assign {
-                    self.incr(&src, out);
+                    self.incr(src, out);
                     out.push(release(ir));
                     out.push(IrStmt::Assign {
                         name: ir.clone(),
-                        value: IrExpr::var(&src),
+                        value: IrExpr::var(src),
                     });
                 } else {
                     // Library mode: copy into a fresh buffer, whose one
                     // reference passes to the target.
-                    let dims = self.dims_of(&src, *rank);
+                    let dims = self.dims_of(src, *rank);
                     let fresh = self.fresh("cp");
                     out.push(alloc_decl(&fresh, *elem, dims));
-                    self.copy_cells(*elem, &fresh, &src, out);
+                    self.copy_cells(*elem, &fresh, src, out);
                     out.push(release(ir));
                     out.push(IrStmt::Assign {
                         name: ir.clone(),
@@ -746,13 +784,13 @@ impl FnLower<'_> {
                 Ok(())
             }
             (Type::Rc(_), rv @ (RV::Mat { .. } | RV::Rc { .. })) => {
-                let src = rv.mat_var().to_string();
+                let src = rv.mat_var();
                 let ir = &irs[0];
-                self.incr(&src, out);
+                self.incr(src, out);
                 out.push(release(ir));
                 out.push(IrStmt::Assign {
                     name: ir.clone(),
-                    value: IrExpr::var(&src),
+                    value: IrExpr::var(src),
                 });
                 Ok(())
             }
@@ -797,11 +835,11 @@ impl FnLower<'_> {
                         out.push(IrStmt::Return(Some(IrExpr::var(&tmp))));
                     }
                     rv @ (RV::Mat { .. } | RV::Rc { .. }) => {
-                        let var = rv.mat_var().to_string();
+                        let var = rv.mat_var();
                         // Transfer ownership to the caller.
-                        self.incr(&var, out);
+                        self.incr(var, out);
                         self.decr_all_scopes(out);
-                        out.push(IrStmt::Return(Some(IrExpr::var(&var))));
+                        out.push(IrStmt::Return(Some(IrExpr::var(var))));
                     }
                     RV::Tuple(parts) => {
                         let mut exprs = Vec::with_capacity(parts.len());
@@ -822,9 +860,9 @@ impl FnLower<'_> {
                                     exprs.push(IrExpr::var(&tmp));
                                 }
                                 rv @ (RV::Mat { .. } | RV::Rc { .. }) => {
-                                    let var = rv.mat_var().to_string();
-                                    self.incr(&var, out);
-                                    exprs.push(IrExpr::var(&var));
+                                    let var = rv.mat_var();
+                                    self.incr(var, out);
+                                    exprs.push(IrExpr::var(var));
                                 }
                                 other => {
                                     return Err(self.bug(span, format!("bad tuple component {other:?}")))
@@ -867,11 +905,8 @@ impl FnLower<'_> {
                 )),
             },
             Expr::Var(name, span) => {
-                let (ty, irs) = self
-                    .lookup(name)
-                    .cloned()
-                    .ok_or_else(|| self.bug(*span, format!("unbound variable '{name}'")))?;
-                Ok(self.var_rv(&ty, &irs))
+                let (ty, irs) = self.binding(name, *span)?;
+                Ok(self.var_rv(ty, irs))
             }
             Expr::Unary { op, operand, span } => self.unary(*op, operand, *span, out),
             Expr::Binary { op, left, right, span } => {
@@ -929,7 +964,7 @@ impl FnLower<'_> {
         }
     }
 
-    fn var_rv(&self, ty: &Type, irs: &[String]) -> RV {
+    fn var_rv(&self, ty: &Type, irs: &[Name]) -> RV {
         match ty {
             Type::Matrix(e, r) => RV::Mat {
                 var: irs[0].clone(),
@@ -1118,7 +1153,7 @@ impl FnLower<'_> {
     fn mat_scalar(
         &mut self,
         op: BinOp,
-        var: &str,
+        var: &Name,
         elem: ElemKind,
         rank: u8,
         scalar: IrExpr,
@@ -1163,8 +1198,8 @@ impl FnLower<'_> {
     /// Linear-algebra multiplication of two rank-2 matrices.
     fn matmul(
         &mut self,
-        lv: &str,
-        rv: &str,
+        lv: &Name,
+        rv: &Name,
         elem: ElemKind,
         out: &mut Vec<IrStmt>,
     ) -> LResult<RV> {
@@ -1248,8 +1283,8 @@ impl FnLower<'_> {
         out.push(IrStmt::Kernel {
             call: KernelCall::MatMul {
                 dst: result.clone(),
-                a: lv.to_string(),
-                b: rv.to_string(),
+                a: lv.clone(),
+                b: rv.clone(),
                 elem: elem_ir(elem),
                 parallel,
             },
@@ -1337,28 +1372,6 @@ fn convert_transform(t: &TransformSpec) -> LoopTransform {
                 index: index.clone(),
                 schedule,
             }
-        }
-    }
-}
-
-/// Remove an inner duplicate declaration of `name` (turn it into an
-/// assignment) — used by the while-loop condition re-evaluation pattern.
-fn fix_duplicate_decl(stmts: &mut [IrStmt], name: &str) {
-    for s in stmts {
-        match s {
-            IrStmt::Decl {
-                name: n,
-                init: Some(init),
-                ..
-            } if n == name => {
-                *s = IrStmt::Assign {
-                    name: n.clone(),
-                    value: init.clone(),
-                };
-                return;
-            }
-            IrStmt::Block(b) => fix_duplicate_decl(b, name),
-            _ => {}
         }
     }
 }

@@ -12,14 +12,14 @@ enum DimSel {
         /// Start offset expression.
         lo: IrExpr,
         /// IR variable holding the selection size.
-        size: String,
+        size: Name,
     },
     /// Logical indexing: position `r` maps to `table[r]`.
     Table {
         /// IR variable of the selection table (int buffer).
-        table: String,
+        table: Name,
         /// IR variable holding the selection size.
-        size: String,
+        size: Name,
     },
 }
 
@@ -35,14 +35,22 @@ impl DimSel {
         }
     }
 
-    /// Source index expression given the result-position variable (only
-    /// meaningful for kept dimensions).
-    fn src_index(&self, pos: &str, elem_loader: &dyn Fn(&str, IrExpr) -> IrExpr) -> IrExpr {
-        match self {
-            DimSel::Fixed(e) => e.clone(),
-            DimSel::Off { lo, .. } => IrExpr::add(lo.clone(), IrExpr::var(pos)),
-            DimSel::Table { table, .. } => elem_loader(table, IrExpr::var(pos)),
-        }
+    /// The index into the indexed buffer along each dimension of `sels`,
+    /// given the result-position variables of the kept ones, in order.
+    fn source_indices(sels: &[DimSel], pos_vars: &[Name]) -> Vec<IrExpr> {
+        let mut pos = pos_vars.iter().map(IrExpr::var);
+        let mut next = || pos.next().expect("a position per kept dimension");
+        sels.iter()
+            .map(|sel| match sel {
+                DimSel::Fixed(e) => e.clone(),
+                DimSel::Off { lo, .. } => IrExpr::add(lo.clone(), next()),
+                DimSel::Table { table, .. } => IrExpr::Load {
+                    elem: Elem::I32,
+                    buf: Box::new(IrExpr::var(table)),
+                    idx: Box::new(next()),
+                },
+            })
+            .collect()
     }
 }
 
@@ -152,6 +160,9 @@ impl FnLower<'_> {
         out: &mut Vec<IrStmt>,
     ) -> LResult<RV> {
         let rank = g.vars.len();
+        // Generator variables keep their source names (so §V transforms
+        // can refer to the loops).
+        let gen_vars: Vec<Name> = g.vars.iter().map(|v| Name::from(v.as_str())).collect();
         // Bound temps.
         let mut lo_vars = Vec::with_capacity(rank);
         let mut hi_vars = Vec::with_capacity(rank);
@@ -163,8 +174,8 @@ impl FnLower<'_> {
             } else {
                 hi_e
             };
-            let lv = self.fresh(&format!("lo{d}"));
-            let hv = self.fresh(&format!("hi{d}"));
+            let lv = self.fresh(format_args!("lo{d}"));
+            let hv = self.fresh(format_args!("hi{d}"));
             out.push(IrStmt::Decl {
                 ty: CType::Int,
                 name: lv.clone(),
@@ -189,7 +200,7 @@ impl FnLower<'_> {
                 let mut sh_vars = Vec::with_capacity(shape.len());
                 for (d, s) in shape.iter().enumerate() {
                     let se = self.expr(s, Some(&Type::Int), out)?.scalar();
-                    let sv = self.fresh(&format!("sh{d}"));
+                    let sv = self.fresh(format_args!("sh{d}"));
                     out.push(IrStmt::Decl {
                         ty: CType::Int,
                         name: sv.clone(),
@@ -204,8 +215,8 @@ impl FnLower<'_> {
                 }
                 // Element type of the body (generator vars in scope).
                 self.push_scope();
-                for v in &g.vars {
-                    self.declare_var(v, Type::Int, vec![v.clone()]);
+                for (v, ir) in g.vars.iter().zip(&gen_vars) {
+                    self.declare_var(v, Type::Int, vec![ir.clone()]);
                 }
                 let body_ty = self.static_type(body, None);
                 let Some(elem) = body_ty.as_elem() else {
@@ -213,11 +224,7 @@ impl FnLower<'_> {
                     self.vars.pop();
                     return Err(self.bug(span, format!("genarray body has type {body_ty}")));
                 };
-                let result = self.alloc_tmp(
-                    elem,
-                    sh_vars.iter().map(|v| IrExpr::var(v)).collect(),
-                    out,
-                );
+                let result = self.alloc_tmp(elem, sh_vars.iter().map(IrExpr::var).collect(), out);
                 // The result temp was registered in the inner scope; move
                 // it to the enclosing scope so it survives.
                 let moved = self.owned.last_mut().expect("scope").pop();
@@ -235,19 +242,18 @@ impl FnLower<'_> {
                 };
                 let value_e = self.coerce(value_e, &vty, &elem.scalar());
                 // Flat offset over the *shape*.
-                let mut off = IrExpr::var(&g.vars[0]);
-                for (sv, gv) in sh_vars.iter().zip(&g.vars).take(rank).skip(1) {
+                let mut off = IrExpr::var(&gen_vars[0]);
+                for (sv, gv) in sh_vars.iter().zip(&gen_vars).take(rank).skip(1) {
                     off = IrExpr::add(IrExpr::mul(off, IrExpr::var(sv)), IrExpr::var(gv));
                 }
                 body_stmts.push(self.store(elem, &result, off, value_e));
                 self.pop_scope(&mut body_stmts);
 
-                // Loop nest, innermost to outermost, using the source
-                // index names (so §V transforms can refer to them).
+                // Loop nest, innermost to outermost.
                 let mut nest = body_stmts;
                 for d in (0..rank).rev() {
                     nest = vec![IrStmt::For(ForLoop {
-                        var: g.vars[d].clone(),
+                        var: gen_vars[d].clone(),
                         lo: IrExpr::var(&lo_vars[d]),
                         hi: IrExpr::var(&hi_vars[d]),
                         body: nest,
@@ -270,8 +276,8 @@ impl FnLower<'_> {
                     return Err(self.bug(span, "fold base must be scalar"));
                 };
                 self.push_scope();
-                for v in &g.vars {
-                    self.declare_var(v, Type::Int, vec![v.clone()]);
+                for (v, ir) in g.vars.iter().zip(&gen_vars) {
+                    self.declare_var(v, Type::Int, vec![ir.clone()]);
                 }
                 let body_ty = self.static_type(body, None);
                 let acc_ty = if base_ty == Type::Float || body_ty == Type::Float {
@@ -332,7 +338,7 @@ impl FnLower<'_> {
                 let mut nest = body_stmts;
                 for d in (0..rank).rev() {
                     nest = vec![IrStmt::For(ForLoop {
-                        var: g.vars[d].clone(),
+                        var: gen_vars[d].clone(),
                         lo: IrExpr::var(&lo_vars[d]),
                         hi: IrExpr::var(&hi_vars[d]),
                         body: nest,
@@ -360,7 +366,7 @@ impl FnLower<'_> {
                 // Dimension temps + the superset runtime check.
                 let mut sd_vars = Vec::with_capacity(src_rank as usize);
                 for d in 0..src_rank as usize {
-                    let sv = self.fresh(&format!("sd{d}"));
+                    let sv = self.fresh(format_args!("sd{d}"));
                     out.push(IrStmt::Decl {
                         ty: CType::Int,
                         name: sv.clone(),
@@ -374,17 +380,13 @@ impl FnLower<'_> {
                     }
                     sd_vars.push(sv);
                 }
-                let result = self.alloc_tmp(
-                    elem,
-                    sd_vars.iter().map(|v| IrExpr::var(v)).collect(),
-                    out,
-                );
+                let result = self.alloc_tmp(elem, sd_vars.iter().map(IrExpr::var).collect(), out);
                 self.copy_cells(elem, &result, &src_var, out);
 
                 // Overwrite the generator region.
                 self.push_scope();
-                for v in &g.vars {
-                    self.declare_var(v, Type::Int, vec![v.clone()]);
+                for (v, ir) in g.vars.iter().zip(&gen_vars) {
+                    self.declare_var(v, Type::Int, vec![ir.clone()]);
                 }
                 let mut body_stmts = Vec::new();
                 self.push_scope();
@@ -393,8 +395,8 @@ impl FnLower<'_> {
                     return Err(self.bug(span, "modarray body must be scalar"));
                 };
                 let value_e = self.coerce(value_e, &vty, &elem.scalar());
-                let mut off = IrExpr::var(&g.vars[0]);
-                for (sv, gv) in sd_vars.iter().zip(&g.vars).take(rank).skip(1) {
+                let mut off = IrExpr::var(&gen_vars[0]);
+                for (sv, gv) in sd_vars.iter().zip(&gen_vars).take(rank).skip(1) {
                     off = IrExpr::add(IrExpr::mul(off, IrExpr::var(sv)), IrExpr::var(gv));
                 }
                 body_stmts.push(self.store(elem, &result, off, value_e));
@@ -403,7 +405,7 @@ impl FnLower<'_> {
                 let mut nest = body_stmts;
                 for d in (0..rank).rev() {
                     nest = vec![IrStmt::For(ForLoop {
-                        var: g.vars[d].clone(),
+                        var: gen_vars[d].clone(),
                         lo: IrExpr::var(&lo_vars[d]),
                         hi: IrExpr::var(&hi_vars[d]),
                         body: nest,
@@ -451,6 +453,7 @@ impl FnLower<'_> {
         let Type::Matrix(out_elem, _) = sig.ret else {
             return Err(self.bug(span, "mapped function must return a matrix"));
         };
+        let func = self.callee(func, span)?;
         let dst = {
             let dims_all = self.dims_of(&src, rank);
             self.alloc_tmp(out_elem, dims_all, out)
@@ -458,33 +461,29 @@ impl FnLower<'_> {
 
         // Lift a helper function: the spawned threads need direct access
         // to the per-slice work (§III-A5).
-        let lifted_name = self.fresh(&format!("mmap_{func}_"));
-        let lifted_name = lifted_name.trim_start_matches("__").to_string();
+        let lifted_name = self.fresh(format_args!("mmap_{func}_"));
+        let lifted_name = Name::from(lifted_name.trim_start_matches("__"));
         let mapped: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
         let outer: Vec<usize> = (0..rank as usize).filter(|d| !mapped.contains(d)).collect();
 
-        // Per-dimension index variable names inside the lifted function.
-        let idx_name = |d: usize| format!("x{d}");
+        // The lifted function's parameters and locals, and its index
+        // variable of each dimension.
+        let [p_src, p_dst, slice, res] = ["src", "dst", "slice", "res"].map(Name::from);
+        let idx: Vec<Name> = (0..rank).map(|d| Name::from(format!("x{d}"))).collect();
 
         // Flat offset into src given per-dim index variables.
         let src_offset = {
-            let mut off = IrExpr::var(&idx_name(0));
-            for d in 1..rank as usize {
-                off = IrExpr::add(
-                    IrExpr::mul(off, dim_of("src", d)),
-                    IrExpr::var(&idx_name(d)),
-                );
+            let mut off = IrExpr::var(&idx[0]);
+            for (d, x) in idx.iter().enumerate().skip(1) {
+                off = IrExpr::add(IrExpr::mul(off, dim_of(&p_src, d)), IrExpr::var(x));
             }
             off
         };
         // Flat offset into the slice buffer over the mapped dims.
         let slice_offset = {
-            let mut off = IrExpr::var(&idx_name(mapped[0]));
+            let mut off = IrExpr::var(&idx[mapped[0]]);
             for &md in &mapped[1..] {
-                off = IrExpr::add(
-                    IrExpr::mul(off, dim_of("src", md)),
-                    IrExpr::var(&idx_name(md)),
-                );
+                off = IrExpr::add(IrExpr::mul(off, dim_of(&p_src, md)), IrExpr::var(&idx[md]));
             }
             off
         };
@@ -492,20 +491,20 @@ impl FnLower<'_> {
         // Gather loop nest over mapped dims.
         let gather_store = IrStmt::Store {
             elem: elem_ir(src_elem),
-            buf: IrExpr::var("slice"),
+            buf: IrExpr::var(&slice),
             idx: slice_offset.clone(),
             value: IrExpr::Load {
                 elem: elem_ir(src_elem),
-                buf: Box::new(IrExpr::var("src")),
+                buf: Box::new(IrExpr::var(&p_src)),
                 idx: Box::new(src_offset.clone()),
             },
         };
         let mut gather = vec![gather_store];
         for &md in mapped.iter().rev() {
             gather = vec![IrStmt::For(ForLoop {
-                var: idx_name(md),
+                var: idx[md].clone(),
                 lo: IrExpr::Int(0),
-                hi: dim_of("src", md),
+                hi: dim_of(&p_src, md),
                 body: gather,
                 parallel: false,
                 vector: false,
@@ -515,20 +514,20 @@ impl FnLower<'_> {
         // Scatter loop nest over mapped dims.
         let scatter_store = IrStmt::Store {
             elem: elem_ir(out_elem),
-            buf: IrExpr::var("dst"),
+            buf: IrExpr::var(&p_dst),
             idx: src_offset.clone(),
             value: IrExpr::Load {
                 elem: elem_ir(out_elem),
-                buf: Box::new(IrExpr::var("res")),
+                buf: Box::new(IrExpr::var(&res)),
                 idx: Box::new(slice_offset),
             },
         };
         let mut scatter = vec![scatter_store];
         for &md in mapped.iter().rev() {
             scatter = vec![IrStmt::For(ForLoop {
-                var: idx_name(md),
+                var: idx[md].clone(),
                 lo: IrExpr::Int(0),
-                hi: dim_of("src", md),
+                hi: dim_of(&p_src, md),
                 body: scatter,
                 parallel: false,
                 vector: false,
@@ -537,28 +536,28 @@ impl FnLower<'_> {
         }
 
         // Slice allocation + per-slice body.
-        let slice_dims: Vec<IrExpr> = mapped.iter().map(|&md| dim_of("src", md)).collect();
-        let mut per_slice = vec![alloc_decl("slice", src_elem, slice_dims)];
+        let slice_dims: Vec<IrExpr> = mapped.iter().map(|&md| dim_of(&p_src, md)).collect();
+        let mut per_slice = vec![alloc_decl(&slice, src_elem, slice_dims)];
         per_slice.extend(gather);
         // The mapped function follows the callee-owns convention.
-        self.incr("slice", &mut per_slice);
+        self.incr(&slice, &mut per_slice);
         per_slice.push(IrStmt::Decl {
             ty: CType::Buf(elem_ir(out_elem)),
-            name: "res".into(),
-            init: Some(IrExpr::Call(func.to_string(), vec![IrExpr::var("slice")])),
+            name: res.clone(),
+            init: Some(IrExpr::Call(func, vec![IrExpr::var(&slice)])),
         });
         per_slice.extend(scatter);
-        per_slice.push(release("res"));
-        per_slice.push(release("slice"));
+        per_slice.push(release(&res));
+        per_slice.push(release(&slice));
 
         // Outer loops over unmapped dims; the whole nest collapses to the
         // body when everything is mapped.
         let mut nest = per_slice;
         for (pos, &od) in outer.iter().enumerate().rev() {
             nest = vec![IrStmt::For(ForLoop {
-                var: idx_name(od),
+                var: idx[od].clone(),
                 lo: IrExpr::Int(0),
-                hi: dim_of("src", od),
+                hi: dim_of(&p_src, od),
                 body: nest,
                 parallel: pos == 0 && self.opts.parallelize,
                 vector: false,
@@ -569,8 +568,8 @@ impl FnLower<'_> {
         self.lifted.push(IrFunction {
             name: lifted_name.clone(),
             params: vec![
-                ("src".into(), CType::Buf(elem_ir(src_elem))),
-                ("dst".into(), CType::Buf(elem_ir(out_elem))),
+                (p_src, CType::Buf(elem_ir(src_elem))),
+                (p_dst, CType::Buf(elem_ir(out_elem))),
             ],
             ret: CType::Void,
             ret_tuple: None,
@@ -596,7 +595,7 @@ impl FnLower<'_> {
     /// of `base`; inside it `end` means `dim(base, d) - 1`.
     fn subscript(
         &mut self,
-        base: &str,
+        base: &Name,
         d: usize,
         e: &Expr,
         out: &mut Vec<IrStmt>,
@@ -612,7 +611,7 @@ impl FnLower<'_> {
     /// selections, including selection tables for logical indexing.
     fn dim_selections(
         &mut self,
-        base: &str,
+        base: &Name,
         base_elem: ElemKind,
         indices: &[IndexExpr],
         out: &mut Vec<IrStmt>,
@@ -625,11 +624,11 @@ impl FnLower<'_> {
                     if matches!(self.static_type(e, None), Type::Matrix(ElemKind::Bool, 1)) {
                         // Logical indexing: build the selection table.
                         let mask_rv = self.expr(e, None, out)?;
-                        let mask = mask_rv.mat_var().to_string();
+                        let mask = mask_rv.mat_var();
                         out.push(self.panic_if(
                             IrExpr::bin(
                                 IrBinOp::Ne,
-                                self.len_of(&mask),
+                                self.len_of(mask),
                                 dim_of(base, d),
                             ),
                             "logical index mask length does not match the dimension",
@@ -645,9 +644,9 @@ impl FnLower<'_> {
                         out.push(IrStmt::For(ForLoop {
                             var: q.clone(),
                             lo: IrExpr::Int(0),
-                            hi: self.len_of(&mask),
+                            hi: self.len_of(mask),
                             body: vec![IrStmt::If {
-                                cond: self.load(ElemKind::Bool, &mask, IrExpr::var(&q)),
+                                cond: self.load(ElemKind::Bool, mask, IrExpr::var(&q)),
                                 then_b: vec![IrStmt::Assign {
                                     name: count.clone(),
                                     value: IrExpr::add(IrExpr::var(&count), IrExpr::Int(1)),
@@ -669,7 +668,7 @@ impl FnLower<'_> {
                         });
                         let q2 = self.fresh("q");
                         let fill = IrStmt::If {
-                            cond: self.load(ElemKind::Bool, &mask, IrExpr::var(&q2)),
+                            cond: self.load(ElemKind::Bool, mask, IrExpr::var(&q2)),
                             then_b: vec![
                                 self.store(
                                     ElemKind::Int,
@@ -687,7 +686,7 @@ impl FnLower<'_> {
                         out.push(IrStmt::For(ForLoop {
                             var: q2,
                             lo: IrExpr::Int(0),
-                            hi: self.len_of(&mask),
+                            hi: self.len_of(mask),
                             body: vec![fill],
                             parallel: false,
                             vector: false,
@@ -754,7 +753,7 @@ impl FnLower<'_> {
         out: &mut Vec<IrStmt>,
     ) -> LResult<RV> {
         let (base_var, elem) = match &base {
-            RV::Mat { var, elem, .. } => (var.clone(), *elem),
+            RV::Mat { var, elem, .. } => (var, *elem),
             other => return Err(self.bug(span, format!("indexing into {other:?}"))),
         };
         // Fast path: all single int subscripts → one load (bounds are the
@@ -767,36 +766,21 @@ impl FnLower<'_> {
             let mut idxs = Vec::with_capacity(indices.len());
             for (d, ix) in indices.iter().enumerate() {
                 let IndexExpr::At(e) = ix else { unreachable!() };
-                idxs.push(self.subscript(&base_var, d, e, out)?);
+                idxs.push(self.subscript(base_var, d, e, out)?);
             }
-            let off = self.flat_offset(&base_var, &idxs);
-            return Ok(RV::Scalar(self.load(elem, &base_var, off), elem.scalar()));
+            let off = self.flat_offset(base_var, &idxs);
+            return Ok(RV::Scalar(self.load(elem, base_var, off), elem.scalar()));
         }
 
         // General gather.
-        let sels = self.dim_selections(&base_var, elem, indices, out)?;
+        let sels = self.dim_selections(base_var, elem, indices, out)?;
         let kept: Vec<&DimSel> = sels.iter().filter(|s| s.kept()).collect();
         let result_dims: Vec<IrExpr> = kept.iter().map(|s| s.size_expr()).collect();
         let result = self.alloc_tmp(elem, result_dims, out);
-        let loader = |table: &str, pos: IrExpr| IrExpr::Load {
-            elem: Elem::I32,
-            buf: Box::new(IrExpr::var(table)),
-            idx: Box::new(pos),
-        };
         // Result-position loop variables, one per kept dim.
-        let pos_vars: Vec<String> = kept.iter().map(|_| self.fresh("r")).collect();
-        // Source index per dimension.
-        let mut kept_cursor = 0usize;
-        let mut src_idx = Vec::with_capacity(sels.len());
-        for sel in &sels {
-            if sel.kept() {
-                src_idx.push(sel.src_index(&pos_vars[kept_cursor], &loader));
-                kept_cursor += 1;
-            } else {
-                src_idx.push(sel.src_index("", &loader));
-            }
-        }
-        let src_off = self.flat_offset(&base_var, &src_idx);
+        let pos_vars: Vec<Name> = kept.iter().map(|_| self.fresh("r")).collect();
+        let src_idx = DimSel::source_indices(&sels, &pos_vars);
+        let src_off = self.flat_offset(base_var, &src_idx);
         // Result flat offset over the kept sizes.
         let mut res_off = IrExpr::var(&pos_vars[0]);
         for (k, pos) in pos_vars.iter().enumerate().skip(1) {
@@ -809,7 +793,7 @@ impl FnLower<'_> {
             elem,
             &result,
             res_off,
-            self.load(elem, &base_var, src_off),
+            self.load(elem, base_var, src_off),
         )];
         for (k, pos) in pos_vars.iter().enumerate().rev() {
             nest = vec![IrStmt::For(ForLoop {
@@ -838,10 +822,7 @@ impl FnLower<'_> {
         span: Span,
         out: &mut Vec<IrStmt>,
     ) -> LResult<()> {
-        let (ty, irs) = self
-            .lookup(base)
-            .cloned()
-            .ok_or_else(|| self.bug(span, format!("unbound variable '{base}'")))?;
+        let (ty, irs) = self.binding(base, span)?;
         let Some((elem, _rank)) = ty.as_matrix() else {
             return Err(self.bug(span, format!("indexed assignment into {ty}")));
         };
@@ -878,22 +859,8 @@ impl FnLower<'_> {
         // General scatter.
         let sels = self.dim_selections(&ir, elem, indices, out)?;
         let kept: Vec<&DimSel> = sels.iter().filter(|s| s.kept()).collect();
-        let loader = |table: &str, pos: IrExpr| IrExpr::Load {
-            elem: Elem::I32,
-            buf: Box::new(IrExpr::var(table)),
-            idx: Box::new(pos),
-        };
-        let pos_vars: Vec<String> = kept.iter().map(|_| self.fresh("r")).collect();
-        let mut kept_cursor = 0usize;
-        let mut dst_idx = Vec::with_capacity(sels.len());
-        for sel in &sels {
-            if sel.kept() {
-                dst_idx.push(sel.src_index(&pos_vars[kept_cursor], &loader));
-                kept_cursor += 1;
-            } else {
-                dst_idx.push(sel.src_index("", &loader));
-            }
-        }
+        let pos_vars: Vec<Name> = kept.iter().map(|_| self.fresh("r")).collect();
+        let dst_idx = DimSel::source_indices(&sels, &pos_vars);
         let dst_off = self.flat_offset(&ir, &dst_idx);
         let mut res_off = if pos_vars.is_empty() {
             IrExpr::Int(0)
@@ -1079,17 +1046,16 @@ impl FnLower<'_> {
         span: Span,
         out: &mut Vec<IrStmt>,
     ) -> LResult<RV> {
-        let sig = self
-            .sigs
+        let sigs = self.sigs;
+        let sig = sigs
             .get(name)
-            .cloned()
             .ok_or_else(|| self.bug(span, format!("unknown function '{name}'")))?;
         let mut ir_args = Vec::new();
         for (a, pty) in args.iter().zip(&sig.params) {
             let rv = self.expr(a, Some(pty), out)?;
             self.push_call_arg(rv, pty, &mut ir_args, out, span)?;
         }
-        let call = IrExpr::Call(name.to_string(), ir_args);
+        let call = IrExpr::Call(self.callee(name, span)?, ir_args);
         match &sig.ret {
             Type::Void => {
                 out.push(IrStmt::Expr(call));
@@ -1124,7 +1090,7 @@ impl FnLower<'_> {
                 let mut targets = Vec::with_capacity(parts.len());
                 let mut rvs = Vec::with_capacity(parts.len());
                 for (i, p) in parts.iter().enumerate() {
-                    let t = self.fresh(&format!("tup{i}_"));
+                    let t = self.fresh(format_args!("tup{i}_"));
                     out.push(IrStmt::Decl {
                         ty: scalar_ctype(p),
                         name: t.clone(),
@@ -1179,10 +1145,9 @@ impl FnLower<'_> {
         let Expr::Call { name, args, .. } = call else {
             return Err(self.bug(span, "spawn applies to function calls"));
         };
-        let sig = self
-            .sigs
+        let sigs = self.sigs;
+        let sig = sigs
             .get(name)
-            .cloned()
             .ok_or_else(|| self.bug(span, format!("unknown function '{name}'")))?;
         let mut ir_args = Vec::new();
         for (a, pty) in args.iter().zip(&sig.params) {
@@ -1194,7 +1159,6 @@ impl FnLower<'_> {
             Some(t) => {
                 let (ty, irs) = self
                     .lookup(t)
-                    .cloned()
                     .ok_or_else(|| self.bug(span, format!("unbound spawn target '{t}'")))?;
                 (
                     Some(irs[0].clone()),
@@ -1205,7 +1169,7 @@ impl FnLower<'_> {
         out.push(IrStmt::Spawn {
             target: ir_target,
             target_is_buf,
-            func: name.clone(),
+            func: self.callee(name, span)?,
             args: ir_args,
         });
         Ok(())
@@ -1226,9 +1190,9 @@ impl FnLower<'_> {
             }
             rv @ (RV::Mat { .. } | RV::Rc { .. }) => {
                 // Callee-owns convention: increment before the call.
-                let var = rv.mat_var().to_string();
-                self.incr(&var, out);
-                ir_args.push(IrExpr::var(&var));
+                let var = rv.mat_var();
+                self.incr(var, out);
+                ir_args.push(IrExpr::var(var));
                 Ok(())
             }
             RV::Tuple(parts) => {

@@ -14,11 +14,17 @@
 //!   variables involved in loading data into vectors"),
 //!
 //! so `gcc -O2 -fopenmp -msse2 out.c` produces a runnable parallel binary.
+//!
+//! The text is written into one output buffer: every statement and
+//! expression appends its pieces ([`Put`]) straight to it, so emitting a
+//! node allocates nothing. The one exception is a vector expression,
+//! whose gather temporaries must be written before it: it is built as a
+//! string of its own.
 
 use std::fmt::Write;
 
 use crate::ir::{
-    Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt,
+    Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, Name,
 };
 
 /// A structurally invalid IR program that cannot be rendered as C.
@@ -59,6 +65,43 @@ impl std::fmt::Display for EmitError {
 
 impl std::error::Error for EmitError {}
 
+/// A piece of C text that appends itself to the output.
+trait Put {
+    fn put(&self, out: &mut String);
+}
+
+/// Append each piece to `out`, in order.
+macro_rules! put {
+    ($out:expr, $($piece:expr),+ $(,)?) => {{
+        let out: &mut String = $out;
+        $( $piece.put(out); )+
+    }};
+}
+
+impl Put for str {
+    fn put(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl Put for i64 {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl Put for usize {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl Put for IrExpr {
+    fn put(&self, out: &mut String) {
+        expr(out, self);
+    }
+}
+
 /// Emit a complete C translation unit for the program.
 pub fn emit_program(p: &IrProgram) -> Result<String, EmitError> {
     for f in &p.functions {
@@ -70,12 +113,11 @@ pub fn emit_program(p: &IrProgram) -> Result<String, EmitError> {
     // Struct definitions for tuple-returning functions, then forward
     // declarations.
     for f in &p.functions {
-        if let Some(s) = tuple_struct(f) {
-            let _ = writeln!(out, "{s}");
-        }
+        tuple_struct(f, &mut out);
     }
     for f in &p.functions {
-        let _ = writeln!(out, "{};", signature(f));
+        signature(f, &mut out);
+        out.push_str(";\n");
     }
     out.push('\n');
     for f in &p.functions {
@@ -161,25 +203,30 @@ fn validate_function(f: &IrFunction) -> Result<(), EmitError> {
     f.body.iter().try_for_each(|s| walk_stmt(s, &f.name))
 }
 
-/// C name of the user function or variable `name`. The runtime prelude
-/// owns the builtins' names and the `cmm_` prefix (as do the emitter's own
-/// temporaries), so a user name spelled like either is emitted as
-/// `cmm_user_<name>` — injective, and no other user name can already be
-/// that without being renamed itself. A variable needs it as much as a
-/// function: a parameter `dim` would shadow the prelude's `dim()` that the
-/// subscripts of its own function call.
-fn user_name(name: &str) -> std::borrow::Cow<'_, str> {
-    let owned = || name.starts_with("cmm_") || Builtin::from_c_name(name).is_some();
-    if may_be_prelude_name(name) && owned() {
-        format!("cmm_user_{name}").into()
-    } else {
-        name.into()
+/// The C name of the user function or variable it holds. The runtime
+/// prelude owns the builtins' names and the `cmm_` prefix (as do the
+/// emitter's own temporaries), so a user name spelled like either is
+/// emitted as `cmm_user_<name>` — injective, and no other user name can
+/// already be that without being renamed itself. A variable needs it as
+/// much as a function: a parameter `dim` would shadow the prelude's
+/// `dim()` that the subscripts of its own function call.
+#[derive(Clone, Copy)]
+struct Id<'a>(&'a str);
+
+impl Put for Id<'_> {
+    fn put(&self, out: &mut String) {
+        let name = self.0;
+        let owned = || name.starts_with("cmm_") || Builtin::from_c_name(name).is_some();
+        if may_be_prelude_name(name) && owned() {
+            out.push_str("cmm_user_");
+        }
+        out.push_str(name);
     }
 }
 
 /// The initials of the prelude's names. Every variable reference is named
-/// through [`user_name`]; this keeps the scan of the builtin table off that
-/// path for the likes of `i`, `n` and `__m_3` (a test holds the list to the
+/// through [`Id`]; this keeps the scan of the builtin table off that path
+/// for the likes of `i`, `n` and `__m_3` (a test holds the list to the
 /// table).
 fn may_be_prelude_name(name: &str) -> bool {
     matches!(
@@ -188,51 +235,54 @@ fn may_be_prelude_name(name: &str) -> bool {
     )
 }
 
-fn signature(f: &IrFunction) -> String {
-    let params: Vec<String> = f
-        .params
-        .iter()
-        .map(|(n, t)| format!("{} {}", t.c_name(), user_name(n)))
-        .collect();
-    let params = if params.is_empty() {
-        "void".to_string()
-    } else {
-        params.join(", ")
-    };
+fn signature(f: &IrFunction, out: &mut String) {
     // main must have the standard signature.
-    if f.name == "main" {
-        "int main(void)".to_string()
-    } else if f.ret_tuple.is_some() {
-        let name = user_name(&f.name);
-        format!("struct {name}_ret {name}({params})")
-    } else {
-        format!("{} {}({params})", f.ret.c_name(), user_name(&f.name))
+    if &*f.name == "main" {
+        out.push_str("int main(void)");
+        return;
     }
+    let name = Id(&f.name);
+    if f.ret_tuple.is_some() {
+        put!(out, "struct ", name, "_ret ", name, "(");
+    } else {
+        put!(out, f.ret.c_name(), " ", name, "(");
+    }
+    if f.params.is_empty() {
+        out.push_str("void");
+    }
+    for (i, (n, t)) in f.params.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        put!(out, t.c_name(), " ", Id(n));
+    }
+    out.push(')');
 }
 
-/// Struct typedef for a tuple-returning function.
-fn tuple_struct(f: &IrFunction) -> Option<String> {
-    let tys = f.ret_tuple.as_ref()?;
-    let fields: Vec<String> = tys
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("{} _{i};", t.c_name()))
-        .collect();
-    let name = user_name(&f.name);
-    Some(format!("struct {name}_ret {{ {} }};", fields.join(" ")))
+/// Struct definition for a tuple-returning function.
+fn tuple_struct(f: &IrFunction, out: &mut String) {
+    let Some(tys) = &f.ret_tuple else {
+        return;
+    };
+    put!(out, "struct ", Id(&f.name), "_ret {");
+    for (i, t) in tys.iter().enumerate() {
+        put!(out, " ", t.c_name(), " _", i, ";");
+    }
+    out.push_str(" };\n");
 }
 
 fn emit_function(f: &IrFunction, out: &mut String) {
-    let _ = writeln!(out, "{} {{", signature(f));
+    signature(f, out);
+    out.push_str(" {\n");
     let mut ctx = EmitCtx {
-        ret_struct: (f.ret_tuple.as_ref()).map(|_| user_name(&f.name).into_owned()),
+        ret_struct: f.ret_tuple.as_ref().map(|_| &*f.name),
         ..EmitCtx::default()
     };
     for s in &f.body {
         emit_stmt(s, 1, &mut ctx, out);
     }
-    if f.name == "main" {
-        let _ = writeln!(out, "    return 0;");
+    if &*f.name == "main" {
+        out.push_str("    return 0;\n");
     }
     out.push_str("}\n");
 }
@@ -240,18 +290,28 @@ fn emit_function(f: &IrFunction, out: &mut String) {
 /// Emitter state: temp-name counter and the set of float variables that
 /// are vector-widened inside a vectorized loop.
 #[derive(Default)]
-struct EmitCtx {
+struct EmitCtx<'a> {
     tmp: u32,
-    vector_vars: Vec<String>,
-    /// Set when emitting a tuple-returning function: its C name (for the
+    vector_vars: Vec<Name>,
+    /// Set when emitting a tuple-returning function: its name (for the
     /// return-struct type).
-    ret_struct: Option<String>,
+    ret_struct: Option<&'a str>,
 }
 
-impl EmitCtx {
-    fn fresh(&mut self, prefix: &str) -> String {
+impl EmitCtx<'_> {
+    fn fresh(&mut self, prefix: &'static str) -> Tmp {
         self.tmp += 1;
-        format!("{prefix}_{}", self.tmp)
+        Tmp(prefix, self.tmp)
+    }
+}
+
+/// An emitter temporary: `prefix_N`.
+#[derive(Clone, Copy)]
+struct Tmp(&'static str, u32);
+
+impl Put for Tmp {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "{}_{}", self.0, self.1);
     }
 }
 
@@ -261,38 +321,36 @@ fn ind(level: usize, out: &mut String) {
     }
 }
 
+/// `for (int v = lo; v < hi; v++) {`
+fn for_header(f: &ForLoop, out: &mut String) {
+    let v = Id(&f.var);
+    put!(out, "for (int ", v, " = ", f.lo, "; ", v, " < ", f.hi, "; ", v, "++) {\n");
+}
+
 fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
     match s {
         IrStmt::Decl { ty, name, init } => {
             ind(level, out);
+            put!(out, ty.c_name(), " ", Id(name));
             match init {
-                Some(e) => {
-                    let _ = writeln!(out, "{} {} = {};", ty.c_name(), user_name(name), expr(e));
-                }
+                Some(e) => put!(out, " = ", e, ";\n"),
                 None => {
                     let zero = match ty {
-                        CType::Buf(_) => " = 0",
                         CType::Float => " = 0.0f",
                         CType::Void => "",
                         _ => " = 0",
                     };
-                    let _ = writeln!(out, "{} {}{zero};", ty.c_name(), user_name(name));
+                    put!(out, zero, ";\n");
                 }
             }
         }
         IrStmt::Assign { name, value } => {
             ind(level, out);
-            let _ = writeln!(out, "{} = {};", user_name(name), expr(value));
+            put!(out, Id(name), " = ", value, ";\n");
         }
         IrStmt::Store { elem, buf, idx, value } => {
             ind(level, out);
-            let _ = writeln!(
-                out,
-                "{}[{}] = {};",
-                data_field(*elem, &expr(buf)),
-                expr(idx),
-                expr(value)
-            );
+            put!(out, At(*elem, buf, idx), " = ", value, ";\n");
         }
         IrStmt::For(f) if f.vector => emit_vector_loop(f, level, ctx, out),
         IrStmt::For(f) if f.parallel && f.schedule.is_some() => {
@@ -304,13 +362,7 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
                 out.push_str("#pragma omp parallel for\n");
             }
             ind(level, out);
-            let _ = writeln!(
-                out,
-                "for (int {v} = {}; {v} < {}; {v}++) {{",
-                expr(&f.lo),
-                expr(&f.hi),
-                v = user_name(&f.var)
-            );
+            for_header(f, out);
             for s in &f.body {
                 emit_stmt(s, level + 1, ctx, out);
             }
@@ -319,7 +371,7 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
         }
         IrStmt::While { cond, body } => {
             ind(level, out);
-            let _ = writeln!(out, "while ({}) {{", expr(cond));
+            put!(out, "while (", cond, ") {\n");
             for s in body {
                 emit_stmt(s, level + 1, ctx, out);
             }
@@ -328,7 +380,7 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
         }
         IrStmt::If { cond, then_b, else_b } => {
             ind(level, out);
-            let _ = writeln!(out, "if ({}) {{", expr(cond));
+            put!(out, "if (", cond, ") {\n");
             for s in then_b {
                 emit_stmt(s, level + 1, ctx, out);
             }
@@ -346,23 +398,16 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
         }
         IrStmt::Expr(e) => {
             ind(level, out);
-            let _ = writeln!(out, "{};", expr(e));
+            put!(out, e, ";\n");
         }
         IrStmt::Return(e) => {
             ind(level, out);
             match e {
                 Some(IrExpr::Tuple(parts)) => {
-                    let name = ctx.ret_struct.as_deref().unwrap_or("anon");
-                    let fields: Vec<String> = parts.iter().map(expr).collect();
-                    let _ = writeln!(
-                        out,
-                        "return (struct {name}_ret){{ {} }};",
-                        fields.join(", ")
-                    );
+                    let name = Id(ctx.ret_struct.unwrap_or("anon"));
+                    put!(out, "return (struct ", name, "_ret){ ", Args(parts), " };\n");
                 }
-                Some(e) => {
-                    let _ = writeln!(out, "return {};", expr(e));
-                }
+                Some(e) => put!(out, "return ", e, ";\n"),
                 None => out.push_str("return;\n"),
             }
         }
@@ -374,24 +419,17 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
         } => {
             // Serial elision: a Cilk program run with the spawn treated as
             // a plain call is a legal schedule of the parallel program.
-            let rendered: Vec<String> = args.iter().map(expr).collect();
-            let call = format!("{}({})", user_name(func), rendered.join(", "));
+            let call = Call(func, args);
             ind(level, out);
-            match target.as_deref().map(user_name) {
+            match target {
                 Some(t) if *target_is_buf => {
-                    let tmp = ctx.fresh("spawn");
-                    let _ = writeln!(
-                        out,
-                        "{{ cmm_mat* {tmp} = {call}; {decr}({t}); {t} = {tmp}; }} /* spawn (serial elision) */",
-                        decr = Builtin::RcDecr.c_name()
-                    );
+                    let (t, tmp) = (Id(t), ctx.fresh("spawn"));
+                    put!(out, "{ cmm_mat* ", tmp, " = ", call, "; ");
+                    put!(out, Builtin::RcDecr.c_name(), "(", t, "); ", t, " = ", tmp, "; }");
+                    out.push_str(" /* spawn (serial elision) */\n");
                 }
-                Some(t) => {
-                    let _ = writeln!(out, "{t} = {call}; /* spawn (serial elision) */");
-                }
-                None => {
-                    let _ = writeln!(out, "{call}; /* spawn (serial elision) */");
-                }
+                Some(t) => put!(out, Id(t), " = ", call, "; /* spawn (serial elision) */\n"),
+                None => put!(out, call, "; /* spawn (serial elision) */\n"),
             }
         }
         IrStmt::Sync => {
@@ -405,16 +443,15 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
             };
             let tmp = ctx.fresh("tupret");
             ind(level, out);
-            let ret = user_name(fname);
-            let _ = writeln!(out, "struct {ret}_ret {tmp} = {};", expr(call));
+            put!(out, "struct ", Id(fname), "_ret ", tmp, " = ", call, ";\n");
             for (i, t) in targets.iter().enumerate() {
                 ind(level, out);
-                let _ = writeln!(out, "{} = {tmp}._{i};", user_name(t));
+                put!(out, Id(t), " = ", tmp, "._", i, ";\n");
             }
         }
         IrStmt::Comment(c) => {
             ind(level, out);
-            let _ = writeln!(out, "/* {c} */");
+            put!(out, "/* ", c, " */\n");
         }
         IrStmt::Block(b) => {
             ind(level, out);
@@ -434,73 +471,109 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
     }
 }
 
-fn data_field(elem: Elem, buf: &str) -> String {
-    let field = match elem {
-        Elem::I32 => "i",
-        Elem::F32 => "f",
-        Elem::Bool => "b",
-    };
-    format!("{buf}->data.{field}")
+/// Element `idx` of the `elem` buffer `buf`: `buf->data.f[idx]`.
+struct At<'a>(Elem, &'a IrExpr, &'a IrExpr);
+
+impl Put for At<'_> {
+    fn put(&self, out: &mut String) {
+        let field = match self.0 {
+            Elem::I32 => "->data.i[",
+            Elem::F32 => "->data.f[",
+            Elem::Bool => "->data.b[",
+        };
+        put!(out, self.1, field, self.2, "]");
+    }
+}
+
+/// Comma-separated scalar expressions.
+struct Args<'a>(&'a [IrExpr]);
+
+impl Put for Args<'_> {
+    fn put(&self, out: &mut String) {
+        for (i, a) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            expr(out, a);
+        }
+    }
+}
+
+/// A call of the user function it names.
+struct Call<'a>(&'a str, &'a [IrExpr]);
+
+impl Put for Call<'_> {
+    fn put(&self, out: &mut String) {
+        put!(out, Id(self.0), "(", Args(self.1), ")");
+    }
 }
 
 /// Scalar expression emission.
-fn expr(e: &IrExpr) -> String {
+fn expr(out: &mut String, e: &IrExpr) {
     match e {
-        IrExpr::Int(v) => v.to_string(),
+        IrExpr::Int(v) => v.put(out),
         IrExpr::Float(v) => {
             // Non-finite constants (a source literal like 1e40 overflows
             // f32 parsing to inf) have no C literal spelling; use the
             // <math.h> macros instead of Rust's Debug text (`inff`/`NaNf`
             // would not compile).
             if v.is_nan() {
-                "((float)NAN)".to_string()
+                out.push_str("((float)NAN)");
             } else if v.is_infinite() {
-                if *v > 0.0 {
-                    "INFINITY".to_string()
-                } else {
-                    "(-INFINITY)".to_string()
-                }
+                out.push_str(if *v > 0.0 { "INFINITY" } else { "(-INFINITY)" });
             } else if v.fract() == 0.0 && v.abs() < 1e16 {
-                format!("{v:.1}f")
+                let _ = write!(out, "{v:.1}f");
             } else {
-                format!("{v:?}f")
+                let _ = write!(out, "{v:?}f");
             }
         }
-        IrExpr::Bool(v) => if *v { "1" } else { "0" }.to_string(),
-        IrExpr::Str(s) => format!("{s:?}"),
-        IrExpr::Var(n) => user_name(n).into_owned(),
-        IrExpr::Bin(op, a, b) => format!("({} {} {})", expr(a), op.c_symbol(), expr(b)),
-        IrExpr::Neg(e) => format!("(-{})", expr(e)),
-        IrExpr::Not(e) => format!("(!{})", expr(e)),
-        IrExpr::Load { elem, buf, idx } => {
-            format!("{}[{}]", data_field(*elem, &expr(buf)), expr(idx))
-        }
-        IrExpr::Call(name, args) => {
-            let rendered: Vec<String> = args.iter().map(expr).collect();
-            format!("{}({})", user_name(name), rendered.join(", "))
-        }
+        IrExpr::Bool(v) => out.push(if *v { '1' } else { '0' }),
+        IrExpr::Str(s) => c_string(s, out),
+        IrExpr::Var(n) => Id(n).put(out),
+        IrExpr::Bin(op, a, b) => put!(out, "(", a, " ", op.c_symbol(), " ", b, ")"),
+        IrExpr::Neg(e) => put!(out, "(-", e, ")"),
+        IrExpr::Not(e) => put!(out, "(!", e, ")"),
+        IrExpr::Load { elem, buf, idx } => At(*elem, buf, idx).put(out),
+        IrExpr::Call(name, args) => Call(name, args).put(out),
         IrExpr::Builtin(b, args) => {
-            let mut rendered: Vec<String> = args.iter().map(expr).collect();
+            put!(out, b.c_name(), "(");
             // Variadic runtime allocators take an explicit rank first.
             if b.arity().is_none() {
-                rendered.insert(0, args.len().to_string());
+                put!(out, args.len(), if args.is_empty() { "" } else { ", " });
             }
-            format!("{}({})", b.c_name(), rendered.join(", "))
+            put!(out, Args(args), ")");
         }
-        IrExpr::CastInt(e) => format!("((int)({}))", expr(e)),
-        IrExpr::CastFloat(e) => format!("((float)({}))", expr(e)),
+        IrExpr::CastInt(e) => put!(out, "((int)(", e, "))"),
+        IrExpr::CastFloat(e) => put!(out, "((float)(", e, "))"),
         // Rejected by validate_function before emission starts.
         IrExpr::Tuple(_) => unreachable!("tuple expression outside a return statement"),
     }
 }
 
+/// `s` as a C string literal. Printable ASCII stays as is except `"` and
+/// `\`; `\n`, `\t` and `\r` keep their names; every other control byte is
+/// a three-digit octal escape, which no following digit can extend; UTF-8
+/// stays raw.
+fn c_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            '\0'..='\x1f' | '\x7f' => {
+                let _ = write!(out, "\\{:03o}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 // --- SSE vector emission -------------------------------------------------
 
-/// Emit a `vectorize`d loop (constant bounds 0..4) as straight-line SSE
-/// code. Float scalars declared in the body become `__m128` lanes; loads
-/// and stores with unit stride in the lane variable use
-/// `_mm_loadu_ps`/`_mm_storeu_ps`, anything else gathers/scatters lanes
-/// explicitly (the "many new variables" of Fig 11).
 /// Emit a parallel loop with a pinned self-scheduling policy as an OpenMP
 /// parallel *region* (not `parallel for`): every thread claims chunks from
 /// a shared C11 atomic counter via the `cmm_sched_next` runtime helper, the
@@ -511,7 +584,7 @@ fn expr(e: &IrExpr) -> String {
 fn emit_scheduled_loop(f: &ForLoop, level: usize, ctx: &mut EmitCtx, out: &mut String) {
     let schedule = f.schedule.expect("caller checked schedule.is_some()");
     let (kind, chunk) = match schedule {
-        cmm_forkjoin::Schedule::Static => (0, 1usize),
+        cmm_forkjoin::Schedule::Static => (0usize, 1),
         cmm_forkjoin::Schedule::Dynamic { chunk } => (1, chunk),
         cmm_forkjoin::Schedule::Guided { min_chunk } => (2, min_chunk),
     };
@@ -531,27 +604,24 @@ fn emit_scheduled_loop(f: &ForLoop, level: usize, ctx: &mut EmitCtx, out: &mut S
     ind(level, out);
     out.push_str("{\n");
     ind(level + 1, out);
-    let _ = writeln!(out, "cmm_atomic_long {ctr} = 0;");
+    put!(out, "cmm_atomic_long ", ctr, " = 0;\n");
     ind(level + 1, out);
-    let _ = writeln!(out, "long {lo_v} = (long)({});", expr(&f.lo));
+    put!(out, "long ", lo_v, " = (long)(", f.lo, ");\n");
     ind(level + 1, out);
-    let _ = writeln!(out, "long {total_v} = (long)({}) - {lo_v};", expr(&f.hi));
+    put!(out, "long ", total_v, " = (long)(", f.hi, ") - ", lo_v, ";\n");
     ind(level + 1, out);
     out.push_str("#pragma omp parallel\n");
     ind(level + 1, out);
     out.push_str("{\n");
     ind(level + 2, out);
-    let _ = writeln!(out, "long {c_lo}, {c_hi};");
+    put!(out, "long ", c_lo, ", ", c_hi, ";\n");
     ind(level + 2, out);
-    let _ = writeln!(
-        out,
-        "while (cmm_sched_next(&{ctr}, {total_v}, cmm_sched_threads(), {kind}, {chunk}, \
-         {grain}, &{c_lo}, &{c_hi})) {{"
-    );
+    put!(out, "while (cmm_sched_next(&", ctr, ", ", total_v, ", cmm_sched_threads(), ");
+    put!(out, kind, ", ", chunk, ", ", grain, ", &", c_lo, ", &", c_hi, ")) {\n");
     ind(level + 3, out);
-    let _ = writeln!(out, "for (long {k} = {c_lo}; {k} < {c_hi}; {k}++) {{");
+    put!(out, "for (long ", k, " = ", c_lo, "; ", k, " < ", c_hi, "; ", k, "++) {\n");
     ind(level + 4, out);
-    let _ = writeln!(out, "int {v} = (int)({lo_v} + {k});", v = user_name(&f.var));
+    put!(out, "int ", Id(&f.var), " = (int)(", lo_v, " + ", k, ");\n");
     for s in &f.body {
         emit_stmt(s, level + 4, ctx, out);
     }
@@ -565,16 +635,21 @@ fn emit_scheduled_loop(f: &ForLoop, level: usize, ctx: &mut EmitCtx, out: &mut S
     out.push_str("}\n");
 }
 
+/// Emit a `vectorize`d loop (constant bounds 0..4) as straight-line SSE
+/// code. Float scalars declared in the body become `__m128` lanes; loads
+/// and stores with unit stride in the lane variable use
+/// `_mm_loadu_ps`/`_mm_storeu_ps`, anything else gathers/scatters lanes
+/// explicitly (the "many new variables" of Fig 11).
 fn emit_vector_loop(f: &ForLoop, level: usize, ctx: &mut EmitCtx, out: &mut String) {
     ind(level, out);
-    let _ = writeln!(out, "/* vectorized loop over {} (4 x f32 SSE lanes) */", f.var);
+    put!(out, "/* vectorized loop over ", f.var, " (4 x f32 SSE lanes) */\n");
     ind(level, out);
     out.push_str("{\n");
-    let saved = ctx.vector_vars.clone();
+    let outer_vars = ctx.vector_vars.len();
     for s in &f.body {
         emit_vector_stmt(s, &f.var, level + 1, ctx, out);
     }
-    ctx.vector_vars = saved;
+    ctx.vector_vars.truncate(outer_vars);
     ind(level, out);
     out.push_str("}\n");
 }
@@ -591,33 +666,28 @@ fn emit_vector_stmt(s: &IrStmt, lane: &str, level: usize, ctx: &mut EmitCtx, out
             match init {
                 Some(e) => {
                     let v = vec_expr(e, lane, ctx, level, out);
-                    let _ = writeln!(out, "__m128 {} = {v};", user_name(name));
+                    put!(out, "__m128 ", Id(name), " = ", v, ";\n");
                 }
-                None => {
-                    let _ = writeln!(out, "__m128 {} = _mm_setzero_ps();", user_name(name));
-                }
+                None => put!(out, "__m128 ", Id(name), " = _mm_setzero_ps();\n"),
             }
         }
         IrStmt::Decl { ty, name, init } => {
             // Non-float scalars stay scalar (loop counters etc.).
             ind(level, out);
+            put!(out, ty.c_name(), " ", Id(name), " = ");
             match init {
-                Some(e) => {
-                    let _ = writeln!(out, "{} {} = {};", ty.c_name(), user_name(name), expr(e));
-                }
-                None => {
-                    let _ = writeln!(out, "{} {} = 0;", ty.c_name(), user_name(name));
-                }
+                Some(e) => put!(out, e, ";\n"),
+                None => out.push_str("0;\n"),
             }
         }
         IrStmt::Assign { name, value } if ctx.vector_vars.contains(name) => {
             let v = vec_expr(value, lane, ctx, level, out);
             ind(level, out);
-            let _ = writeln!(out, "{} = {v};", user_name(name));
+            put!(out, Id(name), " = ", v, ";\n");
         }
         IrStmt::Assign { name, value } => {
             ind(level, out);
-            let _ = writeln!(out, "{} = {};", user_name(name), expr(value));
+            put!(out, Id(name), " = ", value, ";\n");
         }
         IrStmt::Store {
             elem: Elem::F32,
@@ -629,29 +699,19 @@ fn emit_vector_stmt(s: &IrStmt, lane: &str, level: usize, ctx: &mut EmitCtx, out
             match unit_stride(idx, lane) {
                 Some(base) => {
                     ind(level, out);
-                    let _ = writeln!(
-                        out,
-                        "_mm_storeu_ps(&{}[{}], {v});",
-                        data_field(Elem::F32, &expr(buf)),
-                        expr(&base)
-                    );
+                    put!(out, "_mm_storeu_ps(&", At(Elem::F32, buf, base), ", ", v, ");\n");
                 }
                 None => {
                     // Scatter lanes through a spill array.
                     let spill = ctx.fresh("vspill");
                     ind(level, out);
-                    let _ = writeln!(out, "float {spill}[4];");
+                    put!(out, "float ", spill, "[4];\n");
                     ind(level, out);
-                    let _ = writeln!(out, "_mm_storeu_ps({spill}, {v});");
+                    put!(out, "_mm_storeu_ps(", spill, ", ", v, ");\n");
                     for k in 0..4 {
                         let idx_k = idx.substitute(lane, &IrExpr::Int(k));
                         ind(level, out);
-                        let _ = writeln!(
-                            out,
-                            "{}[{}] = {spill}[{k}];",
-                            data_field(Elem::F32, &expr(buf)),
-                            expr(&idx_k)
-                        );
+                        put!(out, At(Elem::F32, buf, &idx_k), " = ", spill, "[", k, "];\n");
                     }
                 }
             }
@@ -662,26 +722,14 @@ fn emit_vector_stmt(s: &IrStmt, lane: &str, level: usize, ctx: &mut EmitCtx, out
                 let idx_k = idx.substitute(lane, &IrExpr::Int(k));
                 let val_k = value.substitute(lane, &IrExpr::Int(k));
                 ind(level, out);
-                let _ = writeln!(
-                    out,
-                    "{}[{}] = {};",
-                    data_field(*elem, &expr(buf)),
-                    expr(&idx_k),
-                    expr(&val_k)
-                );
+                put!(out, At(*elem, buf, &idx_k), " = ", val_k, ";\n");
             }
         }
         IrStmt::For(inner) => {
             // Scalar loop inside the vector body (e.g. the k accumulation
             // loop of Fig 11); its body continues in vector context.
             ind(level, out);
-            let _ = writeln!(
-                out,
-                "for (int {v} = {}; {v} < {}; {v}++) {{",
-                expr(&inner.lo),
-                expr(&inner.hi),
-                v = user_name(&inner.var)
-            );
+            for_header(inner, out);
             for s in &inner.body {
                 emit_vector_stmt(s, lane, level + 1, ctx, out);
             }
@@ -690,7 +738,7 @@ fn emit_vector_stmt(s: &IrStmt, lane: &str, level: usize, ctx: &mut EmitCtx, out
         }
         IrStmt::Comment(c) => {
             ind(level, out);
-            let _ = writeln!(out, "/* {c} */");
+            put!(out, "/* ", c, " */\n");
         }
         other => {
             // Control flow inside vector bodies: execute per lane.
@@ -707,11 +755,12 @@ fn emit_vector_stmt(s: &IrStmt, lane: &str, level: usize, ctx: &mut EmitCtx, out
 /// Vector expression emission. Returns a C `__m128` expression; may append
 /// preparatory statements (gather temporaries) to `out`.
 fn vec_expr(e: &IrExpr, lane: &str, ctx: &mut EmitCtx, level: usize, out: &mut String) -> String {
+    let mut v = String::new();
     match e {
-        IrExpr::Float(_) | IrExpr::Int(_) => format!("_mm_set1_ps({})", scalar_as_float(e)),
-        IrExpr::Var(n) if ctx.vector_vars.contains(n) => user_name(n).into_owned(),
-        IrExpr::Var(n) if n == lane => "_mm_set_ps(3.0f, 2.0f, 1.0f, 0.0f)".to_string(),
-        IrExpr::Var(_) => format!("_mm_set1_ps({})", scalar_as_float(e)),
+        IrExpr::Float(_) | IrExpr::Int(_) => put!(&mut v, "_mm_set1_ps(", AsFloat(e), ")"),
+        IrExpr::Var(n) if ctx.vector_vars.contains(n) => Id(n).put(&mut v),
+        IrExpr::Var(n) if **n == *lane => v.push_str("_mm_set_ps(3.0f, 2.0f, 1.0f, 0.0f)"),
+        IrExpr::Var(_) => put!(&mut v, "_mm_set1_ps(", AsFloat(e), ")"),
         IrExpr::Bin(op, a, b) if matches!(op, IrBinOp::Add | IrBinOp::Sub | IrBinOp::Mul | IrBinOp::Div) => {
             let va = vec_expr(a, lane, ctx, level, out);
             let vb = vec_expr(b, lane, ctx, level, out);
@@ -722,11 +771,11 @@ fn vec_expr(e: &IrExpr, lane: &str, ctx: &mut EmitCtx, level: usize, out: &mut S
                 IrBinOp::Div => "_mm_div_ps",
                 _ => unreachable!(),
             };
-            format!("{intrinsic}({va}, {vb})")
+            put!(&mut v, intrinsic, "(", va, ", ", vb, ")");
         }
         IrExpr::Neg(a) => {
             let va = vec_expr(a, lane, ctx, level, out);
-            format!("_mm_sub_ps(_mm_setzero_ps(), {va})")
+            put!(&mut v, "_mm_sub_ps(_mm_setzero_ps(), ", va, ")");
         }
         IrExpr::Load {
             elem: Elem::F32,
@@ -737,63 +786,56 @@ fn vec_expr(e: &IrExpr, lane: &str, ctx: &mut EmitCtx, level: usize, out: &mut S
                 // The lifted vector-load temporary of Fig 11.
                 let tmp = ctx.fresh("vload");
                 ind(level, out);
-                let _ = writeln!(
-                    out,
-                    "__m128 {tmp} = _mm_loadu_ps(&{}[{}]);",
-                    data_field(Elem::F32, &expr(buf)),
-                    expr(&base)
-                );
-                tmp
+                put!(out, "__m128 ", tmp, " = _mm_loadu_ps(&", At(Elem::F32, buf, base), ");\n");
+                tmp.put(&mut v);
             }
             None => {
-                // Strided gather: one scalar load per lane.
-                let lanes: Vec<String> = (0..4)
-                    .map(|k| {
-                        let idx_k = idx.substitute(lane, &IrExpr::Int(k));
-                        format!("{}[{}]", data_field(Elem::F32, &expr(buf)), expr(&idx_k))
-                    })
-                    .collect();
-                // _mm_set_ps takes lanes high-to-low.
-                format!(
-                    "_mm_set_ps({}, {}, {}, {})",
-                    lanes[3], lanes[2], lanes[1], lanes[0]
-                )
+                // Strided gather: one scalar load per lane, which
+                // _mm_set_ps takes high-to-low.
+                v.push_str("_mm_set_ps(");
+                for k in (0..4).rev() {
+                    let idx_k = idx.substitute(lane, &IrExpr::Int(k));
+                    put!(&mut v, At(Elem::F32, buf, &idx_k), if k > 0 { ", " } else { ")" });
+                }
             }
         },
-        other if !other.uses_var(lane) => format!("_mm_set1_ps({})", scalar_as_float(other)),
+        other if !other.uses_var(lane) => put!(&mut v, "_mm_set1_ps(", AsFloat(other), ")"),
         other => {
             // Universal fallback: evaluate each lane scalar and pack.
-            let lanes: Vec<String> = (0..4)
-                .map(|k| {
-                    let ek = other.substitute(lane, &IrExpr::Int(k));
-                    scalar_as_float(&ek)
-                })
-                .collect();
-            format!(
-                "_mm_set_ps({}, {}, {}, {})",
-                lanes[3], lanes[2], lanes[1], lanes[0]
-            )
+            v.push_str("_mm_set_ps(");
+            for k in (0..4).rev() {
+                let ek = other.substitute(lane, &IrExpr::Int(k));
+                put!(&mut v, AsFloat(&ek), if k > 0 { ", " } else { ")" });
+            }
         }
     }
+    v
 }
 
-fn scalar_as_float(e: &IrExpr) -> String {
-    match e {
-        IrExpr::Float(_) => expr(e),
-        _ => format!("((float)({}))", expr(e)),
+/// A scalar expression as a C `float`.
+struct AsFloat<'a>(&'a IrExpr);
+
+impl Put for AsFloat<'_> {
+    fn put(&self, out: &mut String) {
+        match self.0 {
+            e @ IrExpr::Float(_) => expr(out, e),
+            e => put!(out, "((float)(", e, "))"),
+        }
     }
 }
 
 /// `idx` = `base + lane` (lane coefficient 1)? Returns `base` with the
 /// lane variable removed.
-fn unit_stride(idx: &IrExpr, lane: &str) -> Option<IrExpr> {
+fn unit_stride<'e>(idx: &'e IrExpr, lane: &str) -> Option<&'e IrExpr> {
+    static ZERO: IrExpr = IrExpr::Int(0);
+    let is_lane = |e: &IrExpr| matches!(e, IrExpr::Var(v) if **v == *lane);
     match idx {
-        IrExpr::Var(v) if v == lane => Some(IrExpr::Int(0)),
+        IrExpr::Var(v) if **v == *lane => Some(&ZERO),
         IrExpr::Bin(IrBinOp::Add, a, b) => {
-            if matches!(&**b, IrExpr::Var(v) if v == lane) && !a.uses_var(lane) {
-                Some((**a).clone())
-            } else if matches!(&**a, IrExpr::Var(v) if v == lane) && !b.uses_var(lane) {
-                Some((**b).clone())
+            if is_lane(b) && !a.uses_var(lane) {
+                Some(a)
+            } else if is_lane(a) && !b.uses_var(lane) {
+                Some(b)
             } else {
                 None
             }

@@ -838,14 +838,14 @@ impl<'p> Interp<'p> {
             .zip(&self.resolved.functions)
             .filter(|(&(calls, _), _)| calls > 0)
             .map(|(&(calls, steps), f)| FnProfile {
-                name: f.name.clone(),
+                name: f.name.to_string(),
                 calls,
                 steps,
             })
             .collect();
         functions.sort_by(|a, b| b.steps.cmp(&a.steps).then_with(|| a.name.cmp(&b.name)));
         let noted = |notes: fn(&crate::vm::VmFunction) -> &[crate::vm::LoopNote]| {
-            let names = self.resolved.functions.iter().map(|f| f.name.as_str());
+            let names = self.resolved.functions.iter().map(|f| &*f.name);
             (self.vm.as_ref()).map_or_else(Vec::new, |vm| vm.noted_loops(names, notes))
         };
         InterpProfile {
@@ -1433,7 +1433,7 @@ impl<'p> Interp<'p> {
         let iters = result?;
         if record {
             lock_ignore_poison(&self.loop_costs).push(LoopCost {
-                name: f.name.clone(),
+                name: f.name.to_string(),
                 schedule: f.schedule,
                 iters,
             });

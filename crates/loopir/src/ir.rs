@@ -1,5 +1,12 @@
 //! IR data types.
 
+use std::sync::Arc;
+
+/// The name of an IR variable or function. It is made once, where the
+/// variable or function is declared, and every reference shares it by
+/// reference count; `Arc` rather than `Rc` keeps an [`IrProgram`] `Send`.
+pub type Name = Arc<str>;
+
 /// Matrix element types at the IR level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Elem {
@@ -164,13 +171,13 @@ pub enum CType {
 
 impl CType {
     /// C spelling of the type.
-    pub fn c_name(self) -> String {
+    pub fn c_name(self) -> &'static str {
         match self {
-            CType::Int => "int".to_string(),
-            CType::Float => "float".to_string(),
-            CType::Bool => "unsigned char".to_string(),
-            CType::Buf(_) => "cmm_mat*".to_string(),
-            CType::Void => "void".to_string(),
+            CType::Int => "int",
+            CType::Float => "float",
+            CType::Bool => "unsigned char",
+            CType::Buf(_) => "cmm_mat*",
+            CType::Void => "void",
         }
     }
 }
@@ -248,7 +255,7 @@ pub enum IrExpr {
     /// String constant (file names).
     Str(String),
     /// Variable read.
-    Var(String),
+    Var(Name),
     /// Binary operation.
     Bin(IrBinOp, Box<IrExpr>, Box<IrExpr>),
     /// Arithmetic negation.
@@ -265,7 +272,7 @@ pub enum IrExpr {
         idx: Box<IrExpr>,
     },
     /// Call to a user function.
-    Call(String, Vec<IrExpr>),
+    Call(Name, Vec<IrExpr>),
     /// Call to a runtime builtin.
     Builtin(Builtin, Vec<IrExpr>),
     /// Truncate to int.
@@ -295,9 +302,9 @@ impl IrExpr {
         IrExpr::bin(IrBinOp::Mul, a, b)
     }
 
-    /// Variable reference.
-    pub fn var(name: &str) -> IrExpr {
-        IrExpr::Var(name.to_string())
+    /// Variable reference (shares `name`).
+    pub fn var(name: &Name) -> IrExpr {
+        IrExpr::Var(name.clone())
     }
 
     /// Substitute every occurrence of variable `name` with `replacement`
@@ -306,7 +313,7 @@ impl IrExpr {
     /// expression jout * 4 + jin").
     pub fn substitute(&self, name: &str, replacement: &IrExpr) -> IrExpr {
         match self {
-            IrExpr::Var(v) if v == name => replacement.clone(),
+            IrExpr::Var(v) if **v == *name => replacement.clone(),
             IrExpr::Int(_) | IrExpr::Float(_) | IrExpr::Bool(_) | IrExpr::Str(_) | IrExpr::Var(_) => {
                 self.clone()
             }
@@ -341,7 +348,7 @@ impl IrExpr {
     /// Whether variable `name` occurs in the expression.
     pub fn uses_var(&self, name: &str) -> bool {
         match self {
-            IrExpr::Var(v) => v == name,
+            IrExpr::Var(v) => **v == *name,
             IrExpr::Int(_) | IrExpr::Float(_) | IrExpr::Bool(_) | IrExpr::Str(_) => false,
             IrExpr::Bin(_, a, b) => a.uses_var(name) || b.uses_var(name),
             IrExpr::Neg(e) | IrExpr::Not(e) | IrExpr::CastInt(e) | IrExpr::CastFloat(e) => {
@@ -360,7 +367,7 @@ impl IrExpr {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForLoop {
     /// Loop index variable.
-    pub var: String,
+    pub var: Name,
     /// Lower bound (inclusive).
     pub lo: IrExpr,
     /// Upper bound (exclusive).
@@ -388,11 +395,11 @@ pub enum KernelCall {
     /// from both operands (which may alias each other).
     MatMul {
         /// Result buffer variable.
-        dst: String,
+        dst: Name,
         /// Left operand buffer variable.
-        a: String,
+        a: Name,
         /// Right operand buffer variable.
-        b: String,
+        b: Name,
         /// Element type of all three buffers (`I32` or `F32`).
         elem: Elem,
         /// Whether the nest's outer loop is parallel: the kernel then
@@ -409,14 +416,14 @@ pub enum IrStmt {
         /// Variable type.
         ty: CType,
         /// Variable name.
-        name: String,
+        name: Name,
         /// Optional initializer.
         init: Option<IrExpr>,
     },
     /// Scalar / handle assignment.
     Assign {
         /// Target variable.
-        name: String,
+        name: Name,
         /// Value.
         value: IrExpr,
     },
@@ -460,12 +467,12 @@ pub enum IrStmt {
     /// point), which is a legal Cilk schedule.
     Spawn {
         /// Variable receiving the result at sync (`None` for void calls).
-        target: Option<String>,
+        target: Option<Name>,
         /// Whether the target is a reference-counted buffer (the old
         /// handle is released when the result lands).
         target_is_buf: bool,
         /// Function to call.
-        func: String,
+        func: Name,
         /// Argument expressions (evaluated at the spawn point).
         args: Vec<IrExpr>,
     },
@@ -475,7 +482,7 @@ pub enum IrStmt {
     /// Unpack a tuple-returning call into pre-declared variables.
     UnpackCall {
         /// Target variable names, one per tuple component.
-        targets: Vec<String>,
+        targets: Vec<Name>,
         /// The call expression (must evaluate to a tuple).
         call: IrExpr,
     },
@@ -525,7 +532,7 @@ impl IrStmt {
                 value: value.substitute(name, replacement),
             },
             IrStmt::For(f) => {
-                if f.var == name {
+                if *f.var == *name {
                     // Shadowed: only the bounds see the outer variable.
                     IrStmt::For(ForLoop {
                         var: f.var.clone(),
@@ -592,9 +599,9 @@ impl IrStmt {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrFunction {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Parameters (name, type).
-    pub params: Vec<(String, CType)>,
+    pub params: Vec<(Name, CType)>,
     /// Return type.
     pub ret: CType,
     /// For tuple-returning functions: the component types (emitted C
@@ -614,6 +621,6 @@ pub struct IrProgram {
 impl IrProgram {
     /// Find a function by name.
     pub fn function(&self, name: &str) -> Option<&IrFunction> {
-        self.functions.iter().find(|f| f.name == name)
+        self.functions.iter().find(|f| *f.name == *name)
     }
 }

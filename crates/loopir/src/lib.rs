@@ -40,6 +40,7 @@ pub use cmm_forkjoin::{
 };
 pub use ir::{
     Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
+    Name,
 };
 pub use scalar_loop::STRIP as UNBOXED_STRIP;
 pub use transform::TransformError;

@@ -20,7 +20,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::ir::{
-    Builtin, CType, Elem, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
+    Builtin, CType, Elem, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall, Name,
 };
 
 /// Resolved call target.
@@ -31,7 +31,7 @@ pub(crate) enum RCallee {
     /// A runtime builtin.
     Builtin(Builtin),
     /// No user function has this name; calling it errors.
-    Undefined(String),
+    Undefined(Name),
 }
 
 /// Resolved assignment target.
@@ -40,7 +40,7 @@ pub(crate) enum RTarget {
     /// Frame slot.
     Slot(u32),
     /// Name not in scope; assignment errors at execution time.
-    Undefined(String),
+    Undefined(Name),
 }
 
 /// Resolved expression: [`IrExpr`] with variables as slots.
@@ -58,7 +58,7 @@ pub(crate) enum RExpr {
     /// Variable read by frame slot.
     Slot(u32),
     /// Name not in scope; reading errors at execution time.
-    Undefined(String),
+    Undefined(Name),
     Bin(IrBinOp, Box<RExpr>, Box<RExpr>),
     Neg(Box<RExpr>),
     Not(Box<RExpr>),
@@ -78,7 +78,7 @@ pub(crate) struct RFor {
     /// Source name of the loop index — kept for the cost probe
     /// ([`crate::LoopCost`]) so tuning reports name loops the way the
     /// `transform` directives address them.
-    pub name: String,
+    pub name: Name,
     pub lo: RExpr,
     pub hi: RExpr,
     pub body: Vec<RStmt>,
@@ -156,7 +156,7 @@ pub(crate) enum RStmt {
 /// declaration a slot below `nslots`.
 #[derive(Debug, Clone)]
 pub(crate) struct RFunction {
-    pub name: String,
+    pub name: Name,
     pub nparams: usize,
     pub nslots: usize,
     /// Declared type of each slot (parameter and `Decl` types; loop
@@ -172,7 +172,7 @@ pub(crate) struct RFunction {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RProgram {
     pub functions: Vec<RFunction>,
-    pub by_name: HashMap<String, usize>,
+    pub by_name: HashMap<Name, usize>,
 }
 
 /// Resolve a whole program.
@@ -190,14 +190,14 @@ pub(crate) fn resolve_program(program: &IrProgram) -> RProgram {
 }
 
 struct Resolver<'a> {
-    by_name: &'a HashMap<String, usize>,
+    by_name: &'a HashMap<Name, usize>,
     /// Lexical scopes, innermost last; each maps a name to its slot.
-    scopes: Vec<HashMap<String, u32>>,
+    scopes: Vec<HashMap<Name, u32>>,
     /// Declared type of every slot allocated so far.
     slot_types: Vec<CType>,
 }
 
-fn resolve_function(f: &IrFunction, by_name: &HashMap<String, usize>) -> RFunction {
+fn resolve_function(f: &IrFunction, by_name: &HashMap<Name, usize>) -> RFunction {
     let mut r = Resolver {
         by_name,
         scopes: vec![HashMap::new()],
@@ -219,13 +219,13 @@ fn resolve_function(f: &IrFunction, by_name: &HashMap<String, usize>) -> RFuncti
 
 impl Resolver<'_> {
     /// Allocate a fresh slot for a declaration in the current scope.
-    fn fresh(&mut self, name: &str, ty: CType) -> u32 {
+    fn fresh(&mut self, name: &Name, ty: CType) -> u32 {
         let slot = self.slot_types.len() as u32;
         self.slot_types.push(ty);
         self.scopes
             .last_mut()
             .expect("at least the function scope")
-            .insert(name.to_string(), slot);
+            .insert(name.clone(), slot);
         slot
     }
 
@@ -233,17 +233,17 @@ impl Resolver<'_> {
         self.scopes.iter().rev().find_map(|s| s.get(name).copied())
     }
 
-    fn target(&self, name: &str) -> RTarget {
+    fn target(&self, name: &Name) -> RTarget {
         match self.lookup(name) {
             Some(slot) => RTarget::Slot(slot),
-            None => RTarget::Undefined(name.to_string()),
+            None => RTarget::Undefined(name.clone()),
         }
     }
 
-    fn callee(&self, name: &str) -> RCallee {
+    fn callee(&self, name: &Name) -> RCallee {
         match self.by_name.get(name) {
             Some(&idx) => RCallee::User(idx),
-            None => RCallee::Undefined(name.to_string()),
+            None => RCallee::Undefined(name.clone()),
         }
     }
 

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use IrBinOp as B;
 
 fn v(n: &str) -> IrExpr {
-    IrExpr::var(n)
+    IrExpr::Var(n.into())
 }
 fn i(x: i64) -> IrExpr {
     IrExpr::Int(x)
@@ -365,7 +365,7 @@ mod transform_tests {
         for s in stmts {
             match s {
                 IrStmt::For(f) => {
-                    if f.var == var {
+                    if &*f.var == var {
                         return Some(f);
                     }
                     if let Some(r) = find_loop(&f.body, var) {
@@ -533,8 +533,8 @@ mod transform_tests {
         .unwrap();
         // Now j is outermost.
         let IrStmt::For(outer) = &body[0] else { panic!() };
-        assert_eq!(outer.var, "j");
-        assert_eq!(find_loop(&outer.body, "i").unwrap().var, "i");
+        assert_eq!(&*outer.var, "j");
+        assert_eq!(&*find_loop(&outer.body, "i").unwrap().var, "i");
     }
 
     #[test]
@@ -638,7 +638,7 @@ mod transform_tests {
             let mean = prog
                 .functions
                 .iter_mut()
-                .find(|f| f.name == "mean")
+                .find(|f| &*f.name == "mean")
                 .expect("mean function");
             apply_all(&mut mean.body, recipe).unwrap_or_else(|e| panic!("recipe {ri}: {e}"));
             let (_, got) = run(&prog, 3);
@@ -973,7 +973,7 @@ mod interp_tests {
         let prog = mean_program(6, 8, 10);
         let (_, seq) = run(&prog, 1);
         let mut par = prog.clone();
-        let mean = par.functions.iter_mut().find(|f| f.name == "mean").unwrap();
+        let mean = par.functions.iter_mut().find(|f| &*f.name == "mean").unwrap();
         crate::transform::apply(
             &mut mean.body,
             &LoopTransform::Parallelize { index: "i".into() },
@@ -1125,7 +1125,7 @@ mod emit_tests {
                     params: vec![(name.into(), CType::Int)],
                     ret: CType::Int,
                     ret_tuple: None,
-                    body: vec![IrStmt::Return(Some(IrExpr::var(name)))],
+                    body: vec![IrStmt::Return(Some(IrExpr::Var(name.into())))],
                 }],
             };
             let c = emit_program(&user).unwrap();
@@ -1138,7 +1138,7 @@ mod emit_tests {
     #[test]
     fn emits_openmp_pragma_for_parallel() {
         let mut prog = mean_program(4, 8, 4);
-        let mean = prog.functions.iter_mut().find(|f| f.name == "mean").unwrap();
+        let mean = prog.functions.iter_mut().find(|f| &*f.name == "mean").unwrap();
         apply(
             &mut mean.body,
             &LoopTransform::Parallelize { index: "i".into() },
@@ -1151,7 +1151,7 @@ mod emit_tests {
     #[test]
     fn emits_sse_for_vectorized() {
         let mut prog = mean_program(4, 8, 4);
-        let mean = prog.functions.iter_mut().find(|f| f.name == "mean").unwrap();
+        let mean = prog.functions.iter_mut().find(|f| &*f.name == "mean").unwrap();
         apply_all(
             &mut mean.body,
             &[
@@ -1316,6 +1316,20 @@ mod emit_tests {
         assert!(!c.contains("inff"), "invalid C float literal: {c}");
         assert!(!c.contains("NaNf"), "invalid C float literal: {c}");
     }
+
+    /// String literals are spelled for C, not by Rust's `Debug`: a control
+    /// byte is three octal digits, so NUL followed by `1` stays two
+    /// characters (C would read `\01` as one), and `\u{1}` never appears.
+    #[test]
+    fn string_literals_use_c_escapes() {
+        let text = "a\u{0}1\u{1}\"\\\n\t\r\u{7f}é'";
+        let print = IrExpr::Builtin(Builtin::PrintStr, vec![IrExpr::Str(text.into())]);
+        let prog = IrProgram {
+            functions: vec![fn_with_body("main", vec![IrStmt::Expr(print)])],
+        };
+        let c = emit_program(&prog).expect("emit");
+        assert!(c.contains(r#"print_str("a\0001\001\"\\\n\t\r\177é'");"#), "{c}");
+    }
 }
 
 proptest! {
@@ -1328,7 +1342,7 @@ proptest! {
         let base = mean_program(m, n, p);
         let (_, expected) = run(&base, 1);
         let mut prog = base.clone();
-        let mean = prog.functions.iter_mut().find(|f| f.name == "mean").unwrap();
+        let mean = prog.functions.iter_mut().find(|f| &*f.name == "mean").unwrap();
         apply(&mut mean.body, &LoopTransform::Split {
             index: "j".into(), by, inner: "jin".into(), outer: "jout".into(),
         }).unwrap();

@@ -10,7 +10,7 @@
 //! performs the §V semantic check "that the loop indices in the
 //! transformations correspond to loops in the code being transformed".
 
-use crate::ir::{ForLoop, IrExpr, IrStmt};
+use crate::ir::{ForLoop, IrExpr, IrStmt, Name};
 
 /// A loop transformation directive at the IR level (mirrors the surface
 /// `TransformSpec` of `cmm-ast`; kept separate so this crate stands alone).
@@ -171,7 +171,7 @@ pub fn apply(stmts: &mut Vec<IrStmt>, t: &LoopTransform) -> Result<(), Transform
             }
             for name in [inner, outer] {
                 if count_loops(stmts, name) > 0 {
-                    return Err(TransformError::NameCollision { name: name.clone() });
+                    return Err(TransformError::NameCollision { name: name.to_string() });
                 }
             }
             with_unique_loop(stmts, index, &mut |l| Ok(split_loop(l, *by, inner, outer)))
@@ -229,14 +229,14 @@ pub fn apply(stmts: &mut Vec<IrStmt>, t: &LoopTransform) -> Result<(), Transform
                 }
             }
             let names = TileNames {
-                i_in: format!("{i}_in"),
-                i_out: format!("{i}_out"),
-                j_in: format!("{j}_in"),
-                j_out: format!("{j}_out"),
+                i_in: format!("{i}_in").into(),
+                i_out: format!("{i}_out").into(),
+                j_in: format!("{j}_in").into(),
+                j_out: format!("{j}_out").into(),
             };
             for name in [&names.i_in, &names.i_out, &names.j_in, &names.j_out] {
                 if count_loops(stmts, name) > 0 {
-                    return Err(TransformError::NameCollision { name: name.clone() });
+                    return Err(TransformError::NameCollision { name: name.to_string() });
                 }
             }
             // `j` must name exactly one loop; that it sits immediately
@@ -266,7 +266,7 @@ fn count_loops(stmts: &[IrStmt], index: &str) -> usize {
     for s in stmts {
         match s {
             IrStmt::For(f) => {
-                if f.var == index {
+                if *f.var == *index {
                     n += 1;
                 }
                 n += count_loops(&f.body, index);
@@ -310,7 +310,7 @@ fn replace_loop(
 ) -> Result<bool, TransformError> {
     for s in stmts.iter_mut() {
         let replaced = match s {
-            IrStmt::For(l) if l.var == index => {
+            IrStmt::For(l) if *l.var == *index => {
                 *s = f(l)?;
                 true
             }
@@ -356,13 +356,14 @@ fn replace_loop(
 /// `for (x = lo + ((hi-lo)/k)*k; x < hi; x++) B(x)` covers the tail — it
 /// runs zero iterations when the runtime extent happens to divide.
 fn split_loop(l: &ForLoop, k: i64, inner: &str, outer: &str) -> IrStmt {
+    let (inner, outer) = (Name::from(inner), Name::from(outer));
     let extent = literal_extent(l);
     let extent_expr = extent_of(l);
     // x := lo + xout*k + xin  (dropping the "+ lo" when lo = 0).
     let recon = {
         let base = IrExpr::add(
-            IrExpr::mul(IrExpr::var(outer), IrExpr::Int(k)),
-            IrExpr::var(inner),
+            IrExpr::mul(IrExpr::var(&outer), IrExpr::Int(k)),
+            IrExpr::var(&inner),
         );
         if l.lo == IrExpr::Int(0) {
             base
@@ -372,7 +373,7 @@ fn split_loop(l: &ForLoop, k: i64, inner: &str, outer: &str) -> IrStmt {
     };
     let new_body: Vec<IrStmt> = l.body.iter().map(|s| s.substitute(&l.var, &recon)).collect();
     let inner_loop = ForLoop {
-        var: inner.to_string(),
+        var: inner,
         lo: IrExpr::Int(0),
         hi: IrExpr::Int(k),
         body: new_body,
@@ -381,7 +382,7 @@ fn split_loop(l: &ForLoop, k: i64, inner: &str, outer: &str) -> IrStmt {
         schedule: None,
     };
     let outer_loop = ForLoop {
-        var: outer.to_string(),
+        var: outer,
         lo: IrExpr::Int(0),
         hi: IrExpr::bin(crate::ir::IrBinOp::Div, extent_expr.clone(), IrExpr::Int(k)),
         body: vec![IrStmt::For(inner_loop)],
@@ -449,10 +450,10 @@ fn offset_from(lo: &IrExpr, e: IrExpr) -> IrExpr {
 }
 
 struct TileNames {
-    i_in: String,
-    i_out: String,
-    j_in: String,
-    j_out: String,
+    i_in: Name,
+    i_out: Name,
+    j_in: Name,
+    j_out: Name,
 }
 
 /// `tile i, j by bi, bj` — the paper's "two splits and a reorder",
@@ -479,7 +480,7 @@ fn tile_nest(
         .filter(|s| !matches!(s, IrStmt::Comment(_)))
         .collect();
     let lj = match inner.as_slice() {
-        [IrStmt::For(f)] if f.var == j => (*f).clone(),
+        [IrStmt::For(f)] if *f.var == *j => (*f).clone(),
         _ => {
             return Err(TransformError::NotPerfectlyNested {
                 detail: format!("loop '{}' does not immediately contain loop '{j}'", li.var),
@@ -491,7 +492,7 @@ fn tile_nest(
     if lj.lo.uses_var(&li.var) || lj.hi.uses_var(&li.var) {
         return Err(TransformError::BoundDependency {
             index: j.to_string(),
-            depends_on: li.var.clone(),
+            depends_on: li.var.to_string(),
         });
     }
 
@@ -604,7 +605,7 @@ fn tile_nest(
 
 /// `unroll x by k`: replicate the body `k` times per iteration.
 fn unroll_loop(l: &ForLoop, k: i64) -> IrStmt {
-    let uvar = format!("{}_u", l.var);
+    let uvar = Name::from(format!("{}_u", l.var));
     let extent_expr = extent_of(l);
     let mut body = Vec::new();
     for lane in 0..k {
@@ -708,7 +709,7 @@ fn reorder(stmts: &mut [IrStmt], order: &[String]) -> Result<(), TransformError>
 
         // Check the set matches.
         for v in order {
-            if !loops.iter().any(|f| &f.var == v) {
+            if !loops.iter().any(|f| *f.var == **v) {
                 return Err(TransformError::LoopNotFound { index: v.clone() });
             }
         }
@@ -716,7 +717,7 @@ fn reorder(stmts: &mut [IrStmt], order: &[String]) -> Result<(), TransformError>
         // Bound-dependency check: in the new order, a loop's bounds must
         // not reference indices that now sit inside it.
         for (pos, v) in order.iter().enumerate() {
-            let f = loops.iter().find(|f| &f.var == v).expect("checked above");
+            let f = loops.iter().find(|f| *f.var == **v).expect("checked above");
             for inner_v in &order[pos + 1..] {
                 if f.lo.uses_var(inner_v) || f.hi.uses_var(inner_v) {
                     return Err(TransformError::BoundDependency {
@@ -730,7 +731,7 @@ fn reorder(stmts: &mut [IrStmt], order: &[String]) -> Result<(), TransformError>
         // Rebuild innermost-out.
         let mut body = innermost_body;
         for v in order.iter().rev() {
-            let f = loops.iter().find(|f| &f.var == v).expect("checked above");
+            let f = loops.iter().find(|f| *f.var == **v).expect("checked above");
             body = vec![IrStmt::For(ForLoop {
                 var: f.var.clone(),
                 lo: f.lo.clone(),
@@ -750,7 +751,7 @@ fn loop_contains_all(stmts: &[IrStmt], outer: &str, order: &[String]) -> bool {
         for s in stmts {
             match s {
                 IrStmt::For(f) => {
-                    if f.var == var {
+                    if *f.var == *var {
                         return Some(f);
                     }
                     if let Some(r) = find(&f.body, var) {

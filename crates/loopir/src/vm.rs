@@ -208,7 +208,7 @@ pub(crate) struct VmFunction {
 }
 
 /// A loop's index variable and why it runs the slower way.
-pub(crate) type LoopNote = (String, &'static str);
+pub(crate) type LoopNote = (crate::ir::Name, &'static str);
 
 /// A compiled program: pure data, shareable across runs.
 #[derive(Debug, Clone)]
@@ -229,7 +229,7 @@ impl VmProgram {
             .flat_map(|(f, name)| {
                 notes(f).iter().map(move |(var, reason)| BoxedLoop {
                     function: name.to_string(),
-                    var: var.clone(),
+                    var: var.to_string(),
                     reason,
                 })
             })

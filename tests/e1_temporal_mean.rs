@@ -29,7 +29,7 @@ fn find_loop<'a>(stmts: &'a [IrStmt], var: &str) -> Option<&'a ForLoop> {
     for s in stmts {
         match s {
             IrStmt::For(f) => {
-                if f.var == var {
+                if &*f.var == var {
                     return Some(f);
                 }
                 if let Some(r) = find_loop(&f.body, var) {

@@ -194,6 +194,50 @@ fn non_finite_floats_compile_and_roundtrip() {
     assert_eq!(interp_out, gcc_out, "interpreter and gcc outputs differ");
 }
 
+/// A control character in a string literal reaches C as an octal escape
+/// (Rust's `\u{1}` spelling does not compile): the gcc binary writes the
+/// file the interpreter writes, under the same name and with the same
+/// bytes.
+#[test]
+fn control_character_in_a_path_names_the_same_file() {
+    if !gcc_available_or_skip("control_character_in_a_path_names_the_same_file") {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("cmm-control-path-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let src = format!(
+        r#"
+        int main() {{
+            Matrix int <1> v = with ([0] <= [i] < [3]) genarray([3], i + 1);
+            writeMatrix("{}/o{}.cmmx", v);
+            return 0;
+        }}
+        "#,
+        dir.display(),
+        '\u{1}'
+    );
+    // The files in `dir` (name, bytes), which it then removes.
+    let written = || {
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(&dir).expect("temp dir") {
+            let path = entry.expect("directory entry").path();
+            let bytes = std::fs::read(&path).expect("written file");
+            files.push((path.file_name().expect("file name").to_owned(), bytes));
+            std::fs::remove_file(&path).expect("remove written file");
+        }
+        files
+    };
+    let compiler = full_compiler();
+    compiler.run(&src, 1).expect("interpreter run");
+    let by_vm = written();
+    let c = compiler.compile_to_c(&src).expect("emit C");
+    let by_gcc = compile_and_run_c(&c, 1).map(|_| written());
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(by_vm.len(), 1, "{by_vm:?}");
+    assert_eq!(by_vm[0].0, "o\u{1}.cmmx");
+    assert_eq!(by_gcc.expect("gcc compile+run"), by_vm);
+}
+
 #[test]
 fn modarray_with_loop() {
     roundtrip(

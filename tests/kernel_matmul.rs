@@ -304,7 +304,7 @@ fn bad_operands_keep_their_messages_in_both_tiers() {
     let main = freed
         .functions
         .iter_mut()
-        .find(|f| f.name == "main")
+        .find(|f| &*f.name == "main")
         .expect("main");
     let (at, operand) = main
         .body
@@ -330,12 +330,11 @@ fn bad_operands_keep_their_messages_in_both_tiers() {
 }
 
 /// The C emitter sees only the scalar nest, so `cmmc emit` of a product
-/// is what it was before the kernel statement existed. The golden is the
-/// parent commit's output; after an intended emitter change, regenerate
-/// it with `cmmc emit examples/matmul.xc > tests/golden/matmul_emit.c`.
+/// is what it was before the kernel statement existed. The golden is
+/// shared with `tests/emit_golden.rs`, which says how to regenerate it.
 #[test]
 fn emitted_c_is_unchanged() {
     let src = include_str!("../examples/matmul.xc");
     let emitted = full_compiler().compile_to_c(src).expect("example emits");
-    assert_eq!(emitted, include_str!("golden/matmul_emit.c"));
+    assert_eq!(emitted, include_str!("golden/emit/matmul.c"));
 }

@@ -10,7 +10,7 @@ use cmm::eddy::programs::{full_compiler, temporal_mean_program};
 use cmm::eddy::{synthetic_ssh, SshParams};
 use cmm::loopir::{
     BufHandle, Builtin, CType, Elem, ForLoop, Interp, InterpProfile, IrBinOp as B, IrExpr,
-    IrFunction, IrProgram, IrStmt, LimitKind, Limits, Tier, Value, UNBOXED_STRIP as STRIP,
+    IrFunction, IrProgram, IrStmt, LimitKind, Limits, Name, Tier, Value, UNBOXED_STRIP as STRIP,
 };
 use cmm::runtime::write_matrix;
 use proptest::prelude::*;
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 // ---- (a) generated bodies --------------------------------------------------
 
 fn var(n: &str) -> IrExpr {
-    IrExpr::var(n)
+    IrExpr::Var(n.into())
 }
 fn int(x: i64) -> IrExpr {
     IrExpr::Int(x)
@@ -333,7 +333,7 @@ fn kernel_program(seed: u64, parallel: bool) -> IrProgram {
         store(Elem::F32, "rf", var("p"), var("af")),
         store(Elem::Bool, "rb", var("p"), var("fl")),
     ];
-    let buf = |name: &str, elem| (name.to_string(), CType::Buf(elem));
+    let buf = |name: &str, elem| (name.into(), CType::Buf(elem));
     IrProgram {
         functions: vec![IrFunction {
             name: "kernel".into(),
@@ -794,7 +794,7 @@ fn run_over(
     tier: Tier,
     lens: &[usize],
 ) -> (Option<String>, Vec<Vec<i32>>, InterpProfile) {
-    let name = |at: usize| format!("b{at}");
+    let name = |at: usize| Name::from(format!("b{at}"));
     let ir = IrProgram {
         functions: vec![IrFunction {
             name: "main".into(),
@@ -1061,7 +1061,7 @@ fn nans_produced_mid_strip_have_the_tree_tiers_bits() {
         false,
     ));
     body.push(store(Elem::F32, "r0", int(0), var("acc")));
-    let buf = |name: String| (name, CType::Buf(Elem::F32));
+    let buf = |name: String| (Name::from(name), CType::Buf(Elem::F32));
     let mut params = vec![buf("a".into()), buf("b".into())];
     params.extend((0..ops.len()).map(|at| buf(format!("r{at}"))));
     params.push(("n".into(), CType::Int));
