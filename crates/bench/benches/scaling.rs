@@ -1,53 +1,17 @@
-//! Experiment E8 — the §V scaling claim: speedup of the automatically
-//! parallelized matrix constructs vs pool threads, for the with-loop
-//! engines (`genarray`, `fold`), `matrixMap` (eddy scoring), and the
-//! native temporal-mean kernel. Read against the machine's raw 2-thread
-//! ceiling (see `examples/scaling_report.rs` and EXPERIMENTS.md).
+//! Experiment E8 — the §V scaling claim: speedup vs pool threads of
+//! `matrixMap` (eddy scoring) and the native temporal-mean kernel. Read
+//! against the machine's raw 2-thread ceiling (see
+//! `examples/scaling_report.rs` and EXPERIMENTS.md).
 
 use cmm_bench::{config, cube, cube_matrix};
 use cmm_eddy::score_all;
 use cmm_forkjoin::ForkJoinPool;
 use cmm_runtime::kernels::temporal_mean_parallel;
-use cmm_runtime::{fold, genarray, FoldOp};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let threads = [1usize, 2, 4];
-
-    {
-        let mut g = c.benchmark_group("scaling_genarray");
-        for &t in &threads {
-            let pool = ForkJoinPool::new(t);
-            g.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, _| {
-                b.iter(|| {
-                    genarray(&pool, [256usize, 256], &[0, 0], &[256, 256], |ix| {
-                        let x = ix[0] as f32;
-                        let y = ix[1] as f32;
-                        (x * 1.3 + y).sin()
-                    })
-                    .expect("genarray")
-                })
-            });
-        }
-        g.finish();
-    }
-
-    {
-        let mut g = c.benchmark_group("scaling_fold");
-        for &t in &threads {
-            let pool = ForkJoinPool::new(t);
-            g.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, _| {
-                b.iter(|| {
-                    fold(&pool, &[0], &[1_000_000], FoldOp::Add, 0.0f32, |ix| {
-                        (ix[0] as f32).sqrt()
-                    })
-                    .expect("fold")
-                })
-            });
-        }
-        g.finish();
-    }
 
     {
         let ssh = cube_matrix(48, 64, 128);

@@ -65,7 +65,7 @@ pub fn connected_components(binary: &Matrix<bool>) -> Matrix<i32> {
 /// `threshold` and label it (the body of the Fig 4 loop for one
 /// threshold).
 pub fn conn_comp_frame(frame: &Matrix<f32>, threshold: f32) -> Matrix<i32> {
-    connected_components(&frame.lt_scalar(threshold))
+    connected_components(&frame.map(|x| x < threshold))
 }
 
 /// Detection parameters for [`detect_eddies`].

@@ -16,9 +16,8 @@
 //!   seasonal cycle plus measurement noise, so the Fig 7 signatures are
 //!   present by construction.
 //! * [`score`] — the native implementation of `getTrough`,
-//!   `computeArea` and `scoreTS` from Fig 8, operating on
-//!   `cmm-runtime` matrices (and exercised in parallel through
-//!   `matrix_map`).
+//!   `computeArea` and `scoreTS` from Fig 8 over slices, mapped over a
+//!   `cmm-runtime` matrix in parallel through `matrix_map`.
 //! * [`conncomp`] — connected-component labelling of binary frames
 //!   (union-find), the `connComp` of Fig 4, plus the iterative
 //!   thresholding detector built on it.

@@ -2,8 +2,22 @@ use crate::conncomp::*;
 use crate::score::*;
 use crate::ssh::*;
 use cmm_forkjoin::ForkJoinPool;
-use cmm_runtime::{Ix, Matrix};
+use cmm_runtime::{Element, Matrix};
 use proptest::prelude::*;
+
+/// The time series at point `(i, j)` of a `lat × lon × time` cube (time
+/// is the last, contiguous axis).
+fn series<T: Element>(cube: &Matrix<T>, i: usize, j: usize) -> &[T] {
+    let time = cube.dim_size(2);
+    let at = (i * cube.dim_size(1) + j) * time;
+    &cube.as_slice()[at..at + time]
+}
+
+/// Frame `t` of a `lat × lon × time` cube.
+fn frame<T: Element>(cube: &Matrix<T>, t: usize) -> Matrix<T> {
+    let data = cube.as_slice().iter().skip(t).step_by(cube.dim_size(2)).copied().collect();
+    Matrix::from_vec([cube.dim_size(0), cube.dim_size(1)], data).unwrap()
+}
 
 mod ssh_tests {
     use super::*;
@@ -156,14 +170,8 @@ mod score_tests {
         let all = score_all(&pool, &cube).unwrap();
         for i in [0usize, 3, 5] {
             for j in [0usize, 2, 6] {
-                let ts = cube
-                    .index_get(&[Ix::At(i as i64), Ix::At(j as i64), Ix::All])
-                    .unwrap();
-                let expect = score_ts(ts.as_slice());
-                let got = all
-                    .index_get(&[Ix::At(i as i64), Ix::At(j as i64), Ix::All])
-                    .unwrap();
-                assert_eq!(got.as_slice(), expect.as_slice(), "point ({i},{j})");
+                let expect = score_ts(series(&cube, i, j));
+                assert_eq!(series(&all, i, j), expect.as_slice(), "point ({i},{j})");
             }
         }
     }
@@ -237,10 +245,8 @@ mod fixture_grid_tests {
         let pool = ForkJoinPool::new(2);
         let scores = score_all(&pool, &cube).unwrap();
         assert_eq!(scores.shape().dims(), &[1, 2, 7]);
-        let a = scores.index_get(&[Ix::At(0), Ix::At(0), Ix::All]).unwrap();
-        let b = scores.index_get(&[Ix::At(0), Ix::At(1), Ix::All]).unwrap();
-        assert_eq!(a.as_slice(), &SCORES_A);
-        assert_eq!(b.as_slice(), &SCORES_B);
+        assert_eq!(series(&scores, 0, 0), &SCORES_A);
+        assert_eq!(series(&scores, 0, 1), &SCORES_B);
     }
 }
 
@@ -404,10 +410,8 @@ mod program_tests {
         assert_eq!(means.shape().dims(), &[5, 6]);
         // Check a few cells against a direct mean.
         for (i, j) in [(0usize, 0usize), (4, 5), (2, 3)] {
-            let ts = cube
-                .index_get(&[Ix::At(i as i64), Ix::At(j as i64), Ix::All])
-                .unwrap();
-            let expect: f32 = ts.as_slice().iter().sum::<f32>() / ts.len() as f32;
+            let ts = series(&cube, i, j);
+            let expect: f32 = ts.iter().sum::<f32>() / ts.len() as f32;
             let got = means.get(&[i, j]).unwrap();
             assert!((got - expect).abs() < 1e-4, "({i},{j}): {got} vs {expect}");
         }
@@ -478,15 +482,9 @@ mod program_tests {
         .unwrap();
         assert_eq!(compiled.shape(), native.shape());
         for t in 0..cube.dim_size(2) {
-            let ct = compiled
-                .index_get(&[Ix::All, Ix::All, Ix::At(t as i64)])
-                .unwrap();
-            let nt = native
-                .index_get(&[Ix::All, Ix::All, Ix::At(t as i64)])
-                .unwrap();
             assert_eq!(
-                canonical_labels(&ct),
-                canonical_labels(&nt),
+                canonical_labels(&frame(&compiled, t)),
+                canonical_labels(&frame(&native, t)),
                 "frame {t} labelings differ structurally"
             );
         }

@@ -10,10 +10,9 @@
 //! * [`on_worker_region`] — called by every pool worker at region entry;
 //!   may panic (exercising the panic-recovery path) or sleep (exercising
 //!   the stop-barrier watchdog).
-//! * [`should_fail_alloc`] — consulted by fallible allocation paths
-//!   (`cmm-rc`'s `try_alloc_block` via an installed hook, the loop-IR
-//!   interpreter's matrix allocator); each call advances a global
-//!   allocation counter so "fail the K-th allocation" is exact.
+//! * [`should_fail_alloc`] — consulted by the loop-IR interpreter's
+//!   matrix allocator; each call advances a global allocation counter so
+//!   "fail the K-th allocation" is exact.
 //! * [`should_fail_spawn`] — consulted by `ForkJoinPool::new` before each
 //!   `thread::Builder::spawn`, simulating thread-exhaustion without
 //!   actually exhausting the OS.

@@ -14,8 +14,8 @@
 //! an epoch counter, the stop barrier an atomic countdown), and
 //! [`naive_run`] implements the spawn-per-region baseline. Experiment E9
 //! benchmarks one against the other; everything else in the workspace
-//! (with-loop engine, `matrixMap`, the loop-IR interpreter's `parallelize`)
-//! runs on [`ForkJoinPool`].
+//! (the loop-IR interpreter's parallel loops and kernel ops, the native
+//! `matrixMap`) runs on [`ForkJoinPool`].
 //!
 //! ## Work distribution
 //!
@@ -63,7 +63,7 @@ pub mod schedule;
 pub mod tile;
 pub use deque::CachePadded;
 pub use makespan::{deque_makespan, Makespan};
-pub use partition::{chunk_range, chunks_of};
+pub use partition::chunk_range;
 pub use schedule::{ParseScheduleError, Schedule};
 pub use tile::{cache_geometry, CacheGeometry, TilePolicy, DEFAULT_GEOMETRY};
 

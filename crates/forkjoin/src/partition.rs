@@ -22,8 +22,3 @@ pub fn chunk_range(total: usize, nthreads: usize, tid: usize) -> Range<usize> {
     start..start + len
 }
 
-/// All chunk ranges for `total` items over `nthreads` participants, in tid
-/// order. Their concatenation is exactly `0..total`.
-pub fn chunks_of(total: usize, nthreads: usize) -> Vec<Range<usize>> {
-    (0..nthreads).map(|t| chunk_range(total, nthreads, t)).collect()
-}

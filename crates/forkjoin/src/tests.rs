@@ -311,7 +311,7 @@ fn chunk_range_tid_checked() {
 proptest! {
     #[test]
     fn prop_chunks_partition_exactly(total in 0usize..10_000, nthreads in 1usize..17) {
-        let chunks = chunks_of(total, nthreads);
+        let chunks: Vec<_> = (0..nthreads).map(|t| chunk_range(total, nthreads, t)).collect();
         prop_assert_eq!(chunks.len(), nthreads);
         let mut next = 0;
         for c in &chunks {

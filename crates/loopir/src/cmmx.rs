@@ -4,15 +4,16 @@
 //! tier.
 
 pub use cmm_runtime::cmmx::{CmmxError, CmmxHeader};
+use cmm_runtime::cmmx::{TAG_BOOL, TAG_F32, TAG_I32};
 
 use crate::ir::Elem;
 
 /// Tag byte the container stores for each element type.
 pub fn elem_tag(elem: Elem) -> u8 {
     match elem {
-        Elem::I32 => 0,
-        Elem::F32 => 1,
-        Elem::Bool => 2,
+        Elem::I32 => TAG_I32,
+        Elem::F32 => TAG_F32,
+        Elem::Bool => TAG_BOOL,
     }
 }
 

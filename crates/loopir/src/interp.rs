@@ -234,7 +234,7 @@ impl BufHandle {
     }
 
     /// Fallible [`BufHandle::new`]: surfaces pool failures (oversize
-    /// request, out of memory, injected fault) as a typed error.
+    /// request, out of memory) as a typed error.
     pub fn try_new(elem: Elem, dims: Vec<usize>) -> Result<Self, AllocError> {
         let len: usize = dims.iter().product();
         let bytes = len.checked_mul(4).ok_or(AllocError::Oversize { bytes: usize::MAX })?;

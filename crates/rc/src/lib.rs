@@ -1,4 +1,4 @@
-//! Reference-counted buffer substrate for the matrix runtime.
+//! Reference-counted buffers and the size-class block pool.
 //!
 //! The paper (§III-B) manages matrix memory with *reference counting
 //! pointers*: every allocation carries an extra 4-byte header holding the
@@ -10,23 +10,24 @@
 //!
 //! This crate reproduces both pieces:
 //!
-//! * [`RcBuf<T>`] — an atomically reference-counted, fixed-length buffer of
-//!   `Copy` elements with exactly one 4-byte reference-count word in its
-//!   header (plus the length/size-class bookkeeping a real allocation
-//!   needs), copy-on-write mutation ([`RcBuf::make_mut`]), and a
-//!   [`SharedWriter`] escape hatch for the disjoint-index parallel writes
-//!   performed by `with`-loop code generation.
-//! * [`pool`] — a size-class recycling allocator (thread-local caches over a
-//!   shared global free list) that `RcBuf` uses when enabled, standing in
-//!   for the arena allocators of the paper's discussion. The benchmark
+//! * The size-class pool — a recycling allocator (thread-local caches
+//!   over a shared global free list), standing in for the arena
+//!   allocators of the paper's discussion. Every matrix buffer of the
+//!   loop-IR interpreter is a [`PoolBlock`] from it, and its counters
+//!   ([`pool_stats`]) are the `rc` rows of `cmmc run --profile`. The bench
 //!   `alloc` (experiment E10) compares it against the system allocator.
+//! * [`RcBuf<T>`] — an immutable, atomically reference-counted,
+//!   fixed-length buffer of `Copy` elements over that pool, with exactly
+//!   one 4-byte reference-count word in its header (plus the
+//!   length/size-class bookkeeping a real allocation needs): the storage
+//!   of `cmm-runtime`'s native `Matrix`, with a [`SharedWriter`] for the
+//!   disjoint-index parallel writes of its `matrixMap`.
 
 mod pool;
 mod rcbuf;
 
 pub use pool::{
-    pool_stats, reset_pool, set_alloc_fault_hook, set_pool_enabled, AllocError, PoolBlock,
-    PoolStats, MAX_BLOCK_BYTES,
+    pool_stats, reset_pool, set_pool_enabled, AllocError, PoolBlock, PoolStats, MAX_BLOCK_BYTES,
 };
 pub use rcbuf::{RcBuf, SharedWriter};
 

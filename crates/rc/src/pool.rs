@@ -37,11 +37,6 @@ pub enum AllocError {
         /// Bytes requested.
         bytes: usize,
     },
-    /// The installed [`set_alloc_fault_hook`] hook fired.
-    FaultInjected {
-        /// Bytes requested.
-        bytes: usize,
-    },
 }
 
 impl std::fmt::Display for AllocError {
@@ -53,9 +48,6 @@ impl std::fmt::Display for AllocError {
             ),
             AllocError::OutOfMemory { bytes } => {
                 write!(f, "system allocator failed for {bytes} bytes")
-            }
-            AllocError::FaultInjected { bytes } => {
-                write!(f, "injected allocation failure ({bytes} bytes requested)")
             }
         }
     }
@@ -72,29 +64,6 @@ static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static RECYCLED: AtomicU64 = AtomicU64::new(0);
-
-// Fault-injection hook for the fallible allocation path. Kept as a plain
-// fn pointer behind a flag (not a dependency on any harness crate) so test
-// code can wire in e.g. `cmm_forkjoin::faultinject::should_fail_alloc`
-// without this crate knowing about it.
-static FAULT_HOOK_SET: AtomicBool = AtomicBool::new(false);
-static FAULT_HOOK: Mutex<Option<fn() -> bool>> = Mutex::new(None);
-
-/// Install (or clear, with `None`) a hook consulted by
-/// [`try_alloc_block`]; returning `true` makes that acquisition fail as if
-/// the system were out of memory. Used by the fault-injection tests.
-pub fn set_alloc_fault_hook(hook: Option<fn() -> bool>) {
-    *FAULT_HOOK.lock().unwrap_or_else(|e| e.into_inner()) = hook;
-    FAULT_HOOK_SET.store(hook.is_some(), Ordering::SeqCst);
-}
-
-fn alloc_fault_injected() -> bool {
-    if !FAULT_HOOK_SET.load(Ordering::Relaxed) {
-        return false;
-    }
-    let hook = *FAULT_HOOK.lock().unwrap_or_else(|e| e.into_inner());
-    hook.is_some_and(|h| h())
-}
 
 static GLOBAL_FREE: [Mutex<Vec<usize>>; NUM_CLASSES] = {
     #[allow(clippy::declare_interior_mutable_const)]
@@ -170,14 +139,10 @@ fn class_layout(class: usize) -> Layout {
 
 /// Allocate a block of at least `bytes` bytes, 16-byte aligned. Returns
 /// the pointer and the size class it belongs to, or a typed [`AllocError`]
-/// when the request is oversize, the system allocator fails, or the
-/// installed fault hook fires. All allocation (including the previously
-/// panicking `alloc_block` path) goes through here now; infallible public
-/// APIs panic at their own level with the typed error's message.
+/// when the request is oversize or the system allocator fails. All
+/// allocation goes through here; infallible public APIs panic at their
+/// own level with the typed error's message.
 pub(crate) fn try_alloc_block(bytes: usize) -> Result<(*mut u8, usize), AllocError> {
-    if alloc_fault_injected() {
-        return Err(AllocError::FaultInjected { bytes });
-    }
     let class = size_class(bytes.max(1)).ok_or(AllocError::Oversize { bytes })?;
     if POOL_ENABLED.load(Ordering::Relaxed) {
         let cached = LOCAL_FREE

@@ -31,38 +31,33 @@ fn data_offset<T>() -> usize {
 ///
 /// `clone` bumps the 4-byte reference count; `drop` decrements it and
 /// recycles the block through the size-class pool when it reaches zero.
-/// Mutation is either checked-unique ([`RcBuf::get_mut`]), copy-on-write
-/// ([`RcBuf::make_mut`]), or explicitly unsafe disjoint parallel writes via
-/// [`SharedWriter`], which is what generated `with`-loop code uses.
+/// The contents are fixed at construction, except through a
+/// [`SharedWriter`] on a unique buffer: explicitly unsafe disjoint
+/// parallel writes, which is how `matrixMap` fills its result.
 pub struct RcBuf<T: Copy> {
     ptr: NonNull<u8>,
     _marker: PhantomData<T>,
 }
 
-// Safety: RcBuf hands out &T / &mut T only under the usual shared/unique
-// rules; the reference count is atomic. Same argument as Arc<[T]>.
+// Safety: RcBuf hands out only shared `&[T]`; writes go through a
+// `SharedWriter`, whose `unsafe fn write` makes disjointness the caller's
+// contract. The reference count is atomic. Same argument as Arc<[T]>.
 unsafe impl<T: Copy + Send + Sync> Send for RcBuf<T> {}
 unsafe impl<T: Copy + Send + Sync> Sync for RcBuf<T> {}
 
 impl<T: Copy> RcBuf<T> {
-    /// Infallible allocation for the infallible constructors: panics with
-    /// the typed [`AllocError`] message. All block acquisition routes
-    /// through [`try_alloc_block`] — this is the only panic site left.
+    /// A block for `len` elements with its header written. Panics with
+    /// the typed [`AllocError`] message when the request is oversize,
+    /// overflows the size computation, or the system allocator fails.
     fn alloc(len: usize) -> NonNull<u8> {
-        Self::try_alloc(len)
-            .unwrap_or_else(|e| panic!("cmm-rc: buffer of {len} elements: {e}"))
-    }
-
-    /// Fallible allocation: a typed [`AllocError`] on allocator failure,
-    /// when the pool's fault-injection hook fires, or when the request is
-    /// oversize / overflows the size computation.
-    fn try_alloc(len: usize) -> Result<NonNull<u8>, AllocError> {
-        let bytes = len
+        let (raw, class) = len
             .checked_mul(size_of::<T>())
             .and_then(|b| b.checked_add(data_offset::<T>()))
-            .ok_or(AllocError::Oversize { bytes: usize::MAX })?;
-        let (raw, class) = try_alloc_block(bytes)?;
-        // Safety: raw is valid for `bytes` writes and suitably aligned.
+            .ok_or(AllocError::Oversize { bytes: usize::MAX })
+            .and_then(try_alloc_block)
+            .unwrap_or_else(|e| panic!("cmm-rc: buffer of {len} elements: {e}"));
+        // Safety: raw holds the header and `len` elements and is suitably
+        // aligned.
         unsafe {
             (raw as *mut Header).write(Header {
                 refs: AtomicU32::new(1),
@@ -70,7 +65,7 @@ impl<T: Copy> RcBuf<T> {
                 len,
             });
         }
-        Ok(NonNull::new(raw).expect("try_alloc_block returned non-null"))
+        NonNull::new(raw).expect("try_alloc_block returned non-null")
     }
 
     fn header(&self) -> &Header {
@@ -99,40 +94,6 @@ impl<T: Copy> RcBuf<T> {
             }
         }
         buf
-    }
-
-    /// Fallible [`RcBuf::new`]: a typed [`AllocError`] if the block cannot
-    /// be acquired (allocator failure, injected fault, or oversize
-    /// request). The pool and counters are left untouched on failure —
-    /// nothing to leak or double-free.
-    pub fn try_new(len: usize, fill: T) -> Result<Self, AllocError> {
-        let buf = Self {
-            ptr: Self::try_alloc(len)?,
-            _marker: PhantomData,
-        };
-        // Safety: freshly allocated, unique, len elements of capacity.
-        unsafe {
-            let p = buf.data_ptr();
-            for i in 0..len {
-                p.add(i).write(fill);
-            }
-        }
-        Ok(buf)
-    }
-
-    /// Fallible [`RcBuf::from_fn`] (see [`RcBuf::try_new`]).
-    pub fn try_from_fn(len: usize, mut f: impl FnMut(usize) -> T) -> Result<Self, AllocError> {
-        let buf = Self {
-            ptr: Self::try_alloc(len)?,
-            _marker: PhantomData,
-        };
-        unsafe {
-            let p = buf.data_ptr();
-            for i in 0..len {
-                p.add(i).write(f(i));
-            }
-        }
-        Ok(buf)
     }
 
     /// Buffer initialized from `f(i)` for each index.
@@ -180,35 +141,16 @@ impl<T: Copy> RcBuf<T> {
         unsafe { std::slice::from_raw_parts(self.data_ptr(), self.len()) }
     }
 
-    /// Mutable view if this is the only reference.
-    pub fn get_mut(&mut self) -> Option<&mut [T]> {
-        if self.ref_count() == 1 {
-            // Safety: unique reference, so exclusive access is sound.
-            Some(unsafe { std::slice::from_raw_parts_mut(self.data_ptr(), self.len()) })
-        } else {
-            None
-        }
-    }
-
-    /// Mutable view, cloning the contents first if the buffer is shared
-    /// (copy-on-write, the behaviour of the paper's overloaded matrix
-    /// assignment).
-    pub fn make_mut(&mut self) -> &mut [T] {
-        if self.ref_count() != 1 {
-            *self = Self::from_slice(self.as_slice());
-        }
-        self.get_mut().expect("fresh buffer is unique")
-    }
-
     /// Raw writer for disjoint parallel initialization.
     ///
-    /// The `with`-loop generator guarantees each index in its generator
-    /// range is visited exactly once, so worker threads may write disjoint
-    /// indices concurrently. `SharedWriter` encodes that contract.
+    /// A parallel construct that visits each index exactly once (each
+    /// `matrixMap` slice owns its own offsets) may let worker threads
+    /// write disjoint indices concurrently. `SharedWriter` encodes that
+    /// contract.
     ///
     /// # Panics
     /// Panics if the buffer is shared: parallel initialization is only
-    /// generated for freshly allocated result matrices.
+    /// for freshly allocated results.
     pub fn shared_writer(&mut self) -> SharedWriter<'_, T> {
         assert_eq!(
             self.ref_count(),
@@ -291,7 +233,7 @@ impl<T: Copy> std::ops::Index<usize> for RcBuf<T> {
 }
 
 /// Write handle allowing concurrent stores to *disjoint* indices of a unique
-/// [`RcBuf`], the access pattern of generated parallel `with`-loops.
+/// [`RcBuf`], the access pattern of a parallel `matrixMap`.
 pub struct SharedWriter<'a, T: Copy> {
     ptr: *mut T,
     len: usize,

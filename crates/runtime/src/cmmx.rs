@@ -19,6 +19,13 @@
 //! precisely at the last payload cell. Trailing bytes after the payload
 //! and zero-rank headers are rejected with typed errors.
 
+/// Element tag of `int` (`i32`) cells.
+pub const TAG_I32: u8 = 0;
+/// Element tag of `float` (`f32`) cells.
+pub const TAG_F32: u8 = 1;
+/// Element tag of `bool` cells (the low byte of the cell is 0 or 1).
+pub const TAG_BOOL: u8 = 2;
+
 /// Why a byte buffer is not a valid CMMX container.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CmmxError {

@@ -1,10 +1,5 @@
-//! Runtime errors surfaced by matrix operations.
-//!
-//! The extended translator catches most misuse statically (§III-A), but
-//! some checks are inherently dynamic — e.g. "the shape in the operation
-//! must be a superset of the indexes in the generator, which is something
-//! that can be checked at runtime" (§III-A4). Those dynamic checks report
-//! through this type.
+//! Errors of the native matrix type: shape and index checks, `matrixMap`
+//! requests, and matrix file IO.
 
 use std::fmt;
 
@@ -14,21 +9,12 @@ pub type Result<T> = std::result::Result<T, MatrixError>;
 /// Error raised by a dynamic matrix-runtime check.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatrixError {
-    /// Operand shapes do not agree for an element-wise operation.
+    /// Element data does not fit the requested shape.
     ShapeMismatch {
-        /// Left operand shape.
+        /// Requested shape.
         left: Vec<usize>,
-        /// Right operand shape.
+        /// Shape of the data supplied.
         right: Vec<usize>,
-        /// Operation being performed.
-        op: &'static str,
-    },
-    /// Operand ranks do not agree.
-    RankMismatch {
-        /// Expected rank.
-        expected: usize,
-        /// Rank found.
-        found: usize,
         /// Operation being performed.
         op: &'static str,
     },
@@ -37,40 +23,16 @@ pub enum MatrixError {
         /// Dimension indexed.
         dim: usize,
         /// Offending index.
-        index: i64,
+        index: usize,
         /// Size of that dimension.
         size: usize,
     },
-    /// Number of index specifications differs from the matrix rank.
+    /// Number of subscripts differs from the matrix rank.
     IndexArity {
         /// Matrix rank.
         rank: usize,
-        /// Number of index specs supplied.
+        /// Number of subscripts supplied.
         supplied: usize,
-    },
-    /// A `with`-loop generator range is not contained in the result shape
-    /// (the dynamic superset check of §III-A4).
-    GeneratorOutsideShape {
-        /// Generator upper bound (exclusive).
-        upper: Vec<i64>,
-        /// Result shape.
-        shape: Vec<usize>,
-    },
-    /// A generator lower bound exceeds its upper bound or is negative.
-    BadGenerator {
-        /// Lower bounds.
-        lower: Vec<i64>,
-        /// Upper bounds (exclusive).
-        upper: Vec<i64>,
-    },
-    /// A logical-index mask has the wrong length for its dimension.
-    MaskLength {
-        /// Dimension indexed.
-        dim: usize,
-        /// Mask length.
-        mask: usize,
-        /// Size of that dimension.
-        size: usize,
     },
     /// `matrixMap` was given an invalid dimension list.
     BadMapDims {
@@ -88,19 +50,6 @@ pub enum MatrixError {
         /// Shape the function returned.
         found: Vec<usize>,
     },
-    /// Assignment target selection and value shapes differ.
-    AssignShape {
-        /// Selected region shape.
-        target: Vec<usize>,
-        /// Value shape.
-        value: Vec<usize>,
-    },
-    /// Matrix storage could not be allocated (system allocator failure or
-    /// an injected fault in the resilience tests).
-    AllocFailed {
-        /// Number of elements requested.
-        elements: usize,
-    },
     /// Matrix IO failure.
     Io(String),
     /// Malformed matrix file.
@@ -114,26 +63,12 @@ impl fmt::Display for MatrixError {
                 f,
                 "shape mismatch in {op}: left {left:?} vs right {right:?}"
             ),
-            MatrixError::RankMismatch { expected, found, op } => {
-                write!(f, "rank mismatch in {op}: expected {expected}, found {found}")
-            }
             MatrixError::IndexOutOfBounds { dim, index, size } => {
                 write!(f, "index {index} out of bounds for dimension {dim} of size {size}")
             }
             MatrixError::IndexArity { rank, supplied } => {
                 write!(f, "matrix of rank {rank} indexed with {supplied} subscripts")
             }
-            MatrixError::GeneratorOutsideShape { upper, shape } => write!(
-                f,
-                "with-loop generator upper bound {upper:?} exceeds genarray shape {shape:?}"
-            ),
-            MatrixError::BadGenerator { lower, upper } => {
-                write!(f, "malformed generator bounds: {lower:?} .. {upper:?}")
-            }
-            MatrixError::MaskLength { dim, mask, size } => write!(
-                f,
-                "logical index mask of length {mask} applied to dimension {dim} of size {size}"
-            ),
             MatrixError::BadMapDims { dims, rank } => {
                 write!(f, "matrixMap dimensions {dims:?} invalid for rank-{rank} matrix")
             }
@@ -141,13 +76,6 @@ impl fmt::Display for MatrixError {
                 f,
                 "matrixMap function changed slice shape from {expected:?} to {found:?}"
             ),
-            MatrixError::AssignShape { target, value } => write!(
-                f,
-                "indexed assignment target has shape {target:?} but value has shape {value:?}"
-            ),
-            MatrixError::AllocFailed { elements } => {
-                write!(f, "failed to allocate matrix storage for {elements} elements")
-            }
             MatrixError::Io(msg) => write!(f, "matrix IO error: {msg}"),
             MatrixError::Format(msg) => write!(f, "malformed matrix file: {msg}"),
         }

@@ -14,7 +14,7 @@ use crate::matrix::Matrix;
 /// Write a matrix to `path` in the CMMX container format.
 pub fn write_matrix<T: Element>(path: impl AsRef<Path>, m: &Matrix<T>) -> Result<()> {
     let cells = m.as_slice().iter().map(|v| v.to_bytes());
-    std::fs::write(path, cmmx::encode(T::TYPE.tag(), m.shape().dims(), cells))?;
+    std::fs::write(path, cmmx::encode(T::TAG, m.shape().dims(), cells))?;
     Ok(())
 }
 
@@ -26,7 +26,7 @@ pub fn write_matrix<T: Element>(path: impl AsRef<Path>, m: &Matrix<T>) -> Result
 /// contents.
 pub fn read_matrix<T: Element>(path: impl AsRef<Path>) -> Result<Matrix<T>> {
     let bytes = std::fs::read(path)?;
-    let header = cmmx::parse(&bytes, T::TYPE.tag())
+    let header = cmmx::parse(&bytes, T::TAG)
         .map_err(|e| MatrixError::Format(e.to_string()))?;
     let data = header.cells(&bytes).map(T::from_bytes).collect();
     Matrix::from_vec(header.dims.as_slice(), data)

@@ -14,6 +14,8 @@
 //! the ocean-eddy application (`matrixMap(scoreTS, data, [2])` maps over
 //! 721 × 1440 time series at once).
 
+use std::sync::Mutex;
+
 use cmm_forkjoin::{chunk_range, ForkJoinPool};
 use cmm_rc::RcBuf;
 
@@ -67,7 +69,7 @@ impl MapPlan {
             for (c, &d) in cursor.iter().zip(&self.mapped) {
                 src[d] = *c;
             }
-            data.push(m.get_unchecked(src));
+            data.push(m.as_slice()[m.shape().offset_unchecked(src)]);
             for k in (0..cursor.len()).rev() {
                 cursor[k] += 1;
                 if cursor[k] < self.slice_shape.dim(k) {
@@ -113,6 +115,10 @@ impl MapPlan {
 }
 
 /// Parallel `matrixMap`. See the module docs for semantics.
+///
+/// Every slice's result is checked inside the region; if any changed the
+/// slice shape, the error of the lowest such outer index is returned (the
+/// same error at every thread count).
 pub fn matrix_map<T, U, F>(
     pool: &ForkJoinPool,
     f: F,
@@ -128,100 +134,36 @@ where
     let out_shape = m.shape().clone();
     let mut out = RcBuf::new(out_shape.len(), U::default());
     let outer_total = plan.outer_shape.len();
-    if outer_total == 0 {
-        return Ok(Matrix::from_parts(out_shape, out));
-    }
-
-    // Validate the shape contract on the first slice before fanning out, so
-    // user errors surface as a Result rather than a worker panic.
-    {
-        let mut src = vec![0usize; m.rank()];
-        let mut outer_idx = vec![0usize; plan.outer.len()];
-        plan.outer_shape.unravel(0, &mut outer_idx);
-        let first = f(&plan.extract(m, &outer_idx, &mut src));
-        if first.shape() != &plan.slice_shape {
-            return Err(MatrixError::MapShapeChanged {
-                expected: plan.slice_shape.dims().to_vec(),
-                found: first.shape().dims().to_vec(),
-            });
-        }
-        let writer = out.shared_writer();
-        let mut dst = vec![0usize; m.rank()];
-        // Safety: outer combination 0 only.
-        unsafe { plan.scatter(&writer, &out_shape, &outer_idx, &first, &mut dst) };
-    }
-
+    // Lowest failing outer index and its error.
+    let first_error: Mutex<Option<(usize, MatrixError)>> = Mutex::new(None);
     {
         let writer = out.shared_writer();
-        let plan_ref = &plan;
-        let out_shape_ref = &out_shape;
         pool.run(|tid, nthreads| {
             let mut src = vec![0usize; m.rank()];
             let mut dst = vec![0usize; m.rank()];
-            let mut outer_idx = vec![0usize; plan_ref.outer.len()];
-            // Combination 0 was done during validation; partition the rest.
-            let rest = outer_total - 1;
-            for k in chunk_range(rest, nthreads, tid) {
-                plan_ref.outer_shape.unravel(k + 1, &mut outer_idx);
-                let slice = plan_ref.extract(m, &outer_idx, &mut src);
-                let result = f(&slice);
-                assert_eq!(
-                    result.shape(),
-                    &plan_ref.slice_shape,
-                    "matrixMap function changed the slice shape"
-                );
+            let mut outer_idx = vec![0usize; plan.outer.len()];
+            for k in chunk_range(outer_total, nthreads, tid) {
+                plan.outer_shape.unravel(k, &mut outer_idx);
+                let result = f(&plan.extract(m, &outer_idx, &mut src));
+                if result.shape() != &plan.slice_shape {
+                    let err = MatrixError::MapShapeChanged {
+                        expected: plan.slice_shape.dims().to_vec(),
+                        found: result.shape().dims().to_vec(),
+                    };
+                    let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
+                    if slot.as_ref().is_none_or(|(at, _)| k < *at) {
+                        *slot = Some((k, err));
+                    }
+                    // The rest of this chunk has higher outer indices.
+                    return;
+                }
                 // Safety: distinct outer combinations write disjoint offsets.
-                unsafe {
-                    plan_ref.scatter(&writer, out_shape_ref, &outer_idx, &result, &mut dst)
-                };
+                unsafe { plan.scatter(&writer, &out_shape, &outer_idx, &result, &mut dst) };
             }
         });
     }
-    Ok(Matrix::from_parts(out_shape, out))
-}
-
-/// Sequential `matrixMap` (reference semantics; also Fig 5's "semantically
-/// equivalent code fragment" — a plain loop over slices).
-pub fn matrix_map_seq<T, U, F>(mut f: F, m: &Matrix<T>, dims: &[usize]) -> Result<Matrix<U>>
-where
-    T: Element,
-    U: Element,
-    F: FnMut(&Matrix<T>) -> Matrix<U>,
-{
-    let plan = plan(m, dims)?;
-    let out_shape = m.shape().clone();
-    let mut out = Matrix::<U>::init(out_shape.clone());
-    let mut src = vec![0usize; m.rank()];
-    let mut outer_idx = vec![0usize; plan.outer.len()];
-    for k in 0..plan.outer_shape.len() {
-        plan.outer_shape.unravel(k, &mut outer_idx);
-        let slice = plan.extract(m, &outer_idx, &mut src);
-        let result = f(&slice);
-        if result.shape() != &plan.slice_shape {
-            return Err(MatrixError::MapShapeChanged {
-                expected: plan.slice_shape.dims().to_vec(),
-                found: result.shape().dims().to_vec(),
-            });
-        }
-        // Scatter sequentially through the safe interface.
-        let mut dst = vec![0usize; m.rank()];
-        for (o, &d) in outer_idx.iter().zip(&plan.outer) {
-            dst[d] = *o;
-        }
-        let mut cursor = vec![0usize; plan.mapped.len()];
-        for &v in result.as_slice() {
-            for (c, &d) in cursor.iter().zip(&plan.mapped) {
-                dst[d] = *c;
-            }
-            out.set(&dst, v)?;
-            for kk in (0..cursor.len()).rev() {
-                cursor[kk] += 1;
-                if cursor[kk] < plan.slice_shape.dim(kk) {
-                    break;
-                }
-                cursor[kk] = 0;
-            }
-        }
+    match first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        Some((_, err)) => Err(err),
+        None => Ok(Matrix::from_parts(out_shape, out)),
     }
-    Ok(out)
 }

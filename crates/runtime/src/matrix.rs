@@ -6,12 +6,11 @@ use crate::element::Element;
 use crate::error::{MatrixError, Result};
 use crate::shape::Shape;
 
-/// An arbitrary-rank matrix over reference-counted storage.
+/// An arbitrary-rank, immutable matrix over reference-counted storage.
 ///
 /// Cloning a `Matrix` is O(1): it bumps the reference count of the shared
-/// buffer, exactly like the overloaded matrix assignment of the generated C
-/// code (§III-B). Mutation goes through copy-on-write, so value semantics
-/// are preserved without eager copies.
+/// buffer (the 4-byte header count of §III-B). Operations build new
+/// matrices rather than writing in place.
 ///
 /// ```
 /// use cmm_runtime::Matrix;
@@ -26,36 +25,6 @@ pub struct Matrix<T: Element> {
 }
 
 impl<T: Element> Matrix<T> {
-    /// Matrix of default-valued elements (`init` in extended C).
-    pub fn init(shape: impl Into<Shape>) -> Self {
-        let shape = shape.into();
-        let data = RcBuf::new(shape.len(), T::default());
-        Matrix { shape, data }
-    }
-
-    /// Matrix filled with one value.
-    pub fn fill(shape: impl Into<Shape>, value: T) -> Self {
-        let shape = shape.into();
-        let data = RcBuf::new(shape.len(), value);
-        Matrix { shape, data }
-    }
-
-    /// Fallible [`Matrix::init`]: reports [`MatrixError::AllocFailed`]
-    /// instead of aborting when the buffer cannot be acquired (allocator
-    /// failure or an injected fault).
-    pub fn try_init(shape: impl Into<Shape>) -> Result<Self> {
-        Self::try_fill(shape, T::default())
-    }
-
-    /// Fallible [`Matrix::fill`] (see [`Matrix::try_init`]).
-    pub fn try_fill(shape: impl Into<Shape>, value: T) -> Result<Self> {
-        let shape = shape.into();
-        let data = RcBuf::try_new(shape.len(), value).map_err(|_| MatrixError::AllocFailed {
-            elements: shape.len(),
-        })?;
-        Ok(Matrix { shape, data })
-    }
-
     /// Matrix from row-major element data; the length must match the shape.
     pub fn from_vec(shape: impl Into<Shape>, data: Vec<T>) -> Result<Self> {
         let shape = shape.into();
@@ -70,19 +39,6 @@ impl<T: Element> Matrix<T> {
             data: RcBuf::from_slice(&data),
             shape,
         })
-    }
-
-    /// Matrix whose element at each multi-index is `f(index)`.
-    pub fn from_fn(shape: impl Into<Shape>, mut f: impl FnMut(&[usize]) -> T) -> Self {
-        let shape = shape.into();
-        let rank = shape.rank();
-        let mut idx = vec![0usize; rank];
-        let shape2 = shape.clone();
-        let data = RcBuf::from_fn(shape.len(), |flat| {
-            shape2.unravel(flat, &mut idx);
-            f(&idx)
-        });
-        Matrix { shape, data }
     }
 
     /// Build from parts (crate-internal fast path).
@@ -121,60 +77,15 @@ impl<T: Element> Matrix<T> {
         self.len() == 0
     }
 
-    /// Live references to the underlying buffer (exposed for the
-    /// reference-counting tests and the copy-elision experiments).
-    pub fn ref_count(&self) -> u32 {
-        self.data.ref_count()
-    }
-
     /// Row-major element slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
         self.data.as_slice()
     }
 
-    /// Mutable row-major element slice (copy-on-write if shared).
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.data.make_mut()
-    }
-
     /// Element at a multi-index.
     pub fn get(&self, idx: &[usize]) -> Result<T> {
         Ok(self.as_slice()[self.shape.offset(idx)?])
-    }
-
-    /// Element at a multi-index without bounds checks.
-    ///
-    /// Callers must guarantee `idx` is in range for every dimension.
-    #[inline]
-    pub fn get_unchecked(&self, idx: &[usize]) -> T {
-        self.as_slice()[self.shape.offset_unchecked(idx)]
-    }
-
-    /// Store `value` at a multi-index (copy-on-write if shared).
-    pub fn set(&mut self, idx: &[usize], value: T) -> Result<()> {
-        let off = self.shape.offset(idx)?;
-        self.as_mut_slice()[off] = value;
-        Ok(())
-    }
-
-    /// Reinterpret with a new shape of equal element count (used by the
-    /// translator when a with-loop result feeds an assignment of different
-    /// declared shape).
-    pub fn reshape(&self, shape: impl Into<Shape>) -> Result<Self> {
-        let shape = shape.into();
-        if shape.len() != self.len() {
-            return Err(MatrixError::ShapeMismatch {
-                left: self.shape.dims().to_vec(),
-                right: shape.dims().to_vec(),
-                op: "reshape",
-            });
-        }
-        Ok(Matrix {
-            shape,
-            data: self.data.clone(),
-        })
     }
 
     /// Apply `f` to every element, producing a matrix of the same shape.
@@ -184,28 +95,6 @@ impl<T: Element> Matrix<T> {
             shape: self.shape.clone(),
             data: RcBuf::from_fn(src.len(), |i| f(src[i])),
         }
-    }
-
-    /// Combine two equal-shaped matrices element-wise.
-    pub fn zip_with<U: Element, V: Element>(
-        &self,
-        other: &Matrix<U>,
-        op: &'static str,
-        mut f: impl FnMut(T, U) -> V,
-    ) -> Result<Matrix<V>> {
-        if self.shape != other.shape {
-            return Err(MatrixError::ShapeMismatch {
-                left: self.shape.dims().to_vec(),
-                right: other.shape.dims().to_vec(),
-                op,
-            });
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        Ok(Matrix {
-            shape: self.shape.clone(),
-            data: RcBuf::from_fn(a.len(), |i| f(a[i], b[i])),
-        })
     }
 }
 

@@ -1,4 +1,4 @@
-//! Shapes, strides and row-major index arithmetic.
+//! Shapes and row-major index arithmetic.
 
 use crate::error::{MatrixError, Result};
 
@@ -8,8 +8,8 @@ use crate::error::{MatrixError, Result};
 pub struct Shape(Vec<usize>);
 
 impl Shape {
-    /// Shape from dimension sizes. Rank 0 is allowed and denotes a scalar
-    /// (used internally for fold results).
+    /// Shape from dimension sizes. Rank 0 is allowed and holds one element
+    /// (the outer shape of a `matrixMap` over every dimension).
     pub fn new(dims: impl Into<Vec<usize>>) -> Self {
         Shape(dims.into())
     }
@@ -44,16 +44,6 @@ impl Shape {
         self.len() == 0
     }
 
-    /// Row-major strides: element distance between consecutive indices of
-    /// each dimension.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut s = vec![1usize; self.rank()];
-        for d in (0..self.rank().saturating_sub(1)).rev() {
-            s[d] = s[d + 1] * self.0[d + 1];
-        }
-        s
-    }
-
     /// Flat offset of a multi-index, with bounds checking.
     pub fn offset(&self, idx: &[usize]) -> Result<usize> {
         if idx.len() != self.rank() {
@@ -67,7 +57,7 @@ impl Shape {
             if i >= n {
                 return Err(MatrixError::IndexOutOfBounds {
                     dim: d,
-                    index: i as i64,
+                    index: i,
                     size: n,
                 });
             }
@@ -93,15 +83,6 @@ impl Shape {
             let n = self.0[d];
             out[d] = flat % n;
             flat /= n;
-        }
-    }
-
-    /// Iterate all multi-indices in row-major order.
-    pub fn indices(&self) -> IndexIter {
-        IndexIter {
-            shape: self.0.clone(),
-            next: vec![0; self.rank()],
-            remaining: self.len(),
         }
     }
 }
@@ -130,36 +111,3 @@ impl std::fmt::Display for Shape {
         write!(f, "]")
     }
 }
-
-/// Row-major iterator over all multi-indices of a shape.
-pub struct IndexIter {
-    shape: Vec<usize>,
-    next: Vec<usize>,
-    remaining: usize,
-}
-
-impl Iterator for IndexIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let current = self.next.clone();
-        self.remaining -= 1;
-        for d in (0..self.shape.len()).rev() {
-            self.next[d] += 1;
-            if self.next[d] < self.shape[d] {
-                break;
-            }
-            self.next[d] = 0;
-        }
-        Some(current)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for IndexIter {}

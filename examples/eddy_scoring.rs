@@ -10,7 +10,7 @@
 use cmm::eddy::programs::{eddy_scoring_program, full_compiler};
 use cmm::eddy::{score_all, synthetic_ssh, SshParams};
 use cmm::forkjoin::ForkJoinPool;
-use cmm::runtime::{read_matrix, write_matrix, Ix, Matrix};
+use cmm::runtime::{read_matrix, write_matrix, Matrix};
 
 fn main() {
     let params = SshParams {
@@ -52,20 +52,22 @@ fn main() {
         "compiled run: {} buffers allocated, {} leaked",
         run.allocations, run.leaked
     );
+    assert_eq!(run.leaked, 0, "the compiled run must free every buffer");
+    assert_eq!(max_diff, 0.0, "compiled and native scores must agree exactly");
 
     // Rank locations by their strongest trough score (the paper's "way of
     // ranking locations on the map by how likely it is that what is being
     // detected is actually an eddy").
-    let mut best: Vec<(f32, usize, usize)> = Vec::new();
-    for i in 0..params.lat {
-        for j in 0..params.lon {
-            let ts = native
-                .index_get(&[Ix::At(i as i64), Ix::At(j as i64), Ix::All])
-                .expect("time series");
-            let peak = ts.as_slice().iter().cloned().fold(f32::MIN, f32::max);
-            best.push((peak, i, j));
-        }
-    }
+    // Time is the last, contiguous axis: point (i, j) owns one chunk.
+    let mut best: Vec<(f32, usize, usize)> = native
+        .as_slice()
+        .chunks(params.time)
+        .enumerate()
+        .map(|(point, ts)| {
+            let peak = ts.iter().cloned().fold(f32::MIN, f32::max);
+            (peak, point / params.lon, point % params.lon)
+        })
+        .collect();
     best.sort_by(|a, b| b.0.total_cmp(&a.0));
     println!("\ntop eddy-signature locations (score, lat, lon):");
     for (s, i, j) in best.iter().take(5) {

@@ -17,7 +17,6 @@ use cmm::core::{CompileError, Compiler, Registry};
 use cmm::forkjoin::faultinject::{self, FaultPlan};
 use cmm::forkjoin::{chunk_range, ForkJoinPool};
 use cmm::loopir::{LimitKind, Limits};
-use cmm::rc::{set_alloc_fault_hook, RcBuf};
 
 fn compiler() -> Compiler {
     Registry::standard()
@@ -125,37 +124,6 @@ fn seeded_plan_is_deterministic() {
     assert_eq!(a.worker_panics.len(), 3);
     assert_eq!(a.worker_delays.len(), 2);
     assert_eq!(a.alloc_failures.len(), 2);
-}
-
-#[test]
-fn injected_rc_alloc_failure_is_clean() {
-    let _guard = faultinject::install(FaultPlan::new().fail_alloc(2));
-    set_alloc_fault_hook(Some(faultinject::should_fail_alloc));
-    let a = RcBuf::<u32>::try_new(16, 7);
-    let b = RcBuf::<u32>::try_new(16, 8);
-    let c = RcBuf::<u32>::try_new(16, 9);
-    set_alloc_fault_hook(None);
-
-    let a = a.expect("first allocation succeeds");
-    assert!(
-        matches!(b, Err(cmm::rc::AllocError::FaultInjected { .. })),
-        "second allocation must fail by plan with a typed error"
-    );
-    let c = c.expect("third allocation succeeds");
-    assert_eq!(faultinject::alloc_failures_injected(), 1);
-
-    // Survivors are intact (the failed acquisition touched nothing).
-    assert_eq!(a.as_slice(), &[7u32; 16]);
-    assert_eq!(c.as_slice(), &[9u32; 16]);
-    assert_eq!(a.ref_count(), 1);
-    let a2 = a.clone();
-    assert_eq!(a2.ref_count(), 2);
-    drop(a2);
-    assert_eq!(a.ref_count(), 1);
-    // Dropping survivors exercises free paths; no double-free can follow
-    // from the failed slot because no handle for it ever existed.
-    drop(a);
-    drop(c);
 }
 
 #[test]
