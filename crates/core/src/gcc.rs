@@ -8,6 +8,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Whether a usable `gcc` is on PATH (tests skip the round trip when the
 /// environment has no C toolchain).
@@ -52,11 +53,14 @@ pub fn compile_and_run_c_with_timeout(
     threads: usize,
     timeout: std::time::Duration,
 ) -> Result<String, String> {
+    // One name per call: concurrent callers in one process (tests) must
+    // not build or run each other's files.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir();
     let tag = format!(
-        "cmmc-{}-{:x}",
+        "cmmc-{}-{}",
         std::process::id(),
-        c_source.len() as u64 * 2654435761 % 0xffff_ffff
+        CALLS.fetch_add(1, Ordering::Relaxed)
     );
     let c_path: PathBuf = dir.join(format!("{tag}.c"));
     let bin_path: PathBuf = dir.join(tag.clone());

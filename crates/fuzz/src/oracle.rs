@@ -8,7 +8,9 @@
 //!
 //! 1. **transform** — `transform` directives stripped from the AST,
 //!    compiled with every high-level optimization off, run
-//!    single-threaded: the untransformed reference semantics.
+//!    single-threaded: the untransformed reference semantics. The
+//!    reference must leak nothing, and when gcc is present its emitted C
+//!    must print the same.
 //! 2. **schedule** — every schedule policy (static / dynamic / guided)
 //!    at 1, 2, and 4 threads: nine runs per case.
 //! 3. **limits** — a metered run under generous [`Limits`] budgets:
@@ -165,6 +167,12 @@ fn bounded_limits() -> Limits {
 /// Wall-clock allowance for a gcc-compiled candidate binary in bounded
 /// mode (generated programs finish in milliseconds).
 const BOUNDED_GCC_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Wall-clock allowance for a gcc-compiled binary: bounded mode's, or a
+/// generous one for trusted generated programs.
+fn gcc_timeout(bounded: bool) -> Duration {
+    if bounded { BOUNDED_GCC_TIMEOUT } else { Duration::from_secs(120) }
+}
 
 /// Marker every interpreter budget-exceeded error carries (see
 /// `InterpErrorKind::LimitExceeded` formatting). [`minimize`] uses it to
@@ -349,6 +357,13 @@ impl Harness {
             self.plain.run(&plain_src, 1)
         }
         .map_err(|e| fail(format!("untransformed reference failed to run: {e}")))?;
+        if reference.leaked != 0 {
+            return Err(fail(format!(
+                "untransformed reference leaked {} buffer(s); the unfused path must free everything\n\
+                 --- reference source\n{plain_src}",
+                reference.leaked
+            )));
+        }
         if reference.output != expected {
             // Show what the optimizing pipeline actually changed.
             let ir_note = match (self.opt.compile(src), self.plain.compile(&plain_src)) {
@@ -361,6 +376,22 @@ impl Harness {
                  --- reference (plain, 1 thread)\n{}\n--- optimized (2 threads)\n{}\n{ir_note}",
                 reference.output, expected
             )));
+        }
+        // The reference's own C: the unfused code and the kernel's
+        // sequential branch (no loop is parallel here) under gcc.
+        if self.gcc {
+            let c = self
+                .plain
+                .compile_to_c(&plain_src)
+                .map_err(|e| fail(format!("C emission of the untransformed reference failed: {e}")))?;
+            let out = compile_and_run_c_with_timeout(&c, 1, gcc_timeout(bounded))
+                .map_err(|e| fail(format!("untransformed reference under gcc: {e}")))?;
+            if out != expected {
+                return Err(fail(format!(
+                    "gcc-compiled untransformed reference differs from the optimized run\n\
+                     --- gcc (plain)\n{out}\n--- optimized (2 threads)\n{expected}"
+                )));
+            }
         }
         Ok(())
     }
@@ -551,8 +582,7 @@ impl Harness {
             .opt
             .compile_to_c(src)
             .map_err(|e| fail(format!("C emission failed: {e}")))?;
-        let timeout = if bounded { BOUNDED_GCC_TIMEOUT } else { Duration::from_secs(120) };
-        let out = compile_and_run_c_with_timeout(&c, 2, timeout)
+        let out = compile_and_run_c_with_timeout(&c, 2, gcc_timeout(bounded))
             .map_err(|e| fail(format!("gcc oracle: {e}")))?;
         if out != expected {
             return Err(fail(format!(

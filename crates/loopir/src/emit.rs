@@ -4,7 +4,8 @@
 //! (parallel) C code" for compilation by a traditional compiler. The
 //! emitted translation unit is self-contained: it embeds a small C runtime
 //! (reference-counted `cmm_mat` buffers with the 4-byte count header,
-//! CMMX matrix file IO, printing) and uses
+//! the row kernel an `A * B` of numbers calls, CMMX matrix file IO,
+//! printing) and uses
 //!
 //! * `#pragma omp parallel for` on loops marked by `parallelize` (§V,
 //!   Fig 11),
@@ -24,7 +25,8 @@
 use std::fmt::Write;
 
 use crate::ir::{
-    Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, Name,
+    Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
+    Name,
 };
 
 /// A structurally invalid IR program that cannot be rendered as C.
@@ -462,7 +464,27 @@ fn emit_stmt(s: &IrStmt, level: usize, ctx: &mut EmitCtx, out: &mut String) {
             ind(level, out);
             out.push_str("}\n");
         }
-        // Emitted C is the scalar nest, in place: gcc is the kernel here.
+        // A product of numbers is one call of the prelude's row kernel,
+        // which performs the nest's operations per element in the nest's
+        // order (see `CMM_MATMUL`). The dimension check and the
+        // allocation of `dst` precede the statement.
+        IrStmt::Kernel {
+            call:
+                KernelCall::MatMul {
+                    dst,
+                    a,
+                    b,
+                    elem: elem @ (Elem::F32 | Elem::I32),
+                    parallel,
+                },
+            ..
+        } => {
+            let kernel = if *elem == Elem::F32 { "cmm_matmul_f32(" } else { "cmm_matmul_i32(" };
+            ind(level, out);
+            put!(out, kernel, Id(dst), ", ", Id(a), ", ", Id(b));
+            out.push_str(if *parallel { ", 1);\n" } else { ", 0);\n" });
+        }
+        // Any other element type: the scalar nest, in place.
         IrStmt::Kernel { fallback, .. } => {
             for s in fallback {
                 emit_stmt(s, level, ctx, out);
@@ -845,7 +867,8 @@ fn unit_stride<'e>(idx: &'e IrExpr, lane: &str) -> Option<&'e IrExpr> {
 }
 
 /// The embedded C runtime: reference-counted matrices with the paper's
-/// 4-byte count header, CMMX file IO, and print helpers.
+/// 4-byte count header, the matrix product kernel, CMMX file IO, and
+/// print helpers.
 const C_RUNTIME: &str = r#"/* Generated by the cmm extended-C translator. */
 #include <stdio.h>
 #include <stdlib.h>
@@ -998,7 +1021,54 @@ static void cmm_panic(const char *msg) {
     exit(1);
 }
 
-/* CMMX container format (shared with the Rust runtime). */
+/* `A * B`: c (the freshly allocated m x n result) = a (m x p) * b (p x n).
+ * Row i of c is built as c[i,:] = c[i,:] + a[i,k] * b[k,:] for k ascending
+ * from zero, four values of k to a pass over the row, so every element
+ * goes through the scalar nest's sequence of separately rounded
+ * `acc + a*b` operations; the lanes of the `omp simd` loops are distinct
+ * elements. Under gcc -O2 -fopenmp -msse2 there is no FMA to contract
+ * into, so the bits are the interpreter's. `int` computes in `unsigned`,
+ * where overflow wraps as the interpreter's does. Rows go to the OpenMP
+ * team only when `parallel` is set (the program was compiled with
+ * automatic parallelisation on). */
+#define CMM_MATMUL(name, T, field)                                          \
+static void name(cmm_mat *c, cmm_mat *a, cmm_mat *b, int parallel) {        \
+    long long m = a->dims[0], p = a->dims[1], n = b->dims[1];              \
+    T *cd = (T*)c->data.field;                                              \
+    const T *ad = (const T*)a->data.field, *bd = (const T*)b->data.field;  \
+    _Pragma("omp parallel for if(parallel)")                                \
+    for (long long i = 0; i < m; i++) {                                     \
+        T *ci = cd + i * n;                                                 \
+        const T *ai = ad + i * p;                                           \
+        long long k = 0;                                                    \
+        for (long long j = 0; j < n; j++) ci[j] = 0;                        \
+        for (; k + 4 <= p; k += 4) {                                        \
+            const T a0 = ai[k], a1 = ai[k + 1], a2 = ai[k + 2], a3 = ai[k + 3]; \
+            const T *b0 = bd + k * n, *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n; \
+            _Pragma("omp simd")                                             \
+            for (long long j = 0; j < n; j++)                               \
+                ci[j] = (((ci[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) + a3 * b3[j]; \
+        }                                                                   \
+        for (; k < p; k++) {                                                \
+            const T aik = ai[k], *bk = bd + k * n;                          \
+            _Pragma("omp simd")                                             \
+            for (long long j = 0; j < n; j++) ci[j] = ci[j] + aik * bk[j];  \
+        }                                                                   \
+    }                                                                       \
+}
+CMM_MATMUL(cmm_matmul_f32, float, f)
+CMM_MATMUL(cmm_matmul_i32, unsigned, i)
+
+/* CMMX container format (shared with the Rust runtime): "CMMX", tag, rank,
+ * two zero bytes, rank little-endian 8-byte extents, then one little-endian
+ * 4-byte cell per element. The payload moves 4096 cells to an fread /
+ * fwrite through a staging buffer, where each cell is assembled from or
+ * split into its little-endian bytes; a bool cell (one byte in memory) is
+ * the low byte of its file cell, read as 0 or 1. */
+#define CMM_STAGE_CELLS ((size_t)4096)
+static void cmm_read_truncated(void) {
+    fprintf(stderr, "readMatrix: truncated\n"); exit(1);
+}
 static cmm_mat* cmm_read_mat(const char *path, int tag) {
     FILE *fp = fopen(path, "rb");
     if (!fp) { fprintf(stderr, "readMatrix(%s): cannot open\n", path); exit(1); }
@@ -1012,22 +1082,36 @@ static cmm_mat* cmm_read_mat(const char *path, int tag) {
     m->refs = 1; m->rank = rank; m->len = 1; m->tag = tag;
     for (int d = 0; d < rank; d++) {
         unsigned char b8[8];
-        if (fread(b8, 1, 8, fp) != 8) { fprintf(stderr, "readMatrix: truncated\n"); exit(1); }
-        long long v = 0;
+        if (fread(b8, 1, 8, fp) != 8) cmm_read_truncated();
+        unsigned long long v = 0;
         for (int k = 7; k >= 0; k--) v = (v << 8) | b8[k];
-        m->dims[d] = v; m->len *= v;
-    }
-    size_t cell = tag == 2 ? 1 : 4;
-    m->data.f = (float*)calloc(m->len > 0 ? (size_t)m->len : 1, cell);
-    for (long long i = 0; i < m->len; i++) {
-        unsigned char c4[4];
-        if (fread(c4, 1, 4, fp) != 4) { fprintf(stderr, "readMatrix: truncated\n"); exit(1); }
-        if (tag == 2) m->data.b[i] = c4[0] ? 1 : 0;
-        else {
-            uint32_t bits = (uint32_t)c4[0] | ((uint32_t)c4[1] << 8)
-                          | ((uint32_t)c4[2] << 16) | ((uint32_t)c4[3] << 24);
-            memcpy(&m->data.i[i], &bits, 4);
+        /* The payload's byte count, 4 * len, must fit a long long. */
+        if (v > INT64_MAX / 4 || (m->len != 0 && v > INT64_MAX / 4 / (unsigned long long)m->len)) {
+            fprintf(stderr, "readMatrix(%s): invalid header: dimensions overflow\n", path); exit(1);
         }
+        m->dims[d] = (long long)v; m->len *= (long long)v;
+    }
+    size_t len = (size_t)m->len;
+    m->data.f = (float*)calloc(len > 0 ? len : 1, tag == 2 ? 1 : 4);
+    if (!m->data.f) {
+        fprintf(stderr, "readMatrix(%s): cannot allocate %lld cells\n", path, m->len); exit(1);
+    }
+    unsigned char stage[4 * CMM_STAGE_CELLS];
+    for (size_t i = 0; i < len; ) {
+        size_t n = len - i < CMM_STAGE_CELLS ? len - i : CMM_STAGE_CELLS;
+        if (fread(stage, 4, n, fp) != n) cmm_read_truncated();
+        if (tag == 2) {
+            for (size_t k = 0; k < n; k++) m->data.b[i + k] = stage[4 * k] ? 1 : 0;
+        } else {
+            unsigned char *cells = (unsigned char*)(m->data.i + i);
+            for (size_t k = 0; k < n; k++) {
+                const unsigned char *c4 = stage + 4 * k;
+                uint32_t bits = (uint32_t)c4[0] | ((uint32_t)c4[1] << 8)
+                              | ((uint32_t)c4[2] << 16) | ((uint32_t)c4[3] << 24);
+                memcpy(cells + 4 * k, &bits, 4);
+            }
+        }
+        i += n;
     }
     /* Exact-length contract (matches the Rust-side parser): the container
      * ends at the last payload cell; trailing bytes are a malformed file. */
@@ -1043,17 +1127,26 @@ static cmm_mat* read_mat_b(const char *p) { return cmm_read_mat(p, 2); }
 static void cmm_write_mat(const char *path, cmm_mat *m) {
     FILE *fp = fopen(path, "wb");
     if (!fp) { fprintf(stderr, "writeMatrix(%s): cannot open\n", path); exit(1); }
-    fputc('C', fp); fputc('M', fp); fputc('M', fp); fputc('X', fp);
-    fputc(m->tag, fp); fputc(m->rank, fp); fputc(0, fp); fputc(0, fp);
+    unsigned char head[8 + 8 * 8] = { 'C', 'M', 'M', 'X', (unsigned char)m->tag, (unsigned char)m->rank };
     for (int d = 0; d < m->rank; d++) {
         unsigned long long v = (unsigned long long)m->dims[d];
-        for (int k = 0; k < 8; k++) { fputc((int)(v & 0xff), fp); v >>= 8; }
+        for (int k = 0; k < 8; k++) { head[8 + 8 * d + k] = (unsigned char)(v & 0xff); v >>= 8; }
     }
-    for (long long i = 0; i < m->len; i++) {
-        uint32_t bits;
-        if (m->tag == 2) bits = m->data.b[i] ? 1 : 0;
-        else memcpy(&bits, &m->data.i[i], 4);
-        for (int k = 0; k < 4; k++) { fputc((int)(bits & 0xff), fp); bits >>= 8; }
+    fwrite(head, 1, 8 + 8 * (size_t)m->rank, fp);
+    size_t len = (size_t)m->len;
+    unsigned char stage[4 * CMM_STAGE_CELLS];
+    for (size_t i = 0; i < len; ) {
+        size_t n = len - i < CMM_STAGE_CELLS ? len - i : CMM_STAGE_CELLS;
+        for (size_t k = 0; k < n; k++) {
+            uint32_t bits;
+            if (m->tag == 2) bits = m->data.b[i + k] ? 1 : 0;
+            else memcpy(&bits, &m->data.i[i + k], 4);
+            unsigned char *c4 = stage + 4 * k;
+            c4[0] = (unsigned char)bits; c4[1] = (unsigned char)(bits >> 8);
+            c4[2] = (unsigned char)(bits >> 16); c4[3] = (unsigned char)(bits >> 24);
+        }
+        fwrite(stage, 4, n, fp);
+        i += n;
     }
     fclose(fp);
 }

@@ -387,7 +387,8 @@ pub struct ForLoop {
 }
 
 /// A whole-matrix operation the VM tier runs as one call into
-/// `cmm_runtime::kernels` (see [`IrStmt::Kernel`]).
+/// `cmm_runtime::kernels`, and the emitted C as one call of its prelude's
+/// kernel (see [`IrStmt::Kernel`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelCall {
     /// `dst = a · b` on rank-2 buffers of `elem`: `a` is `m × k`, `b` is
@@ -493,12 +494,13 @@ pub enum IrStmt {
     /// A kernel call together with the scalar loop nest that defines it.
     ///
     /// `fallback` is the statement's meaning: the tree-walking tier, the
-    /// C emitter, the snapshot printer, the loop transformations and the
-    /// cost probe treat the statement as exactly those statements, in
-    /// place, in the enclosing scope. Only the VM tier looks at `call`,
-    /// and only as a faster way to the same buffer contents, the same
-    /// fuel and the same errors — it runs `fallback` whenever the
-    /// operands are not what `call` describes.
+    /// snapshot printer, the loop transformations and the cost probe
+    /// treat the statement as exactly those statements, in place, in the
+    /// enclosing scope. The VM tier and the C emitter look at `call`, and
+    /// only as a faster way to the same buffer contents: the VM also to
+    /// the same fuel and the same errors, running `fallback` whenever the
+    /// operands are not what `call` describes; the C emitter prints one
+    /// call of its prelude's kernel for `I32` and `F32` products.
     Kernel {
         /// The operation `fallback` computes.
         call: KernelCall,

@@ -2,8 +2,9 @@
 //!
 //! Lowering wraps the scalar loop nest of a whole-matrix operator in a
 //! kernel statement that also names the operation. The nest stays the one
-//! place the operator's meaning is written: the tree tier, the emitted C,
-//! the transformations and the cost probe all see only the nest. The VM
+//! place the operator's meaning is written: the tree tier, the
+//! transformations and the cost probe see only the nest (the emitted C
+//! calls a kernel of its own, under the same contract on bits). The VM
 //! is the tier users run, so it alone takes the shortcut — one native
 //! call into `cmm_runtime::kernels` on the operands' own storage — and
 //! the tree tier stays the reference the fuzzer's `vm` oracle compares it

@@ -6,6 +6,7 @@
 
 use cmm::core::{compile_and_run_c, gcc_available_or_skip};
 use cmm::eddy::programs::full_compiler;
+use cmm::loopir::{cmmx, Elem};
 
 fn roundtrip(src: &str) {
     if !gcc_available_or_skip("gcc_roundtrip") {
@@ -236,6 +237,106 @@ fn control_character_in_a_path_names_the_same_file() {
     assert_eq!(by_vm.len(), 1, "{by_vm:?}");
     assert_eq!(by_vm[0].0, "o\u{1}.cmmx");
     assert_eq!(by_gcc.expect("gcc compile+run"), by_vm);
+}
+
+/// The C runtime's CMMX codec, which moves a payload through a staging
+/// buffer: the files emitted C writes for an int, a float (NaN and −0.0
+/// among its cells) and a bool matrix are the bytes `cmmx::encode` makes
+/// of the same cells; it reads them back, reads a bool cell byte of 2 as
+/// 1, and rejects a truncated file, one with a trailing byte, one whose
+/// extents overflow and one too large to allocate, each with its message.
+#[test]
+fn c_codec_writes_reads_and_rejects_cmmx() {
+    if !gcc_available_or_skip("c_codec_writes_reads_and_rejects_cmmx") {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("cmm-c-codec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).display().to_string();
+    // One bool cell whose byte is 2: it must read as true, that is as
+    // equal to a cell that holds 1.
+    let twos = cmmx::encode(Elem::Bool, &[3], &[1, 2, 0]);
+    std::fs::write(path("twos.cmmx"), &twos).expect("write bool input");
+    let src = format!(
+        r#"
+        int main() {{
+            Matrix int <2> i = with ([0, 0] <= [r, c] < [3, 5])
+                genarray([3, 5], (r * 5 + c - 7) * 123457);
+            writeMatrix("{i}", i);
+            float zero = 0.0;
+            Matrix float <1> f = init(Matrix float <1>, 4);
+            f[0] = zero / zero;
+            f[1] = zero * (0.0 - 1.0);
+            f[2] = 1.5;
+            f[3] = 0.0 - 1.0 / zero;
+            writeMatrix("{f}", f);
+            Matrix bool <1> b = with ([0] <= [x] < [5]) genarray([5], x % 2 == 0);
+            writeMatrix("{b}", b);
+            Matrix int <2> i2 = readMatrix("{i}");
+            printInt(with ([0, 0] <= [r, c] < [3, 5]) fold(+, 0, i2[r, c] % 1000));
+            Matrix float <1> f2 = readMatrix("{f}");
+            printBool(f2[0] == f2[0]);
+            printFloat(1.0 / f2[1]);
+            printFloat(f2[2] + f2[3]);
+            Matrix bool <1> b2 = readMatrix("{b}");
+            printBool(b2[0] && !b2[1] && b2[4]);
+            Matrix bool <1> t = readMatrix("{twos}");
+            printBool(t[0] == t[1]);
+            printBool(t[2]);
+            return 0;
+        }}
+        "#,
+        i = path("i.cmmx"),
+        f = path("f.cmmx"),
+        b = path("b.cmmx"),
+        twos = path("twos.cmmx"),
+    );
+    let c = full_compiler().compile_to_c(&src).expect("emit C");
+    let out = compile_and_run_c(&c, 1).expect("gcc compile+run");
+    assert_eq!(out, "0\n0\n-inf\n-inf\n1\n1\n0\n");
+    let zero = std::hint::black_box(0.0f32);
+    let ints: Vec<u32> = (0..15).map(|q: i32| ((q - 7) * 123457) as u32).collect();
+    let floats = [zero / zero, -zero, 1.5, -1.0 / zero].map(f32::to_bits);
+    let bools = [1, 0, 1, 0, 1];
+    for (name, elem, dims, cells) in [
+        ("i.cmmx", Elem::I32, &[3, 5][..], &ints[..]),
+        ("f.cmmx", Elem::F32, &[4], &floats),
+        ("b.cmmx", Elem::Bool, &[5], &bools),
+    ] {
+        let written = std::fs::read(path(name)).expect("written by the C");
+        assert_eq!(written, cmmx::encode(elem, dims, cells), "{name}");
+    }
+    // The same reader on a file one byte short of its payload, on one
+    // with a byte after it, on headers whose extents are negative as a
+    // `long long` or whose product overflows, and on one whose payload
+    // cannot be allocated.
+    let ints_file = cmmx::encode(Elem::I32, &[3, 5], &ints);
+    let bad = path("bad.cmmx");
+    let overflow = format!("readMatrix({bad}): invalid header: dimensions overflow");
+    for (bytes, message) in [
+        (ints_file[..ints_file.len() - 1].to_vec(), "readMatrix: truncated".to_string()),
+        (
+            [&ints_file[..], &[0]].concat(),
+            format!("readMatrix({bad}): trailing byte(s) after the payload"),
+        ),
+        (cmmx::encode(Elem::I32, &[usize::MAX, 5], &ints), overflow.clone()),
+        (cmmx::encode(Elem::I32, &[1 << 62, 4], &ints), overflow.clone()),
+        (cmmx::encode(Elem::I32, &[1 << 40, 1 << 40], &ints), overflow),
+        (
+            cmmx::encode(Elem::I32, &[1 << 30, 1 << 30], &ints),
+            format!("readMatrix({bad}): cannot allocate {} cells", 1u64 << 60),
+        ),
+    ] {
+        std::fs::write(path("bad.cmmx"), bytes).expect("write bad input");
+        let src = format!(
+            r#"int main() {{ Matrix int <2> m = readMatrix("{}"); printInt(dimSize(m, 0)); return 0; }}"#,
+            path("bad.cmmx")
+        );
+        let c = full_compiler().compile_to_c(&src).expect("emit C");
+        let err = compile_and_run_c(&c, 1).expect_err("the reader rejects the file");
+        assert!(err.ends_with(&format!("{message}\n")), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,25 +1,43 @@
 //! `A * B` in an `.xc` program: the VM tier runs the product as one
-//! blocked-kernel call, the tree tier interprets the scalar nest the
-//! operator lowers to, and nothing but time may tell them apart — same
-//! output, same result bits, same `steps_used()`, same typed errors when a
-//! budget runs out part-way, same messages for bad operands, and emitted C
-//! that never changed.
+//! blocked-kernel call, the emitted C as one call of its prelude's row
+//! kernel, the tree tier interprets the scalar nest the operator lowers
+//! to, and nothing but time may tell them apart — same output, same result
+//! bits, same `steps_used()`, same typed errors when a budget runs out
+//! part-way, and same messages for bad operands.
 
+use cmm::core::{compile_and_run_c, gcc_available_or_skip};
 use cmm::eddy::programs::full_compiler;
 use cmm::forkjoin::Schedule;
+use cmm::loopir::transform::{apply, LoopTransform};
 use cmm::loopir::{
-    Builtin, Interp, InterpError, IrExpr, IrProgram, IrStmt, KernelCall, LimitKind, Limits, Tier,
-    Value,
+    cmmx, emit, Builtin, Elem, Interp, InterpError, IrExpr, IrProgram, IrStmt, KernelCall,
+    LimitKind, Limits, Tier, Value,
 };
 use proptest::prelude::*;
 use std::time::Duration;
+
+/// Small shapes at the edges the random cases may miss: empty extents,
+/// one, a long dot product of width one, and extents around the kernels'
+/// tile edges (48 or 64 rows in the VM, four values of `k` a pass in C).
+const EDGE_SHAPES: [(i32, i32, i32); 10] = [
+    (0, 0, 0),
+    (0, 5, 3),
+    (4, 0, 3),
+    (4, 5, 0),
+    (1, 1, 1),
+    (1, 130, 1),
+    (65, 3, 49),
+    (47, 48, 49),
+    (49, 47, 48),
+    (130, 6, 130),
+];
 
 /// `product(m, k, n, s)` builds an `m×k` and a `k×n` operand from the seed
 /// `s`, prints a fold of their product and returns it. Float entries are
 /// not exactly representable, so every rounding step of every dot product
 /// shows in the result bits; int entries are large enough that products
-/// wrap.
-fn product_source(elem: &str) -> String {
+/// wrap. `main` is the program's `main` function.
+fn product_program(elem: &str, main: &str) -> String {
     let (entry_a, entry_b, zero) = if elem == "float" {
         (
             "toFloat((i * 7 + j * 13 + s) % 101) * 0.37 - 11.3",
@@ -46,9 +64,15 @@ fn product_source(elem: &str) -> String {
     {print}(with ([0, 0] <= [i, j] < [m, n]) fold(+, {zero}, c[i, j]));
     return c;
 }}
-int main() {{ return 0; }}
+{main}
 "
     )
+}
+
+/// [`product_program`] with a `main` that does nothing: the tiers call
+/// `product` directly.
+fn product_source(elem: &str) -> String {
+    product_program(elem, "int main() { return 0; }")
 }
 
 fn compile(src: &str) -> IrProgram {
@@ -151,22 +175,13 @@ proptest! {
     }
 }
 
-/// Small shapes at the edges the random cases may miss, in both tiers
-/// under every schedule, plus the closed form itself: the product's share
-/// of `steps_used()` is exactly `1 + m·(2 + n·(4 + 2k))`.
+/// [`EDGE_SHAPES`] in both tiers, plus the closed form itself: the
+/// product's share of `steps_used()` is exactly `1 + m·(2 + n·(4 + 2k))`.
 #[test]
 fn edge_shapes_agree_and_cost_the_closed_form() {
     for elem in ["float", "int"] {
         let ir = compile(&product_source(elem));
-        for (m, k, n) in [
-            (0, 0, 0),
-            (0, 5, 3),
-            (4, 0, 3),
-            (4, 5, 0),
-            (1, 1, 1),
-            (1, 130, 1),
-            (65, 3, 49),
-        ] {
+        for (m, k, n) in EDGE_SHAPES {
             let want = run_product(&ir, Tier::Tree, 1, Schedule::Static, (m, k, n, 7));
             let got = run_product(&ir, Tier::Vm, 2, Schedule::Static, (m, k, n, 7));
             assert_eq!(got, want, "{elem} {m}x{k}x{n}");
@@ -329,12 +344,128 @@ fn bad_operands_keep_their_messages_in_both_tiers() {
     }
 }
 
-/// The C emitter sees only the scalar nest, so `cmmc emit` of a product
-/// is what it was before the kernel statement existed. The golden is
-/// shared with `tests/emit_golden.rs`, which says how to regenerate it.
+/// A `main` that stores `product(m, k, n, 7)` of each shape to
+/// `<dir>/<index>.cmmx`, in order.
+fn writing_main(elem: &str, shapes: &[(i32, i32, i32)], dir: &std::path::Path) -> String {
+    let mut main = String::from("int main() {\n");
+    for (at, (m, k, n)) in shapes.iter().enumerate() {
+        main += &format!(
+            "    Matrix {elem} <2> c{at} = product({m}, {k}, {n}, 7);\n    writeMatrix(\"{}/{at}.cmmx\", c{at});\n",
+            dir.display()
+        );
+    }
+    main + "    return 0;\n}"
+}
+
+/// The definition of `product` in emitted C (after its forward declaration).
+fn product_definition(c: &str) -> &str {
+    c.rsplit_once(" product(int").expect("product is emitted").1
+}
+
+/// Build and run emitted C at `threads` OpenMP threads: it must print what
+/// the tree tier printed for `want`'s shapes, one after another, and write
+/// each shape's result bits to `<dir>/<index>.cmmx`.
+fn assert_c_writes(c: &str, threads: usize, elem: Elem, want: &[Observed], dir: &std::path::Path) {
+    let out = compile_and_run_c(c, threads).expect("gcc builds and runs the emitted C");
+    let printed: String = want.iter().map(|w| w.output.as_str()).collect();
+    assert_eq!(out, printed, "{elem:?} at {threads} thread(s)");
+    for (at, w) in want.iter().enumerate() {
+        let bytes = std::fs::read(dir.join(format!("{at}.cmmx"))).expect("the result was written");
+        let header = cmmx::parse(&bytes, elem).expect("a CMMX container");
+        let bits: Vec<u32> = cmmx::cell_bits(&bytes, &header, elem).collect();
+        assert_eq!(bits, w.bits, "{elem:?} product {at} at {threads} thread(s)");
+    }
+}
+
+/// The emitted C runs a product of numbers as one call of its prelude's
+/// row kernel. Built as documented (`gcc -O2 -fopenmp -msse2`), it prints
+/// the tree tier's output and writes the tree tier's result bits for every
+/// edge shape of both element types at 1, 2 and 4 OpenMP threads, and on
+/// the sequential branch a `--no-parallel` compile takes.
 #[test]
-fn emitted_c_is_unchanged() {
-    let src = include_str!("../examples/matmul.xc");
-    let emitted = full_compiler().compile_to_c(src).expect("example emits");
-    assert_eq!(emitted, include_str!("golden/emit/matmul.c"));
+fn emitted_c_kernel_writes_the_tree_tier_bits() {
+    if !gcc_available_or_skip("emitted_c_kernel_writes_the_tree_tier_bits") {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("cmm-kernel-c-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (elem, cell) in [("float", Elem::F32), ("int", Elem::I32)] {
+        let ir = compile(&product_source(elem));
+        let want: Vec<Observed> = EDGE_SHAPES
+            .iter()
+            .map(|&(m, k, n)| run_product(&ir, Tier::Tree, 1, Schedule::Static, (m, k, n, 7)))
+            .collect();
+        let src = product_program(elem, &writing_main(elem, &EDGE_SHAPES, &dir));
+        let mut compiler = full_compiler();
+        let parallel = compiler.compile_to_c(&src).expect("program emits");
+        compiler.options.parallelize = false;
+        let sequential = compiler.compile_to_c(&src).expect("program emits");
+        let kernel = if cell == Elem::F32 { "cmm_matmul_f32(" } else { "cmm_matmul_i32(" };
+        for (c, flag, threads) in [(&parallel, ", 1);", &[1, 2, 4][..]), (&sequential, ", 0);", &[2])] {
+            let calls: Vec<&str> = product_definition(c)
+                .lines()
+                .filter(|l| l.contains("cmm_matmul_"))
+                .collect();
+            assert_eq!(calls.len(), 1, "one kernel call and no nest: {calls:?}");
+            assert!(calls[0].contains(kernel) && calls[0].ends_with(flag), "{}", calls[0]);
+            for &t in threads {
+                assert_c_writes(c, t, cell, &want, &dir);
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `transform` that rewrites a loop of the product's nest retires the
+/// kernel call (the statement becomes a block of the rewritten nest), so
+/// the emitted C prints that nest and calls no kernel; built with gcc, it
+/// still writes the tree tier's bits.
+#[test]
+fn a_transformed_product_emits_its_nest() {
+    let dir = std::env::temp_dir().join(format!("cmm-kernel-nest-{}", std::process::id()));
+    let shape = [(9, 10, 12)];
+    let mut ir = compile(&product_program("float", &writing_main("float", &shape, &dir)));
+    let product = ir
+        .functions
+        .iter_mut()
+        .find(|f| &*f.name == "product")
+        .expect("product");
+    let j = product
+        .body
+        .iter()
+        .find_map(|s| match s {
+            IrStmt::Kernel { fallback, .. } => match &fallback[..] {
+                [IrStmt::For(rows)] => match &rows.body[..] {
+                    [IrStmt::For(cols)] => Some(cols.var.to_string()),
+                    _ => None,
+                },
+                _ => None,
+            },
+            _ => None,
+        })
+        .expect("the product's kernel statement, an i/j/k nest");
+    let split = LoopTransform::Split {
+        index: j,
+        by: 4,
+        inner: "jin".into(),
+        outer: "jout".into(),
+    };
+    apply(&mut product.body, &split).expect("the split applies");
+    let c = emit::emit_program(&ir).expect("program emits");
+    let definition = product_definition(&c);
+    assert!(!definition.contains("cmm_matmul_"), "{definition}");
+    assert!(definition.contains("jout"), "the split nest is emitted: {definition}");
+    if gcc_available_or_skip("a_transformed_product_emits_its_nest") {
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let (m, k, n) = shape[0];
+        let want = run_product(
+            &compile(&product_source("float")),
+            Tier::Tree,
+            1,
+            Schedule::Static,
+            (m, k, n, 7),
+        );
+        assert_c_writes(&c, 2, Elem::F32, &[want], &dir);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
