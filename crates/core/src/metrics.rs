@@ -14,8 +14,11 @@
 //! per-worker `steals` / `steal_failures`, added with the work-stealing
 //! scheduler; the interp block's six `unboxed_*` counters and its
 //! `boxed_loops` / `per_iteration_loops` arrays of `{"function", "var",
-//! "reason"}`; the parser cache's `prebuilt` count, appended last) keep
-//! the tag. The interpreter, rc-pool and parser-cache rows are listed once
+//! "reason"}`; the parser cache's `prebuilt` count, appended last; the
+//! interp block's `strip_isa`, `"avx2"` or `"baseline"`, the compiled copy
+//! of the unboxed loops' strip walk this host runs — the AVX2 build of the
+//! sweeps where the CPU has AVX2 — so that a timing can be traced to the
+//! code that produced it) keep the tag. The interpreter, rc-pool and parser-cache rows are listed once
 //! and both renderings walk the list, so whatever the `--profile` table
 //! prints there the document carries too.
 
@@ -270,9 +273,11 @@ enum Row<'a> {
     Count(&'static str, &'static str, u64),
     /// Loops that did not take a fast path, one table line each.
     Loops(&'static str, &'static str, &'a [BoxedLoop]),
+    /// A name.
+    Text(&'static str, &'static str, &'static str),
 }
 
-fn interp_rows(p: &InterpProfile) -> [Row<'_>; 13] {
+fn interp_rows(p: &InterpProfile) -> [Row<'_>; 14] {
     [
         Row::Count("total steps", "total_steps", p.total_steps),
         Row::Count("parallel loops", "par_loops", p.par_loops),
@@ -282,6 +287,7 @@ fn interp_rows(p: &InterpProfile) -> [Row<'_>; 13] {
         Row::Count("unboxed iterations", "unboxed_iters", p.unboxed_iters),
         Row::Count("strip iterations", "unboxed_strip_iters", p.unboxed_strip_iters),
         Row::Count("full strips", "unboxed_full_strips", p.unboxed_full_strips),
+        Row::Text("strip walk", "strip_isa", p.strip_isa.name()),
         Row::Count("unboxed declines", "unboxed_declines", p.unboxed_declines),
         Row::Count("unboxed bails", "unboxed_bails", p.unboxed_bails),
         Row::Loops("boxed", "boxed_loops", &p.boxed_loops),
@@ -313,6 +319,9 @@ fn table_rows(out: &mut String, rows: &[Row]) {
             Row::Count(label, _, n) => {
                 let _ = writeln!(out, "{label:<22} {n:>10}");
             }
+            Row::Text(label, _, text) => {
+                let _ = writeln!(out, "{label:<22} {text:>10}");
+            }
             Row::Loops(label, _, loops) => {
                 for l in *loops {
                     let _ = writeln!(out, "{label} {}: loop {} — {}", l.function, l.var, l.reason);
@@ -325,6 +334,7 @@ fn table_rows(out: &mut String, rows: &[Row]) {
 fn json_rows(rows: &[Row]) -> Vec<Member> {
     let member = |row: &Row| match *row {
         Row::Count(_, key, n) => (key.into(), n.into()),
+        Row::Text(_, key, text) => (key.into(), text.into()),
         Row::Loops(_, key, loops) => {
             let loops = loops.iter().map(|l| {
                 Json::obj([

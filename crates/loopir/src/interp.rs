@@ -469,6 +469,48 @@ impl CellView<'_> {
         unsafe { *self.cells.add(idx) = bits };
         true
     }
+
+    /// Whether every `int` index of `index`, as its `u32` bits, names a
+    /// cell. One comparison for the row: a negative index is `≥ 2³¹` as a
+    /// `u32`, beyond the limit even of a buffer longer than that.
+    #[inline(always)]
+    fn row_in_bounds(&self, index: &[u32]) -> bool {
+        let top = index.iter().fold(0, |top, &i| top.max(i));
+        (top as usize) < self.len.min(1 << 31)
+    }
+
+    /// `out[k] = cells[index[k]]` for every lane, or — when any index is out
+    /// of bounds — nothing: `false`, and [`CellView::read`] lane by lane
+    /// finds the failing one.
+    #[inline(always)]
+    pub(crate) fn read_row(&self, index: &[u32], out: &mut [u32]) -> bool {
+        if !self.row_in_bounds(index) {
+            return false;
+        }
+        for (o, &i) in out.iter_mut().zip(index) {
+            // SAFETY: `i` is below `len` (`row_in_bounds`), so in bounds of
+            // the block, which the borrowed handle keeps allocated;
+            // disjoint-write discipline as in `read_bits`.
+            *o = unsafe { *self.cells.add(i as usize) };
+        }
+        true
+    }
+
+    /// `cells[index[k]] = values[k]` for every lane in lane order (a later
+    /// lane's write to the same cell wins), or nothing and `false` as in
+    /// [`CellView::read_row`].
+    #[inline(always)]
+    pub(crate) fn write_row(&self, index: &[u32], values: &[u32]) -> bool {
+        if !self.row_in_bounds(index) {
+            return false;
+        }
+        for (&v, &i) in values.iter().zip(index) {
+            // SAFETY: as in `read_row`; disjoint-write discipline as in
+            // `write_bits`.
+            unsafe { *self.cells.add(i as usize) = v };
+        }
+        true
+    }
 }
 
 impl std::fmt::Debug for BufHandle {
@@ -625,6 +667,9 @@ pub struct InterpProfile {
     /// Strips that ran all 128 lanes (`unboxed_strip_iters` ÷ 128 when
     /// every loop is long; 0 when no entry reaches 128 trips).
     pub unboxed_full_strips: u64,
+    /// The compiled copy of the strip walk this host runs (the VM tier's
+    /// strips; `baseline` or `avx2`).
+    pub strip_isa: crate::StripIsa,
     /// Entries whose guard failed — a live-in slot not of its declared
     /// type, a freed or retyped buffer, a failing hoisted operation — and
     /// that the ordinary bytecode ran instead.
@@ -857,6 +902,7 @@ impl<'p> Interp<'p> {
             unboxed_iters: self.unboxed_iters.load(Ordering::Relaxed),
             unboxed_strip_iters: self.unboxed_strip_iters.load(Ordering::Relaxed),
             unboxed_full_strips: self.unboxed_full_strips.load(Ordering::Relaxed),
+            strip_isa: crate::StripIsa::host(),
             unboxed_declines: self.unboxed_declines.load(Ordering::Relaxed),
             unboxed_bails: self.unboxed_bails.load(Ordering::Relaxed),
             boxed_loops: noted(|f| &f.boxed_loops),

@@ -42,7 +42,7 @@ pub use ir::{
     Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
     Name,
 };
-pub use scalar_loop::STRIP as UNBOXED_STRIP;
+pub use scalar_loop::{StripIsa, STRIP as UNBOXED_STRIP};
 pub use transform::TransformError;
 
 #[cfg(test)]

@@ -71,12 +71,28 @@
 //! operations have only read buffers and written rows, and the store is
 //! the last checked operation, so by the time anything is stored `k` is
 //! final: frame and buffers are what the bytecode has at the top of
-//! iteration `t + k`, which is the bail contract. A float operation whose
-//! strip produced a NaN runs again through [`float_arith`], so NaN bits
-//! still come from its one compiled copy. Int `/` and `%` by a
-//! loop-invariant divisor `d`, `|d| ≥ 2`, multiply and shift ([`Magic`]);
-//! 0, 1 and -1 take the checked per-lane path (0 completes no lane, and the
-//! bytecode raises its error).
+//! iteration `t + k`, which is the bail contract. A load or store checks
+//! its strip's whole index row at once — the largest index, as a `u32`,
+//! below the length, a negative one being `≥ 2³¹` — and then moves the
+//! cells unchecked; a row that fails goes lane by lane, which finds `k`.
+//! A float operation whose strip produced a NaN runs again through
+//! [`float_arith`], so NaN bits still come from its one compiled copy. Int
+//! `/` and `%` by a loop-invariant divisor `d`, `|d| ≥ 2`, multiply and
+//! shift ([`Magic`], made once per entry): a row with no negative lane in
+//! `u32 × u32 → u64`, which vectorises, one with a negative lane in `i64`,
+//! which does not. 0, 1 and -1 take the checked per-lane path (0 completes
+//! no lane, and the bytecode raises its error).
+//!
+//! The strip walk ([`Strips::run`]) is compiled twice from one source: for
+//! the target's baseline, and with AVX2 enabled, the sweeps inlined into
+//! it. The AVX2 copy runs where the CPU has AVX2 ([`StripIsa`],
+//! detected once per process; no option chooses it), and `--profile` names
+//! the copy. The copies compute the same bits: integer operations are
+//! exact; float `+ - * /` and `int`→`float` are exactly rounded in either
+//! encoding (the same MXCSR rounding mode), float `%` and the saturating
+//! `float`→`int` are exact; Rust never contracts a multiply and an add
+//! into an FMA; and a NaN result's bits come from the one out-of-line copy
+//! of `float_arith`'s NaN path.
 //!
 //! A body has no plan — [`step`] runs it as before, and `--profile` says
 //! why — when a checked operation sits on the carried chain (a failing lane
@@ -1083,11 +1099,13 @@ fn fold_lanes(code: Code, acc: &mut u32, xs: &[u32]) {
 /// `m·|d|` exceeds `2^(31+l)` by at most `2^l`, so for every `int` `x` the
 /// product `x·m / 2^(31+l)` lies away from zero of `x / |d|` by at most
 /// `1 / |d|` (by less for `x ≥ 0`): its floor is the truncated quotient
-/// for `x ≥ 0` and one below it for `x < 0`. `m ≤ 2^32` and `|x| ≤ 2^31`,
-/// so the product fits an `i64`.
+/// for `x ≥ 0` and one below it for `x < 0`. `2^(l-1) < |d| ≤ 2^l` puts
+/// `m` in `[2^31 + 1, 2^32 - 1]`, so for `x ≥ 0` the product is a `u32 ×
+/// u32 → u64` multiply, which vectorises on every x86-64 (`pmuludq`); a
+/// negative `x` needs the `i64` product, which does not.
 #[derive(Debug, Clone, Copy)]
 struct Magic {
-    mul: i64,
+    mul: u32,
     shift: u32,
     /// The divisor, and its sign as a mask (0 or -1).
     d: i32,
@@ -1103,7 +1121,7 @@ impl Magic {
         }
         let shift = 31 + (32 - (magnitude - 1).leading_zeros());
         Some(Magic {
-            mul: ((1u64 << shift) / u64::from(magnitude)) as i64 + 1,
+            mul: ((1u64 << shift) / u64::from(magnitude) + 1) as u32,
             shift,
             d,
             sign: d >> 31,
@@ -1113,40 +1131,66 @@ impl Magic {
     /// `int_div(x, d)`, which cannot fail for this `d`.
     #[inline(always)]
     fn div(self, x: i32) -> i32 {
-        let q = ((i64::from(x) * self.mul) >> self.shift) as i32 + i32::from(x < 0);
-        // Negated for a negative divisor.
+        let q = (i64::from(x) * i64::from(self.mul)) >> self.shift;
+        self.signed(q as i32 + i32::from(x < 0))
+    }
+
+    /// [`Magic::div`] of an `x` in `0..2^31`, in unsigned arithmetic.
+    #[inline(always)]
+    fn div_nonnegative(self, x: u32) -> i32 {
+        self.signed(((u64::from(x) * u64::from(self.mul)) >> self.shift) as i32)
+    }
+
+    /// The quotient by `|d|`, negated for a negative divisor.
+    #[inline(always)]
+    fn signed(self, q: i32) -> i32 {
         (q ^ self.sign).wrapping_sub(self.sign)
     }
 
-    /// `int_rem(x, d)`.
+    /// `int_rem(x, d)`, from `q = int_div(x, d)`.
     #[inline(always)]
-    fn rem(self, x: i32) -> i32 {
-        x.wrapping_sub(self.div(x).wrapping_mul(self.d))
+    fn rem(self, x: i32, q: i32) -> i32 {
+        x.wrapping_sub(q.wrapping_mul(self.d))
     }
 }
 
-/// Int `/` (`IDiv`) or `%` (`IRem`) by the one divisor every lane has.
+/// Int `/` (`IDiv`) or `%` (`IRem`) by the one divisor every lane has. A
+/// row with no negative lane — every index-derived row — takes the
+/// unsigned product, one with a negative lane the signed one.
 #[inline(always)]
 fn magic_lanes(code: Code, magic: Magic, rd: &mut [u32], rx: &[u32]) -> usize {
-    for (d, &x) in rd.iter_mut().zip(rx) {
-        *d = match code {
-            Code::IDiv => magic.div(x as i32),
-            _ => magic.rem(x as i32),
-        } as u32;
+    let result = |x: i32, q: i32| match code {
+        Code::IDiv => q as u32,
+        _ => magic.rem(x, q) as u32,
+    };
+    if rx.iter().fold(0, |lanes, &x| lanes | x) >> 31 == 0 {
+        for (d, &x) in rd.iter_mut().zip(rx) {
+            *d = result(x as i32, magic.div_nonnegative(x));
+        }
+    } else {
+        for (d, &x) in rd.iter_mut().zip(rx) {
+            *d = result(x as i32, magic.div(x as i32));
+        }
     }
     rd.len()
 }
 
 const DISJOINT: &str = "validated: a lane-parallel destination is none of its sources";
 
-/// Run the lane-parallel `op` over lanes `..n` of its rows. Returns the
-/// lanes completed: `k < n` when lane `k`'s check failed, lanes from `k` on
-/// then being unspecified in the destination row.
-fn sweep(op: Op, plan: &Plan, rows: &mut [Row], n: usize, bufs: &Operands<'_>) -> usize {
+/// Run the lane-parallel `op` over lanes `..n` of its rows; `magic` is the
+/// entry's multiplier when `op` divides by a loop-invariant `d`, `|d| ≥
+/// 2`. Returns the lanes completed: `k < n` when lane `k`'s check failed,
+/// lanes from `k` on then being unspecified in the destination row.
+#[inline(always)] // into both compiled copies
+fn sweep(op: Op, magic: Option<Magic>, rows: &mut [Row], n: usize, bufs: &Operands<'_>) -> usize {
     let (d, a, b) = (op.d as usize, op.a as usize, op.b as usize);
     let buf = &bufs[a % MAX_BUFS];
     if op.code == Code::Store {
         let (value, index) = (&rows[d][..n], &rows[b][..n]);
+        if buf.cells.write_row(index, value) {
+            return n;
+        }
+        // Some lane's index is out of bounds: store up to it.
         let stored = |(&v, &i)| apply(Code::Store, 0, i, v, buf).is_some();
         return value
             .iter()
@@ -1169,19 +1213,23 @@ fn sweep(op: Op, plan: &Plan, rows: &mut [Row], n: usize, bufs: &Operands<'_>) -
         (rd, &*ra, &*rb)
     };
     let (rd, ra, rb) = (&mut rd[..n], &ra[..n], &rb[..n]);
-    // A loop-invariant divisor (every lane of its row is the one value)
-    // other than 0, 1 and -1 divides by multiplying.
-    let divides = matches!(op.code, Code::IDiv | Code::IRem) && plan.broadcast.contains(op.b);
-    let magic = rb
-        .first()
-        .filter(|_| divides)
-        .and_then(|&y| Magic::new(y as i32));
     match (op.code, magic) {
         (Code::FAdd | Code::FSub | Code::FMul | Code::FDiv | Code::FRem, _) => {
             per_code!(op.code, [FAdd FSub FMul FDiv FRem], |c| float_lanes(c, rd, ra, rb))
         }
-        (code, Some(magic)) => per_code!(code, [IDiv IRem], |c| magic_lanes(c, magic, rd, ra)),
-        (code, None) => per_code!(
+        (code @ (Code::IDiv | Code::IRem), Some(magic)) => {
+            per_code!(code, [IDiv IRem], |c| magic_lanes(c, magic, rd, ra))
+        }
+        // One bounds check for the row, then the cells; a row with an index
+        // out of bounds goes lane by lane, which stops at it.
+        (Code::Load, _) if buf.cells.read_row(ra, rd) => n,
+        (Code::LoadBool, _) if buf.cells.read_row(ra, rd) => {
+            for cell in rd.iter_mut() {
+                *cell = u32::from(int_to_bool(*cell as i32));
+            }
+            n
+        }
+        (code, _) => per_code!(
             code,
             [Mov IAdd ISub IMul IDiv IRem ILt ILe IEq INe INeg FLt FLe FEq FNe FNeg Not
              IntToFloat FloatToInt Load LoadBool],
@@ -1190,13 +1238,72 @@ fn sweep(op: Op, plan: &Plan, rows: &mut [Row], n: usize, bufs: &Operands<'_>) -
     }
 }
 
+/// [`sweep`] in the baseline copy of the walk. Out of line, one call an
+/// operation a strip: inlined there, the float sweeps ran ≈25 % slower
+/// (E-K5), while the AVX2 copy is faster with them inlined.
+#[inline(never)]
+fn sweep_baseline(
+    op: Op,
+    magic: Option<Magic>,
+    rows: &mut [Row],
+    n: usize,
+    bufs: &Operands<'_>,
+) -> usize {
+    sweep(op, magic, rows, n, bufs)
+}
+
+/// The two compiled copies of the strip walk: the sweeps built for the
+/// x86-64 baseline (SSE2), and the same source built again with AVX2
+/// enabled, which the walk takes on a CPU that has it. They compute the
+/// same bits (module docs, "Strips"); only their speed differs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum StripIsa {
+    /// Built for the target's baseline instruction set.
+    #[default]
+    Baseline,
+    /// Built with `#[target_feature(enable = "avx2")]`.
+    Avx2,
+}
+
+impl StripIsa {
+    /// The copy this host runs (`std` detects the CPU's features once per
+    /// process and caches them).
+    pub fn host() -> StripIsa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return StripIsa::Avx2;
+        }
+        StripIsa::Baseline
+    }
+
+    /// `baseline` or `avx2`, as `--profile` and `--metrics-json` print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            StripIsa::Baseline => "baseline",
+            StripIsa::Avx2 => "avx2",
+        }
+    }
+}
+
+/// A thread's strip scratch: lane rows, one per unboxed register of the
+/// largest loop it has run in strips (only rows of lane-varying and
+/// broadcast registers are ever touched), and the multiplier of each
+/// lane-parallel operation of the current entry. No entry but the first to
+/// need more allocates.
+struct Scratch {
+    rows: Vec<Row>,
+    magic: Vec<Option<Magic>>,
+}
+
 thread_local! {
-    /// The thread's lane rows, one per unboxed register of the largest
-    /// loop it has run in strips (only rows of lane-varying and broadcast
-    /// registers are ever touched): no entry but the first to need more
-    /// rows allocates. `run` calls nothing that could re-enter it, so the
-    /// rows are never borrowed twice.
-    static ROWS: RefCell<Vec<Row>> = const { RefCell::new(Vec::new()) };
+    /// `run` calls nothing that could re-enter it, so the scratch is never
+    /// borrowed twice.
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            rows: Vec::new(),
+            magic: Vec::new(),
+        })
+    };
 }
 
 impl Plan {
@@ -1220,20 +1327,25 @@ struct Strips<'a> {
     lp: &'a ScalarLoop,
     plan: &'a Plan,
     rows: &'a mut [Row],
+    /// By lane-parallel operation: its [`Magic`], if it has one.
+    magic: &'a [Option<Magic>],
+    isa: StripIsa,
     /// Strips that completed all [`STRIP`] lanes, for the profile.
     full: u64,
 }
 
 impl<'a> Strips<'a> {
-    /// The walk of an entry of `trips` iterations that `plan` admits:
-    /// `regs` hold the entry's invariants.
+    /// The walk, on `isa`'s copy, of an entry of `trips` iterations that
+    /// `plan` admits: `regs` hold the entry's invariants.
     fn enter(
         lp: &'a ScalarLoop,
         plan: &'a Plan,
-        rows: &'a mut Vec<Row>,
+        scratch: &'a mut Scratch,
         regs: &Regs,
         trips: u64,
+        isa: StripIsa,
     ) -> Self {
+        let Scratch { rows, magic } = scratch;
         if rows.len() < lp.nregs {
             rows.resize(lp.nregs, [0; STRIP]);
         }
@@ -1241,10 +1353,21 @@ impl<'a> Strips<'a> {
         for r in plan.broadcast.iter() {
             rows[r][..lanes].fill(regs[r]);
         }
+        // A loop-invariant divisor (broadcast) other than 0, 1 and -1
+        // divides by multiplying; the constants cost a 64-bit division.
+        let par = &lp.body[..plan.par as usize];
+        magic.clear();
+        magic.extend(par.iter().map(|op| {
+            let divides = matches!(op.code, Code::IDiv | Code::IRem);
+            let by_invariant = divides && plan.broadcast.contains(op.b);
+            by_invariant.then(|| Magic::new(regs[op.b as usize] as i32))?
+        }));
         Strips {
             lp,
             plan,
             rows,
+            magic,
+            isa,
             full: 0,
         }
     }
@@ -1253,6 +1376,38 @@ impl<'a> Strips<'a> {
     /// (`to` when all did). `regs` end as [`iterate`] leaves them: holding
     /// what the last completed iteration computed.
     fn run(&mut self, regs: &mut Regs, bufs: &Operands<'_>, from: i32, to: i32) -> i32 {
+        #[cfg(target_arch = "x86_64")]
+        if self.isa == StripIsa::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2, checked just above.
+            return unsafe { self.walk_avx2(regs, bufs, from, to) };
+        }
+        self.walk(regs, bufs, from, to, sweep_baseline)
+    }
+
+    /// [`Strips::walk`], every sweep inlined into it, built with AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn walk_avx2(
+        &mut self,
+        regs: &mut Regs,
+        bufs: &Operands<'_>,
+        from: i32,
+        to: i32,
+    ) -> i32 {
+        self.walk(regs, bufs, from, to, sweep)
+    }
+
+    /// [`Strips::run`]'s body, compiled into each copy, the lane-parallel
+    /// operations swept by `sweep`.
+    #[inline(always)]
+    fn walk(
+        &mut self,
+        regs: &mut Regs,
+        bufs: &Operands<'_>,
+        from: i32,
+        to: i32,
+        sweep: impl Fn(Op, Option<Magic>, &mut [Row], usize, &Operands<'_>) -> usize,
+    ) -> i32 {
         let (plan, rows) = (self.plan, &mut *self.rows);
         let (par, chain) = self.lp.body.split_at(plan.par as usize);
         let var = self.lp.var as usize;
@@ -1270,8 +1425,8 @@ impl<'a> Strips<'a> {
                 *index = t.wrapping_add(k as i32) as u32;
             }
             let mut n = strip;
-            for &op in par {
-                n = sweep(op, plan, rows, n, bufs);
+            for (&op, &magic) in par.iter().zip(self.magic) {
+                n = sweep(op, magic, rows, n, bufs);
             }
             match chain {
                 [] => {}
@@ -1377,6 +1532,18 @@ pub(crate) fn run(
     frame: &mut Frame,
     batch: Option<&mut u64>,
 ) -> IResult<bool> {
+    run_on(StripIsa::host(), interp, lp, frame, batch)
+}
+
+/// [`run`], strips walked by `isa`'s copy (AVX2 only where the CPU has
+/// it).
+fn run_on(
+    isa: StripIsa,
+    interp: &Interp<'_>,
+    lp: &ScalarLoop,
+    frame: &mut Frame,
+    batch: Option<&mut u64>,
+) -> IResult<bool> {
     let slots = &frame.slots;
     let (&Value::I(lo), &Value::I(hi)) = (&slots[lp.counter as usize], &slots[lp.hi as usize])
     else {
@@ -1426,8 +1593,8 @@ pub(crate) fn run(
     let plan = (lp.plan.as_ref().ok()).filter(|plan| plan.admits(&bufs, trips(lo, hi)));
     let mut full_strips = 0;
     let (t, bailed) = match plan {
-        Some(plan) => ROWS.with_borrow_mut(|rows| {
-            let mut strips = Strips::enter(lp, plan, rows, &regs, trips(lo, hi));
+        Some(plan) => SCRATCH.with_borrow_mut(|scratch| {
+            let mut strips = Strips::enter(lp, plan, scratch, &regs, trips(lo, hi), isa);
             let advance = |from, to| strips.run(&mut regs, &bufs, from, to);
             let stopped = metered(interp, lp.charge, batch, (lo, hi), advance);
             full_strips = strips.full;
@@ -1886,8 +2053,9 @@ mod tests {
         assert!(!bad.validate(12));
     }
 
-    /// The multiply-shift is `int_div` and `int_rem` wherever it is used,
-    /// and leaves 0, 1 and -1 to them.
+    /// The multiply-shift is `int_div` and `int_rem` lane for lane, on rows
+    /// with no negative lane (the unsigned product) and on rows with one
+    /// (the signed product), and leaves 0, 1 and -1 to them.
     #[test]
     fn magic_division_is_int_div_and_int_rem() {
         for d in [0, 1, -1] {
@@ -1896,26 +2064,53 @@ mod tests {
                 "{d} takes the checked per-lane path"
             );
         }
-        let mut divisors = vec![2, 3, 5, 7, 16, 800, 9973, i32::MAX, i32::MIN];
-        for k in 1..31 {
+        let mut divisors = vec![2, 3, 7, 16, 800, 9973, i32::MAX, i32::MIN];
+        for k in 2..=30 {
             divisors.extend([1 << k, (1 << k) + 1, (1 << k) - 1]);
         }
-        divisors.retain(|d: &i32| d.unsigned_abs() >= 2);
         divisors.extend(divisors.clone().iter().map(|d| d.wrapping_neg()));
         // Seeded: the draws repeat.
         let mut rng = proptest::test_runner::TestRng::with_seed(0x5eed);
-        let mut draw = move || rng.next_u64() as i32;
-        let draws = 1_000_000 / divisors.len() + 1;
+        let (mut quotients, mut remainders) = ([0; STRIP], [0; STRIP]);
+        let mut check = |magic: Magic, d: i32, row: &[u32; STRIP]| {
+            assert_eq!(magic_lanes(Code::IDiv, magic, &mut quotients, row), STRIP);
+            assert_eq!(magic_lanes(Code::IRem, magic, &mut remainders, row), STRIP);
+            for ((&x, &q), &r) in row.iter().zip(&quotients).zip(&remainders) {
+                let x = x as i32;
+                assert_eq!(Ok(q as i32), int_div(x, d), "{x} / {d}");
+                assert_eq!(Ok(r as i32), int_rem(x, d), "{x} % {d}");
+            }
+        };
         for &d in &divisors {
             let magic = Magic::new(d).expect("a multiplier");
-            let mut dividends = vec![0, 1, -1, i32::MIN, i32::MIN + 1, i32::MAX];
-            for near in [d, d.wrapping_neg()] {
-                dividends.extend([near, near.wrapping_add(1), near.wrapping_sub(1)]);
+            // `2^31 < m < 2^32`: had the multiplier needed a 33rd bit, its
+            // `u32` would have wrapped to a small number.
+            assert!(magic.mul > 1 << 31, "{d}: multiplier {}", magic.mul);
+            let m = d.unsigned_abs();
+            let edges = [0, 1, m - 1, m, m + 1, i32::MAX as u32];
+            let edges = edges.into_iter().filter(|&x| x <= i32::MAX as u32);
+            let mut row = [0; STRIP];
+            for (lane, x) in row.iter_mut().zip(edges) {
+                *lane = x;
             }
-            dividends.extend((0..draws).map(|_| draw()));
-            for x in dividends {
-                assert_eq!(Some(magic.div(x)), int_div(x, d).ok(), "{x} / {d}");
-                assert_eq!(Some(magic.rem(x)), int_rem(x, d).ok(), "{x} % {d}");
+            for round in 0..8 {
+                if round > 0 {
+                    row.fill_with(|| (rng.next_u64() as u32) >> 1);
+                }
+                check(magic, d, &row);
+                // One negative lane sends the whole row the signed way.
+                let mut signed = row;
+                let lane = (rng.next_u64() as u32) as usize % STRIP;
+                signed[lane] = match round {
+                    0 => i32::MIN as u32,
+                    1 => u32::MAX,
+                    2 => d.wrapping_neg().min(d) as u32,
+                    _ => (rng.next_u64() as u32) | 1 << 31,
+                };
+                check(magic, d, &signed);
+                // And rows of any `int`s.
+                signed.fill_with(|| rng.next_u64() as u32);
+                check(magic, d, &signed);
             }
         }
     }
@@ -1986,6 +2181,315 @@ mod tests {
                 assert_eq!(i as usize, 1000 + f * f.saturating_sub(1) / 2, "{what}");
                 assert_eq!(steps, 3 * f as u64, "{what}: three steps an iteration");
                 assert_eq!(out, (0..f as i32).collect::<Vec<_>>(), "{what}");
+            }
+        }
+    }
+
+    // ---- the two copies of the strip walk ----------------------------------
+
+    /// What one run of a loop leaves: whether it completed, the counter
+    /// (where it stopped), the steps it charged, and every frame slot's
+    /// bits — a buffer's as its cells.
+    type Observed = (bool, i32, u64, Vec<Vec<u32>>);
+
+    fn run_copy(isa: StripIsa, lp: &ScalarLoop, counter: u16, slots: Vec<Value>) -> Observed {
+        let program = crate::ir::IrProgram { functions: vec![] };
+        let interp = Interp::new(&program, 1);
+        let mut frame = Frame {
+            slots,
+            pending: Vec::new(),
+        };
+        let mut steps = 0;
+        let done = run_on(isa, &interp, lp, &mut frame, Some(&mut steps)).expect("no limit");
+        let bits = frame.slots.iter().map(|v| match v {
+            Value::Buf(b) => b
+                .to_i32_vec()
+                .expect("live")
+                .iter()
+                .map(|&c| c as u32)
+                .collect(),
+            Value::I(x) => vec![*x as u32],
+            Value::F(x) => vec![x.to_bits()],
+            Value::B(x) => vec![u32::from(*x)],
+            _ => vec![],
+        });
+        let Value::I(stopped) = frame.slots[counter as usize] else {
+            panic!("the counter holds an int")
+        };
+        (done, stopped, steps, bits.collect())
+    }
+
+    /// Trips of the agreement runs: three full strips and a short one, so
+    /// iteration 333 is lane 77 of the third strip.
+    const TRIPS: usize = 3 * STRIP + 40;
+    const FAIL_AT: usize = 2 * STRIP + 77;
+
+    /// Slots of the bodies that need more than [`SLOTS`]: 0 `j`, 1 `acc:
+    /// float`, 2 `grid: Matrix float`, 3 `i: int`, 4 `flag: bool`, 5 `ix:
+    /// Matrix int`, 6 `mask: Matrix bool`, 7 `dst: Matrix float`, 8 `k:
+    /// int`; 9 and 10 the counter and bound, temporaries from 11 up.
+    const WIDE_SLOTS: [CType; 9] = [
+        CType::Int,
+        CType::Float,
+        CType::Buf(Elem::F32),
+        CType::Int,
+        CType::Bool,
+        CType::Buf(Elem::I32),
+        CType::Buf(Elem::Bool),
+        CType::Buf(Elem::F32),
+        CType::Int,
+    ];
+    const WIDE_HEAD: Instr = Instr::ForHead {
+        counter: 9,
+        hi: 10,
+        var: 0,
+        charge: 2,
+        exit: 0,
+    };
+
+    fn bin(op: B, dst: u16, a: u16, b: u16) -> Instr {
+        Instr::Bin { op, dst, a, b }
+    }
+
+    /// Bodies over [`WIDE_SLOTS`] that between them run every operation in
+    /// a strip, and the literals they use.
+    fn wide_bodies() -> (Vec<(&'static str, Vec<Instr>)>, Vec<Value>) {
+        let load = |dst, buf, idx| Instr::Load { dst, buf, idx };
+        let store = |buf, idx, val| Instr::Store { buf, idx, val };
+        let bodies = vec![
+            // `acc = acc + grid[ix[j]] * 0.5`: a gather, then a fold.
+            (
+                "gather fold",
+                vec![
+                    load(11, 5, 0),
+                    load(12, 2, 11),
+                    Instr::Const { dst: 13, k: 0 },
+                    bin(B::Mul, 14, 12, 13),
+                    bin(B::Add, 1, 1, 14),
+                ],
+            ),
+            // `dst[j] = toFloat((j*7 - i) / k + (j*7 - i) % k)`.
+            (
+                "divide and store",
+                vec![
+                    Instr::Const { dst: 11, k: 1 },
+                    bin(B::Mul, 12, 0, 11),
+                    bin(B::Sub, 13, 12, 3),
+                    bin(B::Div, 14, 13, 8),
+                    bin(B::Rem, 15, 13, 8),
+                    bin(B::Add, 16, 14, 15),
+                    Instr::CastFloat { dst: 17, src: 16 },
+                    store(7, 0, 17),
+                ],
+            ),
+            // `i = i + mask[j]; ix[j] = -j + ((!mask[j]) == flag)`: a bool
+            // gather, and a chain that is not a fold.
+            (
+                "mask count",
+                vec![
+                    load(11, 6, 0),
+                    bin(B::Add, 3, 3, 11),
+                    Instr::Not { dst: 12, src: 11 },
+                    bin(B::Eq, 13, 12, 4),
+                    Instr::Neg { dst: 14, src: 0 },
+                    bin(B::Add, 15, 14, 13),
+                    store(5, 0, 15),
+                ],
+            ),
+            // Float arithmetic, casts and comparisons on `grid[j]`, NaNs
+            // and infinities among them, folded into `acc`.
+            (
+                "float mix",
+                vec![
+                    load(11, 2, 0),
+                    Instr::Neg { dst: 12, src: 11 },
+                    bin(B::Div, 13, 11, 12),
+                    bin(B::Rem, 14, 13, 11),
+                    bin(B::Sub, 15, 14, 11),
+                    Instr::CastInt { dst: 16, src: 15 },
+                    Instr::Neg { dst: 17, src: 16 },
+                    bin(B::Lt, 18, 17, 0),
+                    bin(B::Le, 19, 15, 11),
+                    bin(B::Eq, 4, 18, 19),
+                    Instr::CastFloat { dst: 20, src: 17 },
+                    bin(B::Mul, 21, 20, 11),
+                    bin(B::Ne, 22, 21, 11),
+                    bin(B::Gt, 23, 21, 11),
+                    bin(B::Ge, 24, 16, 0),
+                    bin(B::Mul, 25, 16, 0),
+                    bin(B::Add, 1, 1, 21),
+                ],
+            ),
+        ];
+        let consts = vec![Value::F(0.5), Value::I(7)];
+        (bodies, consts)
+    }
+
+    /// The inputs of one agreement run over [`WIDE_SLOTS`].
+    #[derive(Debug, Clone, Copy)]
+    struct Inputs {
+        /// Cells of `grid`, `ix` and `dst`: short of [`TRIPS`] makes a
+        /// load or store of `[j]` fail there.
+        cells: usize,
+        /// `ix[FAIL_AT]`, when not a valid index.
+        bad_index: Option<i32>,
+        k: i32,
+        i: i32,
+    }
+
+    fn wide_frame(inputs: Inputs) -> Vec<Value> {
+        let n = inputs.cells;
+        // NaNs, infinities, signed zeros and ordinary values.
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            -0.0,
+            0.0,
+            f32::NEG_INFINITY,
+        ];
+        let grid: Vec<f32> = (0..n)
+            .map(|j| match j % 11 {
+                0..=5 => special[j % 11],
+                _ => j as f32 * 0.75 - 100.0,
+            })
+            .collect();
+        let mut ix: Vec<i32> = (0..n).map(|j| (j * 37 % n) as i32).collect();
+        if let Some(bad) = inputs.bad_index {
+            ix[FAIL_AT] = bad;
+        }
+        let mask: Vec<bool> = (0..TRIPS).map(|j| j % 3 == 1).collect();
+        let mut slots = vec![Value::Unit; 11];
+        slots[0] = Value::I(-1);
+        slots[1] = Value::F(0.25);
+        slots[2] = Value::Buf(crate::interp::BufHandle::from_f32(vec![n], &grid));
+        slots[3] = Value::I(inputs.i);
+        slots[4] = Value::B(true);
+        slots[5] = Value::Buf(crate::interp::BufHandle::from_i32(vec![n], &ix));
+        slots[6] = Value::Buf(crate::interp::BufHandle::from_bool(vec![TRIPS], &mask));
+        slots[7] = Value::Buf(crate::interp::BufHandle::from_f32(vec![n], &vec![-1.0; n]));
+        slots[8] = Value::I(inputs.k);
+        slots[9] = Value::I(0);
+        slots[10] = Value::I(TRIPS as i32);
+        slots
+    }
+
+    /// The frame of [`SLOTS`]' bodies: `grid` and `out` `cells` long, the
+    /// loop [`TRIPS`] long.
+    fn narrow_frame(cells: usize) -> Vec<Value> {
+        let grid: Vec<f32> = (0..cells).map(|c| c as f32 * 0.5).collect();
+        let mut slots = vec![Value::Unit; 12];
+        slots[1] = Value::F(1.0);
+        slots[2] = Value::Buf(crate::interp::BufHandle::from_f32(vec![1, cells], &grid));
+        slots[3] = Value::I(0);
+        slots[5] = Value::Buf(crate::interp::BufHandle::from_i32(
+            vec![cells],
+            &vec![-1; cells],
+        ));
+        slots[6] = Value::I(0);
+        slots[7] = Value::I(TRIPS as i32);
+        slots
+    }
+
+    /// The AVX2 copy of the strip walk computes what the baseline copy
+    /// does — registers, buffer cells, the iteration it stops at, the
+    /// steps — on every strip-eligible body of these tests: with NaNs in
+    /// the rows, negative indices, and an index out of bounds at lane 77 of
+    /// the third strip.
+    #[test]
+    fn both_copies_of_the_strip_walk_agree() {
+        if StripIsa::host() != StripIsa::Avx2 {
+            eprintln!("skipped: this host has no AVX2, so the strip walk has one copy");
+            return;
+        }
+        let agree = |what: &str, lp: &ScalarLoop, counter: u16, frame: &dyn Fn() -> Vec<Value>| {
+            assert!(lp.plan.is_ok(), "{what}: planned");
+            let baseline = run_copy(StripIsa::Baseline, lp, counter, frame());
+            let avx2 = run_copy(StripIsa::Avx2, lp, counter, frame());
+            assert_eq!(avx2, baseline, "{what}");
+            baseline.1 as usize
+        };
+
+        let (bodies, consts) = wide_bodies();
+        let whole = Inputs {
+            cells: TRIPS,
+            bad_index: None,
+            k: 7,
+            i: 100,
+        };
+        let cases = [
+            whole,
+            Inputs { k: -3, ..whole },
+            // `j*7 - i` negative in every lane, then in the first strips
+            // only: the signed product.
+            Inputs {
+                i: i32::MAX,
+                ..whole
+            },
+            Inputs {
+                i: 1000,
+                k: i32::MIN,
+                ..whole
+            },
+            Inputs {
+                bad_index: Some(-5),
+                ..whole
+            },
+            Inputs {
+                bad_index: Some(TRIPS as i32),
+                ..whole
+            },
+            Inputs {
+                cells: FAIL_AT,
+                ..whole
+            },
+            // A divisor of 0 fails in lane 0 of the first strip, -1 in no
+            // lane; both take the checked per-lane path.
+            Inputs { k: 0, ..whole },
+            Inputs { k: -1, ..whole },
+        ];
+        let mut stopped_mid_strip = 0;
+        for (name, body) in &bodies {
+            let lp = translate(&WIDE_HEAD, body, &consts, &WIDE_SLOTS).expect(name);
+            assert!(lp.validate(11 + lp.nregs), "{name}");
+            for inputs in cases {
+                let what = format!("{name}, {inputs:?}");
+                let stopped = agree(&what, &lp, 9, &|| wide_frame(inputs));
+                stopped_mid_strip += usize::from(stopped == FAIL_AT);
+            }
+        }
+        assert!(
+            stopped_mid_strip >= 4,
+            "{stopped_mid_strip} runs stopped at lane 77"
+        );
+
+        let (row_work, literals) = row_work();
+        let acc_squared = [
+            bin(B::Mul, 1, 1, 1),
+            Instr::Store {
+                buf: 5,
+                idx: 0,
+                val: 0,
+            },
+        ];
+        let accumulate = bin(B::Add, 3, 3, 0);
+        let store_j = Instr::Store {
+            buf: 5,
+            idx: 0,
+            val: 0,
+        };
+        let narrow: [(&str, &[Instr]); 4] = [
+            ("rowWork", &row_work),
+            ("acc * acc, store", &acc_squared),
+            ("store, accumulate", &[store_j.clone(), accumulate.clone()]),
+            ("accumulate, store", &[accumulate, store_j]),
+        ];
+        for (name, body) in narrow {
+            let lp = translated(body, &literals).expect(name);
+            for cells in [TRIPS, FAIL_AT] {
+                agree(&format!("{name}, {cells} cells"), &lp, 6, &|| {
+                    narrow_frame(cells)
+                });
             }
         }
     }

@@ -8,7 +8,7 @@
 use cmm::core::json::{self, Json};
 use cmm::core::{CompileMetrics, ParserCacheStats, PassTiming, ProfileReport};
 use cmm::forkjoin::PoolMetrics;
-use cmm::loopir::{BoxedLoop, FnProfile, InterpProfile, Tier};
+use cmm::loopir::{BoxedLoop, FnProfile, InterpProfile, StripIsa, Tier};
 use cmm::rc::PoolStats;
 use cmm::serve::{PoolCacheStats, Request, RespCode, RespMetrics, Response, ServeStats};
 use proptest::prelude::*;
@@ -149,6 +149,7 @@ fn run_report() -> ProfileReport {
             unboxed_iters: 1300,
             unboxed_strip_iters: 1290,
             unboxed_full_strips: 10,
+            strip_isa: StripIsa::Avx2,
             unboxed_declines: 1,
             unboxed_bails: 2,
             boxed_loops: vec![BoxedLoop {
@@ -227,9 +228,15 @@ fn resp_metrics() -> RespMetrics {
     }
 }
 
-/// The keys this PR added to the `interp` object of `cmm-metrics-v1` (the
-/// `--profile` table had the rows; the document did not).
-const ADDED_INTERP_KEYS: [&str; 3] = ["unboxed_full_strips", "boxed_loops", "per_iteration_loops"];
+/// The keys added to the `interp` object of `cmm-metrics-v1` since the
+/// golden document was recorded: three the `--profile` table had rows for
+/// and the document did not, and the strip walk's compiled copy.
+const ADDED_INTERP_KEYS: [&str; 4] = [
+    "unboxed_full_strips",
+    "strip_isa",
+    "boxed_loops",
+    "per_iteration_loops",
+];
 
 #[test]
 fn metrics_documents_are_the_parents_bytes() {
@@ -238,7 +245,7 @@ fn metrics_documents_are_the_parents_bytes() {
         include_str!("golden/metrics_check.json")
     );
 
-    // A run's document is the parent's plus the three additive keys.
+    // A run's document is the parent's plus the additive keys.
     let Json::Obj(mut doc) = run_report().to_json() else {
         panic!("an object")
     };
