@@ -46,8 +46,9 @@
 //!   or abort; [`StallAction::Abort`] selects the latter).
 //!
 //! [`ForkJoinPool::health`] exposes all of this as a [`PoolHealth`]
-//! snapshot, and the [`faultinject`] module provokes each failure mode
-//! deterministically for the stress tests.
+//! snapshot, and a [`faultinject::FaultPlan`] given to
+//! [`ForkJoinPool::with_fault_plan`] provokes each failure mode in that
+//! one pool, deterministically, for the stress tests.
 
 use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -68,6 +69,7 @@ pub use schedule::{ParseScheduleError, Schedule};
 pub use tile::{cache_geometry, CacheGeometry, TilePolicy, DEFAULT_GEOMETRY};
 
 use deque::{Steal, Task, VictimRng, WorkDeque};
+use faultinject::{FaultPlan, Faults};
 
 /// Type-erased reference to the closure of the current parallel region.
 /// Stored as a raw wide pointer; the epoch protocol orders the store before
@@ -137,6 +139,9 @@ pub(crate) struct Shared {
     /// [`RegionExec`]. Written only by the region submitter while it
     /// holds the `busy` flag, before the epoch flip publishes it.
     pub region_exec: UnsafeCell<Option<RegionExec>>,
+    /// Injected faults ([`ForkJoinPool::with_fault_plan`]); fixed at
+    /// construction, so the probes read it without a lock.
+    faults: Option<Faults>,
 }
 
 // Safety: `task` and `region_exec` are only written by the region
@@ -472,6 +477,14 @@ impl ForkJoinPool {
     /// that did spawn, emits a one-line warning, and records the failure
     /// in [`PoolHealth::spawn_failures`].
     pub fn new(threads: usize) -> Self {
+        Self::with_fault_plan(threads, FaultPlan::new())
+    }
+
+    /// [`ForkJoinPool::new`] with injected faults. `plan` fires in this
+    /// pool only: its epochs are this pool's region epochs, its spawn
+    /// failures this constructor's spawns, and its allocation ordinals
+    /// count this pool's [`ForkJoinPool::should_fail_alloc`] calls.
+    pub fn with_fault_plan(threads: usize, plan: FaultPlan) -> Self {
         let requested = threads.max(1);
         let shared = Arc::new(Shared {
             epoch: AtomicU64::new(0),
@@ -489,11 +502,12 @@ impl ForkJoinPool {
             steals: (0..requested).map(|_| CachePadded(AtomicU64::new(0))).collect(),
             steal_failures: (0..requested).map(|_| CachePadded(AtomicU64::new(0))).collect(),
             region_exec: UnsafeCell::new(None),
+            faults: Faults::new(plan),
         });
         let mut handles = Vec::with_capacity(requested - 1);
         let mut spawn_failures = 0usize;
         for tid in 1..requested {
-            let spawned = if faultinject::should_fail_spawn(tid) {
+            let spawned = if shared.faults.as_ref().is_some_and(|f| f.fails_spawn(tid)) {
                 Err(std::io::Error::other("fault injection: spawn refused"))
             } else {
                 let shared = Arc::clone(&shared);
@@ -638,6 +652,14 @@ impl ForkJoinPool {
     /// Configure what the watchdog does on a detected stall.
     pub fn set_stall_action(&self, action: StallAction) {
         self.stall_action.store(action as u8, Ordering::Relaxed);
+    }
+
+    /// Allocation probe for code that allocates on this pool's behalf
+    /// (the loop-IR interpreter's matrix allocator): advances the pool's
+    /// allocation ordinal and reports whether its fault plan fails this
+    /// allocation. Always `false` on a pool without a plan.
+    pub fn should_fail_alloc(&self) -> bool {
+        self.shared.faults.as_ref().is_some_and(Faults::fails_alloc)
     }
 
     /// Health snapshot: thread counts, region/panic/stall counters, and
@@ -1010,7 +1032,9 @@ fn worker_loop(shared: &Shared, tid: usize) {
         // A panicking body must still reach the stop barrier or the main
         // thread would wait forever; record it and re-raise over there.
         let body = || {
-            faultinject::on_worker_region(seen, tid);
+            if let Some(faults) = &shared.faults {
+                faults.on_worker_region(seen, tid);
+            }
             task(tid, nthreads);
         };
         let busy_start = if shared.metrics_enabled.load(Ordering::Relaxed) {

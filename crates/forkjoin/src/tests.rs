@@ -340,8 +340,7 @@ proptest! {
 
 #[test]
 fn try_run_surfaces_worker_panic_as_typed_error() {
-    let _guard = faultinject::install(faultinject::FaultPlan::new().panic_at(1, 1));
-    let pool = ForkJoinPool::new(3);
+    let pool = ForkJoinPool::with_fault_plan(3, FaultPlan::new().panic_at(1, 1));
     let done = [(); 3].map(|_| AtomicUsize::new(0));
     let err = pool
         .try_run(|tid, _| {
@@ -356,7 +355,6 @@ fn try_run_surfaces_worker_panic_as_typed_error() {
     assert_eq!(done[0].load(Ordering::Relaxed), 1);
     assert_eq!(done[2].load(Ordering::Relaxed), 1);
     assert_eq!(pool.health().panics_recovered, 1);
-    drop(_guard);
     let again = [(); 3].map(|_| AtomicUsize::new(0));
     pool.try_run(|tid, _| {
         again[tid].fetch_add(1, Ordering::Relaxed);
@@ -373,8 +371,7 @@ fn try_run_scheduled_panicked_chunk_releases_barrier() {
     // nor hang the epoch: the worker's catch_unwind still reaches the
     // stop barrier and the caller gets a typed region error while the
     // remaining participants drain the claim counter.
-    let _guard = faultinject::install(faultinject::FaultPlan::new().panic_at(1, 1));
-    let pool = ForkJoinPool::new(3);
+    let pool = ForkJoinPool::with_fault_plan(3, FaultPlan::new().panic_at(1, 1));
     let visited = AtomicUsize::new(0);
     let err = pool
         .try_run_scheduled(64, Schedule::Dynamic { chunk: 4 }, |_, range| {
@@ -387,7 +384,6 @@ fn try_run_scheduled_panicked_chunk_releases_barrier() {
     // entry before claiming).
     assert_eq!(visited.load(Ordering::Relaxed), 64);
     assert_eq!(pool.health().panics_recovered, 1);
-    drop(_guard);
     let clean = AtomicUsize::new(0);
     pool.try_run_scheduled(32, Schedule::Guided { min_chunk: 1 }, |_, range| {
         clean.fetch_add(range.len(), Ordering::Relaxed);
@@ -398,8 +394,7 @@ fn try_run_scheduled_panicked_chunk_releases_barrier() {
 
 #[test]
 fn run_still_panics_for_compat() {
-    let _guard = faultinject::install(faultinject::FaultPlan::new().panic_at(1, 1));
-    let pool = ForkJoinPool::new(2);
+    let pool = ForkJoinPool::with_fault_plan(2, FaultPlan::new().panic_at(1, 1));
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         pool.run(|_, _| {});
     }));
@@ -408,10 +403,42 @@ fn run_still_panics_for_compat() {
 }
 
 #[test]
+fn a_fault_plan_fires_only_in_its_own_pool() {
+    // Two pools run their regions side by side, every region of one
+    // overlapping a region of the other: the main threads meet at a
+    // barrier inside each region body. Worker 1 of the planned pool
+    // panics in each of its N regions; the unplanned pool's workers
+    // never do, however the two pools' epochs line up.
+    const N: u64 = 16;
+    let plan = (1..=N).fold(FaultPlan::new(), |plan, epoch| plan.panic_at(epoch, 1));
+    let planned = ForkJoinPool::with_fault_plan(3, plan);
+    let unplanned = ForkJoinPool::new(3);
+    let meet = std::sync::Barrier::new(2);
+    let regions = |pool: &ForkJoinPool| {
+        (0..N)
+            .filter(|_| {
+                pool.try_run(|tid, _| {
+                    if tid == 0 {
+                        meet.wait();
+                    }
+                })
+                .is_err()
+            })
+            .count() as u64
+    };
+    let (planned_errors, unplanned_errors) = std::thread::scope(|s| {
+        let other = s.spawn(|| regions(&unplanned));
+        (regions(&planned), other.join().unwrap())
+    });
+    assert_eq!(planned_errors, N);
+    assert_eq!(planned.health().panics_recovered, N);
+    assert_eq!(unplanned_errors, 0);
+    assert_eq!(unplanned.health().panics_recovered, 0);
+}
+
+#[test]
 fn multi_worker_panic_counts_workers() {
-    let _guard =
-        faultinject::install(faultinject::FaultPlan::new().panic_at(1, 1).panic_at(1, 2));
-    let pool = ForkJoinPool::new(4);
+    let pool = ForkJoinPool::with_fault_plan(4, FaultPlan::new().panic_at(1, 1).panic_at(1, 2));
     let err = pool.try_run(|_, _| {}).expect_err("two injected panics");
     assert_eq!(err.workers, 2);
     assert_eq!(pool.health().panics_recovered, 2);
@@ -448,8 +475,7 @@ fn quiescent_pool_resets_for_reuse() {
 
 #[test]
 fn panicked_pool_is_tainted_and_refuses_reuse() {
-    let _guard = faultinject::install(faultinject::FaultPlan::new().panic_at(1, 1));
-    let pool = ForkJoinPool::new(2);
+    let pool = ForkJoinPool::with_fault_plan(2, FaultPlan::new().panic_at(1, 1));
     let err = pool.try_run(|_, _| {}).expect_err("injected panic");
     assert!(err.workers >= 1);
     // The pool recovered (quiescent) but is permanently panic-tainted.
@@ -460,8 +486,7 @@ fn panicked_pool_is_tainted_and_refuses_reuse() {
 
 #[test]
 fn spawn_degraded_pool_is_tainted() {
-    let _guard = faultinject::install(faultinject::FaultPlan::new().fail_spawn(2));
-    let pool = ForkJoinPool::new(4);
+    let pool = ForkJoinPool::with_fault_plan(4, FaultPlan::new().fail_spawn(2));
     assert!(pool.threads() < 4, "spawn refusal must shrink the pool");
     assert!(pool.tainted(), "a shrunk pool must not be recycled");
     assert!(!pool.reset_for_reuse());

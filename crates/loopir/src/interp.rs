@@ -1011,7 +1011,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Allocate a matrix buffer, enforcing the memory budgets *before*
-    /// the allocation happens and consulting the fault-injection harness.
+    /// the allocation happens and consulting the pool's fault plan.
     fn alloc_buffer(&self, elem: Elem, dims: Vec<usize>) -> IResult<BufHandle> {
         let mut len: u64 = 1;
         for &d in &dims {
@@ -1022,7 +1022,7 @@ impl<'p> Interp<'p> {
         let bytes = len.checked_mul(4).ok_or_else(|| {
             InterpError::new(format!("matrix dimensions {dims:?} overflow"))
         })?;
-        if cmm_forkjoin::faultinject::should_fail_alloc() {
+        if self.pool.should_fail_alloc() {
             return Err(InterpError::new(format!(
                 "injected allocation failure ({bytes} bytes requested)"
             )));

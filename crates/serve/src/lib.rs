@@ -56,6 +56,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use cmm_core::{CompileError, Json, ParserCacheStats, Registry};
+use cmm_forkjoin::faultinject::FaultPlan;
 use cmm_loopir::Limits;
 
 mod event;
@@ -126,6 +127,11 @@ pub struct ServeConfig {
     /// Data-frame payload size for streamed responses, in bytes (frames
     /// snap to UTF-8 character boundaries).
     pub stream_chunk_bytes: usize,
+    /// Faults injected into every session pool the daemon builds: the
+    /// [`PoolCache`] gives each its own copy through
+    /// `ForkJoinPool::with_fault_plan`. Empty by default; only tests set
+    /// it — no flag, request field or environment variable does.
+    pub fault_plan: FaultPlan,
 }
 
 impl Default for ServeConfig {
@@ -146,6 +152,7 @@ impl Default for ServeConfig {
             max_request_bytes: 1 << 20,
             max_cached_pools: 8,
             stream_chunk_bytes: 64 << 10,
+            fault_plan: FaultPlan::new(),
         }
     }
 }
@@ -291,7 +298,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     fn new(cfg: ServeConfig, wake_tx: UnixStream) -> Shared {
-        let max_cached = cfg.max_cached_pools;
+        let pool_cache = PoolCache::with_fault_plan(cfg.max_cached_pools, cfg.fault_plan.clone());
         Shared {
             cfg,
             draining: AtomicBool::new(false),
@@ -303,7 +310,7 @@ impl Shared {
             codes: Default::default(),
             degraded_sessions: AtomicU64::new(0),
             streamed: AtomicU64::new(0),
-            pool_cache: PoolCache::new(max_cached),
+            pool_cache,
             registry: Registry::standard(),
             gate: TenantGate::new(),
             scheduler: TenantScheduler::new(),

@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use cmm_forkjoin::faultinject::FaultPlan;
 use cmm_forkjoin::ForkJoinPool;
 
 /// Counter snapshot reported in server stats (see
@@ -60,11 +61,21 @@ pub struct PoolCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     construct_nanos: AtomicU64,
+    /// Faults every pool this cache builds carries (empty outside tests).
+    fault_plan: FaultPlan,
 }
 
 impl PoolCache {
     /// An empty cache holding at most `max_total` idle pools.
     pub fn new(max_total: usize) -> PoolCache {
+        PoolCache::with_fault_plan(max_total, FaultPlan::new())
+    }
+
+    /// [`PoolCache::new`] whose pools are built with
+    /// [`ForkJoinPool::with_fault_plan`]: each session pool carries its
+    /// own copy of `fault_plan`. A test seam, reached only through
+    /// [`crate::ServeConfig::fault_plan`].
+    pub(crate) fn with_fault_plan(max_total: usize, fault_plan: FaultPlan) -> PoolCache {
         PoolCache {
             shelves: Mutex::new(HashMap::new()),
             cached: AtomicUsize::new(0),
@@ -73,6 +84,7 @@ impl PoolCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             construct_nanos: AtomicU64::new(0),
+            fault_plan,
         }
     }
 
@@ -91,7 +103,7 @@ impl PoolCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let pool = Arc::new(ForkJoinPool::new(threads));
+        let pool = Arc::new(ForkJoinPool::with_fault_plan(threads, self.fault_plan.clone()));
         let ns = t0.elapsed().as_nanos() as u64;
         self.construct_nanos.fetch_add(ns, Ordering::Relaxed);
         (pool, false, ns)

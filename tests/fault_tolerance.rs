@@ -1,21 +1,22 @@
 //! Fault-tolerance and resource-limit integration tests.
 //!
-//! Every test installs a deterministic [`FaultPlan`] (or runs a program
-//! under [`Limits`]) and asserts that the system degrades the way the
-//! design promises: pools survive worker panics, the watchdog names
-//! stalled workers, failed spawns shrink the pool, injected allocation
-//! failures surface as errors instead of leaks, and exceeded budgets
-//! produce structured `Limit` errors. Holding the injection guard
-//! serializes these tests against each other, keeping the global fault
-//! schedule deterministic.
+//! Every test builds a pool with a deterministic [`FaultPlan`] (or runs a
+//! program under [`Limits`]) and asserts that the system degrades the
+//! way the design promises: pools survive worker panics, the watchdog
+//! names stalled workers, failed spawns shrink the pool, injected
+//! allocation failures surface as errors instead of leaks, and exceeded
+//! budgets produce structured `Limit` errors. A plan belongs to the pool
+//! it was built into, so these tests run side by side under the default
+//! parallel runner without seeing each other's faults.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use cmm::core::{CompileError, Compiler, Registry};
-use cmm::forkjoin::faultinject::{self, FaultPlan};
-use cmm::forkjoin::{chunk_range, ForkJoinPool};
+use cmm::core::{CompileError, Compiler, Registry, RunResult};
+use cmm::forkjoin::faultinject::FaultPlan;
+use cmm::forkjoin::{chunk_range, ForkJoinPool, Schedule};
 use cmm::loopir::{LimitKind, Limits};
 
 fn compiler() -> Compiler {
@@ -60,15 +61,29 @@ fn pool_still_works(pool: &ForkJoinPool) {
     assert_eq!(sum.into_inner(), (0..100).sum::<usize>());
 }
 
+/// Run `src` on `pool` with default limits and the static schedule.
+fn run_on(c: &Compiler, src: &str, pool: &Arc<ForkJoinPool>) -> Result<RunResult, CompileError> {
+    c.run_on_pool(src, Arc::clone(pool), Limits::default(), Schedule::Static)
+}
+
+fn assert_injected_alloc_failure(result: Result<RunResult, CompileError>) {
+    match result {
+        Err(CompileError::Runtime(msg)) => {
+            assert!(msg.contains("injected allocation failure"), "{msg}")
+        }
+        other => panic!("expected an injected Runtime error, got {other:?}"),
+    }
+}
+
 #[test]
 fn pool_survives_repeated_worker_panics() {
-    let _guard = faultinject::install(
+    let pool = ForkJoinPool::with_fault_plan(
+        4,
         FaultPlan::new()
             .panic_at(1, 1)
             .panic_at(2, 1)
             .panic_at(3, 2),
     );
-    let pool = ForkJoinPool::new(4);
     for round in 1..=3u64 {
         let r = catch_unwind(AssertUnwindSafe(|| pool.run(|_, _| {})));
         assert!(r.is_err(), "round {round}: injected panic must re-raise on main");
@@ -79,13 +94,11 @@ fn pool_survives_repeated_worker_panics() {
     let h = pool.health();
     assert_eq!(h.panics_recovered, 3);
     assert_eq!(h.threads, 4);
-    assert_eq!(faultinject::panics_injected(), 3);
 }
 
 #[test]
 fn watchdog_reports_stalled_worker() {
-    let _guard = faultinject::install(FaultPlan::new().delay_at(1, 1, 300));
-    let pool = ForkJoinPool::new(3);
+    let pool = ForkJoinPool::with_fault_plan(3, FaultPlan::new().delay_at(1, 1, 300));
     pool.set_stall_timeout(Some(Duration::from_millis(50)));
     pool.run(|_, _| {});
     let h = pool.health();
@@ -104,8 +117,7 @@ fn watchdog_reports_stalled_worker() {
 
 #[test]
 fn failed_spawn_shrinks_pool() {
-    let _guard = faultinject::install(FaultPlan::new().fail_spawn(2));
-    let pool = ForkJoinPool::new(4);
+    let pool = ForkJoinPool::with_fault_plan(4, FaultPlan::new().fail_spawn(2));
     let h = pool.health();
     assert_eq!(h.requested_threads, 4);
     assert_eq!(h.threads, 2, "worker 1 spawned, worker 2 refused: {h:?}");
@@ -115,44 +127,45 @@ fn failed_spawn_shrinks_pool() {
 }
 
 #[test]
-fn seeded_plan_is_deterministic() {
-    let a = FaultPlan::from_seed(42, 10, 4, 3, 2, 100, 2);
-    let b = FaultPlan::from_seed(42, 10, 4, 3, 2, 100, 2);
-    assert_eq!(a.worker_panics, b.worker_panics);
-    assert_eq!(a.worker_delays, b.worker_delays);
-    assert_eq!(a.alloc_failures, b.alloc_failures);
-    assert_eq!(a.worker_panics.len(), 3);
-    assert_eq!(a.worker_delays.len(), 2);
-    assert_eq!(a.alloc_failures.len(), 2);
-}
-
-#[test]
 fn injected_interp_alloc_failure_then_clean_rerun() {
     let c = compiler();
-    {
-        let _guard = faultinject::install(FaultPlan::new().fail_alloc(1));
-        let err = c.run(SMALL_PROGRAM, 2).expect_err("first matrix alloc fails");
-        match err {
-            CompileError::Runtime(msg) => {
-                assert!(msg.contains("injected allocation failure"), "{msg}")
-            }
-            other => panic!("expected Runtime error, got {other:?}"),
-        }
-    }
-    // With the failure plan gone the same program runs leak-free. An
-    // empty plan keeps holding the injection lock so no concurrent test's
-    // schedule can interfere with this rerun.
-    let _guard = faultinject::install(FaultPlan::new());
-    let result = c.run(SMALL_PROGRAM, 2).expect("clean rerun");
+    let pool = Arc::new(ForkJoinPool::with_fault_plan(2, FaultPlan::new().fail_alloc(1)));
+    assert_injected_alloc_failure(run_on(&c, SMALL_PROGRAM, &pool));
+    // The plan failed the pool's first allocation only: the same program
+    // on the same pool now runs leak-free.
+    let result = run_on(&c, SMALL_PROGRAM, &pool).expect("clean rerun");
     assert_eq!(result.output, "140\n");
     assert_eq!(result.leaked, 0);
 }
 
 #[test]
+fn an_alloc_failure_fires_only_on_its_own_pool() {
+    // Each round, one thread runs on a pool whose first allocation fails
+    // while another runs the same program on an unplanned pool, both
+    // released by one barrier. The planned run always fails; the
+    // unplanned one never does, however their allocations interleave.
+    let c = compiler();
+    let start = Barrier::new(2);
+    for round in 0..8 {
+        let planned = Arc::new(ForkJoinPool::with_fault_plan(2, FaultPlan::new().fail_alloc(1)));
+        let unplanned = Arc::new(ForkJoinPool::new(2));
+        let (failed, clean) = std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                start.wait();
+                run_on(&c, SMALL_PROGRAM, &unplanned)
+            });
+            start.wait();
+            (run_on(&c, SMALL_PROGRAM, &planned), other.join().unwrap())
+        });
+        assert_injected_alloc_failure(failed);
+        let clean = clean.unwrap_or_else(|e| panic!("round {round}: unplanned run failed: {e:?}"));
+        assert_eq!(clean.output, "140\n");
+        assert_eq!(clean.leaked, 0);
+    }
+}
+
+#[test]
 fn fuel_limit_stops_infinite_loop() {
-    // Empty plan: no faults, but serializes against plan-holding tests so
-    // this run's allocations don't advance their fault counters.
-    let _guard = faultinject::install(FaultPlan::new());
     let c = compiler();
     let limits = Limits {
         fuel: Some(10_000),
@@ -172,7 +185,6 @@ fn fuel_limit_stops_infinite_loop() {
 
 #[test]
 fn deadline_limit_stops_infinite_loop() {
-    let _guard = faultinject::install(FaultPlan::new());
     let c = compiler();
     let limits = Limits {
         deadline: Some(Duration::from_millis(50)),
@@ -189,7 +201,6 @@ fn deadline_limit_stops_infinite_loop() {
 
 #[test]
 fn memory_limit_rejects_oversized_matrix() {
-    let _guard = faultinject::install(FaultPlan::new());
     let c = compiler();
     let limits = Limits {
         max_matrix_bytes: Some(64 * 1024),
@@ -209,7 +220,6 @@ fn memory_limit_rejects_oversized_matrix() {
 
 #[test]
 fn live_buffer_limit_rejects_first_allocation() {
-    let _guard = faultinject::install(FaultPlan::new());
     let c = compiler();
     let limits = Limits {
         max_live_buffers: Some(0),
@@ -226,7 +236,6 @@ fn live_buffer_limit_rejects_first_allocation() {
 
 #[test]
 fn generous_limits_do_not_change_behaviour() {
-    let _guard = faultinject::install(FaultPlan::new());
     let c = compiler();
     let limits = Limits {
         fuel: Some(10_000_000),

@@ -10,9 +10,11 @@
 //! that the chunk-claim protocol keys off the *live* participant count
 //! and drops no iterations when the pool comes up short.
 
+use std::sync::Arc;
+
 use cmm::core::Compiler;
 use cmm::eddy::programs::full_compiler;
-use cmm::forkjoin::faultinject::{self, FaultPlan};
+use cmm::forkjoin::faultinject::FaultPlan;
 use cmm::forkjoin::{ForkJoinPool, Schedule};
 use cmm::loopir::Limits;
 use cmm::runtime::kernels::{matmul_naive, matmul_parallel, matmul_parallel_blocked, matmul_tiled};
@@ -239,21 +241,18 @@ proptest! {
     ) {
         // A refused spawn shrinks the pool (requested 4, got 2): every
         // schedule must still cover the full iteration space through the
-        // shared-counter claim loop. The guard serializes against other
-        // fault tests so the injected plan stays deterministic.
+        // shared-counter claim loop.
         let c = full_compiler();
         let src = imbalanced_program(&vals);
-        let seq = {
-            let _guard = faultinject::install(FaultPlan::new());
-            let (seq, leaked) = run_sched(&c, &src, 1, Schedule::Static);
-            prop_assert_eq!(leaked, 0);
-            seq
-        };
+        let (seq, leaked) = run_sched(&c, &src, 1, Schedule::Static);
+        prop_assert_eq!(leaked, 0);
         for schedule in all_schedules(chunk) {
-            let _guard = faultinject::install(FaultPlan::new().fail_spawn(2));
-            let (out, leaked) = run_sched(&c, &src, 4, schedule);
-            prop_assert_eq!(leaked, 0, "leak under {:?} with shrunk pool", schedule);
-            prop_assert_eq!(&out, &seq, "shrunk-pool divergence under {:?}", schedule);
+            let pool = Arc::new(ForkJoinPool::with_fault_plan(4, FaultPlan::new().fail_spawn(2)));
+            let r = c
+                .run_on_pool(&src, pool, Limits::default(), schedule)
+                .expect("program runs on the shrunk pool");
+            prop_assert_eq!(r.leaked, 0, "leak under {:?} with shrunk pool", schedule);
+            prop_assert_eq!(&r.output, &seq, "shrunk-pool divergence under {:?}", schedule);
         }
     }
 }

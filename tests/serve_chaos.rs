@@ -19,7 +19,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use cmm::forkjoin::faultinject::{self, FaultPlan};
+use cmm::forkjoin::faultinject::FaultPlan;
 use cmm::serve::json::{self, Json};
 use cmm::serve::{start, ServeConfig};
 
@@ -73,16 +73,14 @@ fn code(v: &Json) -> u64 {
 
 #[test]
 fn chaos_mixed_workload_under_full_fault_injection() {
-    // Every fault class at once:
-    // * worker 1 panics in every session pool's first parallel region;
+    // Every fault class at once, in every session pool the daemon builds:
+    // * worker 1 panics in the pool's first parallel region;
     // * every fallible allocation fails (the schedule lists far more
-    //   indices than the workload can reach);
+    //   indices than any one pool can reach);
     // * spawning worker 2 fails, so any session asking for 3+ threads
     //   runs degraded.
     let mut plan = FaultPlan::new().panic_at(1, 1).fail_spawn(2);
     plan.alloc_failures = (1..=50_000).collect();
-    let _guard = faultinject::install(plan);
-
     let cfg = ServeConfig {
         workers: 4,
         // Admission shedding is tested separately; the chaos contract is
@@ -91,6 +89,7 @@ fn chaos_mixed_workload_under_full_fault_injection() {
         max_in_flight: 256,
         queue_deadline: Duration::from_secs(60),
         drain_deadline: Duration::from_secs(10),
+        fault_plan: plan,
         ..ServeConfig::default()
     };
     let handle = start(cfg).expect("start server");
@@ -207,6 +206,10 @@ fn chaos_mixed_workload_under_full_fault_injection() {
     assert!(report.clean, "drain must be clean after the storm");
     let stats = report.stats;
     assert_eq!(stats.ok(), 40 + 1, "40 good runs + 1 ping");
+    // The server's own tallies are the injection bookkeeping: each
+    // injected panic is one isolated session and each injected
+    // allocation failure one runtime error, and no fault fired anywhere
+    // else.
     assert_eq!(stats.panics_isolated(), 40, "one isolation per panic request");
     assert_eq!(stats.codes[5], 40, "fuel bombs");
     assert_eq!(stats.codes[4], 40, "compile errors");
@@ -227,16 +230,13 @@ fn chaos_mixed_workload_under_full_fault_injection() {
     assert!(pc.misses >= 40, "degraded class can never hit: {pc:?}");
     assert!(pc.hits >= 1, "clean sessions must recycle pools: {pc:?}");
     assert_eq!(pc.hits + pc.misses, 200, "every run session checks the cache: {pc:?}");
-
-    // Injection bookkeeping agrees with the protocol-level tallies.
-    assert_eq!(faultinject::panics_injected(), 40);
-    assert!(faultinject::alloc_failures_injected() >= 40);
 }
 
 /// Two tenants whose names a client escaped (`"\ud83d\ude00"`,
 /// `"\ud83d\ude01"`) are two tenants: each is admitted up to its own
-/// quota and shed past it. Scalar single-thread programs only — the chaos
-/// test's fault plan is the process's, and these are out of its reach.
+/// quota and shed past it. This daemon is built without a fault plan, so
+/// the chaos test's faults, which live in that daemon's pools, never
+/// reach it.
 #[test]
 fn escaped_tenant_names_keep_their_own_quota() {
     let cfg = ServeConfig { tenant_quota: Some(1), ..ServeConfig::default() };
