@@ -576,8 +576,8 @@ impl ForkJoinPool {
         self.nested_parallel.load(Ordering::Relaxed)
     }
 
-    /// Cache-derived tile policy selected at pool construction: blocked
-    /// matmul tile edges and the static-schedule claim grain.
+    /// Cache-derived tile policy selected at pool construction: the
+    /// matmul tile edge and the static-schedule claim grain.
     pub fn tile_policy(&self) -> TilePolicy {
         self.tile
     }

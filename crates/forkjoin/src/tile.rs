@@ -7,9 +7,10 @@
 //! sizes once per process and derives two numbers the rest of the
 //! workspace uses:
 //!
-//! * [`TilePolicy::matmul_tile`] — the square tile edge for blocked
-//!   matrix multiply, chosen so three tiles (an A panel, a B panel and a
-//!   C block) fit in L1d together;
+//! * [`TilePolicy::matmul_tile`] — a square tile edge chosen so three
+//!   tiles (an A panel, a B panel and a C block) fit in L1d together. The
+//!   matrix-product kernel does not block: the edge sizes the row tiles
+//!   a parallel product claims and the tile edges `cmmc tune` proposes;
 //! * [`TilePolicy::static_grain`] — the maximum iteration count of one
 //!   statically scheduled claim, chosen so a claim's write set stays
 //!   around half of L2. Large `static` loops are thereby split into
@@ -110,11 +111,10 @@ impl TilePolicy {
         TilePolicy { geometry, static_grain }
     }
 
-    /// Square tile edge for blocked matrix multiply over elements of
-    /// `elem_bytes`, such that three tiles fit in L1d: the A panel row
-    /// block, the B panel and the C accumulation block. Clamped to
-    /// `[8, 128]` and rounded down to a multiple of 8 so the inner loops
-    /// vectorize cleanly.
+    /// Square tile edge over elements of `elem_bytes` such that three
+    /// tiles fit in L1d: an A panel row block, a B panel and a C
+    /// accumulation block. Clamped to `[8, 128]` and rounded down to a
+    /// multiple of 8.
     pub fn matmul_tile(&self, elem_bytes: usize) -> usize {
         let budget = self.geometry.l1d_bytes / (3 * elem_bytes.max(1));
         let edge = (budget as f64).sqrt() as usize;

@@ -169,7 +169,7 @@ fn product<T: Numeric>(
                 break;
             }
             let c_rows = &mut c_cells[rows.start * n..rows.end * n];
-            matmul_rows(a_cells, b_cells, c_rows, rows, k, n, t);
+            matmul_rows(a_cells, b_cells, c_rows, rows, k, n);
         }
         Ok(())
     };

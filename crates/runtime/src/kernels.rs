@@ -4,14 +4,17 @@
 //! programs faithfully but pays interpretation overhead, which would drown
 //! the cache and SIMD effects the §V transformations exist to exploit.
 //! These kernels are hand-written Rust renderings of the *exact* loop
-//! structures of Figs 3, 10 and 11 (and the tiled variant described in
-//! §V), compiled natively, so the ablation benchmarks (experiments E7,
-//! E11, E14) measure the structural effect of each transformation the way
-//! the paper's generated C would.
+//! structures of Figs 3, 10 and 11, compiled natively, so the ablation
+//! benchmarks (experiments E7, E11, E14) measure the structural effect of
+//! each transformation the way the paper's generated C would.
 //!
 //! All kernels compute the running example: the temporal mean of an
 //! `m × n × p` sea-surface-height cube (`means[i,j] = Σ_k mat[i,j,k] / p`),
-//! or a dense matrix product for the tiling sweep.
+//! or a dense matrix product. The product that counts is [`matmul_rows`],
+//! the row kernel the VM runs for `A * B` (the C prelude's `CMM_MATMUL`
+//! in Rust); [`matmul_naive`] is its reference, and [`matmul_tiled`] and
+//! [`matmul_parallel_blocked`] keep the names the benchmark's probes
+//! call, both running the row kernel over row tiles.
 
 use std::ops::Range;
 
@@ -192,18 +195,24 @@ pub fn matmul_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     }
 }
 
-/// The workspace's one blocked matrix-product nest: rows `rows` of
-/// `C = A·B` (`A` is `m × k` with `rows.end <= m`, `B` is `k × n`, both
-/// row-major) written into `c_rows`, the `rows.len() × n` slice of `C`
-/// those rows occupy. `c_rows` is overwritten, not accumulated into.
+/// The workspace's one matrix-product kernel, the Rust twin of the C
+/// prelude's `CMM_MATMUL`: rows `rows` of `C = A·B` (`A` is `m × k` with
+/// `rows.end <= m`, `B` is `k × n`, both row-major) written into `c_rows`,
+/// the `rows.len() × n` slice of `C` those rows occupy. `c_rows` is
+/// overwritten, not accumulated into.
 ///
-/// The nest is i0/k0/j0-blocked with square tiles of edge `t` so an A
-/// panel, a B panel and a C block stay cache-resident together. Per
-/// output element the k accumulation still ascends from zero (k0 blocks
-/// ascend, the inner `kk` ascends) in [`Numeric::mul_acc`] steps, so the
-/// result is bitwise identical to [`matmul_naive`] — and to the loop-IR
-/// interpreter running the lowered scalar nest — for every tile edge and
-/// every partition of the rows.
+/// Each row is zeroed, then updated as
+/// `c[i,:] = (((c[i,:] + a[i,k]·b[k,:]) + a[i,k+1]·b[k+1,:]) + …)`, four
+/// `k` to a pass over the row and a one-`k` tail, every step a
+/// [`Numeric::mul_acc`]. Per output element the accumulation therefore
+/// ascends from zero in separately rounded steps, so the result is bitwise
+/// identical to [`matmul_naive`] — and to the loop-IR interpreter running
+/// the lowered scalar nest — for every partition of the rows.
+///
+/// The body (`row_kernel`) is compiled twice: for the target's baseline
+/// and with AVX2, which runs where the CPU has it (`std` detects that once
+/// per process). Neither enables `fma`, and Rust never contracts a
+/// multiply and an add into one, so the copies compute the same bits.
 pub fn matmul_rows<T: Numeric>(
     a: &[T],
     b: &[T],
@@ -211,77 +220,91 @@ pub fn matmul_rows<T: Numeric>(
     rows: Range<usize>,
     k: usize,
     n: usize,
-    t: usize,
 ) {
-    assert!(t > 0);
     assert!(rows.start <= rows.end && rows.end * k <= a.len());
     assert_eq!(b.len(), k * n);
     assert_eq!(c_rows.len(), rows.len() * n);
-    c_rows.fill(T::zero());
-    for i0 in rows.clone().step_by(t) {
-        let imax = (i0 + t).min(rows.end);
-        for k0 in (0..k).step_by(t) {
-            let kmax = (k0 + t).min(k);
-            for j0 in (0..n).step_by(t) {
-                let jmax = (j0 + t).min(n);
-                for i in i0..imax {
-                    let c0 = (i - rows.start) * n;
-                    let crow = &mut c_rows[c0 + j0..c0 + jmax];
-                    for kk in k0..kmax {
-                        let aik = a[i * k + kk];
-                        let brow = &b[kk * n + j0..kk * n + jmax];
-                        for (c, &bv) in crow.iter_mut().zip(brow) {
-                            *c = T::mul_acc(*c, aik, bv);
-                        }
-                    }
-                }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has AVX2, checked just above.
+        return unsafe { matmul_rows_avx2(a, b, c_rows, rows, k, n) };
+    }
+    row_kernel(a, b, c_rows, rows, k, n);
+}
+
+/// [`row_kernel`] built with AVX2.
+///
+/// # Safety
+///
+/// The CPU must have AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_rows_avx2<T: Numeric>(
+    a: &[T],
+    b: &[T],
+    c_rows: &mut [T],
+    rows: Range<usize>,
+    k: usize,
+    n: usize,
+) {
+    row_kernel(a, b, c_rows, rows, k, n);
+}
+
+/// [`matmul_rows`]' body, inlined into each copy: its baseline copy when
+/// called directly. The caller checked the operand lengths.
+#[inline(always)]
+pub(crate) fn row_kernel<T: Numeric>(
+    a: &[T],
+    b: &[T],
+    c_rows: &mut [T],
+    rows: Range<usize>,
+    k: usize,
+    n: usize,
+) {
+    if n == 0 {
+        return;
+    }
+    for (i, ci) in rows.zip(c_rows.chunks_exact_mut(n)) {
+        ci.fill(T::zero());
+        let ai = &a[i * k..(i + 1) * k];
+        let (quads, tail) = ai.split_at(k - k % 4);
+        for (aq, bq) in quads.chunks_exact(4).zip(b.chunks_exact(4 * n)) {
+            let (b0, bq) = bq.split_at(n);
+            let (b1, bq) = bq.split_at(n);
+            let (b2, b3) = bq.split_at(n);
+            let [a0, a1, a2, a3] = [aq[0], aq[1], aq[2], aq[3]];
+            let bs = b0.iter().zip(b1).zip(b2).zip(b3);
+            for (c, (((&x0, &x1), &x2), &x3)) in ci.iter_mut().zip(bs) {
+                let acc = T::mul_acc(T::mul_acc(*c, a0, x0), a1, x1);
+                *c = T::mul_acc(T::mul_acc(acc, a2, x2), a3, x3);
+            }
+        }
+        let b_tail = &b[quads.len() * n..];
+        for (&aik, bk) in tail.iter().zip(b_tail.chunks_exact(n)) {
+            for (c, &x) in ci.iter_mut().zip(bk) {
+                *c = T::mul_acc(*c, aik, x);
             }
         }
     }
 }
 
-/// Tiled matrix product: the §V "tile two nested loops = two splits plus a
-/// reorder" transformation applied with square tiles of size `t`.
+/// Matrix product over row tiles of `t` rows, as the VM runs a sequential
+/// `A * B`. It does not block over `k` or `j`: `t` stays for the
+/// benchmark's `runtime.*` probes, which time this product at the pool's
+/// [`cmm_forkjoin::TilePolicy::matmul_tile`].
 pub fn matmul_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, t: usize) {
+    assert!(t > 0);
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(c.len(), m * n);
-    matmul_rows(a, b, c, 0..m, k, n, t);
+    for i0 in (0..m).step_by(t) {
+        let rows = i0..(i0 + t).min(m);
+        matmul_rows(a, b, &mut c[rows.start * n..rows.end * n], rows, k, n);
+    }
 }
 
-/// Parallel (unblocked) matrix product: rows distributed over the pool.
-pub fn matmul_parallel(
-    pool: &ForkJoinPool,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    assert_eq!(c.len(), m * n);
-    c.fill(0.0);
-    let c_ptr = SendPtr(c.as_mut_ptr());
-    pool.run(|tid, nthreads| {
-        for i in chunk_range(m, nthreads, tid) {
-            for kk in 0..k {
-                let aik = a[i * k + kk];
-                for j in 0..n {
-                    // Safety: row i belongs to exactly one tid, and
-                    // `i * n + j < m * n == c.len()` (asserted above).
-                    unsafe {
-                        *c_ptr.get().add(i * n + j) += aik * b[kk * n + j];
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Cache-blocked parallel matrix product: `C` is cut into row tiles of
-/// `t` rows, the tiles are self-scheduled over the pool under `schedule`
+/// Parallel matrix product: `C` is cut into row tiles of `t` rows, the
+/// tiles are self-scheduled over the pool under `schedule`
 /// (stolen when a participant runs dry), and each admitted tile is one
 /// [`matmul_rows`] call — no scratch or packing buffers. `admit` is asked
 /// once per tile, on the participant about to compute it, with the
@@ -318,16 +341,15 @@ pub fn try_matmul_tiles<T: Numeric>(
             let c_rows = unsafe {
                 std::slice::from_raw_parts_mut(c_ptr.get().add(rows.start * n), rows.len() * n)
             };
-            matmul_rows(a, b, c_rows, rows, k, n, t);
+            matmul_rows(a, b, c_rows, rows, k, n);
         }
     })
 }
 
-/// Cache-blocked parallel matrix product with the pool's cache-derived
-/// tile edge ([`cmm_forkjoin::TilePolicy::matmul_tile`]), one tile per
-/// claim. Bitwise identical to [`matmul_naive`] and [`matmul_parallel`]
-/// regardless of tile size, thread count, or schedule (see
-/// [`matmul_rows`]).
+/// Parallel matrix product in row tiles of the pool's cache-derived edge
+/// ([`cmm_forkjoin::TilePolicy::matmul_tile`]), one tile per claim.
+/// Bitwise identical to [`matmul_naive`] regardless of tile size, thread
+/// count, or schedule (see [`matmul_rows`]).
 pub fn matmul_parallel_blocked(
     pool: &ForkJoinPool,
     a: &[f32],

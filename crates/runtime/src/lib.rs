@@ -5,11 +5,13 @@
 //! loop IR, and the loop-IR tiers and the emitted C carry their own
 //! buffers. What they share with this crate is written here once:
 //!
-//! * [`kernels`] — the blocked matrix-product nest the VM calls for
-//!   `a * b` ([`kernels::matmul_rows`], [`kernels::try_matmul_tiles`]),
-//!   plus the native mirror kernels (naive / tiled / 4-lane vectorized /
-//!   parallel loop nests) of Figs 3, 10 and 11 that the benchmark and the
-//!   experiment benches time.
+//! * [`kernels`] — the matrix-product row kernel the VM calls for `a * b`
+//!   ([`kernels::matmul_rows`], baseline and AVX2 copies, handed out in
+//!   row tiles by [`kernels::try_matmul_tiles`]), plus the native mirror kernels
+//!   (naive / 4-lane vectorized / parallel loop nests) of Figs 3, 10 and
+//!   11 that the benchmark times. `matmul_tiled` does not block:
+//!   it runs the row kernel over row tiles of its `t`, which stays for the
+//!   benchmark's `runtime.*` probes.
 //! * [`cmmx`] — the self-describing matrix file codec behind the paper's
 //!   `readMatrix` / `writeMatrix`, shared by the interpreter, the emitted
 //!   C and [`read_matrix`] / [`write_matrix`].

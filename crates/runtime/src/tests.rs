@@ -283,21 +283,20 @@ mod kernel_tests {
         let (m, k, n) = (7, 9, 11);
         let a: Vec<f32> = (0..m * k).map(|x| (x % 13) as f32 - 6.0).collect();
         let b: Vec<f32> = (0..k * n).map(|x| (x % 7) as f32 * 0.5).collect();
-        let mut c0 = vec![0.0; m * n];
-        let mut c1 = vec![0.0; m * n];
-        let mut c2 = vec![0.0; m * n];
-        matmul_naive(&a, &b, &mut c0, m, k, n);
+        let mut want = vec![0.0; m * n];
+        matmul_naive(&a, &b, &mut want, m, k, n);
         for t in [1, 2, 4, 16] {
-            matmul_tiled(&a, &b, &mut c1, m, k, n, t);
-            for (x, y) in c0.iter().zip(&c1) {
-                assert!((x - y).abs() < 1e-3, "tile {t}");
-            }
+            let mut c = vec![-1.0; m * n];
+            matmul_tiled(&a, &b, &mut c, m, k, n, t);
+            assert_eq!(c, want, "tile {t}");
+            let mut c = vec![-1.0; m * n];
+            let schedule = cmm_forkjoin::Schedule::Static;
+            try_matmul_tiles(&pool(), schedule, &a, &b, &mut c, (m, k, n), t, |_| true).unwrap();
+            assert_eq!(c, want, "row tiles of {t}");
         }
-        let pl = pool();
-        matmul_parallel(&pl, &a, &b, &mut c2, m, k, n);
-        for (x, y) in c0.iter().zip(&c2) {
-            assert!((x - y).abs() < 1e-3);
-        }
+        let mut c = vec![-1.0; m * n];
+        matmul_parallel_blocked(&pool(), &a, &b, &mut c, m, k, n);
+        assert_eq!(c, want);
     }
 
     #[test]
@@ -307,11 +306,9 @@ mod kernel_tests {
         let b: Vec<f32> = (0..k * n).map(|x| (x / n) as f32 - (x % n) as f32).collect();
         let mut c = vec![0.0f32; m * n];
         matmul_naive(&a, &b, &mut c, m, k, n);
-        for t in [1, 2, 3] {
-            let mut rows = vec![-1.0f32; m * n];
-            matmul_rows(&a, &b, &mut rows, 0..m, k, n, t);
-            assert_eq!(rows, c, "tile {t}");
-        }
+        let mut rows = vec![-1.0f32; m * n];
+        matmul_rows(&a, &b, &mut rows, 0..m, k, n);
+        assert_eq!(rows, c);
     }
 
     #[test]
@@ -321,6 +318,19 @@ mod kernel_tests {
         let (m, k, n) = (7usize, 5usize, 6usize);
         let a: Vec<i32> = (0..m * k).map(|x| (x as i32 % 11 - 5) * 40_009).collect();
         let b: Vec<i32> = (0..k * n).map(|x| (x as i32 % 13 - 6) * 30_011).collect();
+        let want = wrapping_product(&a, &b, m, k, n);
+        let mut whole = vec![-1i32; m * n];
+        matmul_rows(&a, &b, &mut whole, 0..m, k, n);
+        assert_eq!(whole, want);
+        // A row range writes exactly those rows, whatever they held.
+        let mut part = vec![-1i32; 3 * n];
+        matmul_rows(&a, &b, &mut part, 2..5, k, n);
+        assert_eq!(part, want[2 * n..5 * n]);
+    }
+
+    /// The `int` product the interpreted nest computes: ascending `k`,
+    /// wrapping.
+    fn wrapping_product(a: &[i32], b: &[i32], m: usize, k: usize, n: usize) -> Vec<i32> {
         let mut want = vec![0i32; m * n];
         for i in 0..m {
             for j in 0..n {
@@ -330,13 +340,48 @@ mod kernel_tests {
                 }
             }
         }
-        let mut whole = vec![-1i32; m * n];
-        matmul_rows(&a, &b, &mut whole, 0..m, k, n, 4);
-        assert_eq!(whole, want);
-        // A row range writes exactly those rows, whatever they held.
-        let mut part = vec![-1i32; 3 * n];
-        matmul_rows(&a, &b, &mut part, 2..5, k, n, 2);
-        assert_eq!(part, want[2 * n..5 * n]);
+        want
+    }
+
+    /// Both copies of the row kernel — the one `matmul_rows` picks (AVX2
+    /// where the CPU has it) and the baseline `row_kernel` — compute
+    /// `matmul_naive`'s bits at every `k % 4` (the four-`k` passes and the
+    /// one-`k` tail), at row widths around the vector lengths and on row
+    /// ranges that start past row 0, for non-dyadic and negative `float`s
+    /// and for `int`s that overflow.
+    #[test]
+    fn both_copies_of_the_row_kernel_match_the_nest() {
+        let m = 5;
+        for k in [0, 1, 3, 4, 5, 7, 8, 9] {
+            for n in [1, 7, 8, 9, 15, 16, 17, 33] {
+                let what = format!("k {k}, n {n}");
+                let af: Vec<f32> = (0..m * k).map(|x| (x % 17) as f32 * 0.1 - 0.7).collect();
+                let bf: Vec<f32> = (0..k * n).map(|x| 1.3 - (x % 11) as f32 / 3.0).collect();
+                let mut want = vec![0.0f32; m * n];
+                matmul_naive(&af, &bf, &mut want, m, k, n);
+                let ai: Vec<i32> = (0..m * k)
+                    .map(|x| (x as i32 % 9 - 4).wrapping_mul(0x3fff_fffb))
+                    .collect();
+                let bi: Vec<i32> = (0..k * n)
+                    .map(|x| (x as i32 % 7 - 3).wrapping_mul(0x2aaa_aaab))
+                    .collect();
+                let want_i = wrapping_product(&ai, &bi, m, k, n);
+                for rows in [0..m, 1..4, 3..5, 2..2] {
+                    let cells = rows.start * n..rows.end * n;
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    for copy in [matmul_rows::<f32>, row_kernel::<f32>] {
+                        let mut c = vec![f32::NAN; rows.len() * n];
+                        copy(&af, &bf, &mut c, rows.clone(), k, n);
+                        assert_eq!(bits(&c), bits(&want[cells.clone()]), "{what}");
+                    }
+                    for copy in [matmul_rows::<i32>, row_kernel::<i32>] {
+                        let mut c = vec![-1i32; rows.len() * n];
+                        copy(&ai, &bi, &mut c, rows.clone(), k, n);
+                        assert_eq!(c, want_i[cells.clone()], "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -357,9 +402,9 @@ mod kernel_tests {
 
     #[test]
     #[should_panic(expected = "assertion `left == right` failed")]
-    fn matmul_parallel_checks_operand_lengths() {
+    fn matmul_parallel_blocked_checks_operand_lengths() {
         let mut c = vec![0.0f32; 4];
-        matmul_parallel(&pool(), &[1.0; 3], &[1.0; 4], &mut c, 2, 2, 2);
+        matmul_parallel_blocked(&pool(), &[1.0; 3], &[1.0; 4], &mut c, 2, 2, 2);
     }
 }
 

@@ -17,7 +17,9 @@ use cmm::eddy::programs::full_compiler;
 use cmm::forkjoin::faultinject::FaultPlan;
 use cmm::forkjoin::{ForkJoinPool, Schedule};
 use cmm::loopir::Limits;
-use cmm::runtime::kernels::{matmul_naive, matmul_parallel, matmul_parallel_blocked, matmul_tiled};
+use cmm::runtime::kernels::{
+    matmul_naive, matmul_parallel_blocked, matmul_tiled, try_matmul_tiles,
+};
 use proptest::prelude::*;
 
 fn run_sched(c: &Compiler, src: &str, threads: usize, schedule: Schedule) -> (String, u32) {
@@ -163,12 +165,12 @@ proptest! {
         threads in 1usize..5,
         seed in any::<u64>(),
     ) {
-        // Cache blocking and work stealing only reorder *which* (i0, k0,
-        // j0) block is computed when; per output element the k
-        // accumulation always ascends from zero, so every variant —
-        // sequential tiled at any tile size, row-parallel, and the
-        // blocked self-scheduled kernel under stealing — must be bitwise
-        // identical to the naive triple loop, not merely close.
+        // Row tiles and work stealing only reorder *which* rows are
+        // computed when; per output element the k accumulation always
+        // ascends from zero, so every variant — sequential row tiles at
+        // any edge, statically scheduled tiles, and the self-scheduled
+        // kernel under stealing — must be bitwise identical to the naive
+        // triple loop, not merely close.
         let mut state = seed | 1;
         let mut next = || {
             // xorshift64*: deterministic, no external RNG dependency.
@@ -189,12 +191,13 @@ proptest! {
 
         let pool = ForkJoinPool::new(threads);
         let mut par = vec![0.0f32; m * n];
-        matmul_parallel(&pool, &a, &b, &mut par, m, k, n);
-        prop_assert_eq!(bits(&par), bits(&want), "row-parallel drifted");
+        try_matmul_tiles(&pool, Schedule::Static, &a, &b, &mut par, (m, k, n), tile, |_| true)
+            .expect("no worker panics");
+        prop_assert_eq!(bits(&par), bits(&want), "static row tiles t={} drifted", tile);
 
         let mut blocked = vec![0.0f32; m * n];
         matmul_parallel_blocked(&pool, &a, &b, &mut blocked, m, k, n);
-        prop_assert_eq!(bits(&blocked), bits(&want), "blocked stolen kernel drifted");
+        prop_assert_eq!(bits(&blocked), bits(&want), "stolen row tiles drifted");
     }
 
     #[test]
