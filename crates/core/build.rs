@@ -3,9 +3,10 @@
 //! independently composable extension is verified with `isComposable`.
 //! Every extension's AG module, derived from its fragment and the AST
 //! rules, passes the modular well-definedness analysis (§VI-B), and so
-//! does their composition. The full selection is then composed, and its
-//! LALR(1) tables and scanner DFA are written to `OUT_DIR` as `static`
-//! arrays, next to the encoding of the fragments they were built from.
+//! does their composition. The full selection is then composed, and what
+//! parsing reads of it (its grammar view, LALR(1) tables and scanner DFA)
+//! is written to `OUT_DIR` as `static`s, next to the encoding of the
+//! fragments it was built from.
 //! `lib.rs` includes both. An extension that does not compose, or that
 //! has a production the AST builder has no rule for, fails the build.
 

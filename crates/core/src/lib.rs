@@ -21,7 +21,7 @@
 //!   time a set of extensions is selected; the result is cached. For the
 //!   standard full language both happened when this crate was built
 //!   (`build.rs`, as Copper generates a parser once), and the first
-//!   selection reads the tables that build wrote.
+//!   selection reads the grammar view and the tables that build wrote.
 //! * [`Compiler`] runs the full pipeline: context-aware scan + LALR(1)
 //!   parse → AST → extended semantic analysis → high-level optimizations
 //!   → lowering to parallel loop IR → C emission ([`Compiler::compile_to_c`])
@@ -74,7 +74,7 @@ struct Composition {
 
 impl Composition {
     fn new(parser: Parser, exts: ExtSet) -> Composition {
-        let handlers = Handlers::new(parser.grammar());
+        let handlers = Handlers::new(parser.view());
         Composition { parser, handlers, exts }
     }
 }
@@ -133,10 +133,19 @@ pub const ALL_EXTENSIONS: [&str; 5] = [
 /// The standard full composition as `build.rs` verified and built it when
 /// this crate was compiled: the encoding of what it was built from
 /// ([`standard::composition_encoding`]) and `standard_parser`, which reads
-/// the tables it wrote in place.
+/// the grammar view and the tables it wrote in place.
 mod prebuilt {
     pub(crate) static ENCODING: &[u8] = include_bytes!(concat!(env!("OUT_DIR"), "/standard.enc"));
     include!(concat!(env!("OUT_DIR"), "/standard_parser.rs"));
+
+    /// The composed grammar `build.rs` wrote `standard_parser` from, for
+    /// tooling that asks the parser for it.
+    pub(crate) fn grammar() -> cmm_grammar::ComposedGrammar {
+        let extensions = crate::standard::extensions();
+        let fragments: Vec<_> = extensions.iter().map(|e| &e.grammar).collect();
+        cmm_grammar::ComposedGrammar::compose(&cmm_lang::host_grammar(), &fragments)
+            .expect("build.rs composed these fragments")
+    }
 }
 
 /// The host specification plus available extensions.
@@ -256,19 +265,19 @@ impl Registry {
     ///
     /// `build.rs` did both for the standard full selection when this crate
     /// was compiled. If the selected fragments and their packaging are
-    /// exactly those, byte for byte, the parser reads the tables it wrote
-    /// and neither the analyses nor the builders run again: they are
-    /// functions of that input alone. Anything else — a subset, an added
-    /// extension, another host — is verified and built here.
+    /// exactly those, byte for byte, the parser reads the grammar view and
+    /// the tables it wrote, and neither the analyses nor the builders run
+    /// again: they are functions of that input alone. Not even the grammar
+    /// is composed unless tooling asks the parser for it. Anything else — a
+    /// subset, an added extension, another host — is verified and built
+    /// here.
     fn compose(&self, selected: &[&Extension]) -> Result<Composition, CompileError> {
         let exts = selected.iter().fold(ExtSet::HOST, |set, e| set.with(e.ext));
-        let fragments: Vec<&GrammarFragment> = selected.iter().map(|e| &e.grammar).collect();
         if standard::composition_encoding(&self.host, selected) == prebuilt::ENCODING {
-            let grammar = ComposedGrammar::compose(&self.host, &fragments)
-                .expect("build.rs composed these fragments");
             self.parser_cache.count_prebuilt();
-            return Ok(Composition::new(prebuilt::standard_parser(grammar), exts));
+            return Ok(Composition::new(prebuilt::standard_parser(prebuilt::grammar), exts));
         }
+        let fragments: Vec<&GrammarFragment> = selected.iter().map(|e| &e.grammar).collect();
         // Verify the independently composable ones.
         let failing: Vec<ComposabilityReport> = selected
             .iter()

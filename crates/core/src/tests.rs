@@ -150,7 +150,7 @@ mod parser_cache {
 
 mod composition {
     use super::*;
-    use cmm_grammar::{is_composable, Sym, Terminal};
+    use cmm_grammar::{is_composable, GrammarView, Sym, Terminal};
     use cmm_lang::typecheck::Ext;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -218,6 +218,33 @@ mod composition {
         }
     }
 
+    /// `view` reads what `grammar` holds, field by field: each production's
+    /// lhs, right-hand-side length and name; each terminal's name,
+    /// precedence, layout flag and fixed spelling (as the scanner derives
+    /// it from the pattern); each nonterminal's name.
+    fn assert_view_of(view: &GrammarView, grammar: &ComposedGrammar) {
+        assert_eq!(view.num_productions(), grammar.productions.len());
+        for (p, (prod, (lhs, rhs))) in grammar.productions.iter().zip(&grammar.prods).enumerate() {
+            let p = p as u32;
+            assert_eq!(view.production_name(p), prod.name, "production {p}");
+            assert_eq!((view.lhs(p), view.rhs_len(p)), (*lhs, rhs.len()), "{}", prod.name);
+        }
+        assert_eq!(view.num_terminals(), grammar.num_terminals());
+        let derived = GrammarView::new(grammar);
+        for (t, term) in grammar.terminals.iter().enumerate() {
+            let t = t as u16;
+            assert_eq!(view.terminal_name(t), term.name, "terminal {t}");
+            assert_eq!(view.precedence(t), term.precedence, "{}", term.name);
+            assert_eq!(view.is_layout(t), term.ignore, "{}", term.name);
+            assert_eq!(view.spelling(t), derived.spelling(t), "{}", term.name);
+        }
+        assert_eq!(view.num_nonterminals(), grammar.num_nonterminals());
+        for (n, name) in grammar.nonterminals.iter().enumerate() {
+            assert_eq!(view.nonterminal_name(n as u16), name, "nonterminal {n}");
+        }
+        assert_eq!(view, &derived);
+    }
+
     /// What the runtime path builds for `reg`'s full selection, from
     /// scratch: `None` where it fails (an unpackaged extension fails
     /// `isComposable`, composition fails, or the result is not LALR(1)).
@@ -239,7 +266,11 @@ mod composition {
         let stats = reg.parser_cache.stats();
         assert_eq!((stats.misses, stats.prebuilt), (1, 1), "served from the embedded tables");
         assert_eq!(compiler.parser().num_states(), 281);
-        assert_same_tables(compiler.parser(), &built_from_scratch(&reg).expect("builds"));
+        let reference = built_from_scratch(&reg).expect("builds");
+        assert_same_tables(compiler.parser(), &reference);
+        assert_view_of(compiler.parser().view(), reference.grammar());
+        // Tooling asking the prebuilt parser for its grammar gets the same.
+        assert_view_of(compiler.parser().view(), compiler.parser().grammar());
         // A subset is built here, as before.
         reg.compiler(&["ext-matrix"]).expect("matrix alone");
         let stats = reg.parser_cache.stats();

@@ -3,7 +3,9 @@
 //! A naive translation of parallel matrix constructs spawns and joins
 //! threads at every parallel region, paying thread-management overhead each
 //! time. The paper instead adopts the enhanced fork-join model from SAC:
-//! the necessary number of threads is spawned once at program start and
+//! the necessary number of threads is spawned once at program start (here:
+//! when a pool is built; the interpreter builds its pool at the program's
+//! first parallel region, so a program that never forks spawns none) and
 //! parked in a spin lock; when the main thread encounters a parallel
 //! construct it "flips the condition that keeps the threads spinning,
 //! which releases all of them at once"; each worker then passes through a

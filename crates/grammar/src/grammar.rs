@@ -267,8 +267,6 @@ pub struct ComposedGrammar {
     pub prods: Vec<(u16, Vec<GSym>)>,
     /// Start nonterminal id.
     pub start: u16,
-    terminal_ids: HashMap<String, u16>,
-    nonterminal_ids: HashMap<String, u16>,
 }
 
 /// Resolved grammar symbol.
@@ -397,19 +395,17 @@ impl ComposedGrammar {
             production_owner,
             prods,
             start,
-            terminal_ids,
-            nonterminal_ids,
         })
     }
 
-    /// Terminal id by name.
+    /// Terminal id by name (a linear search: for tooling).
     pub fn terminal_id(&self, name: &str) -> Option<u16> {
-        self.terminal_ids.get(name).copied()
+        self.terminals.iter().position(|t| t.name == name).map(|t| t as u16)
     }
 
-    /// Nonterminal id by name.
+    /// Nonterminal id by name (a linear search: for tooling).
     pub fn nonterminal_id(&self, name: &str) -> Option<u16> {
-        self.nonterminal_ids.get(name).copied()
+        self.nonterminals.iter().position(|n| n == name).map(|n| n as u16)
     }
 
     /// Production index by name.

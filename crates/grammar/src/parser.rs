@@ -8,12 +8,14 @@
 //! as a parser generator runs semantic actions: [`Parser::parse`] builds
 //! a [`Cst`] with one; the translator builds its AST with another.
 
+use std::sync::OnceLock;
 use std::vec::Drain;
 
 use crate::dfa::Dfa;
 use crate::grammar::ComposedGrammar;
 use crate::lalr::{Action, Tables};
 use crate::scanner::{Lexeme, ScanCache, ScanError, Scanner, Token};
+use crate::view::GrammarView;
 
 /// The semantic actions of a parse: a value for each shifted token and
 /// for each reduced production, from the values of its right-hand side.
@@ -154,13 +156,18 @@ impl From<ScanError> for ParseError {
     }
 }
 
-/// A ready-to-use parser: composed grammar + tables + scanner DFA.
+/// A ready-to-use parser: what it reads of the composed grammar, the
+/// tables and the scanner DFA.
 pub struct Parser {
-    grammar: ComposedGrammar,
+    view: GrammarView,
+    /// The composed grammar itself, for tooling. [`Parser::new`] is given
+    /// it; a parser over static tables composes it on first use.
+    grammar: OnceLock<ComposedGrammar>,
+    compose: Option<fn() -> ComposedGrammar>,
     tables: Tables,
     dfa: Dfa,
-    /// Grammar-derived scanner state (layout table, interned spellings),
-    /// built once so per-parse scanner setup is allocation-free.
+    /// The interned fixed spellings of CST leaves, built once so per-parse
+    /// setup is allocation-free.
     scan_cache: ScanCache,
 }
 
@@ -173,23 +180,34 @@ impl Parser {
             return Err(tables.conflicts);
         }
         let dfa = Dfa::build(&grammar.patterns[1..]);
-        Ok(Parser::assemble(grammar, tables, dfa))
+        let view = GrammarView::new(&grammar);
+        Ok(Parser {
+            scan_cache: ScanCache::new(&view),
+            view,
+            grammar: OnceLock::from(grammar),
+            compose: None,
+            tables,
+            dfa,
+        })
     }
 
-    /// A parser over tables that [`Parser::new`] built for `grammar` in
+    /// A parser over a view and tables that [`Parser::new`] built in
     /// another process and [`Parser::static_source`] wrote out as `static`
-    /// arrays: they are read in place, nothing is built. The caller vouches
-    /// that the arrays were written for exactly this grammar; only their
-    /// dimensions are checked here.
+    /// arrays: they are read in place, nothing is built. `compose` returns
+    /// the composed grammar they were built from; it runs only if
+    /// [`Parser::grammar`] is asked for it. The caller vouches that the
+    /// arrays were written for exactly that grammar; only their dimensions
+    /// are checked here.
     pub fn from_static(
-        grammar: ComposedGrammar,
+        view: GrammarView,
+        compose: fn() -> ComposedGrammar,
         action: &'static [Action],
         goto: &'static [u32],
         next: &'static [u32],
         accept_ids: &'static [u16],
         accept_offsets: &'static [u32],
     ) -> Parser {
-        let (num_terminals, num_nonterminals) = (grammar.num_terminals(), grammar.num_nonterminals());
+        let (num_terminals, num_nonterminals) = (view.num_terminals(), view.num_nonterminals());
         let num_states = action.len() / num_terminals;
         assert!(
             action.len() == num_states * num_terminals
@@ -212,37 +230,26 @@ impl Parser {
             accept_ids: accept_ids.into(),
             accept_offsets: accept_offsets.into(),
         };
-        Parser::assemble(grammar, tables, dfa)
-    }
-
-    fn assemble(grammar: ComposedGrammar, tables: Tables, dfa: Dfa) -> Parser {
-        let scan_cache = ScanCache::new(&grammar);
         Parser {
-            grammar,
+            scan_cache: ScanCache::new(&view),
+            view,
+            grammar: OnceLock::new(),
+            compose: Some(compose),
             tables,
             dfa,
-            scan_cache,
         }
     }
 
-    /// Rust source of a function `pub fn <name>(grammar: ComposedGrammar) ->
-    /// Parser` that returns this parser again, its tables `static` arrays
-    /// of plain integers and [`Action`]s (no pointers, so nothing to
-    /// relocate at load) handed to [`Parser::from_static`]. This writer and
-    /// `from_static` are the only code that knows the layout. The source
-    /// names the crate `::cmm_grammar`.
+    /// Rust source of a function `pub fn <name>(compose: fn() ->
+    /// ComposedGrammar) -> Parser` that returns this parser again, its view
+    /// and tables `static` arrays of plain integers, [`Action`]s and one
+    /// string (no pointers, so nothing to relocate at load) handed to
+    /// [`GrammarView::from_static`] and [`Parser::from_static`]. These
+    /// writers and the two `from_static`s are the only code that knows the
+    /// layout. The source names the crate `::cmm_grammar`.
     pub fn static_source(&self, name: &str) -> String {
-        use std::fmt::Write as _;
-        fn array<T>(out: &mut String, name: &str, ty: &str, items: &[T], item: impl Fn(&T) -> String) {
-            let _ = write!(out, "    static {name}: [{ty}; {}] = [", items.len());
-            for (i, x) in items.iter().enumerate() {
-                out.push_str(if i % 16 == 0 { "\n        " } else { " " });
-                let _ = write!(out, "{},", item(x));
-            }
-            out.push_str("\n    ];\n");
-        }
         let mut out = format!(
-            "pub fn {name}(grammar: ::cmm_grammar::ComposedGrammar) -> ::cmm_grammar::Parser {{\n    \
+            "pub fn {name}(compose: fn() -> ::cmm_grammar::ComposedGrammar) -> ::cmm_grammar::Parser {{\n    \
              use ::cmm_grammar::Action::{{Accept as A, Error as E, Reduce as R, Shift as S}};\n"
         );
         let action = |a: &Action| match a {
@@ -251,20 +258,29 @@ impl Parser {
             Action::Reduce(p) => format!("R({p})"),
             Action::Accept => "A".to_string(),
         };
-        array(&mut out, "ACTION", "::cmm_grammar::Action", &self.tables.action, action);
-        array(&mut out, "GOTO", "u32", &self.tables.goto_nt, u32::to_string);
-        array(&mut out, "NEXT", "u32", &self.dfa.next, u32::to_string);
-        array(&mut out, "ACCEPT_IDS", "u16", &self.dfa.accept_ids, u16::to_string);
-        array(&mut out, "ACCEPT_OFFSETS", "u32", &self.dfa.accept_offsets, u32::to_string);
+        self.view.write_statics(&mut out);
+        write_array(&mut out, "ACTION", "::cmm_grammar::Action", &self.tables.action, action);
+        write_array(&mut out, "GOTO", "u32", &self.tables.goto_nt, u32::to_string);
+        write_array(&mut out, "NEXT", "u32", &self.dfa.next, u32::to_string);
+        write_array(&mut out, "ACCEPT_IDS", "u16", &self.dfa.accept_ids, u16::to_string);
+        write_array(&mut out, "ACCEPT_OFFSETS", "u32", &self.dfa.accept_offsets, u32::to_string);
         out.push_str(
-            "    ::cmm_grammar::Parser::from_static(grammar, &ACTION, &GOTO, &NEXT, &ACCEPT_IDS, &ACCEPT_OFFSETS)\n}\n",
+            "    let view = ::cmm_grammar::GrammarView::from_static(&PRODS, &PRECEDENCE, &IGNORE, TEXT, &ENDS);\n    \
+             ::cmm_grammar::Parser::from_static(view, compose, &ACTION, &GOTO, &NEXT, &ACCEPT_IDS, &ACCEPT_OFFSETS)\n}\n",
         );
         out
     }
 
-    /// The composed grammar.
+    /// What the parser reads of the composed grammar.
+    pub fn view(&self) -> &GrammarView {
+        &self.view
+    }
+
+    /// The composed grammar (for tooling: parsing reads [`Parser::view`]).
+    /// A parser over static tables composes it the first time it is asked.
     pub fn grammar(&self) -> &ComposedGrammar {
-        &self.grammar
+        self.grammar
+            .get_or_init(|| (self.compose.expect("a built parser holds its grammar"))())
     }
 
     /// Number of LALR states (exposed for reporting).
@@ -295,7 +311,7 @@ impl Parser {
         src: &str,
         reducer: &mut R,
     ) -> Result<R::Value, ParseError> {
-        let mut scanner = Scanner::new(&self.grammar, &self.dfa, &self.scan_cache, src);
+        let mut scanner = Scanner::new(&self.view, &self.dfa, src);
         // Both stacks are as deep as the parse nests, not as long as the
         // source: lists are left-recursive.
         let mut states: Vec<u32> = Vec::with_capacity(64);
@@ -319,8 +335,7 @@ impl Parser {
                     lookahead = None;
                 }
                 Action::Reduce(p) => {
-                    let (lhs, rhs) = &self.grammar.prods[p as usize];
-                    let n = rhs.len();
+                    let n = self.view.rhs_len(p);
                     states.truncate(states.len() - n);
                     if n != 1 || !reducer.forwards(p) {
                         let value = reducer.reduce(p, values.drain(values.len() - n..));
@@ -329,7 +344,7 @@ impl Parser {
                     let top = *states.last().expect("state under reduction");
                     let goto = self
                         .tables
-                        .goto(top, *lhs)
+                        .goto(top, self.view.lhs(p))
                         .expect("goto defined after reduce");
                     states.push(goto);
                 }
@@ -341,11 +356,11 @@ impl Parser {
                         .tables
                         .valid_terminals(state)
                         .into_iter()
-                        .map(|t| self.grammar.terminals[t as usize].name.clone())
+                        .map(|t| self.view.terminal_name(t).to_string())
                         .collect();
                     return Err(ParseError::Unexpected {
                         found: tok.text(src).into_owned(),
-                        terminal: self.grammar.terminals[tok.terminal as usize].name.clone(),
+                        terminal: self.view.terminal_name(tok.terminal).to_string(),
                         line: tok.line,
                         col: tok.col,
                         expected,
@@ -354,4 +369,15 @@ impl Parser {
             }
         }
     }
+}
+
+/// Write `items` as `static <name>: [<ty>; N]`, sixteen to a line.
+pub(crate) fn write_array<T>(out: &mut String, name: &str, ty: &str, items: &[T], item: impl Fn(&T) -> String) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "    static {name}: [{ty}; {}] = [", items.len());
+    for (i, x) in items.iter().enumerate() {
+        out.push_str(if i % 16 == 0 { "\n        " } else { " " });
+        let _ = write!(out, "{},", item(x));
+    }
+    out.push_str("\n    ];\n");
 }

@@ -93,11 +93,15 @@ impl ByteSet {
         }
     }
 
-    /// Iterate over member bytes.
+    /// Iterate over member bytes in ascending order, one step per member.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0u16..256).filter_map(|b| {
-            let b = b as u8;
-            self.contains(b).then_some(b)
+        self.bits.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some((w as u32 * 64 + bit) as u8)
+            })
         })
     }
 }

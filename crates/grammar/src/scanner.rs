@@ -17,8 +17,9 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::dfa::{Dfa, DEAD};
-use crate::grammar::{ComposedGrammar, EOF};
+use crate::grammar::EOF;
 use crate::regex::Regex;
+use crate::view::GrammarView;
 
 /// What the scanner returns: a terminal and where its text is in the
 /// source. Copying one allocates nothing; the text is read from the source
@@ -66,14 +67,11 @@ pub struct Token {
     pub col: u32,
 }
 
-/// Per-grammar scanner state that is independent of the source being
-/// scanned: the layout-terminal membership table and the interned text of
-/// every fixed-spelling terminal. Built once (e.g. by
-/// [`crate::Parser::new`]) and shared by every scan, so per-parse setup
-/// allocates nothing.
+/// The interned text of every fixed-spelling terminal, which [`Token`]s
+/// share. Built once per parser (by [`crate::Parser::new`] and
+/// [`crate::Parser::from_static`]) and shared by every parse, so
+/// per-parse setup allocates nothing.
 pub struct ScanCache {
-    /// `ignore[t]` = terminal `t` is layout (whitespace, comments).
-    ignore: Vec<bool>,
     /// Interned spelling for terminals whose pattern matches exactly one
     /// string; `None` for variable-text terminals (identifiers, literals).
     fixed: Vec<Option<Arc<str>>>,
@@ -82,11 +80,12 @@ pub struct ScanCache {
 }
 
 impl ScanCache {
-    /// Build the cache for a composed grammar.
-    pub fn new(grammar: &ComposedGrammar) -> Self {
+    /// Build the cache for a grammar.
+    pub fn new(grammar: &GrammarView) -> Self {
         ScanCache {
-            ignore: grammar.terminals.iter().map(|t| t.ignore).collect(),
-            fixed: grammar.patterns.iter().map(literal_spelling).collect(),
+            fixed: (0..grammar.num_terminals() as u16)
+                .map(|t| grammar.spelling(t).map(Arc::from))
+                .collect(),
             empty: Arc::from(""),
         }
     }
@@ -113,7 +112,7 @@ impl ScanCache {
 /// sequence of single-byte classes, like every keyword and punctuation
 /// terminal). Anything with alternation, repetition, or multi-byte
 /// classes returns `None`.
-fn literal_spelling(r: &Regex) -> Option<Arc<str>> {
+pub(crate) fn literal_spelling(r: &Regex) -> Option<String> {
     fn walk(r: &Regex, out: &mut Vec<u8>) -> bool {
         match r {
             Regex::Empty => true,
@@ -135,7 +134,7 @@ fn literal_spelling(r: &Regex) -> Option<Arc<str>> {
     if !walk(r, &mut bytes) || bytes.is_empty() {
         return None;
     }
-    String::from_utf8(bytes).ok().map(Arc::from)
+    String::from_utf8(bytes).ok()
 }
 
 /// Scanner failure: no valid terminal matches at the position.
@@ -167,9 +166,8 @@ impl std::error::Error for ScanError {}
 
 /// Incremental context-aware scanner over a source string.
 pub struct Scanner<'g, 's> {
-    grammar: &'g ComposedGrammar,
+    grammar: &'g GrammarView,
     dfa: &'g Dfa,
-    cache: &'g ScanCache,
     src: &'s [u8],
     pos: usize,
     line: u32,
@@ -177,19 +175,12 @@ pub struct Scanner<'g, 's> {
 }
 
 impl<'g, 's> Scanner<'g, 's> {
-    /// New scanner at the start of `src`. `dfa` must be built from
-    /// `grammar.patterns[1..]` (everything but EOF) and `cache` from the
-    /// same grammar.
-    pub fn new(
-        grammar: &'g ComposedGrammar,
-        dfa: &'g Dfa,
-        cache: &'g ScanCache,
-        src: &'s str,
-    ) -> Self {
+    /// New scanner at the start of `src`. `dfa` must be built from the
+    /// patterns of `grammar`'s terminals but EOF.
+    pub fn new(grammar: &'g GrammarView, dfa: &'g Dfa, src: &'s str) -> Self {
         Scanner {
             grammar,
             dfa,
-            cache,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -242,14 +233,12 @@ impl<'g, 's> Scanner<'g, 's> {
                 let mut candidate: Option<u16> = None;
                 for &dfa_tid in self.dfa.accepts(state) {
                     let tid = dfa_tid + 1; // grammar id (EOF offset)
-                    if self.cache.ignore[tid as usize] || valid(tid) {
+                    if self.grammar.is_layout(tid) || valid(tid) {
                         candidate = Some(match candidate {
                             None => tid,
                             Some(prev) => {
-                                let (pp, tp) = (
-                                    self.grammar.terminals[prev as usize].precedence,
-                                    self.grammar.terminals[tid as usize].precedence,
-                                );
+                                let (pp, tp) =
+                                    (self.grammar.precedence(prev), self.grammar.precedence(tid));
                                 if tp > pp {
                                     tid
                                 } else {
@@ -270,11 +259,11 @@ impl<'g, 's> Scanner<'g, 's> {
                     col: self.col,
                     expected: (0..self.grammar.num_terminals() as u16)
                         .filter(|&t| valid(t))
-                        .map(|t| self.grammar.terminals[t as usize].name.clone())
+                        .map(|t| self.grammar.terminal_name(t).to_string())
                         .collect(),
                 });
             };
-            if self.cache.ignore[tid as usize] {
+            if self.grammar.is_layout(tid) {
                 self.advance(mlen);
                 continue; // layout: skip and rescan
             }

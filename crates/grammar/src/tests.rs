@@ -105,6 +105,47 @@ mod regex_tests {
         assert!(c.contains(b'd'));
         assert_eq!(s.iter().count(), 3);
     }
+
+    /// The set as its members were once listed: every byte, filtered.
+    fn members_by_filter(s: &ByteSet) -> Vec<u8> {
+        (0u16..256).map(|b| b as u8).filter(|&b| s.contains(b)).collect()
+    }
+
+    fn set_of(words: [u64; 4]) -> ByteSet {
+        let mut s = ByteSet::empty();
+        for b in 0..=255u8 {
+            if words[b as usize / 64] >> (b % 64) & 1 == 1 {
+                s.insert(b);
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn byteset_iter_lists_the_edges_the_empty_and_the_full_set() {
+        let full = ByteSet::empty().complement();
+        for s in [ByteSet::empty(), full, ByteSet::single(0), ByteSet::single(255), set_of([1, 0, 0, 1 << 63])] {
+            assert_eq!(s.iter().collect::<Vec<u8>>(), members_by_filter(&s), "{s:?}");
+        }
+        assert_eq!(full.iter().count(), 256);
+        assert_eq!(set_of([1, 0, 0, 1 << 63]).iter().collect::<Vec<u8>>(), [0, 255]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Walking set bits lists what filtering `0..256` lists, in the
+        /// same ascending order, for sparse and dense sets alike.
+        #[test]
+        fn prop_byteset_iter_walks_exactly_the_members(
+            a in any::<u64>(), b in any::<u64>(), c in any::<u64>(), d in any::<u64>()
+        ) {
+            for words in [[a, b, c, d], [a & b, b & c, c & d, d & a], [a & b & c, 0, b & c & d, 0]] {
+                let s = set_of(words);
+                prop_assert_eq!(s.iter().collect::<Vec<u8>>(), members_by_filter(&s));
+            }
+        }
+    }
 }
 
 /// A tiny expression host language used across the parser tests.
@@ -310,7 +351,8 @@ mod parser_tests {
         let built = Parser::new(grammar()).unwrap();
         let (t, d) = (built.tables(), built.dfa());
         let copy = Parser::from_static(
-            grammar(),
+            built.view().clone(),
+            grammar,
             leak(&t.action),
             leak(&t.goto_nt),
             leak(&d.next),
@@ -321,12 +363,39 @@ mod parser_tests {
         for src in ["1 + 2 * x", "(1 + 2) * 3", "1 + * 2", "1 + $", "1 +\n+ 2"] {
             assert_eq!(copy.parse(src), built.parse(src), "{src:?}");
         }
+        // The grammar behind the static tables is composed when asked for.
+        assert_eq!(copy.grammar().productions.len(), built.grammar().productions.len());
         let source = built.static_source("expr_parser");
         assert!(source.starts_with(
-            "pub fn expr_parser(grammar: ::cmm_grammar::ComposedGrammar) -> ::cmm_grammar::Parser {\n"
+            "pub fn expr_parser(compose: fn() -> ::cmm_grammar::ComposedGrammar) -> ::cmm_grammar::Parser {\n"
         ));
         let action = format!("static ACTION: [::cmm_grammar::Action; {}] = [", t.action.len());
         assert!(source.contains(&action), "{source}");
+        assert!(source.contains("static TEXT: &str = \"expr_addexpr_term"), "{source}");
+    }
+
+    #[test]
+    fn the_view_reads_the_grammar_it_was_made_from() {
+        let g = ComposedGrammar::compose(&expr_host(), &[]).unwrap();
+        let view = GrammarView::new(&g);
+        assert_eq!(view.num_productions(), g.productions.len());
+        assert_eq!(view.num_terminals(), g.num_terminals());
+        assert_eq!(view.num_nonterminals(), g.num_nonterminals());
+        for (p, (prod, (lhs, rhs))) in g.productions.iter().zip(&g.prods).enumerate() {
+            let p = p as u32;
+            assert_eq!((view.production_name(p), view.lhs(p), view.rhs_len(p)), (&*prod.name, *lhs, rhs.len()));
+        }
+        for (t, term) in g.terminals.iter().enumerate() {
+            let t = t as u16;
+            assert_eq!(view.terminal_name(t), term.name);
+            assert_eq!((view.precedence(t), view.is_layout(t)), (term.precedence, term.ignore));
+        }
+        for (n, name) in g.nonterminals.iter().enumerate() {
+            assert_eq!(view.nonterminal_name(n as u16), name);
+        }
+        let spellings: Vec<Option<&str>> = (0..g.num_terminals() as u16).map(|t| view.spelling(t)).collect();
+        let (plus, star, lp, rp) = (Some("+"), Some("*"), Some("("), Some(")"));
+        assert_eq!(spellings, [None, None, None, None, plus, star, lp, rp]);
     }
 
     #[test]
@@ -339,8 +408,9 @@ mod parser_tests {
         let ids: &'static [u16] = Box::leak(d.accept_ids.to_vec().into_boxed_slice());
         let mut other = expr_host();
         other.terminals.push(Terminal::new("MINUS", "-"));
-        let other = ComposedGrammar::compose(&other, &[]).unwrap();
-        Parser::from_static(other, action, leak(&t.goto_nt), leak(&d.next), ids, leak(&d.accept_offsets));
+        let other = GrammarView::new(&ComposedGrammar::compose(&other, &[]).unwrap());
+        let compose = || ComposedGrammar::compose(&expr_host(), &[]).unwrap();
+        Parser::from_static(other, compose, action, leak(&t.goto_nt), leak(&d.next), ids, leak(&d.accept_offsets));
     }
 }
 

@@ -25,7 +25,7 @@ use std::vec::Drain;
 
 use cmm_ag::{AgFragment, AttrKind};
 use cmm_ast::*;
-use cmm_grammar::{ComposedGrammar, GrammarFragment, Lexeme, ParseError, Parser, Reducer, Sym};
+use cmm_grammar::{GrammarFragment, GrammarView, Lexeme, ParseError, Parser, Reducer, Sym};
 
 /// AST-construction failure with a source position.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,9 +291,11 @@ pub struct Handlers {
 
 impl Handlers {
     /// Resolve every production of `grammar` to its rule.
-    pub fn new(grammar: &ComposedGrammar) -> Handlers {
+    pub fn new(grammar: &GrammarView) -> Handlers {
         Handlers {
-            rules: grammar.productions.iter().map(|p| rule(&p.name)).collect(),
+            rules: (0..grammar.num_productions() as u32)
+                .map(|p| rule(grammar.production_name(p)))
+                .collect(),
         }
     }
 }
@@ -385,7 +387,7 @@ pub fn parse_program(
 ) -> Result<BResult<Program>, ParseError> {
     let mut reducer = AstReducer {
         rules: &handlers.rules,
-        grammar: parser.grammar(),
+        grammar: parser.view(),
         src,
     };
     let root = parser.parse_with(src, &mut reducer)?;
@@ -435,7 +437,7 @@ struct Node {
 
 struct AstReducer<'a> {
     rules: &'a [Rule],
-    grammar: &'a ComposedGrammar,
+    grammar: &'a GrammarView,
     src: &'a str,
 }
 
@@ -499,7 +501,7 @@ macro_rules! take {
 
 impl<'a> Kids<'_, 'a> {
     fn name(&self) -> &'a str {
-        &self.r.grammar.productions[self.prod as usize].name
+        self.r.grammar.production_name(self.prod)
     }
 
     /// An error about the child just read, which the rule did not
@@ -638,10 +640,11 @@ impl<'a> Kids<'_, 'a> {
                 self.next()?
             }
             Rule::Unhandled => {
-                let p = &self.r.grammar.productions[self.prod as usize];
+                let (g, p) = (self.r.grammar, self.prod);
+                let lhs = g.nonterminal_name(g.lhs(p));
                 return err(
                     span,
-                    format!("unexpected {} production '{}'", category(&p.lhs), p.name),
+                    format!("unexpected {} production '{}'", category(lhs), g.production_name(p)),
                 );
             }
             Rule::ListOne => match self.next()? {

@@ -18,7 +18,7 @@ fn parser() -> Parser {
 
 /// Parse and build `src`, panicking on any error.
 fn build(p: &Parser, src: &str) -> cmm_ast::Program {
-    parse_program(p, &Handlers::new(p.grammar()), src)
+    parse_program(p, &Handlers::new(p.view()), src)
         .unwrap_or_else(|e| panic!("parse error: {e}"))
         .unwrap_or_else(|e| panic!("build error: {e}"))
 }

@@ -19,7 +19,7 @@
 //! frame seeded with only the slots the body actually references.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use cmm_forkjoin::{ForkJoinPool, Schedule};
@@ -691,7 +691,10 @@ pub struct InterpProfile {
 
 /// The interpreter: an [`IrProgram`] plus a fork-join pool and captured
 /// output. Construction runs the slot-resolution pre-pass once; every
-/// call, including re-runs, then executes the resolved form.
+/// call, including re-runs, then executes the resolved form. The pool of
+/// [`Interp::new`] is created at the program's first parallel region,
+/// kernel call or concurrent spawn, and lives as long as the interpreter;
+/// one given to [`Interp::with_pool`] is used from the start.
 pub struct Interp<'p> {
     program: &'p IrProgram,
     pub(crate) resolved: RProgram,
@@ -702,7 +705,11 @@ pub struct Interp<'p> {
     vm: Option<crate::vm::VmProgram>,
     /// Requested tier (the effective tier also needs `vm` to be Some).
     tier: Tier,
-    pub(crate) pool: Arc<ForkJoinPool>,
+    /// The pool parallel loops, kernels and spawns run on: the one given
+    /// to [`Interp::with_pool`], or one of `threads` threads created at the
+    /// first of them, so a program that never forks spawns no thread.
+    pool: OnceLock<Arc<ForkJoinPool>>,
+    threads: usize,
     output: Mutex<String>,
     allocs: AtomicU32,
     frees: AtomicU32,
@@ -760,12 +767,20 @@ pub struct LoopCost {
 
 impl<'p> Interp<'p> {
     /// New interpreter running parallel loops on `threads` pool threads.
+    /// The pool is created at the program's first parallel region, kernel
+    /// call or concurrent spawn; a program with none runs without one.
     pub fn new(program: &'p IrProgram, threads: usize) -> Self {
-        Interp::with_pool(program, Arc::new(ForkJoinPool::new(threads)))
+        Interp::on(program, OnceLock::new(), threads)
     }
 
-    /// New interpreter sharing an existing pool.
+    /// New interpreter sharing an existing pool (its fault plan, if any,
+    /// applies from the first allocation on).
     pub fn with_pool(program: &'p IrProgram, pool: Arc<ForkJoinPool>) -> Self {
+        let threads = pool.threads();
+        Interp::on(program, OnceLock::from(pool), threads)
+    }
+
+    fn on(program: &'p IrProgram, pool: OnceLock<Arc<ForkJoinPool>>, threads: usize) -> Self {
         let resolved = resolve_program(program);
         let nfns = resolved.functions.len();
         Interp {
@@ -774,6 +789,7 @@ impl<'p> Interp<'p> {
             vm: None,
             tier: Tier::Tree,
             pool,
+            threads,
             output: Mutex::new(String::new()),
             allocs: AtomicU32::new(0),
             frees: AtomicU32::new(0),
@@ -836,6 +852,12 @@ impl<'p> Interp<'p> {
         } else {
             Tier::Tree
         }
+    }
+
+    /// The pool, created now if this is the program's first parallel
+    /// region, kernel call or concurrent spawn.
+    pub(crate) fn pool(&self) -> &Arc<ForkJoinPool> {
+        self.pool.get_or_init(|| Arc::new(ForkJoinPool::new(self.threads)))
     }
 
     /// The source program this interpreter was built from.
@@ -1022,7 +1044,7 @@ impl<'p> Interp<'p> {
         let bytes = len.checked_mul(4).ok_or_else(|| {
             InterpError::new(format!("matrix dimensions {dims:?} overflow"))
         })?;
-        if self.pool.should_fail_alloc() {
+        if self.pool.get().is_some_and(|pool| pool.should_fail_alloc()) {
             return Err(InterpError::new(format!(
                 "injected allocation failure ({bytes} bytes requested)"
             )));
@@ -1159,7 +1181,7 @@ impl<'p> Interp<'p> {
             // region (nested spawn/sync) the calls become stealable jobs
             // on the current participant's deque and execute in parallel
             // with the rest of the region instead of serializing.
-            self.pool
+            self.pool()
                 .try_run_scheduled(
                     pending.len(),
                     Schedule::Dynamic { chunk: 1 },
@@ -1395,8 +1417,8 @@ impl<'p> Interp<'p> {
         // another bite of this same loop re-entrantly, which then just
         // builds a fresh frame.
         let frames: Vec<Mutex<Option<Frame>>> =
-            (0..self.pool.threads()).map(|_| Mutex::new(None)).collect();
-        let region = self.pool.try_run_scheduled(total, schedule, |tid, bite| {
+            (0..self.pool().threads()).map(|_| Mutex::new(None)).collect();
+        let region = self.pool().try_run_scheduled(total, schedule, |tid, bite| {
             // A failure elsewhere makes further bites pointless; skip
             // them cheaply while the region drains.
             if lock_ignore_poison(&error).is_some() {

@@ -148,12 +148,12 @@ fn product<T: Numeric>(
         }
     };
     let t = interp
-        .pool
+        .pool()
         .tile_policy()
         .matmul_tile(std::mem::size_of::<T>());
     let region = if parallel {
         try_matmul_tiles(
-            &interp.pool,
+            interp.pool(),
             interp.schedule,
             a_cells,
             b_cells,

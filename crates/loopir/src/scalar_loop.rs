@@ -1661,8 +1661,9 @@ mod tests {
     /// differently.
     #[test]
     fn kind_inference_follows_eval_bin() {
+        type Row = (B, u16, u16, Result<&'static [Code], Reason>);
         let (int, float, flag) = (3u16, 1u16, 4u16);
-        let table: [(B, u16, u16, Result<&[Code], Reason>); 12] = [
+        let table: [Row; 12] = [
             (B::Add, int, int, Ok(&[Code::IAdd])),
             (B::Add, int, float, Ok(&[Code::IntToFloat, Code::FAdd])),
             (B::Rem, float, float, Ok(&[Code::FRem])),

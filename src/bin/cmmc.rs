@@ -38,6 +38,7 @@
 //! Exit codes: 0 success, 1 runtime error, 2 usage error, 3 unreadable
 //! or unwritable file, 4 compile error, 5 resource limit exceeded.
 
+use std::mem::ManuallyDrop;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -202,7 +203,7 @@ fn fuzz_command(args: &[String]) -> ExitCode {
             "--oracle" => {
                 let Some(v) = it.next() else { return usage() };
                 let Some(kind) = OracleKind::parse(v) else {
-                    eprintln!("cmmc: unknown oracle '{v}' (transform|schedule|limits|vm|gcc)");
+                    eprintln!("cmmc: unknown oracle '{v}' (transform|schedule|limits|vm|gcc|tuned)");
                     return ExitCode::from(EXIT_USAGE);
                 };
                 if !oracles.contains(&kind) {
@@ -299,8 +300,14 @@ fn tune_command(args: &[String]) -> ExitCode {
             }
             "--apply" => apply = true,
             "--host-geometry" => cfg.use_host_geometry = true,
-            "-o" => out_file = it.next().cloned(),
-            "--report" => report_file = it.next().cloned(),
+            "-o" => {
+                let Some(v) = it.next() else { return usage() };
+                out_file = Some(v.clone());
+            }
+            "--report" => {
+                let Some(v) = it.next() else { return usage() };
+                report_file = Some(v.clone());
+            }
             other if !other.starts_with('-') && file.is_none() => {
                 file = Some(other.to_string());
             }
@@ -467,7 +474,10 @@ fn main() -> ExitCode {
                 exts = v.split(',').map(|s| s.trim().to_string()).collect();
                 exts.retain(|e| !e.is_empty());
             }
-            "-o" => out_file = it.next().cloned(),
+            "-o" => {
+                let Some(v) = it.next() else { return usage() };
+                out_file = Some(v.clone());
+            }
             "--profile" => profile = true,
             "--metrics-json" => {
                 let Some(v) = it.next() else { return usage() };
@@ -482,7 +492,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let registry = Registry::standard();
+    // Left to the process's exit, as the compiler is (see below).
+    let registry = ManuallyDrop::new(Registry::standard());
 
     if command == "analyses" {
         println!("modular determinism analysis (isComposable, §VI-A):");
@@ -507,7 +518,7 @@ fn main() -> ExitCode {
 
     let ext_refs: Vec<&str> = exts.iter().map(String::as_str).collect();
     let mut compiler = match registry.compiler(&ext_refs) {
-        Ok(c) => c,
+        Ok(c) => ManuallyDrop::new(c),
         Err(e) => return fail(&e),
     };
     compiler.options.parallelize = parallel;
@@ -544,10 +555,11 @@ fn main() -> ExitCode {
     };
 
     // `check` and `emit` leave the AST, the IR and the C text to the
-    // process's exit instead of dropping them: freeing a large program
-    // node by node costs milliseconds that nothing reads, and the
-    // operating system takes the pages back at once. The library API and
-    // `cmmc serve`, which live on, drop them as usual.
+    // process's exit instead of dropping them, and `run`, `check` and
+    // `emit` the registry and the compiler: freeing a large program node
+    // by node, or a grammar string by string, costs time that nothing
+    // reads, and the operating system takes the pages back at once. The
+    // library API and `cmmc serve`, which live on, drop them as usual.
     match command {
         "check" => {
             let checked = if metered {

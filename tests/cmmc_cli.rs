@@ -435,6 +435,33 @@ fn metrics_json_without_value_is_usage_error() {
 }
 
 #[test]
+fn a_valued_flag_without_its_value_is_a_usage_error() {
+    let path = write_program("novalue.xc", PROGRAM);
+    for args in [
+        vec!["emit", &path, "-o"],
+        vec!["tune", &path, "-o"],
+        vec!["tune", &path, "--apply", "-o"],
+        vec!["tune", &path, "--report"],
+    ] {
+        let out = cmmc().args(&args).output().expect("spawn cmmc");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{args:?}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn an_unknown_oracle_is_named_with_every_known_one() {
+    let out = cmmc().args(["fuzz", "--oracle", "bogus"]).output().expect("spawn cmmc");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for oracle in ["transform", "schedule", "limits", "vm", "gcc", "tuned"] {
+        assert!(stderr.contains(oracle), "{oracle} missing from: {stderr}");
+    }
+}
+
+#[test]
 fn restricted_extension_set() {
     let path = write_program("noext.xc", PROGRAM);
     let out = cmmc()
