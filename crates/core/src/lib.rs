@@ -257,7 +257,6 @@ impl Registry {
             composition,
             cache: Arc::clone(&self.parser_cache),
             options: LowerOptions::default(),
-            tier: Tier::default(),
         })
     }
 
@@ -331,6 +330,10 @@ pub enum CompileError {
     /// result is lost. Distinct from [`CompileError::Runtime`] so session
     /// hosts (`cmmc serve`) can report tenant-fault isolation to clients.
     Panic(String),
+    /// A function does not fit the bytecode VM's `u16` registers or
+    /// tables: the message names it and the limit. Reported before the
+    /// program starts, as a compile error.
+    VmLimit(String),
     /// The program exceeded a configured resource budget ([`Limits`]).
     Limit {
         /// Which budget was exceeded.
@@ -356,6 +359,7 @@ impl std::fmt::Display for CompileError {
                 write!(f, "{m}")
             }
             CompileError::Panic(m) => write!(f, "worker panic: {m}"),
+            CompileError::VmLimit(m) => write!(f, "bytecode limit: {m}"),
             CompileError::Type(diags) => {
                 for d in diags {
                     writeln!(f, "{d}")?;
@@ -378,12 +382,6 @@ pub struct Compiler {
     /// Lowering options (high-level optimizations, auto-parallelization);
     /// public so experiments can toggle the ablation knobs.
     pub options: LowerOptions,
-    /// Execution tier for `run*` (the `cmmc run --tier` argument).
-    /// Defaults to the bytecode VM; the tree-walker remains available as
-    /// the reference oracle. A program the VM lowering cannot express
-    /// falls back to the tree-walker silently — semantics are identical
-    /// by construction, the tiers differ only in speed.
-    pub tier: Tier,
 }
 
 // `cmmc serve` hands compilers and registries to concurrent session
@@ -598,7 +596,7 @@ impl Compiler {
         let interp = Interp::new(&ir, threads)
             .with_schedule(schedule)
             .with_limits(limits)
-            .with_tier(self.tier);
+            .with_tier(Tier::Vm);
         interp.run_main().map_err(map_interp_error)?;
         Ok(RunResult {
             output: interp.output(),
@@ -623,7 +621,7 @@ impl Compiler {
         let interp = Interp::with_pool(&ir, pool)
             .with_schedule(schedule)
             .with_limits(limits)
-            .with_tier(self.tier);
+            .with_tier(Tier::Vm);
         interp.run_main().map_err(map_interp_error)?;
         Ok(RunResult {
             output: interp.output(),
@@ -633,9 +631,9 @@ impl Compiler {
     }
 
     /// Deterministic loop-cost probe (the `cmm-tune` measurement mode):
-    /// compile and execute on a single thread, tree tier, with
-    /// [`Interp::with_cost_probe`] enabled — parallel loops run
-    /// sequentially and record per-iteration fuel. Returns the run
+    /// compile and execute on the VM with [`Interp::with_cost_probe`]
+    /// enabled — parallel loops run sequentially on the calling thread
+    /// and record per-iteration fuel. Returns the run
     /// result, the per-loop cost records, and the total fuel consumed.
     /// Everything returned is a pure function of `(src, limits)`.
     pub fn run_cost_probe(
@@ -646,7 +644,7 @@ impl Compiler {
         let ir = self.compile(src)?;
         let interp = Interp::new(&ir, 1)
             .with_limits(limits)
-            .with_tier(Tier::Tree)
+            .with_tier(Tier::Vm)
             .with_cost_probe(true);
         interp.run_main().map_err(map_interp_error)?;
         let result = RunResult {
@@ -706,7 +704,7 @@ impl Compiler {
             .with_schedule(schedule)
             .with_limits(limits)
             .with_profiling(true)
-            .with_tier(self.tier);
+            .with_tier(Tier::Vm);
         let outcome = interp.run_main().map_err(map_interp_error).map(|_| RunResult {
             output: interp.output(),
             allocations: interp.alloc_count(),
@@ -715,7 +713,6 @@ impl Compiler {
         let rc_after = cmm_rc::pool_stats();
         let report = ProfileReport {
             compile,
-            tier: interp.effective_tier(),
             pool: Some(pool.metrics()),
             interp: Some(interp.profile()),
             rc: cmm_rc::PoolStats {
@@ -737,6 +734,7 @@ fn map_interp_error(e: InterpError) -> CompileError {
         },
         cmm_loopir::InterpErrorKind::WorkerPanic => CompileError::Panic(e.message),
         cmm_loopir::InterpErrorKind::Runtime => CompileError::Runtime(e.to_string()),
+        cmm_loopir::InterpErrorKind::VmLimit => CompileError::VmLimit(e.message),
     }
 }
 

@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 
 use cmm_forkjoin::PoolMetrics;
-use cmm_loopir::{BoxedLoop, InterpProfile, Tier};
+use cmm_loopir::{BoxedLoop, InterpProfile};
 use cmm_rc::PoolStats;
 
 use crate::json::{Json, Member};
@@ -113,9 +113,6 @@ pub struct ProfileReport {
     pub rc: PoolStats,
     /// Pool threads the run used.
     pub threads: usize,
-    /// Execution tier that actually ran (`vm` unless the program fell
-    /// back to the tree-walker or the tree tier was requested).
-    pub tier: Tier,
 }
 
 fn fmt_nanos(n: u64) -> String {
@@ -197,7 +194,7 @@ impl ProfileReport {
             }
         }
         if let Some(interp) = &self.interp {
-            let _ = writeln!(out, "── interpreter ({} tier) ───────────────────", self.tier);
+            let _ = writeln!(out, "── interpreter ─────────────────────────────");
             table_rows(&mut out, &interp_rows(interp));
             for f in &interp.functions {
                 let _ = writeln!(
@@ -254,7 +251,6 @@ impl ProfileReport {
         Json::obj([
             ("schema", METRICS_SCHEMA.into()),
             ("threads", self.threads.into()),
-            ("tier", self.tier.to_string().into()),
             ("passes", Json::arr(passes)),
             ("total_nanos", self.compile.total_nanos().into()),
             ("pool", pool),

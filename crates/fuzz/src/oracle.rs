@@ -1,10 +1,9 @@
 //! The six differential oracles and the harness that runs them.
 //!
 //! Baseline: the optimized pipeline (default [`LowerOptions`])
-//! interpreted with 2 pool threads under the static schedule on the
-//! default execution tier (the bytecode VM). Each oracle re-executes
-//! the same program down a different path and requires bitwise-identical
-//! output:
+//! interpreted on the bytecode VM with 2 pool threads under the static
+//! schedule. Each oracle re-executes the same program down a different
+//! path and requires bitwise-identical output:
 //!
 //! 1. **transform** — `transform` directives stripped from the AST,
 //!    compiled with every high-level optimization off, run
@@ -15,9 +14,9 @@
 //!    at 1, 2, and 4 threads: nine runs per case.
 //! 3. **limits** — a metered run under generous [`Limits`] budgets:
 //!    metering must never change what executes.
-//! 4. **vm** — the tree-walking interpreter re-runs the program as the
-//!    reference oracle for the bytecode VM baseline: identical output,
-//!    allocation/leak counts, and compiled IR are required.
+//! 4. **vm** — the tree-walking interpreter re-runs the baseline's IR as
+//!    the reference oracle for the bytecode VM: identical output and
+//!    allocation/leak counts are required.
 //! 5. **tuned** — `cmm_tune::tune` with a fixed seed and a small
 //!    budget rewrites the program's directives; the tuned source must
 //!    reproduce the untuned baseline output bitwise and leak-free, and
@@ -32,7 +31,7 @@ use cmm_core::{
     CompileError, Compiler, Registry, compile_and_run_c_with_timeout, gcc_available_or_skip,
 };
 use cmm_lang::LowerOptions;
-use cmm_loopir::{Limits, Schedule, Tier, snapshot};
+use cmm_loopir::{Interp, Limits, Schedule, Tier, snapshot};
 use std::time::Duration;
 
 /// The differential oracles.
@@ -217,10 +216,6 @@ pub fn strip_transforms(prog: &Program) -> Program {
 pub struct Harness {
     opt: Compiler,
     plain: Compiler,
-    /// The optimized pipeline pinned to the tree-walking tier: the
-    /// reference interpretation the vm oracle compares the bytecode
-    /// baseline against.
-    tree: Compiler,
     gcc: bool,
 }
 
@@ -236,12 +231,9 @@ impl Harness {
             fuse_with_assign: false,
             fuse_slice_index: false,
         };
-        let mut tree = registry.compiler(&cmm_core::ALL_EXTENSIONS)?;
-        tree.tier = Tier::Tree;
         Ok(Harness {
             opt,
             plain,
-            tree,
             gcc: gcc_available_or_skip("fuzz gcc oracle"),
         })
     }
@@ -454,10 +446,10 @@ impl Harness {
         Ok(())
     }
 
-    /// Re-run under the tree-walking reference tier and require bitwise
-    /// agreement with the bytecode-VM baseline: same output, same
-    /// allocation and leak counts, and the identical compiled IR (tier
-    /// selection must never perturb compilation).
+    /// Run the optimized pipeline's IR on the tree-walking reference
+    /// tier and require bitwise agreement with the bytecode-VM baseline:
+    /// same output, same allocation and leak counts. Both tiers run one
+    /// IR, so a divergence is the tiers' own.
     fn check_vm(
         &self,
         src: &str,
@@ -465,27 +457,29 @@ impl Harness {
         bounded: bool,
     ) -> Result<(), Failure> {
         let fail = |detail: String| Failure { oracle: Some(OracleKind::Vm), detail };
+        let ir = self
+            .opt
+            .compile(src)
+            .map_err(|e| fail(format!("recompiling the baseline failed: {e}")))?;
         let limits = if bounded { bounded_limits() } else { Limits::default() };
-        let reference = self
-            .tree
-            .run_with_limits(src, 2, limits)
+        let reference = Interp::new(&ir, 2).with_limits(limits).with_tier(Tier::Tree);
+        reference
+            .run_main()
             .map_err(|e| fail(format!("tree-walker reference failed where the VM succeeded: {e}")))?;
-        if reference.output != base.output {
-            let ir_note = match (self.opt.compile(src), self.tree.compile(src)) {
-                (Ok(vm_ir), Ok(tree_ir)) => snapshot::diff(&tree_ir, &vm_ir)
-                    .unwrap_or_else(|| "IR identical (divergence is tier-side)".to_string()),
-                _ => String::new(),
-            };
+        let output = reference.output();
+        if output != base.output {
             return Err(fail(format!(
                 "bytecode VM output differs from tree-walker reference\n\
-                 --- tree-walker\n{}\n--- vm\n{}\n{ir_note}",
-                reference.output, base.output
+                 --- tree-walker\n{output}\n--- vm\n{}\n\
+                 IR identical (divergence is tier-side)",
+                base.output
             )));
         }
-        if (reference.allocations, reference.leaked) != (base.allocations, base.leaked) {
+        let (allocations, leaked) = (reference.alloc_count(), reference.live_buffers());
+        if (allocations, leaked) != (base.allocations, base.leaked) {
             return Err(fail(format!(
-                "buffer accounting differs between tiers: tree {}/{} alloc/leaked, vm {}/{}",
-                reference.allocations, reference.leaked, base.allocations, base.leaked
+                "buffer accounting differs between tiers: tree {allocations}/{leaked} alloc/leaked, vm {}/{}",
+                base.allocations, base.leaked
             )));
         }
         Ok(())

@@ -34,36 +34,14 @@ use crate::resolve::{resolve_program, RCallee, RExpr, RFor, RProgram, RStmt, RTa
 /// Both tiers share one semantic substrate — values, buffers, builtins,
 /// limits, spawns, fork-join parallel regions — so they produce bitwise
 /// identical output and identical error messages; the fuzzer's `vm`
-/// oracle holds them to that. The tree-walker is the reference
-/// implementation; the VM is the fast path (`Tier::default()`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// oracle holds them to that. The VM is the tier programs run on; the
+/// tree-walker is the reference it is held to, and nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Tree-walking reference interpreter over the resolved statements.
     Tree,
     /// Register-based bytecode VM ([`crate::vm`]).
-    #[default]
     Vm,
-}
-
-impl std::fmt::Display for Tier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Tier::Tree => "tree",
-            Tier::Vm => "vm",
-        })
-    }
-}
-
-impl std::str::FromStr for Tier {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "tree" => Ok(Tier::Tree),
-            "vm" => Ok(Tier::Vm),
-            other => Err(format!("unknown tier '{other}' (expected vm or tree)")),
-        }
-    }
 }
 
 /// Which resource budget a [`InterpErrorKind::LimitExceeded`] error hit.
@@ -103,6 +81,10 @@ pub enum InterpErrorKind {
     /// unusable — session hosts report this distinctly so clients can
     /// tell a tenant fault from an ordinary program error.
     WorkerPanic,
+    /// [`Tier::Vm`] was selected and one function does not fit the
+    /// bytecode's `u16` registers or tables. The program never starts: a
+    /// compile error, the way the JVM reports a method over its limits.
+    VmLimit,
 }
 
 /// Interpreter runtime error.
@@ -129,6 +111,14 @@ impl InterpError {
         }
     }
 
+    /// A bytecode limit hit while lowering `function`.
+    pub(crate) fn vm_limit(function: &str, limit: &str) -> Self {
+        InterpError {
+            kind: InterpErrorKind::VmLimit,
+            message: format!("function '{function}': {limit}"),
+        }
+    }
+
     pub(crate) fn worker_panic(p: &cmm_forkjoin::RegionPanic) -> Self {
         InterpError {
             kind: InterpErrorKind::WorkerPanic,
@@ -140,7 +130,9 @@ impl InterpError {
     pub fn limit_kind(&self) -> Option<LimitKind> {
         match self.kind {
             InterpErrorKind::LimitExceeded(k) => Some(k),
-            InterpErrorKind::Runtime | InterpErrorKind::WorkerPanic => None,
+            InterpErrorKind::Runtime | InterpErrorKind::WorkerPanic | InterpErrorKind::VmLimit => {
+                None
+            }
         }
     }
 }
@@ -153,6 +145,7 @@ impl std::fmt::Display for InterpError {
                 write!(f, "limit exceeded ({k}): {}", self.message)
             }
             InterpErrorKind::WorkerPanic => write!(f, "worker panic: {}", self.message),
+            InterpErrorKind::VmLimit => write!(f, "bytecode limit: {}", self.message),
         }
     }
 }
@@ -698,13 +691,11 @@ pub struct InterpProfile {
 pub struct Interp<'p> {
     program: &'p IrProgram,
     pub(crate) resolved: RProgram,
-    /// Bytecode form, compiled by [`Interp::with_tier`]`(Tier::Vm)`.
-    /// When present, every function call dispatches through the VM; the
-    /// tree-walker remains the reference tier (and the fallback if
-    /// lowering hits a [`crate::vm::VmLimit`]).
-    vm: Option<crate::vm::VmProgram>,
-    /// Requested tier (the effective tier also needs `vm` to be Some).
-    tier: Tier,
+    /// Bytecode form, compiled by [`Interp::with_tier`]`(Tier::Vm)`:
+    /// `Some`, every function call runs on the VM; `None`, on the
+    /// tree-walker; an error, the limit lowering hit, which every run
+    /// then reports.
+    vm: Result<Option<crate::vm::VmProgram>, InterpError>,
     /// The pool parallel loops, kernels and spawns run on: the one given
     /// to [`Interp::with_pool`], or one of `threads` threads created at the
     /// first of them, so a program that never forks spawns no thread.
@@ -740,7 +731,7 @@ pub struct Interp<'p> {
     pub(crate) schedule: Schedule,
     /// Loop-cost probe switch ([`Interp::with_cost_probe`]): parallel
     /// loops execute sequentially and record per-iteration fuel.
-    cost_probe: bool,
+    pub(crate) cost_probe: bool,
     /// Parallel-loop nesting depth during a probe run; only depth-0
     /// loops record (inner parallel loops fold into the outer
     /// iteration's cost, matching how the region dispatches).
@@ -786,8 +777,7 @@ impl<'p> Interp<'p> {
         Interp {
             program,
             resolved,
-            vm: None,
-            tier: Tier::Tree,
+            vm: Ok(None),
             pool,
             threads,
             output: Mutex::new(String::new()),
@@ -824,34 +814,18 @@ impl<'p> Interp<'p> {
         self
     }
 
-    /// Select the execution tier. `Tier::Vm` lowers the resolved program
-    /// to bytecode once (compile-once / execute-many: re-runs and every
-    /// call share the compiled [`crate::vm::VmProgram`]); if lowering is
-    /// not possible (register/table overflow on a pathological program)
-    /// the interpreter silently keeps the tree-walking tier — check
-    /// [`Interp::effective_tier`] when it matters.
+    /// Select the execution tier (the tree-walker until this is called).
+    /// `Tier::Vm` lowers the resolved program to bytecode once
+    /// (compile-once / execute-many: re-runs and every call share the
+    /// compiled [`crate::vm::VmProgram`]). A function that overflows the
+    /// bytecode's `u16` registers or tables makes every run fail with an
+    /// [`InterpErrorKind::VmLimit`] error naming it.
     pub fn with_tier(mut self, tier: Tier) -> Self {
-        self.tier = tier;
         self.vm = match tier {
-            Tier::Vm => crate::vm::compile(&self.resolved).ok(),
-            Tier::Tree => None,
+            Tier::Vm => crate::vm::compile(&self.resolved).map(Some),
+            Tier::Tree => Ok(None),
         };
         self
-    }
-
-    /// The tier requested via [`Interp::with_tier`] (`Tree` by default).
-    pub fn tier(&self) -> Tier {
-        self.tier
-    }
-
-    /// The tier actually executing: `Vm` only when bytecode lowering
-    /// succeeded.
-    pub fn effective_tier(&self) -> Tier {
-        if self.vm.is_some() {
-            Tier::Vm
-        } else {
-            Tier::Tree
-        }
     }
 
     /// The pool, created now if this is the program's first parallel
@@ -876,18 +850,15 @@ impl<'p> Interp<'p> {
     /// Enable the loop-cost probe (the `cmm-tune` measurement mode):
     /// every parallel loop executes *sequentially* on the calling
     /// thread, and each outermost parallel loop records the fuel
-    /// consumed by each of its iterations into [`Interp::loop_costs`].
-    /// Sequential execution plus the per-statement fuel charges makes
-    /// the recorded costs a pure function of the program — no pool, no
-    /// clock — so a tuner can replay them through the virtual-time
-    /// makespan model deterministically. Forces the tree tier (the VM
-    /// batches fuel per basic block, which would blur iteration
-    /// boundaries); call after [`Interp::with_tier`] if both are used.
+    /// consumed by each of its iterations, the spawns it syncs included,
+    /// into [`Interp::loop_costs`]. Sequential execution plus exact fuel
+    /// charges makes the recorded costs a pure function of the program —
+    /// no pool, no clock — so a tuner can replay them through the
+    /// virtual-time makespan model deterministically. Both tiers record
+    /// the same costs; under the probe a matrix product runs its nest, so
+    /// that the nest's parallel loop is recorded.
     pub fn with_cost_probe(mut self, enabled: bool) -> Self {
         self.cost_probe = enabled;
-        if enabled {
-            self.vm = None;
-        }
         self
     }
 
@@ -913,7 +884,10 @@ impl<'p> Interp<'p> {
         functions.sort_by(|a, b| b.steps.cmp(&a.steps).then_with(|| a.name.cmp(&b.name)));
         let noted = |notes: fn(&crate::vm::VmFunction) -> &[crate::vm::LoopNote]| {
             let names = self.resolved.functions.iter().map(|f| &*f.name);
-            (self.vm.as_ref()).map_or_else(Vec::new, |vm| vm.noted_loops(names, notes))
+            match &self.vm {
+                Ok(Some(vm)) => vm.noted_loops(names, notes),
+                _ => Vec::new(),
+            }
         };
         InterpProfile {
             functions,
@@ -1086,6 +1060,9 @@ impl<'p> Interp<'p> {
 
     /// Call a user function by name with argument values.
     pub fn call(&self, name: &str, args: Vec<Value>) -> IResult<Value> {
+        if let Err(limit) = &self.vm {
+            return Err(limit.clone());
+        }
         match self.resolved.by_name.get(name) {
             Some(&idx) => self.call_function(idx, args),
             None => Err(undefined_function(name)),
@@ -1104,13 +1081,11 @@ impl<'p> Interp<'p> {
 
     /// Call a resolved user function: the frame is one flat slot vector —
     /// parameters first, every other declaration Unit until its `Decl`
-    /// executes. Dispatches to the bytecode tier when one is attached, so
-    /// both tiers share this single entry point (and with it `run_main`,
-    /// spawns, and recursive calls).
+    /// executes. Both tiers share this entry point (and with it
+    /// `run_main`, spawns, and recursive calls): the arity check, the
+    /// implicit sync and the profile's attribution are written once here,
+    /// and the tier decides only how the body executes.
     pub(crate) fn call_function(&self, idx: usize, args: Vec<Value>) -> IResult<Value> {
-        if let Some(vm) = &self.vm {
-            return crate::vm::call_function(self, vm, idx, args);
-        }
         let f = &self.resolved.functions[idx];
         if f.nparams != args.len() {
             return Err(InterpError::new(format!(
@@ -1124,13 +1099,17 @@ impl<'p> Interp<'p> {
             slots: args,
             pending: Vec::new(),
         };
-        frame.slots.resize(f.nslots, Value::Unit);
-        let steps_at_entry = if self.profile {
-            Some(self.steps.load(Ordering::Relaxed))
-        } else {
-            None
+        let steps_at_entry = self.profile.then(|| self.steps.load(Ordering::Relaxed));
+        let returned = match &self.vm {
+            Ok(Some(vm)) => crate::vm::run_function(self, vm, idx, &mut frame)?,
+            _ => {
+                frame.slots.resize(f.nslots, Value::Unit);
+                match self.exec_block(&f.body, &mut frame)? {
+                    Flow::Return(v) => Some(v),
+                    Flow::Normal => None,
+                }
+            }
         };
-        let flow = self.exec_block(&f.body, &mut frame)?;
         // Cilk semantics: a function implicitly syncs before returning.
         self.run_pending(&mut frame)?;
         if let Some(entry) = steps_at_entry {
@@ -1139,10 +1118,7 @@ impl<'p> Interp<'p> {
             costs[idx].0 += 1;
             costs[idx].1 += spent;
         }
-        match flow {
-            Flow::Return(v) => Ok(v),
-            Flow::Normal => Ok(Value::Unit),
-        }
+        Ok(returned.unwrap_or(Value::Unit))
     }
 
     pub(crate) fn set_target(&self, frame: &mut Frame, target: &RTarget, v: Value) -> IResult<()> {
@@ -1340,12 +1316,10 @@ impl<'p> Interp<'p> {
     fn exec_for(&self, f: &RFor, frame: &mut Frame) -> IResult<Flow> {
         let lo = self.eval(&f.lo, frame)?.as_i()?;
         let hi = self.eval(&f.hi, frame)?.as_i()?;
-        if self.cost_probe && f.parallel && hi > lo {
-            return self.probe_for(f, frame, lo, hi);
-        }
         if f.parallel && hi > lo {
             let captured = f.captured.iter().map(|&s| s as usize);
-            self.run_parallel_loop(frame, captured, f.var as usize, f.schedule, lo..hi, |tf, _| {
+            let (var, schedule) = (f.var as usize, f.schedule);
+            self.run_parallel_loop(frame, captured, var, &f.name, schedule, lo..hi, |tf, _| {
                 self.charge(1)?;
                 Ok(matches!(self.exec_block(&f.body, tf)?, Flow::Return(_)))
             })?;
@@ -1382,11 +1356,17 @@ impl<'p> Interp<'p> {
     /// imbalanced body rebalances through stealing instead of serializing
     /// behind the slowest participant. The per-loop `schedule` directive
     /// wins over the process default.
+    ///
+    /// Under the cost probe ([`Interp::with_cost_probe`]) the range runs
+    /// sequentially on the calling thread instead, and an outermost loop
+    /// records each iteration's fuel under its index variable's `name`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_parallel_loop<B>(
         &self,
         frame: &Frame,
         captured: impl Iterator<Item = usize>,
         var: usize,
+        name: &str,
         schedule: Option<Schedule>,
         range: std::ops::Range<i32>,
         body: B,
@@ -1408,6 +1388,9 @@ impl<'p> Interp<'p> {
         let mut template: Vec<Value> = vec![Value::Unit; frame.slots.len()];
         for s in captured {
             template[s] = frame.slots[s].clone();
+        }
+        if self.cost_probe {
+            return self.probe_loop(template, var, name, schedule, range, body);
         }
         let error: Mutex<Option<InterpError>> = Mutex::new(None);
         let schedule = schedule.unwrap_or(self.schedule);
@@ -1466,47 +1449,53 @@ impl<'p> Interp<'p> {
         region.map_err(|p| InterpError::worker_panic(&p))
     }
 
-    /// Cost-probe execution of a parallel loop: sequential, on the
-    /// calling thread, recording per-iteration fuel deltas when this is
-    /// the outermost parallel loop. See [`Interp::with_cost_probe`].
-    fn probe_for(&self, f: &RFor, frame: &mut Frame, lo: i32, hi: i32) -> IResult<Flow> {
+    /// [`Interp::run_parallel_loop`] under the cost probe: the iterations
+    /// run in order on one private frame, each syncing its spawns as a
+    /// region participant does. Only a loop at parallel depth 0 records:
+    /// an inner loop's cost is part of its outer iteration, as it is in
+    /// the region.
+    fn probe_loop<B>(
+        &self,
+        template: Vec<Value>,
+        var: usize,
+        name: &str,
+        schedule: Option<Schedule>,
+        range: std::ops::Range<i32>,
+        body: B,
+    ) -> IResult<()>
+    where
+        B: Fn(&mut Frame, &mut u64) -> IResult<bool>,
+    {
         let record = self.probe_depth.fetch_add(1, Ordering::Relaxed) == 0;
-        let result = (|| {
-            let mut iters = if record {
-                Vec::with_capacity(hi.wrapping_sub(lo) as u32 as usize)
-            } else {
-                Vec::new()
-            };
-            let mut i = lo;
-            while i < hi {
-                let before = self.steps_used();
-                self.charge(1)?;
-                frame.slots[f.var as usize] = Value::I(i);
-                match self.exec_block(&f.body, frame)? {
-                    Flow::Normal => {}
-                    Flow::Return(_) => {
-                        return Err(InterpError::new(
-                            "return inside a parallel loop is not supported",
-                        ))
-                    }
-                }
-                if record {
-                    iters.push(self.steps_used().saturating_sub(before));
-                }
-                i = i.wrapping_add(1);
+        let mut tf = Frame {
+            slots: template,
+            pending: Vec::new(),
+        };
+        let total = range.end.wrapping_sub(range.start) as u32;
+        let mut iters = Vec::with_capacity(if record { total as usize } else { 0 });
+        let ran = (0..total).try_for_each(|k| {
+            let before = self.steps_used();
+            tf.slots[var] = Value::I(range.start.wrapping_add(k as i32));
+            // No batch to flush: the probe turns batching off (`fast_meter`).
+            let returned = body(&mut tf, &mut 0);
+            if returned.and_then(|r| self.run_pending(&mut tf).map(|()| r))? {
+                return Err(InterpError::new("return inside a parallel loop is not supported"));
             }
-            Ok(iters)
-        })();
+            if record {
+                iters.push(self.steps_used() - before);
+            }
+            Ok(())
+        });
         self.probe_depth.fetch_sub(1, Ordering::Relaxed);
-        let iters = result?;
+        ran?;
         if record {
             lock_ignore_poison(&self.loop_costs).push(LoopCost {
-                name: f.name.to_string(),
-                schedule: f.schedule,
+                name: name.to_string(),
+                schedule,
                 iters,
             });
         }
-        Ok(Flow::Normal)
+        Ok(())
     }
 
     fn eval(&self, expr: &RExpr, frame: &mut Frame) -> IResult<Value> {

@@ -50,15 +50,19 @@ fn steps_per_row(k: usize, n: usize) -> u64 {
 
 /// Run the product natively if the operands are what `site` describes.
 /// `Ok(false)` means nothing was done or charged and the caller must run
-/// the fallback nest. Steps go to `batch` when the VM is batching charges
-/// (see `vm::exec`); otherwise they are charged against the budgets as
-/// tiles start.
+/// the fallback nest, which it always does under the cost probe: the probe
+/// records the nest's parallel loop, row by row. Steps go to `batch` when
+/// the VM is batching charges (see `vm::exec`); otherwise they are charged
+/// against the budgets as tiles start.
 pub(crate) fn run_matmul(
     interp: &Interp<'_>,
     site: &RMatMul,
     frame: &Frame,
     batch: Option<&mut u64>,
 ) -> IResult<bool> {
+    if interp.cost_probe {
+        return Ok(false);
+    }
     // Frame slots keep their resolved indices in the VM's register file.
     let slot = |r: u32| match &frame.slots[r as usize] {
         Value::Buf(b) => Some(b),

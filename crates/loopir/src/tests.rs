@@ -1437,12 +1437,10 @@ proptest! {
 mod vm_tests {
     use super::*;
 
-    /// Run under one tier; panics if the VM silently fell back to the
-    /// tree-walker (a lowering gap is a bug, not a shrug).
+    /// Run under one tier.
     fn run_tier(program: &IrProgram, threads: usize, tier: Tier) -> (String, String, u64) {
         let interp = Interp::new(program, threads).with_tier(tier);
-        assert_eq!(interp.effective_tier(), tier, "tier fell back silently");
-        let v = interp.run_main().unwrap_or_else(|e| panic!("{tier}: {e}"));
+        let v = interp.run_main().unwrap_or_else(|e| panic!("{tier:?}: {e}"));
         (format!("{v:?}"), interp.output(), interp.steps_used())
     }
 
@@ -1463,7 +1461,6 @@ mod vm_tests {
         let it = Interp::new(program, threads).with_tier(Tier::Tree);
         let et = it.run_main().unwrap_err();
         let iv = Interp::new(program, threads).with_tier(Tier::Vm);
-        assert_eq!(iv.effective_tier(), Tier::Vm, "tier fell back silently");
         let ev = iv.run_main().unwrap_err();
         assert_eq!(ev, et, "error differs between tiers");
         assert_eq!(iv.output(), it.output(), "pre-error output differs");
@@ -1608,7 +1605,6 @@ mod vm_tests {
                     let iv = Interp::new(&prog, threads)
                         .with_schedule(process_default)
                         .with_tier(Tier::Vm);
-                    assert_eq!(iv.effective_tier(), Tier::Vm);
                     iv.run_main().unwrap();
                     assert_eq!(iv.output(), "374250\n", "{process_default:?}/{per_loop:?}");
                     assert_eq!(iv.steps_used(), st, "{process_default:?}/{per_loop:?}");
@@ -1690,14 +1686,14 @@ mod vm_tests {
             for tier in [Tier::Tree, Tier::Vm] {
                 let ok = Interp::new(&prog, threads).with_tier(tier).with_limits(fuel(steps));
                 ok.run_main()
-                    .unwrap_or_else(|e| panic!("{name}/{tier}: fuel == {steps} must succeed: {e}"));
-                assert_eq!(ok.steps_used(), steps, "{name}/{tier}");
+                    .unwrap_or_else(|e| panic!("{name}/{tier:?}: fuel == {steps} must succeed: {e}"));
+                assert_eq!(ok.steps_used(), steps, "{name}/{tier:?}");
                 let tight = Interp::new(&prog, threads).with_tier(tier).with_limits(fuel(steps - 1));
                 let err = tight.run_main().unwrap_err();
                 assert_eq!(
                     err.limit_kind(),
                     Some(LimitKind::Fuel),
-                    "{name}/{tier}: fuel == {} must hit the fuel limit, got {err}",
+                    "{name}/{tier:?}: fuel == {} must hit the fuel limit, got {err}",
                     steps - 1
                 );
             }
@@ -1751,7 +1747,7 @@ mod vm_tests {
                 assert_eq!(
                     err.limit_kind(),
                     Some(LimitKind::Fuel),
-                    "{tier} parallel={parallel}: {err}"
+                    "{tier:?} parallel={parallel}: {err}"
                 );
             }
         }
@@ -2220,5 +2216,128 @@ mod vm_tests {
         let after = assert_tiers_agree(&prog, 2);
         assert_ne!(after, before, "the split nest costs different fuel, in both tiers");
         assert_eq!(kernel_calls(&prog, Tier::Vm), 0);
+    }
+}
+
+mod probe_tests {
+    use super::*;
+
+    fn main_fn(body: Vec<IrStmt>) -> IrFunction {
+        IrFunction {
+            name: "main".into(),
+            params: vec![],
+            ret: CType::Void,
+            ret_tuple: None,
+            body,
+        }
+    }
+
+    fn for_loop(var: &str, hi: IrExpr, parallel: bool, body: Vec<IrStmt>) -> IrStmt {
+        IrStmt::For(ForLoop {
+            var: var.into(),
+            lo: i(0),
+            hi,
+            body,
+            parallel,
+            vector: false,
+            schedule: None,
+        })
+    }
+
+    fn print(e: IrExpr) -> IrStmt {
+        IrStmt::Expr(IrExpr::Builtin(Builtin::PrintI32, vec![e]))
+    }
+
+    /// The cost probe's records, steps and output on both tiers, which
+    /// must agree; returns them.
+    fn probe_parity(program: &IrProgram) -> (Vec<LoopCost>, u64, String) {
+        let [tree, vm] = [Tier::Tree, Tier::Vm].map(|tier| {
+            let interp = Interp::new(program, 2).with_tier(tier).with_cost_probe(true);
+            interp.run_main().unwrap_or_else(|e| panic!("{tier:?}: {e}"));
+            (interp.loop_costs(), interp.steps_used(), interp.output())
+        });
+        assert_eq!(vm, tree, "the probe differs between tiers");
+        tree
+    }
+
+    /// Only the outer of two nested parallel loops records; each of its
+    /// iterations costs its own step, the inner loop statement, and two
+    /// steps per inner iteration.
+    #[test]
+    fn nested_parallel_loops_record_the_outer_loop_on_both_tiers() {
+        let inner = for_loop("j", v("i"), true, vec![print(IrExpr::add(IrExpr::mul(v("i"), i(10)), v("j")))]);
+        let program = IrProgram {
+            functions: vec![main_fn(vec![for_loop("i", i(4), true, vec![inner])])],
+        };
+        let (costs, steps, output) = probe_parity(&program);
+        assert_eq!(
+            costs,
+            [LoopCost { name: "i".into(), schedule: None, iters: vec![2, 4, 6, 8] }]
+        );
+        assert_eq!(steps, 1 + 20);
+        assert_eq!(output, "10\n20\n21\n30\n31\n32\n");
+    }
+
+    /// A parallel body's spawn runs at the end of its iteration, as in
+    /// the region, so the probe charges it to that iteration: a body that
+    /// spawns `work(i)` costs what a body that calls it does.
+    #[test]
+    fn a_spawn_in_a_parallel_body_costs_its_iteration() {
+        let work = IrFunction {
+            name: "work".into(),
+            params: vec![("n".into(), CType::Int)],
+            ret: CType::Void,
+            ret_tuple: None,
+            body: vec![for_loop("k", v("n"), false, vec![print(v("k"))])],
+        };
+        let with_body = |stmt: IrStmt| IrProgram {
+            functions: vec![main_fn(vec![for_loop("i", i(4), true, vec![stmt])]), work.clone()],
+        };
+        let spawned = with_body(IrStmt::Spawn {
+            target: None,
+            target_is_buf: false,
+            func: "work".into(),
+            args: vec![v("i")],
+        });
+        let called = with_body(IrStmt::Expr(IrExpr::Call("work".into(), vec![v("i")])));
+        let probed = probe_parity(&spawned);
+        assert_eq!(probed, probe_parity(&called));
+        let (costs, _, output) = probed;
+        assert_eq!(costs.len(), 1);
+        assert!(costs[0].iters.windows(2).all(|w| w[0] < w[1]), "{:?}", costs[0].iters);
+        assert_eq!(output, "0\n0\n1\n0\n1\n2\n");
+    }
+
+    /// A function with more slots than a `u16` register can name is an
+    /// error on the VM, naming the function, and still runs on the tree
+    /// tier.
+    #[test]
+    fn a_function_over_the_bytecode_limits_fails_on_the_vm_only() {
+        let slots = u16::MAX as usize + 1;
+        let mut body: Vec<IrStmt> = (0..slots)
+            .map(|k| IrStmt::Decl {
+                ty: CType::Int,
+                name: format!("x{k}").into(),
+                init: Some(i(k as i64 % 7)),
+            })
+            .collect();
+        body.push(print(v(&format!("x{}", slots - 1))));
+        let wide = IrFunction {
+            name: "wide".into(),
+            params: vec![],
+            ret: CType::Void,
+            ret_tuple: None,
+            body,
+        };
+        let call = IrStmt::Expr(IrExpr::Call("wide".into(), vec![]));
+        let program = IrProgram { functions: vec![main_fn(vec![call]), wide] };
+        let vm = Interp::new(&program, 1).with_tier(Tier::Vm);
+        let e = vm.run_main().expect_err("the VM cannot run `wide`");
+        assert_eq!(e.kind, InterpErrorKind::VmLimit);
+        assert_eq!(e.to_string(), "bytecode limit: function 'wide': too many frame slots");
+        assert_eq!(vm.output(), "");
+        let tree = Interp::new(&program, 1).with_tier(Tier::Tree);
+        tree.run_main().expect("the tree tier runs it");
+        assert_eq!(tree.output(), format!("{}\n", (slots - 1) % 7));
     }
 }

@@ -1,4 +1,4 @@
-//! Register-based bytecode VM: the second execution tier.
+//! Register-based bytecode VM: the execution tier programs run on.
 //!
 //! The slot-resolved form ([`crate::resolve`]) is lowered once per
 //! function into a flat [`Instr`] stream over a register file that
@@ -61,7 +61,7 @@ use std::sync::atomic::Ordering;
 use cmm_forkjoin::Schedule;
 
 use crate::interp::{
-    cast_int, default_value, dim_of, eval_bin, int_div, int_rem, lock_ignore_poison, negate,
+    cast_int, default_value, dim_of, eval_bin, int_div, int_rem, negate,
     BoxedLoop, Frame, IResult, Interp, InterpError, Pending, Value,
 };
 use crate::ir::{Builtin, CType, IrBinOp};
@@ -69,16 +69,11 @@ use crate::kernel::run_matmul;
 use crate::resolve::{RCallee, RExpr, RFor, RFunction, RMatMul, RProgram, RStmt, RTarget};
 use crate::scalar_loop::{self, ScalarLoop};
 
-/// Why a program cannot be lowered to bytecode (the interpreter falls
-/// back to the tree-walking tier when compilation reports one of these).
+/// Why a function cannot be lowered to bytecode: which of its `u16`
+/// operands or tables overflowed. [`compile`] reports it, with the
+/// function's name, as an [`crate::InterpErrorKind::VmLimit`] error.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VmLimit(pub &'static str);
-
-impl std::fmt::Display for VmLimit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "vm lowering limit: {}", self.0)
-    }
-}
+pub(crate) struct VmLimit(pub &'static str);
 
 /// One bytecode instruction. Registers are `u16` indices into the
 /// frame's register file; jump targets are absolute `u32` offsets into
@@ -164,6 +159,8 @@ pub(crate) enum Instr {
 #[derive(Debug, Clone)]
 pub(crate) struct ParForData {
     pub var: u16,
+    /// Source name of the index variable, which the cost probe records.
+    pub name: crate::ir::Name,
     /// Register holding the already-coerced lower bound.
     pub lo: u16,
     /// Register holding the already-coerced upper bound.
@@ -186,7 +183,7 @@ pub(crate) struct SpawnData {
 }
 
 /// One function's compiled form. (Arity lives on the resolved function;
-/// `call_function` checks it there so the error message is shared.)
+/// `Interp::call_function` checks it there for both tiers.)
 #[derive(Debug, Clone)]
 pub(crate) struct VmFunction {
     /// Register-file size: `nslots` resolved slots plus temporaries.
@@ -237,12 +234,15 @@ impl VmProgram {
     }
 }
 
-/// Lower a resolved program to bytecode.
-pub(crate) fn compile(p: &RProgram) -> Result<VmProgram, VmLimit> {
+/// Lower a resolved program to bytecode, or name the first function
+/// that does not fit and the limit it hit.
+pub(crate) fn compile(p: &RProgram) -> Result<VmProgram, InterpError> {
     let funcs = p
         .functions
         .iter()
-        .map(compile_function)
+        .map(|f| {
+            compile_function(f).map_err(|VmLimit(limit)| InterpError::vm_limit(&f.name, limit))
+        })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(VmProgram { funcs })
 }
@@ -316,13 +316,12 @@ impl VmFunction {
     /// each parallel-loop body) addresses a slot below `nregs`, every
     /// table id is in range, and every jump target stays inside its
     /// stream. `Frame::slots` is always exactly `nregs` long
-    /// (`call_function` resizes, `run_parfor` builds templates of that
+    /// (`run_function` resizes, `run_parfor` builds templates of that
     /// length), so a validated function's dispatch loop may use unchecked
     /// register access. The typed programs of the unboxed loops are held
     /// to the same ([`ScalarLoop::validate`]). A violation here is a
-    /// lowering bug; surfacing it
-    /// as a `VmLimit` makes the interpreter fall back to the tree tier
-    /// instead of panicking (or worse).
+    /// lowering bug; surfacing it as a `VmLimit` makes the run fail with
+    /// a typed error instead of panicking (or worse).
     fn validate(&self) -> Result<(), VmLimit> {
         const BAD: VmLimit = VmLimit("lowering produced out-of-range bytecode operands");
         let reg = |r: u16| {
@@ -814,6 +813,7 @@ impl FnCompiler<'_> {
         let id = self.parfors.len() as u16;
         self.parfors.push(ParForData {
             var: f.var as u16,
+            name: f.name.clone(),
             lo,
             hi,
             body,
@@ -1025,45 +1025,18 @@ fn is_pure(e: &RExpr) -> bool {
 
 // --- dispatch -----------------------------------------------------------
 
-/// Call a compiled function: the VM-tier counterpart of
-/// `Interp::call_function` (same arity error, same implicit sync, same
-/// profiling attribution).
-pub(crate) fn call_function(
+/// Run function `idx`'s bytecode on `frame`, whose slots hold its
+/// arguments: the VM's part of `Interp::call_function`, which checked the
+/// arity and does the sync and the profile attribution around it.
+pub(crate) fn run_function(
     interp: &Interp<'_>,
     vm: &VmProgram,
     idx: usize,
-    mut args: Vec<Value>,
-) -> IResult<Value> {
-    let rf = &interp.resolved.functions[idx];
-    if rf.nparams != args.len() {
-        return Err(InterpError::new(format!(
-            "function '{}' takes {} arguments, got {}",
-            rf.name,
-            rf.nparams,
-            args.len()
-        )));
-    }
+    frame: &mut Frame,
+) -> IResult<Option<Value>> {
     let f = &vm.funcs[idx];
-    args.resize(f.nregs, Value::Unit);
-    let mut frame = Frame {
-        slots: args,
-        pending: Vec::new(),
-    };
-    let steps_at_entry = if interp.profile {
-        Some(interp.steps.load(Ordering::Relaxed))
-    } else {
-        None
-    };
-    let ret = exec(interp, vm, f, &f.code, &mut frame)?;
-    // Cilk semantics: a function implicitly syncs before returning.
-    interp.run_pending(&mut frame)?;
-    if let Some(entry) = steps_at_entry {
-        let spent = interp.steps.load(Ordering::Relaxed).saturating_sub(entry);
-        let mut costs = lock_ignore_poison(&interp.fn_costs);
-        costs[idx].0 += 1;
-        costs[idx].1 += spent;
-    }
-    Ok(ret.unwrap_or(Value::Unit))
+    frame.slots.resize(f.nregs, Value::Unit);
+    exec(interp, vm, f, &f.code, frame)
 }
 
 /// Dispatch entry point: picks the metering specialization. When nothing
@@ -1105,7 +1078,7 @@ fn exec_impl<const BATCH: bool>(
     // SAFETY (for every `reg!`/`set!` below): `VmFunction::validate`
     // bounds-checked every register operand against `nregs` when the
     // bytecode was compiled, and `frame.slots.len() == f.nregs` at every
-    // exec entry (`call_function` resizes the argument vector,
+    // exec entry (`run_function` resizes the argument vector,
     // `Interp::run_parallel_loop` builds its templates at the length of
     // the frame `run_parfor` hands it, which is this function's own).
     macro_rules! reg {
@@ -1322,7 +1295,8 @@ fn run_parfor(
 ) -> IResult<()> {
     let fast = interp.fast_meter();
     let captured = pf.captured.iter().map(|&s| s as usize);
-    interp.run_parallel_loop(frame, captured, pf.var as usize, pf.schedule, range, |tf, local| {
+    let (var, schedule) = (pf.var as usize, pf.schedule);
+    interp.run_parallel_loop(frame, captured, var, &pf.name, schedule, range, |tf, local| {
         let r = if fast {
             exec_impl::<true>(interp, vm, f, &pf.body, tf, local)
         } else {

@@ -108,7 +108,8 @@ pub fn classify(err: &CompileError) -> RespCode {
         | CompileError::Build(_)
         | CompileError::Type(_)
         | CompileError::Lower(_)
-        | CompileError::Emit(_) => RespCode::Compile,
+        | CompileError::Emit(_)
+        | CompileError::VmLimit(_) => RespCode::Compile,
     }
 }
 

@@ -20,7 +20,7 @@
 //!    (`TransformError` surfaced as `CompileError::Lower`) reject
 //!    illegal or conflicting combinations, and the typed error is
 //!    recorded in the report rather than hidden.
-//! 4. **Scoring**: the metered interpreter's loop-cost probe
+//! 4. **Scoring**: the VM's loop-cost probe
 //!    ([`cmm_loopir::Interp::with_cost_probe`]) yields total fuel and
 //!    per-iteration costs of every parallel loop; each loop's cost
 //!    vector is replayed through the virtual-time makespan model over
@@ -34,8 +34,8 @@
 //!    output before it is handed back.
 //!
 //! Everything the report contains is a pure function of
-//! `(source, TuneConfig)`: the probe runs single-threaded on the tree
-//! tier with per-statement fuel charging, the makespan model is
+//! `(source, TuneConfig)`: the probe runs parallel loops sequentially
+//! on the calling thread and reads exact fuel, the makespan model is
 //! clock-free, and the default cache geometry is the conservative
 //! [`cmm_forkjoin::DEFAULT_GEOMETRY`] rather than the probed host's.
 
@@ -241,7 +241,7 @@ fn score(
     let compile_items: u64 = metrics.passes.iter().map(|p| p.items).sum();
     let interp = Interp::new(&ir, 1)
         .with_limits(probe_limits(cfg))
-        .with_tier(Tier::Tree)
+        .with_tier(Tier::Vm)
         .with_cost_probe(true);
     if let Err(e) = interp.run_main() {
         return Err(Err(e.to_string()));

@@ -28,8 +28,6 @@
 //!   --deadline-ms N  wall-clock budget for `run` in milliseconds
 //!   --schedule S     default loop schedule for `run`:
 //!                    static | dynamic[:CHUNK] | guided[:MIN_CHUNK]
-//!   --tier T         execution tier for `run`: vm (default, bytecode)
-//!                    or tree (reference tree-walking interpreter)
 //!   --profile        print a pass/region/interpreter profile to stderr
 //!                    (`check`, `emit`: the compile passes only)
 //!   --metrics-json F write the profile as JSON (schema cmm-metrics-v1) to F
@@ -43,7 +41,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use cmm::core::{CompileError, CompileMetrics, ProfileReport, Registry, ALL_EXTENSIONS};
-use cmm::loopir::{emit, Limits, Schedule, Tier};
+use cmm::loopir::{emit, Limits, Schedule};
 
 const EXIT_RUNTIME: u8 = 1;
 const EXIT_USAGE: u8 = 2;
@@ -56,7 +54,7 @@ fn usage() -> ExitCode {
         "usage: cmmc <run|emit|check|analyses|fuzz|tune|serve> [file.xc|addr] [options]\n\
          options: --ext a,b,c | --threads N | -o out.c | --no-parallel | --no-fusion\n\
          \x20        --fuel N | --max-mem BYTES[k|m|g] | --deadline-ms N\n\
-         \x20        --schedule static|dynamic[:N]|guided[:N] | --tier vm|tree\n\
+         \x20        --schedule static|dynamic[:N]|guided[:N]\n\
          \x20        --profile | --metrics-json FILE\n\
          fuzz:    --seed N | --cases K | --oracle transform|schedule|limits|gcc|vm|tuned\n\
          \x20        --corpus-dir DIR\n\
@@ -419,7 +417,6 @@ fn main() -> ExitCode {
     let mut limits = Limits::default();
     let mut profile = false;
     let mut schedule = Schedule::Static;
-    let mut tier = Tier::default();
     let mut metrics_json: Option<String> = None;
     let mut exts: Vec<String> = ALL_EXTENSIONS.map(String::from).to_vec();
     let mut it = args.iter().skip(1);
@@ -453,16 +450,6 @@ fn main() -> ExitCode {
                 let Some(v) = it.next() else { return usage() };
                 schedule = match v.parse() {
                     Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("cmmc: {e}");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                };
-            }
-            "--tier" => {
-                let Some(v) = it.next() else { return usage() };
-                tier = match v.parse() {
-                    Ok(t) => t,
                     Err(e) => {
                         eprintln!("cmmc: {e}");
                         return ExitCode::from(EXIT_USAGE);
@@ -524,7 +511,6 @@ fn main() -> ExitCode {
     compiler.options.parallelize = parallel;
     compiler.options.fuse_with_assign = fusion;
     compiler.options.fuse_slice_index = fusion;
-    compiler.tier = tier;
 
     // `--profile` to stderr, `--metrics-json` to its file; for `check` and
     // `emit` the report is the compile-only one (no pool, no interpreter).
@@ -548,7 +534,6 @@ fn main() -> ExitCode {
         Some(compile) => report_to(&ProfileReport {
             compile,
             threads,
-            tier,
             ..ProfileReport::default()
         }),
         None => ExitCode::SUCCESS,

@@ -159,39 +159,46 @@ fn runtime_error_is_one_line_with_exit_1() {
     std::fs::remove_file(path).ok();
 }
 
+/// The tree-walking reference tier's run of `src`: its output, or the
+/// one-line diagnostic `cmmc` would print for its error.
+fn tree_run(src: &str) -> Result<String, String> {
+    use cmm::loopir::{Interp, Tier};
+    let ir = cmm::eddy::programs::full_compiler().compile(src).expect("compile");
+    let interp = Interp::new(&ir, 2).with_tier(Tier::Tree);
+    match interp.run_main() {
+        Ok(_) => Ok(interp.output()),
+        Err(e) => Err(format!("cmmc: {e}\n")),
+    }
+}
+
 /// `INT_MIN / -1` and `INT_MIN % -1` have no `int` result: a program error
 /// like division by zero, reported the same way by both tiers — not a
-/// panic of the interpreter (exit 101 and a backtrace).
+/// panic of the interpreter (exit 101 and a backtrace). `cmmc run` runs
+/// the VM; the tree tier is run through the library.
 #[test]
 fn int_min_divided_by_minus_one_is_a_runtime_error_in_both_tiers() {
+    let overflow = "cmmc: runtime error: integer division overflow\n";
     for op in ["/", "%"] {
+        let src = format!(
+            "int main() {{ int a = 0 - 2147483647 - 1; int b = 0 - 1; printInt(a {op} b); return 0; }}"
+        );
         let path = write_program(
             &format!("divoverflow{}.xc", if op == "/" { "div" } else { "rem" }),
-            &format!(
-                "int main() {{ int a = 0 - 2147483647 - 1; int b = 0 - 1; printInt(a {op} b); return 0; }}"
-            ),
+            &src,
         );
-        for tier in ["vm", "tree"] {
-            let out = cmmc().args(["run", &path, "--tier", tier]).output().expect("spawn cmmc");
-            assert_eq!(out.status.code(), Some(1), "{tier}: a {op} b exits with code 1");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(
-                stderr, "cmmc: runtime error: integer division overflow\n",
-                "{tier}: a {op} b"
-            );
-        }
+        let out = cmmc().args(["run", &path]).output().expect("spawn cmmc");
+        assert_eq!(out.status.code(), Some(1), "a {op} b exits with code 1");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), overflow, "a {op} b");
+        assert_eq!(tree_run(&src), Err(overflow.to_string()), "tree: a {op} b");
         std::fs::remove_file(path).ok();
     }
     // Unary minus wraps, as the binary int operators do.
-    let path = write_program(
-        "negmin.xc",
-        "int main() { int a = 0 - 2147483647 - 1; printInt(-a); return 0; }",
-    );
-    for tier in ["vm", "tree"] {
-        let out = cmmc().args(["run", &path, "--tier", tier]).output().expect("spawn cmmc");
-        assert_eq!(out.status.code(), Some(0), "{tier}");
-        assert_eq!(String::from_utf8_lossy(&out.stdout), "-2147483648\n", "{tier}");
-    }
+    let src = "int main() { int a = 0 - 2147483647 - 1; printInt(-a); return 0; }";
+    let path = write_program("negmin.xc", src);
+    let out = cmmc().args(["run", &path]).output().expect("spawn cmmc");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "-2147483648\n");
+    assert_eq!(tree_run(src).as_deref(), Ok("-2147483648\n"));
     std::fs::remove_file(path).ok();
 }
 
@@ -209,6 +216,13 @@ fn usage_error_exits_2() {
         .output()
         .expect("spawn cmmc");
     assert_eq!(out.status.code(), Some(2));
+
+    // `--tier` is not an option: programs run on the VM.
+    let path = write_program("tier.xc", PROGRAM);
+    let out = cmmc().args(["run", &path, "--tier", "vm"]).output().expect("spawn cmmc");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -227,6 +241,24 @@ fn compile_error_exits_4() {
     let path = write_program("typeerr.xc", "int main() { printInt(zzz); return 0; }");
     let out = cmmc().args(["run", &path]).output().expect("spawn cmmc");
     assert_eq!(out.status.code(), Some(4), "compile errors exit with code 4");
+    std::fs::remove_file(path).ok();
+}
+
+/// A function the bytecode VM cannot address — 65 536 locals overflow its
+/// `u16` registers — is a compile error naming the function, not a run on
+/// a slower tier.
+#[test]
+fn a_function_over_the_bytecode_limits_exits_4() {
+    let decls: String = (0..=u16::MAX as u32).map(|k| format!("int x{k} = {};\n", k % 7)).collect();
+    let src = format!("int main() {{\n{decls}printInt(x65535);\nreturn 0;\n}}\n");
+    let path = write_program("wide.xc", &src);
+    let out = cmmc().args(["run", &path]).output().expect("spawn cmmc");
+    assert_eq!(out.status.code(), Some(4));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "cmmc: bytecode limit: function 'main': too many frame slots\n"
+    );
+    assert!(out.stdout.is_empty());
     std::fs::remove_file(path).ok();
 }
 

@@ -13,7 +13,7 @@
 
 use cmm::core::{compile_and_run_c, gcc_available_or_skip, Registry, ALL_EXTENSIONS};
 use cmm::fuzz::{Harness, ALL_ORACLES};
-use cmm::loopir::Tier;
+use cmm::loopir::{Interp, Tier};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
@@ -64,11 +64,12 @@ fn unfused_reassignment_leaks_nothing() {
     assert_eq!(expected, "5\n");
     let mut unfused = registry.compiler(&ALL_EXTENSIONS).expect("full language");
     unfused.options.fuse_with_assign = false;
+    let ir = unfused.compile(&src).expect("unfused compile");
     for tier in [Tier::Vm, Tier::Tree] {
-        unfused.tier = tier;
-        let run = unfused.run(&src, 2).expect("unfused run");
-        assert_eq!(run.output, expected, "{tier:?}");
-        let (leaked, of) = (run.leaked, run.allocations);
+        let run = Interp::new(&ir, 2).with_tier(tier);
+        run.run_main().expect("unfused run");
+        assert_eq!(run.output(), expected, "{tier:?}");
+        let (leaked, of) = (run.live_buffers(), run.alloc_count());
         assert_eq!(leaked, 0, "{tier:?}: {leaked} of {of} buffers leaked");
     }
     let c = unfused.compile_to_c(&src).expect("emit");

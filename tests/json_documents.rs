@@ -8,7 +8,7 @@
 use cmm::core::json::{self, Json};
 use cmm::core::{CompileMetrics, ParserCacheStats, PassTiming, ProfileReport};
 use cmm::forkjoin::PoolMetrics;
-use cmm::loopir::{BoxedLoop, FnProfile, InterpProfile, StripIsa, Tier};
+use cmm::loopir::{BoxedLoop, FnProfile, InterpProfile, StripIsa};
 use cmm::rc::PoolStats;
 use cmm::serve::{PoolCacheStats, Request, RespCode, RespMetrics, Response, ServeStats};
 use proptest::prelude::*;
@@ -171,7 +171,6 @@ fn run_report() -> ProfileReport {
             recycled: 8,
         },
         threads: 2,
-        tier: Tier::Vm,
     }
 }
 
@@ -182,7 +181,6 @@ fn check_report() -> ProfileReport {
     ProfileReport {
         compile,
         threads: 4,
-        tier: Tier::Tree,
         ..ProfileReport::default()
     }
 }

@@ -243,7 +243,7 @@ fn fuel_running_out_inside_the_product_is_a_fuel_error_in_both_tiers() {
             };
             let (r, _) = limited(&ir, tier, threads, limits);
             let e = r.expect_err("the budget is smaller than the program");
-            assert_eq!(e.limit_kind(), Some(LimitKind::Fuel), "{tier} tier: {e}");
+            assert_eq!(e.limit_kind(), Some(LimitKind::Fuel), "{tier:?} tier: {e}");
         }
         // And a budget of exactly the total lets both tiers finish.
         let limits = Limits {
@@ -252,7 +252,7 @@ fn fuel_running_out_inside_the_product_is_a_fuel_error_in_both_tiers() {
         };
         let (r, used) = limited(&ir, tier, 2, limits);
         r.expect("exact budget suffices");
-        assert_eq!(used, total, "{tier} tier");
+        assert_eq!(used, total, "{tier:?} tier");
     }
 }
 

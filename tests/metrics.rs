@@ -9,7 +9,7 @@ use cmm::core::json::{self, Json};
 use cmm::core::{CompileMetrics, Extension, ProfileReport, Registry, ALL_EXTENSIONS, METRICS_SCHEMA};
 use cmm::grammar::{GrammarFragment, Sym, Terminal};
 use cmm::eddy::programs::full_compiler;
-use cmm::loopir::Limits;
+use cmm::loopir::{Interp, InterpProfile, Limits, Tier};
 
 /// The profile target CI smokes and the `pipeline` bench measures: two
 /// parallel with-loops (genarray over `scores`, fold over `scores`) and a
@@ -27,6 +27,15 @@ fn profiled(threads: usize) -> ProfileReport {
         .expect("profiled run");
     assert_eq!(result.output, "17214.904297\n");
     report
+}
+
+/// The tree tier's profile of a two-thread run of `src`: the reference
+/// the VM's counters are held to.
+fn tree_profile(src: &str) -> InterpProfile {
+    let ir = full_compiler().compile(src).expect("compile");
+    let interp = Interp::new(&ir, 2).with_tier(Tier::Tree).with_profiling(true);
+    interp.run_main().expect("tree run");
+    interp.profile()
 }
 
 #[test]
@@ -129,7 +138,6 @@ fn metrics_json_round_trips_without_serde() {
     assert_eq!(doc, report.to_json(), "parse(write(v)) == v");
 
     assert_eq!(member(&doc, "schema").as_str(), Some(METRICS_SCHEMA));
-    assert_eq!(member(&doc, "tier").as_str(), Some("vm"));
     assert_eq!(uint(&doc, "threads"), 3);
     assert_eq!(uint(&doc, "total_nanos"), report.compile.total_nanos());
     let passes = member(&doc, "passes").as_array().expect("passes");
@@ -323,17 +331,8 @@ fn kernel_calls_are_counted_per_tier() {
     // rc-delta tests measure.
     let _guard = RC_LOCK.lock().unwrap();
     let src = include_str!("../examples/matmul.xc");
-    let profile = |tier| {
-        let mut compiler = full_compiler();
-        compiler.tier = tier;
-        let (_, report) = compiler
-            .run_profiled(src, 2, Limits::default())
-            .expect("profiled run");
-        report
-    };
-    let vm = profile(cmm::loopir::Tier::Vm);
-    let tree = profile(cmm::loopir::Tier::Tree);
-    let (vi, ti) = (vm.interp.as_ref().unwrap(), tree.interp.as_ref().unwrap());
+    let (_, vm) = full_compiler().run_profiled(src, 2, Limits::default()).expect("profiled run");
+    let (vi, ti) = (vm.interp.as_ref().unwrap(), &tree_profile(src));
     assert_eq!((vi.kernel_calls, ti.kernel_calls), (2, 0));
     assert_eq!((vi.par_loops, vi.par_iters), (ti.par_loops, ti.par_iters));
     assert_eq!(vi.total_steps, ti.total_steps);
@@ -353,16 +352,9 @@ int main() {
     printInt(with ([0] <= [i] < [10]) fold(+, 0, twice(i)));
     return 0;
 }";
-    let profile = |tier| {
-        let mut compiler = full_compiler();
-        compiler.tier = tier;
-        let (result, report) = compiler.run_profiled(src, 2, Limits::default()).expect("profiled run");
-        assert_eq!(result.output, "285\n90\n");
-        report
-    };
-    let vm = profile(cmm::loopir::Tier::Vm);
-    let tree = profile(cmm::loopir::Tier::Tree);
-    let (vi, ti) = (vm.interp.as_ref().unwrap(), tree.interp.as_ref().unwrap());
+    let (result, vm) = full_compiler().run_profiled(src, 2, Limits::default()).expect("profiled run");
+    assert_eq!(result.output, "285\n90\n");
+    let (vi, ti) = (vm.interp.as_ref().unwrap(), &tree_profile(src));
     assert_eq!(
         (vi.unboxed_loops, vi.unboxed_iters, vi.unboxed_declines, vi.unboxed_bails),
         (1, 10, 0, 0)

@@ -1,7 +1,7 @@
 //! A loop that fails part-way through a strip fails as the tree tier does,
-//! end to end: `cmmc run` prints the same error line and exits with the
-//! same code under `--tier vm` and `--tier tree`, and the library reports
-//! the same `steps_used()`. Iteration 333 of a loop is lane 77 of its third
+//! end to end: `cmmc run` (the VM) prints the error line the tree tier's
+//! error makes and nothing else, and the library reports the same
+//! `steps_used()` on both tiers. Iteration 333 of a loop is lane 77 of its third
 //! strip, so the failing lane is neither a strip's first nor its last.
 
 use cmm::eddy::programs::full_compiler;
@@ -50,23 +50,29 @@ fn write_program(name: &str, src: &str) -> String {
     path.display().to_string()
 }
 
-fn cmmc_run(path: &str, tier: &str, extra: &[&str]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cmmc"));
-    cmd.args(["run", path, "--threads", "1", "--tier", tier])
-        .args(extra);
-    cmd.output().expect("spawn cmmc")
-}
-
-/// `cmmc run` of `src` under both tiers: the same stdout, stderr and exit
-/// code. Returns them.
-fn cli_parity(name: &str, src: &str, extra: &[&str]) -> (String, i32) {
+/// `cmmc run` of `src`, which fails, against the tree tier's run of it in
+/// the library under the same `fuel`: the same stdout, and the tree tier's
+/// error as `cmmc`'s one-line diagnostic. Returns the diagnostic and the
+/// exit code.
+fn cli_parity(name: &str, src: &str, fuel: Option<u64>) -> (String, i32) {
     let path = write_program(name, src);
-    let [vm, tree] = ["vm", "tree"].map(|tier| cmmc_run(&path, tier, extra));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cmmc"));
+    cmd.args(["run", &path, "--threads", "1"]);
+    if let Some(fuel) = fuel {
+        cmd.args(["--fuel", &fuel.to_string()]);
+    }
+    let vm: Output = cmd.output().expect("spawn cmmc");
     std::fs::remove_file(&path).ok();
+    let ir = full_compiler().compile(src).expect("compiles");
+    let limits = Limits {
+        fuel,
+        ..Limits::default()
+    };
+    let tree = Interp::new(&ir, 1).with_tier(Tier::Tree).with_limits(limits);
+    let error = tree.run_main().expect_err("the program fails");
     let stderr = String::from_utf8_lossy(&vm.stderr).into_owned();
-    assert_eq!(stderr, String::from_utf8_lossy(&tree.stderr), "{name}");
-    assert_eq!(vm.stdout, tree.stdout, "{name}");
-    assert_eq!(vm.status.code(), tree.status.code(), "{name}");
+    assert_eq!(stderr, format!("cmmc: {error}\n"), "{name}");
+    assert_eq!(String::from_utf8_lossy(&vm.stdout), tree.output(), "{name}");
     (stderr, vm.status.code().expect("exited"))
 }
 
@@ -100,7 +106,7 @@ fn library_run(
 fn a_load_that_leaves_its_buffer_mid_strip_fails_as_the_tree_tier_does() {
     let message = format!("index {FAIL_AT} out of bounds for buffer of {FAIL_AT}");
     for (name, src) in [("fold.xc", FOLD), ("genarray.xc", GENARRAY)] {
-        let (stderr, code) = cli_parity(name, src, &[]);
+        let (stderr, code) = cli_parity(name, src, None);
         assert_eq!(
             stderr,
             format!("cmmc: runtime error: {message}\n"),
@@ -199,8 +205,8 @@ fn a_fuel_budget_that_runs_out_mid_strip_stops_both_tiers_alike() {
         equal += usize::from(vm_used == tree_used);
     }
     assert!(equal >= 13, "{equal} of 40 budgets ended an iteration");
-    let fuel = (total - 280).to_string();
-    let (stderr, code) = cli_parity("long_fold.xc", LONG_FOLD, &["--fuel", &fuel]);
+    let fuel = total - 280;
+    let (stderr, code) = cli_parity("long_fold.xc", LONG_FOLD, Some(fuel));
     assert_eq!(code, 5, "{stderr}");
     assert_eq!(
         stderr,
