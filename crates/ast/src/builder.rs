@@ -260,7 +260,7 @@ pub fn generator(vars: &[&str], lower: Vec<Expr>, upper: Vec<Expr>) -> Generator
 /// `with (gen) genarray([shape], body)`.
 pub fn with_genarray(gen: Generator, shape: Vec<Expr>, body: Expr) -> Expr {
     Expr::With {
-        generator: gen,
+        generator: Box::new(gen),
         op: WithOp::Genarray { shape, body: Box::new(body) },
         span: Span::SYNTH,
     }
@@ -269,7 +269,7 @@ pub fn with_genarray(gen: Generator, shape: Vec<Expr>, body: Expr) -> Expr {
 /// `with (gen) fold(op, base, body)`.
 pub fn with_fold(gen: Generator, op: FoldKind, base: Expr, body: Expr) -> Expr {
     Expr::With {
-        generator: gen,
+        generator: Box::new(gen),
         op: WithOp::Fold {
             op,
             base: Box::new(base),
@@ -282,7 +282,7 @@ pub fn with_fold(gen: Generator, op: FoldKind, base: Expr, body: Expr) -> Expr {
 /// `with (gen) modarray(src, body)`.
 pub fn with_modarray(gen: Generator, src: Expr, body: Expr) -> Expr {
     Expr::With {
-        generator: gen,
+        generator: Box::new(gen),
         op: WithOp::Modarray { src: Box::new(src), body: Box::new(body) },
         span: Span::SYNTH,
     }

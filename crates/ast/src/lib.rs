@@ -385,8 +385,9 @@ pub enum Expr {
     Tuple(Vec<Expr>, Span),
     /// `[ext-matrix]` with-loop (§III-A4).
     With {
-        /// Generator: bounds and index variables.
-        generator: Generator,
+        /// Generator: bounds and index variables (boxed: it is the widest
+        /// payload and keeps every `Expr` at 64 bytes).
+        generator: Box<Generator>,
         /// `genarray` or `fold` operation.
         op: WithOp,
         /// Source position.
@@ -501,8 +502,9 @@ pub enum IndexExpr {
     /// Single index (scalar int) *or* logical mask (rank-1 bool matrix);
     /// disambiguated by the type checker.
     At(Expr),
-    /// Inclusive range `a : b`.
-    Range(Expr, Expr),
+    /// Inclusive range `a : b` (boxed so a subscript is no wider than an
+    /// `Expr`).
+    Range(Box<Expr>, Box<Expr>),
     /// Whole dimension `:`.
     All,
 }

@@ -75,12 +75,12 @@ fn diag_display() {
 fn print_with_loop_roundtrips_structure() {
     // The Fig 1 temporal-mean with-loop, printed.
     let with = Expr::With {
-        generator: Generator {
+        generator: Box::new(Generator {
             lower: vec![Expr::IntLit(0, sp()), Expr::IntLit(0, sp())],
             vars: vec!["i".into(), "j".into()],
             upper: vec![Expr::Var("m".into(), sp()), Expr::Var("n".into(), sp())],
             upper_inclusive: false,
-        },
+        }),
         op: WithOp::Genarray {
             shape: vec![Expr::Var("m".into(), sp()), Expr::Var("n".into(), sp())],
             body: Box::new(Expr::IntLit(0, sp())),
@@ -135,7 +135,7 @@ fn print_indexing_modes() {
         base: Box::new(Expr::Var("data".into(), sp())),
         indices: vec![
             IndexExpr::At(Expr::IntLit(0, sp())),
-            IndexExpr::Range(Expr::IntLit(0, sp()), Expr::End(sp())),
+            IndexExpr::Range(Box::new(Expr::IntLit(0, sp())), Box::new(Expr::End(sp()))),
             IndexExpr::All,
         ],
         span: sp(),
@@ -156,4 +156,14 @@ fn print_tuple_and_rc() {
         span: sp(),
     };
     assert_eq!(print_expr(&r), "rcAlloc(float, 8)");
+}
+
+#[test]
+fn node_sizes_stay_small() {
+    use std::mem::size_of;
+    // The AST of a 120 KB program is ~10^5 of these; at 120 / 240 / 208
+    // bytes they were a third of `cmmc emit`'s page faults (EXPERIMENTS.md E-B1).
+    assert!(size_of::<Expr>() <= 64, "Expr is {} bytes", size_of::<Expr>());
+    assert!(size_of::<IndexExpr>() <= 64, "IndexExpr is {} bytes", size_of::<IndexExpr>());
+    assert!(size_of::<Stmt>() <= 152, "Stmt is {} bytes", size_of::<Stmt>());
 }

@@ -37,10 +37,12 @@ use cmm_grammar::{is_composable, ComposabilityReport, ComposedGrammar, GrammarFr
 use cmm_lang::typecheck::{ExtSet, TypeInfo};
 use cmm_lang::{
     ag_fragment, check_program, fuse_slice_indices, has_fusable_slice_index, host_grammar,
-    lower_program, parse_program, Handlers, LowerOptions,
+    lower_functions, lower_program, parse_program, Handlers, LowerOptions,
 };
+use cmm_loopir::emit::Emitter;
 use cmm_loopir::{
-    emit, EmitError, Interp, InterpError, IrProgram, IrStmt, LimitKind, Limits, LoopCost, Tier,
+    EmitError, Interp, InterpError, IrFunction, IrProgram, IrStmt, LimitKind, Limits, LoopCost,
+    Tier,
 };
 
 pub use cmm_lang::typecheck::ExtSet as EnabledExtensions;
@@ -505,60 +507,112 @@ impl Compiler {
     /// emitter runs (output discarded) so the full pipeline of the paper
     /// — parse through emit — is accounted.
     pub fn compile_metered(&self, src: &str) -> Result<(IrProgram, CompileMetrics), CompileError> {
-        let (ir, _, m) = self.compile_to_c_metered(src)?;
-        Ok((ir, m))
+        let mut m = self.fresh_metrics();
+        let mut functions = Vec::new();
+        self.translate(src, Some(&mut m), Some(&mut functions))?;
+        Ok((IrProgram { functions }, m))
+    }
+
+    /// Translate to plain parallel C — the paper's output artifact.
+    pub fn compile_to_c(&self, src: &str) -> Result<String, CompileError> {
+        self.emitter(src).map(Emitter::finish)
     }
 
     /// [`Compiler::compile_to_c`] with the six pass timings of
-    /// [`Compiler::compile_metered`] — the same one run of the emitter,
-    /// its output kept: what `cmmc emit --profile` reports. The IR the C
-    /// was emitted from comes back too, so that the caller decides when it
-    /// is freed.
+    /// [`Compiler::compile_metered`].
     pub fn compile_to_c_metered(
         &self,
         src: &str,
-    ) -> Result<(IrProgram, String, CompileMetrics), CompileError> {
+    ) -> Result<(String, CompileMetrics), CompileError> {
+        let (emitter, m) = self.emitter_metered(src)?;
+        Ok((emitter.finish(), m))
+    }
+
+    /// Translate to C, holding the translation unit in the parts that
+    /// [`Emitter::write_to`] writes without joining them: what `cmmc emit`
+    /// writes.
+    pub fn emitter(&self, src: &str) -> Result<Emitter, CompileError> {
+        self.translate(src, None, None)
+    }
+
+    /// [`Compiler::emitter`] with the six pass timings of
+    /// [`Compiler::compile_metered`]: what `cmmc emit --profile` reports.
+    pub fn emitter_metered(&self, src: &str) -> Result<(Emitter, CompileMetrics), CompileError> {
         let mut m = self.fresh_metrics();
-        let (ast, info) = self.frontend_checked(src, Some(&mut m))?;
+        let emitter = self.translate(src, Some(&mut m), None)?;
+        Ok((emitter, m))
+    }
+
+    /// Every translation to C: the front end, the optimize pass, then
+    /// lowering and emission one function at a time. Each function's IR
+    /// is dropped once emitted unless `keep` collects it. `lower` and
+    /// `emit` are timed as sums over the functions. A lowering error wins
+    /// over an earlier function's emit error, so lowering goes on after
+    /// the first emit error.
+    fn translate(
+        &self,
+        src: &str,
+        mut metrics: Option<&mut CompileMetrics>,
+        mut keep: Option<&mut Vec<IrFunction>>,
+    ) -> Result<Emitter, CompileError> {
+        let (ast, info) = self.frontend_checked(src, metrics.as_deref_mut())?;
         let t0 = Instant::now();
         let (ast, fusions) = if self.options.fuse_slice_index && has_fusable_slice_index(&ast) {
             fuse_slice_indices(&ast)
         } else {
             (ast, 0)
         };
-        m.passes.push(PassTiming {
-            name: "optimize",
-            nanos: t0.elapsed().as_nanos() as u64,
-            items: fusions as u64,
-            unit: "fusions",
-        });
+        let optimize_nanos = t0.elapsed().as_nanos() as u64;
         // The fusion already ran; don't let lowering repeat it.
         let opts = LowerOptions {
             fuse_slice_index: false,
             ..self.options
         };
-        let t0 = Instant::now();
-        let ir = lower_program(&ast, &info, &opts).map_err(CompileError::Lower)?;
-        m.passes.push(PassTiming {
-            name: "lower",
-            nanos: t0.elapsed().as_nanos() as u64,
-            items: ir_stmt_count(&ir),
-            unit: "stmts",
-        });
-        let t0 = Instant::now();
-        let c = emit::emit_program(&ir).map_err(CompileError::Emit)?;
-        m.passes.push(PassTiming {
-            name: "emit",
-            nanos: t0.elapsed().as_nanos() as u64,
-            items: c.len() as u64,
-            unit: "bytes",
-        });
-        Ok((ir, c, m))
-    }
-
-    /// Translate to plain parallel C — the paper's output artifact.
-    pub fn compile_to_c(&self, src: &str) -> Result<String, CompileError> {
-        emit::emit_program(&self.compile(src)?).map_err(CompileError::Emit)
+        let mut emitter = Emitter::default();
+        let mut emit_error = None;
+        let (mut lower_nanos, mut emit_nanos, mut stmts) = (0, 0, 0);
+        let mut lowering = lower_functions(&ast, &info, &opts);
+        loop {
+            let t0 = Instant::now();
+            let Some(f) = lowering.next() else { break };
+            let f = f.map_err(CompileError::Lower)?;
+            lower_nanos += t0.elapsed().as_nanos() as u64;
+            stmts += stmt_count(&f.body);
+            if emit_error.is_none() {
+                let t0 = Instant::now();
+                emit_error = emitter.function(&f).err();
+                emit_nanos += t0.elapsed().as_nanos() as u64;
+            }
+            if let Some(keep) = keep.as_deref_mut() {
+                keep.push(f);
+            }
+        }
+        if let Some(e) = emit_error {
+            return Err(CompileError::Emit(e));
+        }
+        if let Some(m) = metrics {
+            m.passes.extend([
+                PassTiming {
+                    name: "optimize",
+                    nanos: optimize_nanos,
+                    items: fusions as u64,
+                    unit: "fusions",
+                },
+                PassTiming {
+                    name: "lower",
+                    nanos: lower_nanos,
+                    items: stmts,
+                    unit: "stmts",
+                },
+                PassTiming {
+                    name: "emit",
+                    nanos: emit_nanos,
+                    items: emitter.byte_len() as u64,
+                    unit: "bytes",
+                },
+            ]);
+        }
+        Ok(emitter)
     }
 
     /// Compile and execute on the interpreter with `threads` pool
@@ -738,24 +792,21 @@ fn map_interp_error(e: InterpError) -> CompileError {
     }
 }
 
-/// Total statement count of an IR program (all nesting levels) — the
+/// Statement count of a function body (all nesting levels) — the
 /// work-item metric for the lowering pass.
-fn ir_stmt_count(p: &IrProgram) -> u64 {
-    fn count(stmts: &[IrStmt]) -> u64 {
-        stmts
-            .iter()
-            .map(|s| match s {
-                // A kernel op counts as the nest it stands for.
-                IrStmt::Kernel { fallback, .. } => count(fallback),
-                IrStmt::For(f) => 1 + count(&f.body),
-                IrStmt::While { body, .. } => 1 + count(body),
-                IrStmt::If { then_b, else_b, .. } => 1 + count(then_b) + count(else_b),
-                IrStmt::Block(b) => 1 + count(b),
-                _ => 1,
-            })
-            .sum()
-    }
-    p.functions.iter().map(|f| count(&f.body)).sum()
+fn stmt_count(stmts: &[IrStmt]) -> u64 {
+    stmts
+        .iter()
+        .map(|s| match s {
+            // A kernel op counts as the nest it stands for.
+            IrStmt::Kernel { fallback, .. } => stmt_count(fallback),
+            IrStmt::For(f) => 1 + stmt_count(&f.body),
+            IrStmt::While { body, .. } => 1 + stmt_count(body),
+            IrStmt::If { then_b, else_b, .. } => 1 + stmt_count(then_b) + stmt_count(else_b),
+            IrStmt::Block(b) => 1 + stmt_count(b),
+            _ => 1,
+        })
+        .sum()
 }
 
 #[cfg(test)]

@@ -815,7 +815,10 @@ impl Gen {
                 &name,
                 b::index(
                     b::var_ref(&src),
-                    vec![IndexExpr::Range(b::int(lo), b::int(hi)), IndexExpr::All],
+                    vec![
+                        IndexExpr::Range(Box::new(b::int(lo)), Box::new(b::int(hi))),
+                        IndexExpr::All,
+                    ],
                 ),
             );
             self.mats.push(Mat {

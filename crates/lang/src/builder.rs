@@ -407,21 +407,21 @@ enum Val {
     /// A construction error, held back until the parse accepts.
     Err(Box<BuildError>),
     Program(Program),
-    Function(Function),
+    Function(Box<Function>),
     Functions(Vec<Function>),
     Param(Param),
     Params(Vec<Param>),
     Type(Type),
     Types(Vec<Type>),
     Block(Block),
-    Stmt(Stmt),
+    Stmt(Box<Stmt>),
     Stmts(Vec<Stmt>),
-    Transform(TransformSpec),
+    Transform(Box<TransformSpec>),
     Transforms(Vec<TransformSpec>),
     Ids(Vec<String>),
     Expr(Expr),
     Exprs(Vec<Expr>),
-    Index(IndexExpr),
+    Index(Box<IndexExpr>),
     Indices(Vec<IndexExpr>),
     Upper(bool, Vec<Expr>),
     WithOp(WithOp),
@@ -564,7 +564,7 @@ impl<'a> Kids<'_, 'a> {
         ty -> Type = Type;
         types -> Vec<Type> = Types;
         block -> Block = Block;
-        stmt -> Stmt = Stmt;
+        stmt -> Box<Stmt> = Stmt;
         stmts -> Vec<Stmt> = Stmts;
         transforms -> Vec<TransformSpec> = Transforms;
         ids -> Vec<String> = Ids;
@@ -648,14 +648,14 @@ impl<'a> Kids<'_, 'a> {
                 );
             }
             Rule::ListOne => match self.next()? {
-                Val::Function(f) => Val::Functions(vec![f]),
+                Val::Function(f) => Val::Functions(vec![*f]),
                 Val::Param(p) => Val::Params(vec![p]),
                 Val::Type(t) => Val::Types(vec![t]),
-                Val::Stmt(s) => Val::Stmts(vec![s]),
-                Val::Transform(t) => Val::Transforms(vec![t]),
+                Val::Stmt(s) => Val::Stmts(vec![*s]),
+                Val::Transform(t) => Val::Transforms(vec![*t]),
                 Val::Tok(t) => Val::Ids(vec![self.text(t).into_owned()]),
                 Val::Expr(e) => Val::Exprs(vec![e]),
-                Val::Index(i) => Val::Indices(vec![i]),
+                Val::Index(i) => Val::Indices(vec![*i]),
                 other => return self.unexpected(other),
             },
             Rule::ListMore => {
@@ -664,7 +664,7 @@ impl<'a> Kids<'_, 'a> {
                 match (list, item) {
                     (Val::Err(e), _) | (_, Some(Val::Err(e))) => return Err(*e),
                     (Val::Functions(mut v), Some(Val::Function(x))) => {
-                        v.push(x);
+                        v.push(*x);
                         Val::Functions(v)
                     }
                     (Val::Params(mut v), Some(Val::Param(x))) => {
@@ -676,11 +676,11 @@ impl<'a> Kids<'_, 'a> {
                         Val::Types(v)
                     }
                     (Val::Stmts(mut v), Some(Val::Stmt(x))) => {
-                        v.push(x);
+                        v.push(*x);
                         Val::Stmts(v)
                     }
                     (Val::Transforms(mut v), Some(Val::Transform(x))) => {
-                        v.push(x);
+                        v.push(*x);
                         Val::Transforms(v)
                     }
                     (Val::Ids(mut v), Some(Val::Tok(t))) => {
@@ -692,7 +692,7 @@ impl<'a> Kids<'_, 'a> {
                         Val::Exprs(v)
                     }
                     (Val::Indices(mut v), Some(Val::Index(x))) => {
-                        v.push(x);
+                        v.push(*x);
                         Val::Indices(v)
                     }
                     _ => return self.malformed("unexpected child"),
@@ -714,13 +714,13 @@ impl<'a> Kids<'_, 'a> {
                 let params = self.params()?;
                 self.skip();
                 let body = self.block()?;
-                Val::Function(Function {
+                Val::Function(Box::new(Function {
                     ret,
                     name: self.text(name).into_owned(),
                     params,
                     body,
                     span: token_span(name),
-                })
+                }))
             }
             Rule::Param => Val::Param(Param {
                 ty: self.ty()?,
@@ -776,22 +776,22 @@ impl<'a> Kids<'_, 'a> {
                     stmts: self.stmts()?,
                 })
             }
-            Rule::Decl => Val::Stmt(Stmt::Decl {
+            Rule::Decl => Val::Stmt(Box::new(Stmt::Decl {
                 ty: self.ty()?,
                 name: self.ident()?,
                 init: None,
                 span,
-            }),
+            })),
             Rule::DeclInit => {
                 let ty = self.ty()?;
                 let name = self.ident()?;
                 self.skip();
-                Val::Stmt(Stmt::Decl {
+                Val::Stmt(Box::new(Stmt::Decl {
                     ty,
                     name,
                     init: Some(self.expr()?),
                     span,
-                })
+                }))
             }
             Rule::Assign | Rule::AssignTransform => {
                 let target = self.lvalue()?;
@@ -803,24 +803,24 @@ impl<'a> Kids<'_, 'a> {
                 } else {
                     Vec::new()
                 };
-                Val::Stmt(Stmt::Assign {
+                Val::Stmt(Box::new(Stmt::Assign {
                     target,
                     value,
                     transforms,
                     span,
-                })
+                }))
             }
-            Rule::ExprStmt => Val::Stmt(Stmt::ExprStmt {
+            Rule::ExprStmt => Val::Stmt(Box::new(Stmt::ExprStmt {
                 expr: self.expr()?,
                 span,
-            }),
+            })),
             Rule::If | Rule::IfElse | Rule::While => {
                 self.skip();
                 self.skip();
                 let cond = self.expr()?;
                 self.skip();
                 let body = self.block()?;
-                Val::Stmt(match rule {
+                Val::Stmt(Box::new(match rule {
                     Rule::While => Stmt::While { cond, body, span },
                     Rule::If => Stmt::If {
                         cond,
@@ -837,34 +837,34 @@ impl<'a> Kids<'_, 'a> {
                             span,
                         }
                     }
-                })
+                }))
             }
             Rule::For => {
                 self.skip();
                 self.skip();
-                let init = Box::new(self.stmt()?);
+                let init = self.stmt()?;
                 self.skip();
                 let cond = self.expr()?;
                 self.skip();
-                let step = Box::new(self.stmt()?);
+                let step = self.stmt()?;
                 self.skip();
-                Val::Stmt(Stmt::For {
+                Val::Stmt(Box::new(Stmt::For {
                     init,
                     cond,
                     step,
                     body: self.block()?,
                     span,
-                })
+                }))
             }
             Rule::Return => {
                 self.skip();
-                Val::Stmt(Stmt::Return {
+                Val::Stmt(Box::new(Stmt::Return {
                     value: Some(self.expr()?),
                     span,
-                })
+                }))
             }
-            Rule::ReturnVoid => Val::Stmt(Stmt::Return { value: None, span }),
-            Rule::Nested => Val::Stmt(Stmt::Nested(self.block()?)),
+            Rule::ReturnVoid => Val::Stmt(Box::new(Stmt::Return { value: None, span })),
+            Rule::Nested => Val::Stmt(Box::new(Stmt::Nested(self.block()?))),
             Rule::Incr => {
                 // i++ desugars to i = i + 1.
                 let target = self.lvalue()?;
@@ -877,12 +877,12 @@ impl<'a> Kids<'_, 'a> {
                     right: Box::new(Expr::IntLit(1, *vspan)),
                     span: *vspan,
                 };
-                Val::Stmt(Stmt::Assign {
+                Val::Stmt(Box::new(Stmt::Assign {
                     target,
                     value,
                     transforms: Vec::new(),
                     span,
-                })
+                }))
             }
             Rule::SpawnAssign => {
                 self.skip();
@@ -890,21 +890,21 @@ impl<'a> Kids<'_, 'a> {
                     return err(span, "spawn targets must be plain variables");
                 };
                 self.skip();
-                Val::Stmt(Stmt::Spawn {
+                Val::Stmt(Box::new(Stmt::Spawn {
                     target: Some(name),
                     call: self.spawned_call()?,
                     span,
-                })
+                }))
             }
             Rule::SpawnCall => {
                 self.skip();
-                Val::Stmt(Stmt::Spawn {
+                Val::Stmt(Box::new(Stmt::Spawn {
                     target: None,
                     call: self.spawned_call()?,
                     span,
-                })
+                }))
             }
-            Rule::Sync => Val::Stmt(Stmt::Sync { span }),
+            Rule::Sync => Val::Stmt(Box::new(Stmt::Sync { span })),
 
             // --- transform clause ----------------------------------------------
             Rule::Split => {
@@ -917,46 +917,46 @@ impl<'a> Kids<'_, 'a> {
                 let inner = self.ident()?;
                 self.skip();
                 let outer = self.ident()?;
-                Val::Transform(TransformSpec::Split {
+                Val::Transform(Box::new(TransformSpec::Split {
                     index,
                     by,
                     inner,
                     outer,
-                })
+                }))
             }
             Rule::Vectorize => {
                 self.skip();
-                Val::Transform(TransformSpec::Vectorize {
+                Val::Transform(Box::new(TransformSpec::Vectorize {
                     index: self.ident()?,
-                })
+                }))
             }
             Rule::Parallelize => {
                 self.skip();
-                Val::Transform(TransformSpec::Parallelize {
+                Val::Transform(Box::new(TransformSpec::Parallelize {
                     index: self.ident()?,
-                })
+                }))
             }
             Rule::Reorder => {
                 self.skip();
-                Val::Transform(TransformSpec::Reorder { order: self.ids()? })
+                Val::Transform(Box::new(TransformSpec::Reorder { order: self.ids()? }))
             }
             Rule::Interchange => {
                 self.skip();
                 let a = self.ident()?;
                 self.skip();
-                Val::Transform(TransformSpec::Interchange {
+                Val::Transform(Box::new(TransformSpec::Interchange {
                     a,
                     b: self.ident()?,
-                })
+                }))
             }
             Rule::Unroll => {
                 self.skip();
                 let index = self.ident()?;
                 self.skip();
-                Val::Transform(TransformSpec::Unroll {
+                Val::Transform(Box::new(TransformSpec::Unroll {
                     index,
                     by: self.factor()?,
-                })
+                }))
             }
             Rule::Tile => {
                 self.skip();
@@ -966,12 +966,12 @@ impl<'a> Kids<'_, 'a> {
                 self.skip();
                 let bi = self.factor()?;
                 self.skip();
-                Val::Transform(TransformSpec::Tile {
+                Val::Transform(Box::new(TransformSpec::Tile {
                     i,
                     j,
                     bi,
                     bj: self.factor()?,
-                })
+                }))
             }
             Rule::Schedule(kind, chunked) => {
                 // schedule ID static|dynamic|guided [, INT]
@@ -984,7 +984,7 @@ impl<'a> Kids<'_, 'a> {
                 } else {
                     None
                 };
-                Val::Transform(TransformSpec::Schedule { index, kind, chunk })
+                Val::Transform(Box::new(TransformSpec::Schedule { index, kind, chunk }))
             }
 
             // --- expressions -----------------------------------------------------
@@ -1062,13 +1062,13 @@ impl<'a> Kids<'_, 'a> {
                     span,
                 })
             }
-            Rule::At => Val::Index(IndexExpr::At(self.expr()?)),
+            Rule::At => Val::Index(Box::new(IndexExpr::At(self.expr()?))),
             Rule::Range => {
                 let lo = self.expr()?;
                 self.skip();
-                Val::Index(IndexExpr::Range(lo, self.expr()?))
+                Val::Index(Box::new(IndexExpr::Range(Box::new(lo), Box::new(self.expr()?))))
             }
-            Rule::All => Val::Index(IndexExpr::All),
+            Rule::All => Val::Index(Box::new(IndexExpr::All)),
             Rule::End => Val::Expr(Expr::End(span)),
             Rule::With => {
                 // prim_with -> KW_WITH LP Bracketed LE Bracketed WithUpper RP WithOperation
@@ -1091,12 +1091,12 @@ impl<'a> Kids<'_, 'a> {
                 let (upper_inclusive, upper) = self.upper()?;
                 self.skip();
                 Val::Expr(Expr::With {
-                    generator: Generator {
+                    generator: Box::new(Generator {
                         lower,
                         vars,
                         upper,
                         upper_inclusive,
-                    },
+                    }),
                     op: self.with_op()?,
                     span,
                 })
@@ -1234,3 +1234,8 @@ fn unescape(text: &str) -> String {
     }
     out
 }
+
+// The LR value stack moves `Node`s on every shift and reduce: at 248 bytes
+// that `memmove` was ≈ 18 % of parsing a 120 KB program (EXPERIMENTS.md E-B1).
+#[cfg(test)]
+const _: () = assert!(std::mem::size_of::<Node>() <= 72);

@@ -57,7 +57,8 @@ impl Default for LowerOptions {
     }
 }
 
-/// Lower a type-checked program to the loop IR.
+/// Lower a type-checked program to the loop IR: [`lower_functions`],
+/// collected, after the slice-index fusion when `opts` asks for it.
 pub fn lower_program(
     prog: &Program,
     info: &TypeInfo,
@@ -71,30 +72,77 @@ pub fn lower_program(
     } else {
         prog
     };
-    let mut lifted: Vec<IrFunction> = Vec::new();
-    let names = Namer::default();
-    let fn_names: HashMap<&str, Name> = prog
-        .functions
-        .iter()
-        .map(|f| (f.name.as_str(), Name::from(f.name.as_str())))
-        .collect();
-    let mut functions = Vec::new();
-    for f in &prog.functions {
+    let functions = lower_functions(prog, info, opts).collect::<Result<_, _>>()?;
+    Ok(IrProgram { functions })
+}
+
+/// Lower a type-checked program one function at a time: each user
+/// function in source order, then the functions lifted out of its
+/// `matrixMap`s. A caller that emits each function before asking for the
+/// next never holds the whole program's IR. The slice-index fusion is not
+/// run here: lower [`crate::fuse_slice_indices`]'s output, as
+/// [`lower_program`] does.
+pub fn lower_functions<'p>(
+    prog: &'p Program,
+    info: &'p TypeInfo,
+    opts: &LowerOptions,
+) -> FunctionLowering<'p> {
+    FunctionLowering {
+        fn_names: prog
+            .functions
+            .iter()
+            .map(|f| (f.name.as_str(), Name::from(f.name.as_str())))
+            .collect(),
+        functions: prog.functions.iter(),
+        sigs: &info.sigs,
+        opts: *opts,
+        names: Namer::default(),
+        lifted: Vec::new(),
+        lifted_out: Vec::new().into_iter(),
+    }
+}
+
+/// The iterator of [`lower_functions`]: one lowered function, or the
+/// lowering error of one, per call.
+pub struct FunctionLowering<'p> {
+    functions: std::slice::Iter<'p, Function>,
+    sigs: &'p HashMap<String, FuncSig>,
+    /// Each user function's IR name, made once for its definition and
+    /// every call.
+    fn_names: HashMap<&'p str, Name>,
+    opts: LowerOptions,
+    names: Namer,
+    /// Functions lifted out of the `matrixMap`s lowered so far.
+    lifted: Vec<IrFunction>,
+    /// The lifted functions, handed out in lifting order once every user
+    /// function has been.
+    lifted_out: std::vec::IntoIter<IrFunction>,
+}
+
+impl Iterator for FunctionLowering<'_> {
+    type Item = Result<IrFunction, Diag>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let Some(f) = self.functions.next() else {
+            if !self.lifted.is_empty() {
+                self.lifted_out = std::mem::take(&mut self.lifted).into_iter();
+            }
+            return self.lifted_out.next().map(Ok);
+        };
         let mut fl = FnLower {
-            sigs: &info.sigs,
-            fn_names: &fn_names,
-            opts: *opts,
-            vars: vec![HashMap::new()],
+            sigs: self.sigs,
+            fn_names: &self.fn_names,
+            opts: self.opts,
+            vars: Vec::new(),
+            marks: Vec::new(),
             owned: vec![Vec::new()],
-            names: &names,
-            lifted: &mut lifted,
+            names: &self.names,
+            lifted: &mut self.lifted,
             ret: f.ret.clone(),
             current_end: None,
         };
-        functions.push(fl.function(f)?);
+        Some(fl.function(f))
     }
-    functions.extend(lifted);
-    Ok(IrProgram { functions })
 }
 
 fn elem_ir(e: ElemKind) -> Elem {
@@ -196,12 +244,14 @@ impl Namer {
 
 struct FnLower<'a> {
     sigs: &'a HashMap<String, FuncSig>,
-    /// Each user function's IR name, made once for its definition and
-    /// every call.
     fn_names: &'a HashMap<&'a str, Name>,
     opts: LowerOptions,
-    /// Variable bindings per scope: AST name → (type, IR names).
-    vars: Vec<HashMap<String, (Type, Vec<Name>)>>,
+    /// Variable bindings of every open scope, innermost last: AST name →
+    /// (type, IR names). A lookup scans back from the end, so the latest
+    /// binding of a name shadows the earlier ones.
+    vars: Vec<(String, (Type, Vec<Name>))>,
+    /// Where each scope opened inside the function body starts in `vars`.
+    marks: Vec<usize>,
     /// Owned buffer IR names per scope (decremented at scope exit).
     owned: Vec<Vec<Name>>,
     names: &'a Namer,
@@ -232,7 +282,7 @@ impl FnLower<'_> {
     }
 
     fn lookup(&self, name: &str) -> Option<&(Type, Vec<Name>)> {
-        self.vars.iter().rev().find_map(|s| s.get(name))
+        self.vars.iter().rev().find(|(n, _)| n == name).map(|(_, b)| b)
     }
 
     /// The binding of variable `name`, which the checker has put in scope.
@@ -242,10 +292,7 @@ impl FnLower<'_> {
     }
 
     fn declare_var(&mut self, name: &str, ty: Type, irs: Vec<Name>) {
-        self.vars
-            .last_mut()
-            .expect("var scope")
-            .insert(name.to_string(), (ty, irs));
+        self.vars.push((name.to_string(), (ty, irs)));
     }
 
     fn register_owned(&mut self, ir: &Name) {
@@ -253,13 +300,19 @@ impl FnLower<'_> {
     }
 
     fn push_scope(&mut self) {
-        self.vars.push(HashMap::new());
+        self.marks.push(self.vars.len());
         self.owned.push(Vec::new());
     }
 
+    /// Close the innermost scope without releasing what it owns.
+    fn leave_scope(&mut self) -> Vec<Name> {
+        let mark = self.marks.pop().expect("var scope");
+        self.vars.truncate(mark);
+        self.owned.pop().expect("owned scope")
+    }
+
     fn pop_scope(&mut self, out: &mut Vec<IrStmt>) {
-        self.vars.pop();
-        let owned = self.owned.pop().expect("owned scope");
+        let owned = self.leave_scope();
         for var in owned.into_iter().rev() {
             out.push(release(&var));
         }
@@ -422,9 +475,6 @@ impl FnLower<'_> {
         let mut tail = Vec::new();
         self.decr_all_scopes(&mut tail);
         body.extend(tail);
-        // Reset scopes for the next function.
-        self.vars = vec![HashMap::new()];
-        self.owned = vec![Vec::new()];
 
         let (ret, ret_tuple) = match &f.ret {
             Type::Tuple(parts) => (CType::Void, Some(parts.iter().map(scalar_ctype).collect())),

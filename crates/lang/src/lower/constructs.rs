@@ -220,8 +220,7 @@ impl FnLower<'_> {
                 }
                 let body_ty = self.static_type(body, None);
                 let Some(elem) = body_ty.as_elem() else {
-                    self.owned.pop();
-                    self.vars.pop();
+                    self.leave_scope();
                     return Err(self.bug(span, format!("genarray body has type {body_ty}")));
                 };
                 let result = self.alloc_tmp(elem, sh_vars.iter().map(IrExpr::var).collect(), out);

@@ -130,7 +130,7 @@ fn fuse_index(ix: &IndexExpr, count: &mut usize) -> IndexExpr {
     match ix {
         IndexExpr::At(e) => IndexExpr::At(fuse_expr(e, count)),
         IndexExpr::Range(a, b) => {
-            IndexExpr::Range(fuse_expr(a, count), fuse_expr(b, count))
+            IndexExpr::Range(Box::new(fuse_expr(a, count)), Box::new(fuse_expr(b, count)))
         }
         IndexExpr::All => IndexExpr::All,
     }
@@ -193,7 +193,7 @@ fn merge_indices(inner: &[IndexExpr], outer: &[IndexExpr]) -> Option<Vec<IndexEx
                 // slice position k maps to a + k in the original.
                 merged.push(IndexExpr::At(Expr::Binary {
                     op: BinOp::Add,
-                    left: Box::new(a.clone()),
+                    left: a.clone(),
                     right: Box::new((*o).clone()),
                     span: o.span(),
                 }));
@@ -275,12 +275,12 @@ fn map_children(e: &Expr, count: &mut usize) -> Expr {
             *span,
         ),
         Expr::With { generator, op, span } => Expr::With {
-            generator: Generator {
+            generator: Box::new(Generator {
                 lower: generator.lower.iter().map(|b| fuse_expr(b, count)).collect(),
                 vars: generator.vars.clone(),
                 upper: generator.upper.iter().map(|b| fuse_expr(b, count)).collect(),
                 upper_inclusive: generator.upper_inclusive,
-            },
+            }),
             op: match op {
                 WithOp::Genarray { shape, body } => WithOp::Genarray {
                     shape: shape.iter().map(|s| fuse_expr(s, count)).collect(),

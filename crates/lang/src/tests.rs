@@ -893,6 +893,30 @@ mod errors {
     use super::*;
 
     #[test]
+    fn generator_binding_one_variable_twice() {
+        // Accepted, it wrote only the diagonal: the sum printed 3.
+        expect_error(
+            r#"
+            int main() {
+                Matrix int <2> m = with ([0, 0] <= [i, i] < [3, 3]) genarray([3, 3], i);
+                return 0;
+            }
+            "#,
+            "generator variable 'i' is bound twice",
+        );
+        // A generator variable may still shadow an outer one.
+        let shadowing = r#"
+            int main() {
+                int i = 7;
+                Matrix int <1> m = with ([0] <= [i] < [3]) genarray([3], i);
+                printInt(m[2] + i);
+                return 0;
+            }
+            "#;
+        assert_eq!(run_src(shadowing, 1), "9\n");
+    }
+
+    #[test]
     fn rank_mismatch_in_elementwise_op() {
         expect_error(
             r#"

@@ -161,7 +161,8 @@ pub fn check_program(prog: &Program, exts: ExtSet) -> (TypeInfo, Vec<Diag>) {
             sigs: &info.sigs,
             exts,
             ret: f.ret.clone(),
-            scopes: vec![HashMap::new()],
+            vars: Vec::new(),
+            marks: Vec::new(),
             diags: &mut diags,
             in_index: false,
         };
@@ -178,7 +179,12 @@ struct Checker<'a> {
     sigs: &'a HashMap<String, FuncSig>,
     exts: ExtSet,
     ret: Type,
-    scopes: Vec<HashMap<String, Type>>,
+    /// The variables of every open scope, innermost last. A lookup scans
+    /// back from the end, so the latest binding of a name shadows.
+    vars: Vec<(String, Type)>,
+    /// Where each scope opened inside the function starts in `vars` (its
+    /// parameters are the bindings before the first mark).
+    marks: Vec<usize>,
     diags: &'a mut Vec<Diag>,
     /// Whether we are inside a subscript (where `end` is legal).
     in_index: bool,
@@ -191,21 +197,29 @@ impl Checker<'_> {
     }
 
     fn declare(&mut self, name: &str, ty: Type, span: Span) {
-        let scope = self.scopes.last_mut().expect("scope stack");
-        if scope.contains_key(name) {
-            self.diags.push(Diag::error(
-                span,
-                format!("variable '{name}' already declared in this scope"),
-            ));
+        if self.declared_here(name) {
+            self.error(span, format!("variable '{name}' already declared in this scope"));
         }
-        self.scopes
-            .last_mut()
-            .expect("scope stack")
-            .insert(name.to_string(), ty);
+        self.vars.push((name.to_string(), ty));
+    }
+
+    /// Whether the innermost scope already binds `name`.
+    fn declared_here(&self, name: &str) -> bool {
+        let start = self.marks.last().copied().unwrap_or(0);
+        self.vars[start..].iter().any(|(n, _)| n == name)
     }
 
     fn lookup(&self, name: &str) -> Option<&Type> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+        self.vars.iter().rev().find(|(n, _)| n == name).map(|(_, t)| t)
+    }
+
+    fn open_scope(&mut self) {
+        self.marks.push(self.vars.len());
+    }
+
+    fn close_scope(&mut self) {
+        let mark = self.marks.pop().expect("scope stack");
+        self.vars.truncate(mark);
     }
 
     fn check_var_type(&mut self, ty: &Type, span: Span) {
@@ -235,11 +249,11 @@ impl Checker<'_> {
     }
 
     fn block(&mut self, b: &Block) {
-        self.scopes.push(HashMap::new());
+        self.open_scope();
         for s in &b.stmts {
             self.stmt(s);
         }
-        self.scopes.pop();
+        self.close_scope();
     }
 
     fn stmt(&mut self, s: &Stmt) {
@@ -294,12 +308,12 @@ impl Checker<'_> {
                 body,
                 ..
             } => {
-                self.scopes.push(HashMap::new());
+                self.open_scope();
                 self.stmt(init);
                 self.condition(cond);
                 self.stmt(step);
                 self.block(body);
-                self.scopes.pop();
+                self.close_scope();
             }
             Stmt::Return { value, span } => {
                 let ret = self.ret.clone();
@@ -822,12 +836,12 @@ impl Checker<'_> {
             }
         }
         // Body scope with the generator variables bound to int.
-        self.scopes.push(HashMap::new());
+        self.open_scope();
         for v in &g.vars {
-            self.scopes
-                .last_mut()
-                .expect("scope stack")
-                .insert(v.clone(), Type::Int);
+            if self.declared_here(v) {
+                self.error(span, format!("generator variable '{v}' is bound twice"));
+            }
+            self.vars.push((v.clone(), Type::Int));
         }
         let result = match op {
             WithOp::Genarray { shape, body } => {
@@ -918,7 +932,7 @@ impl Checker<'_> {
                 result
             }
         };
-        self.scopes.pop();
+        self.close_scope();
         result
     }
 

@@ -16,8 +16,8 @@
 //!
 //! so `gcc -O2 -fopenmp -msse2 out.c` produces a runnable parallel binary.
 //!
-//! The text is written into one output buffer: every statement and
-//! expression appends its pieces ([`Put`]) straight to it, so emitting a
+//! The text is written into output buffers: every statement and
+//! expression appends its pieces ([`Put`]) straight to one, so emitting a
 //! node allocates nothing. The one exception is a vector expression,
 //! whose gather temporaries must be written before it: it is built as a
 //! string of its own.
@@ -104,29 +104,75 @@ impl Put for IrExpr {
     }
 }
 
-/// Emit a complete C translation unit for the program.
+/// Emit a complete C translation unit for the program: an [`Emitter`] fed
+/// every function in order.
 pub fn emit_program(p: &IrProgram) -> Result<String, EmitError> {
+    let mut emitter = Emitter::default();
     for f in &p.functions {
+        emitter.function(f)?;
+    }
+    Ok(emitter.finish())
+}
+
+/// Emits a translation unit one function at a time, so that a caller can
+/// drop each function's IR once it has been emitted. The unit is the
+/// prelude, every tuple-returning function's struct, every function's
+/// declaration, a blank line, then every function's body, each part in
+/// the order the functions came.
+#[derive(Default)]
+pub struct Emitter {
+    structs: String,
+    decls: String,
+    bodies: String,
+}
+
+impl Emitter {
+    /// Validate `f` and append its struct, declaration and body. An
+    /// invalid function appends nothing.
+    pub fn function(&mut self, f: &IrFunction) -> Result<(), EmitError> {
         validate_function(f)?;
+        tuple_struct(f, &mut self.structs);
+        signature(f, &mut self.decls);
+        self.decls.push_str(";\n");
+        emit_function(f, &mut self.bodies);
+        self.bodies.push('\n');
+        Ok(())
     }
-    let mut out = String::new();
-    out.push_str(C_RUNTIME);
-    out.push('\n');
-    // Struct definitions for tuple-returning functions, then forward
-    // declarations.
-    for f in &p.functions {
-        tuple_struct(f, &mut out);
+
+    /// The translation unit's length in bytes.
+    pub fn byte_len(&self) -> usize {
+        self.head_len() + self.bodies.len()
     }
-    for f in &p.functions {
-        signature(f, &mut out);
-        out.push_str(";\n");
+
+    fn head_len(&self) -> usize {
+        C_RUNTIME.len() + 1 + self.structs.len() + self.decls.len() + 1
     }
-    out.push('\n');
-    for f in &p.functions {
-        emit_function(f, &mut out);
-        out.push('\n');
+
+    fn head(&self) -> [&str; 5] {
+        [C_RUNTIME, "\n", &self.structs, &self.decls, "\n"]
     }
-    Ok(out)
+
+    /// Write the translation unit to `w`, without concatenating it.
+    pub fn write_to(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
+        for part in self.head() {
+            w.write_all(part.as_bytes())?;
+        }
+        w.write_all(self.bodies.as_bytes())
+    }
+
+    /// The translation unit as one string: the bytes [`Emitter::write_to`]
+    /// writes. The head goes in front of the bodies in their own buffer,
+    /// grown by no more than the head.
+    pub fn finish(self) -> String {
+        let mut head = String::with_capacity(self.head_len());
+        for part in self.head() {
+            head.push_str(part);
+        }
+        let mut out = self.bodies;
+        out.reserve_exact(head.len());
+        out.insert_str(0, &head);
+        out
+    }
 }
 
 /// Reject IR shapes the emitter cannot express in C. Runs before emission

@@ -1261,6 +1261,41 @@ mod emit_tests {
     }
 
     #[test]
+    fn the_emitter_returns_the_first_invalid_functions_error() {
+        let tuple_decl = fn_with_body(
+            "first",
+            vec![IrStmt::Decl {
+                ty: CType::Int,
+                name: "t".into(),
+                init: Some(IrExpr::Tuple(vec![IrExpr::Int(1)])),
+            }],
+        );
+        let unpack = fn_with_body(
+            "second",
+            vec![IrStmt::UnpackCall {
+                targets: vec!["a".into()],
+                call: IrExpr::Var("x".into()),
+            }],
+        );
+        let valid = fn_with_body("valid", vec![IrStmt::Return(None)]);
+        let prog = IrProgram {
+            functions: vec![valid.clone(), tuple_decl, unpack],
+        };
+        let mut emitter = crate::emit::Emitter::default();
+        let first = prog.functions.iter().find_map(|f| emitter.function(f).err());
+        let expected = crate::emit::EmitError::TupleOutsideReturn {
+            function: "first".into(),
+        };
+        assert_eq!(first, Some(expected.clone()));
+        assert_eq!(emit_program(&prog).unwrap_err(), expected);
+        // The invalid function appended nothing.
+        let only_valid = IrProgram {
+            functions: vec![valid],
+        };
+        assert_eq!(emitter.finish(), emit_program(&only_valid).unwrap());
+    }
+
+    #[test]
     fn tuple_directly_under_return_still_emits() {
         let prog = IrProgram {
             functions: vec![

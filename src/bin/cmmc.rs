@@ -36,12 +36,13 @@
 //! Exit codes: 0 success, 1 runtime error, 2 usage error, 3 unreadable
 //! or unwritable file, 4 compile error, 5 resource limit exceeded.
 
+use std::io::Write;
 use std::mem::ManuallyDrop;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use cmm::core::{CompileError, CompileMetrics, ProfileReport, Registry, ALL_EXTENSIONS};
-use cmm::loopir::{emit, Limits, Schedule};
+use cmm::loopir::{Limits, Schedule};
 
 const EXIT_RUNTIME: u8 = 1;
 const EXIT_USAGE: u8 = 2;
@@ -539,12 +540,14 @@ fn main() -> ExitCode {
         None => ExitCode::SUCCESS,
     };
 
-    // `check` and `emit` leave the AST, the IR and the C text to the
-    // process's exit instead of dropping them, and `run`, `check` and
-    // `emit` the registry and the compiler: freeing a large program node
-    // by node, or a grammar string by string, costs time that nothing
-    // reads, and the operating system takes the pages back at once. The
-    // library API and `cmmc serve`, which live on, drop them as usual.
+    // `check` leaves the AST and `emit` the C text to the process's exit
+    // instead of dropping them, and `run`, `check` and `emit` the registry
+    // and the compiler: freeing a large program node by node, or a grammar
+    // string by string, costs time that nothing reads, and the operating
+    // system takes the pages back at once. (`emit` does drop each
+    // function's IR once it is emitted: the next function reuses those
+    // pages.) The library API and `cmmc serve`, which live on, drop them
+    // as usual.
     match command {
         "check" => {
             let checked = if metered {
@@ -568,28 +571,29 @@ fn main() -> ExitCode {
         }
         "emit" => {
             let emitted = if metered {
-                let emitted = compiler.compile_to_c_metered(&src);
-                emitted.map(|(ir, c, m)| (ir, c, Some(m)))
+                let emitted = compiler.emitter_metered(&src);
+                emitted.map(|(c, m)| (c, Some(m)))
             } else {
-                compiler.compile(&src).and_then(|ir| {
-                    let c = emit::emit_program(&ir).map_err(CompileError::Emit)?;
-                    Ok((ir, c, None))
-                })
+                compiler.emitter(&src).map(|c| (c, None))
             };
             match emitted {
-                Ok((ir, c, passes)) => {
-                    std::mem::forget(ir);
-                    match out_file {
+                Ok((c, passes)) => {
+                    let written = match &out_file {
                         Some(path) => {
-                            if let Err(e) = std::fs::write(&path, &c) {
-                                eprintln!("cmmc: cannot write {path}: {e}");
-                                return ExitCode::from(EXIT_FILE);
-                            }
-                            eprintln!(
-                                "wrote {path} (compile with: gcc -O2 -fopenmp -msse2 {path})"
-                            );
+                            std::fs::File::create(path).and_then(|mut f| c.write_to(&mut f))
                         }
-                        None => print!("{c}"),
+                        None => {
+                            let mut stdout = std::io::stdout().lock();
+                            c.write_to(&mut stdout).and_then(|()| stdout.flush())
+                        }
+                    };
+                    let path = out_file.as_deref().unwrap_or("stdout");
+                    if let Err(e) = written {
+                        eprintln!("cmmc: cannot write {path}: {e}");
+                        return ExitCode::from(EXIT_FILE);
+                    }
+                    if out_file.is_some() {
+                        eprintln!("wrote {path} (compile with: gcc -O2 -fopenmp -msse2 {path})");
                     }
                     std::mem::forget(c);
                     report_passes(passes)
