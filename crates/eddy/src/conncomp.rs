@@ -2,14 +2,14 @@
 //! (the `connComp` pipeline of Fig 4).
 
 use cmm_forkjoin::ForkJoinPool;
-use cmm_runtime::{matrix_map, Matrix, Result};
 
-/// Label 4-connected components of a binary rank-2 matrix with 1..k
-/// (0 = background). Uses union-find over a two-pass scan.
-pub fn connected_components(binary: &Matrix<bool>) -> Matrix<i32> {
-    assert_eq!(binary.rank(), 2, "connComp labels 2-D frames");
-    let (rows, cols) = (binary.dim_size(0), binary.dim_size(1));
-    let b = binary.as_slice();
+use crate::slices::{frame, map_slices};
+
+/// Label 4-connected components of a binary `rows × cols` frame
+/// (row-major) with 1..k (0 = background). Uses union-find over a
+/// two-pass scan.
+pub fn connected_components(b: &[bool], rows: usize, cols: usize) -> Vec<i32> {
+    assert_eq!(b.len(), rows * cols, "connComp labels 2-D frames");
     let mut parent: Vec<u32> = (0..(rows * cols) as u32).collect();
 
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
@@ -58,14 +58,38 @@ pub fn connected_components(binary: &Matrix<bool>) -> Matrix<i32> {
         });
         labels[cell] = l;
     }
-    Matrix::from_vec([rows, cols], labels).expect("label shape")
+    labels
 }
 
-/// Matrix-map-compatible wrapper: binary-threshold one float frame at
-/// `threshold` and label it (the body of the Fig 4 loop for one
-/// threshold).
-pub fn conn_comp_frame(frame: &Matrix<f32>, threshold: f32) -> Matrix<i32> {
-    connected_components(&frame.map(|x| x < threshold))
+/// Binary-threshold one float `rows × cols` frame at `threshold` and
+/// label it (the body of the Fig 4 loop for one threshold).
+pub fn conn_comp_frame(frame: &[f32], rows: usize, cols: usize, threshold: f32) -> Vec<i32> {
+    let binary: Vec<bool> = frame.iter().map(|&x| x < threshold).collect();
+    connected_components(&binary, rows, cols)
+}
+
+/// Label every time frame of a `lat × lon × time` SSH cube in parallel
+/// (`matrixMap(connComp, ssh, [0, 1])`, Fig 4 line 14), each frame
+/// through `label(frame)`. Frames are strided in the cube: each task
+/// gathers its own, and the labels are scattered back in order.
+pub fn label_frames(
+    pool: &ForkJoinPool,
+    ssh: &[f32],
+    dims: [usize; 3],
+    label: impl Fn(&[f32]) -> Vec<i32> + Sync,
+) -> Vec<i32> {
+    let [lat, lon, time] = dims;
+    let cells = lat * lon;
+    let frames = map_slices(pool, time, |t| label(&frame(ssh, dims, t)));
+    let mut out = vec![0i32; ssh.len()];
+    if cells > 0 {
+        for (t, labels) in frames.chunks_exact(cells).enumerate() {
+            for (cell, &l) in labels.iter().enumerate() {
+                out[cell * time + t] = l;
+            }
+        }
+    }
+    out
 }
 
 /// Detection parameters for [`detect_eddies`].
@@ -89,48 +113,45 @@ impl Default for EddyParams {
     }
 }
 
-/// Label every time frame of an SSH cube in parallel
-/// (`matrixMap(connComp, ssh, [0, 1])`, Fig 4 line 14) and zero out
-/// components whose size is outside the plausible eddy range.
+/// Label every time frame of a `lat × lon × time` SSH cube in parallel
+/// ([`label_frames`]) and zero out components whose size is outside the
+/// plausible eddy range.
 pub fn detect_eddies(
     pool: &ForkJoinPool,
-    ssh: &Matrix<f32>,
+    ssh: &[f32],
+    dims: [usize; 3],
     params: &EddyParams,
-) -> Result<Matrix<i32>> {
-    let threshold = params.threshold;
-    let min_size = params.min_size;
-    let max_size = params.max_size;
-    matrix_map(
-        pool,
-        move |frame: &Matrix<f32>| {
-            let labels = conn_comp_frame(frame, threshold);
-            filter_components_by_size(&labels, min_size, max_size)
-        },
-        ssh,
-        &[0, 1],
-    )
+) -> Vec<i32> {
+    let [lat, lon, _] = dims;
+    label_frames(pool, ssh, dims, |frame| {
+        let labels = conn_comp_frame(frame, lat, lon, params.threshold);
+        filter_components_by_size(&labels, params.min_size, params.max_size)
+    })
 }
 
 /// Zero out labels whose component size is outside `[min, max]`; the
 /// criteria "typical of ocean eddies" (§IV).
-pub fn filter_components_by_size(labels: &Matrix<i32>, min: usize, max: usize) -> Matrix<i32> {
-    let max_label = labels.as_slice().iter().copied().max().unwrap_or(0);
+pub fn filter_components_by_size(labels: &[i32], min: usize, max: usize) -> Vec<i32> {
+    let max_label = labels.iter().copied().max().unwrap_or(0);
     let mut sizes = vec![0usize; (max_label + 1) as usize];
-    for &l in labels.as_slice() {
+    for &l in labels {
         sizes[l as usize] += 1;
     }
-    labels.map(|l| {
-        if l > 0 && (min..=max).contains(&sizes[l as usize]) {
-            l
-        } else {
-            0
-        }
-    })
+    labels
+        .iter()
+        .map(|&l| {
+            if l > 0 && (min..=max).contains(&sizes[l as usize]) {
+                l
+            } else {
+                0
+            }
+        })
+        .collect()
 }
 
 /// Number of distinct nonzero labels in a labelling.
-pub fn count_components(labels: &Matrix<i32>) -> usize {
-    let mut seen: Vec<i32> = labels.as_slice().iter().copied().filter(|&l| l > 0).collect();
+pub fn count_components(labels: &[i32]) -> usize {
+    let mut seen: Vec<i32> = labels.iter().copied().filter(|&l| l > 0).collect();
     seen.sort_unstable();
     seen.dedup();
     seen.len()
@@ -139,18 +160,21 @@ pub fn count_components(labels: &Matrix<i32>) -> usize {
 /// Canonicalize a labelling: relabel components by first occurrence in
 /// scan order, so structurally equal labelings compare equal regardless
 /// of the label values an algorithm chose.
-pub fn canonical_labels(labels: &Matrix<i32>) -> Matrix<i32> {
+pub fn canonical_labels(labels: &[i32]) -> Vec<i32> {
     let mut map: std::collections::HashMap<i32, i32> = std::collections::HashMap::new();
     let mut next = 1i32;
-    labels.map(|l| {
-        if l == 0 {
-            0
-        } else {
-            *map.entry(l).or_insert_with(|| {
-                let v = next;
-                next += 1;
-                v
-            })
-        }
-    })
+    labels
+        .iter()
+        .map(|&l| {
+            if l == 0 {
+                0
+            } else {
+                *map.entry(l).or_insert_with(|| {
+                    let v = next;
+                    next += 1;
+                    v
+                })
+            }
+        })
+        .collect()
 }

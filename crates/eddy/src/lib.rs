@@ -16,11 +16,14 @@
 //!   seasonal cycle plus measurement noise, so the Fig 7 signatures are
 //!   present by construction.
 //! * [`score`] — the native implementation of `getTrough`,
-//!   `computeArea` and `scoreTS` from Fig 8 over slices, mapped over a
-//!   `cmm-runtime` matrix in parallel through `matrix_map`.
+//!   `computeArea` and `scoreTS` from Fig 8 over slices, mapped over the
+//!   cube's time series in parallel.
 //! * [`conncomp`] — connected-component labelling of binary frames
 //!   (union-find), the `connComp` of Fig 4, plus the iterative
 //!   thresholding detector built on it.
+//! * [`slices`] — the mirror's `matrixMap`: a safe parallel map over the
+//!   slices of a flat `Vec` cube, plus the CMMX file helpers over
+//!   `cmm_loopir::cmmx` that the examples and tests feed programs with.
 //! * [`programs`] — the same algorithms as extended-C source text,
 //!   compiled and run through the full `cmm-core` pipeline; integration
 //!   tests check them against the native implementations.
@@ -28,10 +31,12 @@
 pub mod conncomp;
 pub mod programs;
 pub mod score;
+pub mod slices;
 pub mod ssh;
 
-pub use conncomp::{connected_components, detect_eddies, EddyParams};
+pub use conncomp::{connected_components, detect_eddies, label_frames, EddyParams};
 pub use score::{compute_area, get_trough, score_all, score_ts};
+pub use slices::{frame, read_f32, read_i32, write_f32};
 pub use ssh::{synthetic_ssh, SshParams};
 
 #[cfg(test)]

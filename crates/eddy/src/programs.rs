@@ -4,7 +4,7 @@
 //! reproduction's concrete syntax (`range(a, b)` for `(a::b)`, see
 //! DESIGN.md), parameterized over input/output file paths so tests and
 //! experiments can feed them synthetic data through the CMMX container
-//! format shared by the Rust runtime, the interpreter, and the emitted C.
+//! format shared by the interpreter, the emitted C and the native mirror.
 
 use cmm_core::{Compiler, Registry};
 

@@ -9,7 +9,8 @@
 //! that "underwent substantial drops and rises"; shallow ones are noise.
 
 use cmm_forkjoin::ForkJoinPool;
-use cmm_runtime::{matrix_map, Matrix, Result};
+
+use crate::slices::map_slices;
 
 /// `getTrough(ts, i)` (Fig 8 lines 1–13): starting at local maximum `i`,
 /// walk downwards then upwards; returns the trough slice plus its first
@@ -75,16 +76,13 @@ pub fn score_ts(ts: &[f32]) -> Vec<f32> {
     scores
 }
 
-/// Matrix version of `scoreTS`, suitable for `matrixMap` (rank-1 in,
-/// rank-1 out, same length).
-pub fn score_ts_matrix(ts: &Matrix<f32>) -> Matrix<f32> {
-    let scores = score_ts(ts.as_slice());
-    Matrix::from_vec([scores.len()], scores).expect("score length matches")
-}
-
 /// Fig 8 line 58: `scores = matrixMap(scoreTS, data, [2])` — map the
-/// scoring function over the time dimension of the whole SSH cube, in
-/// parallel over the pool.
-pub fn score_all(pool: &ForkJoinPool, ssh: &Matrix<f32>) -> Result<Matrix<f32>> {
-    matrix_map(pool, score_ts_matrix, ssh, &[2])
+/// scoring function over the time dimension of a `lat × lon × time` SSH
+/// cube, in parallel over the pool. Time is the last, contiguous axis, so
+/// each point's series is one slice and the scores concatenate in place.
+pub fn score_all(pool: &ForkJoinPool, ssh: &[f32], [lat, lon, time]: [usize; 3]) -> Vec<f32> {
+    assert_eq!(ssh.len(), lat * lon * time);
+    map_slices(pool, lat * lon, |point| {
+        score_ts(&ssh[point * time..(point + 1) * time])
+    })
 }

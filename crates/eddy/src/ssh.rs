@@ -9,7 +9,6 @@
 //! produce exactly the trough-between-two-maxima time-series signature of
 //! Fig 7 at every point an eddy passes.
 
-use cmm_runtime::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,6 +49,13 @@ impl Default for SshParams {
     }
 }
 
+impl SshParams {
+    /// Extents of the generated cube: `[lat, lon, time]`.
+    pub fn dims(&self) -> [usize; 3] {
+        [self.lat, self.lon, self.time]
+    }
+}
+
 struct Eddy {
     lat0: f32,
     lon0: f32,
@@ -61,8 +67,9 @@ struct Eddy {
     radius: f32,
 }
 
-/// Generate a `lat × lon × time` SSH cube.
-pub fn synthetic_ssh(p: &SshParams) -> Matrix<f32> {
+/// Generate a `lat × lon × time` SSH cube ([`SshParams::dims`]), row-major
+/// with time the last, contiguous axis.
+pub fn synthetic_ssh(p: &SshParams) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(p.seed);
     let eddies: Vec<Eddy> = (0..p.eddies)
         .map(|_| {
@@ -122,5 +129,5 @@ pub fn synthetic_ssh(p: &SshParams) -> Matrix<f32> {
             }
         }
     }
-    Matrix::from_vec([p.lat, p.lon, p.time], data).expect("generator shape")
+    data
 }

@@ -1,22 +1,15 @@
 use crate::conncomp::*;
 use crate::score::*;
 use crate::ssh::*;
+use crate::slices::*;
 use cmm_forkjoin::ForkJoinPool;
-use cmm_runtime::{Element, Matrix};
 use proptest::prelude::*;
 
 /// The time series at point `(i, j)` of a `lat × lon × time` cube (time
 /// is the last, contiguous axis).
-fn series<T: Element>(cube: &Matrix<T>, i: usize, j: usize) -> &[T] {
-    let time = cube.dim_size(2);
-    let at = (i * cube.dim_size(1) + j) * time;
-    &cube.as_slice()[at..at + time]
-}
-
-/// Frame `t` of a `lat × lon × time` cube.
-fn frame<T: Element>(cube: &Matrix<T>, t: usize) -> Matrix<T> {
-    let data = cube.as_slice().iter().skip(t).step_by(cube.dim_size(2)).copied().collect();
-    Matrix::from_vec([cube.dim_size(0), cube.dim_size(1)], data).unwrap()
+fn series<T>(cube: &[T], [_, lon, time]: [usize; 3], i: usize, j: usize) -> &[T] {
+    let at = (i * lon + j) * time;
+    &cube[at..at + time]
 }
 
 mod ssh_tests {
@@ -32,7 +25,7 @@ mod ssh_tests {
         };
         let a = synthetic_ssh(&p);
         let b = synthetic_ssh(&p);
-        assert_eq!(a.shape().dims(), &[10, 20, 30]);
+        assert_eq!((p.dims(), a.len()), ([10, 20, 30], 10 * 20 * 30));
         assert_eq!(a, b, "same seed ⇒ same field");
         let c = synthetic_ssh(&SshParams { seed: 7, ..p });
         assert_ne!(a, c, "different seed ⇒ different field");
@@ -51,7 +44,7 @@ mod ssh_tests {
         };
         let calm = synthetic_ssh(&SshParams { eddies: 0, ..base.clone() });
         let eddy = synthetic_ssh(&SshParams { eddies: 6, ..base });
-        let min = |m: &Matrix<f32>| m.as_slice().iter().cloned().fold(f32::MAX, f32::min);
+        let min = |m: &[f32]| m.iter().cloned().fold(f32::MAX, f32::min);
         assert!(
             min(&eddy) < min(&calm) - 0.2,
             "eddy min {} vs calm min {}",
@@ -76,8 +69,8 @@ mod ssh_tests {
         };
         let cube = synthetic_ssh(&p);
         let pool = ForkJoinPool::new(2);
-        let scores = score_all(&pool, &cube).unwrap();
-        let max_score = scores.as_slice().iter().cloned().fold(f32::MIN, f32::max);
+        let scores = score_all(&pool, &cube, p.dims());
+        let max_score = scores.iter().cloned().fold(f32::MIN, f32::max);
         assert!(max_score > 1.0, "expected a strong trough, got {max_score}");
     }
 }
@@ -160,18 +153,19 @@ mod score_tests {
 
     #[test]
     fn score_all_matches_pointwise_scoring() {
-        let cube = synthetic_ssh(&SshParams {
+        let p = SshParams {
             lat: 6,
             lon: 7,
             time: 40,
             ..Default::default()
-        });
+        };
+        let cube = synthetic_ssh(&p);
         let pool = ForkJoinPool::new(3);
-        let all = score_all(&pool, &cube).unwrap();
+        let all = score_all(&pool, &cube, p.dims());
         for i in [0usize, 3, 5] {
             for j in [0usize, 2, 6] {
-                let expect = score_ts(series(&cube, i, j));
-                assert_eq!(series(&all, i, j), expect.as_slice(), "point ({i},{j})");
+                let expect = score_ts(series(&cube, p.dims(), i, j));
+                assert_eq!(series(&all, p.dims(), i, j), expect.as_slice(), "point ({i},{j})");
             }
         }
     }
@@ -239,81 +233,82 @@ mod fixture_grid_tests {
     fn score_all_pins_exact_values_on_fixture_grid() {
         // 1 × 2 × 7 cube: point (0,0) carries TS_A, point (0,1) TS_B
         // (time is the last, contiguous axis).
-        let mut data = TS_A.to_vec();
-        data.extend_from_slice(&TS_B);
-        let cube = Matrix::from_vec([1usize, 2, 7], data).unwrap();
+        let mut cube = TS_A.to_vec();
+        cube.extend_from_slice(&TS_B);
+        let dims = [1, 2, 7];
         let pool = ForkJoinPool::new(2);
-        let scores = score_all(&pool, &cube).unwrap();
-        assert_eq!(scores.shape().dims(), &[1, 2, 7]);
-        assert_eq!(series(&scores, 0, 0), &SCORES_A);
-        assert_eq!(series(&scores, 0, 1), &SCORES_B);
+        let scores = score_all(&pool, &cube, dims);
+        assert_eq!(scores.len(), 14);
+        assert_eq!(series(&scores, dims, 0, 0), &SCORES_A);
+        assert_eq!(series(&scores, dims, 0, 1), &SCORES_B);
     }
 }
 
 mod conncomp_tests {
     use super::*;
 
-    fn bmat(rows: usize, cols: usize, cells: &[u8]) -> Matrix<bool> {
-        Matrix::from_vec([rows, cols], cells.iter().map(|&c| c != 0).collect()).unwrap()
+    fn bmat(cells: &[u8]) -> Vec<bool> {
+        cells.iter().map(|&c| c != 0).collect()
     }
 
     #[test]
     fn labels_simple_components() {
-        let b = bmat(3, 4, &[
+        let b = bmat(&[
             1, 1, 0, 0, //
             0, 0, 0, 1, //
             1, 0, 0, 1,
         ]);
-        let l = connected_components(&b);
-        assert_eq!(l.get(&[0, 0]).unwrap(), l.get(&[0, 1]).unwrap());
-        assert_eq!(l.get(&[1, 3]).unwrap(), l.get(&[2, 3]).unwrap());
-        assert_ne!(l.get(&[0, 0]).unwrap(), l.get(&[2, 0]).unwrap());
-        assert_eq!(l.get(&[0, 2]).unwrap(), 0);
+        let l = connected_components(&b, 3, 4);
+        let at = |i: usize, j: usize| l[i * 4 + j];
+        assert_eq!(at(0, 0), at(0, 1));
+        assert_eq!(at(1, 3), at(2, 3));
+        assert_ne!(at(0, 0), at(2, 0));
+        assert_eq!(at(0, 2), 0);
         assert_eq!(count_components(&l), 3);
     }
 
     #[test]
     fn four_connectivity_not_eight() {
         // Diagonal touch is NOT connected under 4-connectivity.
-        let b = bmat(2, 2, &[1, 0, 0, 1]);
-        let l = connected_components(&b);
-        assert_ne!(l.get(&[0, 0]).unwrap(), l.get(&[1, 1]).unwrap());
+        let b = bmat(&[1, 0, 0, 1]);
+        let l = connected_components(&b, 2, 2);
+        assert_ne!(l[0], l[3]);
         assert_eq!(count_components(&l), 2);
     }
 
     #[test]
     fn snake_component_is_single() {
-        let b = bmat(3, 3, &[
+        let b = bmat(&[
             1, 1, 1, //
             0, 0, 1, //
             1, 1, 1,
         ]);
-        let l = connected_components(&b);
+        let l = connected_components(&b, 3, 3);
         assert_eq!(count_components(&l), 1);
     }
 
     #[test]
     fn empty_and_full_frames() {
-        let empty = bmat(3, 3, &[0; 9]);
-        assert_eq!(count_components(&connected_components(&empty)), 0);
-        let full = bmat(3, 3, &[1; 9]);
-        assert_eq!(count_components(&connected_components(&full)), 1);
+        let empty = bmat(&[0; 9]);
+        assert_eq!(count_components(&connected_components(&empty, 3, 3)), 0);
+        let full = bmat(&[1; 9]);
+        assert_eq!(count_components(&connected_components(&full, 3, 3)), 1);
     }
 
     #[test]
     fn size_filter_drops_small_and_large() {
-        let b = bmat(4, 4, &[
+        let b = bmat(&[
             1, 0, 1, 1, //
             0, 0, 1, 1, //
             0, 0, 0, 0, //
             1, 1, 0, 0,
         ]);
-        let l = connected_components(&b);
+        let l = connected_components(&b, 4, 4);
         let f = filter_components_by_size(&l, 2, 3);
         // singleton dropped, 4-cell block dropped, 2-cell block kept
-        assert_eq!(f.get(&[0, 0]).unwrap(), 0);
-        assert_eq!(f.get(&[0, 2]).unwrap(), 0);
-        assert!(f.get(&[3, 0]).unwrap() > 0);
+        assert_eq!(f[0], 0);
+        assert_eq!(f[2], 0);
+        assert!(f[3 * 4] > 0);
     }
 
     #[test]
@@ -330,19 +325,17 @@ mod conncomp_tests {
         };
         let cube = synthetic_ssh(&p);
         let pool = ForkJoinPool::new(2);
-        let labels = detect_eddies(&pool, &cube, &EddyParams::default()).unwrap();
-        assert_eq!(labels.shape(), cube.shape());
-        let detected: usize = labels.as_slice().iter().filter(|&&l| l > 0).count();
+        let labels = detect_eddies(&pool, &cube, p.dims(), &EddyParams::default());
+        assert_eq!(labels.len(), cube.len());
+        let detected: usize = labels.iter().filter(|&&l| l > 0).count();
         assert!(detected > 0, "no eddy cells detected");
     }
 
     proptest! {
         #[test]
         fn prop_labels_respect_connectivity(cells in proptest::collection::vec(0u8..2, 36)) {
-            let b = bmat(6, 6, &cells);
-            let l = connected_components(&b);
-            let bs = b.as_slice();
-            let ls = l.as_slice();
+            let bs = bmat(&cells);
+            let ls = connected_components(&bs, 6, 6);
             // Background cells get 0; foreground cells get > 0.
             for (i, &c) in bs.iter().enumerate() {
                 prop_assert_eq!(ls[i] > 0, c, "cell {}", i);
@@ -363,8 +356,8 @@ mod conncomp_tests {
 
         #[test]
         fn prop_canonical_labels_idempotent(cells in proptest::collection::vec(0u8..2, 25)) {
-            let b = bmat(5, 5, &cells);
-            let l = connected_components(&b);
+            let b = bmat(&cells);
+            let l = connected_components(&b, 5, 5);
             let c1 = canonical_labels(&l);
             let c2 = canonical_labels(&c1);
             prop_assert_eq!(c1, c2);
@@ -372,10 +365,118 @@ mod conncomp_tests {
     }
 }
 
+/// The mirror's `matrixMap`: the parallel per-slice map gives the bytes a
+/// sequential per-slice loop gives, at every thread count (E3's native
+/// side; the compiled side is `cmm-lang`'s `matrix_map_fig5_equivalent`).
+mod slice_map_tests {
+    use super::*;
+
+    fn cube() -> (SshParams, Vec<f32>) {
+        let p = SshParams {
+            lat: 7,
+            lon: 9,
+            time: 13,
+            eddies: 3,
+            depth: 1.2,
+            seed: 17,
+            ..Default::default()
+        };
+        let cube = synthetic_ssh(&p);
+        (p, cube)
+    }
+
+    #[test]
+    fn map_slices_concatenates_in_slice_order() {
+        for threads in [1, 2, 4] {
+            let pool = ForkJoinPool::new(threads);
+            for count in [0, 1, 3, 10] {
+                let got = map_slices(&pool, count, |k| vec![k; k % 3]);
+                let want: Vec<usize> = (0..count).flat_map(|k| vec![k; k % 3]).collect();
+                assert_eq!(got, want, "{threads} threads, {count} slices");
+            }
+        }
+    }
+
+    #[test]
+    fn score_all_is_the_sequential_loop_at_every_thread_count() {
+        let (p, cube) = cube();
+        let mut want = Vec::new();
+        for ts in cube.chunks_exact(p.time) {
+            want.extend(score_ts(ts));
+        }
+        for threads in [1, 2, 4] {
+            let got = score_all(&ForkJoinPool::new(threads), &cube, p.dims());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn frame_labelling_is_the_sequential_loop_at_every_thread_count() {
+        let (p, cube) = cube();
+        let params = EddyParams {
+            threshold: -0.2,
+            min_size: 2,
+            max_size: 30,
+        };
+        let mut want = vec![0i32; cube.len()];
+        for t in 0..p.time {
+            let labels = conn_comp_frame(&frame(&cube, p.dims(), t), p.lat, p.lon, params.threshold);
+            let kept = filter_components_by_size(&labels, params.min_size, params.max_size);
+            for (cell, l) in kept.into_iter().enumerate() {
+                want[cell * p.time + t] = l;
+            }
+        }
+        assert!(want.iter().any(|&l| l > 0), "the fixture has eddies to label");
+        for threads in [1, 2, 4] {
+            let got = detect_eddies(&ForkJoinPool::new(threads), &cube, p.dims(), &params);
+            assert_eq!(got, want, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn frames_gather_their_strided_cells() {
+        let cube: Vec<i32> = (0..2 * 3 * 4).collect();
+        assert_eq!(frame(&cube, [2, 3, 4], 1), [1, 5, 9, 13, 17, 21]);
+    }
+}
+
+mod file_tests {
+    use super::*;
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("cmm-eddy-file-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn float_cube_roundtrips_bit_for_bit() {
+        let path = tmp("f32.cmmx");
+        let data: Vec<f32> = (0..60).map(|x| x as f32 * 0.25 - 3.0).chain([f32::NAN]).collect();
+        let dims = [61];
+        write_f32(&path, &dims, &data).unwrap();
+        let (back_dims, back) = read_f32(&path).unwrap();
+        assert_eq!(back_dims, dims);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&data));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_file_of_another_type_or_no_file_is_invalid_data() {
+        let path = tmp("mismatch.cmmx");
+        write_f32(&path, &[2], &[1.0, 2.0]).unwrap();
+        let err = read_i32(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("element type mismatch"), "{err}");
+        std::fs::write(&path, b"JUNKxxxxyyyy").unwrap();
+        assert_eq!(read_f32(&path).unwrap_err().to_string(), "not a CMMX file");
+        std::fs::remove_file(path).ok();
+    }
+}
+
 mod program_tests {
     use super::*;
     use crate::programs::*;
-    use cmm_runtime::{read_matrix, write_matrix};
 
     fn tmp(name: &str) -> String {
         std::env::temp_dir()
@@ -394,25 +495,26 @@ mod program_tests {
 
     #[test]
     fn temporal_mean_program_matches_native() {
-        let cube = synthetic_ssh(&SshParams {
+        let p = SshParams {
             lat: 5,
             lon: 6,
             time: 20,
             ..Default::default()
-        });
+        };
+        let cube = synthetic_ssh(&p);
         let input = tmp("tm-in.cmmx");
         let output = tmp("tm-out.cmmx");
-        write_matrix(&input, &cube).unwrap();
+        write_f32(&input, &p.dims(), &cube).unwrap();
         let c = full_compiler();
         let r = c.run(&temporal_mean_program(&input, &output, ""), 2).unwrap();
         assert_eq!(r.leaked, 0);
-        let means: Matrix<f32> = read_matrix(&output).unwrap();
-        assert_eq!(means.shape().dims(), &[5, 6]);
+        let (dims, means) = read_f32(&output).unwrap();
+        assert_eq!(dims, [5, 6]);
         // Check a few cells against a direct mean.
         for (i, j) in [(0usize, 0usize), (4, 5), (2, 3)] {
-            let ts = series(&cube, i, j);
+            let ts = series(&cube, p.dims(), i, j);
             let expect: f32 = ts.iter().sum::<f32>() / ts.len() as f32;
-            let got = means.get(&[i, j]).unwrap();
+            let got = means[i * 6 + j];
             assert!((got - expect).abs() < 1e-4, "({i},{j}): {got} vs {expect}");
         }
         std::fs::remove_file(&input).ok();
@@ -423,26 +525,27 @@ mod program_tests {
     fn eddy_scoring_program_matches_native() {
         // E4: the compiled Fig 8 program and the native implementation
         // agree on every score.
-        let cube = synthetic_ssh(&SshParams {
+        let p = SshParams {
             lat: 4,
             lon: 5,
             time: 30,
             eddies: 2,
             seed: 5,
             ..Default::default()
-        });
+        };
+        let cube = synthetic_ssh(&p);
         let input = tmp("score-in.cmmx");
         let output = tmp("score-out.cmmx");
-        write_matrix(&input, &cube).unwrap();
+        write_f32(&input, &p.dims(), &cube).unwrap();
         let c = full_compiler();
         let r = c.run(&eddy_scoring_program(&input, &output), 2).unwrap();
         assert_eq!(r.leaked, 0, "allocs {}", r.allocations);
-        let compiled: Matrix<f32> = read_matrix(&output).unwrap();
+        let (dims, compiled) = read_f32(&output).unwrap();
 
         let pool = ForkJoinPool::new(2);
-        let native = score_all(&pool, &cube).unwrap();
-        assert_eq!(compiled.shape(), native.shape());
-        for (a, b) in compiled.as_slice().iter().zip(native.as_slice()) {
+        let native = score_all(&pool, &cube, p.dims());
+        assert_eq!((dims.as_slice(), compiled.len()), (&p.dims()[..], native.len()));
+        for (a, b) in compiled.iter().zip(&native) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
         std::fs::remove_file(&input).ok();
@@ -452,7 +555,7 @@ mod program_tests {
     #[test]
     fn conncomp_program_matches_native_up_to_relabeling() {
         // E3: compiled Fig 4 vs native union-find, canonicalized.
-        let cube = synthetic_ssh(&SshParams {
+        let p = SshParams {
             lat: 8,
             lon: 8,
             time: 6,
@@ -460,31 +563,26 @@ mod program_tests {
             depth: 1.2,
             seed: 9,
             ..Default::default()
-        });
+        };
+        let cube = synthetic_ssh(&p);
         let input = tmp("cc-in.cmmx");
         let output = tmp("cc-out.cmmx");
-        write_matrix(&input, &cube).unwrap();
+        write_f32(&input, &p.dims(), &cube).unwrap();
         let threshold = -0.2f32;
         let c = full_compiler();
         let r = c
             .run(&connected_components_program(&input, &output, threshold), 2)
             .unwrap();
         assert_eq!(r.leaked, 0);
-        let compiled: Matrix<i32> = read_matrix(&output).unwrap();
+        let (dims, compiled) = read_i32(&output).unwrap();
 
         let pool = ForkJoinPool::new(2);
-        let native = cmm_runtime::matrix_map(
-            &pool,
-            |frame: &Matrix<f32>| conn_comp_frame(frame, threshold),
-            &cube,
-            &[0, 1],
-        )
-        .unwrap();
-        assert_eq!(compiled.shape(), native.shape());
-        for t in 0..cube.dim_size(2) {
+        let native = label_frames(&pool, &cube, p.dims(), |f| conn_comp_frame(f, 8, 8, threshold));
+        assert_eq!((dims.as_slice(), compiled.len()), (&p.dims()[..], native.len()));
+        for t in 0..p.time {
             assert_eq!(
-                canonical_labels(&frame(&compiled, t)),
-                canonical_labels(&frame(&native, t)),
+                canonical_labels(&frame(&compiled, p.dims(), t)),
+                canonical_labels(&frame(&native, p.dims(), t)),
                 "frame {t} labelings differ structurally"
             );
         }

@@ -751,6 +751,12 @@ impl<'a> Kids<'_, 'a> {
                 if rank == 0 {
                     return err(token_span(rank_tok), "matrix rank must be at least 1");
                 }
+                if usize::from(rank) > cmm_loopir::MAX_RANK {
+                    return err(
+                        token_span(rank_tok),
+                        format!("matrix rank {rank} exceeds {}", cmm_loopir::MAX_RANK),
+                    );
+                }
                 Val::Type(Type::Matrix(elem, rank))
             }
             Rule::TupleType => {

@@ -988,6 +988,34 @@ mod errors {
     }
 
     #[test]
+    fn genarray_rank_above_max_rank_rejected() {
+        expect_error(
+            r#"
+            int main() {
+                printInt(dimSize(with ([0,0,0,0,0,0,0,0,0] <= [a,b,c,d,e,f,g,h,q]
+                    < [1,1,1,1,1,1,1,1,2]) genarray([1,1,1,1,1,1,1,1,2], 0), 8));
+                return 0;
+            }
+            "#,
+            "genarray shape has 9 dimensions; a matrix has at most 8",
+        );
+    }
+
+    /// The emitted C's `cmm_mat` holds `MAX_RANK` extents: a wider matrix
+    /// type is a construction error at its rank token, not a C overflow.
+    #[test]
+    fn matrix_rank_above_max_rank_rejected() {
+        let p = parser();
+        let src = "int main() {\n    Matrix int <9> m = init(Matrix int <9>, 1,1,1,1,1,1,1,1,2);\n    return 0;\n}\n";
+        let err = parse_program(&p, &Handlers::new(p.view()), src)
+            .expect("the program parses")
+            .expect_err("rank 9 is rejected");
+        assert_eq!(err.to_string(), "2:17: matrix rank 9 exceeds 8");
+        let widest = src.replace("<9>", "<8>").replace("1,2)", "2)");
+        build(&p, &widest);
+    }
+
+    #[test]
     fn subscript_count_checked() {
         expect_error(
             r#"

@@ -856,6 +856,16 @@ impl Checker<'_> {
                         ),
                     );
                 }
+                if shape.len() > cmm_loopir::MAX_RANK {
+                    self.error(
+                        span,
+                        format!(
+                            "genarray shape has {} dimensions; a matrix has at most {}",
+                            shape.len(),
+                            cmm_loopir::MAX_RANK
+                        ),
+                    );
+                }
                 for s in shape {
                     let t = self.expr(s, Some(&Type::Int));
                     if !matches!(t, Type::Int | Type::Error) {

@@ -1124,6 +1124,7 @@ static cmm_mat* cmm_read_mat(const char *path, int tag) {
     }
     int rank = head[5];
     if (rank == 0) { fprintf(stderr, "readMatrix(%s): invalid header: rank 0\n", path); exit(1); }
+    if (rank > 8) { fprintf(stderr, "readMatrix(%s): invalid header: rank %d exceeds 8\n", path, rank); exit(1); }
     cmm_mat *m = (cmm_mat*)malloc(sizeof(cmm_mat));
     m->refs = 1; m->rank = rank; m->len = 1; m->tag = tag;
     for (int d = 0; d < rank; d++) {

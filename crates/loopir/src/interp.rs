@@ -381,7 +381,7 @@ impl BufHandle {
 
     /// Base pointer of the buffer's `len()` 4-byte cells, for the kernel
     /// ops ([`crate::kernel`]) that hand whole operands to
-    /// `cmm_runtime::kernels` as slices. The block is 16-byte aligned and
+    /// [`crate::kernels`] as slices. The block is 16-byte aligned and
     /// at least `4 * len()` bytes; it stays allocated while any handle
     /// exists, freed or not.
     pub(crate) fn cells(&self) -> *mut u32 {

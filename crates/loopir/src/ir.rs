@@ -7,6 +7,11 @@ use std::sync::Arc;
 /// reference count; `Arc` rather than `Rc` keeps an [`IrProgram`] `Send`.
 pub type Name = Arc<str>;
 
+/// The highest matrix rank: the emitted C's `cmm_mat` holds its extents
+/// in `long long dims[MAX_RANK]`, so the builder rejects a wider
+/// `Matrix T <k>` and the CMMX readers a wider file.
+pub const MAX_RANK: usize = 8;
+
 /// Matrix element types at the IR level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Elem {
@@ -387,7 +392,7 @@ pub struct ForLoop {
 }
 
 /// A whole-matrix operation the VM tier runs as one call into
-/// `cmm_runtime::kernels`, and the emitted C as one call of its prelude's
+/// [`crate::kernels`], and the emitted C as one call of its prelude's
 /// kernel (see [`IrStmt::Kernel`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelCall {

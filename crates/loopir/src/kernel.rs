@@ -6,7 +6,7 @@
 //! transformations and the cost probe see only the nest (the emitted C
 //! calls a kernel of its own, under the same contract on bits). The VM
 //! is the tier users run, so it alone takes the shortcut — one native
-//! call into `cmm_runtime::kernels` on the operands' own storage — and
+//! call into [`crate::kernels`] on the operands' own storage — and
 //! the tree tier stays the reference the fuzzer's `vm` oracle compares it
 //! against. For that comparison to stay exact the shortcut must be
 //! unobservable except in time:
@@ -31,11 +31,10 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
-use cmm_runtime::kernels::{matmul_rows, try_matmul_tiles};
-use cmm_runtime::Numeric;
 
 use crate::interp::{lock_ignore_poison, BufHandle, Frame, IResult, Interp, InterpError, Value};
 use crate::ir::Elem;
+use crate::kernels::{matmul_rows, try_matmul_tiles, Numeric};
 use crate::resolve::RMatMul;
 
 /// Steps the scalar nest spends on one row of an `m×k · k×n` product: the

@@ -1,26 +1,51 @@
-//! Native mirror kernels of the loop nests the translator generates.
+//! Native kernels: the matrix-product row kernel the VM calls for
+//! `A * B`, and the temporal-mean nests the examples and tests compare
+//! compiled programs against.
 //!
-//! The loop-IR interpreter (crate `cmm-loopir`) executes transformed
-//! programs faithfully but pays interpretation overhead, which would drown
-//! the cache and SIMD effects the §V transformations exist to exploit.
-//! These kernels are hand-written Rust renderings of the *exact* loop
-//! structures of Figs 3, 10 and 11, compiled natively, so the ablation
-//! benchmarks (experiments E7, E11, E14) measure the structural effect of
-//! each transformation the way the paper's generated C would.
-//!
-//! All kernels compute the running example: the temporal mean of an
-//! `m × n × p` sea-surface-height cube (`means[i,j] = Σ_k mat[i,j,k] / p`),
-//! or a dense matrix product. The product that counts is [`matmul_rows`],
-//! the row kernel the VM runs for `A * B` (the C prelude's `CMM_MATMUL`
-//! in Rust); [`matmul_naive`] is its reference, and [`matmul_tiled`] and
-//! [`matmul_parallel_blocked`] keep the names the benchmark's probes
-//! call, both running the row kernel over row tiles.
+//! The product that counts is [`matmul_rows`], the row kernel the VM runs
+//! for `A * B` (the C prelude's `CMM_MATMUL` in Rust); [`matmul_naive`]
+//! is its reference, and [`matmul_tiled`] and [`matmul_parallel_blocked`]
+//! keep the names the benchmark's probes call, both running the row
+//! kernel over row tiles. [`temporal_mean_fig3`] is the Fig 3 nest of the
+//! running example (`means[i,j] = Σ_k mat[i,j,k] / p` over an
+//! `m × n × p` sea-surface-height cube) and [`temporal_mean_parallel`]
+//! its automatically parallelized form (§III-C).
 
 use std::ops::Range;
 
 use cmm_forkjoin::{chunk_range, ForkJoinPool, RegionPanic, Schedule};
 
-use crate::element::Numeric;
+/// Elements the matrix-product kernels accept (`int` and `float`).
+pub trait Numeric: Copy + Send + Sync + 'static {
+    /// Additive identity.
+    fn zero() -> Self;
+    /// `acc + a * b`, the step of a matrix product, as two separately
+    /// rounded operations — never a fused multiply-add — and wrapping for
+    /// `int`. This is exactly what the loop-IR interpreter computes for
+    /// the lowered scalar nest, so kernels built on it agree with
+    /// interpreted programs bit for bit.
+    fn mul_acc(acc: Self, a: Self, b: Self) -> Self;
+}
+
+impl Numeric for i32 {
+    fn zero() -> Self {
+        0
+    }
+    #[inline]
+    fn mul_acc(acc: Self, a: Self, b: Self) -> Self {
+        acc.wrapping_add(a.wrapping_mul(b))
+    }
+}
+
+impl Numeric for f32 {
+    fn zero() -> Self {
+        0.0
+    }
+    #[inline]
+    fn mul_acc(acc: Self, a: Self, b: Self) -> Self {
+        acc + a * b
+    }
+}
 
 /// Fig 3 — the loop nest produced by the untransformed with-loops: two
 /// outer loops and an inner accumulation, writing `means` directly (the
@@ -38,118 +63,6 @@ pub fn temporal_mean_fig3(mat: &[f32], m: usize, n: usize, p: usize, means: &mut
             means[i * n + j] = mean / p as f32;
         }
     }
-}
-
-/// The "library implementation" the paper contrasts against (§III-A4):
-/// the with-loop result is evaluated into a temporary which is then copied
-/// into `means`, and each fold first materializes the slice `mat[i,j,:]`
-/// as its own allocation. Both extra costs are what the extension's
-/// high-level optimizations remove.
-pub fn temporal_mean_library(mat: &[f32], m: usize, n: usize, p: usize, means: &mut [f32]) {
-    assert_eq!(mat.len(), m * n * p);
-    assert_eq!(means.len(), m * n);
-    let mut temp = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            // Materialized slice copy (the removed matrix indexing).
-            let base = (i * n + j) * p;
-            let slice: Vec<f32> = mat[base..base + p].to_vec();
-            let mut mean = 0.0f32;
-            for &v in &slice {
-                mean += v;
-            }
-            temp[i * n + j] = mean / p as f32;
-        }
-    }
-    // Extraneous copy from the temporary into the assignment target.
-    means.copy_from_slice(&temp);
-}
-
-/// Fig 10 — after `split j by 4, jin, jout`: the `j` loop becomes
-/// `jout`/`jin` with `j = jout * 4 + jin`. (As in the paper, `n` is
-/// assumed to be a multiple of 4.)
-pub fn temporal_mean_fig10(mat: &[f32], m: usize, n: usize, p: usize, means: &mut [f32]) {
-    assert_eq!(n % 4, 0, "Fig 10 assumes n is a multiple of 4");
-    for i in 0..m {
-        for jout in 0..n / 4 {
-            for jin in 0..4 {
-                let j = jout * 4 + jin;
-                let mut mean = 0.0f32;
-                let base = (i * n + j) * p;
-                for k in 0..p {
-                    mean += mat[base + k];
-                }
-                means[i * n + j] = mean / p as f32;
-            }
-        }
-    }
-}
-
-/// Fig 11 — after `vectorize jin` (+ the parallel outer loop handled by
-/// [`temporal_mean_fig11_parallel`]): the four `jin` lanes are processed
-/// as one 4-wide vector. Rust arrays of 4 floats compile to SSE on
-/// x86-64, mirroring the `_mm_*` code of Fig 11.
-pub fn temporal_mean_fig11(mat: &[f32], m: usize, n: usize, p: usize, means: &mut [f32]) {
-    assert_eq!(n % 4, 0, "Fig 11 assumes n is a multiple of 4");
-    for i in 0..m {
-        for jout in 0..n / 4 {
-            let j0 = jout * 4;
-            let mut acc = [0.0f32; 4];
-            let bases = [
-                (i * n + j0) * p,
-                (i * n + j0 + 1) * p,
-                (i * n + j0 + 2) * p,
-                (i * n + j0 + 3) * p,
-            ];
-            for k in 0..p {
-                // One 4-lane vector add per k, as the SSE body does.
-                for lane in 0..4 {
-                    acc[lane] += mat[bases[lane] + k];
-                }
-            }
-            let inv = 1.0 / p as f32;
-            for lane in 0..4 {
-                means[i * n + j0 + lane] = acc[lane] * inv;
-            }
-        }
-    }
-}
-
-/// Fig 11 with the `parallelize i` transformation: the outer loop is
-/// distributed over the fork-join pool (the generated C uses
-/// `#pragma omp parallel for`).
-pub fn temporal_mean_fig11_parallel(
-    pool: &ForkJoinPool,
-    mat: &[f32],
-    m: usize,
-    n: usize,
-    p: usize,
-    means: &mut [f32],
-) {
-    assert_eq!(n % 4, 0);
-    assert_eq!(means.len(), m * n);
-    let means_ptr = SendPtr(means.as_mut_ptr());
-    pool.run(|tid, nthreads| {
-        let rows = chunk_range(m, nthreads, tid);
-        for i in rows {
-            for jout in 0..n / 4 {
-                let j0 = jout * 4;
-                let mut acc = [0.0f32; 4];
-                for k in 0..p {
-                    for (lane, a) in acc.iter_mut().enumerate() {
-                        *a += mat[(i * n + j0 + lane) * p + k];
-                    }
-                }
-                let inv = 1.0 / p as f32;
-                for (lane, &a) in acc.iter().enumerate() {
-                    // Safety: rows are partitioned disjointly across tids.
-                    unsafe {
-                        *means_ptr.get().add(i * n + j0 + lane) = a * inv;
-                    }
-                }
-            }
-        }
-    });
 }
 
 /// Plain parallel temporal mean (no split/vectorize), the automatic

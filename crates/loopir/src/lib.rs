@@ -16,13 +16,17 @@
 //!   file IO) so the output compiles with `gcc -fopenmp` alone,
 //! * the interpreter ([`interp`]), which executes IR programs directly in
 //!   Rust on top of `cmm-forkjoin`, so every compiled program can also be
-//!   run and measured without a C toolchain.
+//!   run and measured without a C toolchain,
+//! * the native kernels ([`kernels`]): the matrix-product row kernel the
+//!   VM calls for `a * b`, and the CMMX matrix file codec ([`cmmx`])
+//!   behind `readMatrix` / `writeMatrix`.
 
 pub mod cmmx;
 pub mod emit;
 pub mod interp;
 mod ir;
 mod kernel;
+pub mod kernels;
 mod resolve;
 mod scalar_loop;
 pub mod snapshot;
@@ -40,7 +44,7 @@ pub use cmm_forkjoin::{
 };
 pub use ir::{
     Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
-    Name,
+    Name, MAX_RANK,
 };
 pub use scalar_loop::{StripIsa, STRIP as UNBOXED_STRIP};
 pub use transform::TransformError;

@@ -1103,6 +1103,20 @@ mod emit_tests {
     use super::*;
     use crate::emit::emit_program;
 
+    /// The prelude's `cmm_mat` holds `MAX_RANK` extents, and its CMMX
+    /// reader refuses a wider file before it stores one.
+    #[test]
+    fn the_prelude_holds_max_rank_extents_and_reads_no_more() {
+        let c = emit_program(&IrProgram::default()).unwrap();
+        assert!(c.contains(&format!("    long long dims[{MAX_RANK}];\n")));
+        let guard = format!(
+            "    if (rank > {MAX_RANK}) {{ fprintf(stderr, \"readMatrix(%s): invalid header: \
+             rank %d exceeds {MAX_RANK}\\n\", path, rank); exit(1); }}\n"
+        );
+        let (guard_at, loop_at) = (c.find(&guard), c.find("for (int d = 0; d < rank; d++) {\n        unsigned char b8[8];"));
+        assert!(guard_at.is_some() && guard_at < loop_at, "{guard_at:?} {loop_at:?}");
+    }
+
     /// The builtin table against the prelude: every variant's C name is a
     /// function the emitted runtime defines, and names map back to their
     /// variant (how the emitter spots a user function that would collide).
@@ -1991,10 +2005,10 @@ mod vm_tests {
             "{name}: {}",
             err.message
         );
-        // The native runtime reads through the same codec.
-        match cmm_runtime::read_matrix::<i32>(&path) {
-            Err(cmm_runtime::MatrixError::Format(m)) => assert!(m.contains(want), "{name}: {m}"),
-            other => panic!("{name}: runtime accepted a malformed container: {other:?}"),
+        // Both tiers read through the one codec.
+        match crate::cmmx::parse(bytes, Elem::I32) {
+            Err(e) => assert!(e.to_string().contains(want), "{name}: {e}"),
+            Ok(h) => panic!("{name}: the codec accepted a malformed container: {h:?}"),
         }
         std::fs::remove_file(path).ok();
     }
@@ -2020,8 +2034,10 @@ mod vm_tests {
             "element type mismatch",
         );
         assert_cmmx_rejected("zerorank", &cmmx_bytes(0, 0, &[], &[]), "rank 0");
-        // Rank 255 declared on a file that ends at the 8-byte header.
-        assert_cmmx_rejected("rank255", &cmmx_bytes(0, 255, &[], &[]), "truncated header");
+        // Rank 8 declared on a file that ends at the 8-byte header.
+        assert_cmmx_rejected("rank8", &cmmx_bytes(0, 8, &[], &[]), "truncated header");
+        // Rank 255 is past `MAX_RANK`, whatever follows the header.
+        assert_cmmx_rejected("rank255", &cmmx_bytes(0, 255, &[], &[]), "rank 255 exceeds 8");
         // Rank 2 with only one dimension recorded.
         assert_cmmx_rejected(
             "truncdims",
@@ -2374,5 +2390,187 @@ mod probe_tests {
         let tree = Interp::new(&program, 1).with_tier(Tier::Tree);
         tree.run_main().expect("the tree tier runs it");
         assert_eq!(tree.output(), format!("{}\n", (slots - 1) % 7));
+    }
+}
+
+mod cmmx_tests {
+    use crate::cmmx::{self, CmmxError};
+    use crate::{Elem, MAX_RANK};
+
+    #[test]
+    fn encode_then_parse_gives_back_dims_and_cells() {
+        for (elem, cells) in [
+            (Elem::I32, vec![(-1i32) as u32, 0, 1, i32::MAX as u32, 7, 8]),
+            (Elem::F32, [0.25f32, -1.5, 3.0, f32::MIN, 0.0, 9.5].map(f32::to_bits).to_vec()),
+            (Elem::Bool, vec![1, 0, 1, 1, 0, 0]),
+        ] {
+            let bytes = cmmx::encode(elem, &[2, 3], &cells);
+            let header = cmmx::parse(&bytes, elem).expect("a valid container");
+            assert_eq!((header.dims.as_slice(), header.len), (&[2, 3][..], 6));
+            let back: Vec<u32> = cmmx::cell_bits(&bytes, &header, elem).collect();
+            assert_eq!(back, cells, "{elem:?}");
+        }
+    }
+
+    #[test]
+    fn a_rank_above_max_rank_is_a_typed_error() {
+        let ones = |rank: usize| vec![1usize; rank];
+        let widest = cmmx::encode(Elem::I32, &ones(MAX_RANK), &[5]);
+        assert_eq!(cmmx::parse(&widest, Elem::I32).unwrap().dims, ones(MAX_RANK));
+        // A complete, well-formed rank-12 container: only its rank is wrong.
+        let wide = cmmx::encode(Elem::I32, &ones(12), &[5]);
+        let err = cmmx::parse(&wide, Elem::I32).unwrap_err();
+        assert_eq!(err, CmmxError::RankTooHigh { rank: 12 });
+        assert_eq!(err.to_string(), "invalid header: rank 12 exceeds 8");
+    }
+}
+
+mod kernel_tests {
+    use crate::kernels::*;
+    use cmm_forkjoin::{ForkJoinPool, Schedule};
+
+    fn pool() -> ForkJoinPool {
+        ForkJoinPool::new(3)
+    }
+
+    #[test]
+    fn parallel_temporal_mean_is_the_fig3_nest() {
+        let (m, n, p) = (6, 8, 10);
+        let mat: Vec<f32> = (0..m * n * p)
+            .map(|x| ((x * 37 % 101) as f32) * 0.125 - 5.0)
+            .collect();
+        let mut fig3 = vec![0.0; m * n];
+        let mut parallel = vec![-1.0; m * n];
+        temporal_mean_fig3(&mat, m, n, p, &mut fig3);
+        temporal_mean_parallel(&pool(), &mat, m, n, p, &mut parallel);
+        assert_eq!(parallel, fig3);
+    }
+
+    #[test]
+    fn matmul_variants_agree() {
+        let (m, k, n) = (7, 9, 11);
+        let a: Vec<f32> = (0..m * k).map(|x| (x % 13) as f32 - 6.0).collect();
+        let b: Vec<f32> = (0..k * n).map(|x| (x % 7) as f32 * 0.5).collect();
+        let mut want = vec![0.0; m * n];
+        matmul_naive(&a, &b, &mut want, m, k, n);
+        for t in [1, 2, 4, 16] {
+            let mut c = vec![-1.0; m * n];
+            matmul_tiled(&a, &b, &mut c, m, k, n, t);
+            assert_eq!(c, want, "tile {t}");
+            let mut c = vec![-1.0; m * n];
+            try_matmul_tiles(&pool(), Schedule::Static, &a, &b, &mut c, (m, k, n), t, |_| true)
+                .unwrap();
+            assert_eq!(c, want, "row tiles of {t}");
+        }
+        let mut c = vec![-1.0; m * n];
+        matmul_parallel_blocked(&pool(), &a, &b, &mut c, m, k, n);
+        assert_eq!(c, want);
+    }
+
+    #[test]
+    fn matmul_rows_matches_naive() {
+        let (m, k, n) = (3, 4, 2);
+        let a: Vec<f32> = (0..m * k).map(|x| x as f32).collect();
+        let b: Vec<f32> = (0..k * n).map(|x| (x / n) as f32 - (x % n) as f32).collect();
+        let mut c = vec![0.0f32; m * n];
+        matmul_naive(&a, &b, &mut c, m, k, n);
+        let mut rows = vec![-1.0f32; m * n];
+        matmul_rows(&a, &b, &mut rows, 0..m, k, n);
+        assert_eq!(rows, c);
+    }
+
+    #[test]
+    fn matmul_rows_computes_any_row_range_and_wraps_ints() {
+        // Int products wrap (as the interpreted nest does) instead of
+        // panicking in debug builds.
+        let (m, k, n) = (7usize, 5usize, 6usize);
+        let a: Vec<i32> = (0..m * k).map(|x| (x as i32 % 11 - 5) * 40_009).collect();
+        let b: Vec<i32> = (0..k * n).map(|x| (x as i32 % 13 - 6) * 30_011).collect();
+        let want = wrapping_product(&a, &b, m, k, n);
+        let mut whole = vec![-1i32; m * n];
+        matmul_rows(&a, &b, &mut whole, 0..m, k, n);
+        assert_eq!(whole, want);
+        // A row range writes exactly those rows, whatever they held.
+        let mut part = vec![-1i32; 3 * n];
+        matmul_rows(&a, &b, &mut part, 2..5, k, n);
+        assert_eq!(part, want[2 * n..5 * n]);
+    }
+
+    /// The `int` product the interpreted nest computes: ascending `k`,
+    /// wrapping.
+    fn wrapping_product(a: &[i32], b: &[i32], m: usize, k: usize, n: usize) -> Vec<i32> {
+        let mut want = vec![0i32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for kk in 0..k {
+                    let p = a[i * k + kk].wrapping_mul(b[kk * n + j]);
+                    want[i * n + j] = want[i * n + j].wrapping_add(p);
+                }
+            }
+        }
+        want
+    }
+
+    /// Both copies of the row kernel — the one `matmul_rows` picks (AVX2
+    /// where the CPU has it) and the baseline `row_kernel` — compute
+    /// `matmul_naive`'s bits at every `k % 4` (the four-`k` passes and the
+    /// one-`k` tail), at row widths around the vector lengths and on row
+    /// ranges that start past row 0, for non-dyadic and negative `float`s
+    /// and for `int`s that overflow.
+    #[test]
+    fn both_copies_of_the_row_kernel_match_the_nest() {
+        let m = 5;
+        for k in [0, 1, 3, 4, 5, 7, 8, 9] {
+            for n in [1, 7, 8, 9, 15, 16, 17, 33] {
+                let what = format!("k {k}, n {n}");
+                let af: Vec<f32> = (0..m * k).map(|x| (x % 17) as f32 * 0.1 - 0.7).collect();
+                let bf: Vec<f32> = (0..k * n).map(|x| 1.3 - (x % 11) as f32 / 3.0).collect();
+                let mut want = vec![0.0f32; m * n];
+                matmul_naive(&af, &bf, &mut want, m, k, n);
+                let ai: Vec<i32> = (0..m * k)
+                    .map(|x| (x as i32 % 9 - 4).wrapping_mul(0x3fff_fffb))
+                    .collect();
+                let bi: Vec<i32> = (0..k * n)
+                    .map(|x| (x as i32 % 7 - 3).wrapping_mul(0x2aaa_aaab))
+                    .collect();
+                let want_i = wrapping_product(&ai, &bi, m, k, n);
+                for rows in [0..m, 1..4, 3..5, 2..2] {
+                    let cells = rows.start * n..rows.end * n;
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    for copy in [matmul_rows::<f32>, row_kernel::<f32>] {
+                        let mut c = vec![f32::NAN; rows.len() * n];
+                        copy(&af, &bf, &mut c, rows.clone(), k, n);
+                        assert_eq!(bits(&c), bits(&want[cells.clone()]), "{what}");
+                    }
+                    for copy in [matmul_rows::<i32>, row_kernel::<i32>] {
+                        let mut c = vec![-1i32; rows.len() * n];
+                        copy(&ai, &bi, &mut c, rows.clone(), k, n);
+                        assert_eq!(c, want_i[cells.clone()], "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refused_tiles_are_left_untouched() {
+        let (m, k, n, t) = (10usize, 3usize, 4usize, 4usize);
+        let a = vec![1.0f32; m * k];
+        let b = vec![2.0f32; k * n];
+        let mut c = vec![-1.0f32; m * n];
+        let schedule = Schedule::Dynamic { chunk: 1 };
+        try_matmul_tiles(&pool(), schedule, &a, &b, &mut c, (m, k, n), t, |rows| rows.start != 4)
+            .unwrap();
+        for (i, row) in c.chunks(n).enumerate() {
+            let want = if (4..8).contains(&i) { -1.0 } else { 6.0 };
+            assert!(row.iter().all(|&x| x == want), "row {i}: {row:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "assertion `left == right` failed")]
+    fn matmul_parallel_blocked_checks_operand_lengths() {
+        let mut c = vec![0.0f32; 4];
+        matmul_parallel_blocked(&pool(), &[1.0; 3], &[1.0; 4], &mut c, 2, 2, 2);
     }
 }

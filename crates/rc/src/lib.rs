@@ -19,9 +19,8 @@
 //! * [`RcBuf<T>`] — an immutable, atomically reference-counted,
 //!   fixed-length buffer of `Copy` elements over that pool, with exactly
 //!   one 4-byte reference-count word in its header (plus the
-//!   length/size-class bookkeeping a real allocation needs): the storage
-//!   of `cmm-runtime`'s native `Matrix`, with a [`SharedWriter`] for the
-//!   disjoint-index parallel writes of its `matrixMap`.
+//!   length/size-class bookkeeping a real allocation needs). No compiled
+//!   program uses it: it stays for the benchmark's `rc.alloc_ns` probe.
 
 mod pool;
 mod rcbuf;
@@ -29,7 +28,7 @@ mod rcbuf;
 pub use pool::{
     pool_stats, reset_pool, set_pool_enabled, AllocError, PoolBlock, PoolStats, MAX_BLOCK_BYTES,
 };
-pub use rcbuf::{RcBuf, SharedWriter};
+pub use rcbuf::RcBuf;
 
 #[cfg(test)]
 mod tests;

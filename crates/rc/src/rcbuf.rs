@@ -31,17 +31,14 @@ fn data_offset<T>() -> usize {
 ///
 /// `clone` bumps the 4-byte reference count; `drop` decrements it and
 /// recycles the block through the size-class pool when it reaches zero.
-/// The contents are fixed at construction, except through a
-/// [`SharedWriter`] on a unique buffer: explicitly unsafe disjoint
-/// parallel writes, which is how `matrixMap` fills its result.
+/// The contents are fixed at construction.
 pub struct RcBuf<T: Copy> {
     ptr: NonNull<u8>,
     _marker: PhantomData<T>,
 }
 
-// Safety: RcBuf hands out only shared `&[T]`; writes go through a
-// `SharedWriter`, whose `unsafe fn write` makes disjointness the caller's
-// contract. The reference count is atomic. Same argument as Arc<[T]>.
+// Safety: RcBuf hands out only shared `&[T]`, and the reference count is
+// atomic. Same argument as Arc<[T]>.
 unsafe impl<T: Copy + Send + Sync> Send for RcBuf<T> {}
 unsafe impl<T: Copy + Send + Sync> Sync for RcBuf<T> {}
 
@@ -96,26 +93,6 @@ impl<T: Copy> RcBuf<T> {
         buf
     }
 
-    /// Buffer initialized from `f(i)` for each index.
-    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> T) -> Self {
-        let buf = Self {
-            ptr: Self::alloc(len),
-            _marker: PhantomData,
-        };
-        unsafe {
-            let p = buf.data_ptr();
-            for i in 0..len {
-                p.add(i).write(f(i));
-            }
-        }
-        buf
-    }
-
-    /// Buffer holding a copy of `src`.
-    pub fn from_slice(src: &[T]) -> Self {
-        Self::from_fn(src.len(), |i| src[i])
-    }
-
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -139,29 +116,6 @@ impl<T: Copy> RcBuf<T> {
         // Safety: len elements were initialized at construction and the
         // buffer is immutable while shared references exist.
         unsafe { std::slice::from_raw_parts(self.data_ptr(), self.len()) }
-    }
-
-    /// Raw writer for disjoint parallel initialization.
-    ///
-    /// A parallel construct that visits each index exactly once (each
-    /// `matrixMap` slice owns its own offsets) may let worker threads
-    /// write disjoint indices concurrently. `SharedWriter` encodes that
-    /// contract.
-    ///
-    /// # Panics
-    /// Panics if the buffer is shared: parallel initialization is only
-    /// for freshly allocated results.
-    pub fn shared_writer(&mut self) -> SharedWriter<'_, T> {
-        assert_eq!(
-            self.ref_count(),
-            1,
-            "SharedWriter requires a unique buffer"
-        );
-        SharedWriter {
-            ptr: self.data_ptr(),
-            len: self.len(),
-            _marker: PhantomData,
-        }
     }
 }
 
@@ -215,57 +169,5 @@ impl<T: Copy + fmt::Debug> fmt::Debug for RcBuf<T> {
             .field("refs", &self.ref_count())
             .field("data", &self.as_slice())
             .finish()
-    }
-}
-
-impl<T: Copy + PartialEq> PartialEq for RcBuf<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<T: Copy> std::ops::Index<usize> for RcBuf<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        &self.as_slice()[i]
-    }
-}
-
-/// Write handle allowing concurrent stores to *disjoint* indices of a unique
-/// [`RcBuf`], the access pattern of a parallel `matrixMap`.
-pub struct SharedWriter<'a, T: Copy> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut T>,
-}
-
-// Safety: writes go through `write`, whose contract requires disjoint
-// indices across threads; reads are not offered.
-unsafe impl<T: Copy + Send> Send for SharedWriter<'_, T> {}
-unsafe impl<T: Copy + Send> Sync for SharedWriter<'_, T> {}
-
-impl<T: Copy> SharedWriter<'_, T> {
-    /// Number of writable elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the underlying buffer is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Store `val` at `idx`.
-    ///
-    /// # Safety
-    /// No other thread may read or write `idx` for the lifetime of the
-    /// writer. Bounds are checked.
-    #[inline]
-    pub unsafe fn write(&self, idx: usize, val: T) {
-        assert!(idx < self.len, "SharedWriter index {idx} out of bounds");
-        self.ptr.add(idx).write(val);
     }
 }

@@ -12,18 +12,6 @@ fn new_fills_buffer() {
 }
 
 #[test]
-fn from_fn_indexes() {
-    let b = RcBuf::from_fn(4, |i| i as i64 * 10);
-    assert_eq!(b.as_slice(), &[0, 10, 20, 30]);
-}
-
-#[test]
-fn from_slice_copies() {
-    let b = RcBuf::from_slice(&[1.5f32, 2.5]);
-    assert_eq!(b.as_slice(), &[1.5, 2.5]);
-}
-
-#[test]
 fn empty_buffer() {
     let b = RcBuf::new(0, 0u8);
     assert!(b.is_empty());
@@ -43,45 +31,6 @@ fn clone_bumps_refcount_and_shares_storage() {
 }
 
 #[test]
-#[should_panic(expected = "SharedWriter requires a unique buffer")]
-fn shared_writer_rejects_shared_buffers() {
-    let mut a = RcBuf::new(3, 0i32);
-    let _b = a.clone();
-    let _ = a.shared_writer();
-}
-
-#[test]
-fn shared_writer_parallel_disjoint_writes() {
-    let n = 4096;
-    let mut a = RcBuf::new(n, 0usize);
-    {
-        let w = a.shared_writer();
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let w = &w;
-                s.spawn(move || {
-                    for i in (t..n).step_by(4) {
-                        // Safety: threads write strided, disjoint indices.
-                        unsafe { w.write(i, i * 2) };
-                    }
-                });
-            }
-        });
-    }
-    for (i, &v) in a.as_slice().iter().enumerate() {
-        assert_eq!(v, i * 2);
-    }
-}
-
-#[test]
-#[should_panic(expected = "out of bounds")]
-fn shared_writer_bounds_checked() {
-    let mut a = RcBuf::new(2, 0i32);
-    let w = a.shared_writer();
-    unsafe { w.write(2, 1) };
-}
-
-#[test]
 fn concurrent_clone_drop_stress() {
     let a = RcBuf::new(64, 3i32);
     std::thread::scope(|s| {
@@ -90,7 +39,7 @@ fn concurrent_clone_drop_stress() {
             s.spawn(move || {
                 for _ in 0..10_000 {
                     let b = a.clone();
-                    assert_eq!(b[0], 3);
+                    assert_eq!(b.as_slice()[0], 3);
                 }
             });
         }
@@ -204,12 +153,6 @@ fn drop_frees_exactly_once() {
 
 proptest! {
     #[test]
-    fn prop_from_slice_roundtrip(v in proptest::collection::vec(any::<i32>(), 0..512)) {
-        let b = RcBuf::from_slice(&v);
-        prop_assert_eq!(b.as_slice(), v.as_slice());
-    }
-
-    #[test]
     fn prop_clone_chain_refcounts(n in 1usize..64) {
         let a = RcBuf::new(4, 0u8);
         let clones: Vec<_> = (0..n).map(|_| a.clone()).collect();
@@ -228,7 +171,7 @@ fn concurrent_clone_drop_stress_keeps_buffer_alive() {
     // drop path) the final free could race an in-flight reader; under
     // tsan/miri this test is the reproducer, and under plain execution it
     // still checks the count converges exactly.
-    let origin = RcBuf::from_fn(64, |i| i as u64);
+    let origin = RcBuf::new(64, 63u64);
     let threads = 8;
     let rounds = 200;
     std::thread::scope(|s| {
@@ -238,7 +181,7 @@ fn concurrent_clone_drop_stress_keeps_buffer_alive() {
                 for r in 0..rounds {
                     let c = origin.clone();
                     // Read through the clone so the buffer must outlive it.
-                    assert_eq!(c.as_slice()[r % 64], (r % 64) as u64);
+                    assert_eq!(c.as_slice()[r % 64], 63);
                     let d = c.clone();
                     drop(c);
                     assert_eq!(d.as_slice()[63], 63);
@@ -248,7 +191,7 @@ fn concurrent_clone_drop_stress_keeps_buffer_alive() {
         }
     });
     assert_eq!(origin.ref_count(), 1);
-    assert_eq!(origin.as_slice()[7], 7);
+    assert_eq!(origin.as_slice()[7], 63);
 }
 
 #[test]

@@ -9,9 +9,10 @@
 
 use cmm::eddy::conncomp::{canonical_labels, conn_comp_frame, count_components};
 use cmm::eddy::programs::{connected_components_program, full_compiler};
-use cmm::eddy::{detect_eddies, synthetic_ssh, EddyParams, SshParams};
+use cmm::eddy::{
+    detect_eddies, frame, label_frames, read_i32, synthetic_ssh, write_f32, EddyParams, SshParams,
+};
 use cmm::forkjoin::ForkJoinPool;
-use cmm::runtime::{matrix_map, read_matrix, write_matrix, Matrix};
 
 fn main() {
     let params = SshParams {
@@ -27,48 +28,39 @@ fn main() {
 
     // Native: parallel matrixMap over (lat, lon) frames.
     let pool = ForkJoinPool::new(2);
-    let native = matrix_map(
-        &pool,
-        |frame: &Matrix<f32>| conn_comp_frame(frame, threshold),
-        &cube,
-        &[0, 1],
-    )
-    .expect("native labelling");
+    let native = label_frames(&pool, &cube, params.dims(), |f| {
+        conn_comp_frame(f, params.lat, params.lon, threshold)
+    });
 
     // Compiled Fig 4 program.
     let dir = std::env::temp_dir();
     let input = dir.join("cmm_cc_in.cmmx").display().to_string();
     let output = dir.join("cmm_cc_out.cmmx").display().to_string();
-    write_matrix(&input, &cube).expect("write input");
+    write_f32(&input, &params.dims(), &cube).expect("write input");
     let compiler = full_compiler();
     compiler
         .run(&connected_components_program(&input, &output, threshold), 2)
         .expect("compiled labelling");
-    let compiled: Matrix<i32> = read_matrix(&output).expect("read labels");
+    let (dims, compiled) = read_i32(&output).expect("read labels");
+    assert_eq!(dims, params.dims(), "the compiled labels keep the cube's shape");
 
     println!("frame  components  compiled==native(structurally)");
     for t in 0..params.time {
-        let (nt, ct) = (frame(&native, t), frame(&compiled, t));
+        let (nt, ct) = (frame(&native, params.dims(), t), frame(&compiled, params.dims(), t));
         let same = canonical_labels(&nt) == canonical_labels(&ct);
         println!("{t:5}  {:10}  {same}", count_components(&nt));
         assert!(same, "frame {t} disagreed");
     }
 
     // The size-filtered detector (the "criteria typical of ocean eddies").
-    let labels = detect_eddies(&pool, &cube, &EddyParams {
+    let labels = detect_eddies(&pool, &cube, params.dims(), &EddyParams {
         threshold,
         ..Default::default()
-    })
-    .expect("detector");
-    let eddy_cells = labels.as_slice().iter().filter(|&&l| l > 0).count();
+    });
+    let eddy_cells = labels.iter().filter(|&&l| l > 0).count();
     println!("\ndetector: {eddy_cells} eddy cells across all frames after size filtering");
 
     std::fs::remove_file(&input).ok();
     std::fs::remove_file(&output).ok();
 }
 
-/// Frame `t` of a `lat × lon × time` cube.
-fn frame(cube: &Matrix<i32>, t: usize) -> Matrix<i32> {
-    let data = cube.as_slice().iter().skip(t).step_by(cube.dim_size(2)).copied().collect();
-    Matrix::from_vec([cube.dim_size(0), cube.dim_size(1)], data).expect("frame shape")
-}

@@ -8,9 +8,8 @@
 //! ```
 
 use cmm::eddy::programs::{eddy_scoring_program, full_compiler};
-use cmm::eddy::{score_all, synthetic_ssh, SshParams};
+use cmm::eddy::{read_f32, score_all, synthetic_ssh, write_f32, SshParams};
 use cmm::forkjoin::ForkJoinPool;
-use cmm::runtime::{read_matrix, write_matrix, Matrix};
 
 fn main() {
     let params = SshParams {
@@ -26,25 +25,25 @@ fn main() {
         params.lat, params.lon, params.time, params.eddies
     );
 
-    // Native scoring via the runtime's parallel matrixMap.
+    // Native scoring via the mirror's parallel matrixMap.
     let pool = ForkJoinPool::new(2);
-    let native = score_all(&pool, &cube).expect("native scoring");
+    let native = score_all(&pool, &cube, params.dims());
 
     // The Fig 8 program through the full pipeline.
     let dir = std::env::temp_dir();
     let input = dir.join("cmm_eddy_in.cmmx").display().to_string();
     let output = dir.join("cmm_eddy_out.cmmx").display().to_string();
-    write_matrix(&input, &cube).expect("write input");
+    write_f32(&input, &params.dims(), &cube).expect("write input");
     let compiler = full_compiler();
     let run = compiler
         .run(&eddy_scoring_program(&input, &output), 2)
         .expect("compiled scoring");
-    let compiled: Matrix<f32> = read_matrix(&output).expect("read scores");
+    let (dims, compiled) = read_f32(&output).expect("read scores");
+    assert_eq!(dims, params.dims(), "the compiled scores keep the cube's shape");
 
     let max_diff = native
-        .as_slice()
         .iter()
-        .zip(compiled.as_slice())
+        .zip(&compiled)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
     println!("compiled Fig 8 vs native: max |Δscore| = {max_diff:e}");
@@ -60,7 +59,6 @@ fn main() {
     // detected is actually an eddy").
     // Time is the last, contiguous axis: point (i, j) owns one chunk.
     let mut best: Vec<(f32, usize, usize)> = native
-        .as_slice()
         .chunks(params.time)
         .enumerate()
         .map(|(point, ts)| {

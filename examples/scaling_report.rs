@@ -18,10 +18,9 @@
 use std::time::Instant;
 
 use cmm::eddy::programs::{full_compiler, temporal_mean_program};
-use cmm::eddy::{score_all, synthetic_ssh, SshParams};
+use cmm::eddy::{score_all, synthetic_ssh, write_f32, SshParams};
 use cmm::forkjoin::{naive_run, ForkJoinPool};
 use cmm::runtime::kernels::temporal_mean_parallel;
-use cmm::runtime::write_matrix;
 
 fn time<F: FnMut()>(mut f: F, reps: usize) -> f64 {
     // One warmup, then best-of-reps wall time in milliseconds.
@@ -93,18 +92,19 @@ fn main() {
     }
 
     // --- E8b: parallel matrixMap eddy scoring --------------------------
-    let cube = synthetic_ssh(&SshParams {
+    let scored = SshParams {
         lat: 48,
         lon: 64,
         time: 128,
         ..Default::default()
-    });
+    };
+    let cube = synthetic_ssh(&scored);
     println!("\nE8b — eddy scoring via matrixMap (48x64x128)");
     println!("{:<9} {:>10} {:>9}", "threads", "ms", "speedup");
     let mut t1 = 0.0;
     for &t in &threads {
         let pool = ForkJoinPool::new(t);
-        let ms = time(|| drop(score_all(&pool, &cube).expect("scoring")), 3);
+        let ms = time(|| drop(score_all(&pool, &cube, scored.dims())), 3);
         if t == 1 {
             t1 = ms;
         }
@@ -115,13 +115,13 @@ fn main() {
     let dir = std::env::temp_dir();
     let input = dir.join("cmm_scale_in.cmmx").display().to_string();
     let output = dir.join("cmm_scale_out.cmmx").display().to_string();
-    let small = synthetic_ssh(&SshParams {
+    let small = SshParams {
         lat: 32,
         lon: 48,
         time: 64,
         ..Default::default()
-    });
-    write_matrix(&input, &small).expect("write input");
+    };
+    write_f32(&input, &small.dims(), &synthetic_ssh(&small)).expect("write input");
     let compiler = full_compiler();
     let program = temporal_mean_program(&input, &output, "");
     // Translate once; time only execution (the paper measures the

@@ -9,8 +9,7 @@
 //! ```
 
 use cmm::eddy::programs::{full_compiler, temporal_mean_program};
-use cmm::eddy::{synthetic_ssh, SshParams};
-use cmm::runtime::{read_matrix, write_matrix, Matrix};
+use cmm::eddy::{read_f32, synthetic_ssh, write_f32, SshParams};
 
 fn main() {
     // Synthetic SSH cube standing in for the satellite data (see
@@ -26,7 +25,7 @@ fn main() {
     let input = dir.join("cmm_example_ssh.cmmx").display().to_string();
     let out_auto = dir.join("cmm_example_means_auto.cmmx").display().to_string();
     let out_fig9 = dir.join("cmm_example_means_fig9.cmmx").display().to_string();
-    write_matrix(&input, &cube).expect("write input");
+    write_f32(&input, &params.dims(), &cube).expect("write input");
 
     let compiler = full_compiler();
 
@@ -42,12 +41,11 @@ fn main() {
     );
     compiler.run(&fig9, 2).expect("transformed run");
 
-    let a: Matrix<f32> = read_matrix(&out_auto).expect("read auto result");
-    let b: Matrix<f32> = read_matrix(&out_fig9).expect("read fig9 result");
+    let (_, a) = read_f32(&out_auto).expect("read auto result");
+    let (_, b) = read_f32(&out_fig9).expect("read fig9 result");
     let max_diff = a
-        .as_slice()
         .iter()
-        .zip(b.as_slice())
+        .zip(&b)
         .map(|(x, y)| (x - y).abs())
         .fold(0.0f32, f32::max);
     println!(
@@ -56,7 +54,7 @@ fn main() {
     );
     println!("max |auto - transformed| = {max_diff:e} (same semantics, §V)");
     assert_eq!(max_diff, 0.0, "the transformed program must compute the same means");
-    println!("means[0, 0..4] = {:?}", &a.as_slice()[..4]);
+    println!("means[0, 0..4] = {:?}", &a[..4]);
 
     // The Fig 10/11 artifacts in the generated C.
     let c = compiler.compile_to_c(&fig9).expect("emit C");

@@ -41,13 +41,12 @@
 //! | [`grammar`] | `cmm-grammar` | context-aware scanner, LALR(1), `isComposable` |
 //! | [`ag`] | `cmm-ag` | attribute-grammar specs, well-definedness analysis |
 //! | [`ast`] | `cmm-ast` | the extended AST and types |
-//! | [`loopir`] | `cmm-loopir` | loop IR, §V transformations, C emitter, interpreter |
-//! | [`runtime`] | `cmm-runtime` | `Matrix<T>`, with-loop engines, `matrixMap`, IO |
+//! | [`loopir`] | `cmm-loopir` | loop IR, §V transformations, C emitter, interpreter, matmul row kernel, CMMX codec |
 //! | [`forkjoin`] | `cmm-forkjoin` | SAC-style persistent thread pool |
 //! | [`serve`] | `cmm-serve` | crash-isolated multi-tenant compile/run daemon |
 //! | [`fuzz`] | `cmm-fuzz` | differential fuzzing: generator, oracles, minimizer |
 //! | [`tune`] | `cmm-tune` | profile-guided autotuner for transform directives |
-//! | [`rc`] | `cmm-rc` | refcounted buffers, pool allocator |
+//! | [`rc`] | `cmm-rc` | size-class block pool of every matrix buffer |
 //! | [`eddy`] | `cmm-eddy` | the §IV ocean-eddy application |
 //! | extensions | `cmm-ext-*` | grammar fragments |
 
@@ -66,6 +65,11 @@ pub use cmm_grammar as grammar;
 pub use cmm_lang as lang;
 pub use cmm_loopir as loopir;
 pub use cmm_rc as rc;
-pub use cmm_runtime as runtime;
 pub use cmm_serve as serve;
 pub use cmm_tune as tune;
+
+/// The native kernels under their old path: `cmm::runtime::kernels` is
+/// [`cmm_loopir::kernels`].
+pub mod runtime {
+    pub use cmm_loopir::kernels;
+}

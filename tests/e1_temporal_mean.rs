@@ -5,10 +5,9 @@
 
 use cmm::core::Registry;
 use cmm::eddy::programs::{full_compiler, temporal_mean_program};
-use cmm::eddy::{synthetic_ssh, SshParams};
+use cmm::eddy::{read_f32, synthetic_ssh, write_f32, SshParams};
 use cmm::loopir::{ForLoop, IrStmt};
 use cmm::runtime::kernels::temporal_mean_fig3;
-use cmm::runtime::{read_matrix, write_matrix, Matrix};
 
 const FIG1: &str = r#"
 int main() {
@@ -91,7 +90,7 @@ fn compiled_fig1_matches_native_kernel() {
     let dir = std::env::temp_dir();
     let input = dir.join(format!("e1-in-{}.cmmx", std::process::id()));
     let output = dir.join(format!("e1-out-{}.cmmx", std::process::id()));
-    write_matrix(&input, &cube).expect("write");
+    write_f32(&input, &params.dims(), &cube).expect("write");
 
     let compiler = full_compiler();
     let program = temporal_mean_program(
@@ -102,17 +101,12 @@ fn compiled_fig1_matches_native_kernel() {
     let r = compiler.run(&program, 2).expect("run");
     assert_eq!(r.leaked, 0);
 
-    let compiled: Matrix<f32> = read_matrix(&output).expect("read result");
+    let (dims, compiled) = read_f32(&output).expect("read result");
     let mut native = vec![0.0f32; params.lat * params.lon];
-    temporal_mean_fig3(
-        cube.as_slice(),
-        params.lat,
-        params.lon,
-        params.time,
-        &mut native,
-    );
+    temporal_mean_fig3(&cube, params.lat, params.lon, params.time, &mut native);
+    assert_eq!(dims, [params.lat, params.lon]);
     assert_eq!(compiled.len(), native.len());
-    for (a, b) in compiled.as_slice().iter().zip(&native) {
+    for (a, b) in compiled.iter().zip(&native) {
         assert!((a - b).abs() < 1e-4, "{a} vs {b}");
     }
     std::fs::remove_file(&input).ok();
@@ -123,16 +117,17 @@ fn compiled_fig1_matches_native_kernel() {
 fn library_mode_allocates_more_than_fused_mode() {
     // E11: the with-loop/assignment copy elision measured as allocations.
     let src = FIG1;
-    let cube = synthetic_ssh(&SshParams {
+    let params = SshParams {
         lat: 4,
         lon: 4,
         time: 8,
         ..Default::default()
-    });
+    };
+    let cube = synthetic_ssh(&params);
     let dir = std::env::temp_dir();
     let input = dir.join(format!("e11-in-{}.cmmx", std::process::id()));
     let output = dir.join(format!("e11-out-{}.cmmx", std::process::id()));
-    write_matrix(&input, &cube).expect("write");
+    write_f32(&input, &params.dims(), &cube).expect("write");
     let src = src
         .replace("IN", input.to_str().expect("path"))
         .replace("OUT", output.to_str().expect("path"));

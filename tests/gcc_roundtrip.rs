@@ -422,3 +422,30 @@ fn scheduled_loops_self_schedule_in_c() {
         "#,
     );
 }
+
+/// The C reader stores a file's extents in `cmm_mat`'s `dims[8]`: a
+/// well-formed rank-12 file makes the built program exit 1 before it
+/// stores one, as the VM reports it at run time.
+#[test]
+fn a_file_wider_than_max_rank_exits_1_in_c() {
+    if !gcc_available_or_skip("a_file_wider_than_max_rank_exits_1_in_c") {
+        return;
+    }
+    let path = std::env::temp_dir()
+        .join(format!("cmm-rank12-{}.cmmx", std::process::id()))
+        .display()
+        .to_string();
+    std::fs::write(&path, cmmx::encode(Elem::I32, &[1; 12], &[5])).expect("write input");
+    let src = format!(
+        r#"int main() {{ Matrix int <2> m = readMatrix("{path}"); printInt(dimSize(m, 0)); return 0; }}"#
+    );
+    let compiler = full_compiler();
+    let vm = compiler.run(&src, 1).expect_err("the VM rejects the file");
+    let c = compiler.compile_to_c(&src).expect("emit C");
+    let gcc = compile_and_run_c(&c, 1).expect_err("the C reader rejects the file");
+    std::fs::remove_file(&path).ok();
+    let message = format!("readMatrix({path}): invalid header: rank 12 exceeds 8");
+    assert!(vm.to_string().contains("invalid header: rank 12 exceeds 8"), "{vm}");
+    assert!(gcc.starts_with("binary exited with exit status: 1: "), "{gcc}");
+    assert!(gcc.ends_with(&format!("{message}\n")), "{gcc}");
+}

@@ -7,12 +7,11 @@
 //! loop. Which loops are translated is pinned, not guessed.
 
 use cmm::eddy::programs::{full_compiler, temporal_mean_program};
-use cmm::eddy::{synthetic_ssh, SshParams};
+use cmm::eddy::{synthetic_ssh, write_f32, SshParams};
 use cmm::loopir::{
     BufHandle, Builtin, CType, Elem, ForLoop, Interp, InterpProfile, IrBinOp as B, IrExpr,
     IrFunction, IrProgram, IrStmt, LimitKind, Limits, Name, Tier, Value, UNBOXED_STRIP as STRIP,
 };
-use cmm::runtime::write_matrix;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::time::{Duration, Instant};
@@ -1163,13 +1162,13 @@ fn the_example_programs_run_their_inner_loops_unboxed() {
     let dir = std::env::temp_dir().join(format!("cmm-scalar-loop-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let (input, output) = (dir.join("ssh.cmmx"), dir.join("means.cmmx"));
-    let ssh = synthetic_ssh(&SshParams {
+    let params = SshParams {
         lat: 6,
         lon: 5,
         time: 9,
         ..SshParams::default()
-    });
-    write_matrix(&input, &ssh).expect("input written");
+    };
+    write_f32(&input, &params.dims(), &synthetic_ssh(&params)).expect("input written");
     let src = temporal_mean_program(
         input.to_str().expect("utf-8"),
         output.to_str().expect("utf-8"),
