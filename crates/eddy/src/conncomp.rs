@@ -1,9 +1,9 @@
 //! Connected-component labelling and iterative-threshold eddy detection
 //! (the `connComp` pipeline of Fig 4).
 
-use cmm_forkjoin::ForkJoinPool;
+use cmm_forkjoin::{map_slices, ForkJoinPool};
 
-use crate::slices::{frame, map_slices};
+use crate::slices::frame;
 
 /// Label 4-connected components of a binary `rows × cols` frame
 /// (row-major) with 1..k (0 = background). Uses union-find over a

@@ -21,8 +21,9 @@
 //! * [`conncomp`] — connected-component labelling of binary frames
 //!   (union-find), the `connComp` of Fig 4, plus the iterative
 //!   thresholding detector built on it.
-//! * [`slices`] — the mirror's `matrixMap`: a safe parallel map over the
-//!   slices of a flat `Vec` cube, plus the CMMX file helpers over
+//! * [`slices`] — the slices of a flat `Vec` cube that the mirror's
+//!   `matrixMap` maps over with `cmm_forkjoin::map_slices`, plus the CMMX
+//!   file helpers over
 //!   `cmm_loopir::cmmx` that the examples and tests feed programs with.
 //! * [`programs`] — the same algorithms as extended-C source text,
 //!   compiled and run through the full `cmm-core` pipeline; integration

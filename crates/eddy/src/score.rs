@@ -8,9 +8,7 @@
 //! (`computeArea`, the dotted line of Fig 7). Large areas mark segments
 //! that "underwent substantial drops and rises"; shallow ones are noise.
 
-use cmm_forkjoin::ForkJoinPool;
-
-use crate::slices::map_slices;
+use cmm_forkjoin::{map_slices, ForkJoinPool};
 
 /// `getTrough(ts, i)` (Fig 8 lines 1–13): starting at local maximum `i`,
 /// walk downwards then upwards; returns the trough slice plus its first

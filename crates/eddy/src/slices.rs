@@ -1,38 +1,11 @@
-//! The mirror's `matrixMap` (§III-A5): a function applied to independent
-//! slices of a cube in parallel, and the CMMX files the compiled programs
-//! read and write.
+//! The slices of a cube that the mirror's `matrixMap` (§III-A5) maps over
+//! with [`cmm_forkjoin::map_slices`], and the CMMX files the compiled
+//! programs read and write.
 
 use std::io;
 use std::path::Path;
-use std::sync::Mutex;
 
-use cmm_forkjoin::{chunk_range, ForkJoinPool};
 use cmm_loopir::{cmmx, Elem};
-
-/// `f(0) ++ f(1) ++ … ++ f(count - 1)`, computed over the pool: each
-/// participant maps its contiguous [`chunk_range`] of slice indices into
-/// its own `Vec`, and the parts are concatenated in slice order, so the
-/// result does not depend on the thread count.
-pub fn map_slices<U: Send>(
-    pool: &ForkJoinPool,
-    count: usize,
-    f: impl Fn(usize) -> Vec<U> + Sync,
-) -> Vec<U> {
-    let parts = Mutex::new(Vec::new());
-    pool.run(|tid, nthreads| {
-        let mut out = Vec::new();
-        for k in chunk_range(count, nthreads, tid) {
-            out.extend(f(k));
-        }
-        parts
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((tid, out));
-    });
-    let mut parts = parts.into_inner().unwrap_or_else(|e| e.into_inner());
-    parts.sort_unstable_by_key(|&(tid, _)| tid);
-    parts.into_iter().flat_map(|(_, out)| out).collect()
-}
 
 /// Frame `t` of a `lat × lon × time` cube: the `lat × lon` cells at time
 /// `t`, gathered from their stride-`time` positions.

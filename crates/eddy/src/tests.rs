@@ -386,18 +386,6 @@ mod slice_map_tests {
     }
 
     #[test]
-    fn map_slices_concatenates_in_slice_order() {
-        for threads in [1, 2, 4] {
-            let pool = ForkJoinPool::new(threads);
-            for count in [0, 1, 3, 10] {
-                let got = map_slices(&pool, count, |k| vec![k; k % 3]);
-                let want: Vec<usize> = (0..count).flat_map(|k| vec![k; k % 3]).collect();
-                assert_eq!(got, want, "{threads} threads, {count} slices");
-            }
-        }
-    }
-
-    #[test]
     fn score_all_is_the_sequential_loop_at_every_thread_count() {
         let (p, cube) = cube();
         let mut want = Vec::new();

@@ -66,7 +66,7 @@ pub mod schedule;
 pub mod tile;
 pub use deque::CachePadded;
 pub use makespan::{deque_makespan, Makespan};
-pub use partition::chunk_range;
+pub use partition::{chunk_range, map_slices};
 pub use schedule::{ParseScheduleError, Schedule};
 pub use tile::{cache_geometry, CacheGeometry, TilePolicy, DEFAULT_GEOMETRY};
 

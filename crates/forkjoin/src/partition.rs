@@ -1,6 +1,9 @@
 //! Work partitioning helpers shared by every parallel construct.
 
 use std::ops::Range;
+use std::sync::Mutex;
+
+use crate::ForkJoinPool;
 
 /// Contiguous slice of `0..total` assigned to participant `tid` of
 /// `nthreads`, balanced so sizes differ by at most one (the first
@@ -22,3 +25,27 @@ pub fn chunk_range(total: usize, nthreads: usize, tid: usize) -> Range<usize> {
     start..start + len
 }
 
+/// `f(0) ++ f(1) ++ … ++ f(count - 1)`, computed over `pool`: each
+/// participant maps its contiguous [`chunk_range`] of indices into its
+/// own `Vec`, and the parts are concatenated in index order, so the
+/// result does not depend on the thread count.
+pub fn map_slices<U: Send, I: IntoIterator<Item = U>>(
+    pool: &ForkJoinPool,
+    count: usize,
+    f: impl Fn(usize) -> I + Sync,
+) -> Vec<U> {
+    let parts = Mutex::new(Vec::new());
+    pool.run(|tid, nthreads| {
+        let mut out = Vec::new();
+        for k in chunk_range(count, nthreads, tid) {
+            out.extend(f(k));
+        }
+        parts
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((tid, out));
+    });
+    let mut parts = parts.into_inner().unwrap_or_else(|e| e.into_inner());
+    parts.sort_unstable_by_key(|&(tid, _)| tid);
+    parts.into_iter().flat_map(|(_, out)| out).collect()
+}

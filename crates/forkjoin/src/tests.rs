@@ -285,6 +285,18 @@ fn chunk_range_examples() {
 }
 
 #[test]
+fn map_slices_concatenates_in_slice_order() {
+    for threads in [1, 2, 4] {
+        let pool = ForkJoinPool::new(threads);
+        for count in [0, 1, 3, 10] {
+            let got = map_slices(&pool, count, |k| vec![k; k % 3]);
+            let want: Vec<usize> = (0..count).flat_map(|k| vec![k; k % 3]).collect();
+            assert_eq!(got, want, "{threads} threads, {count} slices");
+        }
+    }
+}
+
+#[test]
 fn chunk_range_fewer_items_than_threads() {
     // total < nthreads: the surplus participants must get empty ranges
     // while the chunks still partition 0..total exactly — the interpreter
