@@ -120,6 +120,7 @@ pub fn matmul_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
 /// and with AVX2, which runs where the CPU has it (`std` detects that once
 /// per process). Neither enables `fma`, and Rust never contracts a
 /// multiply and an add into one, so the copies compute the same bits.
+/// Both copies start on a 64-byte boundary ([`crate::pin_layout`]).
 pub fn matmul_rows<T: Numeric>(
     a: &[T],
     b: &[T],
@@ -128,6 +129,7 @@ pub fn matmul_rows<T: Numeric>(
     k: usize,
     n: usize,
 ) {
+    crate::pin_layout();
     assert!(rows.start <= rows.end && rows.end * k <= a.len());
     assert_eq!(b.len(), k * n);
     assert_eq!(c_rows.len(), rows.len() * n);
@@ -154,6 +156,7 @@ unsafe fn matmul_rows_avx2<T: Numeric>(
     k: usize,
     n: usize,
 ) {
+    crate::pin_layout();
     row_kernel(a, b, c_rows, rows, k, n);
 }
 

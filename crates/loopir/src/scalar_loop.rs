@@ -1381,6 +1381,14 @@ impl<'a> Strips<'a> {
             // SAFETY: the CPU has AVX2, checked just above.
             return unsafe { self.walk_avx2(regs, bufs, from, to) };
         }
+        self.walk_baseline(regs, bufs, from, to)
+    }
+
+    /// [`Strips::walk`] with the baseline sweeps, out of line so that it
+    /// starts on a 64-byte boundary like [`Strips::walk_avx2`].
+    #[inline(never)]
+    fn walk_baseline(&mut self, regs: &mut Regs, bufs: &Operands<'_>, from: i32, to: i32) -> i32 {
+        crate::pin_layout();
         self.walk(regs, bufs, from, to, sweep_baseline)
     }
 
@@ -1394,6 +1402,7 @@ impl<'a> Strips<'a> {
         from: i32,
         to: i32,
     ) -> i32 {
+        crate::pin_layout();
         self.walk(regs, bufs, from, to, sweep)
     }
 
