@@ -53,6 +53,27 @@ pub fn compile_and_run_c_with_timeout(
     threads: usize,
     timeout: std::time::Duration,
 ) -> Result<String, String> {
+    let run = build_and_run_c(c_source, threads, timeout)?;
+    if !run.status.success() {
+        return Err(format!("binary exited with {}: {}", run.status, run.stderr));
+    }
+    Ok(run.stdout)
+}
+
+/// What a gcc-built program did: how it exited and what it printed.
+pub struct CRun {
+    pub status: std::process::ExitStatus,
+    pub stdout: String,
+    pub stderr: String,
+}
+
+/// [`compile_and_run_c_with_timeout`] that returns a failed run's
+/// output too. `Err` is a build, spawn or time-out failure.
+pub fn build_and_run_c(
+    c_source: &str,
+    threads: usize,
+    timeout: std::time::Duration,
+) -> Result<CRun, String> {
     // One name per call: concurrent callers in one process (tests) must
     // not build or run each other's files.
     static CALLS: AtomicU64 = AtomicU64::new(0);
@@ -121,8 +142,5 @@ pub fn compile_and_run_c_with_timeout(
     let stdout = std::fs::read_to_string(&out_path).unwrap_or_default();
     let stderr = std::fs::read_to_string(&err_path).unwrap_or_default();
     cleanup();
-    if !status.success() {
-        return Err(format!("binary exited with {status}: {stderr}"));
-    }
-    Ok(stdout)
+    Ok(CRun { status, stdout, stderr })
 }

@@ -19,6 +19,13 @@
 //! (the loop-IR interpreter's parallel loops and kernel ops, the native
 //! `matrixMap`) runs on [`ForkJoinPool`].
 //!
+//! The spin lock spins a few microseconds and then parks the thread, and
+//! so does the main thread's wait in the stop barrier: a region that
+//! follows closely on the last finds its workers spinning, and an idle
+//! pool costs no CPU. The flip (or the last arrival at the barrier)
+//! unparks whoever parked; `await_epoch` and `RegionGuard` state the
+//! handshakes that keep a wake-up from being lost.
+//!
 //! ## Work distribution
 //!
 //! Inside a region, work moves through per-participant Chase–Lev deques
@@ -42,10 +49,10 @@
 //! * the stop-barrier wait carries a **watchdog**: if workers fail to
 //!   reach the barrier within a configurable deadline, the pool reports a
 //!   diagnosable [`RegionStall`] (region id, epoch, stalled worker tids)
-//!   instead of spinning forever in silence. The default action logs the
-//!   stall once and keeps waiting with a sleeping backoff (the only sound
-//!   options while a worker may still hold the region closure are to wait
-//!   or abort; [`StallAction::Abort`] selects the latter).
+//!   instead of waiting forever in silence. The default action logs the
+//!   stall once and keeps waiting, parked (the only sound options while a
+//!   worker may still hold the region closure are to wait or abort;
+//!   [`StallAction::Abort`] selects the latter).
 //!
 //! [`ForkJoinPool::health`] exposes all of this as a [`PoolHealth`]
 //! snapshot, and a [`faultinject::FaultPlan`] given to
@@ -55,7 +62,7 @@
 use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 pub(crate) mod deque;
@@ -94,10 +101,21 @@ pub(crate) struct RegionExec {
 }
 
 pub(crate) struct Shared {
-    /// The spin-lock "condition": workers spin until it changes.
+    /// The spin-lock "condition": workers spin, then park, until it
+    /// changes ([`await_epoch`]).
     pub epoch: AtomicU64,
+    /// Workers parked, or about to park, waiting for the next flip. The
+    /// submitter reads it after the flip and unparks every worker when it
+    /// is not zero.
+    sleepers: AtomicUsize,
     /// Stop barrier: number of workers still executing the current region.
     remaining: AtomicUsize,
+    /// Set while the submitter is parked, or about to park, in the stop
+    /// barrier; the last worker to arrive then unparks `submitter`.
+    submitter_parked: AtomicBool,
+    /// The thread waiting in the stop barrier, recorded before it first
+    /// parks there.
+    submitter: Mutex<Option<Thread>>,
     /// Current region's closure; valid only between the epoch flip and the
     /// stop barrier reaching zero.
     task: UnsafeCell<Option<TaskPtr>>,
@@ -311,7 +329,7 @@ impl std::error::Error for RegionPanic {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallAction {
     /// Log a one-line diagnostic, record the stall in [`PoolHealth`], and
-    /// keep waiting with a sleeping backoff (default).
+    /// keep waiting, parked (default).
     Warn,
     /// Log the diagnostic and abort the process. The barrier cannot be
     /// abandoned safely — a stalled worker may still dereference the
@@ -490,7 +508,10 @@ impl ForkJoinPool {
         let requested = threads.max(1);
         let shared = Arc::new(Shared {
             epoch: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
             remaining: AtomicUsize::new(0),
+            submitter_parked: AtomicBool::new(false),
+            submitter: Mutex::new(None),
             task: UnsafeCell::new(None),
             shutdown: AtomicBool::new(false),
             panicked: AtomicBool::new(false),
@@ -777,8 +798,13 @@ impl ForkJoinPool {
         let wide: TaskPtr = unsafe { std::mem::transmute(wide) };
         unsafe { *self.shared.task.get() = Some(wide) };
         self.shared.remaining.store(n - 1, Ordering::Relaxed);
-        // The "condition flip": release all parked workers at once.
-        self.shared.epoch.fetch_add(1, Ordering::Release);
+        // The "condition flip": release all waiting workers at once. Both
+        // accesses are SeqCst, against the sleeper's count-then-epoch in
+        // `await_epoch`: either it sees the new epoch or this sees it.
+        self.shared.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.shared.sleepers.load(Ordering::SeqCst) != 0 {
+            self.unpark_workers();
+        }
 
         // Main thread participates as tid 0. Even if it panics, the drop
         // guard waits in the stop barrier first — the closure must stay
@@ -915,12 +941,21 @@ impl ForkJoinPool {
         self.reset_metrics();
         true
     }
+
+    /// Wake every worker. A worker that is not parked keeps the token and
+    /// returns from its next `park` at once, which its wait loop absorbs.
+    fn unpark_workers(&self) {
+        for h in &self.handles {
+            h.thread().unpark();
+        }
+    }
 }
 
 impl Drop for ForkJoinPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.epoch.fetch_add(1, Ordering::Release);
+        self.shared.epoch.fetch_add(1, Ordering::SeqCst);
+        self.unpark_workers();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -932,8 +967,9 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// Waits in the stop barrier and releases region state even when the main
-/// thread's portion of the work panics. Runs the stall watchdog while
-/// waiting.
+/// thread's portion of the work panics. The wait spins, then parks until
+/// the last worker to arrive unparks it; the park is bounded by the stall
+/// watchdog's deadline, so a worker that never arrives is still reported.
 struct RegionGuard<'a> {
     pool: &'a ForkJoinPool,
     main_panicked: bool,
@@ -950,23 +986,39 @@ impl Drop for RegionGuard<'_> {
         let mut started: Option<Instant> = None;
         let mut stalled = false;
         while shared.remaining.load(Ordering::Acquire) != 0 {
-            if stalled {
-                // Already diagnosed: wait politely instead of burning CPU.
-                std::thread::sleep(Duration::from_millis(1));
+            if spins < SPINS_BEFORE_PARK {
+                spins += 1;
+                std::hint::spin_loop();
                 continue;
             }
-            if timeout_ms != 0 && spins >= 512 {
-                // Check the clock only on the slow (yielding) path; the
-                // hot path where workers finish promptly never takes a
-                // timestamp.
-                let t0 = *started.get_or_insert_with(Instant::now);
-                if t0.elapsed() >= Duration::from_millis(timeout_ms) {
-                    stalled = true;
-                    report_stall(pool, t0.elapsed());
-                    continue;
-                }
+            // The slow path: the hot one, where workers finish promptly,
+            // takes no timestamp and touches no lock.
+            let t0 = *started.get_or_insert_with(|| {
+                *lock_ignore_poison(&shared.submitter) = Some(std::thread::current());
+                shared.submitter_parked.store(true, Ordering::SeqCst);
+                Instant::now()
+            });
+            // After the SeqCst flag store: either this load sees the last
+            // worker's decrement, or that worker sees the flag.
+            if shared.remaining.load(Ordering::SeqCst) == 0 {
+                break;
             }
-            backoff(&mut spins);
+            let waited = t0.elapsed();
+            let limit = Duration::from_millis(timeout_ms);
+            if timeout_ms == 0 || stalled {
+                std::thread::park();
+            } else if waited < limit {
+                std::thread::park_timeout(limit - waited);
+            } else {
+                stalled = true;
+                report_stall(pool, waited);
+                // A worker still parked at the start gate would be a lost
+                // wake-up: this makes it a reported stall, not a hang.
+                pool.unpark_workers();
+            }
+        }
+        if started.is_some() {
+            shared.submitter_parked.store(false, Ordering::Relaxed);
         }
         if let Some(t0) = wait_start {
             pool.barrier_wait_nanos
@@ -1014,14 +1066,7 @@ fn report_stall(pool: &ForkJoinPool, waited: Duration) {
 fn worker_loop(shared: &Shared, tid: usize) {
     let mut seen = 0u64;
     loop {
-        // Spin lock: idle until the main thread flips the condition.
-        let mut spins = 0u32;
-        let mut epoch = shared.epoch.load(Ordering::Acquire);
-        while epoch == seen {
-            backoff(&mut spins);
-            epoch = shared.epoch.load(Ordering::Acquire);
-        }
-        seen = epoch;
+        seen = await_epoch(shared, seen);
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
@@ -1061,22 +1106,50 @@ fn worker_loop(shared: &Shared, tid: usize) {
         if let Some(t0) = busy_start {
             shared.busy_nanos[tid].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        // Progress mark for the watchdog, then the stop barrier.
+        // Progress mark for the watchdog, then the stop barrier. The last
+        // worker through wakes a submitter that parked there; SeqCst pairs
+        // the decrement with its flag-then-count in `RegionGuard::drop`.
         shared.done_epoch[tid - 1].store(seen, Ordering::Release);
-        shared.remaining.fetch_sub(1, Ordering::Release);
+        if shared.remaining.fetch_sub(1, Ordering::SeqCst) == 1
+            && shared.submitter_parked.load(Ordering::SeqCst)
+        {
+            if let Some(submitter) = &*lock_ignore_poison(&shared.submitter) {
+                submitter.unpark();
+            }
+        }
     }
 }
 
-/// Spin-then-yield backoff: burn a few hundred spins (cheap wake-up when
-/// work arrives immediately, the case the enhanced model optimizes for),
-/// then yield so oversubscribed configurations still make progress.
-#[inline]
-pub(crate) fn backoff(spins: &mut u32) {
-    if *spins < 512 {
+/// Spins an idle wait makes before it parks: long enough that a region
+/// following closely on the last one finds its workers awake (the case
+/// the enhanced model optimizes for), short enough that an idle pool
+/// costs no CPU.
+const SPINS_BEFORE_PARK: u32 = 512;
+
+/// The worker's start gate: returns the first epoch after `seen`. Spins
+/// [`SPINS_BEFORE_PARK`] times, then parks until the submitter's flip (or
+/// the pool's `Drop`) unparks it.
+fn await_epoch(shared: &Shared, seen: u64) -> u64 {
+    for _ in 0..SPINS_BEFORE_PARK {
+        let epoch = shared.epoch.load(Ordering::Acquire);
+        if epoch != seen {
+            return epoch;
+        }
         std::hint::spin_loop();
-        *spins += 1;
-    } else {
-        std::thread::yield_now();
+    }
+    loop {
+        // Count this sleeper, then look once more. The submitter flips
+        // the epoch, then reads the count, all SeqCst: either this load
+        // sees the flip or the submitter sees the count and unparks us.
+        shared.sleepers.fetch_add(1, Ordering::SeqCst);
+        let epoch = shared.epoch.load(Ordering::SeqCst);
+        if epoch == seen {
+            std::thread::park();
+        }
+        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+        if epoch != seen {
+            return epoch;
+        }
     }
 }
 

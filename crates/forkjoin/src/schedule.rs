@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use crate::deque::{Task, VictimRng};
 use crate::{
-    backoff, chunk_range, current_region_tid, drain_tasks, execute_task, steal_sweep,
+    chunk_range, current_region_tid, drain_tasks, execute_task, steal_sweep,
     ForkJoinPool, RegionExec, RegionPanic, Sweep,
 };
 
@@ -412,22 +412,19 @@ impl ForkJoinPool {
             });
         }
         let mut rng = VictimRng::new(tid.wrapping_add(nthreads));
-        let mut spins = 0u32;
         while latch.load(Ordering::Acquire) != 0 {
             if let Some(task) = own.pop() {
                 // Usually one of our jobs; may also be an outer-region
                 // chunk tail that was beneath the batch — executing it
                 // while we wait is productive either way.
                 execute_task(shared, tid, task);
-                spins = 0;
                 continue;
             }
             match steal_sweep(shared, tid, nthreads, &mut rng) {
-                Sweep::Task(task) => {
-                    execute_task(shared, tid, task);
-                    spins = 0;
-                }
-                Sweep::Contended | Sweep::Empty => backoff(&mut spins),
+                Sweep::Task(task) => execute_task(shared, tid, task),
+                // The jobs left are running on thieves, who release the
+                // latch within the region: keep sweeping for work meanwhile.
+                Sweep::Contended | Sweep::Empty => std::hint::spin_loop(),
             }
         }
         let p = panics.load(Ordering::Relaxed);

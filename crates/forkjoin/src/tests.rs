@@ -2,6 +2,7 @@ use crate::*;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 #[test]
 fn single_thread_pool_runs_inline() {
@@ -508,4 +509,341 @@ fn spawn_degraded_pool_is_tainted() {
         n.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(n.load(Ordering::Relaxed), pool.threads());
+}
+
+// ───────────────────── idle waits: spin, then park ─────────────────────
+
+/// The calling thread's `/proc/self/task/<tid>` directory.
+#[cfg(target_os = "linux")]
+fn own_task_dir() -> std::path::PathBuf {
+    let link = std::fs::read_link("/proc/thread-self").expect("/proc/thread-self");
+    std::path::Path::new("/proc").join(link)
+}
+
+/// User plus system CPU time of the task in `dir`, in milliseconds
+/// (`/proc` counts it in `USER_HZ`, 100 ticks a second).
+#[cfg(target_os = "linux")]
+fn task_cpu_ms(dir: &std::path::Path) -> u64 {
+    let stat = std::fs::read_to_string(dir.join("stat")).expect("task stat");
+    // utime and stime are fields 14 and 15 of the line, 12 and 13 after
+    // the parenthesised command name.
+    let rest = &stat[stat.rfind(')').expect("comm") + 2..];
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    let ticks = |i: usize| fields[i].parse::<u64>().expect("tick count");
+    (ticks(11) + ticks(12)) * 10
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_pool_parks_its_worker() {
+    let pool = ForkJoinPool::new(2);
+    let worker = Mutex::new(None);
+    pool.run(|tid, _| {
+        if tid == 1 {
+            *worker.lock().unwrap() = Some(own_task_dir());
+        }
+    });
+    let worker = worker.into_inner().unwrap().expect("worker 1 ran");
+    // Well past the worker's spins.
+    std::thread::sleep(Duration::from_millis(20));
+    let before = task_cpu_ms(&worker);
+    std::thread::sleep(Duration::from_millis(200));
+    let used = task_cpu_ms(&worker) - before;
+    assert!(used <= 5, "an idle worker used {used} ms of CPU in 200 ms");
+}
+
+#[test]
+fn dropping_a_parked_pool_joins_promptly() {
+    let pool = ForkJoinPool::new(4);
+    pool.run(|_, _| {});
+    std::thread::sleep(Duration::from_millis(20));
+    let t = Instant::now();
+    drop(pool);
+    let took = t.elapsed();
+    assert!(took < Duration::from_millis(100), "drop took {took:?}");
+}
+
+#[test]
+fn regions_after_seeded_gaps_never_stall() {
+    // Gaps of 0–300 µs put the next flip before, at and after the moment
+    // a worker parks. A lost wake-up at the start gate shows as a stall
+    // (the watchdog unparks the workers, so the run still ends); one in
+    // the stop barrier, where the delays make the submitter park, as a
+    // barrier wait of a whole stall deadline.
+    const REGIONS: u64 = 10_000;
+    const DEADLINE: Duration = Duration::from_secs(5);
+    let delays = (1..=REGIONS)
+        .step_by(97)
+        .fold(FaultPlan::new(), |plan, epoch| plan.delay_at(epoch, 1 + epoch as usize % 2, 1));
+    for plan in [FaultPlan::new(), delays] {
+        let pool = ForkJoinPool::with_fault_plan(3, plan);
+        pool.set_stall_timeout(Some(DEADLINE));
+        pool.set_metrics_enabled(true);
+        let hits = AtomicU64::new(0);
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..REGIONS {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let gap = Duration::from_micros(seed % 301);
+            let t = Instant::now();
+            while t.elapsed() < gap {
+                std::hint::spin_loop();
+            }
+            pool.run(|_, _| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(hits.into_inner(), 3 * REGIONS);
+        let health = pool.health();
+        assert_eq!(health.stalls_detected, 0, "{:?}", health.last_stall);
+        let waited = Duration::from_nanos(pool.metrics().barrier_wait_nanos);
+        assert!(waited < DEADLINE / 2, "{waited:?} in the stop barrier");
+    }
+}
+
+#[test]
+fn parked_workers_keep_the_watchdog_and_the_reuse_gate() {
+    // Region 2 starts with its worker parked, then the worker oversleeps
+    // the deadline: the stall is reported, and the pool still completes.
+    let pool = ForkJoinPool::with_fault_plan(2, FaultPlan::new().delay_at(2, 1, 300));
+    pool.set_stall_timeout(Some(Duration::from_millis(50)));
+    pool.run(|_, _| {});
+    std::thread::sleep(Duration::from_millis(20));
+    pool.run(|_, _| {});
+    let health = pool.health();
+    assert_eq!(health.stalls_detected, 1);
+    assert_eq!(health.last_stall.expect("stall").stalled_tids, vec![1]);
+    assert!(pool.quiescent());
+    assert!(!pool.reset_for_reuse(), "a stalled pool is tainted");
+
+    // A panic in a region that parked workers wake for is recovered.
+    let pool = ForkJoinPool::with_fault_plan(3, FaultPlan::new().panic_at(2, 2));
+    pool.run(|_, _| {});
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(pool.try_run(|_, _| {}).expect_err("injected panic").workers, 1);
+    assert!(pool.quiescent());
+
+    let pool = ForkJoinPool::new(3);
+    pool.run(|_, _| {});
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(pool.quiescent() && pool.reset_for_reuse());
+    let sum = AtomicUsize::new(0);
+    pool.run(|tid, _| {
+        sum.fetch_add(tid + 1, Ordering::Relaxed);
+    });
+    assert_eq!(sum.into_inner(), 6);
+}
+
+/// A deliberate flaw for [`explore`] to find: one handshake with its two
+/// steps in the wrong order.
+#[derive(Clone, Copy, PartialEq)]
+enum Flaw {
+    None,
+    /// The worker reads the epoch before it counts itself a sleeper.
+    GateReadsFirst,
+    /// The submitter reads the countdown before it raises its flag.
+    BarrierReadsFirst,
+}
+
+/// One state of the abstract pool: a submitter (thread 0) that runs
+/// `regions` regions and then drops the pool, and its workers (threads
+/// 1..). Every step is one SeqCst access, or a park or unpark, so
+/// interleaving the steps is the exact model. A thread's `token` is its
+/// park token: `unpark` sets it, `park` waits for it and clears it.
+/// Spurious wake-ups only add runs that the wait loops re-check, and
+/// would hide a lost wake-up, so the model has none.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Model {
+    epoch: u8,
+    sleepers: u8,
+    remaining: u8,
+    submitter_parked: bool,
+    shutdown: bool,
+    token: Vec<bool>,
+    /// Program counter, per thread.
+    pc: Vec<u8>,
+    /// Last value each thread loaded.
+    read: Vec<u8>,
+    /// Worker's last epoch (submitter: regions run).
+    seen: Vec<u8>,
+}
+
+const DONE: u8 = 99;
+
+impl Model {
+    /// The state after thread `t`'s next step, or `None` when it cannot
+    /// step: parked without a token, joining, or done.
+    fn step(&self, t: usize, regions: u8, flaw: Flaw) -> Option<Model> {
+        let mut m = self.clone();
+        let workers = self.pc.len() - 1;
+        let (pc, read, seen) = (self.pc[t], self.read[t], self.seen[t]);
+        if t == 0 {
+            match pc {
+                // run_region_locked
+                0 if seen == regions => m.pc[t] = 10,
+                0 => {
+                    m.remaining = workers as u8;
+                    m.pc[t] = 1;
+                }
+                1 => {
+                    m.epoch += 1;
+                    m.pc[t] = 2;
+                }
+                2 => {
+                    m.read[0] = m.sleepers;
+                    m.pc[t] = 3;
+                }
+                3 => {
+                    if read != 0 {
+                        m.token[1..].fill(true);
+                    }
+                    m.pc[t] = 4;
+                }
+                // RegionGuard::drop: the spin, then flag and re-check.
+                4 if m.remaining == 0 => m.pc[t] = 8,
+                4 if flaw == Flaw::BarrierReadsFirst => {
+                    m.read[0] = m.remaining;
+                    m.pc[t] = 5;
+                }
+                4 => {
+                    m.submitter_parked = true;
+                    m.pc[t] = 6;
+                }
+                5 => {
+                    m.submitter_parked = true;
+                    m.pc[t] = if read == 0 { 8 } else { 7 };
+                }
+                6 => m.pc[t] = if m.remaining == 0 { 8 } else { 7 },
+                7 if m.token[0] => {
+                    m.token[0] = false;
+                    m.pc[t] = 4;
+                }
+                7 => return None,
+                8 => {
+                    m.submitter_parked = false;
+                    m.seen[0] += 1;
+                    m.pc[t] = 0;
+                }
+                // Drop: shutdown, flip, unpark every worker, join.
+                10 => {
+                    m.shutdown = true;
+                    m.pc[t] = 11;
+                }
+                11 => {
+                    m.epoch += 1;
+                    m.token[1..].fill(true);
+                    m.pc[t] = 12;
+                }
+                12 if self.pc[1..].iter().all(|&p| p == DONE) => m.pc[t] = DONE,
+                _ => return None,
+            }
+            return Some(m);
+        }
+        match pc {
+            // await_epoch: one look while spinning (more looks add
+            // nothing), then count itself a sleeper and look again.
+            0 if m.epoch != seen => {
+                m.read[t] = m.epoch;
+                m.pc[t] = 6;
+            }
+            0 => m.pc[t] = 1,
+            1 if flaw == Flaw::GateReadsFirst => {
+                m.read[t] = m.epoch;
+                m.pc[t] = 2;
+            }
+            1 => {
+                m.sleepers += 1;
+                m.pc[t] = 2;
+            }
+            2 if flaw == Flaw::GateReadsFirst => {
+                m.sleepers += 1;
+                m.pc[t] = 3;
+            }
+            2 => {
+                m.read[t] = m.epoch;
+                m.pc[t] = 3;
+            }
+            3 if read == seen && m.token[t] => {
+                m.token[t] = false;
+                m.pc[t] = 4;
+            }
+            3 if read == seen => return None,
+            3 => m.pc[t] = 4,
+            4 => {
+                m.sleepers -= 1;
+                m.pc[t] = if read != seen { 6 } else { 1 };
+            }
+            // The region, then the stop barrier.
+            6 => {
+                m.seen[t] = read;
+                m.pc[t] = if m.shutdown { DONE } else { 7 };
+            }
+            7 => {
+                m.read[t] = m.remaining;
+                m.remaining -= 1;
+                m.pc[t] = 8;
+            }
+            8 if read == 1 => {
+                m.read[t] = u8::from(m.submitter_parked);
+                m.pc[t] = 9;
+            }
+            8 => m.pc[t] = 0,
+            9 => {
+                if read == 1 {
+                    m.token[0] = true;
+                }
+                m.pc[t] = 0;
+            }
+            _ => return None,
+        }
+        Some(m)
+    }
+}
+
+/// Every interleaving of `workers` workers and a submitter running
+/// `regions` regions: the number of states, or a state in which no
+/// thread can step before the pool is dropped (a lost wake-up).
+fn explore(workers: usize, regions: u8, flaw: Flaw) -> Result<usize, String> {
+    let threads = workers + 1;
+    let start = Model {
+        epoch: 0,
+        sleepers: 0,
+        remaining: 0,
+        submitter_parked: false,
+        shutdown: false,
+        token: vec![false; threads],
+        pc: vec![0; threads],
+        read: vec![0; threads],
+        seen: vec![0; threads],
+    };
+    let mut seen = std::collections::HashSet::from([start.clone()]);
+    let mut stack = vec![start];
+    while let Some(state) = stack.pop() {
+        let next: Vec<Model> = (0..threads).filter_map(|t| state.step(t, regions, flaw)).collect();
+        if next.is_empty() && state.pc[0] != DONE {
+            return Err(format!("stuck at pc {:?}, tokens {:?}", state.pc, state.token));
+        }
+        for n in next {
+            if seen.insert(n.clone()) {
+                stack.push(n);
+            }
+        }
+    }
+    Ok(seen.len())
+}
+
+#[test]
+fn park_handshakes_lose_no_wake_up_in_any_interleaving() {
+    for workers in 1..=2 {
+        for regions in 1..=3 {
+            let states = explore(workers, regions, Flaw::None)
+                .unwrap_or_else(|e| panic!("{workers} worker(s), {regions} region(s): {e}"));
+            assert!(states > 10, "{states} states");
+        }
+    }
+    // The check has teeth: either handshake with its steps swapped loses
+    // a wake-up.
+    assert!(explore(1, 1, Flaw::GateReadsFirst).is_err());
+    assert!(explore(1, 1, Flaw::BarrierReadsFirst).is_err());
 }

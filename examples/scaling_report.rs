@@ -5,7 +5,8 @@
 //!   speedup vs pool threads for the with-loop temporal mean, parallel
 //!   `matrixMap` scoring, and the compiled Fig 1 program.
 //! * §III-C: the enhanced fork-join model (persistent spin-barrier pool)
-//!   vs the naive spawn-per-region model.
+//!   vs the naive spawn-per-region model, and what one empty region and
+//!   an idle pool cost.
 //!
 //! Run with `--release`; thread counts beyond the machine's cores are
 //! included to show saturation (this container has few cores — the
@@ -15,7 +16,7 @@
 //! cargo run --release --example scaling_report
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cmm::eddy::programs::{full_compiler, temporal_mean_program};
 use cmm::eddy::{score_all, synthetic_ssh, write_f32, SshParams};
@@ -181,4 +182,55 @@ fn main() {
             naive_ms / pool_ms
         );
     }
+
+    // --- E9b: one empty region, and an idle pool -------------------------
+    println!("\nE9b — 2000 empty 2-thread regions, and an idle pool");
+    let pool = ForkJoinPool::new(2);
+    for gap_us in [0u64, 200] {
+        let (median, mean) = region_us(&pool, Duration::from_micros(gap_us));
+        println!(
+            "  after {gap_us:>3} us of main-thread work: median {median:7.2} us, mean {mean:7.2} us per region"
+        );
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    match process_cpu_ticks() {
+        Some(before) => {
+            std::thread::sleep(Duration::from_secs(1));
+            let ticks = process_cpu_ticks().unwrap_or(before) - before;
+            println!("  idle pool, 1 s: {:.2} CPU", ticks as f64 / CLOCK_TICKS_PER_S);
+        }
+        None => println!("  idle pool: no /proc/self/stat on this host"),
+    }
+}
+
+/// Median and mean wall time of one empty region on `pool`, each issued
+/// after `gap` of busy work on the calling thread.
+fn region_us(pool: &ForkJoinPool, gap: Duration) -> (f64, f64) {
+    let mut samples: Vec<f64> = (0..2000)
+        .map(|_| {
+            let t = Instant::now();
+            while t.elapsed() < gap {
+                std::hint::spin_loop();
+            }
+            let t = Instant::now();
+            pool.run(|_, _| {});
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    (samples[samples.len() / 2], mean)
+}
+
+/// `USER_HZ`, the unit of `/proc` CPU times on Linux.
+const CLOCK_TICKS_PER_S: f64 = 100.0;
+
+/// CPU time this process has used (user + system), in clock ticks.
+fn process_cpu_ticks() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The fields after the parenthesised command name; utime and stime
+    // are fields 14 and 15 of the whole line.
+    let rest = &stat[stat.rfind(')')? + 2..];
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    Some(fields.get(11)?.parse::<u64>().ok()? + fields.get(12)?.parse::<u64>().ok()?)
 }

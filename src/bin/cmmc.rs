@@ -611,21 +611,26 @@ fn main() -> ExitCode {
                     Err(e) => return fail(&e),
                 }
             } else {
-                (compiler.run_with_schedule(&src, threads, limits, schedule), None)
+                (compiler.run_keeping_output(&src, threads, limits, schedule), None)
             };
-            if let Ok(result) = &outcome {
-                print!("{}", result.output);
-                if result.leaked > 0 {
-                    eprintln!(
-                        "cmmc: warning: {} of {} buffers leaked",
-                        result.leaked, result.allocations
-                    );
+            // A failed run prints what it printed before the failure, as
+            // the gcc-built program does, then the diagnostic.
+            match &outcome {
+                Ok(result) => {
+                    print!("{}", result.output);
+                    if result.leaked > 0 {
+                        eprintln!(
+                            "cmmc: warning: {} of {} buffers leaked",
+                            result.leaked, result.allocations
+                        );
+                    }
                 }
+                Err(failure) => print!("{}", failure.output),
             }
             let reported = report.map_or(ExitCode::SUCCESS, |report| report_to(&report));
             match outcome {
                 Ok(_) => reported,
-                Err(e) => fail(&e),
+                Err(failure) => fail(&failure.error),
             }
         }
         _ => usage(),

@@ -10,7 +10,9 @@
 
 use std::process::Command;
 
-use cmm::core::{compile_and_run_c, gcc_available_or_skip};
+use std::time::Duration;
+
+use cmm::core::{build_and_run_c, gcc_available_or_skip};
 use cmm::eddy::programs::full_compiler;
 use cmm::loopir::{Interp, IrProgram, IrStmt, Tier};
 
@@ -60,39 +62,33 @@ fn agree(name: &str, src: &str, want: &str, panic: Option<&str>) {
         .output()
         .expect("spawn cmmc");
     std::fs::remove_file(&path).ok();
-    // (A failed `cmmc run` prints none of the output before the failure,
-    // so only a completed run's output is compared.)
+    // A failed run prints what it printed before failing, then the error.
     let stderr = String::from_utf8_lossy(&cli.stderr);
     match &message {
         Some(m) => {
             assert_eq!(cli.status.code(), Some(1), "{name}: cmmc run exit");
             assert_eq!(stderr, format!("cmmc: {m}\n"), "{name}");
         }
-        None => {
-            assert!(cli.status.success(), "{name}: {stderr}");
-            assert_eq!(
-                String::from_utf8_lossy(&cli.stdout),
-                want,
-                "{name}: cmmc run output"
-            );
-        }
+        None => assert!(cli.status.success(), "{name}: {stderr}"),
     }
+    assert_eq!(
+        String::from_utf8_lossy(&cli.stdout),
+        want,
+        "{name}: cmmc run output"
+    );
 
     if !gcc_available_or_skip(name) {
         return;
     }
     let c = full_compiler().compile_to_c(src).expect("emit C");
-    match (compile_and_run_c(&c, 2), &message) {
-        (Ok(out), None) => assert_eq!(out, want, "{name}: C output"),
-        (Err(e), Some(m)) => {
-            let m = m.trim_start_matches("runtime error: ");
-            assert_eq!(
-                e,
-                format!("binary exited with exit status: 1: {m}\n"),
-                "{name}: C"
-            );
+    let run = build_and_run_c(&c, 2, Duration::from_secs(120)).expect("gcc builds and runs the C");
+    assert_eq!(run.stdout, want, "{name}: C output");
+    match &message {
+        Some(m) => {
+            assert_eq!(run.status.code(), Some(1), "{name}: C exit");
+            assert_eq!(run.stderr, format!("{}\n", m.trim_start_matches("runtime error: ")), "{name}: C");
         }
-        (got, _) => panic!("{name}: the C gave {got:?}, the VM {message:?}"),
+        None => assert!(run.status.success(), "{name}: C failed: {}", run.stderr),
     }
 }
 

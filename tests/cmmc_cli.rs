@@ -504,3 +504,63 @@ fn restricted_extension_set() {
     assert!(!out.status.success());
     std::fs::remove_file(path).ok();
 }
+
+/// CPU time of process `pid` so far, in clock ticks (`USER_HZ`, 100 a
+/// second): utime and stime, fields 14 and 15 of `/proc/<pid>/stat`.
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("stat");
+    let rest = &stat[stat.rfind(')').expect("comm") + 2..];
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+}
+
+/// The daemon's two-thread session pool stays cached after the request;
+/// its idle worker parks instead of spinning.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_serve_daemon_uses_no_cpu_after_a_two_thread_run() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+
+    let mut child = cmmc()
+        .args(["serve", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cmmc serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut line = String::new();
+    stderr.read_line(&mut line).expect("listening line");
+    let addr = line
+        .trim()
+        .strip_prefix("cmmc serve: listening on ")
+        .unwrap_or_else(|| panic!("cmmc serve did not start: {line}"))
+        .to_string();
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let src = "int main() { Matrix int <1> v = with ([0] <= [i] < [4096]) genarray([4096], i * 3); \
+               printInt(with ([0] <= [i] < [4096]) fold(+, 0, v[i])); return 0; }";
+    let request = format!(r#"{{"id": "t2", "cmd": "run", "threads": 2, "src": "{src}"}}"#);
+    stream.write_all(format!("{request}\n").as_bytes()).expect("send");
+    let mut response = String::new();
+    BufReader::new(&stream).read_line(&mut response).expect("response");
+    assert!(response.contains("\"code\": 0"), "{response}");
+    assert!(response.contains("25159680"), "{response}");
+
+    let pid = child.id();
+    let worker = std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("daemon threads")
+        .filter_map(Result::ok)
+        .any(|task| {
+            std::fs::read_to_string(task.path().join("comm")).is_ok_and(|c| c.trim() == "cmm-worker-1")
+        });
+    assert!(worker, "the two-thread run left no pool worker in the daemon");
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let before = cpu_ticks(pid);
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let used = cpu_ticks(pid) - before;
+    child.kill().expect("kill cmmc serve");
+    child.wait().expect("reap cmmc serve");
+    assert!(used <= 2, "an idle daemon used {used} CPU ticks in 300 ms");
+}
