@@ -36,8 +36,8 @@ use cmm_forkjoin::{ForkJoinPool, Schedule};
 use cmm_grammar::{is_composable, ComposabilityReport, ComposedGrammar, GrammarFragment, Parser};
 use cmm_lang::typecheck::{ExtSet, TypeInfo};
 use cmm_lang::{
-    ag_fragment, check_program, fuse_slice_indices, has_fusable_slice_index, host_grammar,
-    lower_functions, lower_program, parse_program, Handlers, LowerOptions,
+    ag_fragment, check_program, fuse_slice_indices, host_grammar, lower_functions, parse_program,
+    Handlers, LowerOptions,
 };
 use cmm_loopir::emit::Emitter;
 use cmm_loopir::{
@@ -496,21 +496,22 @@ impl Compiler {
         Ok((ast, info))
     }
 
-    /// Full translation to the loop IR.
+    /// Full translation to the loop IR: [`Compiler::translate`] without
+    /// the emitter (the path of `run`, `serve` and the tuner).
     pub fn compile(&self, src: &str) -> Result<IrProgram, CompileError> {
-        let (ast, info) = self.frontend_checked(src, None)?;
-        lower_program(&ast, &info, &self.options).map_err(CompileError::Lower)
+        let mut functions = Vec::new();
+        self.translate(src, None, Some(&mut functions), None)?;
+        Ok(IrProgram { functions })
     }
 
     /// [`Compiler::compile`] with per-pass wall times and work-item
-    /// counts. The optimize pass ([`fuse_slice_indices`]) is invoked
-    /// explicitly so its cost is separable from lowering, and the C
-    /// emitter runs (output discarded) so the full pipeline of the paper
-    /// — parse through emit — is accounted.
+    /// counts. The C emitter runs too (output discarded) so the full
+    /// pipeline of the paper — parse through emit — is accounted.
     pub fn compile_metered(&self, src: &str) -> Result<(IrProgram, CompileMetrics), CompileError> {
         let mut m = self.fresh_metrics();
         let mut functions = Vec::new();
-        self.translate(src, Some(&mut m), Some(&mut functions))?;
+        let mut emitter = Emitter::default();
+        self.translate(src, Some(&mut m), Some(&mut functions), Some(&mut emitter))?;
         Ok((IrProgram { functions }, m))
     }
 
@@ -533,56 +534,62 @@ impl Compiler {
     /// [`Emitter::write_to`] writes without joining them: what `cmmc emit`
     /// writes.
     pub fn emitter(&self, src: &str) -> Result<Emitter, CompileError> {
-        self.translate(src, None, None)
+        let mut emitter = Emitter::default();
+        self.translate(src, None, None, Some(&mut emitter))?;
+        Ok(emitter)
     }
 
     /// [`Compiler::emitter`] with the six pass timings of
     /// [`Compiler::compile_metered`]: what `cmmc emit --profile` reports.
     pub fn emitter_metered(&self, src: &str) -> Result<(Emitter, CompileMetrics), CompileError> {
         let mut m = self.fresh_metrics();
-        let emitter = self.translate(src, Some(&mut m), None)?;
+        let mut emitter = Emitter::default();
+        self.translate(src, Some(&mut m), None, Some(&mut emitter))?;
         Ok((emitter, m))
     }
 
-    /// Every translation to C: the front end, the optimize pass, then
-    /// lowering and emission one function at a time. Each function's IR
-    /// is dropped once emitted unless `keep` collects it. `lower` and
-    /// `emit` are timed as sums over the functions. A lowering error wins
-    /// over an earlier function's emit error, so lowering goes on after
-    /// the first emit error.
+    /// Every translation, in order: the front end; the optimize pass,
+    /// which rewrites the AST in place; lowering, one function at a time;
+    /// and emission of each function into `emitter` when the caller
+    /// passes one. Each function's IR is dropped once lowered (and
+    /// emitted) unless `keep` collects it. With `metrics`, the passes are
+    /// timed, `lower` and `emit` as sums over the functions. A lowering
+    /// error wins over an earlier function's emit error, so lowering goes
+    /// on after the first emit error.
     fn translate(
         &self,
         src: &str,
         mut metrics: Option<&mut CompileMetrics>,
         mut keep: Option<&mut Vec<IrFunction>>,
-    ) -> Result<Emitter, CompileError> {
-        let (ast, info) = self.frontend_checked(src, metrics.as_deref_mut())?;
-        let t0 = Instant::now();
-        let (ast, fusions) = if self.options.fuse_slice_index && has_fusable_slice_index(&ast) {
-            fuse_slice_indices(&ast)
+        mut emitter: Option<&mut Emitter>,
+    ) -> Result<(), CompileError> {
+        let (mut ast, info) = self.frontend_checked(src, metrics.as_deref_mut())?;
+        // No clock is read unless the caller asked for timings.
+        let timed = metrics.is_some();
+        let start = || timed.then(Instant::now);
+        let nanos = |t0: Option<Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let t0 = start();
+        let fusions = if self.options.fuse_slice_index {
+            fuse_slice_indices(&mut ast)
         } else {
-            (ast, 0)
+            0
         };
-        let optimize_nanos = t0.elapsed().as_nanos() as u64;
-        // The fusion already ran; don't let lowering repeat it.
-        let opts = LowerOptions {
-            fuse_slice_index: false,
-            ..self.options
-        };
-        let mut emitter = Emitter::default();
+        let optimize_nanos = nanos(t0);
         let mut emit_error = None;
         let (mut lower_nanos, mut emit_nanos, mut stmts) = (0, 0, 0);
-        let mut lowering = lower_functions(&ast, &info, &opts);
+        let mut lowering = lower_functions(&ast, &info, &self.options);
         loop {
-            let t0 = Instant::now();
+            let t0 = start();
             let Some(f) = lowering.next() else { break };
             let f = f.map_err(CompileError::Lower)?;
-            lower_nanos += t0.elapsed().as_nanos() as u64;
-            stmts += stmt_count(&f.body);
-            if emit_error.is_none() {
-                let t0 = Instant::now();
+            if timed {
+                lower_nanos += nanos(t0);
+                stmts += stmt_count(&f.body);
+            }
+            if let (Some(emitter), None) = (emitter.as_deref_mut(), &emit_error) {
+                let t0 = start();
                 emit_error = emitter.function(&f).err();
-                emit_nanos += t0.elapsed().as_nanos() as u64;
+                emit_nanos += nanos(t0);
             }
             if let Some(keep) = keep.as_deref_mut() {
                 keep.push(f);
@@ -608,12 +615,12 @@ impl Compiler {
                 PassTiming {
                     name: "emit",
                     nanos: emit_nanos,
-                    items: emitter.byte_len() as u64,
+                    items: emitter.map_or(0, |e| e.byte_len() as u64),
                     unit: "bytes",
                 },
             ]);
         }
-        Ok(emitter)
+        Ok(())
     }
 
     /// Compile and execute on the interpreter with `threads` pool

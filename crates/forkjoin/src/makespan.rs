@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use crate::partition::chunk_range;
+use crate::chunk_range;
 use crate::schedule::{bite_size, Schedule};
 
 /// Outcome of one modeled region.

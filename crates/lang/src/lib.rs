@@ -25,8 +25,8 @@ pub mod typecheck;
 pub use builder::{ag_fragment, parse_program, BuildError, Handlers};
 pub use builtins::SurfaceBuiltin;
 pub use grammar::host_grammar;
-pub use lower::{lower_functions, lower_program, FunctionLowering, LowerOptions};
-pub use optimize::{fuse_slice_indices, has_fusable_slice_index};
+pub use lower::{lower_functions, FunctionLowering, LowerOptions};
+pub use optimize::fuse_slice_indices;
 pub use typecheck::{check_program, Ext, ExtSet, FuncSig, TypeInfo};
 
 #[cfg(test)]

@@ -22,12 +22,11 @@ use std::fmt::{Display, Write};
 use cmm_ast::*;
 use cmm_loopir::transform::{apply_all, LoopTransform};
 use cmm_loopir::{
-    Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrProgram, IrStmt, KernelCall,
-    Name,
+    Builtin, CType, Elem, ForLoop, IrBinOp, IrExpr, IrFunction, IrStmt, KernelCall, Name,
 };
 
 use crate::builtins::SurfaceBuiltin;
-use crate::typecheck::{FuncSig, TypeInfo};
+use crate::typecheck::{binary_type, fold_type, FuncSig, TypeInfo};
 
 /// Lowering configuration; the flags are the ablation knobs of the
 /// fusion/copy-elision experiments (E11).
@@ -42,8 +41,9 @@ pub struct LowerOptions {
     /// ("a library implementation would likely evaluate the result of the
     /// with-loops into a temporary variable which is then copied").
     pub fuse_with_assign: bool,
-    /// Slice-index fusion (§III-A4): run
-    /// [`crate::optimize::fuse_slice_indices`] before lowering.
+    /// Slice-index fusion (§III-A4): the compile driver runs
+    /// [`crate::optimize::fuse_slice_indices`] before lowering; lowering
+    /// itself does not read this flag.
     pub fuse_slice_index: bool,
 }
 
@@ -57,31 +57,12 @@ impl Default for LowerOptions {
     }
 }
 
-/// Lower a type-checked program to the loop IR: [`lower_functions`],
-/// collected, after the slice-index fusion when `opts` asks for it.
-pub fn lower_program(
-    prog: &Program,
-    info: &TypeInfo,
-    opts: &LowerOptions,
-) -> Result<IrProgram, Diag> {
-    let optimized;
-    let prog = if opts.fuse_slice_index && crate::optimize::has_fusable_slice_index(prog) {
-        let (p, _count) = crate::optimize::fuse_slice_indices(prog);
-        optimized = p;
-        &optimized
-    } else {
-        prog
-    };
-    let functions = lower_functions(prog, info, opts).collect::<Result<_, _>>()?;
-    Ok(IrProgram { functions })
-}
-
 /// Lower a type-checked program one function at a time: each user
 /// function in source order, then the functions lifted out of its
 /// `matrixMap`s. A caller that emits each function before asking for the
 /// next never holds the whole program's IR. The slice-index fusion is not
-/// run here: lower [`crate::fuse_slice_indices`]'s output, as
-/// [`lower_program`] does.
+/// run here: it rewrites the AST in place before lowering
+/// ([`crate::fuse_slice_indices`]).
 pub fn lower_functions<'p>(
     prog: &'p Program,
     info: &'p TypeInfo,
@@ -1282,15 +1263,8 @@ impl FnLower<'_> {
                 } else {
                     (le, re)
                 };
-                let irop = scalar_binop(op);
-                let ty = if op.is_comparison() || matches!(op, And | Or) {
-                    Type::Bool
-                } else if float {
-                    Type::Float
-                } else {
-                    lt
-                };
-                Ok(RV::Scalar(IrExpr::bin(irop, le, re), ty))
+                let ty = binary_type(op, &lt, &rt).map_err(|msg| self.bug(span, msg))?;
+                Ok(RV::Scalar(IrExpr::bin(scalar_binop(op), le, re), ty))
             }
             (
                 RV::Mat {

@@ -89,7 +89,9 @@ impl FnLower<'_> {
                     _ => Type::Bool,
                 },
             },
-            Expr::Binary { op, left, right, .. } => static_binary_type(*op, &ty(left), &ty(right)),
+            Expr::Binary { op, left, right, .. } => {
+                binary_type(*op, &ty(left), &ty(right)).unwrap_or(Type::Error)
+            }
             Expr::Cast { ty, .. } => ty.clone(),
             Expr::Index { base, indices, .. } => {
                 let Some((elem, _)) = ty(base).as_matrix() else {
@@ -118,13 +120,7 @@ impl FnLower<'_> {
                         Some(e) => Type::Matrix(e, shape.len().max(1) as u8),
                         None => Type::Error,
                     },
-                    WithOp::Fold { base, body, .. } => {
-                        if ty(base) == Type::Float || body_ty(body) == Type::Float {
-                            Type::Float
-                        } else {
-                            Type::Int
-                        }
-                    }
+                    WithOp::Fold { base, body, .. } => fold_type(&ty(base), &body_ty(body)),
                     WithOp::Modarray { src, .. } => ty(src),
                 }
             }
@@ -276,11 +272,7 @@ impl FnLower<'_> {
                     self.declare_var(v, Type::Int, vec![ir.clone()]);
                 }
                 let body_ty = self.static_type(body, None);
-                let acc_ty = if base_ty == Type::Float || body_ty == Type::Float {
-                    Type::Float
-                } else {
-                    Type::Int
-                };
+                let acc_ty = fold_type(&base_ty, &body_ty);
                 let acc = self.fresh("acc");
                 out.push(IrStmt::Decl {
                     ty: scalar_ctype(&acc_ty),
@@ -1213,32 +1205,5 @@ fn within(hi: &IrExpr, shape: &IrExpr) -> bool {
         (IrExpr::Var(h), IrExpr::Var(s)) => h == s,
         (IrExpr::Int(h), IrExpr::Int(s)) => h <= s,
         _ => false,
-    }
-}
-
-fn static_binary_type(op: BinOp, lt: &Type, rt: &Type) -> Type {
-    use BinOp::*;
-    match (lt, rt) {
-        (Type::Matrix(e, r), Type::Matrix(..)) => match op {
-            Mul => Type::Matrix(*e, 2),
-            Lt | Le | Gt | Ge | Eq | Ne => Type::Matrix(ElemKind::Bool, *r),
-            _ => Type::Matrix(*e, *r),
-        },
-        (Type::Matrix(e, r), _) | (_, Type::Matrix(e, r)) => {
-            if op.is_comparison() {
-                Type::Matrix(ElemKind::Bool, *r)
-            } else {
-                Type::Matrix(*e, *r)
-            }
-        }
-        _ => {
-            if op.is_comparison() || matches!(op, And | Or) {
-                Type::Bool
-            } else if *lt == Type::Float || *rt == Type::Float {
-                Type::Float
-            } else {
-                Type::Int
-            }
-        }
     }
 }

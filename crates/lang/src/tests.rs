@@ -23,6 +23,20 @@ fn build(p: &Parser, src: &str) -> cmm_ast::Program {
         .unwrap_or_else(|e| panic!("build error: {e}"))
 }
 
+/// The optimize pass when `opts` asks for it, then lowering, collected.
+fn lower(
+    ast: &cmm_ast::Program,
+    info: &TypeInfo,
+    opts: &LowerOptions,
+) -> Result<cmm_loopir::IrProgram, cmm_ast::Diag> {
+    let mut ast = ast.clone();
+    if opts.fuse_slice_index {
+        fuse_slice_indices(&mut ast);
+    }
+    let functions = lower_functions(&ast, info, opts).collect::<Result<_, _>>()?;
+    Ok(cmm_loopir::IrProgram { functions })
+}
+
 /// Full pipeline: returns captured `print*` output.
 fn run_src(src: &str, threads: usize) -> String {
     run_opts(src, threads, &LowerOptions::default())
@@ -33,7 +47,7 @@ fn run_opts(src: &str, threads: usize, opts: &LowerOptions) -> String {
     let ast = build(&p, src);
     let (info, diags) = check_program(&ast, ExtSet::default());
     assert!(diags.is_empty(), "type errors: {diags:?}");
-    let ir = lower_program(&ast, &info, opts).unwrap_or_else(|e| panic!("lowering error: {e}"));
+    let ir = lower(&ast, &info, opts).unwrap_or_else(|e| panic!("lowering error: {e}"));
     let interp = Interp::new(&ir, threads);
     interp
         .run_main()
@@ -593,7 +607,7 @@ mod pipeline {
         let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty());
-        let err = lower_program(&ast, &info, &LowerOptions::default()).unwrap_err();
+        let err = lower(&ast, &info, &LowerOptions::default()).unwrap_err();
         assert!(err.message.contains("does not correspond to a loop"), "{err:?}");
     }
 
@@ -662,7 +676,7 @@ mod pipeline {
         let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty(), "{diags:?}");
-        let ir = lower_program(&ast, &info, &LowerOptions::default()).unwrap();
+        let ir = lower(&ast, &info, &LowerOptions::default()).unwrap();
         let interp = Interp::new(&ir, 2);
         interp.run_main().unwrap();
         assert_eq!(
@@ -749,7 +763,7 @@ mod pipeline {
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty());
         let count_allocs = |opts: &LowerOptions| {
-            let ir = lower_program(&ast, &info, opts).unwrap();
+            let ir = lower(&ast, &info, opts).unwrap();
             let interp = Interp::new(&ir, 1);
             interp.run_main().unwrap();
             interp.alloc_count()
@@ -776,7 +790,7 @@ mod leak_paths {
         let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty(), "{diags:?}");
-        let ir = lower_program(&ast, &info, &LowerOptions::default()).unwrap();
+        let ir = lower(&ast, &info, &LowerOptions::default()).unwrap();
         let interp = Interp::new(&ir, 2);
         interp.run_main().unwrap_or_else(|e| panic!("{e}\n{}", interp.output()));
         assert_eq!(
@@ -1176,7 +1190,7 @@ mod errors {
         let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty());
-        let ir = lower_program(&ast, &info, &LowerOptions::default()).unwrap();
+        let ir = lower(&ast, &info, &LowerOptions::default()).unwrap();
         let interp = Interp::new(&ir, 1);
         let err = interp.run_main().unwrap_err();
         assert!(err.message.contains("superset"), "{err}");
@@ -1207,7 +1221,7 @@ mod emission {
         let ast = build(&p, src);
         let (info, diags) = check_program(&ast, ExtSet::default());
         assert!(diags.is_empty());
-        let ir = lower_program(&ast, &info, &LowerOptions::default()).unwrap();
+        let ir = lower(&ast, &info, &LowerOptions::default()).unwrap();
         let c = emit_program(&ir).expect("emit");
         assert!(c.contains("#pragma omp parallel for"), "parallelize i → OpenMP");
         assert!(c.contains("__m128"), "vectorize jin → SSE");

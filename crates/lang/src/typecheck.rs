@@ -190,6 +190,96 @@ struct Checker<'a> {
     in_index: bool,
 }
 
+/// The result type of `lt op rt`, the operator overloading of §III-A2,
+/// or the message the checker reports when the operands do not fit. The
+/// one place this rule is written: the checker, lowering's static types
+/// and its scalar operators all read it. An operand that already failed
+/// to check gives [`Type::Error`] and no message.
+pub fn binary_type(op: BinOp, lt: &Type, rt: &Type) -> Result<Type, String> {
+    use BinOp::*;
+    if matches!(lt, Type::Error) || matches!(rt, Type::Error) {
+        return Ok(Type::Error);
+    }
+    match (lt, rt) {
+        // matrix ⊗ matrix
+        (Type::Matrix(e1, r1), Type::Matrix(e2, r2)) => {
+            let same = e1 == e2 && r1 == r2;
+            match op {
+                Add | Sub | Div | Rem | ElemMul => same.then(|| lt.clone()).ok_or_else(|| {
+                    format!(
+                        "element-wise operations require matrices of the same \
+                         type and rank: {lt} vs {rt}"
+                    )
+                }),
+                // Linear-algebra multiplication on rank-2 matrices.
+                Mul => (*r1 == 2 && *r2 == 2 && e1 == e2)
+                    .then_some(Type::Matrix(*e1, 2))
+                    .ok_or_else(|| {
+                        format!(
+                            "'*' on matrices is linear-algebra multiplication and \
+                             requires two rank-2 matrices of the same element type \
+                             ({lt} vs {rt}); use '.*' for element-wise multiplication"
+                        )
+                    }),
+                Lt | Le | Gt | Ge | Eq | Ne => {
+                    same.then_some(Type::Matrix(ElemKind::Bool, *r1)).ok_or_else(|| {
+                        format!("comparisons require matrices of the same type and rank: {lt} vs {rt}")
+                    })
+                }
+                And | Or => (same && *e1 == ElemKind::Bool)
+                    .then(|| lt.clone())
+                    .ok_or_else(|| format!("logical operators require bool matrices: {lt} vs {rt}")),
+            }
+        }
+        // matrix ⊗ scalar and scalar ⊗ matrix
+        (Type::Matrix(e, r), s) | (s, Type::Matrix(e, r))
+            if s.is_numeric_scalar() || *s == Type::Bool =>
+        {
+            let selem = s.as_elem().expect("scalar kind");
+            let compatible = selem == *e || (*e == ElemKind::Float && selem == ElemKind::Int);
+            match op {
+                Add | Sub | Mul | Div | Rem | ElemMul => (compatible && *e != ElemKind::Bool)
+                    .then_some(Type::Matrix(*e, *r))
+                    .ok_or_else(|| format!("cannot apply arithmetic between {lt} and {rt}")),
+                Lt | Le | Gt | Ge | Eq | Ne => compatible
+                    .then_some(Type::Matrix(ElemKind::Bool, *r))
+                    .ok_or_else(|| format!("cannot compare {lt} with {rt}")),
+                And | Or => Err("logical operators need bool operands".into()),
+            }
+        }
+        // scalar ⊗ scalar
+        _ => {
+            let numeric = lt.is_numeric_scalar() && rt.is_numeric_scalar();
+            let bools = *lt == Type::Bool && *rt == Type::Bool;
+            match op {
+                Add | Sub | Mul | Div | Rem => numeric
+                    .then(|| fold_type(lt, rt))
+                    .ok_or_else(|| format!("cannot apply arithmetic to {lt} and {rt}")),
+                Lt | Le | Gt | Ge => numeric
+                    .then_some(Type::Bool)
+                    .ok_or_else(|| format!("cannot order {lt} and {rt}")),
+                Eq | Ne => (numeric || bools)
+                    .then_some(Type::Bool)
+                    .ok_or_else(|| format!("cannot compare {lt} and {rt}")),
+                And | Or => bools
+                    .then_some(Type::Bool)
+                    .ok_or_else(|| format!("logical operators need bools, found {lt} and {rt}")),
+                ElemMul => Err("'.*' applies to matrices".into()),
+            }
+        }
+    }
+}
+
+/// The accumulator type of a fold over `base` and `body`, and the result
+/// of scalar arithmetic: float if either operand is, int otherwise.
+pub fn fold_type(base: &Type, body: &Type) -> Type {
+    if *base == Type::Float || *body == Type::Float {
+        Type::Float
+    } else {
+        Type::Int
+    }
+}
+
 impl Checker<'_> {
     fn error(&mut self, span: Span, msg: impl Into<String>) -> Type {
         self.diags.push(Diag::error(span, msg));
@@ -590,7 +680,7 @@ impl Checker<'_> {
             Expr::Binary { op, left, right, span } => {
                 let lt = self.expr(left, None);
                 let rt = self.expr(right, None);
-                self.binary_type(*op, &lt, &rt, *span)
+                binary_type(*op, &lt, &rt).unwrap_or_else(|msg| self.error(*span, msg))
             }
             Expr::Cast { ty, expr, span } => {
                 let et = self.expr(expr, None);
@@ -690,131 +780,6 @@ impl Checker<'_> {
         }
     }
 
-    /// Overload resolution for binary operators (§III-A2).
-    fn binary_type(&mut self, op: BinOp, lt: &Type, rt: &Type, span: Span) -> Type {
-        use BinOp::*;
-        if matches!(lt, Type::Error) || matches!(rt, Type::Error) {
-            return Type::Error;
-        }
-        match (lt, rt) {
-            // matrix ⊗ matrix
-            (Type::Matrix(e1, r1), Type::Matrix(e2, r2)) => match op {
-                Add | Sub | Div | Rem | ElemMul => {
-                    if e1 != e2 || r1 != r2 {
-                        self.error(
-                            span,
-                            format!(
-                                "element-wise operations require matrices of the same \
-                                 type and rank: {lt} vs {rt}"
-                            ),
-                        )
-                    } else {
-                        lt.clone()
-                    }
-                }
-                Mul => {
-                    // Linear-algebra multiplication on rank-2 matrices.
-                    if *r1 == 2 && *r2 == 2 && e1 == e2 {
-                        Type::Matrix(*e1, 2)
-                    } else {
-                        self.error(
-                            span,
-                            format!(
-                                "'*' on matrices is linear-algebra multiplication and \
-                                 requires two rank-2 matrices of the same element type \
-                                 ({lt} vs {rt}); use '.*' for element-wise multiplication"
-                            ),
-                        )
-                    }
-                }
-                Lt | Le | Gt | Ge | Eq | Ne => {
-                    if e1 != e2 || r1 != r2 {
-                        self.error(
-                            span,
-                            format!("comparisons require matrices of the same type and rank: {lt} vs {rt}"),
-                        )
-                    } else {
-                        Type::Matrix(ElemKind::Bool, *r1)
-                    }
-                }
-                And | Or => {
-                    if *e1 == ElemKind::Bool && e1 == e2 && r1 == r2 {
-                        lt.clone()
-                    } else {
-                        self.error(span, format!("logical operators require bool matrices: {lt} vs {rt}"))
-                    }
-                }
-            },
-            // matrix ⊗ scalar and scalar ⊗ matrix
-            (Type::Matrix(e, r), s) | (s, Type::Matrix(e, r))
-                if s.is_numeric_scalar() || *s == Type::Bool =>
-            {
-                let selem = s.as_elem().expect("scalar kind");
-                let compatible = selem == *e
-                    || (*e == ElemKind::Float && selem == ElemKind::Int);
-                match op {
-                    Add | Sub | Mul | Div | Rem | ElemMul => {
-                        if compatible && *e != ElemKind::Bool {
-                            Type::Matrix(*e, *r)
-                        } else {
-                            self.error(
-                                span,
-                                format!("cannot apply arithmetic between {lt} and {rt}"),
-                            )
-                        }
-                    }
-                    Lt | Le | Gt | Ge | Eq | Ne => {
-                        if compatible {
-                            Type::Matrix(ElemKind::Bool, *r)
-                        } else {
-                            self.error(span, format!("cannot compare {lt} with {rt}"))
-                        }
-                    }
-                    And | Or => self.error(span, "logical operators need bool operands"),
-                }
-            }
-            // scalar ⊗ scalar
-            _ => {
-                let numeric = lt.is_numeric_scalar() && rt.is_numeric_scalar();
-                match op {
-                    Add | Sub | Mul | Div | Rem => {
-                        if numeric {
-                            if *lt == Type::Float || *rt == Type::Float {
-                                Type::Float
-                            } else {
-                                Type::Int
-                            }
-                        } else {
-                            self.error(span, format!("cannot apply arithmetic to {lt} and {rt}"))
-                        }
-                    }
-                    Lt | Le | Gt | Ge => {
-                        if numeric {
-                            Type::Bool
-                        } else {
-                            self.error(span, format!("cannot order {lt} and {rt}"))
-                        }
-                    }
-                    Eq | Ne => {
-                        if numeric || (*lt == Type::Bool && *rt == Type::Bool) {
-                            Type::Bool
-                        } else {
-                            self.error(span, format!("cannot compare {lt} and {rt}"))
-                        }
-                    }
-                    And | Or => {
-                        if *lt == Type::Bool && *rt == Type::Bool {
-                            Type::Bool
-                        } else {
-                            self.error(span, format!("logical operators need bools, found {lt} and {rt}"))
-                        }
-                    }
-                    ElemMul => self.error(span, "'.*' applies to matrices"),
-                }
-            }
-        }
-    }
-
     fn with_type(&mut self, g: &Generator, op: &WithOp, span: Span) -> Type {
         // Arity checks (§III-A4).
         if g.lower.len() != g.vars.len() || g.upper.len() != g.vars.len() {
@@ -896,11 +861,7 @@ impl Checker<'_> {
                 if !ok(&et) {
                     self.error(body.span(), format!("fold body must be numeric, found {et}"));
                 }
-                if bt == Type::Float || et == Type::Float {
-                    Type::Float
-                } else {
-                    Type::Int
-                }
+                fold_type(&bt, &et)
             }
             WithOp::Modarray { src, body } => {
                 let st = self.expr(src, None);

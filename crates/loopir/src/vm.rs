@@ -24,11 +24,13 @@
 //! group). Because every charged statement is *reached* whenever its
 //! group is entered, cumulative totals match the tree-walker exactly on
 //! every run that completes or stops at a limit — the same fuel value
-//! exhausts both tiers at the same boundary (pinned by test). The one
-//! visible skew: a run that dies on a *runtime* error mid-group has
-//! already charged the rest of its group, so under a fuel budget tighter
-//! than the error point plus that remainder the VM reports fuel
-//! exhaustion where the tree-walker reports the runtime error.
+//! exhausts both tiers at the same boundary (pinned by test). A run that
+//! dies on a *runtime* error mid-group gives back, in every frame the
+//! error leaves, the steps of the statements charged but not started
+//! (`VmFunction::unstarted`), so its count is the tree-walker's too. The
+//! one visible skew: under a fuel budget tighter than the error point
+//! plus that remainder, the VM reports fuel exhaustion where the
+//! tree-walker reports the runtime error.
 //!
 //! ## Parallel regions
 //!
@@ -62,7 +64,7 @@ use cmm_forkjoin::Schedule;
 
 use crate::interp::{
     cast_int, default_value, dim_of, eval_bin, int_div, int_rem, negate,
-    BoxedLoop, Frame, IResult, Interp, InterpError, Pending, Value,
+    BoxedLoop, Frame, IResult, Interp, InterpError, InterpErrorKind, Pending, Value,
 };
 use crate::ir::{Builtin, CType, IrBinOp};
 use crate::kernel::run_matmul;
@@ -168,6 +170,8 @@ pub(crate) struct ParForData {
     /// Per-iteration bytecode (leading `Charge` carries the iteration
     /// step fused with the body's first group).
     pub body: Vec<Instr>,
+    /// [`VmFunction::unstarted`] of `body`.
+    pub unstarted: Vec<(u32, u32)>,
     pub captured: Vec<u16>,
     pub schedule: Option<Schedule>,
 }
@@ -189,6 +193,11 @@ pub(crate) struct VmFunction {
     /// Register-file size: `nslots` resolved slots plus temporaries.
     pub nregs: usize,
     pub code: Vec<Instr>,
+    /// How many statements of the running charge group are charged but
+    /// not started, the steps a runtime error gives back: `(pc, n)` is
+    /// `n` from instruction `pc` of `code` to the next entry, in `pc`
+    /// order; 0 before the first.
+    pub unstarted: Vec<(u32, u32)>,
     pub consts: Vec<Value>,
     /// Prebuilt error messages for `Fail`.
     pub msgs: Vec<String>,
@@ -253,6 +262,8 @@ struct FnCompiler<'a> {
     /// Declared slot types, for the unboxed loops' kind inference.
     slot_types: &'a [CType],
     code: Vec<Instr>,
+    /// [`VmFunction::unstarted`] of `code`.
+    unstarted: Vec<(u32, u32)>,
     consts: Vec<Value>,
     msgs: Vec<String>,
     unpacks: Vec<Vec<RTarget>>,
@@ -279,6 +290,7 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
     let mut c = FnCompiler {
         slot_types: &f.slot_types,
         code: Vec::new(),
+        unstarted: Vec::new(),
         consts: Vec::new(),
         msgs: Vec::new(),
         unpacks: Vec::new(),
@@ -296,6 +308,7 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
     let vf = VmFunction {
         nregs: c.max_reg,
         code: c.code,
+        unstarted: c.unstarted,
         consts: c.consts,
         msgs: c.msgs,
         unpacks: c.unpacks,
@@ -507,6 +520,18 @@ impl FnCompiler<'_> {
         self.code.push(Instr::Charge(n));
     }
 
+    /// From the next instruction on, `n` statements of the current charge
+    /// group are charged but not started.
+    fn charged_ahead(&mut self, n: u32) {
+        let at = self.code.len() as u32;
+        match self.unstarted.last_mut() {
+            Some(&mut (_, last)) if last == n => {}
+            Some(last) if last.0 == at => last.1 = n,
+            None if n == 0 => {}
+            _ => self.unstarted.push((at, n)),
+        }
+    }
+
     fn mark_label(&mut self) -> u32 {
         self.fuse_barrier = self.code.len();
         self.code.len() as u32
@@ -581,12 +606,15 @@ impl FnCompiler<'_> {
                 j += 1;
             }
             let with_compound = j < stmts.len() && !matches!(stmts[j], RStmt::Kernel { .. });
-            self.emit_charge((j - i + usize::from(with_compound)) as u32);
-            for s in &stmts[i..j] {
+            let group = (j - i + usize::from(with_compound)) as u32;
+            self.emit_charge(group);
+            for (started, s) in (1..).zip(&stmts[i..j]) {
+                self.charged_ahead(group - started);
                 let save = self.temp;
                 self.simple_stmt(s)?;
                 self.temp = save;
             }
+            self.charged_ahead(0);
             if with_compound {
                 let save = self.temp;
                 self.compound_stmt(&stmts[j])?;
@@ -755,6 +783,12 @@ impl FnCompiler<'_> {
                 // A translated body is straight-line — nothing jumps into
                 // or out of it — so only the back-edge moves with it.
                 self.code.insert(head, Instr::ScalarLoop { id, done: 0 });
+                for (at, _) in self.unstarted.iter_mut().rev() {
+                    if (*at as usize) < head {
+                        break;
+                    }
+                    *at += 1;
+                }
                 if let Some(Instr::ForNext { head: back, .. }) = self.code.last_mut() {
                     *back += 1;
                 }
@@ -799,6 +833,7 @@ impl FnCompiler<'_> {
         // The chunk body is its own code stream; temps it allocates live
         // above the current watermark in the same register file.
         let saved_code = std::mem::take(&mut self.code);
+        let saved_unstarted = std::mem::take(&mut self.unstarted);
         let saved_barrier = self.fuse_barrier;
         self.fuse_barrier = 0;
         // Per-iteration step (fuses with the body's first group), exactly
@@ -806,6 +841,7 @@ impl FnCompiler<'_> {
         self.emit_charge(1);
         self.compile_block(&f.body)?;
         let body = std::mem::replace(&mut self.code, saved_code);
+        let unstarted = std::mem::replace(&mut self.unstarted, saved_unstarted);
         self.fuse_barrier = saved_barrier;
         if self.parfors.len() >= u16::MAX as usize {
             return Err(VmLimit("parallel-loop table overflow"));
@@ -817,6 +853,7 @@ impl FnCompiler<'_> {
             lo,
             hi,
             body,
+            unstarted,
             captured,
             schedule: f.schedule,
         });
@@ -1036,7 +1073,7 @@ pub(crate) fn run_function(
 ) -> IResult<Option<Value>> {
     let f = &vm.funcs[idx];
     frame.slots.resize(f.nregs, Value::Unit);
-    exec(interp, vm, f, &f.code, frame)
+    exec(interp, vm, f, frame)
 }
 
 /// Dispatch entry point: picks the metering specialization. When nothing
@@ -1047,33 +1084,67 @@ fn exec(
     interp: &Interp<'_>,
     vm: &VmProgram,
     f: &VmFunction,
-    code: &[Instr],
     frame: &mut Frame,
 ) -> IResult<Option<Value>> {
+    let (code, unstarted) = (&f.code[..], &f.unstarted[..]);
     if interp.fast_meter() {
         let mut local = 0u64;
-        let r = exec_impl::<true>(interp, vm, f, code, frame, &mut local);
+        let r = exec_impl::<true>(interp, vm, f, code, unstarted, frame, &mut local);
         if local > 0 {
             interp.steps.fetch_add(local, Ordering::Relaxed);
         }
         r
     } else {
-        exec_impl::<false>(interp, vm, f, code, frame, &mut 0)
+        exec_impl::<false>(interp, vm, f, code, unstarted, frame, &mut 0)
     }
 }
 
-/// The dispatch loop. Returns `Some(value)` when a `Ret` executed,
-/// `None` when control fell off the end of the stream (function bodies
-/// without a trailing return; every completed parallel-loop iteration).
-/// With `BATCH`, step charges go to `local` (the caller flushes them to
-/// the shared counter — see [`exec`] and `run_parfor`).
+/// Run one code stream on `frame`: [`dispatch`], and when it stops on a
+/// runtime error, give back the steps of the failing group's statements
+/// that never started (`unstarted`, the stream's
+/// [`VmFunction::unstarted`]), so that every frame an error leaves counts
+/// what the tree tier counts. A stop at a limit keeps its charge.
 fn exec_impl<const BATCH: bool>(
+    interp: &Interp<'_>,
+    vm: &VmProgram,
+    f: &VmFunction,
+    code: &[Instr],
+    unstarted: &[(u32, u32)],
+    frame: &mut Frame,
+    local: &mut u64,
+) -> IResult<Option<Value>> {
+    let mut pc = 0;
+    let r = dispatch::<BATCH>(interp, vm, f, code, frame, local, &mut pc);
+    if let Err(e) = &r {
+        if e.kind == InterpErrorKind::Runtime {
+            // `pc` is already past the failing instruction.
+            let failed = (pc - 1) as u32;
+            let entry = unstarted.partition_point(|&(at, _)| at <= failed);
+            let refund = entry.checked_sub(1).map_or(0, |e| u64::from(unstarted[e].1));
+            if BATCH {
+                *local -= refund;
+            } else {
+                interp.steps.fetch_sub(refund, Ordering::Relaxed);
+            }
+        }
+    }
+    r
+}
+
+/// The dispatch loop, from `*pc` on. Returns `Some(value)` when a `Ret`
+/// executed, `None` when control fell off the end of the stream (function
+/// bodies without a trailing return; every completed parallel-loop
+/// iteration). With `BATCH`, step charges go to `local` (the caller
+/// flushes them to the shared counter — see [`exec`] and `run_parfor`).
+#[inline(always)]
+fn dispatch<const BATCH: bool>(
     interp: &Interp<'_>,
     vm: &VmProgram,
     f: &VmFunction,
     code: &[Instr],
     frame: &mut Frame,
     local: &mut u64,
+    pc: &mut usize,
 ) -> IResult<Option<Value>> {
     // SAFETY (for every `reg!`/`set!` below): `VmFunction::validate`
     // bounds-checked every register operand against `nregs` when the
@@ -1092,9 +1163,8 @@ fn exec_impl<const BATCH: bool>(
             unsafe { *frame.slots.get_unchecked_mut(*$r as usize) = v };
         }};
     }
-    let mut pc = 0usize;
-    while let Some(instr) = code.get(pc) {
-        pc += 1;
+    while let Some(instr) = code.get(*pc) {
+        *pc += 1;
         match instr {
             Instr::Charge(n) => {
                 if BATCH {
@@ -1168,15 +1238,15 @@ fn exec_impl<const BATCH: bool>(
                 }
                 reg!(buf).as_buf()?.write(i as usize, reg!(val))?;
             }
-            Instr::Jump { to } => pc = *to as usize,
+            Instr::Jump { to } => *pc = *to as usize,
             Instr::JumpIfFalse { cond, to } => {
                 if !reg!(cond).as_b()? {
-                    pc = *to as usize;
+                    *pc = *to as usize;
                 }
             }
             Instr::JumpIfTrue { cond, to } => {
                 if reg!(cond).as_b()? {
-                    pc = *to as usize;
+                    *pc = *to as usize;
                 }
             }
             Instr::ForHead {
@@ -1188,7 +1258,7 @@ fn exec_impl<const BATCH: bool>(
             } => {
                 let c = reg!(counter).as_i()?;
                 if c >= reg!(hi).as_i()? {
-                    pc = *exit as usize;
+                    *pc = *exit as usize;
                 } else {
                     if BATCH {
                         *local += *charge as u64;
@@ -1202,7 +1272,7 @@ fn exec_impl<const BATCH: bool>(
                 let c = reg!(counter).as_i()?;
                 // Wrapping, matching scalar binops and the emitted C.
                 set!(counter, Value::I(c.wrapping_add(1)));
-                pc = *head as usize;
+                *pc = *head as usize;
             }
             Instr::CallUser { dst, func, base, n } => {
                 let lo = *base as usize;
@@ -1264,13 +1334,13 @@ fn exec_impl<const BATCH: bool>(
             Instr::Kernel { id, done } => {
                 let batch = if BATCH { Some(&mut *local) } else { None };
                 if run_matmul(interp, &f.kernels[*id as usize], frame, batch)? {
-                    pc = *done as usize;
+                    *pc = *done as usize;
                 }
             }
             Instr::ScalarLoop { id, done } => {
                 let batch = if BATCH { Some(&mut *local) } else { None };
                 if scalar_loop::run(interp, &f.scalar_loops[*id as usize], frame, batch)? {
-                    pc = *done as usize;
+                    *pc = *done as usize;
                 }
             }
             Instr::Fail { msg } => {
@@ -1298,9 +1368,9 @@ fn run_parfor(
     let (var, schedule) = (pf.var as usize, pf.schedule);
     interp.run_parallel_loop(frame, captured, var, &pf.name, schedule, range, |tf, local| {
         let r = if fast {
-            exec_impl::<true>(interp, vm, f, &pf.body, tf, local)
+            exec_impl::<true>(interp, vm, f, &pf.body, &pf.unstarted, tf, local)
         } else {
-            exec_impl::<false>(interp, vm, f, &pf.body, tf, &mut 0)
+            exec_impl::<false>(interp, vm, f, &pf.body, &pf.unstarted, tf, &mut 0)
         };
         Ok(r?.is_some())
     })

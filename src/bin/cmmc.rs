@@ -39,6 +39,7 @@
 use std::io::Write;
 use std::mem::ManuallyDrop;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use cmm::core::{CompileError, CompileMetrics, ProfileReport, Registry, ALL_EXTENSIONS};
@@ -78,71 +79,33 @@ fn serve_command(args: &[String]) -> ExitCode {
     let mut cfg = ServeConfig::default();
     let mut addr: Option<String> = None;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--unix" => {
-                let Some(v) = it.next() else { return usage() };
-                cfg.unix = Some(v.into());
+    let mut parse = || {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--unix" => cfg.unix = Some(text(&mut it)?.into()),
+                "--workers" => cfg.workers = positive(&mut it)?,
+                "--max-in-flight" => cfg.max_in_flight = number(&mut it)?,
+                "--session-threads" => cfg.session_threads = positive(&mut it)?,
+                "--queue-deadline-ms" => {
+                    cfg.queue_deadline = Duration::from_millis(number(&mut it)?);
+                }
+                "--drain-deadline-ms" => {
+                    cfg.drain_deadline = Duration::from_millis(number(&mut it)?);
+                }
+                "--max-deadline-ms" => cfg.max_deadline = Duration::from_millis(number(&mut it)?),
+                "--tenant-quota" => cfg.tenant_quota = Some(number(&mut it)?),
+                "--max-cached-pools" => cfg.max_cached_pools = number(&mut it)?,
+                "--stream-chunk-bytes" => cfg.stream_chunk_bytes = positive(&mut it)?,
+                other if !other.starts_with('-') && addr.is_none() => {
+                    addr = Some(other.to_string());
+                }
+                _ => return Err(usage()),
             }
-            "--workers" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    return usage();
-                };
-                cfg.workers = v;
-            }
-            "--max-in-flight" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.max_in_flight = v;
-            }
-            "--session-threads" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    return usage();
-                };
-                cfg.session_threads = v;
-            }
-            "--queue-deadline-ms" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.queue_deadline = Duration::from_millis(v);
-            }
-            "--drain-deadline-ms" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.drain_deadline = Duration::from_millis(v);
-            }
-            "--max-deadline-ms" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.max_deadline = Duration::from_millis(v);
-            }
-            "--tenant-quota" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.tenant_quota = Some(v);
-            }
-            "--max-cached-pools" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.max_cached_pools = v;
-            }
-            "--stream-chunk-bytes" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    return usage();
-                };
-                cfg.stream_chunk_bytes = v;
-            }
-            other if !other.starts_with('-') && addr.is_none() => {
-                addr = Some(other.to_string());
-            }
-            _ => return usage(),
         }
+        Ok(())
+    };
+    if let Err(code) = parse() {
+        return code;
     }
     let Some(addr) = addr else {
         eprintln!("cmmc serve: missing listen address (e.g. 127.0.0.1:7878)");
@@ -185,36 +148,29 @@ fn fuzz_command(args: &[String]) -> ExitCode {
     cfg.corpus_dir = Some("tests/corpus".into());
     let mut oracles: Vec<OracleKind> = Vec::new();
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.seed = v;
-            }
-            "--cases" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.cases = v;
-            }
-            "--oracle" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(kind) = OracleKind::parse(v) else {
-                    eprintln!("cmmc: unknown oracle '{v}' (transform|schedule|limits|vm|gcc|tuned)");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                if !oracles.contains(&kind) {
-                    oracles.push(kind);
+    let mut parse = || {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--seed" => cfg.seed = number(&mut it)?,
+                "--cases" => cfg.cases = number(&mut it)?,
+                "--oracle" => {
+                    let v = text(&mut it)?;
+                    let Some(kind) = OracleKind::parse(v) else {
+                        eprintln!("cmmc: unknown oracle '{v}' (transform|schedule|limits|vm|gcc|tuned)");
+                        return Err(ExitCode::from(EXIT_USAGE));
+                    };
+                    if !oracles.contains(&kind) {
+                        oracles.push(kind);
+                    }
                 }
+                "--corpus-dir" => cfg.corpus_dir = Some(text(&mut it)?.into()),
+                _ => return Err(usage()),
             }
-            "--corpus-dir" => {
-                let Some(v) = it.next() else { return usage() };
-                cfg.corpus_dir = Some(v.into());
-            }
-            _ => return usage(),
         }
+        Ok(())
+    };
+    if let Err(code) = parse() {
+        return code;
     }
     if !oracles.is_empty() {
         cfg.oracles = oracles;
@@ -269,49 +225,27 @@ fn tune_command(args: &[String]) -> ExitCode {
     let mut out_file: Option<String> = None;
     let mut report_file: Option<String> = None;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.seed = v;
+    let mut parse = || {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--seed" => cfg.seed = number(&mut it)?,
+                "--budget" => cfg.budget = positive(&mut it)?,
+                "--threads" => cfg.threads = positive(&mut it)?,
+                "--fuel" => cfg.probe_fuel = number(&mut it)?,
+                "--apply" => apply = true,
+                "--host-geometry" => cfg.use_host_geometry = true,
+                "-o" => out_file = Some(text(&mut it)?.clone()),
+                "--report" => report_file = Some(text(&mut it)?.clone()),
+                other if !other.starts_with('-') && file.is_none() => {
+                    file = Some(other.to_string());
+                }
+                _ => return Err(usage()),
             }
-            "--budget" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()).filter(|&v: &usize| v > 0)
-                else {
-                    return usage();
-                };
-                cfg.budget = v;
-            }
-            "--threads" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()).filter(|&v: &usize| v > 0)
-                else {
-                    return usage();
-                };
-                cfg.threads = v;
-            }
-            "--fuel" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                cfg.probe_fuel = v;
-            }
-            "--apply" => apply = true,
-            "--host-geometry" => cfg.use_host_geometry = true,
-            "-o" => {
-                let Some(v) = it.next() else { return usage() };
-                out_file = Some(v.clone());
-            }
-            "--report" => {
-                let Some(v) = it.next() else { return usage() };
-                report_file = Some(v.clone());
-            }
-            other if !other.starts_with('-') && file.is_none() => {
-                file = Some(other.to_string());
-            }
-            _ => return usage(),
         }
+        Ok(())
+    };
+    if let Err(code) = parse() {
+        return code;
     }
     let Some(file) = file else { return usage() };
     let src = match std::fs::read_to_string(&file) {
@@ -359,6 +293,25 @@ fn tune_command(args: &[String]) -> ExitCode {
         print!("{}", outcome.report);
     }
     ExitCode::SUCCESS
+}
+
+/// The value after a flag, or the usage error when there is none.
+fn text<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<&'a String, ExitCode> {
+    it.next().ok_or_else(usage)
+}
+
+/// The number after a flag, or the usage error when it is missing or
+/// does not parse.
+fn number<'a, T: FromStr>(it: &mut impl Iterator<Item = &'a String>) -> Result<T, ExitCode> {
+    it.next().and_then(|v| v.parse().ok()).ok_or_else(usage)
+}
+
+/// [`number`] for a count that must be above zero.
+fn positive<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<usize, ExitCode> {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .filter(|&v| v > 0)
+        .ok_or_else(usage)
 }
 
 /// Parse a byte count with an optional binary k/m/g suffix ("64k", "2M").
@@ -421,63 +374,40 @@ fn main() -> ExitCode {
     let mut metrics_json: Option<String> = None;
     let mut exts: Vec<String> = ALL_EXTENSIONS.map(String::from).to_vec();
     let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threads" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                threads = v;
-            }
-            "--fuel" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                limits.fuel = Some(v);
-            }
-            "--max-mem" => {
-                let Some(v) = it.next().and_then(|v| parse_bytes(v)) else {
-                    return usage();
-                };
-                limits.max_matrix_bytes = Some(v);
-            }
-            "--deadline-ms" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                limits.deadline = Some(Duration::from_millis(v));
-            }
-            "--schedule" => {
-                let Some(v) = it.next() else { return usage() };
-                schedule = match v.parse() {
-                    Ok(s) => s,
-                    Err(e) => {
+    let mut parse = || {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--threads" => threads = number(&mut it)?,
+                "--fuel" => limits.fuel = Some(number(&mut it)?),
+                "--max-mem" => {
+                    limits.max_matrix_bytes = Some(parse_bytes(text(&mut it)?).ok_or_else(usage)?);
+                }
+                "--deadline-ms" => limits.deadline = Some(Duration::from_millis(number(&mut it)?)),
+                "--schedule" => {
+                    schedule = text(&mut it)?.parse().map_err(|e| {
                         eprintln!("cmmc: {e}");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                };
+                        ExitCode::from(EXIT_USAGE)
+                    })?;
+                }
+                "--ext" => {
+                    exts = text(&mut it)?.split(',').map(|s| s.trim().to_string()).collect();
+                    exts.retain(|e| !e.is_empty());
+                }
+                "-o" => out_file = Some(text(&mut it)?.clone()),
+                "--profile" => profile = true,
+                "--metrics-json" => metrics_json = Some(text(&mut it)?.clone()),
+                "--no-parallel" => parallel = false,
+                "--no-fusion" => fusion = false,
+                other if !other.starts_with('-') && file.is_none() => {
+                    file = Some(other.to_string());
+                }
+                _ => return Err(usage()),
             }
-            "--ext" => {
-                let Some(v) = it.next() else { return usage() };
-                exts = v.split(',').map(|s| s.trim().to_string()).collect();
-                exts.retain(|e| !e.is_empty());
-            }
-            "-o" => {
-                let Some(v) = it.next() else { return usage() };
-                out_file = Some(v.clone());
-            }
-            "--profile" => profile = true,
-            "--metrics-json" => {
-                let Some(v) = it.next() else { return usage() };
-                metrics_json = Some(v.clone());
-            }
-            "--no-parallel" => parallel = false,
-            "--no-fusion" => fusion = false,
-            other if !other.starts_with('-') && file.is_none() => {
-                file = Some(other.to_string());
-            }
-            _ => return usage(),
         }
+        Ok(())
+    };
+    if let Err(code) = parse() {
+        return code;
     }
 
     // Left to the process's exit, as the compiler is (see below).

@@ -37,23 +37,29 @@ fn program(body: &str) -> String {
     format!("int main() {{\n{body}\nreturn 0;\n}}\n")
 }
 
-/// Runs `src` on all three back ends: each must print `want` and, when
-/// `panic` names a message, fail with exactly that message and exit 1.
-fn agree(name: &str, src: &str, want: &str, panic: Option<&str>) {
+/// Runs `src` on both interpreter tiers: each must print `want`, fail
+/// with exactly `error` when one is named, and count the same steps.
+fn tiers_agree(name: &str, src: &str, want: &str, error: Option<&str>) {
     let ir = full_compiler()
         .compile(src)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let message = panic.map(|m| format!("runtime error: program panic: {m}"));
     let (tree_out, tree_err, tree_steps) = interp(&ir, Tier::Tree);
     let (vm_out, vm_err, vm_steps) = interp(&ir, Tier::Vm);
     assert_eq!(tree_out, want, "{name}: tree-tier output");
-    assert_eq!(tree_err, message, "{name}: tree-tier error");
+    assert_eq!(tree_err.as_deref(), error, "{name}: tree-tier error");
     assert_eq!(
         (vm_out, vm_err),
         (tree_out, tree_err),
         "{name}: VM against the tree tier"
     );
     assert_eq!(vm_steps, tree_steps, "{name}: steps");
+}
+
+/// Runs `src` on all three back ends: each must print `want` and, when
+/// `panic` names a message, fail with exactly that message and exit 1.
+fn agree(name: &str, src: &str, want: &str, panic: Option<&str>) {
+    let message = panic.map(|m| format!("runtime error: program panic: {m}"));
+    tiers_agree(name, src, want, message.as_deref());
 
     let path = std::env::temp_dir().join(format!("cmm-bound-{}-{name}.xc", std::process::id()));
     std::fs::write(&path, src).expect("write program");
@@ -299,5 +305,32 @@ fn an_inner_generator_reusing_an_outer_generator_variable_reads_the_outer_value(
         &program(guard),
         "1\n",
         Some(GENARRAY),
+    );
+    // The same case inside a called function.
+    let callee = format!("int f() {{\n{guard}\nreturn 0;\n}}\n{}", program("printInt(f());"));
+    agree("nested_shadowed_guard_callee", &callee, "1\n", Some(GENARRAY));
+}
+
+#[test]
+fn a_runtime_error_in_a_called_function_counts_the_steps_that_ran() {
+    // The VM charges a run of simple statements before the first of them
+    // runs; a runtime error gives back, in every frame it leaves, the
+    // part of that charge whose statements never started.
+    let guard = "Matrix int <1> v = with ([0] <= [k] < [m]) genarray([2], k);";
+    let callee = format!("int f(int m) {{\n{guard}\nreturn v[0];\n}}\n");
+    let src = format!("{callee}{}", program("printInt(f(3));"));
+    agree("callee_guard", &src, "", Some(GENARRAY));
+    let in_main = program(&format!("int m = 3;\n{guard}\nprintInt(v[0]);"));
+    agree("main_guard", &in_main, "", Some(GENARRAY));
+    // A failing load has no guard, and the emitted C does not check it:
+    // the interpreter tiers only.
+    let index = "int g(int i) {\n\
+                 Matrix int <1> v = with ([0] <= [k] < [3]) genarray([3], k);\n\
+                 printInt(v[1]);\nint x = v[i];\nprintInt(x);\nreturn x;\n}\n";
+    tiers_agree(
+        "callee_index",
+        &format!("{index}{}", program("printInt(g(5));")),
+        "1\n",
+        Some("runtime error: index 5 out of bounds for buffer of 3"),
     );
 }

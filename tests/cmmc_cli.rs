@@ -484,6 +484,34 @@ fn a_valued_flag_without_its_value_is_a_usage_error() {
 }
 
 #[test]
+fn a_numeric_flag_without_a_number_is_a_usage_error() {
+    let path = write_program("nonumber.xc", PROGRAM);
+    let cases = [
+        (vec!["run", &path], "--threads"),
+        (vec!["run", &path], "--fuel"),
+        (vec!["fuzz"], "--seed"),
+        // Never listens: the flags are read before the address is bound.
+        (vec!["serve", "127.0.0.1:0"], "--workers"),
+    ];
+    for (lead, flag) in cases {
+        for value in [None, Some("x")] {
+            let mut args = lead.clone();
+            args.push(flag);
+            args.extend(value);
+            let out = cmmc().args(&args).output().expect("spawn cmmc");
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{args:?}");
+        }
+    }
+    // Counts that must be above zero.
+    for args in [["serve", "127.0.0.1:0", "--workers", "0"], ["tune", &path, "--threads", "0"]] {
+        let out = cmmc().args(args).output().expect("spawn cmmc");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn an_unknown_oracle_is_named_with_every_known_one() {
     let out = cmmc().args(["fuzz", "--oracle", "bogus"]).output().expect("spawn cmmc");
     assert_eq!(out.status.code(), Some(2));

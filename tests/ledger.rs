@@ -15,8 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cmm::core::{Registry, ALL_EXTENSIONS};
-use cmm::lang::{check_program, lower_program, parse_program};
+use cmm::lang::{check_program, lower_functions, parse_program};
 use cmm::loopir::emit::emit_program;
+use cmm::loopir::IrProgram;
 
 /// [`System`], counting the allocations of the threads that asked to and
 /// the peak of the bytes they hold.
@@ -126,8 +127,12 @@ fn wide_templates_lower_and_emit_with_few_allocations() {
         .expect("parses")
         .expect("builds");
     let (info, _) = check_program(&ast, compiler.extensions());
-    let (lowering, ir) = allocations(|| lower_program(&ast, &info, &compiler.options));
-    let ir = ir.expect("lowers");
+    let (lowering, functions) = allocations(|| {
+        lower_functions(&ast, &info, &compiler.options).collect::<Result<Vec<_>, _>>()
+    });
+    let ir = IrProgram {
+        functions: functions.expect("lowers"),
+    };
     let (emission, c) = allocations(|| emit_program(&ir));
     c.expect("emits");
     // 1 561 and 42 measured (per IR statement, the bound these replace,

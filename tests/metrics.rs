@@ -62,12 +62,60 @@ fn pass_timings_are_ordered_and_nonzero() {
     assert!(metrics.pass("emit").unwrap().items > 0, "emitted C bytes");
 }
 
+/// The §III-A4 pattern the optimize pass fuses: an element of a slice.
+const SLICE_PROGRAM: &str = "int main() {
+    int m = 2; int n = 3; int p = 4;
+    Matrix float <3> mat = init(Matrix float <3>, m, n, p);
+    Matrix float <2> sums = with ([0, 0] <= [i, j] < [m, n])
+        genarray([m, n], with ([0] <= [k] < [p]) fold(+, 0.0, mat[i, j, :][k]));
+    printFloat(sums[1, 2]);
+    return 0;
+}
+";
+
 #[test]
 fn plain_compile_and_metered_compile_agree() {
-    let compiler = full_compiler();
-    let plain = compiler.compile(PROGRAM).expect("compile");
-    let (metered, _) = compiler.compile_metered(PROGRAM).expect("compile");
-    assert_eq!(plain, metered, "metering must not change the produced IR");
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut programs = vec![
+        ("slice".to_string(), SLICE_PROGRAM.to_string()),
+        (
+            "wide_templates".to_string(),
+            include_str!("golden/wide_templates.xc").to_string(),
+        ),
+    ];
+    for dir in ["examples", "tests/corpus"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("program directory") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_some_and(|x| x == "xc") {
+                let src = std::fs::read_to_string(&path).expect("readable program");
+                programs.push((path.display().to_string(), src));
+            }
+        }
+    }
+    for fusion in [true, false] {
+        // As `cmmc --no-fusion` sets them.
+        let mut compiler = full_compiler();
+        compiler.options.fuse_with_assign = fusion;
+        compiler.options.fuse_slice_index = fusion;
+        for (name, src) in &programs {
+            let plain = compiler.compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let (metered, m) = compiler
+                .compile_metered(src)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(plain, metered, "{name}: metering must not change the produced IR");
+            let fusions = m
+                .passes
+                .iter()
+                .find(|p| p.name == "optimize")
+                .expect("an optimize pass")
+                .items;
+            if !fusion {
+                assert_eq!(fusions, 0, "{name}: fusions with fusion off");
+            } else if name == "slice" {
+                assert!(fusions >= 1, "{name}: {fusions} fusions");
+            }
+        }
+    }
 }
 
 #[test]
