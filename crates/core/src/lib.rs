@@ -41,8 +41,8 @@ use cmm_lang::{
 };
 use cmm_loopir::emit::Emitter;
 use cmm_loopir::{
-    EmitError, Interp, InterpError, IrFunction, IrProgram, IrStmt, LimitKind, Limits, LoopCost,
-    Tier,
+    Bytecode, BytecodeBuilder, EmitError, Interp, InterpError, IrFunction, IrProgram, IrStmt,
+    LimitKind, Limits, LoopCost, Name,
 };
 
 pub use cmm_lang::typecheck::ExtSet as EnabledExtensions;
@@ -408,6 +408,24 @@ pub struct RunResult {
     /// Buffers still live at exit (0 = the inserted reference counting
     /// freed everything).
     pub leaked: u32,
+    /// Interpreter steps the run took ([`Interp::steps_used`]).
+    pub steps_used: u64,
+}
+
+/// What the front end leaves after a translation: the checked (and
+/// optimized) AST and its type information. A caller about to exit may
+/// leave it to the process's exit instead of freeing it node by node.
+pub type FrontEnd = (cmm_ast::Program, TypeInfo);
+
+/// What [`Compiler::translate`] does with each function once it is
+/// lowered and emitted.
+enum Keep<'a> {
+    /// Drop it.
+    Nothing,
+    /// Collect its IR.
+    Ir(&'a mut Vec<IrFunction>),
+    /// Compile it to bytecode, then drop it.
+    Bytecode(&'a mut BytecodeBuilder),
 }
 
 impl Compiler {
@@ -497,10 +515,11 @@ impl Compiler {
     }
 
     /// Full translation to the loop IR: [`Compiler::translate`] without
-    /// the emitter (the path of `run`, `serve` and the tuner).
+    /// the emitter, keeping every function's IR (the tuner's and the
+    /// fuzzer's path; the run paths keep only bytecode).
     pub fn compile(&self, src: &str) -> Result<IrProgram, CompileError> {
         let mut functions = Vec::new();
-        self.translate(src, None, Some(&mut functions), None)?;
+        self.translate(src, None, Keep::Ir(&mut functions), None)?;
         Ok(IrProgram { functions })
     }
 
@@ -511,13 +530,30 @@ impl Compiler {
         let mut m = self.fresh_metrics();
         let mut functions = Vec::new();
         let mut emitter = Emitter::default();
-        self.translate(src, Some(&mut m), Some(&mut functions), Some(&mut emitter))?;
+        self.translate(src, Some(&mut m), Keep::Ir(&mut functions), Some(&mut emitter))?;
         Ok((IrProgram { functions }, m))
+    }
+
+    /// Translate straight to bytecode, one function at a time: no
+    /// function's IR or resolved form outlives its compilation. The run
+    /// path's compile. With `metrics`, the passes are timed as by
+    /// [`Compiler::compile_metered`], the emitter included.
+    fn bytecode(
+        &self,
+        src: &str,
+        metrics: Option<&mut CompileMetrics>,
+    ) -> Result<Bytecode, CompileError> {
+        let mut builder = BytecodeBuilder::new();
+        let mut emitter = metrics.is_some().then(Emitter::default);
+        self.translate(src, metrics, Keep::Bytecode(&mut builder), emitter.as_mut())?;
+        Ok(builder.finish())
     }
 
     /// Translate to plain parallel C — the paper's output artifact.
     pub fn compile_to_c(&self, src: &str) -> Result<String, CompileError> {
-        self.emitter(src).map(Emitter::finish)
+        let (emitter, front_end) = self.emitter(src)?;
+        drop(front_end);
+        Ok(emitter.finish())
     }
 
     /// [`Compiler::compile_to_c`] with the six pass timings of
@@ -526,43 +562,50 @@ impl Compiler {
         &self,
         src: &str,
     ) -> Result<(String, CompileMetrics), CompileError> {
-        let (emitter, m) = self.emitter_metered(src)?;
+        let (emitter, m, front_end) = self.emitter_metered(src)?;
+        drop(front_end);
         Ok((emitter.finish(), m))
     }
 
     /// Translate to C, holding the translation unit in the parts that
     /// [`Emitter::write_to`] writes without joining them: what `cmmc emit`
-    /// writes.
-    pub fn emitter(&self, src: &str) -> Result<Emitter, CompileError> {
+    /// writes. The front end's result comes back too, for the caller to
+    /// drop or to leave to the process's exit.
+    pub fn emitter(&self, src: &str) -> Result<(Emitter, FrontEnd), CompileError> {
         let mut emitter = Emitter::default();
-        self.translate(src, None, None, Some(&mut emitter))?;
-        Ok(emitter)
+        let front_end = self.translate(src, None, Keep::Nothing, Some(&mut emitter))?;
+        Ok((emitter, front_end))
     }
 
     /// [`Compiler::emitter`] with the six pass timings of
     /// [`Compiler::compile_metered`]: what `cmmc emit --profile` reports.
-    pub fn emitter_metered(&self, src: &str) -> Result<(Emitter, CompileMetrics), CompileError> {
+    pub fn emitter_metered(
+        &self,
+        src: &str,
+    ) -> Result<(Emitter, CompileMetrics, FrontEnd), CompileError> {
         let mut m = self.fresh_metrics();
         let mut emitter = Emitter::default();
-        self.translate(src, Some(&mut m), None, Some(&mut emitter))?;
-        Ok((emitter, m))
+        let front_end = self.translate(src, Some(&mut m), Keep::Nothing, Some(&mut emitter))?;
+        Ok((emitter, m, front_end))
     }
 
     /// Every translation, in order: the front end; the optimize pass,
     /// which rewrites the AST in place; lowering, one function at a time;
-    /// and emission of each function into `emitter` when the caller
-    /// passes one. Each function's IR is dropped once lowered (and
-    /// emitted) unless `keep` collects it. With `metrics`, the passes are
-    /// timed, `lower` and `emit` as sums over the functions. A lowering
-    /// error wins over an earlier function's emit error, so lowering goes
-    /// on after the first emit error.
+    /// emission of each function into `emitter` when the caller passes
+    /// one; and then what `keep` says: each function's IR is dropped, or
+    /// collected, or compiled to bytecode and dropped. With `metrics`, the
+    /// passes are timed, `lower` and `emit` as sums over the functions. A
+    /// lowering error wins over an earlier function's emit error, so
+    /// lowering goes on after the first emit error; it wins over a
+    /// bytecode limit too, which only a run reports. Returns the front
+    /// end's result.
     fn translate(
         &self,
         src: &str,
         mut metrics: Option<&mut CompileMetrics>,
-        mut keep: Option<&mut Vec<IrFunction>>,
+        mut keep: Keep<'_>,
         mut emitter: Option<&mut Emitter>,
-    ) -> Result<(), CompileError> {
+    ) -> Result<FrontEnd, CompileError> {
         let (mut ast, info) = self.frontend_checked(src, metrics.as_deref_mut())?;
         // No clock is read unless the caller asked for timings.
         let timed = metrics.is_some();
@@ -578,6 +621,14 @@ impl Compiler {
         let mut emit_error = None;
         let (mut lower_nanos, mut emit_nanos, mut stmts) = (0, 0, 0);
         let mut lowering = lower_functions(&ast, &info, &self.options);
+        // Bytecode indexes user functions in source order, then the
+        // functions lifted out of their `matrixMap`s in lifting order.
+        let mut lifted = 0;
+        if let Keep::Bytecode(builder) = &mut keep {
+            for f in &ast.functions {
+                builder.declare(&Name::from(f.name.as_str()));
+            }
+        }
         loop {
             let t0 = start();
             let Some(f) = lowering.next() else { break };
@@ -591,8 +642,16 @@ impl Compiler {
                 emit_error = emitter.function(&f).err();
                 emit_nanos += nanos(t0);
             }
-            if let Some(keep) = keep.as_deref_mut() {
-                keep.push(f);
+            match &mut keep {
+                Keep::Nothing => {}
+                Keep::Ir(functions) => functions.push(f),
+                Keep::Bytecode(builder) => {
+                    for name in lowering.lifted_names().skip(lifted) {
+                        builder.declare(name);
+                        lifted += 1;
+                    }
+                    builder.function(f);
+                }
             }
         }
         if let Some(e) = emit_error {
@@ -620,7 +679,7 @@ impl Compiler {
                 },
             ]);
         }
-        Ok(())
+        Ok((ast, info))
     }
 
     /// Compile and execute on the interpreter with `threads` pool
@@ -668,11 +727,12 @@ impl Compiler {
         limits: Limits,
         schedule: Schedule,
     ) -> Result<RunResult, RunFailure> {
-        let ir = self.compile(src).map_err(|error| RunFailure { error, output: String::new() })?;
-        let interp = Interp::new(&ir, threads)
+        let code = self
+            .bytecode(src, None)
+            .map_err(|error| RunFailure { error, output: String::new() })?;
+        let interp = Interp::from_bytecode(code, threads)
             .with_schedule(schedule)
-            .with_limits(limits)
-            .with_tier(Tier::Vm);
+            .with_limits(limits);
         run_outcome(&interp, interp.run_main())
     }
 
@@ -688,17 +748,11 @@ impl Compiler {
         limits: Limits,
         schedule: Schedule,
     ) -> Result<RunResult, CompileError> {
-        let ir = self.compile(src)?;
-        let interp = Interp::with_pool(&ir, pool)
+        let code = self.bytecode(src, None)?;
+        let interp = Interp::from_bytecode_with_pool(code, pool)
             .with_schedule(schedule)
-            .with_limits(limits)
-            .with_tier(Tier::Vm);
-        interp.run_main().map_err(map_interp_error)?;
-        Ok(RunResult {
-            output: interp.output(),
-            allocations: interp.alloc_count(),
-            leaked: interp.live_buffers(),
-        })
+            .with_limits(limits);
+        run_outcome(&interp, interp.run_main()).map_err(|failure| failure.error)
     }
 
     /// Deterministic loop-cost probe (the `cmm-tune` measurement mode):
@@ -712,17 +766,11 @@ impl Compiler {
         src: &str,
         limits: Limits,
     ) -> Result<(RunResult, Vec<LoopCost>, u64), CompileError> {
-        let ir = self.compile(src)?;
-        let interp = Interp::new(&ir, 1)
+        let code = self.bytecode(src, None)?;
+        let interp = Interp::from_bytecode(code, 1)
             .with_limits(limits)
-            .with_tier(Tier::Vm)
             .with_cost_probe(true);
-        interp.run_main().map_err(map_interp_error)?;
-        let result = RunResult {
-            output: interp.output(),
-            allocations: interp.alloc_count(),
-            leaked: interp.live_buffers(),
-        };
+        let result = run_outcome(&interp, interp.run_main()).map_err(|failure| failure.error)?;
         Ok((result, interp.loop_costs(), interp.steps_used()))
     }
 
@@ -768,14 +816,14 @@ impl Compiler {
         schedule: Schedule,
     ) -> Result<(Result<RunResult, RunFailure>, ProfileReport), CompileError> {
         let rc_before = cmm_rc::pool_stats();
-        let (ir, compile) = self.compile_metered(src)?;
+        let mut compile = self.fresh_metrics();
+        let code = self.bytecode(src, Some(&mut compile))?;
         let pool = Arc::new(ForkJoinPool::new(threads));
         pool.set_metrics_enabled(true);
-        let interp = Interp::with_pool(&ir, Arc::clone(&pool))
+        let interp = Interp::from_bytecode_with_pool(code, Arc::clone(&pool))
             .with_schedule(schedule)
             .with_limits(limits)
-            .with_profiling(true)
-            .with_tier(Tier::Vm);
+            .with_profiling(true);
         let outcome = run_outcome(&interp, interp.run_main());
         let rc_after = cmm_rc::pool_stats();
         let report = ProfileReport {
@@ -809,6 +857,7 @@ fn run_outcome<T>(interp: &Interp, ran: Result<T, InterpError>) -> Result<RunRes
             output: interp.output(),
             allocations: interp.alloc_count(),
             leaked: interp.live_buffers(),
+            steps_used: interp.steps_used(),
         }),
         Err(e) => Err(RunFailure { error: map_interp_error(e), output: interp.output() }),
     }

@@ -18,9 +18,11 @@
 //! interp block's `strip_isa`, `"avx2"` or `"baseline"`, the compiled copy
 //! of the unboxed loops' strip walk this host runs — the AVX2 build of the
 //! sweeps where the CPU has AVX2 — so that a timing can be traced to the
-//! code that produced it) keep the tag. The interpreter, rc-pool and parser-cache rows are listed once
-//! and both renderings walk the list, so whatever the `--profile` table
-//! prints there the document carries too.
+//! code that produced it; the pool block's `wakeups` and `barrier_parks`,
+//! the regions that woke parked workers and whose submitter parked in the
+//! stop barrier) keep the tag. The interpreter, rc-pool and parser-cache
+//! rows are listed once and both renderings walk the list, so whatever
+//! the `--profile` table prints there the document carries too.
 
 use std::fmt::Write as _;
 
@@ -157,6 +159,8 @@ impl ProfileReport {
                 "barrier wait (main)",
                 fmt_nanos(pool.barrier_wait_nanos)
             );
+            let _ = writeln!(out, "{:<22} {:>10}", "wake-ups", pool.wakeups);
+            let _ = writeln!(out, "{:<22} {:>10}", "barrier parks", pool.barrier_parks);
             for (tid, &busy) in pool.busy_nanos.iter().enumerate() {
                 let who = if tid == 0 { "busy[main]".to_string() } else { format!("busy[w{tid}]") };
                 let _ = writeln!(out, "{who:<22} {:>10}", fmt_nanos(busy));
@@ -233,6 +237,8 @@ impl ProfileReport {
                 ("chunks_taken", per_worker(&pool.chunks_taken)),
                 ("steals", per_worker(&pool.steals)),
                 ("steal_failures", per_worker(&pool.steal_failures)),
+                ("wakeups", pool.wakeups.into()),
+                ("barrier_parks", pool.barrier_parks.into()),
                 ("imbalance_ratio", Json::fixed(pool.imbalance_ratio(), 6)),
             ])
         });

@@ -420,6 +420,13 @@ pub struct PoolMetrics {
     /// Per-participant steal attempts that lost a CAS race (contention
     /// indicator; the thief moves to the next victim and retries).
     pub steal_failures: Vec<u64>,
+    /// Region starts at which the submitter found workers parked and
+    /// unparked them: each such region pays a futex wake per worker before
+    /// any work starts.
+    pub wakeups: u64,
+    /// Regions whose submitter parked in the stop barrier, waiting for a
+    /// worker to unpark it.
+    pub barrier_parks: u64,
 }
 
 impl PoolMetrics {
@@ -481,6 +488,8 @@ pub struct ForkJoinPool {
     region_nanos: AtomicU64,
     barrier_wait_nanos: AtomicU64,
     chunks_issued: AtomicU64,
+    wakeups: AtomicU64,
+    barrier_parks: AtomicU64,
     /// Cache-derived tile sizes, selected once at construction.
     tile: TilePolicy,
 }
@@ -572,6 +581,8 @@ impl ForkJoinPool {
             region_nanos: AtomicU64::new(0),
             barrier_wait_nanos: AtomicU64::new(0),
             chunks_issued: AtomicU64::new(0),
+            wakeups: AtomicU64::new(0),
+            barrier_parks: AtomicU64::new(0),
             tile: TilePolicy::from_geometry(cache_geometry()),
         }
     }
@@ -633,6 +644,8 @@ impl ForkJoinPool {
             chunks_taken: snap(&self.shared.chunks_taken),
             steals: snap(&self.shared.steals),
             steal_failures: snap(&self.shared.steal_failures),
+            wakeups: self.wakeups.load(Ordering::Relaxed),
+            barrier_parks: self.barrier_parks.load(Ordering::Relaxed),
         }
     }
 
@@ -652,6 +665,8 @@ impl ForkJoinPool {
         self.region_nanos.store(0, Ordering::Relaxed);
         self.barrier_wait_nanos.store(0, Ordering::Relaxed);
         self.chunks_issued.store(0, Ordering::Relaxed);
+        self.wakeups.store(0, Ordering::Relaxed);
+        self.barrier_parks.store(0, Ordering::Relaxed);
         for v in [
             &self.shared.busy_nanos,
             &self.shared.chunks_taken,
@@ -803,6 +818,9 @@ impl ForkJoinPool {
         self.shared.epoch.fetch_add(1, Ordering::SeqCst);
         if self.shared.sleepers.load(Ordering::SeqCst) != 0 {
             self.unpark_workers();
+            if metered {
+                self.wakeups.fetch_add(1, Ordering::Relaxed);
+            }
         }
 
         // Main thread participates as tid 0. Even if it panics, the drop
@@ -984,6 +1002,7 @@ impl Drop for RegionGuard<'_> {
         let mut spins = 0u32;
         let mut started: Option<Instant> = None;
         let mut stalled = false;
+        let mut parked = false;
         while shared.remaining.load(Ordering::Acquire) != 0 {
             if spins < SPINS_BEFORE_PARK {
                 spins += 1;
@@ -1004,6 +1023,9 @@ impl Drop for RegionGuard<'_> {
             }
             let waited = t0.elapsed();
             let limit = Duration::from_millis(timeout_ms);
+            if !std::mem::replace(&mut parked, true) && self.metered {
+                pool.barrier_parks.fetch_add(1, Ordering::Relaxed);
+            }
             if timeout_ms == 0 || stalled {
                 std::thread::park();
             } else if waited < limit {

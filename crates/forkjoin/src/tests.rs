@@ -201,6 +201,26 @@ fn metrics_cover_sequential_and_nested_paths() {
     assert_eq!(m.busy_nanos.len(), 1);
 }
 
+/// A region that finds its worker parked counts a wake-up, and one whose
+/// submitter waits long in the stop barrier counts a park there.
+#[test]
+fn parked_waits_are_counted() {
+    let pool = ForkJoinPool::new(2);
+    pool.set_metrics_enabled(true);
+    let nap = Duration::from_millis(50);
+    // The worker spins out its wait and parks.
+    std::thread::sleep(nap);
+    pool.run(|tid, _| {
+        if tid == 1 {
+            std::thread::sleep(nap);
+        }
+    });
+    let m = pool.metrics();
+    assert_eq!((m.wakeups, m.barrier_parks), (1, 1));
+    pool.reset_metrics();
+    assert_eq!((pool.metrics().wakeups, pool.metrics().barrier_parks), (0, 0));
+}
+
 #[test]
 fn imbalance_ratio_math() {
     let m = PoolMetrics {
@@ -212,6 +232,8 @@ fn imbalance_ratio_math() {
         chunks_taken: vec![0, 0, 0],
         steals: vec![0, 0, 0],
         steal_failures: vec![0, 0, 0],
+        wakeups: 0,
+        barrier_parks: 0,
     };
     // max = 100, mean = 200/3 ≈ 66.7 → ratio 1.5.
     assert!((m.imbalance_ratio() - 1.5).abs() < 1e-9);

@@ -186,6 +186,7 @@ mod tests {
         assert_eq!(outcome.counts.schedule, 25 * 9);
         assert_eq!(outcome.counts.limits, 25);
         assert_eq!(outcome.counts.vm, 25);
+        assert_eq!(outcome.counts.steps, 25);
         assert_eq!(outcome.counts.tuned, 25);
     }
 

@@ -118,6 +118,9 @@ pub struct CheckCounts {
     /// lanes: the generator's long vectors (`generator::LONG_EXTENT`).
     /// Zero means the campaign never saw a full strip or a strip boundary.
     pub full_strip: u64,
+    /// Vm-oracle comparisons that compared the steps of the two completed
+    /// runs.
+    pub steps: u64,
     /// Tuned-oracle comparisons run (autotune + tuned re-run).
     pub tuned: u64,
     /// Gcc-oracle comparisons run (0 when gcc is absent).
@@ -133,6 +136,7 @@ impl CheckCounts {
         self.vm += o.vm;
         self.unboxed += o.unboxed;
         self.full_strip += o.full_strip;
+        self.steps += o.steps;
         self.tuned += o.tuned;
         self.gcc += o.gcc;
     }
@@ -306,6 +310,7 @@ impl Harness {
                 OracleKind::Vm => {
                     self.check_vm(src, &base, bounded)?;
                     counts.vm += 1;
+                    counts.steps += 1;
                     let (entered, full_strip) = self.unboxed_reach(src, bounded)?;
                     counts.unboxed += u64::from(entered);
                     counts.full_strip += u64::from(full_strip);
@@ -447,9 +452,11 @@ impl Harness {
     }
 
     /// Run the optimized pipeline's IR on the tree-walking reference
-    /// tier and require bitwise agreement with the bytecode-VM baseline:
-    /// same output, same allocation and leak counts. Both tiers run one
-    /// IR, so a divergence is the tiers' own.
+    /// tier and require bitwise agreement with the baseline, the product
+    /// run path (bytecode built one function at a time): same output,
+    /// same allocation and leak counts, and — both runs having completed —
+    /// the same steps. Both tiers run one IR, so a divergence is the
+    /// tiers' own.
     fn check_vm(
         &self,
         src: &str,
@@ -480,6 +487,13 @@ impl Harness {
             return Err(fail(format!(
                 "buffer accounting differs between tiers: tree {allocations}/{leaked} alloc/leaked, vm {}/{}",
                 base.allocations, base.leaked
+            )));
+        }
+        let steps = reference.steps_used();
+        if steps != base.steps_used {
+            return Err(fail(format!(
+                "steps differ between tiers: tree {steps}, vm {}",
+                base.steps_used
             )));
         }
         Ok(())

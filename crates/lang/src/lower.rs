@@ -100,6 +100,18 @@ pub struct FunctionLowering<'p> {
     lifted_out: std::vec::IntoIter<IrFunction>,
 }
 
+impl FunctionLowering<'_> {
+    /// The names of the functions lifted out of `matrixMap`s so far, in
+    /// lifting order, until the first of them is handed out. A function
+    /// that calls one is handed out before it: a caller that indexes
+    /// functions as it receives them (user functions in source order, then
+    /// these) learns each lifted index here, by the time a call to it
+    /// appears.
+    pub fn lifted_names(&self) -> impl Iterator<Item = &Name> {
+        self.lifted.iter().map(|f| &f.name)
+    }
+}
+
 impl Iterator for FunctionLowering<'_> {
     type Item = Result<IrFunction, Diag>;
 

@@ -16,8 +16,11 @@
 //! construction resolves every variable to a frame-slot index once, so the
 //! hot path indexes a flat `Vec<Value>` per call frame instead of walking
 //! string-keyed scope maps, and parallel loops hand each participant a
-//! frame seeded with only the slots the body actually references.
+//! frame seeded with only the slots the body actually references. The VM
+//! tier keeps only the bytecode compiled from that form
+//! ([`crate::BytecodeBuilder`]), one function at a time.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -26,8 +29,11 @@ use cmm_forkjoin::{ForkJoinPool, Schedule};
 use cmm_rc::{AllocError, PoolBlock};
 
 use crate::cmmx;
-use crate::ir::{Builtin, CType, Elem, IrBinOp, IrProgram};
-use crate::resolve::{resolve_program, RCallee, RExpr, RFor, RProgram, RStmt, RTarget};
+use crate::ir::{Builtin, CType, Elem, IrBinOp, IrProgram, Name};
+use crate::resolve::{
+    resolve_program, FnHeader, RCallee, RExpr, RFor, RFunction, RProgram, RStmt, RTarget,
+};
+use crate::vm::{Bytecode, BytecodeBuilder, VmProgram};
 
 /// Which execution tier runs the resolved program.
 ///
@@ -682,20 +688,28 @@ pub struct InterpProfile {
     pub total_steps: u64,
 }
 
-/// The interpreter: an [`IrProgram`] plus a fork-join pool and captured
-/// output. Construction runs the slot-resolution pre-pass once; every
-/// call, including re-runs, then executes the resolved form. The pool of
-/// [`Interp::new`] is created at the program's first parallel region,
-/// kernel call or concurrent spawn, and lives as long as the interpreter;
-/// one given to [`Interp::with_pool`] is used from the start.
-pub struct Interp<'p> {
-    program: &'p IrProgram,
-    pub(crate) resolved: RProgram,
-    /// Bytecode form, compiled by [`Interp::with_tier`]`(Tier::Vm)`:
-    /// `Some`, every function call runs on the VM; `None`, on the
-    /// tree-walker; an error, the limit lowering hit, which every run
-    /// then reports.
-    vm: Result<Option<crate::vm::VmProgram>, InterpError>,
+/// What executes a call.
+enum Code {
+    /// The tree-walker's resolved functions.
+    Tree(Vec<RFunction>),
+    /// Bytecode, or the limit compiling it hit, which every run reports.
+    Vm(Result<VmProgram, InterpError>),
+}
+
+/// The interpreter: a program's code plus a fork-join pool and captured
+/// output. [`Interp::new`] runs the slot-resolution pre-pass once over an
+/// [`IrProgram`]; [`Interp::from_bytecode`] takes a program's bytecode as
+/// [`BytecodeBuilder`] built it. Every call, including re-runs, then
+/// executes that form. The pool of [`Interp::new`] is created at the
+/// program's first parallel region, kernel call or concurrent spawn, and
+/// lives as long as the interpreter; one given to [`Interp::with_pool`] is
+/// used from the start.
+pub struct Interp {
+    /// Name, arity and frame size of each function, by index.
+    functions: Vec<FnHeader>,
+    /// Function indices by name (first definition wins).
+    by_name: HashMap<Name, usize>,
+    code: Code,
     /// The pool parallel loops, kernels and spawns run on: the one given
     /// to [`Interp::with_pool`], or one of `threads` threads created at the
     /// first of them, so a program that never forks spawns no thread.
@@ -756,28 +770,52 @@ pub struct LoopCost {
     pub iters: Vec<u64>,
 }
 
-impl<'p> Interp<'p> {
-    /// New interpreter running parallel loops on `threads` pool threads.
-    /// The pool is created at the program's first parallel region, kernel
-    /// call or concurrent spawn; a program with none runs without one.
-    pub fn new(program: &'p IrProgram, threads: usize) -> Self {
-        Interp::on(program, OnceLock::new(), threads)
+impl Interp {
+    /// New interpreter on the tree tier, running parallel loops on
+    /// `threads` pool threads. The pool is created at the program's first
+    /// parallel region, kernel call or concurrent spawn; a program with
+    /// none runs without one.
+    pub fn new(program: &IrProgram, threads: usize) -> Self {
+        Interp::resolved(program, OnceLock::new(), threads)
     }
 
     /// New interpreter sharing an existing pool (its fault plan, if any,
     /// applies from the first allocation on).
-    pub fn with_pool(program: &'p IrProgram, pool: Arc<ForkJoinPool>) -> Self {
+    pub fn with_pool(program: &IrProgram, pool: Arc<ForkJoinPool>) -> Self {
         let threads = pool.threads();
-        Interp::on(program, OnceLock::from(pool), threads)
+        Interp::resolved(program, OnceLock::from(pool), threads)
     }
 
-    fn on(program: &'p IrProgram, pool: OnceLock<Arc<ForkJoinPool>>, threads: usize) -> Self {
-        let resolved = resolve_program(program);
-        let nfns = resolved.functions.len();
+    /// New interpreter running `code` on the VM tier, on `threads` pool
+    /// threads created as [`Interp::new`] creates them.
+    pub fn from_bytecode(code: Bytecode, threads: usize) -> Self {
+        Interp::on(code.functions, code.by_name, Code::Vm(code.vm), OnceLock::new(), threads)
+    }
+
+    /// [`Interp::from_bytecode`] sharing an existing pool.
+    pub fn from_bytecode_with_pool(code: Bytecode, pool: Arc<ForkJoinPool>) -> Self {
+        let threads = pool.threads();
+        Interp::on(code.functions, code.by_name, Code::Vm(code.vm), OnceLock::from(pool), threads)
+    }
+
+    fn resolved(program: &IrProgram, pool: OnceLock<Arc<ForkJoinPool>>, threads: usize) -> Self {
+        let RProgram { functions, by_name } = resolve_program(program);
+        let headers = functions.iter().map(|f| f.header.clone()).collect();
+        Interp::on(headers, by_name, Code::Tree(functions), pool, threads)
+    }
+
+    fn on(
+        functions: Vec<FnHeader>,
+        by_name: HashMap<Name, usize>,
+        code: Code,
+        pool: OnceLock<Arc<ForkJoinPool>>,
+        threads: usize,
+    ) -> Self {
+        let nfns = functions.len();
         Interp {
-            program,
-            resolved,
-            vm: Ok(None),
+            functions,
+            by_name,
+            code,
             pool,
             threads,
             output: Mutex::new(String::new()),
@@ -814,17 +852,30 @@ impl<'p> Interp<'p> {
         self
     }
 
-    /// Select the execution tier (the tree-walker until this is called).
-    /// `Tier::Vm` lowers the resolved program to bytecode once
-    /// (compile-once / execute-many: re-runs and every call share the
-    /// compiled [`crate::vm::VmProgram`]). A function that overflows the
-    /// bytecode's `u16` registers or tables makes every run fail with an
+    /// Select the execution tier of an interpreter [`Interp::new`] built
+    /// (the tree-walker until this is called). `Tier::Vm` compiles the
+    /// resolved functions to bytecode once, through [`BytecodeBuilder`],
+    /// and drops them (compile-once / execute-many: re-runs and every call
+    /// share the bytecode). A function that overflows the bytecode's `u16`
+    /// registers or tables makes every run fail with an
     /// [`InterpErrorKind::VmLimit`] error naming it.
+    ///
+    /// # Panics
+    ///
+    /// `Tier::Tree` on an interpreter that runs bytecode: it has no
+    /// resolved functions left to walk.
     pub fn with_tier(mut self, tier: Tier) -> Self {
-        self.vm = match tier {
-            Tier::Vm => crate::vm::compile(&self.resolved).map(Some),
-            Tier::Tree => Ok(None),
-        };
+        match (tier, &mut self.code) {
+            (Tier::Vm, Code::Tree(resolved)) => {
+                let mut builder = BytecodeBuilder::new();
+                for f in std::mem::take(resolved) {
+                    builder.compile(f);
+                }
+                self.code = Code::Vm(builder.finish().vm);
+            }
+            (Tier::Tree, Code::Vm(_)) => panic!("an interpreter running bytecode has no tree form"),
+            _ => {}
+        }
         self
     }
 
@@ -832,11 +883,6 @@ impl<'p> Interp<'p> {
     /// region, kernel call or concurrent spawn.
     pub(crate) fn pool(&self) -> &Arc<ForkJoinPool> {
         self.pool.get_or_init(|| Arc::new(ForkJoinPool::new(self.threads)))
-    }
-
-    /// The source program this interpreter was built from.
-    pub fn program(&self) -> &'p IrProgram {
-        self.program
     }
 
     /// Enable execution profiling: per-function fuel, parallel-loop
@@ -873,7 +919,7 @@ impl<'p> Interp<'p> {
     pub fn profile(&self) -> InterpProfile {
         let mut functions: Vec<FnProfile> = lock_ignore_poison(&self.fn_costs)
             .iter()
-            .zip(&self.resolved.functions)
+            .zip(&self.functions)
             .filter(|(&(calls, _), _)| calls > 0)
             .map(|(&(calls, steps), f)| FnProfile {
                 name: f.name.to_string(),
@@ -883,9 +929,9 @@ impl<'p> Interp<'p> {
             .collect();
         functions.sort_by(|a, b| b.steps.cmp(&a.steps).then_with(|| a.name.cmp(&b.name)));
         let noted = |notes: fn(&crate::vm::VmFunction) -> &[crate::vm::LoopNote]| {
-            let names = self.resolved.functions.iter().map(|f| &*f.name);
-            match &self.vm {
-                Ok(Some(vm)) => vm.noted_loops(names, notes),
+            let names = self.functions.iter().map(|f| &*f.name);
+            match &self.code {
+                Code::Vm(Ok(vm)) => vm.noted_loops(names, notes),
                 _ => Vec::new(),
             }
         };
@@ -1060,10 +1106,10 @@ impl<'p> Interp<'p> {
 
     /// Call a user function by name with argument values.
     pub fn call(&self, name: &str, args: Vec<Value>) -> IResult<Value> {
-        if let Err(limit) = &self.vm {
+        if let Code::Vm(Err(limit)) = &self.code {
             return Err(limit.clone());
         }
-        match self.resolved.by_name.get(name) {
+        match self.by_name.get(name) {
             Some(&idx) => self.call_function(idx, args),
             None => Err(undefined_function(name)),
         }
@@ -1086,7 +1132,7 @@ impl<'p> Interp<'p> {
     /// implicit sync and the profile's attribution are written once here,
     /// and the tier decides only how the body executes.
     pub(crate) fn call_function(&self, idx: usize, args: Vec<Value>) -> IResult<Value> {
-        let f = &self.resolved.functions[idx];
+        let f = &self.functions[idx];
         if f.nparams != args.len() {
             return Err(InterpError::new(format!(
                 "function '{}' takes {} arguments, got {}",
@@ -1100,11 +1146,12 @@ impl<'p> Interp<'p> {
             pending: Vec::new(),
         };
         let steps_at_entry = self.profile.then(|| self.steps.load(Ordering::Relaxed));
-        let returned = match &self.vm {
-            Ok(Some(vm)) => crate::vm::run_function(self, vm, idx, &mut frame)?,
-            _ => {
+        let returned = match &self.code {
+            Code::Vm(Ok(vm)) => crate::vm::run_function(self, vm, idx, &mut frame)?,
+            Code::Vm(Err(limit)) => return Err(limit.clone()),
+            Code::Tree(resolved) => {
                 frame.slots.resize(f.nslots, Value::Unit);
-                match self.exec_block(&f.body, &mut frame)? {
+                match self.exec_block(&resolved[idx].body, &mut frame)? {
                     Flow::Return(v) => Some(v),
                     Flow::Normal => None,
                 }

@@ -54,7 +54,7 @@ fn steps_per_row(k: usize, n: usize) -> u64 {
 /// the VM is batching charges (see `vm::exec`); otherwise they are charged
 /// against the budgets as tiles start.
 pub(crate) fn run_matmul(
-    interp: &Interp<'_>,
+    interp: &Interp,
     site: &RMatMul,
     frame: &Frame,
     batch: Option<&mut u64>,
@@ -93,7 +93,7 @@ pub(crate) fn run_matmul(
 }
 
 fn product<T: Numeric>(
-    interp: &Interp<'_>,
+    interp: &Interp,
     parallel: bool,
     dst: &BufHandle,
     a: &BufHandle,

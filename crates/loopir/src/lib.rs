@@ -47,6 +47,7 @@ pub use ir::{
     Name, MAX_RANK,
 };
 pub use scalar_loop::{StripIsa, STRIP as UNBOXED_STRIP};
+pub use vm::{Bytecode, BytecodeBuilder};
 pub use transform::TransformError;
 
 /// Starts the function it is inlined into on a 64-byte boundary, so that

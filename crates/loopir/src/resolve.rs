@@ -152,13 +152,21 @@ pub(crate) enum RStmt {
     },
 }
 
-/// A resolved function: parameters occupy slots `0..nparams`, every other
-/// declaration a slot below `nslots`.
+/// What a call reads of a function besides its code: the name (for
+/// errors and the profile), the arity and the frame size. Parameters
+/// occupy slots `0..nparams`, every other declaration a slot below
+/// `nslots`.
 #[derive(Debug, Clone)]
-pub(crate) struct RFunction {
+pub(crate) struct FnHeader {
     pub name: Name,
     pub nparams: usize,
     pub nslots: usize,
+}
+
+/// A resolved function.
+#[derive(Debug, Clone)]
+pub(crate) struct RFunction {
+    pub header: FnHeader,
     /// Declared type of each slot (parameter and `Decl` types; loop
     /// indices are `int`). A prediction, not a guarantee — a `Decl` stores
     /// whatever its initializer evaluates to — so the VM's unboxed loops
@@ -197,7 +205,8 @@ struct Resolver<'a> {
     slot_types: Vec<CType>,
 }
 
-fn resolve_function(f: &IrFunction, by_name: &HashMap<Name, usize>) -> RFunction {
+/// Resolve one function against the program's name table.
+pub(crate) fn resolve_function(f: &IrFunction, by_name: &HashMap<Name, usize>) -> RFunction {
     let mut r = Resolver {
         by_name,
         scopes: vec![HashMap::new()],
@@ -209,9 +218,11 @@ fn resolve_function(f: &IrFunction, by_name: &HashMap<Name, usize>) -> RFunction
     }
     let body = r.block(&f.body);
     RFunction {
-        name: f.name.clone(),
-        nparams: f.params.len(),
-        nslots: r.slot_types.len(),
+        header: FnHeader {
+            name: f.name.clone(),
+            nparams: f.params.len(),
+            nslots: r.slot_types.len(),
+        },
         slot_types: r.slot_types,
         body,
     }

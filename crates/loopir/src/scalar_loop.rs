@@ -1494,7 +1494,7 @@ fn trips(from: i32, to: i32) -> u64 {
 /// bailed there.
 #[inline(always)] // as a call it cost a one-trip entry 20 ns (E-K3's `short_1`)
 fn metered(
-    interp: &Interp<'_>,
+    interp: &Interp,
     charge: u32,
     batch: Option<&mut u64>,
     (lo, hi): (i32, i32),
@@ -1536,7 +1536,7 @@ fn metered(
 /// the counter register's (possibly advanced) value. Steps go to `batch`
 /// when the VM is batching charges (see `vm::exec`).
 pub(crate) fn run(
-    interp: &Interp<'_>,
+    interp: &Interp,
     lp: &ScalarLoop,
     frame: &mut Frame,
     batch: Option<&mut u64>,
@@ -1548,7 +1548,7 @@ pub(crate) fn run(
 /// it).
 fn run_on(
     isa: StripIsa,
-    interp: &Interp<'_>,
+    interp: &Interp,
     lp: &ScalarLoop,
     frame: &mut Frame,
     batch: Option<&mut u64>,

@@ -2391,6 +2391,93 @@ mod probe_tests {
         tree.run_main().expect("the tree tier runs it");
         assert_eq!(tree.output(), format!("{}\n", (slots - 1) % 7));
     }
+
+    /// `program` compiled by [`BytecodeBuilder`], one function at a time,
+    /// as the compile driver feeds it.
+    fn streamed(program: &IrProgram) -> Interp {
+        let mut builder = BytecodeBuilder::new();
+        for f in &program.functions {
+            builder.declare(&f.name);
+        }
+        for f in &program.functions {
+            builder.function(f.clone());
+        }
+        Interp::from_bytecode(builder.finish(), 1)
+    }
+
+    /// What a run of `interp` leaves: its value or error text and kind,
+    /// output and steps.
+    fn ran(interp: &Interp) -> (Result<String, (String, InterpErrorKind)>, String, u64) {
+        let result = match interp.run_main() {
+            Ok(v) => Ok(format!("{v:?}")),
+            Err(e) => Err((e.to_string(), e.kind)),
+        };
+        (result, interp.output(), interp.steps_used())
+    }
+
+    /// A function `name` with more frame slots than the bytecode can name.
+    fn over_the_limits(name: &str) -> IrFunction {
+        IrFunction {
+            name: name.into(),
+            params: vec![],
+            ret: CType::Void,
+            ret_tuple: None,
+            body: (0..=u16::MAX as usize)
+                .map(|k| IrStmt::Decl { ty: CType::Int, name: format!("x{k}").into(), init: None })
+                .collect(),
+        }
+    }
+
+    /// Of two functions over the limits, the first in program order is
+    /// the one every run reports, on the builder's path and on
+    /// `with_tier`'s alike.
+    #[test]
+    fn the_first_function_over_the_limits_is_the_one_reported() {
+        let program = IrProgram {
+            functions: vec![main_fn(vec![print(i(1))]), over_the_limits("a"), over_the_limits("b")],
+        };
+        let (result, output, steps) = ran(&streamed(&program));
+        let error = "bytecode limit: function 'a': too many frame slots".to_string();
+        assert_eq!(result, Err((error, InterpErrorKind::VmLimit)));
+        assert_eq!((output.as_str(), steps), ("", 0));
+        assert_eq!(ran(&Interp::new(&program, 1).with_tier(Tier::Vm)), ran(&streamed(&program)));
+    }
+
+    /// "undefined function" is an error only when the call executes, and
+    /// the first of two functions of one name is the one called.
+    #[test]
+    fn calls_resolve_as_the_tree_tier_resolves_them() {
+        let never = IrStmt::If {
+            cond: IrExpr::Bool(false),
+            then_b: vec![IrStmt::Expr(IrExpr::Call("nowhere".into(), vec![]))],
+            else_b: vec![],
+        };
+        let twin = |k: i64| IrFunction {
+            name: "twin".into(),
+            params: vec![],
+            ret: CType::Void,
+            ret_tuple: None,
+            body: vec![print(i(k))],
+        };
+        let call = |name: &str| IrStmt::Expr(IrExpr::Call(name.into(), vec![]));
+        let quiet = IrProgram {
+            functions: vec![main_fn(vec![never, call("twin")]), twin(1), twin(2)],
+        };
+        let loud = IrProgram { functions: vec![main_fn(vec![call("nowhere")])] };
+        for program in [&quiet, &loud] {
+            let tree = ran(&Interp::new(program, 1));
+            assert_eq!(ran(&streamed(program)), tree);
+            assert_eq!(ran(&Interp::new(program, 1).with_tier(Tier::Vm)), tree);
+        }
+        let (result, output, _) = ran(&streamed(&quiet));
+        assert!(result.is_ok());
+        assert_eq!(output, "1\n");
+        let (result, ..) = ran(&streamed(&loud));
+        assert_eq!(
+            result.map_err(|(text, _)| text),
+            Err("runtime error: undefined function 'nowhere'".to_string())
+        );
+    }
 }
 
 mod cmmx_tests {

@@ -50,14 +50,18 @@
 //! stays, as the path taken when the operands are not as predicted and as
 //! the place a failing iteration is handed back to.
 //!
-//! ## Compile-once / execute-many
+//! ## One function at a time, compile-once / execute-many
 //!
-//! [`compile`] produces a [`VmProgram`] — pure data, no interpreter
-//! state. `Interp::with_tier(Tier::Vm)` attaches one to an interpreter;
-//! frames (execution contexts) are a `Vec<Value>` each, so re-running
-//! `main` or serving many calls re-uses the compiled program with only
-//! per-call frame allocation.
+//! [`BytecodeBuilder`] resolves and compiles one function at a time and
+//! drops each resolved body once compiled; the [`Bytecode`] it produces —
+//! a [`VmProgram`] plus each function's [`FnHeader`] and the name table —
+//! is pure data, no interpreter state. `Interp::from_bytecode` runs one;
+//! `Interp::with_tier(Tier::Vm)` feeds the tree tier's resolved functions
+//! through the same builder. Frames (execution contexts) are a
+//! `Vec<Value>` each, so re-running `main` or serving many calls re-uses
+//! the compiled program with only per-call frame allocation.
 
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 use cmm_forkjoin::Schedule;
@@ -68,11 +72,14 @@ use crate::interp::{
 };
 use crate::ir::{Builtin, CType, IrBinOp};
 use crate::kernel::run_matmul;
-use crate::resolve::{RCallee, RExpr, RFor, RFunction, RMatMul, RProgram, RStmt, RTarget};
+use crate::ir::{IrFunction, Name};
+use crate::resolve::{
+    resolve_function, FnHeader, RCallee, RExpr, RFor, RFunction, RMatMul, RStmt, RTarget,
+};
 use crate::scalar_loop::{self, ScalarLoop};
 
 /// Why a function cannot be lowered to bytecode: which of its `u16`
-/// operands or tables overflowed. [`compile`] reports it, with the
+/// operands or tables overflowed. [`BytecodeBuilder`] reports it, with the
 /// function's name, as an [`crate::InterpErrorKind::VmLimit`] error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct VmLimit(pub &'static str);
@@ -186,8 +193,8 @@ pub(crate) struct SpawnData {
     pub n: u16,
 }
 
-/// One function's compiled form. (Arity lives on the resolved function;
-/// `Interp::call_function` checks it there for both tiers.)
+/// One function's compiled form. (Arity lives in the function's
+/// [`FnHeader`]; `Interp::call_function` checks it there for both tiers.)
 #[derive(Debug, Clone)]
 pub(crate) struct VmFunction {
     /// Register-file size: `nslots` resolved slots plus temporaries.
@@ -243,17 +250,81 @@ impl VmProgram {
     }
 }
 
-/// Lower a resolved program to bytecode, or name the first function
-/// that does not fit and the limit it hit.
-pub(crate) fn compile(p: &RProgram) -> Result<VmProgram, InterpError> {
-    let funcs = p
-        .functions
-        .iter()
-        .map(|f| {
-            compile_function(f).map_err(|VmLimit(limit)| InterpError::vm_limit(&f.name, limit))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(VmProgram { funcs })
+/// A program's bytecode and what calls read besides it: each function's
+/// [`FnHeader`] and the name table. Built by [`BytecodeBuilder`] and run
+/// by [`Interp::from_bytecode`]; it holds no IR and no resolved body.
+pub struct Bytecode {
+    pub(crate) functions: Vec<FnHeader>,
+    pub(crate) by_name: HashMap<Name, usize>,
+    /// The compiled functions, or the first function in program order
+    /// that does not fit and the limit it hit, which every run reports.
+    pub(crate) vm: Result<VmProgram, InterpError>,
+}
+
+/// Builds a program's bytecode one function at a time: each function is
+/// resolved against the names declared so far, compiled, and its
+/// resolved form dropped, so that only the bytecode and a small header
+/// outlive it. Function indices are the order of [`BytecodeBuilder::declare`]:
+/// declare every name a function calls before adding that function, and
+/// add the functions in that order. A call to a name never declared is
+/// an error only when it executes.
+#[derive(Default)]
+pub struct BytecodeBuilder {
+    by_name: HashMap<Name, usize>,
+    declared: usize,
+    functions: Vec<FnHeader>,
+    funcs: Vec<VmFunction>,
+    limit: Option<InterpError>,
+}
+
+impl BytecodeBuilder {
+    /// A builder with no function declared.
+    pub fn new() -> Self {
+        BytecodeBuilder::default()
+    }
+
+    /// Give `name` the next function index. A name declared twice keeps
+    /// its first index: the first definition wins, as in
+    /// [`crate::IrProgram::function`].
+    pub fn declare(&mut self, name: &Name) {
+        self.by_name.entry(name.clone()).or_insert(self.declared);
+        self.declared += 1;
+    }
+
+    /// Resolve the next declared function, drop its IR, and compile it.
+    pub fn function(&mut self, f: IrFunction) {
+        debug_assert!(self.functions.len() < self.declared, "'{}' was not declared", f.name);
+        let resolved = resolve_function(&f, &self.by_name);
+        drop(f);
+        self.compile(resolved);
+    }
+
+    /// Compile a resolved function and keep its header. Once one function
+    /// has hit a limit, the rest are not compiled: that limit is what
+    /// every run reports.
+    pub(crate) fn compile(&mut self, f: RFunction) {
+        if self.limit.is_none() {
+            match compile_function(&f) {
+                Ok(code) => self.funcs.push(code),
+                Err(VmLimit(limit)) => {
+                    self.limit = Some(InterpError::vm_limit(&f.header.name, limit));
+                }
+            }
+        }
+        self.functions.push(f.header);
+    }
+
+    /// The bytecode of every function added.
+    pub fn finish(self) -> Bytecode {
+        Bytecode {
+            functions: self.functions,
+            by_name: self.by_name,
+            vm: match self.limit {
+                Some(limit) => Err(limit),
+                None => Ok(VmProgram { funcs: self.funcs }),
+            },
+        }
+    }
 }
 
 // --- lowering -----------------------------------------------------------
@@ -284,7 +355,8 @@ struct FnCompiler<'a> {
 }
 
 fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
-    if f.nslots > u16::MAX as usize {
+    let nslots = f.header.nslots;
+    if nslots > u16::MAX as usize {
         return Err(VmLimit("too many frame slots"));
     }
     let mut c = FnCompiler {
@@ -300,8 +372,8 @@ fn compile_function(f: &RFunction) -> Result<VmFunction, VmLimit> {
         scalar_loops: Vec::new(),
         boxed_loops: Vec::new(),
         per_iteration_loops: Vec::new(),
-        temp: f.nslots,
-        max_reg: f.nslots,
+        temp: nslots,
+        max_reg: nslots,
         fuse_barrier: 0,
     };
     c.compile_block(&f.body)?;
@@ -1066,7 +1138,7 @@ fn is_pure(e: &RExpr) -> bool {
 /// arguments: the VM's part of `Interp::call_function`, which checked the
 /// arity and does the sync and the profile attribution around it.
 pub(crate) fn run_function(
-    interp: &Interp<'_>,
+    interp: &Interp,
     vm: &VmProgram,
     idx: usize,
     frame: &mut Frame,
@@ -1081,7 +1153,7 @@ pub(crate) fn run_function(
 /// accumulate in a stack-local counter and hit the shared atomic once per
 /// frame instead of once per statement group — the totals are identical.
 fn exec(
-    interp: &Interp<'_>,
+    interp: &Interp,
     vm: &VmProgram,
     f: &VmFunction,
     frame: &mut Frame,
@@ -1105,7 +1177,7 @@ fn exec(
 /// [`VmFunction::unstarted`]), so that every frame an error leaves counts
 /// what the tree tier counts. A stop at a limit keeps its charge.
 fn exec_impl<const BATCH: bool>(
-    interp: &Interp<'_>,
+    interp: &Interp,
     vm: &VmProgram,
     f: &VmFunction,
     code: &[Instr],
@@ -1138,7 +1210,7 @@ fn exec_impl<const BATCH: bool>(
 /// flushes them to the shared counter — see [`exec`] and `run_parfor`).
 #[inline(always)]
 fn dispatch<const BATCH: bool>(
-    interp: &Interp<'_>,
+    interp: &Interp,
     vm: &VmProgram,
     f: &VmFunction,
     code: &[Instr],
@@ -1356,7 +1428,7 @@ fn dispatch<const BATCH: bool>(
 /// Fork-join execution of a parallel loop's bytecode body on the shared
 /// driver ([`Interp::run_parallel_loop`]).
 fn run_parfor(
-    interp: &Interp<'_>,
+    interp: &Interp,
     vm: &VmProgram,
     f: &VmFunction,
     pf: &ParForData,

@@ -184,7 +184,7 @@ fn fuzz_command(args: &[String]) -> ExitCode {
     println!(
         "fuzz: seed {} · {} case(s) · oracles [{}] · comparisons: \
          transform {}, schedule {}, limits {}, vm {} ({} entered an unboxed loop, {} ran a full strip), \
-         tuned {}, gcc {}",
+         vm steps {}, tuned {}, gcc {}",
         cfg.seed,
         outcome.cases,
         names.join(", "),
@@ -194,6 +194,7 @@ fn fuzz_command(args: &[String]) -> ExitCode {
         outcome.counts.vm,
         outcome.counts.unboxed,
         outcome.counts.full_strip,
+        outcome.counts.steps,
         outcome.counts.tuned,
         outcome.counts.gcc,
     );
@@ -470,9 +471,9 @@ fn main() -> ExitCode {
         None => ExitCode::SUCCESS,
     };
 
-    // `check` leaves the AST and `emit` the C text to the process's exit
-    // instead of dropping them, and `run`, `check` and `emit` the registry
-    // and the compiler: freeing a large program node by node, or a grammar
+    // `check` leaves the AST and `emit` the AST and the C text to the
+    // process's exit instead of dropping them, and `run`, `check` and
+    // `emit` the registry and the compiler: freeing a large program node by node, or a grammar
     // string by string, costs time that nothing reads, and the operating
     // system takes the pages back at once. (`emit` does drop each
     // function's IR once it is emitted: the next function reuses those
@@ -502,12 +503,12 @@ fn main() -> ExitCode {
         "emit" => {
             let emitted = if metered {
                 let emitted = compiler.emitter_metered(&src);
-                emitted.map(|(c, m)| (c, Some(m)))
+                emitted.map(|(c, m, front_end)| (c, Some(m), front_end))
             } else {
-                compiler.emitter(&src).map(|c| (c, None))
+                compiler.emitter(&src).map(|(c, front_end)| (c, None, front_end))
             };
             match emitted {
-                Ok((c, passes)) => {
+                Ok((c, passes, front_end)) => {
                     let written = match &out_file {
                         Some(path) => {
                             std::fs::File::create(path).and_then(|mut f| c.write_to(&mut f))
@@ -525,7 +526,7 @@ fn main() -> ExitCode {
                     if out_file.is_some() {
                         eprintln!("wrote {path} (compile with: gcc -O2 -fopenmp -msse2 {path})");
                     }
-                    std::mem::forget(c);
+                    std::mem::forget((c, front_end));
                     report_passes(passes)
                 }
                 Err(e) => fail(&e),

@@ -11,7 +11,7 @@ use std::fs;
 use std::path::Path;
 
 /// The count when the ceiling was last set.
-const CEILING: usize = 23_567;
+const CEILING: usize = 23_712;
 
 /// Counted lines of one source file.
 fn count_file(src: &str) -> usize {

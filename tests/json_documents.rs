@@ -128,6 +128,8 @@ fn run_report() -> ProfileReport {
             chunks_taken: vec![4, 3],
             steals: vec![1, 0],
             steal_failures: vec![0, 2],
+            wakeups: 5,
+            barrier_parks: 3,
         }),
         interp: Some(InterpProfile {
             functions: vec![

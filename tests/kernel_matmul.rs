@@ -102,7 +102,7 @@ fn run_product(
     )
 }
 
-fn run_product_on(interp: &Interp<'_>, (m, k, n, s): (i32, i32, i32, i32)) -> Observed {
+fn run_product_on(interp: &Interp, (m, k, n, s): (i32, i32, i32, i32)) -> Observed {
     let args = vec![Value::I(m), Value::I(k), Value::I(n), Value::I(s)];
     let Value::Buf(c) = interp.call("product", args).expect("product runs") else {
         panic!("product returns a matrix");

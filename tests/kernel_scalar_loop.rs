@@ -368,7 +368,7 @@ struct Observed {
     steps: u64,
 }
 
-fn run_kernel(interp: &Interp<'_>, seed: u64, n: usize) -> Observed {
+fn run_kernel(interp: &Interp, seed: u64, n: usize) -> Observed {
     let mut rng = TestRng::with_seed(seed ^ 0x5eed);
     // Mostly small positive ints (valid indices and divisors), with the
     // odd zero, negative or huge value.

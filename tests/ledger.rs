@@ -4,10 +4,12 @@
 //! most so many bytes of C, and allocates at most so many times while it
 //! lowers and while it emits, each 1.02 × the count measured when its
 //! ceiling was set. A change that lowers a count lowers its ceiling in
-//! the same diff; one that raises a count says why. The emit path's peak
-//! of live bytes has a ceiling too: `compile_to_c` lowers and emits one
-//! function at a time, and a change that keeps the whole IR again raises
-//! its peak to the whole-program path's.
+//! the same diff; one that raises a count says why. The emit and run
+//! paths' peaks of live bytes have ceilings too: `compile_to_c` lowers and
+//! emits one function at a time, `Compiler::run` lowers and compiles to
+//! bytecode one function at a time, and a change that keeps the whole IR
+//! (or the whole resolved form) again raises its peak to the
+//! whole-program path's.
 //!
 //! Its own test binary, because it installs a counting global allocator.
 
@@ -17,7 +19,7 @@ use std::cell::Cell;
 use cmm::core::{Registry, ALL_EXTENSIONS};
 use cmm::lang::{check_program, lower_functions, parse_program};
 use cmm::loopir::emit::emit_program;
-use cmm::loopir::IrProgram;
+use cmm::loopir::{Interp, IrProgram, Tier};
 
 /// [`System`], counting the allocations of the threads that asked to and
 /// the peak of the bytes they hold.
@@ -167,6 +169,35 @@ fn the_emit_path_holds_one_function_at_a_time() {
     assert!(
         streamed.peak < whole.peak,
         "compile_to_c peaks at {} bytes, compile + emit_program at {}",
+        streamed.peak,
+        whole.peak
+    );
+}
+
+#[test]
+fn the_run_path_holds_one_function_at_a_time() {
+    let src = include_str!("golden/wide_templates.xc");
+    let compiler = Registry::standard()
+        .compiler(&ALL_EXTENSIONS)
+        .expect("full language");
+    // Warm the parser cache, so that neither run counts its tables.
+    compiler.run(src, 1).expect("runs");
+
+    let (streamed, result) = tally(|| compiler.run(src, 1));
+    let (whole, whole_output) = tally(|| {
+        let ir = compiler.compile(src).expect("compiles");
+        let interp = Interp::new(&ir, 1).with_tier(Tier::Vm);
+        interp.run_main().expect("runs");
+        interp.output()
+    });
+    assert_eq!(result.expect("runs").output, whole_output);
+    // 1.25 × the peak measured when the bound was set (133 066 bytes; the
+    // whole-program path, `compile` + `Interp::new` + `with_tier`, reads
+    // 203 526 there).
+    assert!(streamed.peak <= 166_333, "Compiler::run peaks at {} bytes", streamed.peak);
+    assert!(
+        streamed.peak < whole.peak,
+        "Compiler::run peaks at {} bytes, compile + Interp::new + with_tier at {}",
         streamed.peak,
         whole.peak
     );
